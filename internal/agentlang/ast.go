@@ -1,5 +1,7 @@
 package agentlang
 
+import "repro/internal/value"
+
 // The AST. Statements carry globally unique identifiers assigned in
 // parse order; these identifiers are the "statement identifiers" that
 // execution traces record (paper §3.3, Fig. 3). Because parsing is
@@ -14,24 +16,12 @@ type expr interface {
 	pos() Pos
 }
 
-type intLit struct {
-	p Pos
-	v int64
-}
-
-type strLit struct {
-	p Pos
-	v string
-}
-
-type boolLit struct {
-	p Pos
-	v bool
-}
-
-type nullLit struct {
-	p Pos
-}
+// literal is an int, string, bool or null constant: the value.Value
+// itself, which the evaluator reads in place. Programs are shared
+// between interpreters, so nothing may write through one. Equal
+// literals of a program are one node (parser.constant) and so carry no
+// position; no error is reported at a literal.
+type literal value.Value
 
 type listLit struct {
 	p     Pos
@@ -92,10 +82,7 @@ type callExpr struct {
 	proc *Proc
 }
 
-func (e *intLit) pos() Pos     { return e.p }
-func (e *strLit) pos() Pos     { return e.p }
-func (e *boolLit) pos() Pos    { return e.p }
-func (e *nullLit) pos() Pos    { return e.p }
+func (e *literal) pos() Pos    { return Pos{} }
 func (e *listLit) pos() Pos    { return e.p }
 func (e *mapLit) pos() Pos     { return e.p }
 func (e *varRef) pos() Pos     { return e.p }

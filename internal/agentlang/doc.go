@@ -62,6 +62,13 @@
 //     migration; done() terminates the agent. A normal return from the
 //     entry procedure is equivalent to done().
 //
+// Limits: blocks and expressions nest at most 256 levels deep (a parse
+// error beyond that: source text comes from untrusted peers, and every
+// walk over the program recurses once per level), procedure calls 256
+// deep, and a session executes at most Options.Fuel statements. An
+// indexed assignment that would store a list or map inside itself
+// (x[0] = x) is a runtime error: values are finite trees.
+//
 // # Trace hooks
 //
 // An Options.Hook observes execution: one callback per statement (with

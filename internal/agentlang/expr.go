@@ -71,7 +71,8 @@ func (e *Expr) Eval(st value.State) (value.Value, error) {
 		globals: st,
 		fuel:    1 << 20,
 	}
-	v, c, err := in.eval(e.root, nil)
+	var v value.Value
+	c, err := in.eval(e.root, nil, &v)
 	if err != nil {
 		return value.Null(), err
 	}
@@ -97,7 +98,7 @@ func (e *Expr) EvalBool(st value.State) (bool, error) {
 // calls.
 func checkPure(e expr) error {
 	switch ex := e.(type) {
-	case *intLit, *strLit, *boolLit, *nullLit, *varRef:
+	case *literal, *varRef:
 		return nil
 	case *listLit:
 		for _, el := range ex.elems {

@@ -1,0 +1,81 @@
+package agentlang
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"strings"
+	"testing"
+
+	"repro/internal/canon"
+	"repro/internal/value"
+)
+
+// fuzzEnv answers like goldenEnv and records each call with its
+// arguments rendered, as a host's log would.
+type fuzzEnv struct {
+	count int64
+	calls []string
+}
+
+func (e *fuzzEnv) Input(call string, args []value.Value) (value.Value, error) {
+	e.count++
+	e.calls = append(e.calls, call+"("+renderArgs(args)+")")
+	return scriptedInput(call, args, e.count)
+}
+
+func (e *fuzzEnv) Output(action string, args []value.Value) error {
+	e.calls = append(e.calls, action+"("+renderArgs(args)+")")
+	return nil
+}
+
+// fuzzHook records which statements ran, in order.
+type fuzzHook struct{ ids []int }
+
+func (h *fuzzHook) Statement(id int, usedInput bool, _ []Assignment) {
+	if usedInput {
+		id = -id
+	}
+	h.ids = append(h.ids, id)
+}
+func (h *fuzzHook) EnterProc(string) {}
+func (h *fuzzHook) ExitProc(string)  {}
+
+// fuzzRun executes prog's main under a 10 000 step budget and returns a
+// fingerprint of everything a re-executing host would compare: final
+// state digest, steps, error text, statement order, environment calls.
+func fuzzRun(prog *Program) string {
+	st := goldenState()
+	env, hook := &fuzzEnv{}, &fuzzHook{}
+	out, err := Run(prog, "main", st, env, Options{Fuel: 10_000, Hook: hook})
+	sum := sha256.Sum256([]byte(fmt.Sprint(hook.ids, env.calls)))
+	return fmt.Sprintf("state=%x out=%+v err=%v trace=%x", canon.HashState(st), out, err, sum[:8])
+}
+
+// FuzzParseRun: Parse survives any source text, and what it accepts
+// runs the same way twice — determinism is what reference states rest
+// on. Inputs the fuzzer finds are kept under testdata/fuzz.
+func FuzzParseRun(f *testing.F) {
+	for _, c := range readGolden(f) {
+		if !strings.HasPrefix(c.Name, "work/") { // 150 000 steps each under the golden budget
+			f.Add(c.Src)
+		}
+	}
+	// The nesting reproducers of TestNestingBound, at a size the fuzzer
+	// can still mutate.
+	f.Add("proc main() { x = " + strings.Repeat("(", 2000) + "1" + strings.Repeat(")", 2000) + " }")
+	f.Add("proc main() { x = 1" + strings.Repeat(" + 1", 2000) + " }")
+	f.Add("proc main() { " + strings.Repeat("if true { ", 2000) + strings.Repeat(" }", 2000) + " }")
+
+	f.Fuzz(func(t *testing.T, src string) {
+		prog, err := Parse(src)
+		if err != nil {
+			return
+		}
+		if h := tallestExpr(prog); h > maxNesting {
+			t.Fatalf("accepted an expression %d nodes tall", h)
+		}
+		if first, second := fuzzRun(prog), fuzzRun(prog); first != second {
+			t.Fatalf("two runs of one program differ:\n %s\n %s", first, second)
+		}
+	})
+}

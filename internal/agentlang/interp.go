@@ -1,8 +1,11 @@
 package agentlang
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 
 	"repro/internal/value"
 )
@@ -88,6 +91,14 @@ const (
 )
 
 // interp executes one session. It is single-use.
+//
+// Expressions are evaluated destination-passing: eval stores its result
+// through a pointer instead of returning an 80-byte value.Value through
+// every node, and reads operands where they already live (see inPlace).
+// The destination may therefore be one of the operands (s = s + j,
+// x = x[0]), and one rule keeps that correct: a node reads everything
+// it needs from its operands before its single store to dst, and
+// stores nothing on error or control transfer.
 type interp struct {
 	prog    *Program
 	globals value.State
@@ -99,10 +110,22 @@ type interp struct {
 	fuel     int64
 	steps    int64
 
+	// stack holds procedure locals and builtin arguments; sp is the
+	// first free cell. Cells above sp hold stale values. See push for
+	// how it grows.
+	stack []value.Value
+	sp    int
+	// tmp receives values consumed at once: conditions, the right-hand
+	// side of a global assignment, discarded call results. Evaluation
+	// nested inside may use it too, since it is written last.
+	tmp value.Value
+
 	// Set when a control external fires.
 	migrateHost  string
 	migrateEntry string
-	// Return value passing.
+	// retVal carries a return value to the calling expression, which
+	// resets it to null: what a procedure that ends without a return
+	// statement yields.
 	retVal value.Value
 	// Scratch for input-consumption tracking within one statement.
 	usedInput bool
@@ -149,7 +172,7 @@ func Run(prog *Program, entry string, globals value.State, env Env, opts Options
 			in.hook = opts.Hook
 		}
 	}
-	c, err := in.callProcBody(proc, nil)
+	c, err := in.callProc(proc, in.frame(proc, 0))
 	if err != nil {
 		return Outcome{Steps: in.steps}, err
 	}
@@ -166,8 +189,40 @@ func Run(prog *Program, entry string, globals value.State, env Env, opts Options
 	return out, nil
 }
 
-// callProcBody runs a procedure with the given argument values.
-func (in *interp) callProcBody(proc *Proc, args []value.Value) (ctrl, error) {
+// push carves n cells off the value stack. The cells hold stale values;
+// the caller overwrites or clears them. A full stack is replaced, not
+// copied: every frame below keeps the slices and pointers it carved
+// from the old array and never derives them again. Cells are released
+// by resetting sp, on the normal path only: an error or a migrate/done
+// unwinds the whole session.
+func (in *interp) push(n int) []value.Value {
+	if in.sp+n > len(in.stack) {
+		in.stack = make([]value.Value, max(8, 2*(in.sp+n)))
+	}
+	cells := in.stack[in.sp : in.sp+n : in.sp+n]
+	in.sp += n
+	return cells
+}
+
+// frame carves proc's local slots; the first nargs are left for the
+// caller to fill with arguments, the rest start out unassigned.
+func (in *interp) frame(proc *Proc, nargs int) []value.Value {
+	locals := in.push(proc.numLocals)
+	clear(locals[nargs:])
+	return locals
+}
+
+// tick charges one step against the session's statement budget.
+func (in *interp) tick() error {
+	in.steps++
+	if in.steps > in.fuel {
+		return fmt.Errorf("%w (limit %d)", ErrFuelExhausted, in.fuel)
+	}
+	return nil
+}
+
+// callProc runs a procedure body over its frame.
+func (in *interp) callProc(proc *Proc, locals []value.Value) (ctrl, error) {
 	if in.depth >= maxCallDepth {
 		return ctrlNone, rtErrf(proc.pos, "call depth exceeds %d in %q", maxCallDepth, proc.Name)
 	}
@@ -175,8 +230,6 @@ func (in *interp) callProcBody(proc *Proc, args []value.Value) (ctrl, error) {
 	if in.procHook != nil {
 		in.procHook.EnterProc(proc.Name)
 	}
-	locals := make([]value.Value, proc.numLocals)
-	copy(locals, args)
 	c, err := in.execBlock(proc.body, locals)
 	if in.procHook != nil {
 		in.procHook.ExitProc(proc.Name)
@@ -210,100 +263,60 @@ func (in *interp) execBlock(body []stmt, locals []value.Value) (ctrl, error) {
 }
 
 func (in *interp) execStmt(s stmt, locals []value.Value) (ctrl, error) {
-	in.steps++
-	if in.steps > in.fuel {
-		return ctrlNone, fmt.Errorf("%w (limit %d)", ErrFuelExhausted, in.fuel)
+	if err := in.tick(); err != nil {
+		return ctrlNone, err
 	}
 	switch st := s.(type) {
 	case *letStmt:
 		in.usedInput = false
-		v, c, err := in.eval(st.rhs, locals)
-		if err != nil || c != ctrlNone {
+		dst := &locals[st.slot]
+		if c, err := in.eval(st.rhs, locals, dst); err != nil || c != ctrlNone {
 			return c, err
 		}
-		locals[st.slot] = v
 		if in.hook != nil {
-			in.emit(st.sid, []Assignment{{Name: st.name, Val: v}})
+			in.emitAssign(st.sid, st.name, dst)
 		}
 		return ctrlNone, nil
 
 	case *assignStmt:
 		in.usedInput = false
-		v, c, err := in.eval(st.rhs, locals)
-		if err != nil || c != ctrlNone {
+		if len(st.path) > 0 {
+			return in.assignPath(st, locals)
+		}
+		dst := &in.tmp
+		if st.local >= 0 {
+			dst = &locals[st.local]
+		}
+		if c, err := in.eval(st.rhs, locals, dst); err != nil || c != ctrlNone {
 			return c, err
 		}
-		if len(st.path) == 0 {
-			if st.local >= 0 {
-				locals[st.local] = v
-			} else {
-				in.globals[st.name] = v
-			}
-			if in.hook != nil {
-				in.emit(st.sid, []Assignment{{Name: st.name, Val: v}})
-			}
-			return ctrlNone, nil
-		}
-		if err := in.assignPath(st, v, locals); err != nil {
-			return ctrlNone, err
+		if st.local < 0 {
+			in.globals[st.name] = in.tmp
 		}
 		if in.hook != nil {
-			var root value.Value
-			if st.local >= 0 {
-				root = locals[st.local]
-			} else {
-				root = in.globals[st.name]
-			}
-			in.emit(st.sid, []Assignment{{Name: st.name, Val: root}})
+			in.emitAssign(st.sid, st.name, dst)
 		}
 		return ctrlNone, nil
 
 	case *ifStmt:
 		in.usedInput = false
 		for i, cond := range st.conds {
-			v, c, err := in.eval(cond, locals)
-			if err != nil || c != ctrlNone {
+			if c, err := in.eval(cond, locals, &in.tmp); err != nil || c != ctrlNone {
 				return c, err
 			}
-			if v.Truthy() {
-				in.emit(st.sid, nil)
+			if in.tmp.Truthy() {
+				in.emit(st.sid)
 				return in.execBlock(st.bodies[i], locals)
 			}
 		}
-		in.emit(st.sid, nil)
+		in.emit(st.sid)
 		if st.els != nil {
 			return in.execBlock(st.els, locals)
 		}
 		return ctrlNone, nil
 
 	case *whileStmt:
-		for {
-			in.steps++
-			if in.steps > in.fuel {
-				return ctrlNone, fmt.Errorf("%w (limit %d)", ErrFuelExhausted, in.fuel)
-			}
-			in.usedInput = false
-			v, c, err := in.eval(st.cond, locals)
-			if err != nil || c != ctrlNone {
-				return c, err
-			}
-			in.emit(st.sid, nil)
-			if !v.Truthy() {
-				return ctrlNone, nil
-			}
-			c, err = in.execBlock(st.body, locals)
-			if err != nil {
-				return ctrlNone, err
-			}
-			switch c {
-			case ctrlBreak:
-				return ctrlNone, nil
-			case ctrlNone, ctrlContinue:
-				// next iteration
-			default:
-				return c, nil
-			}
-		}
+		return in.loop(st.sid, st.cond, st.body, nil, locals)
 
 	case *forStmt:
 		if st.init != nil {
@@ -311,66 +324,37 @@ func (in *interp) execStmt(s stmt, locals []value.Value) (ctrl, error) {
 				return c, err
 			}
 		}
-		for {
-			in.steps++
-			if in.steps > in.fuel {
-				return ctrlNone, fmt.Errorf("%w (limit %d)", ErrFuelExhausted, in.fuel)
-			}
-			in.usedInput = false
-			v, c, err := in.eval(st.cond, locals)
-			if err != nil || c != ctrlNone {
-				return c, err
-			}
-			in.emit(st.sid, nil)
-			if !v.Truthy() {
-				return ctrlNone, nil
-			}
-			c, err = in.execBlock(st.body, locals)
-			if err != nil {
-				return ctrlNone, err
-			}
-			switch c {
-			case ctrlBreak:
-				return ctrlNone, nil
-			case ctrlNone, ctrlContinue:
-			default:
-				return c, nil
-			}
-			if st.post != nil {
-				if c, err := in.execStmt(st.post, locals); err != nil || c != ctrlNone {
-					return c, err
-				}
-			}
-		}
+		return in.loop(st.sid, st.cond, st.body, st.post, locals)
 
 	case *returnStmt:
 		in.usedInput = false
-		in.retVal = value.Null()
-		if st.val != nil {
-			v, c, err := in.eval(st.val, locals)
-			if err != nil || c != ctrlNone {
+		if st.val == nil {
+			in.retVal = value.Null()
+		} else {
+			// Not straight into retVal: a call in st.val clears retVal
+			// after copying it to its destination.
+			if c, err := in.eval(st.val, locals, &in.tmp); err != nil || c != ctrlNone {
 				return c, err
 			}
-			in.retVal = v
+			in.retVal = in.tmp
 		}
-		in.emit(st.sid, nil)
+		in.emit(st.sid)
 		return ctrlReturn, nil
 
 	case *breakStmt:
-		in.emit(st.sid, nil)
+		in.emit(st.sid)
 		return ctrlBreak, nil
 
 	case *continueStmt:
-		in.emit(st.sid, nil)
+		in.emit(st.sid)
 		return ctrlContinue, nil
 
 	case *exprStmt:
 		in.usedInput = false
-		_, c, err := in.evalCall(st.call, locals)
-		if err != nil || c != ctrlNone {
+		if c, err := in.evalCall(st.call, locals, &in.tmp); err != nil || c != ctrlNone {
 			return c, err
 		}
-		in.emit(st.sid, nil)
+		in.emit(st.sid)
 		return ctrlNone, nil
 
 	default:
@@ -378,15 +362,77 @@ func (in *interp) execStmt(s stmt, locals []value.Value) (ctrl, error) {
 	}
 }
 
-// emit reports a statement execution to the hook. Assignments are only
-// passed through when the statement consumed external input, matching
-// the trace format of Fig. 3.
-func (in *interp) emit(sid int, assigned []Assignment) {
-	if in.hook == nil {
-		return
+// loop runs a while loop, or a for loop after its init statement. Each
+// evaluation of the condition costs one step.
+func (in *interp) loop(sid int, cond expr, body []stmt, post stmt, locals []value.Value) (ctrl, error) {
+	for {
+		if err := in.tick(); err != nil {
+			return ctrlNone, err
+		}
+		in.usedInput = false
+		if c, err := in.eval(cond, locals, &in.tmp); err != nil || c != ctrlNone {
+			return c, err
+		}
+		in.emit(sid)
+		if !in.tmp.Truthy() {
+			return ctrlNone, nil
+		}
+		c, err := in.execBlock(body, locals)
+		if err != nil {
+			return ctrlNone, err
+		}
+		switch c {
+		case ctrlBreak:
+			return ctrlNone, nil
+		case ctrlNone, ctrlContinue:
+			// next iteration
+		default:
+			return c, nil
+		}
+		if post != nil {
+			if c, err := in.execStmt(post, locals); err != nil || c != ctrlNone {
+				return c, err
+			}
+		}
 	}
+}
+
+// setInt and setBool store a scalar. Over a scalar of the same kind they
+// write the one field that differs, not all 80 bytes, four of them
+// pointers; storing value.Int(n) whole costs s = s + j 8 % more. The
+// other fields of a scalar are zero as every constructor and canon's
+// decoder leave them. A hand-built or gob-decoded scalar with a stray
+// Str or List keeps it through x = x + 1; nothing that reads a Value by
+// its Kind (operators, builtins, canon) can tell.
+func setInt(dst *value.Value, n int64) {
+	if dst.Kind == value.KindInt {
+		dst.Int = n
+	} else {
+		*dst = value.Int(n)
+	}
+}
+
+func setBool(dst *value.Value, b bool) {
+	if dst.Kind == value.KindBool {
+		dst.Bool = b
+	} else {
+		*dst = value.Bool(b)
+	}
+}
+
+// emit reports the execution of a statement that assigns nothing.
+func (in *interp) emit(sid int) {
+	if in.hook != nil {
+		in.hook.Statement(sid, in.usedInput, nil)
+	}
+}
+
+// emitAssign reports an assignment to a non-nil hook. The written
+// variable is passed through only when the statement consumed external
+// input, matching the trace format of Fig. 3.
+func (in *interp) emitAssign(sid int, name string, v *value.Value) {
 	if in.usedInput {
-		in.hook.Statement(sid, true, assigned)
+		in.hook.Statement(sid, true, []Assignment{{Name: name, Val: *v}})
 	} else {
 		in.hook.Statement(sid, false, nil)
 	}
@@ -398,22 +444,27 @@ func (in *interp) emit(sid int, assigned []Assignment) {
 // unless a level is marked as co-owned with a copy-on-write snapshot
 // (value.State.Snapshot), in which case that level is copied before
 // the write so the snapshot stays intact.
-func (in *interp) assignPath(st *assignStmt, v value.Value, locals []value.Value) error {
-	// Evaluate the index expressions up front (left to right, as the
-	// in-place walk did) so the copy-on-write descent below is a pure
-	// structural operation.
-	var idxBuf [4]value.Value
-	idxs := idxBuf[:0]
-	for _, idxExpr := range st.path {
-		idx, c, err := in.eval(idxExpr, locals)
+func (in *interp) assignPath(st *assignStmt, locals []value.Value) (ctrl, error) {
+	// The right-hand side, then the index expressions left to right, all
+	// before the copy-on-write descent so that it is a pure structural
+	// operation. They sit on the stack because each must survive the
+	// evaluation of the next.
+	mark := in.sp
+	cells := in.push(1 + len(st.path))
+	if c, err := in.eval(st.rhs, locals, &cells[0]); err != nil || c != ctrlNone {
+		return c, err
+	}
+	idxs := cells[1:]
+	for i, idxExpr := range st.path {
+		c, err := in.eval(idxExpr, locals, &idxs[i])
 		if err != nil {
-			return err
+			return ctrlNone, err
 		}
 		if c != ctrlNone {
-			return rtErrf(st.p, "control transfer inside index expression")
+			return ctrlNone, rtErrf(st.p, "control transfer inside index expression")
 		}
-		idxs = append(idxs, idx)
 	}
+	in.sp = mark
 	var root value.Value
 	if st.local >= 0 {
 		root = locals[st.local]
@@ -421,12 +472,12 @@ func (in *interp) assignPath(st *assignStmt, v value.Value, locals []value.Value
 		var ok bool
 		root, ok = in.globals[st.name]
 		if !ok {
-			return rtErrf(st.p, "indexed assignment to undefined variable %q", st.name)
+			return ctrlNone, rtErrf(st.p, "indexed assignment to undefined variable %q", st.name)
 		}
 	}
-	root, err := in.setAt(root, idxs, v, st)
+	root, err := in.setAt(root, idxs, cells[0], st)
 	if err != nil {
-		return err
+		return ctrlNone, err
 	}
 	// Store the (possibly copied) root back into its binding.
 	if st.local >= 0 {
@@ -434,7 +485,10 @@ func (in *interp) assignPath(st *assignStmt, v value.Value, locals []value.Value
 	} else {
 		in.globals[st.name] = root
 	}
-	return nil
+	if in.hook != nil {
+		in.emitAssign(st.sid, st.name, &root)
+	}
+	return ctrlNone, nil
 }
 
 // setAt writes v at the position named by idxs inside cur, taking
@@ -455,6 +509,9 @@ func (in *interp) setAt(cur value.Value, idxs []value.Value, v value.Value, st *
 		// snapshot still co-owns.
 		cur = value.Owned(cur)
 		if len(idxs) == 1 {
+			if holds(&v, &cur) {
+				return cur, rtErrf(st.p, "assignment would make the list contain itself")
+			}
 			cur.List[idx.Int] = v
 			return cur, nil
 		}
@@ -470,6 +527,9 @@ func (in *interp) setAt(cur value.Value, idxs []value.Value, v value.Value, st *
 		}
 		cur = value.Owned(cur)
 		if len(idxs) == 1 {
+			if holds(&v, &cur) {
+				return cur, rtErrf(st.p, "assignment would make the map contain itself")
+			}
 			cur.Map[idx.Str] = v
 			return cur, nil
 		}
@@ -488,254 +548,354 @@ func (in *interp) setAt(cur value.Value, idxs []value.Value, v value.Value, st *
 	}
 }
 
-func (in *interp) eval(e expr, locals []value.Value) (value.Value, ctrl, error) {
+// holds reports whether v is, or contains at any depth, the list or map
+// c. Storing v inside c would then close a cycle, and nothing that walks
+// a value (Equal, String, Clone, canon.HashState) returns from one.
+// Indexed assignment is the only operation that writes into existing
+// storage, so refusing it there keeps every value a finite tree. Lists
+// are never resliced: two share storage exactly when their first
+// elements do.
+func holds(v, c *value.Value) bool {
+	switch v.Kind {
+	case value.KindList:
+		if c.Kind == value.KindList && len(v.List) > 0 && len(c.List) > 0 && &v.List[0] == &c.List[0] {
+			return true
+		}
+		for i := range v.List {
+			if holds(&v.List[i], c) {
+				return true
+			}
+		}
+	case value.KindMap:
+		if c.Kind == value.KindMap && reflect.ValueOf(v.Map).UnsafePointer() == reflect.ValueOf(c.Map).UnsafePointer() {
+			return true
+		}
+		for _, e := range v.Map {
+			if holds(&e, c) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// eval evaluates e and stores the result in *dst, which may alias a
+// local slot that e reads. Nothing is stored unless it returns
+// (ctrlNone, nil).
+func (in *interp) eval(e expr, locals []value.Value, dst *value.Value) (ctrl, error) {
 	switch ex := e.(type) {
-	case *intLit:
-		return value.Int(ex.v), ctrlNone, nil
-	case *strLit:
-		return value.Str(ex.v), ctrlNone, nil
-	case *boolLit:
-		return value.Bool(ex.v), ctrlNone, nil
-	case *nullLit:
-		return value.Null(), ctrlNone, nil
+	case *literal:
+		*dst = value.Value(*ex)
+		return ctrlNone, nil
 	case *varRef:
 		if ex.local >= 0 {
-			return locals[ex.local], ctrlNone, nil
+			*dst = locals[ex.local]
+			return ctrlNone, nil
 		}
 		v, ok := in.globals[ex.name]
 		if !ok {
-			return value.Null(), ctrlNone, rtErrf(ex.p, "undefined variable %q", ex.name)
+			return ctrlNone, rtErrf(ex.p, "undefined variable %q", ex.name)
 		}
-		return v, ctrlNone, nil
+		*dst = v
+		return ctrlNone, nil
 	case *listLit:
 		elems := make([]value.Value, len(ex.elems))
 		for i, el := range ex.elems {
-			v, c, err := in.eval(el, locals)
-			if err != nil || c != ctrlNone {
-				return value.Null(), c, err
+			if c, err := in.eval(el, locals, &elems[i]); err != nil || c != ctrlNone {
+				return c, err
 			}
-			elems[i] = v
 		}
-		return value.List(elems...), ctrlNone, nil
+		*dst = value.List(elems...)
+		return ctrlNone, nil
 	case *mapLit:
-		m := make(map[string]value.Value, len(ex.keys))
-		for i := range ex.keys {
-			k, c, err := in.eval(ex.keys[i], locals)
-			if err != nil || c != ctrlNone {
-				return value.Null(), c, err
-			}
-			if k.Kind != value.KindString {
-				return value.Null(), ctrlNone, rtErrf(ex.p, "map literal key must be string, got %s", k.Kind)
-			}
-			v, c, err := in.eval(ex.vals[i], locals)
-			if err != nil || c != ctrlNone {
-				return value.Null(), c, err
-			}
-			m[k.Str] = v
-		}
-		return value.Map(m), ctrlNone, nil
+		return in.evalMap(ex, locals, dst)
 	case *indexExpr:
-		base, c, err := in.eval(ex.base, locals)
-		if err != nil || c != ctrlNone {
-			return value.Null(), c, err
-		}
-		idx, c, err := in.eval(ex.idx, locals)
-		if err != nil || c != ctrlNone {
-			return value.Null(), c, err
-		}
-		switch base.Kind {
-		case value.KindList:
-			if idx.Kind != value.KindInt {
-				return value.Null(), ctrlNone, rtErrf(ex.p, "list index must be int, got %s", idx.Kind)
-			}
-			if idx.Int < 0 || idx.Int >= int64(len(base.List)) {
-				return value.Null(), ctrlNone, rtErrf(ex.p, "list index %d out of range (len %d)", idx.Int, len(base.List))
-			}
-			// ShareFrom: a child read out of a snapshot-shared composite
-			// co-owns snapshot storage, so writes through the extracted
-			// value must copy-on-write too.
-			return value.ShareFrom(base, base.List[idx.Int]), ctrlNone, nil
-		case value.KindMap:
-			if idx.Kind != value.KindString {
-				return value.Null(), ctrlNone, rtErrf(ex.p, "map key must be string, got %s", idx.Kind)
-			}
-			v, ok := base.Map[idx.Str]
-			if !ok {
-				return value.Null(), ctrlNone, rtErrf(ex.p, "map key %q not present", idx.Str)
-			}
-			return value.ShareFrom(base, v), ctrlNone, nil
-		case value.KindString:
-			if idx.Kind != value.KindInt {
-				return value.Null(), ctrlNone, rtErrf(ex.p, "string index must be int, got %s", idx.Kind)
-			}
-			if idx.Int < 0 || idx.Int >= int64(len(base.Str)) {
-				return value.Null(), ctrlNone, rtErrf(ex.p, "string index %d out of range (len %d)", idx.Int, len(base.Str))
-			}
-			return value.Str(base.Str[idx.Int : idx.Int+1]), ctrlNone, nil
-		default:
-			return value.Null(), ctrlNone, rtErrf(ex.p, "cannot index into %s", base.Kind)
-		}
+		return in.evalIndex(ex, locals, dst)
 	case *unaryExpr:
-		v, c, err := in.eval(ex.x, locals)
-		if err != nil || c != ctrlNone {
-			return value.Null(), c, err
-		}
-		switch ex.op {
-		case tokMinus:
-			if v.Kind != value.KindInt {
-				return value.Null(), ctrlNone, rtErrf(ex.p, "unary - needs int, got %s", v.Kind)
-			}
-			return value.Int(-v.Int), ctrlNone, nil
-		default: // tokBang
-			return value.Bool(!v.Truthy()), ctrlNone, nil
-		}
+		return in.evalUnary(ex, locals, dst)
 	case *binaryExpr:
-		return in.evalBinary(ex, locals)
+		return in.evalBinary(ex, locals, dst)
 	case *callExpr:
-		return in.evalCall(ex, locals)
+		return in.evalCall(ex, locals, dst)
 	default:
-		return value.Null(), ctrlNone, rtErrf(e.pos(), "internal: unknown expression type %T", e)
+		return ctrlNone, rtErrf(e.pos(), "internal: unknown expression type %T", e)
 	}
 }
 
-func (in *interp) evalBinary(ex *binaryExpr, locals []value.Value) (value.Value, ctrl, error) {
+// inPlace returns where e's value already lives — a local slot, a
+// literal node — or nil. Evaluators read an operand through
+// that pointer, never write through it, and evaluate any other operand
+// into a variable of their own first. The test sits at every use,
+// written out, because it inlines and a helper doing both would not:
+// that is worth a sixth of the run time of s = s + j.
+func inPlace(e expr, locals []value.Value) *value.Value {
+	switch ex := e.(type) {
+	case *literal:
+		return (*value.Value)(ex)
+	case *varRef:
+		if ex.local >= 0 {
+			return &locals[ex.local]
+		}
+	}
+	return nil
+}
+
+func (in *interp) evalMap(ex *mapLit, locals []value.Value, dst *value.Value) (c ctrl, err error) {
+	m := make(map[string]value.Value, len(ex.keys))
+	var spilled value.Value // declared in the loop it would escape to the heap
+	for i := range ex.keys {
+		k := inPlace(ex.keys[i], locals)
+		if k == nil {
+			if c, err = in.eval(ex.keys[i], locals, &spilled); err != nil || c != ctrlNone {
+				return c, err
+			}
+			k = &spilled
+		}
+		if k.Kind != value.KindString {
+			return ctrlNone, rtErrf(ex.p, "map literal key must be string, got %s", k.Kind)
+		}
+		if c, err = in.eval(ex.vals[i], locals, &in.tmp); err != nil || c != ctrlNone {
+			return c, err
+		}
+		m[k.Str] = in.tmp
+	}
+	*dst = value.Map(m)
+	return ctrlNone, nil
+}
+
+func (in *interp) evalUnary(ex *unaryExpr, locals []value.Value, dst *value.Value) (c ctrl, err error) {
+	x := inPlace(ex.x, locals)
+	if x == nil {
+		var spilled value.Value
+		if c, err = in.eval(ex.x, locals, &spilled); err != nil || c != ctrlNone {
+			return c, err
+		}
+		x = &spilled
+	}
+	if ex.op == tokBang {
+		setBool(dst, !x.Truthy())
+		return ctrlNone, nil
+	}
+	if x.Kind != value.KindInt {
+		return ctrlNone, rtErrf(ex.p, "unary - needs int, got %s", x.Kind)
+	}
+	setInt(dst, -x.Int)
+	return ctrlNone, nil
+}
+
+func (in *interp) evalIndex(ex *indexExpr, locals []value.Value, dst *value.Value) (c ctrl, err error) {
+	base := inPlace(ex.base, locals)
+	if base == nil {
+		var spilled value.Value
+		if c, err = in.eval(ex.base, locals, &spilled); err != nil || c != ctrlNone {
+			return c, err
+		}
+		base = &spilled
+	}
+	idx := inPlace(ex.idx, locals)
+	if idx == nil {
+		var spilled value.Value
+		if c, err = in.eval(ex.idx, locals, &spilled); err != nil || c != ctrlNone {
+			return c, err
+		}
+		idx = &spilled
+	}
+	switch base.Kind {
+	case value.KindList:
+		if idx.Kind != value.KindInt {
+			return ctrlNone, rtErrf(ex.p, "list index must be int, got %s", idx.Kind)
+		}
+		if idx.Int < 0 || idx.Int >= int64(len(base.List)) {
+			return ctrlNone, rtErrf(ex.p, "list index %d out of range (len %d)", idx.Int, len(base.List))
+		}
+		// ShareFrom: a child read out of a snapshot-shared composite
+		// co-owns snapshot storage, so writes through the extracted
+		// value must copy-on-write too.
+		*dst = value.ShareFrom(*base, base.List[idx.Int])
+	case value.KindMap:
+		if idx.Kind != value.KindString {
+			return ctrlNone, rtErrf(ex.p, "map key must be string, got %s", idx.Kind)
+		}
+		v, ok := base.Map[idx.Str]
+		if !ok {
+			return ctrlNone, rtErrf(ex.p, "map key %q not present", idx.Str)
+		}
+		*dst = value.ShareFrom(*base, v)
+	case value.KindString:
+		if idx.Kind != value.KindInt {
+			return ctrlNone, rtErrf(ex.p, "string index must be int, got %s", idx.Kind)
+		}
+		if idx.Int < 0 || idx.Int >= int64(len(base.Str)) {
+			return ctrlNone, rtErrf(ex.p, "string index %d out of range (len %d)", idx.Int, len(base.Str))
+		}
+		*dst = value.Str(base.Str[idx.Int : idx.Int+1])
+	default:
+		return ctrlNone, rtErrf(ex.p, "cannot index into %s", base.Kind)
+	}
+	return ctrlNone, nil
+}
+
+func (in *interp) evalBinary(ex *binaryExpr, locals []value.Value, dst *value.Value) (c ctrl, err error) {
+	l := inPlace(ex.l, locals)
+	if l == nil {
+		var spilled value.Value
+		if c, err = in.eval(ex.l, locals, &spilled); err != nil || c != ctrlNone {
+			return c, err
+		}
+		l = &spilled
+	}
 	// Short-circuit operators evaluate lazily; this matters for replay
 	// determinism because the right operand may consume input.
 	if ex.op == tokAndAnd || ex.op == tokOrOr {
-		l, c, err := in.eval(ex.l, locals)
-		if err != nil || c != ctrlNone {
-			return value.Null(), c, err
+		if lt := l.Truthy(); lt == (ex.op == tokOrOr) {
+			setBool(dst, lt)
+			return ctrlNone, nil
 		}
-		if ex.op == tokAndAnd && !l.Truthy() {
-			return value.Bool(false), ctrlNone, nil
+	}
+	r := inPlace(ex.r, locals)
+	if r == nil {
+		var spilled value.Value
+		if c, err = in.eval(ex.r, locals, &spilled); err != nil || c != ctrlNone {
+			return c, err
 		}
-		if ex.op == tokOrOr && l.Truthy() {
-			return value.Bool(true), ctrlNone, nil
-		}
-		r, c, err := in.eval(ex.r, locals)
-		if err != nil || c != ctrlNone {
-			return value.Null(), c, err
-		}
-		return value.Bool(r.Truthy()), ctrlNone, nil
+		r = &spilled
 	}
 
-	l, c, err := in.eval(ex.l, locals)
-	if err != nil || c != ctrlNone {
-		return value.Null(), c, err
-	}
-	r, c, err := in.eval(ex.r, locals)
-	if err != nil || c != ctrlNone {
-		return value.Null(), c, err
-	}
-
+	var res bool
 	switch ex.op {
+	case tokAndAnd, tokOrOr:
+		res = r.Truthy()
 	case tokEq:
-		return value.Bool(l.Equal(r)), ctrlNone, nil
+		res = l.Equal(*r)
 	case tokNe:
-		return value.Bool(!l.Equal(r)), ctrlNone, nil
-	}
-
-	// '+' concatenates strings and lists.
-	if ex.op == tokPlus {
-		switch {
-		case l.Kind == value.KindString && r.Kind == value.KindString:
-			return value.Str(l.Str + r.Str), ctrlNone, nil
-		case l.Kind == value.KindList && r.Kind == value.KindList:
-			out := make([]value.Value, 0, len(l.List)+len(r.List))
-			out = append(out, l.List...)
-			out = append(out, r.List...)
-			return value.List(out...), ctrlNone, nil
-		}
-	}
-
-	// Ordering comparisons work on ints and strings.
-	switch ex.op {
+		res = !l.Equal(*r)
 	case tokLt, tokLe, tokGt, tokGe:
-		if l.Kind != r.Kind || (l.Kind != value.KindInt && l.Kind != value.KindString) {
-			return value.Null(), ctrlNone, rtErrf(ex.p, "cannot compare %s and %s", l.Kind, r.Kind)
+		// Ordering comparisons work on ints and strings.
+		var ord int
+		switch {
+		case l.Kind == value.KindInt && r.Kind == value.KindInt:
+			ord = cmp.Compare(l.Int, r.Int)
+		case l.Kind == value.KindString && r.Kind == value.KindString:
+			ord = strings.Compare(l.Str, r.Str)
+		default:
+			return ctrlNone, rtErrf(ex.p, "cannot compare %s and %s", l.Kind, r.Kind)
 		}
-		cmp := l.Compare(r)
 		switch ex.op {
 		case tokLt:
-			return value.Bool(cmp < 0), ctrlNone, nil
+			res = ord < 0
 		case tokLe:
-			return value.Bool(cmp <= 0), ctrlNone, nil
+			res = ord <= 0
 		case tokGt:
-			return value.Bool(cmp > 0), ctrlNone, nil
+			res = ord > 0
 		default:
-			return value.Bool(cmp >= 0), ctrlNone, nil
+			res = ord >= 0
 		}
-	}
-
-	// Arithmetic needs ints.
-	if l.Kind != value.KindInt || r.Kind != value.KindInt {
-		return value.Null(), ctrlNone, rtErrf(ex.p, "operator needs ints, got %s and %s", l.Kind, r.Kind)
-	}
-	switch ex.op {
-	case tokPlus:
-		return value.Int(l.Int + r.Int), ctrlNone, nil
-	case tokMinus:
-		return value.Int(l.Int - r.Int), ctrlNone, nil
-	case tokStar:
-		return value.Int(l.Int * r.Int), ctrlNone, nil
-	case tokSlash:
-		if r.Int == 0 {
-			return value.Null(), ctrlNone, rtErrf(ex.p, "division by zero")
-		}
-		return value.Int(l.Int / r.Int), ctrlNone, nil
-	case tokPercent:
-		if r.Int == 0 {
-			return value.Null(), ctrlNone, rtErrf(ex.p, "modulo by zero")
-		}
-		return value.Int(l.Int % r.Int), ctrlNone, nil
 	default:
-		return value.Null(), ctrlNone, rtErrf(ex.p, "internal: unknown operator")
+		if l.Kind != value.KindInt || r.Kind != value.KindInt {
+			return ctrlNone, concat(ex, l, r, dst)
+		}
+		n, m := l.Int, r.Int
+		switch ex.op {
+		case tokPlus:
+			n += m
+		case tokMinus:
+			n -= m
+		case tokStar:
+			n *= m
+		case tokSlash:
+			if m == 0 {
+				return ctrlNone, rtErrf(ex.p, "division by zero")
+			}
+			n /= m
+		case tokPercent:
+			if m == 0 {
+				return ctrlNone, rtErrf(ex.p, "modulo by zero")
+			}
+			n %= m
+		default:
+			return ctrlNone, rtErrf(ex.p, "internal: unknown operator")
+		}
+		setInt(dst, n)
+		return ctrlNone, nil
 	}
+	setBool(dst, res)
+	return ctrlNone, nil
 }
 
-func (in *interp) evalCall(ex *callExpr, locals []value.Value) (value.Value, ctrl, error) {
-	args := make([]value.Value, len(ex.args))
+// concat is an arithmetic operator over operands that are not both
+// ints: '+' joins two strings or two lists, anything else is an error.
+func concat(ex *binaryExpr, l, r, dst *value.Value) error {
+	switch {
+	case ex.op == tokPlus && l.Kind == value.KindString && r.Kind == value.KindString:
+		*dst = value.Str(l.Str + r.Str)
+	case ex.op == tokPlus && l.Kind == value.KindList && r.Kind == value.KindList:
+		out := make([]value.Value, 0, len(l.List)+len(r.List))
+		out = append(out, l.List...)
+		out = append(out, r.List...)
+		*dst = value.List(out...)
+	default:
+		return rtErrf(ex.p, "operator needs ints, got %s and %s", l.Kind, r.Kind)
+	}
+	return nil
+}
+
+func (in *interp) evalCall(ex *callExpr, locals []value.Value, dst *value.Value) (ctrl, error) {
+	// Arguments are evaluated straight into the cells the callee reads:
+	// a procedure's parameter slots or a builtin's argument list on the
+	// stack, or a fresh slice for an external, whose Env may retain it.
+	mark := in.sp
+	var args []value.Value
+	switch ex.kind {
+	case callBuiltin:
+		args = in.push(len(ex.args))
+	case callProc:
+		args = in.frame(ex.proc, len(ex.args))
+	default:
+		args = make([]value.Value, len(ex.args))
+	}
 	for i, a := range ex.args {
-		v, c, err := in.eval(a, locals)
-		if err != nil || c != ctrlNone {
-			return value.Null(), c, err
+		if c, err := in.eval(a, locals, &args[i]); err != nil || c != ctrlNone {
+			return c, err
 		}
-		args[i] = v
 	}
 	switch ex.kind {
 	case callBuiltin:
 		v, err := ex.builtin(args)
 		if err != nil {
-			return value.Null(), ctrlNone, rtErrf(ex.p, "%s", err)
+			return ctrlNone, rtErrf(ex.p, "%s", err)
 		}
-		return v, ctrlNone, nil
+		in.sp = mark
+		*dst = v
+		return ctrlNone, nil
 
 	case callExternal:
 		switch {
 		case ex.ext.isControl:
 			if ex.name == "migrate" {
 				if args[0].Kind != value.KindString || args[1].Kind != value.KindString {
-					return value.Null(), ctrlNone, rtErrf(ex.p, "migrate(host, entry) needs string arguments")
+					return ctrlNone, rtErrf(ex.p, "migrate(host, entry) needs string arguments")
 				}
 				in.migrateHost = args[0].Str
 				in.migrateEntry = args[1].Str
-				return value.Null(), ctrlMigrate, nil
+				return ctrlMigrate, nil
 			}
-			return value.Null(), ctrlDone, nil // done()
+			return ctrlDone, nil // done()
 		case ex.ext.isInput:
 			v, err := in.env.Input(ex.name, args)
 			if err != nil {
-				return value.Null(), ctrlNone, &RuntimeError{
+				return ctrlNone, &RuntimeError{
 					Pos: ex.p, Msg: fmt.Sprintf("input %s: %s", ex.name, err), Cause: err}
 			}
 			in.usedInput = true
-			return v, ctrlNone, nil
+			*dst = v
+			return ctrlNone, nil
 		default: // output
 			if err := in.env.Output(ex.name, args); err != nil {
-				return value.Null(), ctrlNone, &RuntimeError{
+				return ctrlNone, &RuntimeError{
 					Pos: ex.p, Msg: fmt.Sprintf("output %s: %s", ex.name, err), Cause: err}
 			}
-			return value.Null(), ctrlNone, nil
+			*dst = value.Null()
+			return ctrlNone, nil
 		}
 
 	case callProc:
@@ -745,20 +905,18 @@ func (in *interp) evalCall(ex *callExpr, locals []value.Value) (value.Value, ctr
 		// expression (input inside the callee is traced at the callee's
 		// own statements).
 		savedUsedInput := in.usedInput
-		c, err := in.callProcBody(ex.proc, args)
+		c, err := in.callProc(ex.proc, args)
 		in.usedInput = savedUsedInput
-		if err != nil {
-			return value.Null(), ctrlNone, err
-		}
-		if c != ctrlNone {
+		if err != nil || c != ctrlNone {
 			// migrate/done propagate out of nested calls.
-			return value.Null(), c, nil
+			return c, err
 		}
-		v := in.retVal
+		in.sp = mark
+		*dst = in.retVal
 		in.retVal = value.Null()
-		return v, ctrlNone, nil
+		return ctrlNone, nil
 
 	default:
-		return value.Null(), ctrlNone, rtErrf(ex.p, "internal: unknown call kind")
+		return ctrlNone, rtErrf(ex.p, "internal: unknown call kind")
 	}
 }

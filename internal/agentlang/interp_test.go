@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/testutil"
 	"repro/internal/value"
 )
 
@@ -356,6 +357,32 @@ func TestRuntimeErrors(t *testing.T) {
 	}
 }
 
+// TestSelfContainingWriteRefused: an indexed write that would close a
+// cycle is a runtime error, the state it leaves behind can still be
+// walked, and writes that merely share structure stay legal.
+func TestSelfContainingWriteRefused(t *testing.T) {
+	for src, wantErr := range map[string]bool{
+		`proc main() { x = [0] x[0] = x }`:                            true,
+		`proc main() { let x = [0, 0] x[1] = x }`:                     true,
+		`proc main() { m = {} m["a"] = m }`:                           true,
+		`proc main() { x = [[0]] x[0][0] = x }`:                       true,
+		`proc main() { x = [[0]] y = x[0] y[0] = x + x }`:             true,
+		`proc main() { x = [{"k": 0}] y = x[0] y["k"] = {"x": [x]} }`: true,
+		`proc main() { x = [0] y = [x] y[0] = x  x[0] = [1] }`:        false,
+		`proc main() { x = [[1], 0] x[1] = x[0] y = x == x }`:         false,
+		`proc main() { m = {"a": {}} n = {} n["m"] = m m["a"] = {} }`: false,
+	} {
+		st := value.State{}
+		_, err := Run(MustParse(src), "main", st, &testEnv{}, Options{})
+		if got := err != nil && strings.Contains(err.Error(), "contain itself"); got != wantErr {
+			t.Errorf("%s: err = %v, want refusal %t", src, err, wantErr)
+		}
+		if s := fmt.Sprint(st); len(s) > 100 || !st.Equal(st.Clone()) {
+			t.Errorf("%s: state not a finite tree: %.100s", src, s)
+		}
+	}
+}
+
 func TestFuelExhaustion(t *testing.T) {
 	prog := MustParse(`proc main() { while true { x = 1 } }`)
 	_, err := Run(prog, "main", value.State{}, &testEnv{}, Options{Fuel: 1000})
@@ -505,22 +532,114 @@ proc main() {
 	}
 }
 
+// BenchmarkSummationCycle is the paper's unit of computation: one cycle
+// = integer summation of 1000 values. ns/stmt is the time per charged
+// step, the figure to compare evaluators by.
 func BenchmarkSummationCycle(b *testing.B) {
-	// The paper's unit of computation: one cycle = integer summation of
-	// 1000 values.
-	prog := MustParse(`
+	benchRun(b, MustParse(`
 proc main() {
     let s = 0
     for let j = 0; j < 1000; j = j + 1 { s = s + j }
     total = s
-}`)
-	env := &testEnv{}
+}`), func() value.State { return value.State{} })
+}
+
+// BenchmarkWorkSession runs one session of the repository benchmark's
+// agent at 50 cycles, the unit its `compute` workload is made of (five
+// of these per itinerary, more when a checker re-executes).
+func BenchmarkWorkSession(b *testing.B) {
+	benchRun(b, MustParse(goldenSrc(b, "work/cycles=50,inputs=1")), func() value.State {
+		return value.State{"total": value.Int(0), "hops": value.Int(0), "sum": value.Int(0), "got": value.List()}
+	})
+}
+
+func benchRun(b *testing.B, prog *Program, initial func() value.State) {
+	var steps int64
+	env := &scriptedEnv{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g := value.State{}
-		if _, err := Run(prog, "main", g, env, Options{}); err != nil {
+		out, err := Run(prog, "main", initial(), env, Options{})
+		if err != nil {
 			b.Fatal(err)
+		}
+		steps += out.Steps
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/stmt")
+}
+
+// BenchmarkExprEval evaluates the appraisal rule the repository
+// benchmark's owner signs, as appraisal.Check does once per hop.
+func BenchmarkExprEval(b *testing.B) {
+	rule := MustParseExpression("total == hops")
+	st := value.State{"total": value.Int(5), "hops": value.Int(5)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if ok, err := rule.EvalBool(st); err != nil || !ok {
+			b.Fatal(ok, err)
+		}
+	}
+}
+
+// TestEvaluatorAllocs pins what the evaluator may allocate: a fixed
+// amount per Run, and per statement only what the statement's own
+// result needs. Locals, arguments and temporaries live on the value
+// stack.
+func TestEvaluatorAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation ceilings are not meaningful under the race detector")
+	}
+	// allocs returns the allocations of one Run of a loop of n rounds
+	// of body, helper procedures included.
+	allocs := func(n int, body string) float64 {
+		prog := MustParse(fmt.Sprintf(`
+proc add(a, b) { let c = a + b return c }
+proc main() {
+    let s = "text"
+    let l = [3, 1, 2]
+    let x = 0
+    for let i = 0; i < %d; i = i + 1 { %s }
+    out = x
+}`, n, body))
+		st := value.State{"g": value.Int(1)}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Run(prog, "main", st, &testEnv{}, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	tests := []struct {
+		name, body string
+		perRound   float64
+	}{
+		{"arithmetic and comparison", `x = x + i * 2 - g  if x > 10 && i != 3 { x = x % 7 }`, 0},
+		{"scalar builtins", `x = len(s) + abs(x) + min(i, 3) + max(l) + sum(l) + int(contains(l, i)) + int(isnull(g))`, 0},
+		{"indexing", `x = l[i % 3] + len(s[0])  l[1] = x`, 0},
+		{"procedure calls", `x = add(x, add(i, 1))`, 0},
+		{"append allocates its result only", `l = append(l, i)`, 1},
+		{"list literal allocates its elements only", `l = [i, x]`, 1},
+	}
+	for _, tt := range tests {
+		few, many := allocs(10, tt.body), allocs(110, tt.body)
+		if got := (many - few) / 100; got != tt.perRound {
+			t.Errorf("%s: %.2f allocations per round (%.0f at 10 rounds, %.0f at 110), want %.0f",
+				tt.name, got, few, many, tt.perRound)
+		}
+		if few > 4 && tt.perRound == 0 {
+			t.Errorf("%s: %.0f allocations per Run, want at most 4", tt.name, few)
+		}
+	}
+
+	// A rule needs the value stack only for builtin arguments.
+	st := value.State{"total": value.Int(5), "hops": value.Int(5), "got": value.List()}
+	for rule, want := range map[string]float64{
+		"total == hops && 2 * total - hops > 0": 0,
+		"len(got) <= 3 * max(hops, abs(total))": 1,
+	} {
+		e := MustParseExpression(rule)
+		if avg := testing.AllocsPerRun(100, func() { _, _ = e.EvalBool(st) }); avg != want {
+			t.Errorf("Eval(%s) allocs/op = %.1f, want %.0f", rule, avg, want)
 		}
 	}
 }

@@ -3,6 +3,8 @@ package agentlang
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/value"
 )
 
 // Parse compiles agentlang source into an immutable Program. Statement
@@ -56,6 +58,65 @@ type parser struct {
 	numLocals int
 	// Unresolved proc calls to link after all procs are known.
 	pending []*callExpr
+	// depth counts the constructs open around the current token: blocks,
+	// bracketed expressions, operators whose operand is being parsed.
+	// height is the height of the expression tree parsed last; a chain
+	// like a+b+c grows upwards from its first operand, which depth alone
+	// cannot see. Together they hold every path through the AST to
+	// maxNesting nodes. Neither is restored on errors: they end the parse.
+	depth, height int
+	// consts holds the distinct literals seen so far, up to maxConsts.
+	consts []*literal
+}
+
+// maxConsts bounds the literals a program's later literals are matched
+// against, which keeps Parse linear in hostile source text.
+const maxConsts = 64
+
+// constant returns the program's node for the literal v. A node is 80
+// bytes where the constant itself was 8 or 16, hosts keep the parsed
+// program of every agent they hold, and programs repeat their
+// constants (0, 1, a host name per branch): one node per distinct
+// value leaves a benchmark agent's tree 2 % larger than it was before
+// literals were values, one per occurrence made it 20 %.
+func (p *parser) constant(v value.Value) *literal {
+	for _, lit := range p.consts {
+		if lit.Kind == v.Kind && lit.Int == v.Int && lit.Str == v.Str && lit.Bool == v.Bool {
+			return lit
+		}
+	}
+	lit := (*literal)(&v)
+	if len(p.consts) < maxConsts {
+		p.consts = append(p.consts, lit)
+	}
+	return lit
+}
+
+// maxNesting bounds how deep blocks and expressions may nest. The
+// parser, the evaluator and every other walk over the AST recurse once
+// per level, and source text arrives from untrusted peers: without a
+// bound, a few megabytes of parentheses overflow the stack, which Go
+// cannot recover from.
+const maxNesting = 256
+
+// nest opens one level; the caller closes it with p.depth--.
+func (p *parser) nest() error {
+	p.depth++
+	return p.fits(0)
+}
+
+// grow records that a node was built over subtrees of height h.
+func (p *parser) grow(h int) error {
+	p.height = h + 1
+	return p.fits(p.height)
+}
+
+// fits checks that a tree of the given height may hang at this depth.
+func (p *parser) fits(height int) error {
+	if p.depth+height > maxNesting {
+		return p.errf("nesting deeper than %d levels", maxNesting)
+	}
+	return nil
 }
 
 func (p *parser) advance() error {
@@ -164,6 +225,9 @@ func (p *parser) parseBlock() ([]stmt, error) {
 	if _, err := p.expect(tokLBrace); err != nil {
 		return nil, err
 	}
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
 	var stmts []stmt
 	for p.tok.kind != tokRBrace {
 		if p.tok.kind == tokEOF {
@@ -178,6 +242,7 @@ func (p *parser) parseBlock() ([]stmt, error) {
 	if err := p.advance(); err != nil { // consume '}'
 		return nil, err
 	}
+	p.depth--
 	return stmts, nil
 }
 
@@ -427,122 +492,66 @@ func (p *parser) parseFor() (stmt, error) {
 	return p.register(s), nil
 }
 
-// Expression parsing: classic precedence-climbing recursive descent.
+// Expression parsing: precedence climbing over binaryPrec.
 
-func (p *parser) parseExpr() (expr, error) { return p.parseOr() }
-
-func (p *parser) parseOr() (expr, error) {
-	left, err := p.parseAnd()
-	if err != nil {
+func (p *parser) parseExpr() (expr, error) {
+	if err := p.nest(); err != nil {
 		return nil, err
 	}
-	for p.tok.kind == tokOrOr {
-		pos := p.pos()
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		right, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		left = &binaryExpr{p: pos, op: tokOrOr, l: left, r: right}
-	}
-	return left, nil
+	e, err := p.parseBinary(1)
+	p.depth--
+	return e, err
 }
 
-func (p *parser) parseAnd() (expr, error) {
-	left, err := p.parseEquality()
-	if err != nil {
-		return nil, err
+// binaryPrec returns how tightly a binary operator binds, or 0 for any
+// other token.
+func binaryPrec(k tokenKind) int {
+	switch k {
+	case tokOrOr:
+		return 1
+	case tokAndAnd:
+		return 2
+	case tokEq, tokNe:
+		return 3
+	case tokLt, tokLe, tokGt, tokGe:
+		return 4
+	case tokPlus, tokMinus:
+		return 5
+	case tokStar, tokSlash, tokPercent:
+		return 6
+	default:
+		return 0
 	}
-	for p.tok.kind == tokAndAnd {
-		pos := p.pos()
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		right, err := p.parseEquality()
-		if err != nil {
-			return nil, err
-		}
-		left = &binaryExpr{p: pos, op: tokAndAnd, l: left, r: right}
-	}
-	return left, nil
 }
 
-func (p *parser) parseEquality() (expr, error) {
-	left, err := p.parseComparison()
-	if err != nil {
-		return nil, err
-	}
-	for p.tok.kind == tokEq || p.tok.kind == tokNe {
-		op, pos := p.tok.kind, p.pos()
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		right, err := p.parseComparison()
-		if err != nil {
-			return nil, err
-		}
-		left = &binaryExpr{p: pos, op: op, l: left, r: right}
-	}
-	return left, nil
-}
-
-func (p *parser) parseComparison() (expr, error) {
-	left, err := p.parseTerm()
-	if err != nil {
-		return nil, err
-	}
-	for p.tok.kind == tokLt || p.tok.kind == tokLe || p.tok.kind == tokGt || p.tok.kind == tokGe {
-		op, pos := p.tok.kind, p.pos()
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		right, err := p.parseTerm()
-		if err != nil {
-			return nil, err
-		}
-		left = &binaryExpr{p: pos, op: op, l: left, r: right}
-	}
-	return left, nil
-}
-
-func (p *parser) parseTerm() (expr, error) {
-	left, err := p.parseFactor()
-	if err != nil {
-		return nil, err
-	}
-	for p.tok.kind == tokPlus || p.tok.kind == tokMinus {
-		op, pos := p.tok.kind, p.pos()
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		right, err := p.parseFactor()
-		if err != nil {
-			return nil, err
-		}
-		left = &binaryExpr{p: pos, op: op, l: left, r: right}
-	}
-	return left, nil
-}
-
-func (p *parser) parseFactor() (expr, error) {
+// parseBinary parses a left-associative chain of operators binding at
+// least as tightly as minPrec.
+func (p *parser) parseBinary(minPrec int) (expr, error) {
 	left, err := p.parseUnary()
 	if err != nil {
 		return nil, err
 	}
-	for p.tok.kind == tokStar || p.tok.kind == tokSlash || p.tok.kind == tokPercent {
+	for {
 		op, pos := p.tok.kind, p.pos()
+		prec := binaryPrec(op)
+		if prec == 0 || prec < minPrec {
+			return left, nil
+		}
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		right, err := p.parseUnary()
+		h := p.height
+		p.depth++
+		right, err := p.parseBinary(prec + 1)
+		p.depth--
 		if err != nil {
+			return nil, err
+		}
+		if err := p.grow(max(h, p.height)); err != nil {
 			return nil, err
 		}
 		left = &binaryExpr{p: pos, op: op, l: left, r: right}
 	}
-	return left, nil
 }
 
 func (p *parser) parseUnary() (expr, error) {
@@ -551,10 +560,15 @@ func (p *parser) parseUnary() (expr, error) {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		x, err := p.parseUnary()
+		p.depth--
 		if err != nil {
 			return nil, err
 		}
+		p.height++
 		return &unaryExpr{p: pos, op: op, x: x}, nil
 	}
 	return p.parsePostfix()
@@ -570,11 +584,15 @@ func (p *parser) parsePostfix() (expr, error) {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
+		h := p.height
 		idx, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
 		if _, err := p.expect(tokRBracket); err != nil {
+			return nil, err
+		}
+		if err := p.grow(max(h, p.height)); err != nil {
 			return nil, err
 		}
 		base = &indexExpr{p: pos, base: base, idx: idx}
@@ -584,30 +602,31 @@ func (p *parser) parsePostfix() (expr, error) {
 
 func (p *parser) parsePrimary() (expr, error) {
 	pos := p.pos()
+	p.height = 1 // stands for the cases that parse no subexpression
 	switch p.tok.kind {
 	case tokInt:
 		v := p.tok.num
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		return &intLit{p: pos, v: v}, nil
+		return p.constant(value.Int(v)), nil
 	case tokString:
 		s := p.tok.text
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		return &strLit{p: pos, v: s}, nil
+		return p.constant(value.Str(s)), nil
 	case tokTrue, tokFalse:
 		b := p.tok.kind == tokTrue
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		return &boolLit{p: pos, v: b}, nil
+		return p.constant(value.Bool(b)), nil
 	case tokNull:
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		return &nullLit{p: pos}, nil
+		return p.constant(value.Null()), nil
 	case tokLParen:
 		if err := p.advance(); err != nil {
 			return nil, err
@@ -625,6 +644,7 @@ func (p *parser) parsePrimary() (expr, error) {
 			return nil, err
 		}
 		lit := &listLit{p: pos}
+		h := 0
 		for p.tok.kind != tokRBracket {
 			if len(lit.elems) > 0 {
 				if _, err := p.expect(tokComma); err != nil {
@@ -636,16 +656,19 @@ func (p *parser) parsePrimary() (expr, error) {
 				return nil, err
 			}
 			lit.elems = append(lit.elems, e)
+			h = max(h, p.height)
 		}
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
+		p.height = h + 1
 		return lit, nil
 	case tokLBrace:
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
 		lit := &mapLit{p: pos}
+		h := 0
 		for p.tok.kind != tokRBrace {
 			if len(lit.keys) > 0 {
 				if _, err := p.expect(tokComma); err != nil {
@@ -656,6 +679,7 @@ func (p *parser) parsePrimary() (expr, error) {
 			if err != nil {
 				return nil, err
 			}
+			h = max(h, p.height)
 			if _, err := p.expect(tokColon); err != nil {
 				return nil, err
 			}
@@ -663,12 +687,14 @@ func (p *parser) parsePrimary() (expr, error) {
 			if err != nil {
 				return nil, err
 			}
+			h = max(h, p.height)
 			lit.keys = append(lit.keys, k)
 			lit.vals = append(lit.vals, v)
 		}
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
+		p.height = h + 1
 		return lit, nil
 	case tokIdent:
 		name := p.tok
@@ -696,6 +722,7 @@ func (p *parser) parseCallTail(name token) (*callExpr, error) {
 		return nil, err
 	}
 	call := &callExpr{p: pos, name: name.text}
+	h := 0
 	for p.tok.kind != tokRParen {
 		if len(call.args) > 0 {
 			if _, err := p.expect(tokComma); err != nil {
@@ -707,10 +734,12 @@ func (p *parser) parseCallTail(name token) (*callExpr, error) {
 			return nil, err
 		}
 		call.args = append(call.args, a)
+		h = max(h, p.height)
 	}
 	if err := p.advance(); err != nil { // consume ')'
 		return nil, err
 	}
+	p.height = h + 1
 	if spec, ok := builtins[name.text]; ok {
 		if len(call.args) < spec.minArgs || (spec.maxArgs >= 0 && len(call.args) > spec.maxArgs) {
 			return nil, &SyntaxError{Pos: pos, Msg: fmt.Sprintf(

@@ -1,8 +1,11 @@
 package agentlang
 
 import (
+	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/value"
 )
 
 func TestParseErrors(t *testing.T) {
@@ -194,5 +197,138 @@ proc f(x) { if x > 0 { return } hit = 1 }
 proc main() { f(1) f(0) }`, nil, nil)
 	if g["hit"].Int != 1 {
 		t.Errorf("hit = %s", g["hit"])
+	}
+}
+
+// exprHeight measures an expression tree the way every walk over it
+// recurses: one level per node.
+func exprHeight(e expr) int {
+	h := 0
+	switch ex := e.(type) {
+	case nil:
+		return 0
+	case *listLit:
+		for _, el := range ex.elems {
+			h = max(h, exprHeight(el))
+		}
+	case *mapLit:
+		for i := range ex.keys {
+			h = max(h, exprHeight(ex.keys[i]), exprHeight(ex.vals[i]))
+		}
+	case *indexExpr:
+		h = max(exprHeight(ex.base), exprHeight(ex.idx))
+	case *unaryExpr:
+		h = exprHeight(ex.x)
+	case *binaryExpr:
+		h = max(exprHeight(ex.l), exprHeight(ex.r))
+	case *callExpr:
+		for _, a := range ex.args {
+			h = max(h, exprHeight(a))
+		}
+	}
+	return h + 1
+}
+
+// tallestExpr returns the height of the tallest expression in prog.
+func tallestExpr(prog *Program) int {
+	h := 0
+	for _, s := range prog.stmtByID {
+		switch st := s.(type) {
+		case *letStmt:
+			h = max(h, exprHeight(st.rhs))
+		case *assignStmt:
+			h = max(h, exprHeight(st.rhs))
+			for _, idx := range st.path {
+				h = max(h, exprHeight(idx))
+			}
+		case *ifStmt:
+			for _, c := range st.conds {
+				h = max(h, exprHeight(c))
+			}
+		case *whileStmt:
+			h = max(h, exprHeight(st.cond))
+		case *forStmt:
+			h = max(h, exprHeight(st.cond))
+		case *returnStmt:
+			h = max(h, exprHeight(st.val))
+		case *exprStmt:
+			h = max(h, exprHeight(st.call))
+		}
+	}
+	return h
+}
+
+// TestNestingBound: source text comes from untrusted peers, and the
+// parser, the evaluator and checkPure all recurse once per level of it.
+// Whatever shape the nesting takes, Parse must either refuse it or
+// produce a tree no taller than maxNesting, and it must never take the
+// process down: 3 M parentheses are 6 MB, far below any transport
+// limit, and used to end in an unrecoverable stack overflow.
+func TestNestingBound(t *testing.T) {
+	rep := strings.Repeat
+	shapes := []struct {
+		name string
+		src  func(n int) string
+	}{
+		{"parens", func(n int) string { return "proc main() { x = " + rep("(", n) + "1" + rep(")", n) + " }" }},
+		{"lists", func(n int) string { return "proc main() { x = " + rep("[", n) + rep("]", n) + " }" }},
+		{"maps", func(n int) string { return "proc main() { x = " + rep(`{"k": `, n) + "1" + rep("}", n) + " }" }},
+		{"calls", func(n int) string { return "proc main() { x = " + rep("abs(", n) + "1" + rep(")", n) + " }" }},
+		{"unary", func(n int) string { return "proc main() { x = " + rep("- ", n) + "1 }" }},
+		{"sum chain", func(n int) string { return "proc main() { x = 1" + rep(" + 1", n) + " }" }},
+		{"or chain", func(n int) string { return "proc main() { x = true" + rep(" || false", n) + " }" }},
+		{"index chain", func(n int) string { return "proc main() { x = [] y = x" + rep("[0]", n) + " }" }},
+		{"index nest", func(n int) string { return "proc main() { x = [0] y = " + rep("x[", n) + "0" + rep("]", n) + " }" }},
+		{"path index", func(n int) string { return "proc main() { x = [0] x[1" + rep(" + 1", n) + "] = 2 }" }},
+		{"blocks", func(n int) string { return "proc main() { " + rep("if true { ", n) + "x = 1" + rep(" }", n) + " }" }},
+		{"loops", func(n int) string { return "proc main() { " + rep("while false { ", n) + rep(" }", n) + " }" }},
+		{"else chain", func(n int) string { return "proc main() { if false { }" + rep(" else if false { }", n) + " }" }},
+		// A chain grows upwards from its first operand: n levels of
+		// twelve-term sums, each the first term of the next.
+		{"chains of chains", func(n int) string {
+			return "proc main() { x = " + rep("(", n) + "1" + rep(rep(" + 1", 12)+")", n) + " }"
+		}},
+		{"mixed precedence", func(n int) string {
+			return "proc main() { x = " + rep("1 || 1 && 1 == 1 < 1 + 1 * (", n) + "1" + rep(")", n) + " }"
+		}},
+	}
+	for _, sh := range shapes {
+		for _, n := range []int{1, 10, 20, 100, 200, 254, 300, 5000} {
+			prog, err := Parse(sh.src(n))
+			if err != nil {
+				var se *SyntaxError
+				if !errors.As(err, &se) || !strings.Contains(err.Error(), "nesting deeper") {
+					t.Errorf("%s/%d: err = %v, want the nesting SyntaxError", sh.name, n, err)
+				}
+				if n <= 10 {
+					t.Errorf("%s/%d refused: %v", sh.name, n, err)
+				}
+				continue
+			}
+			if h := tallestExpr(prog); h > maxNesting {
+				t.Errorf("%s/%d: accepted with an expression %d nodes tall, limit %d", sh.name, n, h, maxNesting)
+			}
+			if n >= 300 && sh.name != "else chain" {
+				t.Errorf("%s/%d: accepted", sh.name, n)
+			}
+			// What parses must also run: errors are fine, a crash is not.
+			_, _ = Run(prog, "main", value.State{}, &testEnv{}, Options{Fuel: 10_000})
+		}
+	}
+
+	for _, src := range []string{
+		"proc main() { x = " + rep("(", 3<<20) + "1" + rep(")", 3<<20) + " }",
+		"proc main() { " + rep("if true { ", 1<<20) + rep(" }", 1<<20) + " }",
+	} {
+		if _, err := Parse(src); err == nil || !strings.Contains(err.Error(), "nesting deeper") {
+			t.Errorf("Parse of %d bytes of nesting: err = %v", len(src), err)
+		}
+	}
+	deepRule := rep("(", 3<<20) + "1" + rep(")", 3<<20)
+	if _, err := ParseExpression(deepRule); err == nil {
+		t.Error("ParseExpression accepted 3 M parentheses")
+	}
+	if _, err := ParseExpression("1" + rep(" + 1", 1<<20)); err == nil {
+		t.Error("ParseExpression accepted a sum of 1 M terms")
 	}
 }

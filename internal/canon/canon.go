@@ -275,8 +275,25 @@ func HashTuple(fields ...[]byte) Digest {
 
 // decoder walks an encoded buffer.
 type decoder struct {
-	buf []byte
-	off int
+	buf   []byte
+	off   int
+	depth int // lists and maps open around off
+}
+
+// maxDepth bounds how deep decoded lists and maps may nest. value
+// recurses once per level, and five bytes buy a level: without a bound
+// a peer overflows the stack, which Go cannot recover from, with a
+// message far below maxLen. Encoding has no such bound: what a running
+// agent nests deeper than this (x = list(x) in a loop) still encodes,
+// and is refused by the next host.
+const maxDepth = 256
+
+// enter opens one list or map; the caller closes it with d.depth--.
+func (d *decoder) enter() error {
+	if d.depth++; d.depth > maxDepth {
+		return fmt.Errorf("%w: nesting deeper than %d levels", ErrMalformed, maxDepth)
+	}
+	return nil
 }
 
 func (d *decoder) byte() (byte, error) {
@@ -353,6 +370,9 @@ func (d *decoder) value() (value.Value, error) {
 		if n > maxLen {
 			return value.Null(), ErrMalformed
 		}
+		if err := d.enter(); err != nil {
+			return value.Null(), err
+		}
 		elems := make([]value.Value, 0, min(int(n), 1024))
 		for i := 0; i < int(n); i++ {
 			e, err := d.value()
@@ -361,6 +381,7 @@ func (d *decoder) value() (value.Value, error) {
 			}
 			elems = append(elems, e)
 		}
+		d.depth--
 		return value.List(elems...), nil
 	case tagMap:
 		n, err := d.uint32()
@@ -369,6 +390,9 @@ func (d *decoder) value() (value.Value, error) {
 		}
 		if n > maxLen {
 			return value.Null(), ErrMalformed
+		}
+		if err := d.enter(); err != nil {
+			return value.Null(), err
 		}
 		m := make(map[string]value.Value, min(int(n), 1024))
 		for i := 0; i < int(n); i++ {
@@ -386,6 +410,7 @@ func (d *decoder) value() (value.Value, error) {
 			}
 			m[string(kb)] = e
 		}
+		d.depth--
 		return value.Map(m), nil
 	default:
 		return value.Null(), fmt.Errorf("%w: unknown tag 0x%02x", ErrMalformed, tag)

@@ -2,6 +2,7 @@ package canon
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -195,6 +196,50 @@ func TestDecodeErrors(t *testing.T) {
 	}
 	if _, err := DecodeState(nil); err == nil {
 		t.Error("DecodeState(nil) succeeded")
+	}
+}
+
+// nested returns the encoding of depth one-element lists (or one-key
+// maps) around a null.
+func nested(depth int, asMap bool) []byte {
+	level := []byte{tagList, 0, 0, 0, 1}
+	if asMap {
+		level = []byte{tagMap, 0, 0, 0, 1, 0, 0, 0, 1, 'k'}
+	}
+	buf := make([]byte, 0, 1+depth*len(level)+1)
+	buf = append(buf, version)
+	buf = append(buf, bytes.Repeat(level, depth)...)
+	return append(buf, tagNull)
+}
+
+// TestDecodeBoundsNesting: 8 M nested lists are 40 MB, under the field
+// limit of every transport, and used to end the process with a stack
+// overflow inside agent.Unmarshal. Decoding must refuse them instead.
+func TestDecodeBoundsNesting(t *testing.T) {
+	for _, asMap := range []bool{false, true} {
+		if _, err := DecodeValue(nested(maxDepth, asMap)); err != nil {
+			t.Errorf("map=%t: %d levels refused: %v", asMap, maxDepth, err)
+		}
+		if _, err := DecodeValue(nested(maxDepth+1, asMap)); !errors.Is(err, ErrMalformed) {
+			t.Errorf("map=%t: %d levels: err = %v, want ErrMalformed", asMap, maxDepth+1, err)
+		}
+	}
+	// Siblings do not add up: depth is what is open, not what was seen.
+	wide := value.List(value.List(value.List()), value.List(value.List()), value.Map(nil))
+	for i := 0; i < maxDepth-3; i++ {
+		wide = value.List(wide, value.Map(map[string]value.Value{"k": value.List()}))
+	}
+	if got, err := DecodeValue(EncodeValue(wide)); err != nil || !got.Equal(wide) {
+		t.Errorf("a value %d levels deep with wide siblings did not survive the round trip: %v", maxDepth, err)
+	}
+
+	deep := nested(8<<20, false)
+	if _, err := DecodeValue(deep); !errors.Is(err, ErrMalformed) {
+		t.Errorf("DecodeValue of 8 M nested lists: err = %v, want ErrMalformed", err)
+	}
+	state := append([]byte{version, tagState, 0, 0, 0, 1, 0, 0, 0, 1, 'x'}, deep[1:]...)
+	if _, err := DecodeState(state); !errors.Is(err, ErrMalformed) {
+		t.Errorf("DecodeState of 8 M nested lists: err = %v, want ErrMalformed", err)
 	}
 }
 
