@@ -57,12 +57,12 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"syscall"
 
 	"repro/internal/agent"
 	"repro/internal/core"
 	"repro/internal/events"
+	"repro/internal/fleet"
 	"repro/internal/host"
 	"repro/internal/protection"
 	"repro/internal/sigcrypto"
@@ -149,58 +149,14 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	h, err := host.New(host.Config{
-		Name:        *name,
-		Keys:        keys,
-		Registry:    reg,
-		Trusted:     *trusted,
-		Resources:   res,
-		RecordTrace: protection.NeedsTraceRecording(lvl) || lvl == protection.LevelFull,
-	})
-	if err != nil {
-		return err
-	}
 	// Each host gets its own state directory: node bookkeeping
-	// (journal/, quarantine/, evidence/) and protection state (ledger/,
-	// vigna/) share it without colliding.
+	// (journal/, quarantine/, evidence/), protection state (ledger/,
+	// vigna/) and the flight recorder (flight/) share it without
+	// colliding.
 	nodeDir := ""
 	if *dataDir != "" {
 		nodeDir = filepath.Join(*dataDir, *name)
 		fmt.Printf("agenthost %s: durable state under %s\n", *name, nodeDir)
-	}
-	// The event pipeline (bus + metrics + flight recorder) is the node's
-	// operations surface: every layer publishes into one bus, and
-	// `agentctl metrics|watch|flight` read it back through the node's
-	// built-in calls. With a data dir the flight recorder persists its
-	// window so the last events before a crash replay after restart.
-	pipe, err := events.Open(events.PipelineConfig{
-		Node:    *name,
-		DataDir: nodeDir,
-		OnPersistError: func(err error) {
-			fmt.Fprintf(os.Stderr, "agenthost %s: flight recorder degraded: %v\n", *name, err)
-		},
-	})
-	if err != nil {
-		return err
-	}
-	// The stack is assembled before the node exists, but its ledger WAL
-	// can degrade at any later write; route those failures into the
-	// node's health record (served by node/health and `agentctl status`)
-	// once the node is up.
-	var nodeRef atomic.Pointer[core.Node]
-	stack, err := protection.Assemble(lvl, protection.Options{
-		DataDir:            nodeDir,
-		Events:             pipe.Bus,
-		AdmissionThreshold: *admissionThreshold,
-		OnPersistError: func(err error) {
-			fmt.Fprintf(os.Stderr, "agenthost %s: persistence degraded: %v\n", *name, err)
-			if n := nodeRef.Load(); n != nil {
-				n.NotePersistError(err)
-			}
-		},
-	})
-	if err != nil {
-		return err
 	}
 	// Anti-entropy exchange: with an interval set, the node trades
 	// signed reputation extracts with random-order fleet peers so
@@ -252,42 +208,54 @@ func run() error {
 			fmt.Printf("agenthost %s: anti-entropy exchange every %s as federation %s (%d aggregators)\n", *name, *exchangeInterval, role, len(aggList))
 		}
 	}
-	node, err := core.NewNode(core.NodeConfig{
-		Host:           h,
-		Net:            net,
-		Mechanisms:     stack.Mechanisms,
-		Policy:         stack.Policy,
-		Admission:      stack.Admission,
-		RefuseWhenFull: *refuseWhenFull,
-		Exchange:       exchange,
-		Events:         pipe,
-		DataDir:        nodeDir,
-		JournalTTL:     *journalTTL,
-		OnPersistError: func(err error) {
-			fmt.Fprintf(os.Stderr, "agenthost %s: persistence degraded: %v\n", *name, err)
+	// One node, assembled the way every harness assembles its nodes
+	// (internal/fleet): event pipeline, protection stack, host, node. The
+	// pipeline (bus + metrics + flight recorder) is the node's operations
+	// surface: every layer publishes into one bus, and `agentctl
+	// metrics|watch|flight` read it back through the node's built-in
+	// calls. With a data dir the flight recorder persists its window so
+	// the last events before a crash replay after restart. The stack's
+	// ledger WAL failures land in OnPersistError and in the node's
+	// health record (node/health, `agentctl status`).
+	member, err := fleet.Open(reg, net, fleet.Spec{
+		Host:       host.Config{Name: *name, Keys: keys, Trusted: *trusted, Resources: res},
+		Level:      lvl,
+		Protection: protection.Options{AdmissionThreshold: *admissionThreshold},
+		DataDir:    nodeDir,
+		Pipeline: &events.PipelineConfig{
+			OnPersistError: func(err error) {
+				fmt.Fprintf(os.Stderr, "agenthost %s: flight recorder degraded: %v\n", *name, err)
+			},
 		},
-		OnVerdict: func(v core.Verdict) {
-			fmt.Printf("agenthost %s: %s\n", *name, v)
-		},
-		OnOwnerNotice: func(agentID string, v core.Verdict, reason string) {
-			fmt.Printf("agenthost %s: OWNER NOTICE for %s: %s (%s)\n", *name, agentID, v, reason)
-		},
-		OnComplete: func(ag *agent.Agent, vs []core.Verdict, aborted bool) {
-			status := "completed"
-			if aborted {
-				status = "ABORTED"
-			}
-			fmt.Printf("agenthost %s: agent %s %s after %d hops\n", *name, ag.ID, status, ag.Hop)
-			fmt.Printf("agenthost %s: final state of %s:\n", *name, ag.ID)
-			for _, k := range value.SortedKeys(ag.State) {
-				fmt.Printf("    %s = %s\n", k, ag.State[k])
-			}
+		Node: core.NodeConfig{
+			RefuseWhenFull: *refuseWhenFull,
+			Exchange:       exchange,
+			JournalTTL:     *journalTTL,
+			OnPersistError: func(err error) {
+				fmt.Fprintf(os.Stderr, "agenthost %s: persistence degraded: %v\n", *name, err)
+			},
+			OnVerdict: func(v core.Verdict) {
+				fmt.Printf("agenthost %s: %s\n", *name, v)
+			},
+			OnOwnerNotice: func(agentID string, v core.Verdict, reason string) {
+				fmt.Printf("agenthost %s: OWNER NOTICE for %s: %s (%s)\n", *name, agentID, v, reason)
+			},
+			OnComplete: func(ag *agent.Agent, vs []core.Verdict, aborted bool) {
+				status := "completed"
+				if aborted {
+					status = "ABORTED"
+				}
+				fmt.Printf("agenthost %s: agent %s %s after %d hops\n", *name, ag.ID, status, ag.Hop)
+				fmt.Printf("agenthost %s: final state of %s:\n", *name, ag.ID)
+				for _, k := range value.SortedKeys(ag.State) {
+					fmt.Printf("    %s = %s\n", k, ag.State[k])
+				}
+			},
 		},
 	})
 	if err != nil {
 		return err
 	}
-	nodeRef.Store(node)
 
 	// peersRefresh: keys written by hosts started later are picked up on
 	// demand when verification first misses. Kept simple: reload on
@@ -302,7 +270,7 @@ func run() error {
 		}
 	}()
 
-	srv, err := transport.Serve(*addr, node)
+	srv, err := transport.Serve(*addr, member.Node)
 	if err != nil {
 		return err
 	}
@@ -320,18 +288,12 @@ func run() error {
 	<-stop
 	fmt.Printf("agenthost %s: shutting down\n", *name)
 	// Tear down the listener first so no new calls or deliveries race
-	// the store shutdown, then stop intake (queued deliveries drain
-	// with ErrNodeClosed and the node's WALs flush), then the
-	// protection stack's durable state.
+	// the store shutdown; the member then stops intake (queued
+	// deliveries drain with ErrNodeClosed and the node's WALs flush),
+	// the protection stack's durable state, and the event pipeline.
 	srvErr := srv.Close()
-	if err := node.Close(); err != nil {
+	if err := member.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "agenthost %s: closing node: %v\n", *name, err)
-	}
-	if err := stack.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "agenthost %s: closing protection stack: %v\n", *name, err)
-	}
-	if err := pipe.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "agenthost %s: closing event pipeline: %v\n", *name, err)
 	}
 	return srvErr
 }

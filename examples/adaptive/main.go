@@ -28,15 +28,10 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/agent"
-	"repro/internal/appraisal"
-	"repro/internal/attack"
 	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/host"
 	"repro/internal/protection"
-	"repro/internal/sigcrypto"
-	"repro/internal/transport"
-	"repro/internal/value"
 )
 
 const courierCode = `
@@ -70,77 +65,43 @@ func main() {
 func run() error {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	reg := sigcrypto.NewRegistry()
-	net := transport.NewInProc()
-
-	// w2 skims every courier that passes through — a manipulation-of-
-	// data attack the owner's signed rule makes visible.
-	behaviors := map[string]host.Behavior{
-		"w2": attack.StateMutation{Mutate: func(st value.State) {
-			st["total"] = value.Int(st["total"].Int + 1000)
-		}},
-	}
-
-	nodes := make(map[string]*core.Node)
-	defer func() {
-		for _, n := range nodes {
-			_ = n.Close()
-		}
-	}()
-	fleet := []string{"home", "w1", "w2", "w3", "archive"}
-	for _, name := range fleet {
-		keys, err := sigcrypto.GenerateKeyPair(name)
-		if err != nil {
-			return err
-		}
-		h, err := host.New(host.Config{
-			Name:     name,
-			Keys:     keys,
-			Registry: reg,
-			Trusted:  name == "home",
-			Behavior: behaviors[name],
-		})
-		if err != nil {
-			return err
-		}
-		// One adaptive stack per node: its own ledger and gate, fed by
-		// its own verdicts plus verified gossip from arriving agents.
-		stack, err := protection.Assemble(protection.LevelAdaptive, protection.Options{})
-		if err != nil {
-			return err
-		}
-		name := name
-		node, err := core.NewNode(core.NodeConfig{
-			Host:       h,
-			Net:        net,
-			Mechanisms: stack.Mechanisms,
-			Policy:     stack.Policy,
-			// Anti-entropy: every node trades signed ledger extracts
-			// with random fleet peers, so even the traffic-less archive
-			// node converges on w2's standing.
-			Exchange: core.ExchangeConfig{Peers: fleet, Interval: 150 * time.Millisecond},
-			OnOwnerNotice: func(agentID string, v core.Verdict, reason string) {
-				fmt.Printf("  [owner notice @%s] %s: %s\n", name, agentID, reason)
-			},
-		})
-		if err != nil {
-			return err
-		}
-		nodes[name] = node
-		net.Register(name, node)
-	}
-
-	owner, err := sigcrypto.GenerateKeyPair("courier-owner")
+	f, err := fleet.New("courier-owner")
 	if err != nil {
 		return err
 	}
-	if err := reg.RegisterKeyPair(owner); err != nil {
-		return err
+	defer func() { _ = f.Close() }()
+
+	names := []string{"home", "w1", "w2", "w3", "archive"}
+	for _, name := range names {
+		var behavior host.Behavior
+		if name == "w2" {
+			// w2 skims every courier that passes through — the
+			// manipulation-of-data attack the owner's signed rule
+			// (fleet.AuditRules: total == hops) makes visible.
+			behavior = fleet.Tamperer{}
+		}
+		if _, err := f.Add(fleet.Spec{
+			Host: host.Config{Name: name, Trusted: name == "home", Behavior: behavior},
+			// One adaptive stack per node: its own ledger and gate, fed by
+			// its own verdicts plus verified gossip from arriving agents.
+			Level: protection.LevelAdaptive,
+			Node: core.NodeConfig{
+				// Anti-entropy: every node trades signed ledger extracts
+				// with random fleet peers, so even the traffic-less archive
+				// node converges on w2's standing.
+				Exchange: core.ExchangeConfig{Peers: names, Interval: 150 * time.Millisecond},
+				OnOwnerNotice: func(agentID string, v core.Verdict, reason string) {
+					fmt.Printf("  [owner notice @%s] %s: %s\n", name, agentID, reason)
+				},
+			},
+		}); err != nil {
+			return err
+		}
 	}
-	rules := appraisal.RuleSet{appraisal.MustRule("total-tracks-hops", "total == hops")}
+	node := func(name string) *core.Node { return f.Member(name).Node }
 
 	printReputation := func(at string) {
-		body, err := nodes[at].HandleCall(ctx, "node/reputation", core.ReputationCallBody("w2"))
+		body, err := node(at).HandleCall(ctx, "node/reputation", core.ReputationCallBody("w2"))
 		if err != nil {
 			fmt.Println("  reputation call failed:", err)
 			return
@@ -157,20 +118,12 @@ func run() error {
 	for i := 1; i <= 3; i++ {
 		id := fmt.Sprintf("courier-%d", i)
 		fmt.Printf("--- journey %d: %s ---\n", i, id)
-		ag, err := agent.New(id, "courier-owner", courierCode, "main")
+		wire, err := f.AuditedAgent(id, courierCode)
 		if err != nil {
 			return err
 		}
-		ag.SetVar("total", value.Int(0))
-		ag.SetVar("hops", value.Int(0))
-		if err := appraisal.Attach(ag, rules, owner); err != nil {
-			return err
-		}
-		var rcs []*core.Receipt
-		for _, n := range nodes {
-			rcs = append(rcs, n.Watch(id))
-		}
-		if _, err := nodes["home"].Launch(ctx, ag); err != nil {
+		rcs := f.Watch(id)
+		if err := f.Net().SendAgent(ctx, "home", wire); err != nil {
 			return err
 		}
 		res, err := core.AwaitAny(ctx, rcs...)
@@ -192,7 +145,7 @@ func run() error {
 	fmt.Println("--- archive (no agent traffic, exchange only) ---")
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		body, err := nodes["archive"].HandleCall(ctx, "node/reputation", core.ReputationCallBody("w2"))
+		body, err := node("archive").HandleCall(ctx, "node/reputation", core.ReputationCallBody("w2"))
 		if err != nil {
 			return err
 		}
@@ -214,7 +167,7 @@ func run() error {
 
 	// The evidence a quarantined agent carries, via the built-in call
 	// agentctl's quarantine subcommand uses.
-	body, err := nodes["w3"].HandleCall(ctx, "node/quarantine", core.QuarantineCallBody("courier-3"))
+	body, err := node("w3").HandleCall(ctx, "node/quarantine", core.QuarantineCallBody("courier-3"))
 	if err != nil {
 		return err
 	}

@@ -19,9 +19,8 @@ import (
 	"repro/internal/agent"
 	"repro/internal/attack"
 	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/host"
-	"repro/internal/sigcrypto"
-	"repro/internal/transport"
 	"repro/internal/value"
 	"repro/internal/vigna"
 )
@@ -50,30 +49,17 @@ func main() {
 }
 
 func run() error {
-	reg := sigcrypto.NewRegistry()
-	net := transport.NewInProc()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
+	f, err := fleet.New("owner")
+	if err != nil {
+		return err
+	}
+	defer func() { _ = f.Close() }()
 
-	nodes := make(map[string]*core.Node, 4)
-	defer func() {
-		for _, n := range nodes {
-			_ = n.Close()
-		}
-	}()
 	sensors := map[string]int64{"field-1": 17, "field-2": 25, "field-3": 40}
 	for _, name := range []string{"home", "field-1", "field-2", "field-3"} {
-		keys, err := sigcrypto.GenerateKeyPair(name)
-		if err != nil {
-			return err
-		}
-		cfg := host.Config{
-			Name:        name,
-			Keys:        keys,
-			Registry:    reg,
-			Trusted:     name == "home",
-			RecordTrace: true, // traces must be retained for audits
-		}
+		cfg := host.Config{Name: name, Trusted: name == "home"}
 		if s, ok := sensors[name]; ok {
 			cfg.Resources = map[string]value.Value{"sensor": value.Int(s)}
 		}
@@ -83,40 +69,21 @@ func run() error {
 				st["total"] = value.Int(st["total"].Int * 2)
 			}}
 		}
-		h, err := host.New(cfg)
-		if err != nil {
+		// vigna requests the execution log, so the fleet has every host
+		// record and retain its traces for audits.
+		if _, err := f.Add(fleet.Spec{Host: cfg, Mechanisms: []core.Mechanism{vigna.New()}}); err != nil {
 			return err
 		}
-		node, err := core.NewNode(core.NodeConfig{
-			Host:       h,
-			Net:        net,
-			Mechanisms: []core.Mechanism{vigna.New()},
-		})
-		if err != nil {
-			return err
-		}
-		nodes[name] = node
-		net.Register(name, node)
 	}
 
 	ag, err := agent.New("collector", "owner", collectorCode, "main")
 	if err != nil {
 		return err
 	}
-	// Watch every node: the journey ends back home, but a quarantine
-	// or failure at a field host should surface immediately too.
-	receipts := make([]*core.Receipt, 0, len(nodes))
-	for _, n := range nodes {
-		receipts = append(receipts, n.Watch(ag.ID))
-	}
-	wire, err := ag.Marshal()
-	if err != nil {
-		return err
-	}
-	if err := net.SendAgent(ctx, "home", wire); err != nil {
-		return err
-	}
-	res, err := core.AwaitAny(ctx, receipts...)
+	// Run watches every node: the journey ends back home, but a
+	// quarantine or failure at a field host should surface immediately
+	// too.
+	res, err := f.Run(ctx, "home", ag)
 	if err != nil {
 		return fmt.Errorf("agent did not return: %w", err)
 	}
@@ -126,8 +93,8 @@ func run() error {
 	fmt.Println("owner expected 17+25+40 = 82 — suspicion! starting audit...")
 
 	report, err := vigna.Audit(ctx, vigna.AuditConfig{
-		Net:         net,
-		Registry:    reg,
+		Net:         f.Net(),
+		Registry:    f.Reg,
 		LaunchState: value.State{},
 		LaunchEntry: "main",
 	}, returned)

@@ -1,9 +1,9 @@
 // Quickstart: a protected mobile agent crossing three in-process hosts.
 //
-// It shows the minimal wiring: a key registry, three hosts (trusted
-// home, untrusted worker, trusted return host), the full protection
-// level (whole-agent signatures + the reference-states example
-// mechanism), and one agent that computes on the untrusted host. Run
+// It shows the minimal wiring: a fleet of three hosts (trusted home,
+// untrusted worker, trusted return host), the full protection level
+// (whole-agent signatures + the reference-states example mechanism),
+// and one agent that computes on the untrusted host. Run
 // it twice in spirit: the honest pass completes; then the same journey
 // with a tampering worker is caught by the next host's checkAfterSession.
 package main
@@ -17,10 +17,9 @@ import (
 	"repro/internal/agent"
 	"repro/internal/attack"
 	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/host"
 	"repro/internal/protection"
-	"repro/internal/sigcrypto"
-	"repro/internal/transport"
 	"repro/internal/value"
 )
 
@@ -59,92 +58,54 @@ func main() {
 // runJourney wires the deployment and sends one agent through it.
 func runJourney(label string, workerBehavior host.Behavior) error {
 	fmt.Printf("=== %s ===\n", label)
-	reg := sigcrypto.NewRegistry()
-	net := transport.NewInProc()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	var nodes []*core.Node
-	defer func() {
-		for _, n := range nodes {
-			_ = n.Close()
-		}
-	}()
-
-	hosts := []struct {
-		name    string
-		trusted bool
-	}{
-		{"home", true},
-		{"worker", false},
-		{"back", true},
+	// The fleet owns the key registry, the in-process network and the
+	// owner principal; Add assembles one node (host, protection stack,
+	// platform node) and registers it.
+	f, err := fleet.New("alice")
+	if err != nil {
+		return err
 	}
-	for _, spec := range hosts {
-		keys, err := sigcrypto.GenerateKeyPair(spec.name)
-		if err != nil {
-			return err
-		}
-		cfg := host.Config{
-			Name:     spec.name,
-			Keys:     keys,
-			Registry: reg,
-			Trusted:  spec.trusted,
-		}
-		if spec.name == "worker" {
-			cfg.Resources = map[string]value.Value{"price": value.Int(250)}
-			cfg.Behavior = workerBehavior
-		}
-		h, err := host.New(cfg)
-		if err != nil {
-			return err
-		}
-		// Every node runs the same protection stack — here the full
-		// level: whole-agent signatures plus next-host re-execution
-		// checking (the paper's example mechanism).
-		mechs, err := protection.Mechanisms(protection.LevelFull, protection.Options{})
-		if err != nil {
-			return err
-		}
-		node, err := core.NewNode(core.NodeConfig{
-			Host:       h,
-			Net:        net,
-			Mechanisms: mechs,
-			OnVerdict: func(v core.Verdict) {
-				fmt.Println(" ", v)
+	defer func() { _ = f.Close() }()
+
+	hosts := []host.Config{
+		{Name: "home", Trusted: true},
+		{Name: "worker", Resources: map[string]value.Value{"price": value.Int(250)}, Behavior: workerBehavior},
+		{Name: "back", Trusted: true},
+	}
+	for _, h := range hosts {
+		if _, err := f.Add(fleet.Spec{
+			Host: h,
+			// Every node runs the same protection stack — here the full
+			// level: whole-agent signatures plus next-host re-execution
+			// checking (the paper's example mechanism).
+			Level: protection.LevelFull,
+			Node: core.NodeConfig{
+				OnVerdict: func(v core.Verdict) {
+					fmt.Println(" ", v)
+				},
+				OnComplete: func(ag *agent.Agent, _ []core.Verdict, aborted bool) {
+					if aborted {
+						return
+					}
+					fmt.Printf("  agent %s finished: budget=%s spent=%s route=%v\n",
+						ag.ID, ag.State["budget"], ag.State["spent"], ag.Route)
+				},
 			},
-			OnComplete: func(ag *agent.Agent, _ []core.Verdict, aborted bool) {
-				if aborted {
-					return
-				}
-				fmt.Printf("  agent %s finished: budget=%s spent=%s route=%v\n",
-					ag.ID, ag.State["budget"], ag.State["spent"], ag.Route)
-			},
-		})
-		if err != nil {
+		}); err != nil {
 			return err
 		}
-		nodes = append(nodes, node)
-		net.Register(spec.name, node)
 	}
 
 	ag, err := agent.New("quickstart-agent", "alice", agentCode, "main")
 	if err != nil {
 		return err
 	}
-	// Delivery is accept-and-queue: SendAgent returns once home enqueued
-	// the agent. The journey's terminal outcome — completion at "back",
-	// or quarantine at the detecting node — surfaces on that node's
-	// receipt.
-	receipts := make([]*core.Receipt, len(nodes))
-	for i, n := range nodes {
-		receipts[i] = n.Watch(ag.ID)
-	}
-	wire, err := ag.Marshal()
-	if err != nil {
-		return err
-	}
-	if err := net.SendAgent(ctx, "home", wire); err != nil {
-		return err
-	}
-	_, err = core.AwaitAny(ctx, receipts...)
+	// Delivery is accept-and-queue: the launch returns once home
+	// enqueued the agent. Run watches every node, so the journey's
+	// terminal outcome — completion at "back", or quarantine at the
+	// detecting node — surfaces wherever it happens.
+	_, err = f.Run(ctx, "home", ag)
 	return err
 }

@@ -17,10 +17,9 @@ import (
 	"repro/internal/agent"
 	"repro/internal/attack"
 	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/host"
 	"repro/internal/replication"
-	"repro/internal/sigcrypto"
-	"repro/internal/transport"
 	"repro/internal/value"
 )
 
@@ -43,17 +42,14 @@ func main() {
 }
 
 func run() error {
-	reg := sigcrypto.NewRegistry()
-	net := transport.NewInProc()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	coord := &replication.Coordinator{Net: net, Registry: reg}
-	var nodes []*core.Node
-	defer func() {
-		for _, n := range nodes {
-			_ = n.Close()
-		}
-	}()
+	f, err := fleet.New("owner")
+	if err != nil {
+		return err
+	}
+	defer func() { _ = f.Close() }()
+	coord := &replication.Coordinator{Net: f.Net(), Registry: f.Reg}
 
 	// Two stages of three replicas; one attacker per stage.
 	attackers := map[string]host.Behavior{
@@ -72,33 +68,19 @@ func run() error {
 		for r := 0; r < 3; r++ {
 			name := fmt.Sprintf("%s-%d", st.prefix, r)
 			names = append(names, name)
-			keys, err := sigcrypto.GenerateKeyPair(name)
-			if err != nil {
-				return err
-			}
-			h, err := host.New(host.Config{
-				Name:     name,
-				Keys:     keys,
-				Registry: reg,
-				// Replicas offer the same resources and share the input
-				// source ("hosts that offer the same set of resources").
-				Resources: st.resources,
-				RandSeed:  7,
-				Behavior:  attackers[name],
-			})
-			if err != nil {
-				return err
-			}
-			node, err := core.NewNode(core.NodeConfig{
-				Host:       h,
-				Net:        net,
+			if _, err := f.Add(fleet.Spec{
+				Host: host.Config{
+					Name: name,
+					// Replicas offer the same resources and share the input
+					// source ("hosts that offer the same set of resources").
+					Resources: st.resources,
+					RandSeed:  7,
+					Behavior:  attackers[name],
+				},
 				Mechanisms: []core.Mechanism{replication.New()},
-			})
-			if err != nil {
+			}); err != nil {
 				return err
 			}
-			nodes = append(nodes, node)
-			net.Register(name, node)
 		}
 		coord.Stages = append(coord.Stages, names)
 	}

@@ -26,10 +26,9 @@ import (
 	"repro/internal/appraisal"
 	"repro/internal/attack"
 	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/host"
 	"repro/internal/refproto"
-	"repro/internal/sigcrypto"
-	"repro/internal/transport"
 	"repro/internal/value"
 	"repro/internal/wholesig"
 )
@@ -90,60 +89,33 @@ func main() {
 }
 
 func run(airlineBBehavior host.Behavior) error {
-	reg := sigcrypto.NewRegistry()
-	net := transport.NewInProc()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	var nodes []*core.Node
-	defer func() {
-		for _, n := range nodes {
-			_ = n.Close()
-		}
-	}()
-
-	owner, err := sigcrypto.GenerateKeyPair("alice")
+	// alice owns the agent; the fleet registers her key so hosts can
+	// verify the rules she signs.
+	f, err := fleet.New("alice")
 	if err != nil {
 		return err
 	}
-	if err := reg.RegisterKeyPair(owner); err != nil {
-		return err
-	}
+	defer func() { _ = f.Close() }()
 
 	prices := map[string]int64{"airline-a": 310, "airline-b": 420, "airline-c": 280}
-	specs := []struct {
-		name    string
-		trusted bool
-	}{
-		{"home", true},
-		{"airline-a", false},
-		{"airline-b", false},
-		{"airline-c", false},
-	}
-	for _, spec := range specs {
-		keys, err := sigcrypto.GenerateKeyPair(spec.name)
-		if err != nil {
-			return err
-		}
-		cfg := host.Config{Name: spec.name, Keys: keys, Registry: reg, Trusted: spec.trusted}
-		if p, ok := prices[spec.name]; ok {
+	for _, name := range []string{"home", "airline-a", "airline-b", "airline-c"} {
+		cfg := host.Config{Name: name, Trusted: name == "home"}
+		if p, ok := prices[name]; ok {
 			cfg.Resources = map[string]value.Value{"flight-price": value.Int(p)}
 		}
-		if spec.name == "airline-b" {
+		if name == "airline-b" {
 			cfg.Behavior = airlineBBehavior
 		}
-		if spec.name == "home" {
+		if name == "home" {
 			cfg.Sink = func(agentID, action string, args []value.Value) error {
 				fmt.Printf("  home books: %s %v\n", action, args)
 				return nil
 			}
 		}
-		h, err := host.New(cfg)
-		if err != nil {
-			return err
-		}
-		node, err := core.NewNode(core.NodeConfig{
-			Host: h,
-			Net:  net,
+		if _, err := f.Add(fleet.Spec{
+			Host: cfg,
 			// A hand-assembled stack: signatures, owner rules, and the
 			// example mechanism.
 			Mechanisms: []core.Mechanism{
@@ -151,25 +123,24 @@ func run(airlineBBehavior host.Behavior) error {
 				appraisal.New(),
 				refproto.New(refproto.Config{}),
 			},
-			OnVerdict: func(v core.Verdict) {
-				if !v.OK {
-					fmt.Println(" ", v)
-				}
+			Node: core.NodeConfig{
+				OnVerdict: func(v core.Verdict) {
+					if !v.OK {
+						fmt.Println(" ", v)
+					}
+				},
+				OnComplete: func(ag *agent.Agent, _ []core.Verdict, aborted bool) {
+					if aborted {
+						return
+					}
+					fmt.Printf("  itinerary %v\n", ag.Route)
+					fmt.Printf("  best quote %s from %s; remaining budget %s\n",
+						ag.State["best"], ag.State["bestShop"], ag.State["budget"])
+				},
 			},
-			OnComplete: func(ag *agent.Agent, _ []core.Verdict, aborted bool) {
-				if aborted {
-					return
-				}
-				fmt.Printf("  itinerary %v\n", ag.Route)
-				fmt.Printf("  best quote %s from %s; remaining budget %s\n",
-					ag.State["best"], ag.State["bestShop"], ag.State["budget"])
-			},
-		})
-		if err != nil {
+		}); err != nil {
 			return err
 		}
-		nodes = append(nodes, node)
-		net.Register(spec.name, node)
 	}
 
 	ag, err := agent.New("shopper", "alice", shopperCode, "main")
@@ -182,20 +153,9 @@ func run(airlineBBehavior host.Behavior) error {
 		appraisal.MustRule("no-overdraft", "budget >= 0"),
 		appraisal.MustRule("best-positive", "best > 0"),
 	}
-	if err := appraisal.Attach(ag, rules, owner); err != nil {
+	if err := appraisal.Attach(ag, rules, f.Owner); err != nil {
 		return err
 	}
-	receipts := make([]*core.Receipt, len(nodes))
-	for i, n := range nodes {
-		receipts[i] = n.Watch(ag.ID)
-	}
-	wire, err := ag.Marshal()
-	if err != nil {
-		return err
-	}
-	if err := net.SendAgent(ctx, "home", wire); err != nil {
-		return err
-	}
-	_, err = core.AwaitAny(ctx, receipts...)
+	_, err = f.Run(ctx, "home", ag)
 	return err
 }

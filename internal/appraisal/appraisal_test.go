@@ -106,19 +106,6 @@ var buyerRules = appraisal.RuleSet{
 	appraisal.MustRule("no-overdraft", "moneyRest >= 0"),
 }
 
-// ownerKeys generates and registers the owner principal.
-func ownerKeys(t *testing.T, bed *platformtest.Bed) *sigcrypto.KeyPair {
-	t.Helper()
-	keys, err := sigcrypto.GenerateKeyPair("owner")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bed.Reg.RegisterKeyPair(keys); err != nil {
-		t.Fatal(err)
-	}
-	return keys
-}
-
 func buildBed(t *testing.T, shopBehavior host.Behavior) (*platformtest.Bed, *agent.Agent) {
 	t.Helper()
 	bed := platformtest.New(t)
@@ -135,7 +122,7 @@ func buildBed(t *testing.T, shopBehavior host.Behavior) (*platformtest.Bed, *age
 			},
 		})
 	}
-	owner := ownerKeys(t, bed)
+	owner := bed.Owner
 	ag := bed.NewAgent("buyer", buyerCode)
 	if err := appraisal.Attach(ag, buyerRules, owner); err != nil {
 		t.Fatal(err)
@@ -252,7 +239,7 @@ func TestCheckAfterTaskAppraisesFinalState(t *testing.T) {
 			},
 		})
 	}
-	owner := ownerKeys(t, bed)
+	owner := bed.Owner
 	// Task ends on the shop host itself.
 	code := `
 proc main() {

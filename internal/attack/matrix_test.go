@@ -11,7 +11,6 @@ import (
 	"repro/internal/host"
 	"repro/internal/platformtest"
 	"repro/internal/refproto"
-	"repro/internal/sigcrypto"
 	"repro/internal/value"
 	"repro/internal/vigna"
 )
@@ -96,17 +95,6 @@ proc finish() { done() }`
 		for attackName, exp := range cells {
 			t.Run(mechName+"/"+attackName, func(t *testing.T) {
 				bed := platformtest.New(t)
-				var owner *sigcrypto.KeyPair
-				if mechName == "appraisal" {
-					var err error
-					owner, err = sigcrypto.GenerateKeyPair("owner")
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := bed.Reg.RegisterKeyPair(owner); err != nil {
-						t.Fatal(err)
-					}
-				}
 				behavior := attacks[attackName]
 				for _, name := range []string{"home", "shop1", "shop2", "home2"} {
 					name := name
@@ -126,7 +114,6 @@ proc finish() { done() }`
 							}
 						},
 						Configure: func(c *host.Config) {
-							c.RecordTrace = mechName == "vigna"
 							price := int64(30)
 							if name == "shop2" {
 								price = 20
@@ -145,7 +132,7 @@ proc finish() { done() }`
 						appraisal.MustRule("conservation", "moneySpent + moneyRest == moneyInitial"),
 						appraisal.MustRule("no-overdraft", "moneyRest >= 0"),
 					}
-					if err := appraisal.Attach(ag, rules, owner); err != nil {
+					if err := appraisal.Attach(ag, rules, bed.Owner); err != nil {
 						t.Fatal(err)
 					}
 				}

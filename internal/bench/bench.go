@@ -21,11 +21,10 @@ import (
 	"repro/internal/agent"
 	"repro/internal/agentlang"
 	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/host"
 	"repro/internal/protection"
-	"repro/internal/sigcrypto"
 	"repro/internal/stopwatch"
-	"repro/internal/transport"
 	"repro/internal/value"
 )
 
@@ -156,61 +155,41 @@ func (p *procTimer) ExitProc(name string) {
 	p.mu.Unlock()
 }
 
+// tenByteFeed serves the paper's 10-byte input element on every read.
+func tenByteFeed(agentID, key string) (value.Value, error) {
+	return value.Str("0123456789"), nil
+}
+
 // Run executes the generic agent once at the given protection level and
 // returns the per-phase measurement.
 func Run(level protection.Level, w Workload) (Result, error) {
 	timer := &stopwatch.PhaseTimer{}
 	pt := &procTimer{timer: timer, proc: "cycle"}
 
-	reg := sigcrypto.NewRegistry()
-	net := transport.NewInProc()
 	// Generous ceiling: the heaviest paper workload is seconds-scale;
 	// this only guards against a wedged pipeline hanging the harness.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()
 
-	nodes := make(map[string]*core.Node, 3)
-	defer func() {
-		for _, n := range nodes {
-			_ = n.Close()
-		}
-	}()
+	f, err := fleet.New("owner")
+	if err != nil {
+		return Result{}, err
+	}
+	defer func() { _ = f.Close() }()
 	for i := 1; i <= 3; i++ {
-		name := fmt.Sprintf("host%d", i)
-		keys, err := sigcrypto.GenerateKeyPair(name)
-		if err != nil {
-			return Result{}, err
-		}
-		h, err := host.New(host.Config{
-			Name:     name,
-			Keys:     keys,
-			Registry: reg,
-			// Per §5.2: first and last host trusted, middle untrusted.
-			Trusted: i != 2,
-			Feed: func(agentID, key string) (value.Value, error) {
-				return value.Str("0123456789"), nil // 10-byte input element
+		if _, err := f.Add(fleet.Spec{
+			Host: host.Config{
+				Name: fmt.Sprintf("host%d", i),
+				// Per §5.2: first and last host trusted, middle untrusted.
+				Trusted: i != 2,
+				Feed:    tenByteFeed,
 			},
-			RecordTrace: protection.NeedsTraceRecording(level),
-		})
-		if err != nil {
+			Level:      level,
+			Protection: protection.Options{Timer: timer, ExecHook: pt},
+			Node:       core.NodeConfig{SessionOptions: host.SessionOptions{ExtraHook: pt}},
+		}); err != nil {
 			return Result{}, err
 		}
-		stack, err := protection.Assemble(level, protection.Options{Timer: timer, ExecHook: pt})
-		if err != nil {
-			return Result{}, err
-		}
-		node, err := core.NewNode(core.NodeConfig{
-			Host:           h,
-			Net:            net,
-			Mechanisms:     stack.Mechanisms,
-			Policy:         stack.Policy,
-			SessionOptions: host.SessionOptions{ExtraHook: pt},
-		})
-		if err != nil {
-			return Result{}, err
-		}
-		nodes[name] = node
-		net.Register(name, node)
 	}
 
 	ag, err := agent.New(fmt.Sprintf("bench-%s-%s", level, w), "owner", AgentCode(w), "main")
@@ -223,17 +202,13 @@ func Run(level protection.Level, w Workload) (Result, error) {
 
 	begin := time.Now()
 	// The first host runs the first session itself; delivery to host1
-	// starts the pipeline. Watch every node so a failure or quarantine
-	// at any hop surfaces immediately instead of timing out.
-	receipts := make([]*core.Receipt, 0, len(nodes))
-	for _, n := range nodes {
-		receipts = append(receipts, n.Watch(ag.ID))
-	}
+	// starts the pipeline.
+	receipts := f.Watch(ag.ID)
 	firstWire, err := ag.Marshal()
 	if err != nil {
 		return Result{}, err
 	}
-	if err := net.SendAgent(ctx, "host1", firstWire); err != nil {
+	if err := f.Net().SendAgent(ctx, "host1", firstWire); err != nil {
 		return Result{}, fmt.Errorf("bench: %w", err)
 	}
 	outcome, err := core.AwaitAny(ctx, receipts...)

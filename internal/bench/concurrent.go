@@ -7,10 +7,9 @@ import (
 
 	"repro/internal/agent"
 	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/host"
 	"repro/internal/protection"
-	"repro/internal/sigcrypto"
-	"repro/internal/transport"
 	"repro/internal/value"
 )
 
@@ -51,55 +50,32 @@ func ConcurrentItineraries(cfg ConcurrentConfig) (time.Duration, error) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()
-	reg := sigcrypto.NewRegistry()
-	net := transport.NewInProc()
-	hosts := []string{"c1", "c2", "c3"}
-
-	nodes := make(map[string]*core.Node, len(hosts))
-	defer func() {
-		for _, n := range nodes {
-			_ = n.Close()
-		}
-	}()
-	for i, name := range hosts {
-		keys, err := sigcrypto.GenerateKeyPair(name)
-		if err != nil {
-			return 0, err
-		}
-		h, err := host.New(host.Config{
-			Name:     name,
-			Keys:     keys,
-			Registry: reg,
-			Trusted:  i != 1,
-			Feed: func(agentID, key string) (value.Value, error) {
-				time.Sleep(cfg.FeedLatency)
-				return value.Str("0123456789"), nil
+	f, err := fleet.New("owner")
+	if err != nil {
+		return 0, err
+	}
+	defer func() { _ = f.Close() }()
+	for i, name := range []string{"c1", "c2", "c3"} {
+		if _, err := f.Add(fleet.Spec{
+			Host: host.Config{
+				Name:    name,
+				Trusted: i != 1,
+				Feed: func(agentID, key string) (value.Value, error) {
+					time.Sleep(cfg.FeedLatency)
+					return tenByteFeed(agentID, key)
+				},
 			},
-			RecordTrace: protection.NeedsTraceRecording(cfg.Level),
-		})
-		if err != nil {
+			Level: cfg.Level,
+			Node: core.NodeConfig{
+				Workers: cfg.Workers,
+				// Deep enough that the whole batch enqueues without
+				// backpressure; the measurement is processing overlap, not
+				// intake blocking.
+				QueueDepth: cfg.Agents + 1,
+			},
+		}); err != nil {
 			return 0, err
 		}
-		stack, err := protection.Assemble(cfg.Level, protection.Options{})
-		if err != nil {
-			return 0, err
-		}
-		node, err := core.NewNode(core.NodeConfig{
-			Host:       h,
-			Net:        net,
-			Mechanisms: stack.Mechanisms,
-			Policy:     stack.Policy,
-			Workers:    cfg.Workers,
-			// Deep enough that the whole batch enqueues without
-			// backpressure; the measurement is processing overlap, not
-			// intake blocking.
-			QueueDepth: cfg.Agents + 1,
-		})
-		if err != nil {
-			return 0, err
-		}
-		nodes[name] = node
-		net.Register(name, node)
 	}
 
 	code := `
@@ -127,14 +103,12 @@ proc main() {
 			return 0, err
 		}
 		wires[i] = wire
-		for _, n := range nodes {
-			receipts[i] = append(receipts[i], n.Watch(ag.ID))
-		}
+		receipts[i] = f.Watch(ag.ID)
 	}
 
 	begin := time.Now()
 	for i := range wires {
-		if err := net.SendAgent(ctx, "c1", wires[i]); err != nil {
+		if err := f.Net().SendAgent(ctx, "c1", wires[i]); err != nil {
 			return 0, fmt.Errorf("bench: launching agent %d: %w", i, err)
 		}
 	}

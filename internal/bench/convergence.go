@@ -2,19 +2,10 @@ package bench
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
-	"repro/internal/agent"
-	"repro/internal/appraisal"
-	"repro/internal/core"
-	"repro/internal/host"
 	"repro/internal/policy"
-	"repro/internal/protection"
-	"repro/internal/sigcrypto"
-	"repro/internal/transport"
-	"repro/internal/value"
 )
 
 // ConvergenceConfig parameterizes the disjoint-traffic fleet scenario:
@@ -22,27 +13,11 @@ import (
 // only one of them, and the anti-entropy exchange as the only channel
 // by which the other sub-fleet can learn. It measures the tentpole
 // claim of the exchange layer — fleet-wide convergence with zero
-// shared agent traffic — as exchange rounds to gate escalation.
-type ConvergenceConfig struct {
-	// SubFleetHosts is the untrusted host count per sub-fleet (each
-	// bracketed by its own trusted home); 0 means 3. The first host of
-	// sub-fleet A is the malicious one.
-	SubFleetHosts int
-	// Agents is the itinerary count launched through each sub-fleet;
-	// 0 means 3.
-	Agents int
-	// Cycles is the per-session computation; 0 means 2 (the scenario
-	// measures propagation, not throughput).
-	Cycles int
-	// Budget is the per-round exchange entry budget; 0 means the
-	// platform default.
-	Budget int
-	// MaxRounds bounds the synchronized exchange rounds driven before
-	// giving up; 0 means 32.
-	MaxRounds int
-	// Workers is the per-node worker count; 0 means core.DefaultWorkers.
-	Workers int
-}
+// shared agent traffic — as exchange rounds to gate escalation. The
+// federation A/B runs the same deployment, so this is its configuration
+// (MaxRounds counts synchronized rounds); a zero SubFleetHosts means 3
+// here.
+type ConvergenceConfig = FederationConfig
 
 // ConvergenceResult is the scenario's outcome.
 type ConvergenceResult struct {
@@ -70,207 +45,25 @@ type ConvergenceResult struct {
 	Elapsed time.Duration
 }
 
-// RunConvergence builds the two sub-fleets, runs the traffic phase
-// (sub-fleet A detects its cheater first-hand, sub-fleet B stays
-// oblivious), then drives synchronized exchange rounds until sub-fleet
-// B's gates escalate against the cheater.
+// RunConvergence runs the flat arm of the federation A/B's deployment
+// (openDisjoint) in synchronized rounds: the two sub-fleets are built,
+// the traffic phase runs (sub-fleet A detects its cheater first-hand,
+// sub-fleet B stays oblivious), then every node steps once per round
+// until sub-fleet B's gates escalate against the cheater.
 func RunConvergence(cfg ConvergenceConfig) (ConvergenceResult, error) {
 	if cfg.SubFleetHosts <= 0 {
 		cfg.SubFleetHosts = 3
 	}
-	if cfg.Agents <= 0 {
-		cfg.Agents = 3
-	}
-	if cfg.Cycles <= 0 {
-		cfg.Cycles = 2
-	}
-	if cfg.MaxRounds <= 0 {
-		cfg.MaxRounds = 32
-	}
-
+	res := ConvergenceResult{FleetNodes: 2 + 2*cfg.SubFleetHosts}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()
-	reg := sigcrypto.NewRegistry()
-	net := transport.NewInProc()
-
-	subA := make([]string, cfg.SubFleetHosts)
-	subB := make([]string, cfg.SubFleetHosts)
-	for i := range subA {
-		subA[i] = fmt.Sprintf("a%d", i)
-		subB[i] = fmt.Sprintf("b%d", i)
-	}
-	malicious := subA[0]
-	allNames := append([]string{"homeA", "homeB"}, append(append([]string(nil), subA...), subB...)...)
-
-	res := ConvergenceResult{FleetNodes: len(allNames), Malicious: malicious}
-
-	stacks := make(map[string]protection.Stack, len(allNames))
-	var nodes []*core.Node
-	nodeOf := make(map[string]*core.Node, len(allNames))
-	defer func() {
-		for _, n := range nodes {
-			_ = n.Close()
-		}
-		for _, s := range stacks {
-			_ = s.Close()
-		}
-	}()
-	addNode := func(name string, trusted bool, behavior host.Behavior) error {
-		keys, err := sigcrypto.GenerateKeyPair(name)
-		if err != nil {
-			return err
-		}
-		h, err := host.New(host.Config{
-			Name: name, Keys: keys, Registry: reg,
-			Trusted: trusted, Behavior: behavior,
-		})
-		if err != nil {
-			return err
-		}
-		stack, err := protection.Assemble(protection.LevelAdaptive, protection.Options{})
-		if err != nil {
-			return err
-		}
-		node, err := core.NewNode(core.NodeConfig{
-			Host:       h,
-			Net:        net,
-			Mechanisms: stack.Mechanisms,
-			Policy:     stack.Policy,
-			Workers:    cfg.Workers,
-			QueueDepth: 2*cfg.Agents + 1,
-			// The whole fleet is one exchange membership; the interval
-			// is parked far out so the harness can drive synchronized
-			// rounds itself and count them exactly.
-			Exchange: core.ExchangeConfig{
-				Peers:    allNames,
-				Interval: time.Hour,
-				Budget:   cfg.Budget,
-			},
-		})
-		if err != nil {
-			return err
-		}
-		stacks[name] = stack
-		nodes = append(nodes, node)
-		nodeOf[name] = node
-		net.Register(name, node)
-		return nil
-	}
-
-	if err := addNode("homeA", true, nil); err != nil {
-		return res, err
-	}
-	if err := addNode("homeB", true, nil); err != nil {
-		return res, err
-	}
-	for _, name := range subA {
-		var behavior host.Behavior
-		if name == malicious {
-			behavior = tamperCounting{onSession: func(string, int) {}}
-		}
-		if err := addNode(name, false, behavior); err != nil {
-			return res, err
-		}
-	}
-	for _, name := range subB {
-		if err := addNode(name, false, nil); err != nil {
-			return res, err
-		}
-	}
-
-	owner, err := sigcrypto.GenerateKeyPair("convergence-owner")
+	d, err := openDisjoint(ctx, cfg, "conv", false)
 	if err != nil {
-		return res, err
+		return res, fmt.Errorf("bench: convergence: %w", err)
 	}
-	if err := reg.RegisterKeyPair(owner); err != nil {
-		return res, err
-	}
-	rules := appraisal.RuleSet{appraisal.MustRule("total-tracks-hops", "total == hops")}
-
-	// Traffic phase: each sub-fleet runs its own itineraries, which
-	// never leave it — zero shared agent traffic by construction.
-	launch := func(prefix, home string, untrusted []string) ([]*core.Receipt, error) {
-		code := fleetCode(home, untrusted, cfg.Cycles)
-		var receipts []*core.Receipt
-		for i := 0; i < cfg.Agents; i++ {
-			ag, err := agent.New(fmt.Sprintf("%s-%03d", prefix, i), "convergence-owner", code, "main")
-			if err != nil {
-				return nil, err
-			}
-			ag.SetVar("total", value.Int(0))
-			ag.SetVar("hops", value.Int(0))
-			ag.SetVar("sum", value.Int(0))
-			if err := appraisal.Attach(ag, rules, owner); err != nil {
-				return nil, err
-			}
-			wire, err := ag.Marshal()
-			if err != nil {
-				return nil, err
-			}
-			for _, n := range nodes {
-				receipts = append(receipts, n.Watch(ag.ID))
-			}
-			if err := net.SendAgent(ctx, home, wire); err != nil {
-				return nil, fmt.Errorf("bench: launching %s agent %d: %w", prefix, i, err)
-			}
-		}
-		return receipts, nil
-	}
-	rcsA, err := launch("conv-a", "homeA", subA)
-	if err != nil {
-		return res, err
-	}
-	rcsB, err := launch("conv-b", "homeB", subB)
-	if err != nil {
-		return res, err
-	}
-	for _, rcs := range [][]*core.Receipt{rcsA, rcsB} {
-		for i := 0; i < cfg.Agents; i++ {
-			span := rcs[i*len(nodes) : (i+1)*len(nodes)]
-			if _, err := core.AwaitAny(ctx, span...); err != nil && !errors.Is(err, core.ErrDetection) {
-				return res, fmt.Errorf("bench: convergence itinerary %d: %w", i, err)
-			}
-		}
-	}
-
-	// The disjoint-traffic premise must hold before the first round:
-	// sub-fleet A holds first-hand suspicion, sub-fleet B none.
-	remoteNodes := append([]string{"homeB"}, subB...)
-	for _, name := range append([]string{"homeA"}, subA...) {
-		if s := stacks[name].Ledger.Suspicion(malicious); s > res.SeedSuspicion {
-			res.SeedSuspicion = s
-		}
-	}
-	if res.SeedSuspicion < policy.DefaultEscalateThreshold {
-		return res, fmt.Errorf("bench: traffic phase produced no detection (seed suspicion %.3f)", res.SeedSuspicion)
-	}
-	res.CleanBeforeExchange = true
-	for _, name := range remoteNodes {
-		if stacks[name].Ledger.Suspicion(malicious) >= policy.DefaultEscalateThreshold {
-			res.CleanBeforeExchange = false
-		}
-	}
-
-	// Exchange phase: synchronized rounds, every node stepping once per
-	// round, until every remote node's gate would escalate the cheater.
-	converged := func() bool {
-		res.MinRemoteSuspicion = 0
-		for i, name := range remoteNodes {
-			s := stacks[name].Ledger.Suspicion(malicious)
-			if i == 0 || s < res.MinRemoteSuspicion {
-				res.MinRemoteSuspicion = s
-			}
-		}
-		return res.MinRemoteSuspicion >= policy.DefaultEscalateThreshold
-	}
-	begin := time.Now()
-	for res.Rounds < cfg.MaxRounds && !converged() {
-		for _, name := range allNames {
-			_ = stacks[name].Gossip.Exchange().Step(ctx)
-		}
-		res.Rounds++
-	}
-	res.Elapsed = time.Since(begin)
-	res.Converged = converged()
+	defer func() { _ = d.Close() }()
+	res.Malicious, res.SeedSuspicion, res.CleanBeforeExchange = d.malicious, d.seed, d.clean
+	res.Rounds, res.MinRemoteSuspicion, res.Elapsed = d.exchange(cfg.MaxRounds, false)
+	res.Converged = res.MinRemoteSuspicion >= policy.DefaultEscalateThreshold
 	return res, nil
 }

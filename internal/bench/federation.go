@@ -6,19 +6,16 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/agent"
-	"repro/internal/appraisal"
 	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/host"
 	"repro/internal/policy"
 	"repro/internal/protection"
-	"repro/internal/sigcrypto"
-	"repro/internal/transport"
-	"repro/internal/value"
 )
 
-// The federation A/B: the same disjoint-traffic fleet geometry as
-// RunConvergence, run twice at equal fleet size — once flat (every node
+// The federation A/B: the disjoint-traffic fleet geometry (two
+// sub-fleets whose agents never cross; RunConvergence is its flat arm
+// alone), run twice at equal fleet size — once flat (every node
 // exchanges across the whole membership) and once hierarchical (one
 // aggregator per sub-fleet; members exchange only with aggregators,
 // aggregators among themselves) — measuring rounds AND total exchange
@@ -97,15 +94,6 @@ func RunFederation(cfg FederationConfig) (FederationResult, error) {
 	if cfg.SubFleetHosts <= 0 {
 		cfg.SubFleetHosts = 7
 	}
-	if cfg.Agents <= 0 {
-		cfg.Agents = 3
-	}
-	if cfg.Cycles <= 0 {
-		cfg.Cycles = 2
-	}
-	if cfg.MaxRounds <= 0 {
-		cfg.MaxRounds = 32
-	}
 	res := FederationResult{
 		FleetNodes:  2 + 2*cfg.SubFleetHosts,
 		Aggregators: []string{"homeA", "homeB"},
@@ -134,22 +122,48 @@ type urgentProbe struct {
 	learned        bool
 }
 
-// runFederationArm builds one fleet (flat or hierarchical roles over
-// identical geometry), runs the traffic phase, and drives exchange
-// steps node by node until the remote sub-fleet converges — counting
-// passes and actual RPCs. The hierarchical arm additionally runs the
-// urgent-piggyback probe before teardown.
-func runFederationArm(cfg FederationConfig, hierarchical bool) (FederationArm, urgentProbe, error) {
-	arm := FederationArm{Mode: "flat"}
-	if hierarchical {
-		arm.Mode = "hierarchical"
-	}
-	var probe urgentProbe
+// disjointFleet is the deployment RunConvergence and both federation
+// arms measure, after its traffic phase: two sub-fleets whose agents
+// never cross, sub-fleet A's first host tampering.
+type disjointFleet struct {
+	*fleet.Fleet
+	ctx context.Context // bounds the whole run
+	// malicious is the cheater; all the one exchange membership
+	// (aggregators first); remote the oblivious sub-fleet, its home
+	// first.
+	malicious   string
+	all, remote []string
+	// seed is the highest first-hand suspicion sub-fleet A holds after
+	// the traffic phase; clean that no remote node had crossed the
+	// gate's escalation threshold before any exchange round.
+	seed  float64
+	clean bool
+}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
-	defer cancel()
-	reg := sigcrypto.NewRegistry()
-	net := transport.NewInProc()
+func (d *disjointFleet) ledger(name string) *policy.Ledger { return d.Member(name).Stack.Ledger }
+func (d *disjointFleet) gossip(name string) *policy.Gossip { return d.Member(name).Stack.Gossip }
+
+// openDisjoint builds the fleet (flat or hierarchical roles over
+// identical geometry; cfg.SubFleetHosts must be set) and runs the
+// traffic phase, which must leave sub-fleet A with a first-hand
+// detection for the exchange to spread. The caller closes the fleet.
+func openDisjoint(ctx context.Context, cfg FederationConfig, prefix string, hierarchical bool) (d *disjointFleet, err error) {
+	if cfg.Agents <= 0 {
+		cfg.Agents = 3
+	}
+	if cfg.Cycles <= 0 {
+		cfg.Cycles = 2
+	}
+	f, err := fleet.New("federation-owner")
+	if err != nil {
+		return nil, err
+	}
+	d = &disjointFleet{Fleet: f, ctx: ctx, clean: true}
+	defer func() {
+		if err != nil {
+			_ = d.Close()
+		}
+	}()
 
 	subA := make([]string, cfg.SubFleetHosts)
 	subB := make([]string, cfg.SubFleetHosts)
@@ -157,214 +171,176 @@ func runFederationArm(cfg FederationConfig, hierarchical bool) (FederationArm, u
 		subA[i] = fmt.Sprintf("a%d", i)
 		subB[i] = fmt.Sprintf("b%d", i)
 	}
-	malicious := subA[0]
+	d.malicious = subA[0]
 	aggregators := []string{"homeA", "homeB"}
-	allNames := append([]string{"homeA", "homeB"}, append(append([]string(nil), subA...), subB...)...)
+	d.all = append(append(append([]string(nil), aggregators...), subA...), subB...)
+	d.remote = append([]string{"homeB"}, subB...)
 
-	stacks := make(map[string]protection.Stack, len(allNames))
-	nodeOf := make(map[string]*core.Node, len(allNames))
-	var nodes []*core.Node
-	defer func() {
-		for _, n := range nodes {
-			_ = n.Close()
-		}
-		for _, s := range stacks {
-			_ = s.Close()
-		}
-	}()
-	addNode := func(name string, trusted bool, behavior host.Behavior) error {
-		keys, err := sigcrypto.GenerateKeyPair(name)
-		if err != nil {
-			return err
-		}
-		h, err := host.New(host.Config{
-			Name: name, Keys: keys, Registry: reg,
-			Trusted: trusted, Behavior: behavior,
-		})
-		if err != nil {
-			return err
-		}
-		stack, err := protection.Assemble(protection.LevelAdaptive, protection.Options{})
-		if err != nil {
-			return err
-		}
+	for _, name := range d.all {
+		home := name == "homeA" || name == "homeB"
+		// The whole fleet is one exchange membership; the interval is
+		// parked far out so the harness can drive rounds itself and
+		// count them exactly.
 		xcfg := core.ExchangeConfig{
-			Peers:    allNames,
-			Interval: time.Hour, // rounds are driven manually
+			Peers:    d.all,
+			Interval: time.Hour,
 			Budget:   cfg.Budget,
 		}
 		if hierarchical {
 			xcfg.Aggregators = aggregators
 			xcfg.Role = core.ExchangeRoleMember
-			if name == "homeA" || name == "homeB" {
+			if home {
 				xcfg.Role = core.ExchangeRoleAggregator
 			}
 		}
-		node, err := core.NewNode(core.NodeConfig{
-			Host:       h,
-			Net:        net,
-			Mechanisms: stack.Mechanisms,
-			Policy:     stack.Policy,
-			Workers:    cfg.Workers,
-			QueueDepth: 2*cfg.Agents + 1,
-			Exchange:   xcfg,
-		})
-		if err != nil {
-			return err
-		}
-		stacks[name] = stack
-		nodes = append(nodes, node)
-		nodeOf[name] = node
-		net.Register(name, node)
-		return nil
-	}
-
-	if err := addNode("homeA", true, nil); err != nil {
-		return arm, probe, err
-	}
-	if err := addNode("homeB", true, nil); err != nil {
-		return arm, probe, err
-	}
-	for _, name := range subA {
 		var behavior host.Behavior
-		if name == malicious {
-			behavior = tamperCounting{onSession: func(string, int) {}}
+		if name == d.malicious {
+			behavior = fleet.Tamperer{}
 		}
-		if err := addNode(name, false, behavior); err != nil {
-			return arm, probe, err
-		}
-	}
-	for _, name := range subB {
-		if err := addNode(name, false, nil); err != nil {
-			return arm, probe, err
+		if _, err := d.Add(fleet.Spec{
+			Host:  host.Config{Name: name, Trusted: home, Behavior: behavior},
+			Level: protection.LevelAdaptive,
+			Node: core.NodeConfig{
+				Workers:    cfg.Workers,
+				QueueDepth: 2*cfg.Agents + 1,
+				Exchange:   xcfg,
+			},
+		}); err != nil {
+			return nil, err
 		}
 	}
 
-	owner, err := sigcrypto.GenerateKeyPair("federation-owner")
-	if err != nil {
-		return arm, probe, err
-	}
-	if err := reg.RegisterKeyPair(owner); err != nil {
-		return arm, probe, err
-	}
-	rules := appraisal.RuleSet{appraisal.MustRule("total-tracks-hops", "total == hops")}
-
-	// Traffic phase: identical to the convergence scenario — each
-	// sub-fleet's itineraries never leave it.
-	launch := func(prefix, home string, untrusted []string) ([]*core.Receipt, error) {
-		code := fleetCode(home, untrusted, cfg.Cycles)
-		var receipts []*core.Receipt
-		for i := 0; i < cfg.Agents; i++ {
-			ag, err := agent.New(fmt.Sprintf("%s-%03d", prefix, i), "federation-owner", code, "main")
+	// Traffic phase: each sub-fleet runs its own itineraries, which
+	// never leave it — zero shared agent traffic by construction.
+	launch := func(prefix, home string, untrusted []string) ([][]*core.Receipt, error) {
+		code := fleet.RouteCode(home, untrusted, cfg.Cycles)
+		receipts := make([][]*core.Receipt, cfg.Agents)
+		for i := range receipts {
+			id := fmt.Sprintf("%s-%03d", prefix, i)
+			wire, err := d.AuditedAgent(id, code)
 			if err != nil {
 				return nil, err
 			}
-			ag.SetVar("total", value.Int(0))
-			ag.SetVar("hops", value.Int(0))
-			ag.SetVar("sum", value.Int(0))
-			if err := appraisal.Attach(ag, rules, owner); err != nil {
-				return nil, err
-			}
-			wire, err := ag.Marshal()
-			if err != nil {
-				return nil, err
-			}
-			for _, n := range nodes {
-				receipts = append(receipts, n.Watch(ag.ID))
-			}
-			if err := net.SendAgent(ctx, home, wire); err != nil {
+			receipts[i] = d.Watch(id)
+			if err := d.Net().SendAgent(d.ctx, home, wire); err != nil {
 				return nil, fmt.Errorf("launching %s agent %d: %w", prefix, i, err)
 			}
 		}
 		return receipts, nil
 	}
-	rcsA, err := launch(arm.Mode+"-a", "homeA", subA)
+	rcsA, err := launch(prefix+"-a", "homeA", subA)
 	if err != nil {
-		return arm, probe, err
+		return nil, err
 	}
-	rcsB, err := launch(arm.Mode+"-b", "homeB", subB)
+	rcsB, err := launch(prefix+"-b", "homeB", subB)
 	if err != nil {
-		return arm, probe, err
+		return nil, err
 	}
-	for _, rcs := range [][]*core.Receipt{rcsA, rcsB} {
-		for i := 0; i < cfg.Agents; i++ {
-			span := rcs[i*len(nodes) : (i+1)*len(nodes)]
-			if _, err := core.AwaitAny(ctx, span...); err != nil && !errors.Is(err, core.ErrDetection) {
-				return arm, probe, fmt.Errorf("itinerary %d: %w", i, err)
-			}
+	for i, rcs := range append(rcsA, rcsB...) {
+		if _, err := core.AwaitAny(d.ctx, rcs...); err != nil && !errors.Is(err, core.ErrDetection) {
+			return nil, fmt.Errorf("itinerary %d: %w", i%cfg.Agents, err)
 		}
 	}
 
+	// The disjoint-traffic premise: sub-fleet A holds first-hand
+	// suspicion, sub-fleet B none.
 	for _, name := range append([]string{"homeA"}, subA...) {
-		if s := stacks[name].Ledger.Suspicion(malicious); s > arm.SeedSuspicion {
-			arm.SeedSuspicion = s
+		d.seed = max(d.seed, d.ledger(name).Suspicion(d.malicious))
+	}
+	if d.seed < policy.DefaultEscalateThreshold {
+		return nil, fmt.Errorf("traffic phase produced no detection (seed suspicion %.3f)", d.seed)
+	}
+	for _, name := range d.remote {
+		if d.ledger(name).Suspicion(d.malicious) >= policy.DefaultEscalateThreshold {
+			d.clean = false
 		}
 	}
-	if arm.SeedSuspicion < policy.DefaultEscalateThreshold {
-		return arm, probe, fmt.Errorf("traffic phase produced no detection (seed suspicion %.3f)", arm.SeedSuspicion)
-	}
-	remoteNodes := append([]string{"homeB"}, subB...)
-	for _, name := range remoteNodes {
-		if stacks[name].Ledger.Suspicion(malicious) >= policy.DefaultEscalateThreshold {
-			return arm, probe, fmt.Errorf("disjoint premise violated: %s already suspects %s", name, malicious)
-		}
-	}
+	return d, nil
+}
 
-	// Exchange phase: node-by-node steps in fixed order (aggregators
-	// first), convergence checked after every step so a mid-pass finish
-	// stops the message counter exactly where exposure ended.
-	converged := func() bool {
-		arm.MinRemoteSuspicion = 0
-		for i, name := range remoteNodes {
-			s := stacks[name].Ledger.Suspicion(malicious)
-			if i == 0 || s < arm.MinRemoteSuspicion {
-				arm.MinRemoteSuspicion = s
-			}
-		}
-		return arm.MinRemoteSuspicion >= policy.DefaultEscalateThreshold
+// exchange drives stepping passes — every node once, in fixed order —
+// until the remote sub-fleet converges (the lowest suspicion any remote
+// node holds against the cheater reaches the gate's escalation
+// threshold) or maxRounds (0 means 32) run out, and returns the passes
+// started, that lowest suspicion at the end and the wall time.
+// Synchronized rounds check convergence between passes only; stepwise
+// checks after every node's step too, so a mid-pass finish stops the
+// fleet's message counters exactly where exposure ended.
+func (d *disjointFleet) exchange(maxRounds int, stepwise bool) (rounds int, low float64, elapsed time.Duration) {
+	if maxRounds <= 0 {
+		maxRounds = 32
 	}
-	messages := func() int {
-		total := 0
-		for _, name := range allNames {
-			st, _ := stacks[name].Gossip.ExchangeStats()
-			total += int(st.Rounds)
+	converged := func() bool {
+		low = d.ledger(d.remote[0]).Suspicion(d.malicious)
+		for _, name := range d.remote[1:] {
+			low = min(low, d.ledger(name).Suspicion(d.malicious))
 		}
-		return total
+		return low >= policy.DefaultEscalateThreshold
 	}
 	begin := time.Now()
 passes:
-	for arm.Rounds < cfg.MaxRounds && !converged() {
-		arm.Rounds++
-		for _, name := range allNames {
-			_ = stacks[name].Gossip.Exchange().Step(ctx)
-			if converged() {
+	for rounds < maxRounds && !converged() {
+		rounds++
+		for _, name := range d.all {
+			_ = d.gossip(name).Exchange().Step(d.ctx)
+			if stepwise && converged() {
 				break passes
 			}
 		}
 	}
-	arm.Elapsed = time.Since(begin)
-	arm.Converged = converged()
-	arm.Messages = messages()
+	elapsed = time.Since(begin)
+	converged()
+	return rounds, low, elapsed
+}
+
+// runFederationArm runs one arm on its own fleet: traffic phase, then
+// exchange steps node by node until the remote sub-fleet converges —
+// counting passes and actual RPCs. The hierarchical arm additionally
+// runs the urgent-piggyback probe before teardown.
+func runFederationArm(cfg FederationConfig, hierarchical bool) (FederationArm, urgentProbe, error) {
+	arm := FederationArm{Mode: "flat"}
+	if hierarchical {
+		arm.Mode = "hierarchical"
+	}
+	var probe urgentProbe
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
+	defer cancel()
+	d, err := openDisjoint(ctx, cfg, arm.Mode, hierarchical)
+	if err != nil {
+		return arm, probe, err
+	}
+	defer func() { _ = d.Close() }()
+	arm.SeedSuspicion = d.seed
+	if !d.clean {
+		return arm, probe, fmt.Errorf("disjoint premise violated: sub-fleet B already suspects %s", d.malicious)
+	}
+
+	arm.Rounds, arm.MinRemoteSuspicion, arm.Elapsed = d.exchange(cfg.MaxRounds, true)
+	arm.Converged = arm.MinRemoteSuspicion >= policy.DefaultEscalateThreshold
+	for _, name := range d.all {
+		st, _ := d.gossip(name).ExchangeStats()
+		arm.Messages += int(st.Rounds)
+	}
 
 	if hierarchical && arm.Converged {
 		// Urgent probe: a fresh quarantine-level detection at homeA must
 		// reach a member on its next single RPC, riding the reply
 		// envelope (UrgentMerged proves the envelope engaged).
 		const probeHost = "urgent-probe-cheat"
-		victim := subB[len(subB)-1]
-		stacks["homeA"].Ledger.Observe(probeHost, false, 2*policy.DefaultQuarantineThreshold)
-		if s := stacks[victim].Ledger.Suspicion(probeHost); s != 0 {
+		victim := d.remote[len(d.remote)-1]
+		d.ledger("homeA").Observe(probeHost, false, 2*policy.DefaultQuarantineThreshold)
+		if s := d.ledger(victim).Suspicion(probeHost); s != 0 {
 			return arm, probe, fmt.Errorf("urgent probe host already known at %s (%.3f)", victim, s)
 		}
-		before, _ := stacks[victim].Gossip.ExchangeStats()
-		if err := nodeOf[victim].UpdateExchangePeers([]string{"homeA"}); err != nil {
+		before, _ := d.gossip(victim).ExchangeStats()
+		if err := d.Member(victim).Node.UpdateExchangePeers([]string{"homeA"}); err != nil {
 			return arm, probe, fmt.Errorf("pinning probe member to homeA: %w", err)
 		}
-		_ = stacks[victim].Gossip.Exchange().Step(ctx)
-		after, _ := stacks[victim].Gossip.ExchangeStats()
+		_ = d.gossip(victim).Exchange().Step(d.ctx)
+		after, _ := d.gossip(victim).ExchangeStats()
 		probe.rpcs = int(after.Rounds - before.Rounds)
 		probe.envelopeMerges = after.UrgentMerged - before.UrgentMerged
-		probe.learned = stacks[victim].Ledger.Suspicion(probeHost) >= policy.DefaultEscalateThreshold
+		probe.learned = d.ledger(victim).Suspicion(probeHost) >= policy.DefaultEscalateThreshold
 	}
 	return arm, probe, nil
 }

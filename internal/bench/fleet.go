@@ -4,19 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/agent"
-	"repro/internal/appraisal"
-	"repro/internal/attack"
 	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/host"
 	"repro/internal/protection"
-	"repro/internal/sigcrypto"
-	"repro/internal/transport"
-	"repro/internal/value"
 )
 
 // FleetConfig parameterizes a mixed honest/malicious fleet run: many
@@ -82,60 +76,6 @@ func (r FleetResult) ItinerariesPerSecond() float64 {
 	return float64(r.Agents) / r.Elapsed.Seconds()
 }
 
-// sessionKey identifies one executed session fleet-wide.
-func sessionKey(agentID string, hop int) string {
-	return fmt.Sprintf("%s#%d", agentID, hop)
-}
-
-// tamperCounting is the malicious behaviour: manipulate the audit
-// total after every session and record which sessions were tampered
-// so the harness can check detections against ground truth.
-type tamperCounting struct {
-	attack.Honest
-	onSession func(agentID string, hop int)
-}
-
-func (t tamperCounting) TamperState(st value.State) {
-	st["total"] = value.Int(st["total"].Int + 1000)
-}
-
-func (t tamperCounting) TamperRecord(rec *host.SessionRecord) {
-	t.onSession(rec.AgentID, rec.Hop)
-}
-
-// fleetCode generates the itinerary: home, then every untrusted host
-// in order, then back home to finish. Each session does the paper's
-// summation cycles and advances the audited counters the owner's rule
-// binds together.
-func fleetCode(home string, untrusted []string, cycles int) string {
-	var b strings.Builder
-	b.WriteString("proc main() {\n    work()\n    migrate(")
-	fmt.Fprintf(&b, "%q, \"step\")\n}\n", untrusted[0])
-	b.WriteString("proc step() {\n    work()\n    let at = here()\n")
-	for i := 0; i < len(untrusted)-1; i++ {
-		fmt.Fprintf(&b, "    if at == %q { migrate(%q, \"step\") }\n", untrusted[i], untrusted[i+1])
-	}
-	fmt.Fprintf(&b, "    if at == %q { migrate(%q, \"fin\") }\n", untrusted[len(untrusted)-1], home)
-	b.WriteString("    done()\n}\n")
-	b.WriteString("proc fin() {\n    work()\n    done()\n}\n")
-	fmt.Fprintf(&b, `proc work() {
-    total = total + 1
-    hops = hops + 1
-    let c = 0
-    while c < %d {
-        let s = 0
-        let j = 0
-        while j < 1000 {
-            s = s + j
-            j = j + 1
-        }
-        sum = s
-        c = c + 1
-    }
-}`, cycles)
-	return b.String()
-}
-
 // maliciousSet spreads m malicious hosts over n untrusted positions so
 // two malicious hosts are not adjacent on the itinerary (adjacency is
 // the documented collusion blind spot of the example mechanism, a
@@ -176,8 +116,11 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()
-	reg := sigcrypto.NewRegistry()
-	net := transport.NewInProc()
+	f, err := fleet.New("fleet-owner")
+	if err != nil {
+		return FleetResult{}, err
+	}
+	defer func() { _ = f.Close() }()
 
 	// Ground truth and detection ledgers, shared across nodes.
 	var mu sync.Mutex
@@ -195,57 +138,27 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 		}
 	}
 
-	var nodes []*core.Node
-	defer func() {
-		for _, n := range nodes {
-			_ = n.Close()
-		}
-	}()
 	addNode := func(name string, trusted bool, behavior host.Behavior) error {
-		keys, err := sigcrypto.GenerateKeyPair(name)
-		if err != nil {
-			return err
-		}
-		h, err := host.New(host.Config{
-			Name:        name,
-			Keys:        keys,
-			Registry:    reg,
-			Trusted:     trusted,
-			RecordTrace: protection.NeedsTraceRecording(cfg.Level),
-			Behavior:    behavior,
-		})
-		if err != nil {
-			return err
-		}
-		stack, err := protection.Assemble(cfg.Level, protection.Options{})
-		if err != nil {
-			return err
-		}
-		node, err := core.NewNode(core.NodeConfig{
-			Host:       h,
-			Net:        net,
-			Mechanisms: stack.Mechanisms,
-			Policy:     stack.Policy,
-			Workers:    cfg.Workers,
-			QueueDepth: cfg.Agents + 1,
-			OnVerdict: func(v core.Verdict) {
-				if v.OK {
-					return
-				}
-				mu.Lock()
-				failedVerdicts++
-				if maliciousName[v.CheckedHost] {
-					detected[sessionKey(v.AgentID, v.CheckedHop)] = true
-				}
-				mu.Unlock()
+		_, err := f.Add(fleet.Spec{
+			Host:  host.Config{Name: name, Trusted: trusted, Behavior: behavior},
+			Level: cfg.Level,
+			Node: core.NodeConfig{
+				Workers:    cfg.Workers,
+				QueueDepth: cfg.Agents + 1,
+				OnVerdict: func(v core.Verdict) {
+					if v.OK {
+						return
+					}
+					mu.Lock()
+					failedVerdicts++
+					if maliciousName[v.CheckedHost] {
+						detected[fleet.SessionKey(v.AgentID, v.CheckedHop)] = true
+					}
+					mu.Unlock()
+				},
 			},
 		})
-		if err != nil {
-			return err
-		}
-		nodes = append(nodes, node)
-		net.Register(name, node)
-		return nil
+		return err
 	}
 
 	if err := addNode("home", true, nil); err != nil {
@@ -254,9 +167,9 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 	for i, name := range untrusted {
 		var behavior host.Behavior
 		if malicious[i] {
-			behavior = tamperCounting{onSession: func(agentID string, hop int) {
+			behavior = fleet.Tamperer{OnSession: func(agentID string, hop int) {
 				mu.Lock()
-				tampered[sessionKey(agentID, hop)] = true
+				tampered[fleet.SessionKey(agentID, hop)] = true
 				mu.Unlock()
 			}}
 		}
@@ -265,47 +178,22 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 		}
 	}
 
-	owner, err := sigcrypto.GenerateKeyPair("fleet-owner")
-	if err != nil {
-		return FleetResult{}, err
-	}
-	if err := reg.RegisterKeyPair(owner); err != nil {
-		return FleetResult{}, err
-	}
-	// The owner's invariant: every session adds exactly one to the
-	// audited total, in lockstep with the hop counter. The tampering
-	// breaks it in a way only the used inputs could justify — exactly
-	// the class of attack appraisal rules are for.
-	rules := appraisal.RuleSet{appraisal.MustRule("total-tracks-hops", "total == hops")}
-
-	code := fleetCode("home", untrusted, cfg.Cycles)
+	// Home, then every untrusted host in order, then back home.
+	code := fleet.RouteCode("home", untrusted, cfg.Cycles)
 	receipts := make([][]*core.Receipt, cfg.Agents)
 	wires := make([][]byte, cfg.Agents)
-	for i := 0; i < cfg.Agents; i++ {
-		ag, err := agent.New(fmt.Sprintf("fleet-%03d", i), "fleet-owner", code, "main")
-		if err != nil {
+	for i := range wires {
+		id := fmt.Sprintf("fleet-%03d", i)
+		if wires[i], err = f.AuditedAgent(id, code); err != nil {
 			return FleetResult{}, err
 		}
-		ag.SetVar("total", value.Int(0))
-		ag.SetVar("hops", value.Int(0))
-		ag.SetVar("sum", value.Int(0))
-		if err := appraisal.Attach(ag, rules, owner); err != nil {
-			return FleetResult{}, err
-		}
-		wire, err := ag.Marshal()
-		if err != nil {
-			return FleetResult{}, err
-		}
-		wires[i] = wire
-		for _, n := range nodes {
-			receipts[i] = append(receipts[i], n.Watch(ag.ID))
-		}
+		receipts[i] = f.Watch(id)
 	}
 
 	res := FleetResult{Level: cfg.Level, Agents: cfg.Agents}
 	begin := time.Now()
 	for i := range wires {
-		if err := net.SendAgent(ctx, "home", wires[i]); err != nil {
+		if err := f.Net().SendAgent(ctx, "home", wires[i]); err != nil {
 			return FleetResult{}, fmt.Errorf("bench: launching fleet agent %d: %w", i, err)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/protection"
+	"repro/internal/testutil"
 )
 
 func TestFleetHonestCompletes(t *testing.T) {
@@ -54,4 +55,24 @@ func TestFleetDetectionParity(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestHarnessesLeaveNothingBehind: the harnesses close every node and
+// stack they open (SeriesReplication used to return with all of its
+// replica nodes' workers still running).
+func TestHarnessesLeaveNothingBehind(t *testing.T) {
+	t.Run("SeriesReplication", func(t *testing.T) {
+		check := testutil.NoLeaks(t)
+		if _, err := SeriesReplication([]int{1, 3}); err != nil {
+			t.Fatal(err)
+		}
+		check()
+	})
+	t.Run("RunFleet", func(t *testing.T) {
+		check := testutil.NoLeaks(t)
+		if _, err := RunFleet(FleetConfig{Agents: 4, UntrustedHosts: 4, MaliciousHosts: 1, Cycles: 2}); err != nil {
+			t.Fatal(err)
+		}
+		check()
+	})
 }

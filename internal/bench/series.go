@@ -2,18 +2,19 @@ package bench
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"time"
 
 	"repro/internal/agent"
 	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/host"
 	"repro/internal/proof"
 	"repro/internal/protection"
 	"repro/internal/replication"
-	"repro/internal/sigcrypto"
-	"repro/internal/transport"
 	"repro/internal/value"
 	"repro/internal/vigna"
 )
@@ -78,40 +79,32 @@ func SeriesOverhead(cycles []int, inputs []int) ([]SeriesPoint, error) {
 }
 
 // replicaDeployment builds s stages of n replicas on an in-process
-// network.
-func replicaDeployment(stages, n int) (*replication.Coordinator, error) {
-	reg := sigcrypto.NewRegistry()
-	net := transport.NewInProc()
-	coord := &replication.Coordinator{Net: net, Registry: reg}
+// fleet; the caller closes it.
+func replicaDeployment(stages, n int) (*fleet.Fleet, *replication.Coordinator, error) {
+	f, err := fleet.New("owner")
+	if err != nil {
+		return nil, nil, err
+	}
+	coord := &replication.Coordinator{Net: f.Net(), Registry: f.Reg}
 	for s := 0; s < stages; s++ {
 		var names []string
 		for r := 0; r < n; r++ {
 			name := fmt.Sprintf("s%dr%d", s, r)
 			names = append(names, name)
-			keys, err := sigcrypto.GenerateKeyPair(name)
-			if err != nil {
-				return nil, err
-			}
-			h, err := host.New(host.Config{
-				Name: name, Keys: keys, Registry: reg,
-				Resources: map[string]value.Value{"offer": value.Int(21)},
-				RandSeed:  42,
-			})
-			if err != nil {
-				return nil, err
-			}
-			node, err := core.NewNode(core.NodeConfig{
-				Host: h, Net: net,
+			if _, err := f.Add(fleet.Spec{
+				Host: host.Config{
+					Name:      name,
+					Resources: map[string]value.Value{"offer": value.Int(21)},
+					RandSeed:  42,
+				},
 				Mechanisms: []core.Mechanism{replication.New()},
-			})
-			if err != nil {
-				return nil, err
+			}); err != nil {
+				return nil, nil, errors.Join(err, f.Close())
 			}
-			net.Register(name, node)
 		}
 		coord.Stages = append(coord.Stages, names)
 	}
-	return coord, nil
+	return f, coord, nil
 }
 
 const replicaCode = `
@@ -139,20 +132,20 @@ func SeriesReplication(sizes []int) ([]SeriesPoint, error) {
 	var base time.Duration
 	var points []SeriesPoint
 	for _, n := range sizes {
-		coord, err := replicaDeployment(2, n)
+		ag, err := agent.New(fmt.Sprintf("rep-%d", n), "owner", replicaCode, "main")
 		if err != nil {
 			return nil, err
 		}
-		ag, err := agent.New(fmt.Sprintf("rep-%d", n), "owner", replicaCode, "main")
+		f, coord, err := replicaDeployment(2, n)
 		if err != nil {
 			return nil, err
 		}
 		begin := time.Now()
 		rep, err := coord.Run(context.Background(), ag)
-		if err != nil {
+		elapsed := time.Since(begin)
+		if err := errors.Join(err, f.Close()); err != nil {
 			return nil, fmt.Errorf("bench: replication n=%d: %w", n, err)
 		}
-		elapsed := time.Since(begin)
 		if rep.Final.State["result"].Int != 42 {
 			return nil, fmt.Errorf("bench: replication n=%d wrong result", n)
 		}
@@ -171,41 +164,47 @@ func SeriesReplication(sizes []int) ([]SeriesPoint, error) {
 	return points, nil
 }
 
-// tracedDeployment builds the home -> h1 -> h2 -> home2 journey at
-// LevelTraces, returning the bed pieces needed for audits.
-func tracedDeployment(cycles int) (*transport.InProc, *sigcrypto.Registry, *agent.Agent, error) {
-	reg := sigcrypto.NewRegistry()
-	net := transport.NewInProc()
+// journey runs one agent from "home" across a fresh in-process fleet of
+// the named hosts (trusted iff named home*, each offering 10) and
+// returns the fleet with the agent as it came back. The owner's
+// audit runs against the still-open fleet; the caller closes it.
+func journey(hosts []string, protect func() fleet.Spec, id, code string) (_ *fleet.Fleet, _ *agent.Agent, err error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()
-	nodes := make(map[string]*core.Node, 4)
-	for _, name := range []string{"home", "h1", "h2", "home2"} {
-		keys, err := sigcrypto.GenerateKeyPair(name)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		h, err := host.New(host.Config{
-			Name: name, Keys: keys, Registry: reg,
-			Trusted:     name == "home" || name == "home2",
-			Resources:   map[string]value.Value{"offer": value.Int(10)},
-			RecordTrace: true,
-		})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		mechs, err := protection.Mechanisms(protection.LevelTraces, protection.Options{})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		node, err := core.NewNode(core.NodeConfig{
-			Host: h, Net: net, Mechanisms: mechs,
-		})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		nodes[name] = node
-		net.Register(name, node)
+	f, err := fleet.New("owner")
+	if err != nil {
+		return nil, nil, err
 	}
+	defer func() {
+		if err != nil {
+			_ = f.Close()
+		}
+	}()
+	for _, name := range hosts {
+		spec := protect() // mechanism instances are per node
+		spec.Host = host.Config{
+			Name:      name,
+			Trusted:   strings.HasPrefix(name, "home"),
+			Resources: map[string]value.Value{"offer": value.Int(10)},
+		}
+		if _, err := f.Add(spec); err != nil {
+			return nil, nil, err
+		}
+	}
+	ag, err := agent.New(id, "owner", code, "main")
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := f.Run(ctx, "home", ag)
+	if err != nil {
+		return nil, nil, fmt.Errorf("bench: agent %s did not complete: %w", id, err)
+	}
+	return f, res.Agent, nil
+}
+
+// tracedDeployment runs the home -> h1 -> h2 -> home2 journey at
+// LevelTraces.
+func tracedDeployment(cycles int) (*fleet.Fleet, *agent.Agent, error) {
 	code := fmt.Sprintf(`
 proc main() {
     total = 0
@@ -228,31 +227,9 @@ proc work() {
         c = c + 1
     }
 }`, cycles)
-	ag, err := agent.New(fmt.Sprintf("trace-%d", cycles), "owner", code, "main")
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	receipts := make([]*core.Receipt, 0, len(nodes))
-	for _, n := range nodes {
-		receipts = append(receipts, n.Watch(ag.ID))
-	}
-	wire, err := ag.Marshal()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if err := net.SendAgent(ctx, "home", wire); err != nil {
-		return nil, nil, nil, err
-	}
-	res, err := core.AwaitAny(ctx, receipts...)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("bench: traced agent did not complete: %w", err)
-	}
-	// The itinerary is done; stop the intake workers. Audit fetches go
-	// through HandleCall, which keeps working after Close.
-	for _, n := range nodes {
-		_ = n.Close()
-	}
-	return net, reg, res.Agent, nil
+	return journey([]string{"home", "h1", "h2", "home2"}, func() fleet.Spec {
+		return fleet.Spec{Level: protection.LevelTraces}
+	}, fmt.Sprintf("trace-%d", cycles), code)
 }
 
 // SeriesTrace (Series C) sweeps executed statements: trace length
@@ -261,66 +238,47 @@ proc work() {
 func SeriesTrace(cycles []int) ([]SeriesPoint, error) {
 	var points []SeriesPoint
 	for _, c := range cycles {
-		net, reg, returned, err := tracedDeployment(c)
+		p, err := tracePoint(c)
 		if err != nil {
 			return nil, err
 		}
-		begin := time.Now()
-		rep, err := vigna.Audit(context.Background(), vigna.AuditConfig{
-			Net: net, Registry: reg,
-			LaunchState: value.State{}, LaunchEntry: "main",
-		}, returned)
-		if err != nil {
-			return nil, err
-		}
-		auditTime := time.Since(begin)
-		if !rep.OK {
-			return nil, fmt.Errorf("bench: honest audit failed: %+v", rep)
-		}
-		points = append(points, SeriesPoint{
-			Label: fmt.Sprintf("work=%d cycles/session", c),
-			Values: map[string]float64{
-				"audit_ms":      float64(auditTime.Microseconds()) / 1000,
-				"trace_entries": float64(rep.TotalTraceEntries),
-				"sessions":      float64(rep.SessionsChecked),
-			},
-		})
+		points = append(points, p)
 	}
 	return points, nil
 }
 
-// proofDeployment runs a journey at the proof level and returns what
-// verification needs.
-func proofDeployment(iters int) (*transport.InProc, *sigcrypto.Registry, *agent.Agent, error) {
-	reg := sigcrypto.NewRegistry()
-	net := transport.NewInProc()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
-	defer cancel()
-	nodes := make(map[string]*core.Node, 3)
-	for _, name := range []string{"home", "h1", "home2"} {
-		keys, err := sigcrypto.GenerateKeyPair(name)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		h, err := host.New(host.Config{
-			Name: name, Keys: keys, Registry: reg,
-			Trusted:     name != "h1",
-			Resources:   map[string]value.Value{"offer": value.Int(10)},
-			RecordTrace: true,
-		})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		node, err := core.NewNode(core.NodeConfig{
-			Host: h, Net: net,
-			Mechanisms: []core.Mechanism{proof.New()},
-		})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		nodes[name] = node
-		net.Register(name, node)
+func tracePoint(cycles int) (SeriesPoint, error) {
+	f, returned, err := tracedDeployment(cycles)
+	if err != nil {
+		return SeriesPoint{}, err
 	}
+	// Audit fetches are served by the hosts that ran the journey.
+	defer func() { _ = f.Close() }()
+	begin := time.Now()
+	rep, err := vigna.Audit(context.Background(), vigna.AuditConfig{
+		Net: f.Net(), Registry: f.Reg,
+		LaunchState: value.State{}, LaunchEntry: "main",
+	}, returned)
+	if err != nil {
+		return SeriesPoint{}, err
+	}
+	auditTime := time.Since(begin)
+	if !rep.OK {
+		return SeriesPoint{}, fmt.Errorf("bench: honest audit failed: %+v", rep)
+	}
+	return SeriesPoint{
+		Label: fmt.Sprintf("work=%d cycles/session", cycles),
+		Values: map[string]float64{
+			"audit_ms":      float64(auditTime.Microseconds()) / 1000,
+			"trace_entries": float64(rep.TotalTraceEntries),
+			"sessions":      float64(rep.SessionsChecked),
+		},
+	}, nil
+}
+
+// proofDeployment runs the home -> h1 -> home2 journey under the proof
+// mechanism.
+func proofDeployment(iters int) (*fleet.Fleet, *agent.Agent, error) {
 	code := fmt.Sprintf(`
 proc main() {
     total = 0
@@ -336,29 +294,9 @@ proc visit() {
     migrate("home2", "finish")
 }
 proc finish() { done() }`, iters)
-	ag, err := agent.New(fmt.Sprintf("proof-%d", iters), "owner", code, "main")
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	receipts := make([]*core.Receipt, 0, len(nodes))
-	for _, n := range nodes {
-		receipts = append(receipts, n.Watch(ag.ID))
-	}
-	wire, err := ag.Marshal()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if err := net.SendAgent(ctx, "home", wire); err != nil {
-		return nil, nil, nil, err
-	}
-	res, err := core.AwaitAny(ctx, receipts...)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("bench: proof agent did not complete: %w", err)
-	}
-	for _, n := range nodes {
-		_ = n.Close()
-	}
-	return net, reg, res.Agent, nil
+	return journey([]string{"home", "h1", "home2"}, func() fleet.Spec {
+		return fleet.Spec{Mechanisms: []core.Mechanism{proof.New()}}
+	}, fmt.Sprintf("proof-%d", iters), code)
 }
 
 // SeriesProof (Series D) sweeps trace length: spot-check verification
@@ -369,41 +307,49 @@ proc finish() { done() }`, iters)
 func SeriesProof(iters []int, k int) ([]SeriesPoint, error) {
 	var points []SeriesPoint
 	for _, n := range iters {
-		net, reg, returned, err := proofDeployment(n)
+		p, err := proofPoint(n, k)
 		if err != nil {
 			return nil, err
 		}
-		cfg := proof.VerifyConfig{Net: net, Registry: reg, K: k}
-
-		begin := time.Now()
-		spot, err := proof.Verify(context.Background(), cfg, returned)
-		if err != nil {
-			return nil, err
-		}
-		spotTime := time.Since(begin)
-		if !spot.OK {
-			return nil, fmt.Errorf("bench: spot check failed: %+v", spot)
-		}
-
-		begin = time.Now()
-		full, err := proof.FullRecheck(context.Background(), cfg, returned)
-		if err != nil {
-			return nil, err
-		}
-		fullTime := time.Since(begin)
-		if !full.OK {
-			return nil, fmt.Errorf("bench: full recheck failed: %+v", full)
-		}
-
-		points = append(points, SeriesPoint{
-			Label: fmt.Sprintf("trace n=%d entries", spot.TotalTraceLen),
-			Values: map[string]float64{
-				"spot_opened": float64(spot.EntriesOpened),
-				"full_opened": float64(full.EntriesOpened),
-				"spot_ms":     float64(spotTime.Microseconds()) / 1000,
-				"full_ms":     float64(fullTime.Microseconds()) / 1000,
-			},
-		})
+		points = append(points, p)
 	}
 	return points, nil
+}
+
+func proofPoint(iters, k int) (SeriesPoint, error) {
+	f, returned, err := proofDeployment(iters)
+	if err != nil {
+		return SeriesPoint{}, err
+	}
+	defer func() { _ = f.Close() }()
+	cfg := proof.VerifyConfig{Net: f.Net(), Registry: f.Reg, K: k}
+
+	begin := time.Now()
+	spot, err := proof.Verify(context.Background(), cfg, returned)
+	if err != nil {
+		return SeriesPoint{}, err
+	}
+	spotTime := time.Since(begin)
+	if !spot.OK {
+		return SeriesPoint{}, fmt.Errorf("bench: spot check failed: %+v", spot)
+	}
+
+	begin = time.Now()
+	full, err := proof.FullRecheck(context.Background(), cfg, returned)
+	if err != nil {
+		return SeriesPoint{}, err
+	}
+	fullTime := time.Since(begin)
+	if !full.OK {
+		return SeriesPoint{}, fmt.Errorf("bench: full recheck failed: %+v", full)
+	}
+	return SeriesPoint{
+		Label: fmt.Sprintf("trace n=%d entries", spot.TotalTraceLen),
+		Values: map[string]float64{
+			"spot_opened": float64(spot.EntriesOpened),
+			"full_opened": float64(full.EntriesOpened),
+			"spot_ms":     float64(spotTime.Microseconds()) / 1000,
+			"full_ms":     float64(fullTime.Microseconds()) / 1000,
+		},
+	}, nil
 }

@@ -27,21 +27,16 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/agent"
-	"repro/internal/appraisal"
-	"repro/internal/attack"
 	"repro/internal/core"
 	"repro/internal/events"
 	"repro/internal/faultnet"
+	"repro/internal/fleet"
 	"repro/internal/host"
 	"repro/internal/policy"
 	"repro/internal/protection"
-	"repro/internal/sigcrypto"
-	"repro/internal/transport"
 	"repro/internal/value"
 )
 
@@ -174,18 +169,13 @@ type Config struct {
 }
 
 // member is one fleet host across its whole campaign life, surviving
-// kill/restart cycles (same keys, same data dir).
+// kill/restart cycles (same keys, same data dir: fleet.Reopen).
 type member struct {
-	name      string
+	*fleet.Member
 	trusted   bool
 	adversary bool
-	host      *host.Host
 	behavior  *switchBehavior // nil unless adversary
-	dataDir   string          // "" when the campaign is not durable
 
-	node  *core.Node
-	stack protection.Stack
-	pipe  *events.Pipeline
 	// scoreSub is the campaign's own bus subscription: the step loop
 	// drains it each step to fold verdict/quarantine events into the
 	// score (the observability cross-check of the ground-truth
@@ -196,14 +186,14 @@ type member struct {
 }
 
 // switchBehavior is the adversary: honest until told otherwise, then
-// manipulating the audited total exactly like the bench fleet's
-// malicious hosts. The cheat switch is flipped by the playbook between
-// steps; TamperRecord reports ground truth to the scorer.
+// the bench fleet's malicious host (fleet.Tamperer, manipulating the
+// audited total). The cheat switch is flipped by the playbook between
+// steps; while it is on, tampered sessions are reported to the scorer
+// as ground truth.
 type switchBehavior struct {
-	attack.Honest
-	mu       sync.Mutex
-	cheat    bool
-	onTamper func(agentID string, hop int)
+	fleet.Tamperer
+	mu    sync.Mutex
+	cheat bool
 }
 
 func (b *switchBehavior) setCheat(v bool) {
@@ -219,15 +209,14 @@ func (b *switchBehavior) cheating() bool {
 }
 
 func (b *switchBehavior) TamperState(st value.State) {
-	if !b.cheating() {
-		return
+	if b.cheating() {
+		b.Tamperer.TamperState(st)
 	}
-	st["total"] = value.Int(st["total"].Int + 1000)
 }
 
 func (b *switchBehavior) TamperRecord(rec *host.SessionRecord) {
 	if b.cheating() {
-		b.onTamper(rec.AgentID, rec.Hop)
+		b.Tamperer.TamperRecord(rec)
 	}
 }
 
@@ -236,11 +225,8 @@ type runner struct {
 	cfg    Config
 	ctx    context.Context
 	clock  *Clock
-	reg    *sigcrypto.Registry
-	inner  *transport.InProc
+	fleet  *fleet.Fleet
 	fabric *faultnet.Fabric
-	owner  *sigcrypto.KeyPair
-	rules  appraisal.RuleSet
 
 	members []*member // join order; index order is itinerary order
 	home    *member
@@ -305,39 +291,25 @@ func Run(cfg Config) (Score, error) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()
+	f, err := fleet.NewFaulty("campaign-owner", cfg.Seed)
+	if err != nil {
+		return Score{}, err
+	}
 	r := &runner{
 		cfg:             cfg,
 		ctx:             ctx,
 		clock:           NewClock(),
-		reg:             sigcrypto.NewRegistry(),
-		inner:           transport.NewInProc(),
+		fleet:           f,
+		fabric:          f.Fabric(),
 		tampered:        make(map[string]bool),
 		firstTamperStep: -1,
 		convergedStep:   -1,
 		busDetectStep:   -1,
 	}
-	r.fabric = faultnet.New(r.inner, cfg.Seed)
+	f.Clock = r.clock.Now
 	r.score = Score{Name: cfg.Name, Seed: cfg.Seed, Steps: cfg.Steps, DetectionLatencySteps: -1, BusDetectionLatencySteps: -1}
 
-	owner, err := sigcrypto.GenerateKeyPair("campaign-owner")
-	if err != nil {
-		return Score{}, err
-	}
-	if err := r.reg.RegisterKeyPair(owner); err != nil {
-		return Score{}, err
-	}
-	r.owner = owner
-	// The owner's invariant, as in the bench fleet: every session adds
-	// exactly one to the audited total, in lockstep with the hops.
-	r.rules = appraisal.RuleSet{appraisal.MustRule("total-tracks-hops", "total == hops")}
-
-	defer func() {
-		for _, m := range r.members {
-			if m.alive {
-				_ = r.closeMember(m)
-			}
-		}
-	}()
+	defer func() { _ = f.Close() }()
 	if err := r.buildFleet(); err != nil {
 		return Score{}, err
 	}
@@ -349,7 +321,7 @@ func Run(cfg Config) (Score, error) {
 	elapsed := time.Since(begin)
 	// Retire the fleet before the score freezes: each close folds the
 	// member's remaining bus events and whole-life drop total into the
-	// score (the deferred sweep above is then a no-op safety net).
+	// score (the deferred fleet close above is then a no-op).
 	for _, m := range r.members {
 		if m.alive {
 			_ = r.closeMember(m)
@@ -416,130 +388,95 @@ func (r *runner) peerNames() []string {
 	names := make([]string, 0, len(r.members))
 	for _, m := range r.members {
 		if !m.gone {
-			names = append(names, m.name)
+			names = append(names, m.Name)
 		}
 	}
 	return names
 }
 
-// newMember builds a fleet host and its node, wires the fabric's
-// kill/restart hooks, and registers the endpoint.
+// newMember opens a fleet host and wires the fabric's kill/restart
+// hooks to its close and reopen.
 func (r *runner) newMember(name string, trusted, adversary bool) (*member, error) {
-	for _, m := range r.members {
-		if m.name == name && !m.gone {
-			return nil, fmt.Errorf("campaign: duplicate member %s", name)
-		}
-	}
-	keys, err := sigcrypto.GenerateKeyPair(name)
-	if err != nil {
-		return nil, err
-	}
-	m := &member{name: name, trusted: trusted, adversary: adversary}
+	m := &member{trusted: trusted, adversary: adversary}
 	if adversary {
-		m.behavior = &switchBehavior{onTamper: func(agentID string, hop int) {
+		m.behavior = &switchBehavior{Tamperer: fleet.Tamperer{OnSession: func(agentID string, hop int) {
 			r.mu.Lock()
 			r.tampered[agentID] = true
 			r.mu.Unlock()
-		}}
+		}}}
 	}
-	var behavior host.Behavior
-	if m.behavior != nil {
-		behavior = m.behavior
-	}
-	h, err := host.New(host.Config{
-		Name:     name,
-		Keys:     keys,
-		Registry: r.reg,
-		Trusted:  trusted,
-		Behavior: behavior,
-	})
+	fm, err := r.fleet.Add(r.specFor(m, name))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("campaign: %w", err)
 	}
-	m.host = h
-	if r.cfg.Durable {
-		m.dataDir = filepath.Join(r.cfg.DataRoot, name)
-	}
-	if err := r.openMember(m); err != nil {
-		return nil, err
-	}
+	m.Member = fm
+	r.opened(m)
 	r.members = append(r.members, m)
 	r.fabric.SetHooks(name, faultnet.Hooks{
-		Kill:    func() error { return r.closeMember(m) },
-		Restart: func() error { return r.openMember(m) },
+		Kill: func() error { return r.closeMember(m) },
+		// Same host identity, same data dir — the WAL decides what the
+		// node remembers. Each life gets its own pipeline; with a data
+		// dir the flight recorder replays its WAL, so a restarted
+		// member's events resume with monotone sequence numbers.
+		Restart: func() error {
+			if err := r.fleet.Reopen(m.Member, r.specFor(m, name)); err != nil {
+				return fmt.Errorf("campaign: %w", err)
+			}
+			r.opened(m)
+			return nil
+		},
 	})
 	return m, nil
 }
 
-// openMember assembles the protection stack and node over the member's
-// (possibly replayed) state and puts it on the network. Reused by the
-// fabric's restart hook: same host identity, same data dir — the WAL
-// decides what the node remembers.
-func (r *runner) openMember(m *member) error {
-	// Each member life gets its own pipeline; with a data dir the
-	// flight recorder replays its WAL, so a restarted member's events
-	// resume with monotone sequence numbers (the restart-chaos
-	// scenarios exercise exactly that).
-	pipe, err := events.Open(events.PipelineConfig{
-		Node:    m.name,
-		Now:     r.clock.Now,
-		DataDir: m.dataDir,
-	})
-	if err != nil {
-		return fmt.Errorf("campaign: opening pipeline of %s: %w", m.name, err)
-	}
-	stack, err := protection.Assemble(protection.LevelAdaptive, protection.Options{
-		DataDir: m.dataDir,
-		Clock:   r.clock.Now,
-		Events:  pipe.Bus,
-		AdaptivePolicy: policy.ReputationConfig{
-			QuarantineThreshold: r.cfg.QuarantineThreshold,
+// specFor describes one life of a member: the adaptive stack on the
+// campaign's thresholds over the member's data dir, a parked exchange
+// over the fleet as it stands now.
+func (r *runner) specFor(m *member, name string) fleet.Spec {
+	spec := fleet.Spec{
+		Host:  host.Config{Name: name, Trusted: m.trusted},
+		Level: protection.LevelAdaptive,
+		Protection: protection.Options{
+			AdaptivePolicy: policy.ReputationConfig{QuarantineThreshold: r.cfg.QuarantineThreshold},
+			AdaptiveGate:   policy.GateConfig{EscalateThreshold: r.cfg.EscalateThreshold},
+			LedgerHalfLife: r.cfg.LedgerHalfLife,
 		},
-		AdaptiveGate: policy.GateConfig{
-			EscalateThreshold: r.cfg.EscalateThreshold,
+		Node: core.NodeConfig{
+			Workers:    1, // serialized: same inputs, same order, same score
+			QueueDepth: 16,
+			// Parked interval: rounds are driven explicitly by the step
+			// loop so their order and count are part of the scenario.
+			Exchange: r.exchangeConfigFor(name),
 		},
-		LedgerHalfLife: r.cfg.LedgerHalfLife,
-	})
-	if err != nil {
-		_ = pipe.Close()
-		return fmt.Errorf("campaign: assembling %s: %w", m.name, err)
+		Pipeline: &events.PipelineConfig{},
 	}
-	node, err := core.NewNode(core.NodeConfig{
-		Host:       m.host,
-		Net:        r.fabric.Node(m.name),
-		Mechanisms: stack.Mechanisms,
-		Policy:     stack.Policy,
-		Events:     pipe,
-		Workers:    1, // serialized: same inputs, same order, same score
-		QueueDepth: 16,
-		DataDir:    m.dataDir,
-		// Parked interval: rounds are driven explicitly by the step
-		// loop so their order and count are part of the scenario.
-		Exchange: r.exchangeConfigFor(m),
-	})
-	if err != nil {
-		_ = stack.Close()
-		_ = pipe.Close()
-		return fmt.Errorf("campaign: opening node %s: %w", m.name, err)
+	if m.behavior != nil {
+		spec.Host.Behavior = m.behavior
 	}
-	m.pipe = pipe
-	m.scoreSub = pipe.Bus.Subscribe("score", scoreSubCapacity)
-	m.stack, m.node, m.alive = stack, node, true
-	r.inner.Register(m.name, node)
-	return nil
+	if r.cfg.Durable {
+		spec.DataDir = filepath.Join(r.cfg.DataRoot, name)
+	}
+	return spec
+}
+
+// opened marks a freshly (re)opened member on duty and subscribes the
+// scorer to its new pipeline.
+func (r *runner) opened(m *member) {
+	m.scoreSub = m.Pipe.Bus.Subscribe("score", scoreSubCapacity)
+	m.alive = true
 }
 
 // exchangeConfigFor builds a member's exchange configuration: a flat
 // ring over the fleet, or — when the scenario names aggregators — the
 // hierarchical federation with this member's role derived from that
 // list. The interval is parked either way; the step loop drives rounds.
-func (r *runner) exchangeConfigFor(m *member) core.ExchangeConfig {
-	xcfg := core.ExchangeConfig{Peers: r.exchangePeersFor(m), Interval: time.Hour}
+func (r *runner) exchangeConfigFor(name string) core.ExchangeConfig {
+	xcfg := core.ExchangeConfig{Peers: r.exchangePeersFor(name), Interval: time.Hour}
 	if len(r.cfg.Aggregators) > 0 {
 		xcfg.Aggregators = r.cfg.Aggregators
 		xcfg.Role = core.ExchangeRoleMember
 		for _, a := range r.cfg.Aggregators {
-			if a == m.name {
+			if a == name {
 				xcfg.Role = core.ExchangeRoleAggregator
 			}
 		}
@@ -551,11 +488,11 @@ func (r *runner) exchangeConfigFor(m *member) core.ExchangeConfig {
 // while the fleet is still being built — the full planned initial
 // membership, so the first nodes do not fail construction for lack of
 // peers.
-func (r *runner) exchangePeersFor(m *member) []string {
+func (r *runner) exchangePeersFor(name string) []string {
 	names := r.peerNames()
 	others := 0
 	for _, n := range names {
-		if n != m.name {
+		if n != name {
 			others++
 		}
 	}
@@ -567,26 +504,23 @@ func (r *runner) exchangePeersFor(m *member) []string {
 	return planned
 }
 
-// closeMember takes the member's node off duty: node first (drains
-// intake, flushes its WALs), then the protection stack (ledger WAL).
-// Used both by the fabric's kill hook (the fabric has already marked
-// the host down, so in-flight sends are failing like a real crash) and
-// by lifecycle leaves.
+// closeMember takes the member off duty (fleet.Member.Close: node,
+// protection stack, pipeline). Used both by the fabric's kill hook (the
+// fabric has already marked the host down, so in-flight sends are
+// failing like a real crash) and by lifecycle leaves.
 func (r *runner) closeMember(m *member) error {
 	if !m.alive {
-		return fmt.Errorf("campaign: member %s already down", m.name)
+		return fmt.Errorf("campaign: member %s already down", m.Name)
 	}
 	m.alive = false
-	nerr := m.node.Close()
-	serr := m.stack.Close()
+	err := m.Close()
 	// Fold the member's final events and its whole-life drop total into
-	// the score before the pipeline goes away (a restart opens a fresh
-	// one).
+	// the score before the pipeline is forgotten (a restart opens a
+	// fresh one).
 	r.drainScoreEvents(m)
-	r.score.EventDrops += m.pipe.Drops()
-	perr := m.pipe.Close()
-	m.pipe, m.scoreSub = nil, nil
-	return errors.Join(nerr, serr, perr)
+	r.score.EventDrops += m.EventDrops()
+	m.scoreSub = nil
+	return err
 }
 
 // updateRings pushes the current membership into every alive node's
@@ -597,8 +531,8 @@ func (r *runner) updateRings() error {
 		if !m.alive {
 			continue
 		}
-		if err := m.node.UpdateExchangePeers(names); err != nil {
-			return fmt.Errorf("campaign: updating ring of %s: %w", m.name, err)
+		if err := m.Node.UpdateExchangePeers(names); err != nil {
+			return fmt.Errorf("campaign: updating ring of %s: %w", m.Name, err)
 		}
 	}
 	return nil
@@ -629,7 +563,7 @@ func (r *runner) loop() error {
 		// for the ledger's half-life to forget before cheating again.
 		if r.adv.behavior != nil {
 			cheat := r.cfg.Playbook.cheating(step)
-			if cheat && r.cfg.EvadeBelow > 0 && r.fleetSuspicion(r.adv.name) >= r.cfg.EvadeBelow {
+			if cheat && r.cfg.EvadeBelow > 0 && r.fleetSuspicion(r.adv.Name) >= r.cfg.EvadeBelow {
 				cheat = false
 				r.score.EvasionHolds++
 			}
@@ -650,7 +584,7 @@ func (r *runner) loop() error {
 			if !m.alive {
 				continue
 			}
-			if x := m.stack.Gossip.Exchange(); x != nil {
+			if x := m.Stack.Gossip.Exchange(); x != nil {
 				_ = x.Step(r.ctx)
 			}
 		}
@@ -708,7 +642,7 @@ func (r *runner) applyLifecycle(step int) error {
 
 func (r *runner) memberByName(name string) *member {
 	for _, m := range r.members {
-		if m.name == name && !m.gone {
+		if m.Name == name && !m.gone {
 			return m
 		}
 	}
@@ -727,11 +661,11 @@ func (r *runner) route() []string {
 		if m.trusted || m.gone || !m.alive {
 			continue
 		}
-		if !r.fabric.Reachable(last, m.name) {
+		if !r.fabric.Reachable(last, m.Name) {
 			continue
 		}
-		route = append(route, m.name)
-		last = m.name
+		route = append(route, m.Name)
+		last = m.Name
 	}
 	if len(route) > 0 && !r.fabric.Reachable(last, "home") {
 		// The final hop cannot deliver the journey home; drop the tail
@@ -744,37 +678,6 @@ func (r *runner) route() []string {
 	return route
 }
 
-// itineraryCode generates the journey program over the route, the same
-// shape as the bench fleet's: per-session summation work plus the
-// audited counters the owner's rule binds.
-func itineraryCode(route []string, cycles int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "proc main() {\n    work()\n    migrate(%q, \"step\")\n}\n", route[0])
-	b.WriteString("proc step() {\n    work()\n    let at = here()\n")
-	for i := 0; i < len(route)-1; i++ {
-		fmt.Fprintf(&b, "    if at == %q { migrate(%q, \"step\") }\n", route[i], route[i+1])
-	}
-	fmt.Fprintf(&b, "    if at == %q { migrate(\"home\", \"fin\") }\n", route[len(route)-1])
-	b.WriteString("    done()\n}\n")
-	b.WriteString("proc fin() {\n    work()\n    done()\n}\n")
-	fmt.Fprintf(&b, `proc work() {
-    total = total + 1
-    hops = hops + 1
-    let c = 0
-    while c < %d {
-        let s = 0
-        let j = 0
-        while j < 1000 {
-            s = s + j
-            j = j + 1
-        }
-        sum = s
-        c = c + 1
-    }
-}`, cycles)
-	return b.String()
-}
-
 // launch runs one journey to termination and scores it.
 func (r *runner) launch(step, i int) error {
 	route := r.route()
@@ -782,31 +685,23 @@ func (r *runner) launch(step, i int) error {
 		return nil // fleet cut off from home this step; nothing to launch
 	}
 	id := fmt.Sprintf("%s-%03d-%d", r.cfg.Name, step, i)
-	ag, err := agent.New(id, "campaign-owner", itineraryCode(route, r.cfg.Cycles), "main")
-	if err != nil {
-		return err
-	}
-	ag.SetVar("total", value.Int(0))
-	ag.SetVar("hops", value.Int(0))
-	ag.SetVar("sum", value.Int(0))
-	if err := appraisal.Attach(ag, r.rules, r.owner); err != nil {
-		return err
-	}
-	wire, err := ag.Marshal()
+	// The same journey shape as the bench fleet's: per-session summation
+	// work plus the audited counters the owner's rule binds.
+	wire, err := r.fleet.AuditedAgent(id, fleet.RouteCode("home", route, r.cfg.Cycles))
 	if err != nil {
 		return err
 	}
 
 	var rcs []*core.Receipt
-	rcs = append(rcs, r.home.node.Watch(id))
+	rcs = append(rcs, r.home.Node.Watch(id))
 	for _, name := range route {
 		if m := r.memberByName(name); m != nil && m.alive {
-			rcs = append(rcs, m.node.Watch(id))
+			rcs = append(rcs, m.Node.Watch(id))
 		}
 	}
 	lctx, cancel := context.WithTimeout(r.ctx, launchTimeout)
 	defer cancel()
-	if err := r.home.node.HandleAgent(lctx, wire); err != nil {
+	if err := r.home.Node.HandleAgent(lctx, wire); err != nil {
 		return fmt.Errorf("campaign: launching %s: %w", id, err)
 	}
 	out, err := core.AwaitAny(lctx, rcs...)
@@ -906,7 +801,7 @@ func (r *runner) fleetSuspicion(name string) float64 {
 		if !m.alive || m.adversary {
 			continue
 		}
-		if s := m.stack.Ledger.Suspicion(name); s > worst {
+		if s := m.Stack.Ledger.Suspicion(name); s > worst {
 			worst = s
 		}
 	}
@@ -933,7 +828,7 @@ func (r *runner) sample(step int) {
 				continue
 			}
 			sampled++
-			if m.stack.Ledger.Suspicion(r.adv.name) < escalate {
+			if m.Stack.Ledger.Suspicion(r.adv.Name) < escalate {
 				all = false
 				break
 			}
@@ -951,7 +846,7 @@ func (r *runner) sample(step int) {
 			if sub.adversary || sub == obs {
 				continue
 			}
-			if s := obs.stack.Ledger.Suspicion(sub.name); s > r.score.MaxHonestSuspicion {
+			if s := obs.Stack.Ledger.Suspicion(sub.Name); s > r.score.MaxHonestSuspicion {
 				r.score.MaxHonestSuspicion = s
 			}
 		}

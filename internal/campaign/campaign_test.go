@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/faultnet"
+	"repro/internal/testutil"
 )
 
 // fastFlap is a trimmed flap scenario for tier-1 tests: same shape as
@@ -91,10 +92,15 @@ func TestCampaignRestartChaosNoFreeReset(t *testing.T) {
 			{Step: 8, Restart: "w1"},
 		},
 	}
+	// The durable kill/restart path opens the most there is to close
+	// (node, ledger and flight-recorder WALs, twice for w1): none of it
+	// may outlive the run.
+	check := testutil.NoLeaks(t)
 	s, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	check()
 	if s.Restarts != 1 {
 		t.Fatalf("schedule restarts = %d, want 1", s.Restarts)
 	}
@@ -196,10 +202,15 @@ func TestCampaignAggregatorCut(t *testing.T) {
 			{Step: 7, Restart: "w1"},
 		},
 	}
+	// The durable kill/restart path opens the most there is to close
+	// (node, ledger and flight-recorder WALs, twice for w1): none of it
+	// may outlive the run.
+	check := testutil.NoLeaks(t)
 	s, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	check()
 	if s.Restarts != 1 {
 		t.Fatalf("schedule restarts = %d, want 1", s.Restarts)
 	}

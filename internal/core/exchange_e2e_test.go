@@ -8,15 +8,10 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/agent"
-	"repro/internal/appraisal"
-	"repro/internal/attack"
 	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/host"
 	"repro/internal/protection"
-	"repro/internal/sigcrypto"
-	"repro/internal/transport"
-	"repro/internal/value"
 )
 
 // TestTCPExchangeConvergence is the exchange-enabled fleet variant of
@@ -32,96 +27,37 @@ func TestTCPExchangeConvergence(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	reg := sigcrypto.NewRegistry()
-	net := transport.NewTCPNetwork(nil)
-	t.Cleanup(net.Close)
+	f, err := fleet.NewTCP("exchange-owner")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = f.Close() })
 
 	names := []string{"home", "mid", "back", "remote"}
-	nodes := make(map[string]*core.Node, len(names))
 	for _, name := range names {
-		keys, err := sigcrypto.GenerateKeyPair(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := host.Config{Name: name, Keys: keys, Registry: reg, Trusted: name != "mid"}
+		cfg := host.Config{Name: name, Trusted: name != "mid"}
 		if name == "mid" {
-			cfg.Behavior = attack.StateMutation{Mutate: func(st value.State) {
-				st["total"] = value.Int(st["total"].Int + 1000)
-			}}
+			cfg.Behavior = fleet.Tamperer{}
 		}
-		h, err := host.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stack, err := protection.Assemble(protection.LevelAdaptive, protection.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = stack.Close() })
-		node, err := core.NewNode(core.NodeConfig{
-			Host:       h,
-			Net:        net,
-			Mechanisms: stack.Mechanisms,
-			Policy:     stack.Policy,
-			Exchange: core.ExchangeConfig{
+		if _, err := f.Add(fleet.Spec{
+			Host:  cfg,
+			Level: protection.LevelAdaptive,
+			Node: core.NodeConfig{Exchange: core.ExchangeConfig{
 				Peers:    names,
 				Interval: 50 * time.Millisecond,
-			},
-		})
-		if err != nil {
+			}},
+		}); err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { _ = node.Close() })
-		nodes[name] = node
-		srv, err := transport.Serve("127.0.0.1:0", node)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = srv.Close() })
-		net.AddHost(name, srv.Addr())
 	}
+	net := f.Net()
 
-	owner, err := sigcrypto.GenerateKeyPair("exchange-owner")
+	const agentID = "exchange-agent"
+	wire, err := f.AuditedAgent(agentID, fleet.RouteCode("home", []string{"mid", "back"}, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.RegisterKeyPair(owner); err != nil {
-		t.Fatal(err)
-	}
-	rules := appraisal.RuleSet{appraisal.MustRule("total-tracks-hops", "total == hops")}
-
-	ag, err := agent.New("exchange-agent", "exchange-owner", `
-proc main() {
-    total = total + 1
-    hops = hops + 1
-    migrate("mid", "step")
-}
-proc step() {
-    total = total + 1
-    hops = hops + 1
-    migrate("back", "fin")
-}
-proc fin() {
-    total = total + 1
-    hops = hops + 1
-    done()
-}`, "main")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ag.SetVar("total", value.Int(0))
-	ag.SetVar("hops", value.Int(0))
-	if err := appraisal.Attach(ag, rules, owner); err != nil {
-		t.Fatal(err)
-	}
-	var receipts []*core.Receipt
-	for _, n := range nodes {
-		receipts = append(receipts, n.Watch(ag.ID))
-	}
-	wire, err := ag.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
+	receipts := f.Watch(agentID)
 	if err := net.SendAgent(ctx, "home", wire); err != nil {
 		t.Fatalf("launch: %v", err)
 	}
@@ -160,7 +96,7 @@ proc fin() {
 	if last.Exchange.Rounds == 0 && last.Exchange.OffersServed == 0 {
 		t.Errorf("remote reports no exchange activity: %+v", last.Exchange)
 	}
-	if st := nodes["remote"].Status(ag.ID); st.Phase != core.PhaseUnknown {
+	if st := f.Member("remote").Node.Status(agentID); st.Phase != core.PhaseUnknown {
 		t.Errorf("remote saw agent traffic (phase %s) — the scenario requires disjoint traffic", st.Phase)
 	}
 	fmt.Printf("remote's exchanged view of mid: suspicion %.3f after %d rounds\n",

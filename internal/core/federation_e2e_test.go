@@ -8,16 +8,11 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/agent"
-	"repro/internal/appraisal"
-	"repro/internal/attack"
 	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/host"
 	"repro/internal/policy"
 	"repro/internal/protection"
-	"repro/internal/sigcrypto"
-	"repro/internal/transport"
-	"repro/internal/value"
 )
 
 // TestTCPFederationConvergence is the hierarchical-federation e2e
@@ -35,34 +30,18 @@ func TestTCPFederationConvergence(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	reg := sigcrypto.NewRegistry()
-	net := transport.NewTCPNetwork(nil)
-	t.Cleanup(net.Close)
+	f, err := fleet.NewTCP("federation-owner")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = f.Close() })
 
 	aggregators := []string{"aggA", "aggB"}
-	names := []string{"aggA", "aggB", "home", "mid", "back", "remote", "probe"}
-	nodes := make(map[string]*core.Node, len(names))
-	stacks := make(map[string]protection.Stack, len(names))
-	for _, name := range names {
-		keys, err := sigcrypto.GenerateKeyPair(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := host.Config{Name: name, Keys: keys, Registry: reg, Trusted: name != "mid"}
+	for _, name := range []string{"aggA", "aggB", "home", "mid", "back", "remote", "probe"} {
+		cfg := host.Config{Name: name, Trusted: name != "mid"}
 		if name == "mid" {
-			cfg.Behavior = attack.StateMutation{Mutate: func(st value.State) {
-				st["total"] = value.Int(st["total"].Int + 1000)
-			}}
+			cfg.Behavior = fleet.Tamperer{}
 		}
-		h, err := host.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stack, err := protection.Assemble(protection.LevelAdaptive, protection.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = stack.Close() })
 		xcfg := core.ExchangeConfig{
 			Role:        core.ExchangeRoleMember,
 			Aggregators: aggregators,
@@ -78,68 +57,23 @@ func TestTCPFederationConvergence(t *testing.T) {
 			xcfg.Aggregators = []string{"aggA"}
 			xcfg.Interval = time.Hour
 		}
-		node, err := core.NewNode(core.NodeConfig{
-			Host:       h,
-			Net:        net,
-			Mechanisms: stack.Mechanisms,
-			Policy:     stack.Policy,
-			Exchange:   xcfg,
-		})
-		if err != nil {
+		if _, err := f.Add(fleet.Spec{
+			Host:  cfg,
+			Level: protection.LevelAdaptive,
+			Node:  core.NodeConfig{Exchange: xcfg},
+		}); err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { _ = node.Close() })
-		nodes[name] = node
-		stacks[name] = stack
-		srv, err := transport.Serve("127.0.0.1:0", node)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = srv.Close() })
-		net.AddHost(name, srv.Addr())
 	}
+	net := f.Net()
+	stack := func(name string) protection.Stack { return f.Member(name).Stack }
 
-	owner, err := sigcrypto.GenerateKeyPair("federation-owner")
+	const agentID = "federation-agent"
+	wire, err := f.AuditedAgent(agentID, fleet.RouteCode("home", []string{"mid", "back"}, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.RegisterKeyPair(owner); err != nil {
-		t.Fatal(err)
-	}
-	rules := appraisal.RuleSet{appraisal.MustRule("total-tracks-hops", "total == hops")}
-
-	ag, err := agent.New("federation-agent", "federation-owner", `
-proc main() {
-    total = total + 1
-    hops = hops + 1
-    migrate("mid", "step")
-}
-proc step() {
-    total = total + 1
-    hops = hops + 1
-    migrate("back", "fin")
-}
-proc fin() {
-    total = total + 1
-    hops = hops + 1
-    done()
-}`, "main")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ag.SetVar("total", value.Int(0))
-	ag.SetVar("hops", value.Int(0))
-	if err := appraisal.Attach(ag, rules, owner); err != nil {
-		t.Fatal(err)
-	}
-	var receipts []*core.Receipt
-	for _, n := range nodes {
-		receipts = append(receipts, n.Watch(ag.ID))
-	}
-	wire, err := ag.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
+	receipts := f.Watch(agentID)
 	if err := net.SendAgent(ctx, "home", wire); err != nil {
 		t.Fatalf("launch: %v", err)
 	}
@@ -172,29 +106,29 @@ proc fin() {
 	if !last.ExchangeEnabled {
 		t.Error("remote did not report its exchange loop enabled")
 	}
-	if st := nodes["remote"].Status(ag.ID); st.Phase != core.PhaseUnknown {
+	if st := f.Member("remote").Node.Status(agentID); st.Phase != core.PhaseUnknown {
 		t.Errorf("remote saw agent traffic (phase %s) — the scenario requires disjoint traffic", st.Phase)
 	}
 
 	// Urgent exposure window: a fresh quarantine-level detection at aggA
 	// must reach the parked probe member on its next single RPC.
 	const fresh = "fresh-cheat"
-	stacks["aggA"].Ledger.Observe(fresh, false, 2*policy.DefaultQuarantineThreshold)
-	if s := stacks["probe"].Ledger.Suspicion(fresh); s != 0 {
+	stack("aggA").Ledger.Observe(fresh, false, 2*policy.DefaultQuarantineThreshold)
+	if s := stack("probe").Ledger.Suspicion(fresh); s != 0 {
 		t.Fatalf("probe already knows %s (%.3f) before its round", fresh, s)
 	}
-	before, _ := stacks["probe"].Gossip.ExchangeStats()
-	if err := stacks["probe"].Gossip.Exchange().Step(ctx); err != nil {
+	before, _ := stack("probe").Gossip.ExchangeStats()
+	if err := stack("probe").Gossip.Exchange().Step(ctx); err != nil {
 		t.Fatalf("probe step: %v", err)
 	}
-	after, _ := stacks["probe"].Gossip.ExchangeStats()
+	after, _ := stack("probe").Gossip.ExchangeStats()
 	if rpcs := after.Rounds - before.Rounds; rpcs != 1 {
 		t.Fatalf("urgent exposure took %d RPCs, want exactly 1", rpcs)
 	}
 	if after.UrgentMerged == before.UrgentMerged {
 		t.Error("probe merged nothing off the reply envelope — urgent piggyback never engaged")
 	}
-	if s := stacks["probe"].Ledger.Suspicion(fresh); s < policy.DefaultEscalateThreshold {
+	if s := stack("probe").Ledger.Suspicion(fresh); s < policy.DefaultEscalateThreshold {
 		t.Errorf("probe's suspicion of %s below escalation after one RPC: %.3f", fresh, s)
 	}
 	fmt.Printf("remote's federated view of mid: suspicion %.3f after %d rounds; urgent exposure 1 RPC (%d envelope merges)\n",

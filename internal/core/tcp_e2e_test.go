@@ -12,12 +12,12 @@ import (
 	"repro/internal/agent"
 	"repro/internal/attack"
 	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/host"
+	"repro/internal/protection"
 	"repro/internal/refproto"
-	"repro/internal/sigcrypto"
 	"repro/internal/transport"
 	"repro/internal/value"
-	"repro/internal/wholesig"
 )
 
 // persistDir returns a per-node data dir when the suite runs in its
@@ -46,24 +46,22 @@ func TestTCPEndToEnd(t *testing.T) {
 		t.Helper()
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 		defer cancel()
-		reg := sigcrypto.NewRegistry()
-		net := transport.NewTCPNetwork(nil)
-		t.Cleanup(net.Close)
+		f, err := fleet.NewTCP("owner")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			if err := f.Close(); err != nil {
+				t.Errorf("closing fleet: %v", err)
+			}
+		})
 
 		var vmu sync.Mutex
 		var verdicts []core.Verdict
-		nodes := make(map[string]*core.Node, 3)
-
 		for i, name := range []string{"home", "mid", "back"} {
-			keys, err := sigcrypto.GenerateKeyPair(name)
-			if err != nil {
-				t.Fatal(err)
-			}
 			cfg := host.Config{
-				Name:     name,
-				Keys:     keys,
-				Registry: reg,
-				Trusted:  i != 1,
+				Name:    name,
+				Trusted: i != 1,
 				Resources: map[string]value.Value{
 					"data": value.Int(int64(10 * (i + 1))),
 				},
@@ -71,39 +69,18 @@ func TestTCPEndToEnd(t *testing.T) {
 			if name == "mid" && tamper {
 				cfg.Behavior = attack.DataManipulation{Var: "acc", Val: value.Int(-1)}
 			}
-			h, err := host.New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			node, err := core.NewNode(core.NodeConfig{
-				Host: h,
-				Net:  net,
-				Mechanisms: []core.Mechanism{
-					wholesig.New(nil),
-					refproto.New(refproto.Config{}),
-				},
+			if _, err := f.Add(fleet.Spec{
+				Host:    cfg,
+				Level:   protection.LevelFull,
 				DataDir: persistDir(t, name),
-				OnVerdict: func(v core.Verdict) {
+				Node: core.NodeConfig{OnVerdict: func(v core.Verdict) {
 					vmu.Lock()
 					verdicts = append(verdicts, v)
 					vmu.Unlock()
-				},
-			})
-			if err != nil {
+				}},
+			}); err != nil {
 				t.Fatal(err)
 			}
-			t.Cleanup(func() { _ = node.Close() })
-			nodes[name] = node
-			srv, err := transport.Serve("127.0.0.1:0", node)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() {
-				if err := srv.Close(); err != nil {
-					t.Errorf("closing server: %v", err)
-				}
-			})
-			net.AddHost(name, srv.Addr())
 		}
 
 		ag, err := agent.New("tcp-agent", "owner", `
@@ -122,21 +99,18 @@ proc fin() {
 		if err != nil {
 			t.Fatal(err)
 		}
-		receipts := make([]*core.Receipt, 0, len(nodes))
-		for _, n := range nodes {
-			receipts = append(receipts, n.Watch(ag.ID))
-		}
+		receipts := f.Watch(ag.ID)
 		wire, err := ag.Marshal()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := net.SendAgent(ctx, "home", wire); err != nil {
+		if err := f.Net().SendAgent(ctx, "home", wire); err != nil {
 			t.Fatalf("launch: %v", err)
 		}
 		res, _ := core.AwaitAny(ctx, receipts...)
 		vmu.Lock()
 		defer vmu.Unlock()
-		return append([]core.Verdict(nil), verdicts...), res, nodes
+		return append([]core.Verdict(nil), verdicts...), res, f.Nodes()
 	}
 
 	t.Run("honest", func(t *testing.T) {
@@ -197,36 +171,23 @@ func TestTCPVignaAuditAcrossSockets(t *testing.T) {
 	// Covered structurally by vigna tests over InProc; this test pins
 	// that mechanism protocol calls (namespaced methods) work through
 	// the TCP server dispatch.
-	reg := sigcrypto.NewRegistry()
-	net := transport.NewTCPNetwork(nil)
-	defer net.Close()
-	keys, err := sigcrypto.GenerateKeyPair("solo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := host.New(host.Config{Name: "solo", Keys: keys, Registry: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	node, err := core.NewNode(core.NodeConfig{
-		Host: h, Net: net,
-		Mechanisms: []core.Mechanism{refproto.New(refproto.Config{})},
-		DataDir:    persistDir(t, "solo"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = node.Close() }()
-	srv, err := transport.Serve("127.0.0.1:0", node)
+	f, err := fleet.NewTCP("owner")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() {
-		if err := srv.Close(); err != nil {
+		if err := f.Close(); err != nil {
 			t.Error(err)
 		}
 	}()
-	net.AddHost("solo", srv.Addr())
+	if _, err := f.Add(fleet.Spec{
+		Host:       host.Config{Name: "solo"},
+		Mechanisms: []core.Mechanism{refproto.New(refproto.Config{})},
+		DataDir:    persistDir(t, "solo"),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	net := f.Net()
 
 	// refproto takes no calls: the namespaced dispatch must answer with
 	// a remote error, not hang or crash.

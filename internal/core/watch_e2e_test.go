@@ -11,12 +11,10 @@ import (
 	"repro/internal/attack"
 	"repro/internal/core"
 	"repro/internal/events"
+	"repro/internal/fleet"
 	"repro/internal/host"
-	"repro/internal/refproto"
-	"repro/internal/sigcrypto"
-	"repro/internal/transport"
+	"repro/internal/protection"
 	"repro/internal/value"
-	"repro/internal/wholesig"
 )
 
 // TestWatchStreamsQuarantineOverTCP is the `agentctl watch` acceptance
@@ -31,51 +29,31 @@ func TestWatchStreamsQuarantineOverTCP(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	reg := sigcrypto.NewRegistry()
-	net := transport.NewTCPNetwork(nil)
-	t.Cleanup(net.Close)
+	f, err := fleet.NewTCP("owner")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = f.Close() })
 
 	names := []string{"home", "mid", "back"}
 	for i, name := range names {
-		keys, err := sigcrypto.GenerateKeyPair(name)
-		if err != nil {
-			t.Fatal(err)
-		}
 		cfg := host.Config{
 			Name:      name,
-			Keys:      keys,
-			Registry:  reg,
 			Trusted:   i != 1,
 			Resources: map[string]value.Value{"data": value.Int(int64(10 * (i + 1)))},
 		}
 		if name == "mid" {
 			cfg.Behavior = attack.DataManipulation{Var: "acc", Val: value.Int(-1)}
 		}
-		h, err := host.New(cfg)
-		if err != nil {
+		if _, err := f.Add(fleet.Spec{
+			Host:     cfg,
+			Level:    protection.LevelFull,
+			Pipeline: &events.PipelineConfig{},
+		}); err != nil {
 			t.Fatal(err)
 		}
-		pipe, err := events.Open(events.PipelineConfig{Node: name})
-		if err != nil {
-			t.Fatal(err)
-		}
-		node, err := core.NewNode(core.NodeConfig{
-			Host:       h,
-			Net:        net,
-			Mechanisms: []core.Mechanism{wholesig.New(nil), refproto.New(refproto.Config{})},
-			Events:     pipe,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = node.Close(); _ = pipe.Close() })
-		srv, err := transport.Serve("127.0.0.1:0", node)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = srv.Close() })
-		net.AddHost(name, srv.Addr())
 	}
+	net := f.Net()
 
 	// The watcher: per-node cursor polls over TCP, started before the
 	// launch so the stream covers the whole journey.

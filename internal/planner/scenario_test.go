@@ -12,10 +12,9 @@ import (
 	"repro/internal/agent"
 	"repro/internal/core"
 	"repro/internal/faultnet"
+	"repro/internal/fleet"
 	"repro/internal/host"
 	"repro/internal/planner"
-	"repro/internal/sigcrypto"
-	"repro/internal/transport"
 )
 
 // plannerGate skips the heavy end-to-end matrix entries unless the
@@ -68,43 +67,29 @@ type bedConfig struct {
 
 func newScenarioBed(t *testing.T, cfg bedConfig) *scenarioBed {
 	t.Helper()
-	reg := sigcrypto.NewRegistry()
-	inner := transport.NewInProc()
-	fabric := faultnet.New(inner, cfg.seed)
-	bed := &scenarioBed{
-		nodes:  make(planner.NodeFleet),
-		fabric: fabric,
+	f, err := fleet.NewFaulty("owner", cfg.seed)
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(func() { _ = f.Close() })
 	mk := func(name string, workers, depth int, refuse bool) *core.Node {
-		keys, err := sigcrypto.GenerateKeyPair(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := host.New(host.Config{Name: name, Keys: keys, Registry: reg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		node, err := core.NewNode(core.NodeConfig{
-			Host:           h,
-			Net:            fabric.Node(name),
-			Workers:        workers,
-			QueueDepth:     depth,
-			RefuseWhenFull: refuse,
+		m, err := f.Add(fleet.Spec{
+			Host: host.Config{Name: name},
+			Node: core.NodeConfig{Workers: workers, QueueDepth: depth, RefuseWhenFull: refuse},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { _ = node.Close() })
-		inner.Register(name, node)
-		bed.nodes[name] = node
-		return node
+		return m.Node
 	}
+	bed := &scenarioBed{fabric: f.Fabric()}
 	bed.home = mk("home", 8, 512, false)
 	for i := 0; i < cfg.workers; i++ {
 		name := fmt.Sprintf("w%d", i)
 		mk(name, cfg.workerThreads, cfg.workerQueue, cfg.refuseWhenFull)
 		bed.workers = append(bed.workers, name)
 	}
+	bed.nodes = f.Nodes()
 	bed.planner = planner.New(planner.Config{Home: "home", Seed: cfg.seed})
 	return bed
 }

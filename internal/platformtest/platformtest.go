@@ -1,7 +1,7 @@
-// Package platformtest provides a shared in-process test bed: a set of
-// platform nodes wired through an InProc network with a common key
-// registry, verdict collection, and completion tracking. The mechanism
-// packages' integration tests and the benchmark harness build on it.
+// Package platformtest is the testing.TB adapter over internal/fleet
+// for the mechanism packages' integration tests: an in-process fleet
+// whose setup errors fail the test, whose members close with it, and
+// which collects verdicts and completions.
 //
 // The platform API is asynchronous (accept-and-queue intake, receipt
 // completion); Run wraps the launch-then-await-terminal dance so
@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/agent"
 	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/host"
 	"repro/internal/sigcrypto"
 	"repro/internal/transport"
@@ -28,11 +29,14 @@ const Timeout = 60 * time.Second
 type Bed struct {
 	TB  testing.TB
 	Reg *sigcrypto.Registry
-	// InProc is the underlying network; Net is what nodes send through
-	// (possibly an attack interceptor wrapped around InProc).
-	InProc *transport.InProc
-	Net    transport.Network
-	Nodes  map[string]*core.Node
+	// Owner is the registered key pair of "owner", the principal NewAgent
+	// builds agents for.
+	Owner *sigcrypto.KeyPair
+	// Net is what nodes send through (possibly an attack interceptor
+	// wrapped around the in-process network).
+	Net transport.Network
+
+	fleet *fleet.Fleet
 
 	mu        sync.Mutex
 	verdicts  []core.Verdict
@@ -40,23 +44,26 @@ type Bed struct {
 	aborted   bool
 }
 
-// New creates an empty test bed.
+// New creates an empty test bed, closed when the test finishes.
 func New(tb testing.TB) *Bed {
-	inproc := transport.NewInProc()
-	return &Bed{
-		TB:     tb,
-		Reg:    sigcrypto.NewRegistry(),
-		InProc: inproc,
-		Net:    inproc,
-		Nodes:  make(map[string]*core.Node),
+	f, err := fleet.New("owner")
+	if err != nil {
+		tb.Fatal(err)
 	}
+	tb.Cleanup(func() {
+		if err := f.Close(); err != nil {
+			tb.Errorf("closing test bed: %v", err)
+		}
+	})
+	return &Bed{TB: tb, Reg: f.Reg, Owner: f.Owner, Net: f.Net(), fleet: f}
 }
 
 // WrapNet interposes a network wrapper (e.g. an attack interceptor).
 // Call before AddHost; nodes created afterwards send through the
-// wrapped network. Deliveries still arrive via the InProc registry.
+// wrapped network.
 func (b *Bed) WrapNet(wrap func(transport.Network) transport.Network) {
-	b.Net = wrap(b.Net)
+	b.fleet.WrapNet(wrap)
+	b.Net = b.fleet.Net()
 }
 
 // HostOptions configures one host in the bed.
@@ -65,64 +72,41 @@ type HostOptions struct {
 	// Mechanisms builds the node's mechanism list; instances must be
 	// per-node, hence a factory. May be nil.
 	Mechanisms func() []core.Mechanism
-	// Configure mutates the host config (resources, behaviour, trace
-	// recording). May be nil.
+	// Configure mutates the host config (resources, behaviour). May be
+	// nil.
 	Configure func(*host.Config)
-	// Node mutates the node config before creation. May be nil.
-	Node func(*core.NodeConfig)
 }
 
-// AddHost creates a host + node and registers it in the network. The
-// node is closed automatically when the test finishes.
+// AddHost adds a host + node to the bed.
 func (b *Bed) AddHost(name string, opts HostOptions) *core.Node {
 	b.TB.Helper()
-	keys, err := sigcrypto.GenerateKeyPair(name)
-	if err != nil {
-		b.TB.Fatal(err)
+	spec := fleet.Spec{
+		Host: host.Config{Name: name, Trusted: opts.Trusted},
+		Node: core.NodeConfig{
+			OnVerdict: func(v core.Verdict) {
+				b.mu.Lock()
+				defer b.mu.Unlock()
+				b.verdicts = append(b.verdicts, v)
+			},
+			OnComplete: func(ag *agent.Agent, vs []core.Verdict, aborted bool) {
+				b.mu.Lock()
+				defer b.mu.Unlock()
+				b.completed = append(b.completed, ag)
+				b.aborted = aborted
+			},
+		},
 	}
-	hcfg := host.Config{Name: name, Keys: keys, Registry: b.Reg, Trusted: opts.Trusted}
 	if opts.Configure != nil {
-		opts.Configure(&hcfg)
+		opts.Configure(&spec.Host)
 	}
-	h, err := host.New(hcfg)
-	if err != nil {
-		b.TB.Fatal(err)
-	}
-	var mechs []core.Mechanism
 	if opts.Mechanisms != nil {
-		mechs = opts.Mechanisms()
+		spec.Mechanisms = opts.Mechanisms()
 	}
-	ncfg := core.NodeConfig{
-		Host:       h,
-		Net:        b.Net,
-		Mechanisms: mechs,
-		OnVerdict: func(v core.Verdict) {
-			b.mu.Lock()
-			defer b.mu.Unlock()
-			b.verdicts = append(b.verdicts, v)
-		},
-		OnComplete: func(ag *agent.Agent, vs []core.Verdict, aborted bool) {
-			b.mu.Lock()
-			defer b.mu.Unlock()
-			b.completed = append(b.completed, ag)
-			b.aborted = aborted
-		},
-	}
-	if opts.Node != nil {
-		opts.Node(&ncfg)
-	}
-	node, err := core.NewNode(ncfg)
+	m, err := b.fleet.Add(spec)
 	if err != nil {
 		b.TB.Fatal(err)
 	}
-	b.TB.Cleanup(func() {
-		if err := node.Close(); err != nil {
-			b.TB.Errorf("closing node %s: %v", name, err)
-		}
-	})
-	b.Nodes[name] = node
-	b.InProc.Register(name, node)
-	return node
+	return m.Node
 }
 
 // Run launches the agent on the named node and blocks until the
@@ -131,23 +115,10 @@ func (b *Bed) AddHost(name string, opts HostOptions) *core.Node {
 // synchronous Launch chain.
 func (b *Bed) Run(start string, ag *agent.Agent) error {
 	b.TB.Helper()
-	_, err := b.RunResult(start, ag)
-	return err
-}
-
-// RunResult is Run returning the full terminal Result.
-func (b *Bed) RunResult(start string, ag *agent.Agent) (core.Result, error) {
-	b.TB.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), Timeout)
 	defer cancel()
-	receipts := make([]*core.Receipt, 0, len(b.Nodes))
-	for _, n := range b.Nodes {
-		receipts = append(receipts, n.Watch(ag.ID))
-	}
-	if _, err := b.Nodes[start].Launch(ctx, ag); err != nil {
-		return core.Result{}, err
-	}
-	return core.AwaitAny(ctx, receipts...)
+	_, err := b.fleet.Run(ctx, start, ag)
+	return err
 }
 
 // Verdicts returns all verdicts observed so far.
@@ -179,7 +150,7 @@ func (b *Bed) Completed() ([]*agent.Agent, bool) {
 // NewAgent builds an agent with entry "main".
 func (b *Bed) NewAgent(id, code string) *agent.Agent {
 	b.TB.Helper()
-	ag, err := agent.New(id, "owner", code, "main")
+	ag, err := agent.New(id, b.Owner.ID(), code, "main")
 	if err != nil {
 		b.TB.Fatal(err)
 	}

@@ -39,7 +39,6 @@ func buildBed(t *testing.T) *platformtest.Bed {
 			Trusted:    strings.HasPrefix(name, "home"),
 			Mechanisms: func() []core.Mechanism { return []core.Mechanism{proof.New()} },
 			Configure: func(c *host.Config) {
-				c.RecordTrace = true
 				if p, ok := offers[name]; ok {
 					c.Resources = map[string]value.Value{"offer": value.Int(p)}
 				}

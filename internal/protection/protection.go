@@ -13,7 +13,9 @@
 //     protection scale ... uses only the resulting agent state, and
 //     employs rules").
 //   - LevelTraces: signatures + Vigna traces (suspicion-driven owner
-//     audit; requires trace-recording hosts).
+//     audit; requires trace-recording hosts — internal/fleet turns
+//     recording on for any stack whose mechanisms request the
+//     execution log).
 //   - LevelFull: signatures + the example mechanism ("the higher end":
 //     every session checked by the next host via re-execution).
 //   - LevelAdaptive: signatures, reputation gossip, appraisal rules,
@@ -346,7 +348,3 @@ func Mechanisms(l Level, opts Options) ([]core.Mechanism, error) {
 	st, err := Assemble(l, opts)
 	return st.Mechanisms, err
 }
-
-// NeedsTraceRecording reports whether hosts must record execution
-// traces for the level to function.
-func NeedsTraceRecording(l Level) bool { return l == LevelTraces }

@@ -75,18 +75,6 @@ func TestMechanismInstancesAreFresh(t *testing.T) {
 	}
 }
 
-func TestNeedsTraceRecording(t *testing.T) {
-	if !NeedsTraceRecording(LevelTraces) {
-		t.Error("traces level does not need recording")
-	}
-	if NeedsTraceRecording(LevelFull) {
-		t.Error("full level should not require trace recording (input log suffices)")
-	}
-	if NeedsTraceRecording(LevelAdaptive) {
-		t.Error("adaptive level should not require trace recording (escalation re-executes from the input log)")
-	}
-}
-
 func TestAssembleAdaptive(t *testing.T) {
 	st, err := Assemble(LevelAdaptive, Options{})
 	if err != nil {

@@ -24,18 +24,13 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/agent"
-	"repro/internal/appraisal"
-	"repro/internal/attack"
 	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/host"
 	plannerpkg "repro/internal/planner"
 	"repro/internal/policy"
 	"repro/internal/protection"
 	"repro/internal/shardstore"
-	"repro/internal/sigcrypto"
-	"repro/internal/transport"
-	"repro/internal/value"
 )
 
 // Config parameterizes one scale run. The zero value is a small smoke
@@ -244,58 +239,6 @@ func (c *Config) fill() error {
 	return nil
 }
 
-// sessionKey identifies one executed session fleet-wide.
-func sessionKey(agentID string, hop int) string {
-	return agentID + "#" + strconv.Itoa(hop)
-}
-
-// tamperCounting is the malicious behaviour: manipulate the audit
-// total after every session and record ground truth.
-type tamperCounting struct {
-	attack.Honest
-	onSession func(agentID string, hop int)
-}
-
-func (t tamperCounting) TamperState(st value.State) {
-	st["total"] = value.Int(st["total"].Int + 1000)
-}
-
-func (t tamperCounting) TamperRecord(rec *host.SessionRecord) {
-	t.onSession(rec.AgentID, rec.Hop)
-}
-
-// routeCode generates one itinerary's program: home, then every route
-// worker in order, then back home. Route workers are distinct by
-// construction (the `if at ==` dispatch keys on the current host).
-func routeCode(home string, route []string, cycles int) string {
-	var b strings.Builder
-	b.WriteString("proc main() {\n    work()\n    migrate(")
-	fmt.Fprintf(&b, "%q, \"step\")\n}\n", route[0])
-	b.WriteString("proc step() {\n    work()\n    let at = here()\n")
-	for i := 0; i < len(route)-1; i++ {
-		fmt.Fprintf(&b, "    if at == %q { migrate(%q, \"step\") }\n", route[i], route[i+1])
-	}
-	fmt.Fprintf(&b, "    if at == %q { migrate(%q, \"fin\") }\n", route[len(route)-1], home)
-	b.WriteString("    done()\n}\n")
-	b.WriteString("proc fin() {\n    work()\n    done()\n}\n")
-	fmt.Fprintf(&b, `proc work() {
-    total = total + 1
-    hops = hops + 1
-    let c = 0
-    while c < %d {
-        let s = 0
-        let j = 0
-        while j < 1000 {
-            s = s + j
-            j = j + 1
-        }
-        sum = s
-        c = c + 1
-    }
-}`, cycles)
-	return b.String()
-}
-
 // pickRoute draws cfg.Hops distinct workers, never placing a
 // malicious worker immediately after another (the route-level mirror
 // of the fleet harness's non-adjacency rule). Deterministic given the
@@ -390,8 +333,10 @@ func Run(cfg Config) (Result, error) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Minute)
 	defer cancel()
-	reg := sigcrypto.NewRegistry()
-	net := transport.NewInProc()
+	f, err := fleet.New("scale-owner")
+	if err != nil {
+		return Result{}, err
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	// Ground truth and detection ledgers, shared across nodes.
@@ -417,41 +362,47 @@ func Run(cfg Config) (Result, error) {
 		}
 	}
 
-	var nodes []*core.Node
 	var sharedWALs []*shardstore.SharedWAL
-	nodeByName := make(map[string]*core.Node, cfg.Nodes)
-	stackByName := make(map[string]protection.Stack, cfg.Nodes)
 	defer func() {
-		// Stores first, then the shared streams they ride on.
-		for _, n := range nodes {
-			_ = n.Close()
-		}
+		// Members first, then the shared streams their stores ride on.
+		_ = f.Close()
 		for _, sw := range sharedWALs {
 			_ = sw.Close()
 		}
 	}()
 
 	addNode := func(name string, trusted bool, behavior host.Behavior) error {
-		keys, err := sigcrypto.GenerateKeyPair(name)
-		if err != nil {
-			return err
-		}
-		h, err := host.New(host.Config{
-			Name: name, Keys: keys, Registry: reg,
-			Trusted: trusted, Behavior: behavior,
-		})
-		if err != nil {
-			return err
-		}
-		opts := protection.Options{
-			DisableBatchVerify: !cfg.Batched,
-			// First offense quarantines: detection outcomes become a
-			// pure function of routes and malicious placement, so the
-			// batched and unbatched halves of an A/B are comparable
-			// session for session.
-			AdaptivePolicy: policy.ReputationConfig{FirstOffenseQuarantines: true},
+		spec := fleet.Spec{
+			Host:  host.Config{Name: name, Trusted: trusted, Behavior: behavior},
+			Level: protection.LevelAdaptive,
+			Protection: protection.Options{
+				DisableBatchVerify: !cfg.Batched,
+				// First offense quarantines: detection outcomes become a
+				// pure function of routes and malicious placement, so the
+				// batched and unbatched halves of an A/B are comparable
+				// session for session.
+				AdaptivePolicy: policy.ReputationConfig{FirstOffenseQuarantines: true},
+			},
+			Node: core.NodeConfig{
+				Workers:    cfg.Workers,
+				QueueDepth: cfg.Concurrency + 1,
+				OnVerdict: func(v core.Verdict) {
+					if v.OK {
+						return
+					}
+					mu.Lock()
+					if maliciousName[v.CheckedHost] {
+						detected[fleet.SessionKey(v.AgentID, v.CheckedHop)] = true
+					}
+					mu.Unlock()
+				},
+			},
 		}
 		if cfg.Planner {
+			// The full routing loop: admission sheds deliveries from
+			// over-threshold senders, refuse-when-full turns queue
+			// pressure into the spillover signal executors replan on.
+			//
 			// Admission at the escalation threshold, not the production
 			// default: with FirstOffenseQuarantines a single failed check
 			// is a confirmed offense, but it adds exactly one
@@ -460,12 +411,11 @@ func Run(cfg Config) (Result, error) {
 			// it. 0.5 makes one confirmed offense refuse follow-on
 			// deliveries for the rest of the run, matching the harness's
 			// one-strike verdict policy.
-			opts.AdmissionThreshold = policy.DefaultEscalateThreshold
+			spec.Protection.AdmissionThreshold = policy.DefaultEscalateThreshold
+			spec.Node.RefuseWhenFull = true
 		}
-		ncfg := core.NodeConfig{
-			Net:        net,
-			Workers:    cfg.Workers,
-			QueueDepth: cfg.Concurrency + 1,
+		if cfg.Batched {
+			spec.Node.FlushBatch = cfg.FlushBatch
 		}
 		if cfg.Durable {
 			dir := filepath.Join(cfg.DataDir, name)
@@ -475,49 +425,13 @@ func Run(cfg Config) (Result, error) {
 					return err
 				}
 				sharedWALs = append(sharedWALs, sw)
-				opts.WAL = sw
-				ncfg.SharedWAL = sw
+				spec.Node.SharedWAL = sw
 			} else {
-				opts.DataDir = dir
-				ncfg.DataDir = dir
+				spec.DataDir = dir
 			}
 		}
-		if cfg.Batched {
-			ncfg.FlushBatch = cfg.FlushBatch
-		}
-		stack, err := protection.Assemble(protection.LevelAdaptive, opts)
-		if err != nil {
-			return err
-		}
-		ncfg.Host = h
-		ncfg.Mechanisms = stack.Mechanisms
-		ncfg.Policy = stack.Policy
-		if cfg.Planner {
-			// The full routing loop: admission sheds deliveries from
-			// over-threshold senders, refuse-when-full turns queue
-			// pressure into the spillover signal executors replan on.
-			ncfg.Admission = stack.Admission
-			ncfg.RefuseWhenFull = true
-		}
-		ncfg.OnVerdict = func(v core.Verdict) {
-			if v.OK {
-				return
-			}
-			mu.Lock()
-			if maliciousName[v.CheckedHost] {
-				detected[sessionKey(v.AgentID, v.CheckedHop)] = true
-			}
-			mu.Unlock()
-		}
-		node, err := core.NewNode(ncfg)
-		if err != nil {
-			return err
-		}
-		nodes = append(nodes, node)
-		nodeByName[name] = node
-		stackByName[name] = stack
-		net.Register(name, node)
-		return nil
+		_, err := f.Add(spec)
+		return err
 	}
 
 	for _, name := range homes {
@@ -528,9 +442,9 @@ func Run(cfg Config) (Result, error) {
 	for i, name := range workers {
 		var behavior host.Behavior
 		if malicious[i] {
-			behavior = tamperCounting{onSession: func(agentID string, hop int) {
+			behavior = fleet.Tamperer{OnSession: func(agentID string, hop int) {
 				mu.Lock()
-				tampered[sessionKey(agentID, hop)] = true
+				tampered[fleet.SessionKey(agentID, hop)] = true
 				tamperedAgents[agentID] = true
 				mu.Unlock()
 			}}
@@ -538,31 +452,6 @@ func Run(cfg Config) (Result, error) {
 		if err := addNode(name, false, behavior); err != nil {
 			return Result{}, err
 		}
-	}
-
-	owner, err := sigcrypto.GenerateKeyPair("scale-owner")
-	if err != nil {
-		return Result{}, err
-	}
-	if err := reg.RegisterKeyPair(owner); err != nil {
-		return Result{}, err
-	}
-	rules := appraisal.RuleSet{appraisal.MustRule("total-tracks-hops", "total == hops")}
-
-	// buildAgent compiles one attempt: program over the concrete route,
-	// audited counters, signed rules, wire image.
-	buildAgent := func(id, home string, route []string) ([]byte, error) {
-		ag, err := agent.New(id, "scale-owner", routeCode(home, route, cfg.Cycles), "main")
-		if err != nil {
-			return nil, err
-		}
-		ag.SetVar("total", value.Int(0))
-		ag.SetVar("hops", value.Int(0))
-		ag.SetVar("sum", value.Int(0))
-		if err := appraisal.Attach(ag, rules, owner); err != nil {
-			return nil, err
-		}
-		return ag.Marshal()
 	}
 
 	// Fixed mode: build every itinerary before the clock starts —
@@ -589,16 +478,16 @@ func Run(cfg Config) (Result, error) {
 		}
 		home := homes[i%cfg.Homes]
 		id := fmt.Sprintf("itin-%06d", i)
-		wire, err := buildAgent(id, home, route)
+		wire, err := f.AuditedAgent(id, fleet.RouteCode(home, route, cfg.Cycles))
 		if err != nil {
 			return Result{}, err
 		}
 		wires[i] = wire
 		agentIDs[i] = id
 		itinHome[i] = home
-		receipts[i] = append(receipts[i], nodeByName[home].Watch(id))
+		receipts[i] = append(receipts[i], f.Member(home).Node.Watch(id))
 		for _, w := range route {
-			receipts[i] = append(receipts[i], nodeByName[w].Watch(id))
+			receipts[i] = append(receipts[i], f.Member(w).Node.Watch(id))
 		}
 	}
 
@@ -616,20 +505,19 @@ func Run(cfg Config) (Result, error) {
 		for j := range stages {
 			stages[j] = plannerpkg.Stage{Candidates: pools[j]}
 		}
-		fleet := plannerpkg.NodeFleet(nodeByName)
+		nodes := plannerpkg.NodeFleet(f.Nodes())
 		for hi, home := range homes {
-			home := home
 			pl := plannerpkg.New(plannerpkg.Config{
 				Home:      home,
 				Seed:      cfg.Seed + int64(hi) + 1,
-				Suspicion: stackByName[home].Ledger.Suspicion,
+				Suspicion: f.Member(home).Stack.Ledger.Suspicion,
 			})
 			executors[home] = &plannerpkg.Executor{
 				Planner:     pl,
-				Fleet:       fleet,
+				Fleet:       nodes,
 				MaxAttempts: 16,
 				Build: func(agentID string, route []string) ([]byte, error) {
-					return buildAgent(agentID, home, route)
+					return f.AuditedAgent(agentID, fleet.RouteCode(home, route, cfg.Cycles))
 				},
 			}
 		}
@@ -686,7 +574,7 @@ func Run(cfg Config) (Result, error) {
 					continue
 				}
 				start := time.Now()
-				if err := net.SendAgent(ctx, itinHome[i], wires[i]); err != nil {
+				if err := f.Net().SendAgent(ctx, itinHome[i], wires[i]); err != nil {
 					fail(fmt.Errorf("scale: launching itinerary %d: %w", i, err))
 					return
 				}
@@ -790,8 +678,8 @@ func Run(cfg Config) (Result, error) {
 	// Fleet-wide backend counters via the node/metrics built-in (the
 	// same surface agentctl reads).
 	var syncedRecords int64
-	for _, n := range nodes {
-		body, err := n.HandleCall(ctx, "node/metrics", core.MetricsCallBody())
+	for _, m := range f.Members() {
+		body, err := m.Node.HandleCall(ctx, "node/metrics", core.MetricsCallBody())
 		if err != nil {
 			return Result{}, fmt.Errorf("scale: node/metrics: %w", err)
 		}

@@ -1,9 +1,12 @@
 package scale
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"testing"
+
+	"repro/internal/testutil"
 )
 
 // assertAB pins the scale harness's safety contract on one A/B run:
@@ -269,5 +272,30 @@ func TestConfigRejections(t *testing.T) {
 		if err := (&c).fill(); err == nil {
 			t.Errorf("%s: config %+v accepted, want error", name, cfg)
 		}
+	}
+}
+
+// TestRunLeavesNothingBehind: a run returns with every node, stack
+// (one ledger WAL flusher each, unbatched) and shared stream closed —
+// otherwise RunAB measures its second half on top of the first half's
+// goroutines, tickers and descriptors.
+func TestRunLeavesNothingBehind(t *testing.T) {
+	for _, batched := range []bool{false, true} {
+		t.Run(fmt.Sprintf("batched=%v", batched), func(t *testing.T) {
+			check := testutil.NoLeaks(t)
+			_, err := Run(Config{
+				Nodes:       16,
+				Itineraries: 16,
+				Concurrency: 8,
+				Batched:     batched,
+				Durable:     true,
+				DataDir:     t.TempDir(),
+				Seed:        3,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check()
+		})
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/host"
 	"repro/internal/platformtest"
+	"repro/internal/sigcrypto"
 	"repro/internal/transport"
 	"repro/internal/value"
 	"repro/internal/vigna"
@@ -44,7 +45,6 @@ func buildBed(t *testing.T, o bedOpts) *platformtest.Bed {
 			Trusted:    strings.HasPrefix(name, "home"),
 			Mechanisms: func() []core.Mechanism { return []core.Mechanism{vigna.New()} },
 			Configure: func(c *host.Config) {
-				c.RecordTrace = true
 				if p, ok := offers[name]; ok {
 					c.Resources = map[string]value.Value{"offer": value.Int(p)}
 				}
@@ -193,7 +193,6 @@ func TestTransitTamperCaughtByReceiptCheck(t *testing.T) {
 			Trusted:    strings.HasPrefix(name, "home"),
 			Mechanisms: func() []core.Mechanism { return []core.Mechanism{vigna.New()} },
 			Configure: func(c *host.Config) {
-				c.RecordTrace = true
 				if p, ok := offers[name]; ok {
 					c.Resources = map[string]value.Value{"offer": value.Int(p)}
 				}
@@ -280,20 +279,44 @@ func encodeChain(t *testing.T, ag *agent.Agent, chain []vigna.Commitment) *agent
 }
 
 func TestMechanismRequiresTraceRecording(t *testing.T) {
-	bed := platformtest.New(t)
+	// Assembled by hand: the fleet fixture derives RecordTrace from the
+	// mechanism list, so only a hand-rolled node can get this wrong. Both
+	// hosts are registered, so vigna's refusal is the only way to fail.
+	reg, net := sigcrypto.NewRegistry(), transport.NewInProc()
+	nodes := map[string]*core.Node{}
 	for _, name := range []string{"home", "h1"} {
-		name := name
-		bed.AddHost(name, platformtest.HostOptions{
-			Trusted:    name == "home",
-			Mechanisms: func() []core.Mechanism { return []core.Mechanism{vigna.New()} },
-			Configure: func(c *host.Config) {
-				// RecordTrace deliberately NOT set.
-				c.Resources = map[string]value.Value{"offer": value.Int(1)}
-			},
-		})
+		keys, err := sigcrypto.GenerateKeyPair(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := reg.RegisterKeyPair(keys); err != nil {
+			t.Fatal(err)
+		}
+		// RecordTrace deliberately NOT set.
+		h, err := host.New(host.Config{Name: name, Keys: keys, Registry: reg, Trusted: name == "home"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		node, err := core.NewNode(core.NodeConfig{Host: h, Net: net, Mechanisms: []core.Mechanism{vigna.New()}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = node.Close() }()
+		net.Register(name, node)
+		nodes[name] = node
 	}
-	ag := bed.NewAgent("t", `proc main() { x = 1 migrate("h1", "fin") } proc fin() { done() }`)
-	if err := bed.Run("home", ag); err == nil {
-		t.Error("mechanism accepted a host without trace recording")
+	ag, err := agent.New("t", "owner", `proc main() { x = 1 migrate("h1", "fin") } proc fin() { done() }`, "main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), platformtest.Timeout)
+	defer cancel()
+	rc, err := nodes["home"].Launch(ctx, ag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = core.AwaitAny(ctx, rc)
+	if err == nil || !strings.Contains(err.Error(), "does not record traces") {
+		t.Errorf("journey error = %v, want vigna's refusal of a host without trace recording", err)
 	}
 }
