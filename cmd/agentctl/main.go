@@ -319,6 +319,9 @@ func printNodeGauges(r core.MetricsReply) {
 			"flush_batching", r.IntakeFlushes, r.IntakeFlushedItems,
 			float64(r.IntakeFlushedItems)/float64(r.IntakeFlushes))
 	}
+	if line := gossipMemoLine(r.Exchange); line != "" {
+		fmt.Printf("  gossip    %-32s %s\n", "memos", line)
+	}
 }
 
 // writePromReply renders one node/metrics reply as Prometheus text:
@@ -346,7 +349,10 @@ func writePromReply(w io.Writer, peer string, r core.MetricsReply) error {
 		peer, r.IntakeFlushes, peer, r.IntakeFlushedItems); err != nil {
 		return err
 	}
-	return nil
+	ex := r.Exchange
+	_, err := fmt.Fprintf(w, "repro_gossip_extracts_signed_total{node=%q} %d\nrepro_gossip_extracts_reused_total{node=%q} %d\nrepro_gossip_signatures_checked_total{node=%q} %d\nrepro_gossip_signatures_skipped_total{node=%q} %d\n",
+		peer, ex.ExtractsSigned, peer, ex.ExtractsReused, peer, ex.VerifyMisses, peer, ex.VerifyHits)
+	return err
 }
 
 // runWatch serves `agentctl watch`: tail the fleet's event journals
@@ -599,8 +605,24 @@ func runReputation(args []string) error {
 		case rep.Exchange.OffersServed > 0:
 			fmt.Printf("           exchange: loop disabled, %d offers served for peers\n", rep.Exchange.OffersServed)
 		}
+		if line := gossipMemoLine(rep.Exchange); line != "" {
+			fmt.Printf("           gossip memos: %s\n", line)
+		}
 	}
 	return nil
+}
+
+// gossipMemoLine renders a node's extract-reuse and verify-memo
+// counters with their hit rates; empty when the node has neither signed
+// nor received an extract.
+func gossipMemoLine(ex core.ExchangeStats) string {
+	share := func(part, rest int64) float64 { return 100 * float64(part) / float64(max(part+rest, 1)) }
+	if ex.ExtractsSigned+ex.ExtractsReused+ex.VerifyHits+ex.VerifyMisses == 0 {
+		return ""
+	}
+	return fmt.Sprintf("extracts signed=%d reused=%d (%.0f%% reused), signatures checked=%d skipped=%d (%.0f%% skipped)",
+		ex.ExtractsSigned, ex.ExtractsReused, share(ex.ExtractsReused, ex.ExtractsSigned),
+		ex.VerifyMisses, ex.VerifyHits, share(ex.VerifyHits, ex.VerifyMisses))
 }
 
 // exchangeRole renders the federation tier (older nodes report none).

@@ -45,6 +45,10 @@
 // immediate, attributable refusal instead of sender backpressure.
 // `agentctl plan` shows each node's admission posture, refusal
 // counters, and (for planner-running homes) routing view.
+//
+// -debug-addr 127.0.0.1:6060 (off by default) serves net/http/pprof and
+// a runtime/metrics dump for profiling a live node; see
+// docs/OPERATIONS.md.
 package main
 
 import (
@@ -95,6 +99,7 @@ func run() error {
 	exchangeAggBudget := flag.Int("exchange-aggregator-budget", 0, "extracts per aggregator-to-aggregator round (0 = 4x -exchange-budget)")
 	admissionThreshold := flag.Float64("admission-threshold", 0, "refuse deliveries from hosts at/above this ledger suspicion (0 = admission control off; requires -level adaptive)")
 	refuseWhenFull := flag.Bool("refuse-when-full", false, "fast-fail deliveries when the intake queue is full instead of blocking the sender")
+	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof and a runtime/metrics dump on this address, e.g. 127.0.0.1:6060 (empty = off; an address without a host is refused)")
 	flag.Parse()
 
 	if *name == "" {
@@ -116,6 +121,15 @@ func run() error {
 	}
 	if *admissionThreshold < 0 {
 		return fmt.Errorf("-admission-threshold must be >= 0")
+	}
+
+	if *debugAddr != "" {
+		ln, err := serveDebug(*debugAddr)
+		if err != nil {
+			return err
+		}
+		defer ln.Close()
+		fmt.Printf("agenthost %s: profiles on http://%s/debug/pprof/, runtime metrics on /debug/metrics\n", *name, ln.Addr())
 	}
 
 	keys, err := sigcrypto.GenerateKeyPair(*name)

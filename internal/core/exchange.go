@@ -145,6 +145,21 @@ type ExchangeStats struct {
 	// received on replies that survived verification and merged.
 	UrgentSent   int64
 	UrgentMerged int64
+	// ExtractsSigned counts own ledger extracts this node signed;
+	// ExtractsReused those it reissued unchanged because the ledger
+	// record behind them had not been raised since they were signed
+	// (departures, exchange rounds and urgent baggage alike).
+	// VerifyMisses counts received entries whose signature this node
+	// checked; VerifyHits those it had already verified byte for byte
+	// and did not check again (an entry that could raise nothing here,
+	// on an agent that never departed, is in neither: nobody needed its
+	// signature). Reused/(Signed+Reused) and Hits/(Hits+Misses) are the
+	// node's memo hit rates; both memos are per node and counted whether
+	// or not an exchange loop runs.
+	ExtractsSigned int64
+	ExtractsReused int64
+	VerifyHits     int64
+	VerifyMisses   int64
 }
 
 // ExchangeReporter is the optional Mechanism extension that exposes

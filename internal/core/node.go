@@ -1294,12 +1294,7 @@ func (n *Node) HandleCall(ctx context.Context, method string, body []byte) ([]by
 				reply.Tracked = true
 				reply.Rep, reply.Known = rr.HostReputation(string(body))
 			}
-			for _, m := range n.cfg.Mechanisms {
-				if er, ok := m.(ExchangeReporter); ok {
-					reply.Exchange, reply.ExchangeEnabled = er.ExchangeStats()
-					break
-				}
-			}
+			reply.Exchange, reply.ExchangeEnabled = n.exchangeStats()
 			return gobReply("reputation", reply)
 		case "quarantine":
 			id := string(body)

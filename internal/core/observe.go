@@ -83,6 +83,11 @@ type MetricsReply struct {
 	// Both also appear on node/plan.
 	AdmissionRefused int64
 	IntakeRefused    int64
+	// Exchange carries the gossip mechanism's counters (the same
+	// ExchangeStats node/reputation reports), so a metrics scrape shows
+	// the extract-reuse and verify-memo hit rates without a second call.
+	// Zero on nodes without a reputation mechanism.
+	Exchange ExchangeStats
 }
 
 // WALStatsEntry names one durable store's backend counters in a
@@ -121,7 +126,19 @@ func (n *Node) metricsReply() MetricsReply {
 		r.Enabled = true
 		r.Snapshot = n.cfg.Events.Metrics.Snapshot()
 	}
+	r.Exchange, _ = n.exchangeStats()
 	return r
+}
+
+// exchangeStats returns the counters of the node's exchange-reporting
+// mechanism (zero when it has none) and whether it runs a loop.
+func (n *Node) exchangeStats() (ExchangeStats, bool) {
+	for _, m := range n.cfg.Mechanisms {
+		if er, ok := m.(ExchangeReporter); ok {
+			return er.ExchangeStats()
+		}
+	}
+	return ExchangeStats{}, false
 }
 
 // DefaultEventsBatch bounds a node/events reply when the request asks

@@ -519,7 +519,7 @@ func (x *Exchange) exchangeWith(ctx context.Context, peer string) (received, mer
 	// extracts, budget-capped) and the summary, which covers a wider
 	// slice than we push so the peer can skip anything we already know
 	// at least as well.
-	snap := x.gossip.ledger.Snapshot(0)
+	snap := x.gossip.ledger.rows()
 	push := x.gossip.extracts(snap, x.self, x.hc.Host.Keys(), x.budget, nil)
 	summaryLimit := 4 * x.budget
 	if summaryLimit > maxSummaryEntries {
@@ -593,7 +593,7 @@ func (m *Gossip) HandleCall(_ context.Context, hc *core.HostContext, method stri
 	}
 	self := hc.Host.Name()
 	m.mergeVerified(hc.Host.Registry(), self, pushed)
-	delta := m.extracts(m.ledger.Snapshot(0), self, hc.Host.Keys(), budget, func(rep core.HostReputation) bool {
+	delta := m.extracts(m.ledger.rows(), self, hc.Host.Keys(), budget, func(rep core.HostReputation) bool {
 		have, known := summary[rep.Host]
 		// Useless to send: after damping the initiator's merge could
 		// not raise what it already has.
@@ -658,24 +658,24 @@ var _ core.ExchangePeerUpdater = (*Gossip)(nil)
 
 // ExchangeStats implements core.ExchangeReporter.
 func (m *Gossip) ExchangeStats() (core.ExchangeStats, bool) {
+	var st core.ExchangeStats
 	m.exMu.Lock()
 	x := m.exchange
 	served := m.offersServed
 	urgentSent := m.urgentSent
 	urgentMerged := m.urgentMerged
 	m.exMu.Unlock()
-	if x == nil {
-		return core.ExchangeStats{
-			OffersServed: served,
-			UrgentSent:   urgentSent,
-			UrgentMerged: urgentMerged,
-		}, false
+	if x != nil {
+		st = x.Stats()
 	}
-	st := x.Stats()
 	st.OffersServed = served
 	st.UrgentSent = urgentSent
 	st.UrgentMerged = urgentMerged
-	return st, true
+	st.ExtractsSigned = m.extractsSigned.Load()
+	st.ExtractsReused = m.extractsReused.Load()
+	st.VerifyHits = m.verifyHits.Load()
+	st.VerifyMisses = m.verifyMisses.Load()
+	return st, x != nil
 }
 
 // Close stops the exchange loop, if one is running; io.Closer so

@@ -188,7 +188,7 @@ func TestExchangeOfferIdempotent(t *testing.T) {
 
 	// Build the identical offer by hand and replay it straight into B's
 	// handler twice more.
-	push := a.g.extracts(a.led.Snapshot(0), a.name, a.hc.Host.Keys(), 16, nil)
+	push := a.g.extracts(a.led.rows(), a.name, a.hc.Host.Keys(), 16, nil)
 	body, err := encodeOffer(a.name, 16, nil, push)
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +297,7 @@ func TestExchangeByteBudgetWithLongNames(t *testing.T) {
 	unencodable := string(make([]byte, maxPrincipalLen+1))
 	a.led.Observe(unencodable, false, 9)
 
-	push := a.g.extracts(a.led.Snapshot(0), a.name, a.hc.Host.Keys(), core.MaxExchangeBudget, nil)
+	push := a.g.extracts(a.led.rows(), a.name, a.hc.Host.Keys(), core.MaxExchangeBudget, nil)
 	if len(push) == 0 {
 		t.Fatal("no extracts selected")
 	}

@@ -2,11 +2,13 @@ package policy
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"math"
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/agent"
@@ -14,7 +16,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/events"
 	"repro/internal/host"
-	"repro/internal/shardstore"
 	"repro/internal/sigcrypto"
 )
 
@@ -34,6 +35,10 @@ const (
 	// minGossipSuspicion is the floor below which an extract is not
 	// worth sharing.
 	minGossipSuspicion = 0.1
+	// memoGenSize bounds one generation of a node's extract memo and of
+	// its verify memo (see memo): each holds at most twice this many
+	// entries however many hosts or signatures pass through the node.
+	memoGenSize = 512
 )
 
 // GossipEntry is one signed reputation observation: Observer vouches
@@ -42,7 +47,10 @@ type GossipEntry struct {
 	Observer  string
 	Host      string
 	Suspicion float64
-	// AtUnixNano is the observation time; receivers decay from it.
+	// AtUnixNano is the observation time; receivers decay from it. For
+	// an extract of the observer's own ledger it is when the record was
+	// last raised, or the moment of signing while the record is above
+	// the merge cap (see ownExtract); never later than that moment.
 	AtUnixNano int64
 	Sig        sigcrypto.Signature
 }
@@ -87,11 +95,21 @@ type Gossip struct {
 	core.BaseMechanism
 	ledger *Ledger
 	now    func() time.Time
-	// verified holds, per agent currently on this host, the gossip
-	// entries that passed arrival verification — the only ones
-	// departure re-carries. Bounded: an agent that never departs
-	// (quarantined) ages out FIFO.
-	verified *shardstore.Store[[]GossipEntry]
+
+	// own remembers, per subject host, the extract this node last signed
+	// at the ledger record's raise point; extracts reissues it until a
+	// raise moves the point. seen remembers which (binding digest,
+	// signature) pairs this node has verified; only successes go in.
+	// Both belong to this node alone — a memo shared through the registry
+	// or a package variable would let one node skip a check only another
+	// performed — and both start empty and unallocated. The counters
+	// beside them feed ExchangeStats.
+	own            memo[string, GossipEntry]
+	seen           memo[[sha256.Size]byte, struct{}]
+	extractsSigned atomic.Int64
+	extractsReused atomic.Int64
+	verifyHits     atomic.Int64
+	verifyMisses   atomic.Int64
 
 	// exchange is the anti-entropy loop started through the node
 	// lifecycle (core.Exchanger); nil when the node runs gossip-in-
@@ -122,7 +140,7 @@ type Gossip struct {
 	bus *events.Bus
 
 	// batchVerify selects sigcrypto.Registry.VerifyBatch for signature
-	// checks in mergeVerified (one key resolution and one verification
+	// checks in verified (one key resolution and one verification
 	// pass per bundle instead of per entry). On by default; scale A/B
 	// runs switch it off via SetBatchVerify to measure the delta. The
 	// trust policy is identical either way — entries failing the batch
@@ -144,19 +162,58 @@ func NewGossip(ledger *Ledger) *Gossip {
 	return &Gossip{
 		ledger:      ledger,
 		now:         time.Now,
-		verified:    shardstore.New[[]GossipEntry](shardstore.Config[[]GossipEntry]{Capacity: DefaultLedgerCapacity}),
 		batchVerify: true,
 	}
+}
+
+// memo is a bounded map in two generations: puts fill the young one,
+// and when it reaches memoGenSize it becomes the old one and the
+// previous old one is dropped. A hit in the old generation moves the
+// entry to the young one, so what is still in use survives a turnover
+// and what is not is gone after two. The zero value is ready and holds
+// no memory until the first put.
+type memo[K comparable, V any] struct {
+	mu         sync.Mutex
+	young, old map[K]V
+}
+
+func (c *memo[K, V]) get(k K) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	v, ok := c.young[k]
+	if !ok {
+		if v, ok = c.old[k]; ok {
+			c.putLocked(k, v)
+		}
+	}
+	return v, ok
+}
+
+func (c *memo[K, V]) put(k K, v V) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.putLocked(k, v)
+}
+
+func (c *memo[K, V]) putLocked(k K, v V) {
+	if len(c.young) >= memoGenSize {
+		c.old, c.young = c.young, nil
+	}
+	if c.young == nil {
+		c.young = make(map[K]V)
+	}
+	c.young[k] = v
 }
 
 // SetBatchVerify toggles batched signature verification in the merge
 // path. Call before the node starts, like SetClock.
 func (m *Gossip) SetBatchVerify(on bool) { m.batchVerify = on }
 
-// SetClock replaces the clock that stamps outgoing gossip extracts
-// (entry AtUnixNano fields and exchange-round timestamps). Campaign
-// harnesses running on virtual time call it once, right after
-// construction and before the node starts any exchange loop — the
+// SetClock replaces the clock that stamps exchange rounds and the
+// extracts of records above the merge cap (other extracts carry the
+// ledger's record times, on the ledger's clock — give both the same
+// one). Campaign harnesses running on virtual time call it once, right
+// after construction and before the node starts any exchange loop — the
 // loop captures the clock at start, so later calls do not reach an
 // already-running exchange.
 func (m *Gossip) SetClock(now func() time.Time) {
@@ -192,79 +249,143 @@ func decodeEntries(data []byte) []GossipEntry {
 	return entries
 }
 
+// admissible is the structural half of the arrival filter: no
+// self-reports, nothing echoing this host's own observations back, a
+// finite positive suspicion, and a signature that at least claims to
+// be the observer's.
+func admissible(e *GossipEntry, self string) bool {
+	if e.Observer == e.Host || e.Observer == self {
+		return false
+	}
+	if e.Suspicion <= 0 || math.IsNaN(e.Suspicion) || math.IsInf(e.Suspicion, 0) {
+		return false
+	}
+	return e.Sig.Signer == e.Observer
+}
+
+// seenKey names one (binding digest, signature) pair in the verify
+// memo. The digest covers observer, host, suspicion and time, and
+// admissible has tied the signer to the observer, so the key stands
+// for everything a verification checks.
+func seenKey(d canon.Digest, sig []byte) [sha256.Size]byte {
+	buf := make([]byte, 0, sha256.Size+maxSigLen)
+	buf = append(buf, d[:]...)
+	buf = append(buf, sig...)
+	return sha256.Sum256(buf)
+}
+
 // mergeVerified filters entries exactly as arrival does — dropping
 // self-reports, entries echoing our own observations back, non-finite
 // or non-positive suspicion, and anything whose signature does not
 // verify against the claimed observer — and merges the survivors into
-// the ledger. It returns the surviving entries (what baggage re-carry
-// keeps) and is shared verbatim by the anti-entropy exchange, so both
-// ingestion paths enforce one trust policy.
+// the ledger. It returns the surviving entries and is shared verbatim
+// by the anti-entropy exchange and the urgent path, so every ingestion
+// path enforces one trust policy.
 func (m *Gossip) mergeVerified(reg *sigcrypto.Registry, self string, entries []GossipEntry) []GossipEntry {
-	// Structural filter first; survivors go to signature verification.
-	var cand []GossipEntry
-	for _, e := range entries {
-		if e.Observer == e.Host || e.Observer == self {
-			continue
-		}
-		if e.Suspicion <= 0 || math.IsNaN(e.Suspicion) || math.IsInf(e.Suspicion, 0) {
-			continue
-		}
-		if e.Sig.Signer != e.Observer {
-			continue
-		}
-		cand = append(cand, e)
+	keep := m.verified(reg, self, entries, nil)
+	m.merge(keep)
+	return keep
+}
+
+// merge folds entries this node has verified into its ledger.
+func (m *Gossip) merge(verified []GossipEntry) {
+	for _, e := range verified {
+		m.ledger.Merge(e.Host, e.Suspicion, time.Unix(0, e.AtUnixNano))
 	}
-	// One batch verification for the whole bundle (one key resolution,
-	// one pass) when enabled; entries whose slot fails are dropped —
-	// the same outcome the scalar path produces per entry, because
-	// VerifyBatch re-checks failures through the scalar Verify and so
-	// preserves per-signer attribution. A nil errs slice means every
-	// entry verified. The scalar loop below survives only as the
-	// batchVerify=false arm the scale A/B measures against — every
-	// bundle size, including the steady-state single-entry trickle the
-	// exchange produces once a fleet converges, takes the batch path.
-	batched := m.batchVerify && len(cand) > 0
+	if m.bus != nil && len(verified) > 0 {
+		m.bus.Publish(events.Event{
+			Kind:   events.KindGossipMerge,
+			Fields: map[string]string{"entries": strconv.Itoa(len(verified))},
+		})
+	}
+}
+
+// verified is the arrival filter, the one gate every gossip entry
+// passes before this node merges it or carries it on: the structural
+// checks of admissible, then the signature under the observer's
+// registered key. It returns the entries that passed, in order. A
+// non-nil wanted narrows the work to the entries it accepts — the rest
+// are left out unchecked, which is how arrival avoids checking
+// signatures whose validity would decide nothing (CheckAfterSession).
+//
+// A signature is checked once per node, not once per arrival: an entry
+// whose exact (digest, signature) bytes this node has already verified
+// skips the check, never the structural filter. That is sound because
+// the registry refuses to rebind a principal to a different key, so
+// bytes that verified once verify always; a failure is never
+// remembered.
+func (m *Gossip) verified(reg *sigcrypto.Registry, self string, entries []GossipEntry, wanted func(*GossipEntry) bool) []GossipEntry {
+	type candidate struct {
+		entry  GossipEntry
+		digest canon.Digest
+		key    [sha256.Size]byte
+		ok     bool
+	}
+	cand := make([]candidate, 0, len(entries))
+	var fresh []int // indexes into cand the memo does not vouch for
+	for i := range entries {
+		e := &entries[i]
+		if !admissible(e, self) || (wanted != nil && !wanted(e)) {
+			continue
+		}
+		c := candidate{entry: *e, digest: e.bindingDigest()}
+		c.key = seenKey(c.digest, e.Sig.Sig)
+		if _, c.ok = m.seen.get(c.key); !c.ok {
+			fresh = append(fresh, len(cand))
+		}
+		cand = append(cand, c)
+	}
+	m.verifyHits.Add(int64(len(cand) - len(fresh)))
+	m.verifyMisses.Add(int64(len(fresh)))
+
+	// The only place a gossip signature is checked. With batchVerify it
+	// is one VerifyBatch for what the memo left over (one key
+	// resolution, one pass; nil means every entry verified, and
+	// failures are re-checked through the scalar Verify, so per-signer
+	// attribution is the scalar path's). The scalar loop survives only
+	// as the batchVerify=false arm the scale A/B measures against; the
+	// trust policy is identical either way.
 	var errs []error
-	if batched {
-		batch := make([]sigcrypto.BatchEntry, len(cand))
-		for i := range cand {
-			batch[i] = sigcrypto.DigestEntry(cand[i].bindingDigest(), cand[i].Sig)
+	if m.batchVerify && len(fresh) > 0 {
+		batch := make([]sigcrypto.BatchEntry, len(fresh))
+		for j, i := range fresh {
+			batch[j] = sigcrypto.DigestEntry(cand[i].digest, cand[i].entry.Sig)
 		}
 		errs = reg.VerifyBatch(batch)
 	}
-	var keep []GossipEntry
-	for i, e := range cand {
-		if batched {
-			if errs != nil && errs[i] != nil {
-				continue
-			}
-		} else if err := reg.VerifyDigest(e.bindingDigest(), e.Sig); err != nil {
-			continue
+	for j, i := range fresh {
+		c := &cand[i]
+		if m.batchVerify {
+			c.ok = errs == nil || errs[j] == nil
+		} else {
+			c.ok = reg.VerifyDigest(c.digest, c.entry.Sig) == nil
 		}
-		m.ledger.Merge(e.Host, e.Suspicion, time.Unix(0, e.AtUnixNano))
-		keep = append(keep, e)
+		if c.ok {
+			m.seen.put(c.key, struct{}{})
+		}
 	}
-	if m.bus != nil && len(keep) > 0 {
-		m.bus.Publish(events.Event{
-			Kind:   events.KindGossipMerge,
-			Fields: map[string]string{"entries": strconv.Itoa(len(keep))},
-		})
+
+	var keep []GossipEntry
+	for i := range cand {
+		if cand[i].ok {
+			keep = append(keep, cand[i].entry)
+		}
 	}
 	return keep
 }
 
-// extracts selects up to limit signed extracts from snap — a ledger
-// snapshot, most suspect first — skipping the host itself, entries
-// below the sharing floor, and any host in the skip set. Both the
-// departure path and the exchange protocol share it: one extract
-// format, one signer (callers that need the snapshot for other work
-// too, like the exchange's summary, take it once and pass it in).
-// Selection also stops at the wire byte budget, so the returned list
-// always encodes within MaxGossipWireBytes — a fleet with many long
-// principal names trades fewer extracts per message, never a failing
-// one (the most suspect hosts still go first; the rest wait for the
-// next departure or round).
-func (m *Gossip) extracts(snap []core.HostReputation, self string, keys *sigcrypto.KeyPair, limit int, skip func(rep core.HostReputation) bool) []GossipEntry {
+// extracts selects up to limit signed extracts from snap — the ledger's
+// rows, most suspect first — skipping the host itself, entries below
+// the sharing floor, and any host in the skip set. Both the departure
+// path and the exchange protocol share it: one extract format, one
+// signer (callers that need the rows for other work too, like the
+// exchange's summary, take them once and pass them in). Selection also
+// stops at the wire byte budget, so the returned list always encodes
+// within MaxGossipWireBytes — a fleet with many long principal names
+// trades fewer extracts per message, never a failing one (the most
+// suspect hosts still go first; the rest wait for the next departure
+// or round).
+func (m *Gossip) extracts(snap []ledgerRow, self string, keys *sigcrypto.KeyPair, limit int, skip func(rep core.HostReputation) bool) []GossipEntry {
 	if len(self) > maxPrincipalLen {
 		// A node whose own name cannot travel in an entry has nothing
 		// it can share.
@@ -273,24 +394,23 @@ func (m *Gossip) extracts(snap []core.HostReputation, self string, keys *sigcryp
 	now := m.now().UnixNano()
 	var out []GossipEntry
 	size := entriesWireHeader
-	for _, rep := range snap {
+	for _, row := range snap {
 		if len(out) >= limit {
 			break
 		}
-		if rep.Suspicion < minGossipSuspicion || rep.Host == self {
+		if row.Suspicion < minGossipSuspicion || row.Host == self {
 			continue
 		}
-		if len(rep.Host) > maxPrincipalLen {
+		if len(row.Host) > maxPrincipalLen {
 			// An over-bound principal name cannot go on the wire; skip
 			// it rather than fail the whole message (the codec's
 			// invariant: a host never emits what peers must reject).
 			continue
 		}
-		if skip != nil && skip(rep) {
+		if skip != nil && skip(row.HostReputation) {
 			continue
 		}
-		e := GossipEntry{Observer: self, Host: rep.Host, Suspicion: rep.Suspicion, AtUnixNano: now}
-		e.Sig = keys.SignDigest(e.bindingDigest())
+		e := m.ownExtract(row, self, keys, now)
 		if size+entryWireSize(&e) > MaxGossipWireBytes {
 			break
 		}
@@ -300,36 +420,81 @@ func (m *Gossip) extracts(snap []core.HostReputation, self string, keys *sigcryp
 	return out
 }
 
-// CheckAfterSession merges verified gossip entries into the local
-// ledger and records them for re-carry on departure. Self-reports (an
-// observer vouching about itself), entries from unknown observers, and
-// non-finite suspicion values are dropped.
+// ownExtract returns this host's signed claim about row's host, a pure
+// function of the ledger record and, above the merge cap, of now.
+//
+// A record moves along one decay curve until it is raised, and a
+// receiver decays a claim from AtUnixNano, so the record's raise point
+// says everything a re-stamped (current value, now) claim would: it is
+// signed once and reissued until the next raise moves it. That holds
+// only while the raise point is at or below maxMergeSuspicion. A
+// receiver clamps a claim to the cap before it decays it, so above the
+// cap what it ends up with depends on when the claim was stamped; such
+// a record is stamped now and signed on every call, as every extract
+// used to be.
+//
+// The memo cannot change what is sent: it is consulted only for a claim
+// already determined, returns an entry only when host, suspicion and
+// time all equal it, and Ed25519 signing is deterministic, so the entry
+// is the one signing again would produce.
+func (m *Gossip) ownExtract(row ledgerRow, self string, keys *sigcrypto.KeyPair, now int64) GossipEntry {
+	e := GossipEntry{Observer: self, Host: row.Host, Suspicion: row.Suspicion, AtUnixNano: now}
+	reusable := row.raised <= maxMergeSuspicion
+	if reusable {
+		e.Suspicion, e.AtUnixNano = row.raised, row.raisedAtUnixNano
+		if c, ok := m.own.get(row.Host); ok && c.Suspicion == e.Suspicion && c.AtUnixNano == e.AtUnixNano {
+			m.extractsReused.Add(1)
+			return c
+		}
+	}
+	e.Sig = keys.SignDigest(e.bindingDigest())
+	m.extractsSigned.Add(1)
+	if reusable {
+		m.own.put(row.Host, e)
+	}
+	return e
+}
+
+// CheckAfterSession merges the agent's gossip into the local ledger:
+// every arriving entry that would raise a record is verified and
+// merged. An entry that would raise nothing is not looked at further —
+// merging it writes nothing (Ledger.Merge), so its signature would
+// decide nothing here; whether it travels on is decided, with the
+// signature check, by PrepareDeparture if the agent ever departs. The
+// ledger ends exactly where verifying all of them would leave it, and
+// an agent that ends here (quarantined or completed) costs only the
+// checks that could matter and leaves nothing behind.
 func (m *Gossip) CheckAfterSession(_ context.Context, hc *core.HostContext, ag *agent.Agent) (*core.Verdict, error) {
 	data, ok := ag.GetBaggage(GossipMechanismName)
 	if !ok {
 		return nil, nil
 	}
-	keep := m.mergeVerified(hc.Host.Registry(), hc.Host.Name(), decodeEntries(data))
-	m.verified.Put(ag.ID, keep)
+	raises := func(e *GossipEntry) bool {
+		return m.ledger.wouldAdopt(e.Host, e.Suspicion, time.Unix(0, e.AtUnixNano))
+	}
+	m.merge(m.verified(hc.Host.Registry(), hc.Host.Name(), decodeEntries(data), raises))
 	return nil, nil
 }
 
 // PrepareDeparture refreshes the agent's gossip baggage: this host's
 // own most-suspect ledger extracts (signed) joined with the travelling
-// entries that verified on arrival, newest per (observer, host),
-// capped at maxGossipEntries by descending suspicion.
+// entries this node has verified, newest per (observer, host), capped
+// at maxGossipEntries by descending suspicion. The baggage is still
+// what arrived, so it is put through the arrival filter here: what
+// CheckAfterSession verified moments ago (or any earlier agent brought)
+// the verify memo vouches for, the rest is checked now, and nothing
+// that fails is carried.
 func (m *Gossip) PrepareDeparture(_ context.Context, hc *core.HostContext, ag *agent.Agent, _ *host.SessionRecord) error {
 	keep := make(map[string]GossipEntry)
-	arrived, _ := m.verified.Get(ag.ID)
-	m.verified.Delete(ag.ID)
-	for _, e := range arrived {
+	self := hc.Host.Name()
+	data, _ := ag.GetBaggage(GossipMechanismName)
+	for _, e := range m.verified(hc.Host.Registry(), self, decodeEntries(data), nil) {
 		k := e.Observer + "\x00" + e.Host
 		if prev, dup := keep[k]; !dup || e.AtUnixNano > prev.AtUnixNano {
 			keep[k] = e
 		}
 	}
-	self := hc.Host.Name()
-	for _, e := range m.extracts(m.ledger.Snapshot(0), self, hc.Host.Keys(), gossipShareLimit, nil) {
+	for _, e := range m.extracts(m.ledger.rows(), self, hc.Host.Keys(), gossipShareLimit, nil) {
 		keep[e.Observer+"\x00"+e.Host] = e
 	}
 	if len(keep) == 0 {

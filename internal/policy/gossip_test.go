@@ -21,7 +21,7 @@ type gossipBed struct {
 	leds  map[string]*Ledger
 }
 
-func newGossipBed(t *testing.T, names ...string) *gossipBed {
+func newGossipBed(t testing.TB, names ...string) *gossipBed {
 	t.Helper()
 	bed := &gossipBed{
 		reg:   sigcrypto.NewRegistry(),
@@ -46,7 +46,7 @@ func newGossipBed(t *testing.T, names ...string) *gossipBed {
 	return bed
 }
 
-func mkGossipAgent(t *testing.T) *agent.Agent {
+func mkGossipAgent(t testing.TB) *agent.Agent {
 	t.Helper()
 	ag, err := agent.New("gossip-agent", "owner", `proc main() { done() }`, "main")
 	if err != nil {

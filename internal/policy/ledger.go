@@ -54,6 +54,13 @@ const (
 	// capped, a maximal claim decays below the default quarantine
 	// threshold within two half-lives.
 	maxMergeSuspicion = 8.0
+	// mergeSlack is the relative margin a gossiped claim must clear to
+	// be adopted. A claim that restates the curve the local record is
+	// already on (the same extract arriving twice, or our own value
+	// echoed back undamped by a clock) differs from it only by float
+	// rounding; adopting that would be a write, a version bump and a
+	// re-signed extract for no information.
+	mergeSlack = 1e-12
 )
 
 // LedgerConfig parameterizes a Ledger.
@@ -101,6 +108,25 @@ type hostRecord struct {
 	updated   time.Time
 	events    int
 	failures  int
+	// raised and raisedAtUnixNano are the point the last raise (a failed
+	// Observe or an adopted Merge) left the record at. A clean Observe
+	// re-bases (suspicion, updated) along the decay curve and leaves
+	// these alone, so they name the curve the record has been on since.
+	// Not persisted: a record replayed from the WAL has a zero time here
+	// until its next raise, and its stored point stands in (raisePoint).
+	raised           float64
+	raisedAtUnixNano int64
+}
+
+// raisePoint returns the point gossip extracts of r are signed at: where
+// the last raise left it, or the stored point of a record not raised
+// since it was loaded. Either way it is a point on r's decay curve that
+// only a raise moves.
+func (r hostRecord) raisePoint() (suspicion float64, atUnixNano int64) {
+	if r.raisedAtUnixNano == 0 {
+		return r.suspicion, r.updated.UnixNano()
+	}
+	return r.raised, r.raisedAtUnixNano
 }
 
 // Ledger is a sharded, decay-weighted per-host suspicion ledger. All
@@ -151,6 +177,12 @@ func OpenLedger(cfg LedgerConfig) (*Ledger, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
+	// Wall time only: what a record's timestamp is compared with — a
+	// gossiped claim's time, its own value read back from the WAL — has
+	// no monotonic reading, and mixing the two clocks makes one curve
+	// look like two that differ by the clocks' drift.
+	clock := cfg.Now
+	cfg.Now = func() time.Time { return clock().Round(0) }
 	if cfg.EscalateAt == 0 {
 		cfg.EscalateAt = DefaultEscalateThreshold
 	}
@@ -247,6 +279,7 @@ func (l *Ledger) Observe(host string, ok bool, weight float64) float64 {
 		if !ok {
 			s += weight
 			old.failures++
+			old.raised, old.raisedAtUnixNano = s, now.UnixNano()
 		}
 		old.suspicion = s
 		old.updated = now
@@ -264,12 +297,51 @@ func (l *Ledger) Observe(host string, ok bool, weight float64) float64 {
 // the ledger: the remote value is decayed from its observation time,
 // damped, and adopted only if it exceeds the local value. Max-merge is
 // idempotent, so replayed gossip is harmless, and damping makes
-// re-circulated gossip decay rather than amplify.
+// re-circulated gossip decay rather than amplify. A claim that is not
+// adopted writes nothing: the record stays where it was on its curve,
+// and a durable ledger appends no record.
 func (l *Ledger) Merge(host string, suspicion float64, at time.Time) {
-	if host == "" || suspicion <= 0 || math.IsNaN(suspicion) || math.IsInf(suspicion, 0) {
+	now := l.cfg.Now()
+	remote := l.claimValue(host, suspicion, at, now)
+	if !l.adoptable(host, remote, now) {
 		return
 	}
+	// Re-checked under the write lock: a raise that landed since the
+	// read is honoured, not overwritten.
+	var before, after float64
+	adopted := false
+	l.store.Upsert(host, func(old hostRecord, _ bool) hostRecord {
+		before = l.decayed(old, now)
+		after = before
+		if adopted = exceeds(remote, before); adopted {
+			old.suspicion = remote
+			old.updated = now
+			old.raised, old.raisedAtUnixNano = remote, now.UnixNano()
+			after = remote
+		}
+		return old
+	})
+	if adopted {
+		l.version.Add(1)
+	}
+	l.noteCrossing(host, before, after)
+}
+
+// wouldAdopt reports whether Merge, called now with the same claim,
+// would raise host's record. It reads and never writes: the gossip
+// mechanism asks it before spending a signature check on a claim.
+func (l *Ledger) wouldAdopt(host string, suspicion float64, at time.Time) bool {
 	now := l.cfg.Now()
+	return l.adoptable(host, l.claimValue(host, suspicion, at, now), now)
+}
+
+// claimValue is what a gossiped claim is worth here at now: clamped to
+// the merge cap, decayed from its observation time, damped. Zero means
+// there is nothing to merge.
+func (l *Ledger) claimValue(host string, suspicion float64, at, now time.Time) float64 {
+	if host == "" || suspicion <= 0 || math.IsNaN(suspicion) || math.IsInf(suspicion, 0) {
+		return 0
+	}
 	// A future-dated observation gets no decay head start; it reads as
 	// "just now".
 	remote := math.Min(suspicion, maxMergeSuspicion)
@@ -278,29 +350,22 @@ func (l *Ledger) Merge(host string, suspicion float64, at time.Time) {
 			remote *= math.Exp2(-float64(dt) / float64(l.cfg.HalfLife))
 		}
 	}
-	remote *= gossipDamping
-	if remote <= 0 {
-		return
-	}
-	var before, after float64
-	l.store.Upsert(host, func(old hostRecord, existed bool) hostRecord {
-		local := l.decayed(old, now)
-		before = local
-		if remote > local {
-			old.suspicion = remote
-			old.updated = now
-		} else {
-			old.suspicion = local
-			old.updated = now
-		}
-		after = old.suspicion
-		return old
-	})
-	if after > before {
-		l.version.Add(1)
-	}
-	l.noteCrossing(host, before, after)
+	return remote * gossipDamping
 }
+
+// adoptable reports whether a claim worth remote would raise host's
+// record as it reads at now.
+func (l *Ledger) adoptable(host string, remote float64, now time.Time) bool {
+	if remote <= 0 {
+		return false
+	}
+	ok := false
+	l.store.View(host, func(old hostRecord, _ bool) { ok = exceeds(remote, l.decayed(old, now)) })
+	return ok
+}
+
+// exceeds is the adoption rule: remote must clear local by mergeSlack.
+func exceeds(remote, local float64) bool { return remote > local*(1+mergeSlack) }
 
 // noteCrossing publishes an escalation event when suspicion crossed
 // the escalation threshold upward.
@@ -343,15 +408,42 @@ func (l *Ledger) Report(host string) (core.HostReputation, bool) {
 // Snapshot returns every tracked host's reputation, most suspect
 // first, capped at limit (0 means all).
 func (l *Ledger) Snapshot(limit int) []core.HostReputation {
+	rows := l.rows()
+	if limit > 0 && len(rows) > limit {
+		rows = rows[:limit]
+	}
+	out := make([]core.HostReputation, len(rows))
+	for i := range rows {
+		out[i] = rows[i].HostReputation
+	}
+	return out
+}
+
+// ledgerRow is one Snapshot row plus the record's raise point, which
+// the gossip mechanism signs extracts at (Suspicion is that point
+// decayed to the snapshot time).
+type ledgerRow struct {
+	core.HostReputation
+	raised           float64
+	raisedAtUnixNano int64
+}
+
+// rows returns every tracked host, most suspect first.
+func (l *Ledger) rows() []ledgerRow {
 	now := l.cfg.Now()
-	var out []core.HostReputation
+	var out []ledgerRow
 	l.store.Range(func(host string, rec hostRecord) bool {
-		out = append(out, core.HostReputation{
-			Host:            host,
-			Suspicion:       l.decayed(rec, now),
-			Events:          rec.events,
-			Failures:        rec.failures,
-			UpdatedUnixNano: rec.updated.UnixNano(),
+		raised, raisedAt := rec.raisePoint()
+		out = append(out, ledgerRow{
+			HostReputation: core.HostReputation{
+				Host:            host,
+				Suspicion:       l.decayed(rec, now),
+				Events:          rec.events,
+				Failures:        rec.failures,
+				UpdatedUnixNano: rec.updated.UnixNano(),
+			},
+			raised:           raised,
+			raisedAtUnixNano: raisedAt,
 		})
 		return true
 	})
@@ -361,8 +453,5 @@ func (l *Ledger) Snapshot(limit int) []core.HostReputation {
 		}
 		return out[i].Host < out[j].Host
 	})
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
-	}
 	return out
 }

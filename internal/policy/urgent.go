@@ -63,7 +63,7 @@ func (m *Gossip) UrgentReplyBaggage(hc *core.HostContext) []byte {
 	// decayed max), under-sending never happens because raising updates
 	// bump the version.
 	self := hc.Host.Name()
-	entries := m.extracts(m.ledger.Snapshot(0), self, hc.Host.Keys(), maxUrgentEntries,
+	entries := m.extracts(m.ledger.rows(), self, hc.Host.Keys(), maxUrgentEntries,
 		func(rep core.HostReputation) bool { return rep.Suspicion < m.urgentAt })
 	var enc []byte
 	if len(entries) > 0 {
