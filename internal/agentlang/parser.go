@@ -49,10 +49,12 @@ func MustParse(src string) *Program {
 }
 
 type parser struct {
-	lex  *lexer
-	src  string
-	tok  token
-	prog *Program
+	lex *lexer
+	src string
+	tok token
+	// lines is src split into lines, on the first statement.
+	lines []string
+	prog  *Program
 	// Per-proc state during parsing.
 	locals    map[string]int
 	numLocals int
@@ -159,13 +161,16 @@ func (p *parser) describeTok() string {
 func (p *parser) pos() Pos { return Pos{Line: p.tok.line, Col: p.tok.col} }
 
 // snippet returns the trimmed source line containing the position, for
-// statement rendering in traces.
+// statement rendering in traces. The source is split into lines once
+// per parse: splitting it per statement made Parse quadratic.
 func (p *parser) snippet(pos Pos) string {
-	lines := strings.Split(p.src, "\n")
-	if pos.Line < 1 || pos.Line > len(lines) {
+	if p.lines == nil {
+		p.lines = strings.Split(p.src, "\n")
+	}
+	if pos.Line < 1 || pos.Line > len(p.lines) {
 		return ""
 	}
-	line := strings.TrimSpace(lines[pos.Line-1])
+	line := strings.TrimSpace(p.lines[pos.Line-1])
 	if i := strings.IndexByte(line, '#'); i >= 0 {
 		line = strings.TrimSpace(line[:i])
 	}

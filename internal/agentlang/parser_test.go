@@ -2,9 +2,12 @@ package agentlang
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/testutil"
 	"repro/internal/value"
 )
 
@@ -330,5 +333,105 @@ func TestNestingBound(t *testing.T) {
 	}
 	if _, err := ParseExpression("1" + rep(" + 1", 1<<20)); err == nil {
 		t.Error("ParseExpression accepted a sum of 1 M terms")
+	}
+}
+
+// longProgram is an n-statement, n+2-line program.
+func longProgram(n int) string {
+	var b strings.Builder
+	b.WriteString("proc main() {\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "    total = total + %d # step\n", i)
+	}
+	b.WriteString("}\n")
+	return b.String()
+}
+
+// itineraryProgram has the shape of the repository benchmark's agent:
+// a five-host route, a work() procedure with two loops.
+const itineraryProgram = `proc main() {
+    work()
+    migrate("w01", "step")
+}
+proc step() {
+    work()
+    let at = here()
+    if at == "w01" { migrate("w02", "step") }
+    if at == "w02" { migrate("w03", "step") }
+    if at == "w03" { migrate("w04", "step") }
+    if at == "w04" { migrate("w05", "step") }
+    if at == "w05" { migrate("home", "fin") }
+    done()
+}
+proc fin() {
+    work()
+    done()
+}
+proc work() {
+    total = total + 1
+    hops = hops + 1
+    let i = 0
+    while i < 1 {
+        got = append(got, read("elem"))
+        i = i + 1
+    }
+    let c = 0
+    while c < 1 {
+        let s = 0
+        let j = 0
+        while j < 1000 {
+            s = s + j
+            j = j + 1
+        }
+        sum = s
+        c = c + 1
+    }
+}
+`
+
+// TestParseAllocationLinear: what Parse allocates grows with the source,
+// not with its square. Every arrival parses the agent's code — and so
+// does every checker that re-executes it — and any peer chooses that
+// code. Splitting the whole source once per statement made a 4000-line
+// program cost hundreds of megabytes.
+func TestParseAllocationLinear(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation bounds are not meaningful under the race detector")
+	}
+	for _, n := range []int{500, 4000} {
+		src := longProgram(n)
+		if _, err := Parse(src); err != nil {
+			t.Fatal(err)
+		}
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			_, _ = Parse(src)
+		}
+		runtime.ReadMemStats(&after)
+		perParse := (after.TotalAlloc - before.TotalAlloc) / runs
+		t.Logf("%d statements: %d bytes allocated per parse of %d source bytes", n, perParse, len(src))
+		if limit := uint64(64 * len(src)); perParse > limit {
+			t.Errorf("%d statements (%d bytes): Parse allocates %d bytes, want <= %d", n, len(src), perParse, limit)
+		}
+	}
+}
+
+// BenchmarkParse parses the benchmark-shaped agent and a 4000-statement
+// program.
+func BenchmarkParse(b *testing.B) {
+	for _, c := range []struct{ name, src string }{
+		{"itinerary", itineraryProgram},
+		{"4000-statements", longProgram(4000)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Parse(c.src); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -20,9 +20,7 @@
 package appraisal
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 
 	"repro/internal/agent"
@@ -109,6 +107,65 @@ type wireRules struct {
 	Sig     sigcrypto.Signature
 }
 
+// Rule baggage wire layout (canon.Tuple framing), every field bounded
+// and the whole checked before anything is parsed:
+//
+//	rules := Tuple(rulesWireLabel, sigSigner, sigBytes,
+//	               name, source, name, source, ...)
+const (
+	rulesWireLabel    = "appraisal-rules-wire"
+	maxRulesWireBytes = 1 << 20
+	maxRules          = 256
+	maxRuleSourceLen  = 64 << 10
+)
+
+// encodeRules renders w, refusing what decodeRules would reject.
+func encodeRules(w *wireRules) ([]byte, error) {
+	if len(w.Names) != len(w.Sources) || len(w.Names) > maxRules {
+		return nil, fmt.Errorf("appraisal: rule set over bound: %w", canon.ErrMalformed)
+	}
+	fields, err := w.Sig.AppendWire(make([][]byte, 0, 2+2*len(w.Names)))
+	if err != nil {
+		return nil, fmt.Errorf("appraisal: %w", err)
+	}
+	for i := range w.Names {
+		if len(w.Names[i]) > canon.MaxNameLen || len(w.Sources[i]) > maxRuleSourceLen {
+			return nil, fmt.Errorf("appraisal: rule %q over bound: %w", w.Names[i], canon.ErrMalformed)
+		}
+		fields = append(fields, []byte(w.Names[i]), []byte(w.Sources[i]))
+	}
+	out, err := canon.List(rulesWireLabel, maxRulesWireBytes, 2+2*maxRules, fields)
+	if err != nil {
+		return nil, fmt.Errorf("appraisal: rule set: %w", err)
+	}
+	return out, nil
+}
+
+// decodeRules parses rule baggage; every rejection wraps
+// canon.ErrMalformed.
+func decodeRules(data []byte) (wireRules, error) {
+	var w wireRules
+	s, err := canon.ScanList(data, rulesWireLabel, maxRulesWireBytes, 2+2*maxRules)
+	if err != nil {
+		return w, err
+	}
+	if s.Len() < 2 || s.Len()%2 != 0 {
+		return w, fmt.Errorf("%w: rule set has %d fields", canon.ErrMalformed, s.Len())
+	}
+	sigcrypto.ScanSignature(&s, &w.Sig)
+	if n := s.Len() / 2; n > 0 {
+		w.Names, w.Sources = make([]string, 0, n), make([]string, 0, n)
+	}
+	for s.Len() > 0 {
+		w.Names = append(w.Names, string(s.Field(canon.MaxNameLen)))
+		w.Sources = append(w.Sources, string(s.Field(maxRuleSourceLen)))
+	}
+	if err := s.End(); err != nil {
+		return wireRules{}, err
+	}
+	return w, nil
+}
+
 func rulesDigest(agentID string, names, sources []string) canon.Digest {
 	fields := [][]byte{[]byte("appraisal-rules"), []byte(agentID)}
 	for i := range names {
@@ -126,11 +183,11 @@ func Attach(ag *agent.Agent, rules RuleSet, owner *sigcrypto.KeyPair) error {
 		w.Sources = append(w.Sources, r.Source())
 	}
 	w.Sig = owner.SignDigest(rulesDigest(ag.ID, w.Names, w.Sources))
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
-		return fmt.Errorf("appraisal: encoding rules: %w", err)
+	enc, err := encodeRules(&w)
+	if err != nil {
+		return err
 	}
-	ag.SetBaggage(MechanismName, buf.Bytes())
+	ag.SetBaggage(MechanismName, enc)
 	return nil
 }
 
@@ -259,12 +316,9 @@ func (m *Mechanism) loadRules(hc *core.HostContext, ag *agent.Agent, st value.St
 	if !present {
 		return false, []string{"rule baggage missing (stripped or never attached)"}, nil
 	}
-	var w wireRules
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
+	w, err := decodeRules(data)
+	if err != nil {
 		return false, []string{fmt.Sprintf("malformed rule baggage: %v", err)}, nil
-	}
-	if len(w.Names) != len(w.Sources) {
-		return false, []string{"malformed rule baggage: name/source count mismatch"}, nil
 	}
 	d := rulesDigest(ag.ID, w.Names, w.Sources)
 	if err := hc.Host.Registry().VerifyDigest(d, w.Sig); err != nil {

@@ -1,9 +1,7 @@
 package appraisal_test
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"strings"
 	"testing"
@@ -319,11 +317,11 @@ func TestRepeatDamageAttribution(t *testing.T) {
 		ag.Route = []string{"witness", "mallory"}
 		ag.Hop = 2
 		if forged != nil {
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(forged); err != nil {
+			enc, err := core.EncodeVerdicts(forged)
+			if err != nil {
 				t.Fatal(err)
 			}
-			ag.SetBaggage("core/verdicts", buf.Bytes())
+			ag.SetBaggage("core/verdicts", enc)
 		}
 		return ag
 	}

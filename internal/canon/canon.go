@@ -179,47 +179,201 @@ func AppendTuple(dst []byte, fields ...[]byte) []byte {
 	return dst
 }
 
+// ExtendTuple appends to dst a copy of tuple — a framed tuple that
+// ScanTuple accepts — with fields added at its end and its field count
+// raised to match. It lets a codec append a record to an encoded list
+// without re-encoding (or decoding) the records already there.
+func ExtendTuple(dst, tuple []byte, fields ...[]byte) []byte {
+	at := len(dst)
+	dst = append(dst, tuple...)
+	n := binary.BigEndian.Uint32(dst[at+2:])
+	binary.BigEndian.PutUint32(dst[at+2:], guardLen("tuple", int(n)+len(fields)))
+	for _, f := range fields {
+		dst = binary.BigEndian.AppendUint32(dst, guardLen("tuple field", len(f)))
+		dst = append(dst, f...)
+	}
+	return dst
+}
+
 // ParseTuple splits a framed tuple produced by Tuple/AppendTuple back
 // into its fields. The returned sub-slices alias b.
 func ParseTuple(b []byte) ([][]byte, error) {
-	d := &decoder{buf: b}
-	v, err := d.byte()
+	s, err := ScanTuple(b)
 	if err != nil {
 		return nil, err
 	}
-	if v != version {
-		return nil, fmt.Errorf("%w: unsupported version 0x%02x", ErrMalformed, v)
+	fields := make([][]byte, 0, s.Len())
+	for s.Len() > 0 {
+		fields = append(fields, s.Field(maxLen))
 	}
-	tag, err := d.byte()
-	if err != nil {
+	if err := s.End(); err != nil {
 		return nil, err
-	}
-	if tag != tagTuple {
-		return nil, fmt.Errorf("%w: expected tuple tag, got 0x%02x", ErrMalformed, tag)
-	}
-	n, err := d.uint32()
-	if err != nil {
-		return nil, err
-	}
-	if n > maxLen {
-		return nil, ErrMalformed
-	}
-	fields := make([][]byte, 0, min(int(n), 1024))
-	for i := 0; i < int(n); i++ {
-		ln, err := d.uint32()
-		if err != nil {
-			return nil, err
-		}
-		f, err := d.bytes(int(ln))
-		if err != nil {
-			return nil, err
-		}
-		fields = append(fields, f)
-	}
-	if d.off != len(b) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrMalformed, len(b)-d.off)
 	}
 	return fields, nil
+}
+
+// tupleHeaderLen is the framing before a tuple's first field: version,
+// tag, and the 4-byte field count.
+const tupleHeaderLen = 1 + 1 + 4
+
+// TupleScanner reads a framed tuple's fields in order, in place: every
+// field aliases the input and nothing is allocated, so a codec can
+// validate a record — or step over it — without materialising it.
+// Errors are sticky: after the first bad field every read returns the
+// zero value, and End reports the error.
+type TupleScanner struct {
+	d    decoder
+	left int
+	err  error
+}
+
+// ScanTuple checks b's tuple header and returns a scanner over its
+// fields. A declared field count the remaining bytes cannot hold (each
+// field costs at least its 4-byte length prefix) is refused here, so
+// Len bounds what a caller may allocate by the input's own length.
+// Every rejection wraps ErrMalformed.
+func ScanTuple(b []byte) (TupleScanner, error) {
+	if len(b) < tupleHeaderLen {
+		return TupleScanner{}, fmt.Errorf("%w: truncated tuple header", ErrMalformed)
+	}
+	if b[0] != version {
+		return TupleScanner{}, fmt.Errorf("%w: unsupported version 0x%02x", ErrMalformed, b[0])
+	}
+	if b[1] != tagTuple {
+		return TupleScanner{}, fmt.Errorf("%w: expected tuple tag, got 0x%02x", ErrMalformed, b[1])
+	}
+	n := binary.BigEndian.Uint32(b[2:])
+	if n > maxLen || int(n) > (len(b)-tupleHeaderLen)/4 {
+		return TupleScanner{}, fmt.Errorf("%w: %d fields declared in %d bytes", ErrMalformed, n, len(b))
+	}
+	return TupleScanner{d: decoder{buf: b, off: tupleHeaderLen}, left: int(n)}, nil
+}
+
+// MaxNameLen bounds a name field in the record codecs built on
+// ScanList: an agent ID, a host or signer, a mechanism or procedure.
+// Real names are tens of bytes.
+const MaxNameLen = 1024
+
+// List encodes a bounded record list, the form ScanList reads: label,
+// then one field per record. It refuses what ScanList with the same
+// bounds would: more than maxRecords records, or over maxBytes bytes.
+func List(label string, maxBytes, maxRecords int, records [][]byte) ([]byte, error) {
+	if len(records) > maxRecords {
+		return nil, fmt.Errorf("%w: %d records over %d", ErrMalformed, len(records), maxRecords)
+	}
+	fields := make([][]byte, 0, 1+len(records))
+	fields = append(fields, []byte(label))
+	out := Tuple(append(fields, records...)...)
+	if len(out) > maxBytes {
+		return nil, fmt.Errorf("%w: %d bytes over %d", ErrMalformed, len(out), maxBytes)
+	}
+	return out, nil
+}
+
+// ScanList opens a bounded record list: a tuple of at most maxBytes
+// bytes whose first field is label, followed by at most maxRecords
+// fields. The byte bound is checked before anything is parsed. The
+// scanner returned is positioned after the label; its Len is the record
+// count.
+func ScanList(data []byte, label string, maxBytes, maxRecords int) (TupleScanner, error) {
+	if len(data) > maxBytes {
+		return TupleScanner{}, fmt.Errorf("%w: %d bytes over %d", ErrMalformed, len(data), maxBytes)
+	}
+	s, err := ScanTuple(data)
+	if err != nil {
+		return s, err
+	}
+	if s.Len() == 0 || string(s.Field(len(label))) != label {
+		return TupleScanner{}, fmt.Errorf("%w: missing %q label", ErrMalformed, label)
+	}
+	if s.Len() > maxRecords {
+		return TupleScanner{}, fmt.Errorf("%w: %d records over %d", ErrMalformed, s.Len(), maxRecords)
+	}
+	return s, nil
+}
+
+// Len returns the number of fields not yet read.
+func (s *TupleScanner) Len() int { return s.left }
+
+// fail records the scanner's first error.
+func (s *TupleScanner) fail(err error) {
+	if s.err == nil {
+		s.err = err
+	}
+	s.left = 0
+}
+
+// Field returns the next field, which must hold at most max bytes.
+func (s *TupleScanner) Field(max int) []byte {
+	if s.err != nil {
+		return nil
+	}
+	if s.left == 0 {
+		s.fail(fmt.Errorf("%w: tuple has fewer fields than read", ErrMalformed))
+		return nil
+	}
+	n, err := s.d.uint32()
+	if err != nil {
+		s.fail(fmt.Errorf("%w: %w", ErrMalformed, err))
+		return nil
+	}
+	if int64(n) > int64(max) {
+		s.fail(fmt.Errorf("%w: %d-byte field over its bound of %d", ErrMalformed, n, max))
+		return nil
+	}
+	f, err := s.d.bytes(int(n))
+	if err != nil {
+		s.fail(fmt.Errorf("%w: %w", ErrMalformed, err))
+		return nil
+	}
+	s.left--
+	return f
+}
+
+// fixed returns the next field, which must hold exactly n bytes.
+func (s *TupleScanner) fixed(n int) []byte {
+	f := s.Field(n)
+	if s.err == nil && len(f) != n {
+		s.fail(fmt.Errorf("%w: %d-byte field, want %d", ErrMalformed, len(f), n))
+		return nil
+	}
+	return f
+}
+
+// Uint64 reads an 8-byte big-endian integer field.
+func (s *TupleScanner) Uint64() uint64 {
+	if f := s.fixed(8); f != nil {
+		return binary.BigEndian.Uint64(f)
+	}
+	return 0
+}
+
+// Digest reads a digest-length field.
+func (s *TupleScanner) Digest() Digest {
+	if f := s.fixed(len(Digest{})); f != nil {
+		return Digest(f)
+	}
+	return Digest{}
+}
+
+// End returns the scanner's first error, or an error unless every
+// field has been read and nothing trails the tuple.
+func (s *TupleScanner) End() error {
+	switch {
+	case s.err != nil:
+		return s.err
+	case s.left != 0:
+		return fmt.Errorf("%w: %d fields left unread", ErrMalformed, s.left)
+	case s.d.off != len(s.d.buf):
+		return fmt.Errorf("%w: %d trailing bytes", ErrMalformed, len(s.d.buf)-s.d.off)
+	}
+	return nil
+}
+
+// Uint64Field returns v as the 8-byte big-endian field the tuple codecs
+// carry integers in (TupleScanner.Uint64 reads it back).
+func Uint64Field(v uint64) []byte {
+	return binary.BigEndian.AppendUint64(make([]byte, 0, 8), v)
 }
 
 // Digest is a SHA-256 digest of a canonical encoding.

@@ -929,9 +929,10 @@ func (n *Node) process(ctx context.Context, ag *agent.Agent) error {
 }
 
 // recordVerdict stamps the verdict (AgentID, Checker, signature),
-// appends it to the agent's travelling record, notifies the local
-// sink, and returns the stamped copy — the one every downstream
-// consumer (policy, owner notices) must see.
+// cuts it to what the verdict codec carries (boundVerdict), appends it
+// to the agent's travelling record, notifies the local sink, and
+// returns the stamped copy — the one every downstream consumer
+// (policy, owner notices) must see.
 func (n *Node) recordVerdict(ag *agent.Agent, v Verdict) Verdict {
 	if v.AgentID == "" {
 		v.AgentID = ag.ID
@@ -940,33 +941,14 @@ func (n *Node) recordVerdict(ag *agent.Agent, v Verdict) Verdict {
 	// verifiable voucher (Checker == this host) or later hosts will
 	// refuse to trust it.
 	v.Checker = n.cfg.Host.Name()
+	boundVerdict(&v)
 	v.Sign(n.cfg.Host.Keys())
 	if n.cfg.OnVerdict != nil {
 		n.cfg.OnVerdict(v)
 	}
 	n.publishVerdict(v)
-	existing, _ := ag.GetBaggage(verdictBaggageKey)
-	vs, err := decodeVerdicts(existing)
-	if err != nil {
-		vs = nil // corrupted verdict baggage: start fresh, keep the new one
-	}
-	vs = append(vs, v)
-	enc, err := encodeVerdicts(vs)
-	if err == nil {
-		ag.SetBaggage(verdictBaggageKey, enc)
-	}
+	appendAgentVerdict(ag, &v)
 	return v
-}
-
-// AgentVerdicts extracts the verdicts accumulated in an agent's
-// baggage.
-func AgentVerdicts(ag *agent.Agent) []Verdict {
-	data, _ := ag.GetBaggage(verdictBaggageKey)
-	vs, err := decodeVerdicts(data)
-	if err != nil {
-		return nil
-	}
-	return vs
 }
 
 // decide routes one verdict through the node's policy and applies the

@@ -1,0 +1,74 @@
+package doccheck
+
+import (
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// gobImporters are the only non-test files that may import
+// encoding/gob: the operator built-ins' request and reply bodies, the
+// trace wire form, and the TCP transport's streams. Everything an agent
+// carries from host to host — the verdict list, wholesig's signature,
+// appraisal's rules, the vigna and proof chains — and every mechanism
+// call body is a bounded canon.Tuple codec, and must stay one: a gob
+// decoder sizes its allocations from the message it is decoding.
+var gobImporters = map[string]bool{
+	"internal/core/admission.go": true,
+	"internal/core/node.go":      true,
+	"internal/core/observe.go":   true,
+	"internal/trace/trace.go":    true,
+	"internal/transport/tcp.go":  true,
+}
+
+// TestGobStaysOffBaggagePaths fails on any non-test Go file outside
+// benchmark/ that imports encoding/gob without being on gobImporters,
+// and on an entry of gobImporters that no longer imports it (shorten
+// the list when a file moves to canon).
+func TestGobStaysOffBaggagePaths(t *testing.T) {
+	root := "../.."
+	skip := map[string]bool{"benchmark": true, ".bench_build": true, ".git": true}
+	seen := map[string]bool{}
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		rel = filepath.ToSlash(rel)
+		if d.IsDir() {
+			if skip[rel] {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range file.Imports {
+			if pkg, _ := strconv.Unquote(imp.Path.Value); pkg != "encoding/gob" {
+				continue
+			}
+			seen[rel] = true
+			if !gobImporters[rel] {
+				t.Errorf("%s imports encoding/gob: carry its bytes in a bounded canon.Tuple codec (policy/wire.go, core/verdict.go)", rel)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rel := range gobImporters {
+		if !seen[rel] {
+			t.Errorf("%s is on the gob allowlist but no longer imports encoding/gob: drop it from gobImporters", rel)
+		}
+	}
+}

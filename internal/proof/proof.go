@@ -26,10 +26,9 @@
 package proof
 
 import (
-	"bytes"
 	"context"
 	"crypto/rand"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 	"math/big"
 	"sync"
@@ -152,13 +151,7 @@ func (m *Mechanism) PrepareDeparture(_ context.Context, hc *core.HostContext, ag
 	if err != nil {
 		return fmt.Errorf("proof: reading chain: %w", err)
 	}
-	chain = append(chain, c)
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(chain); err != nil {
-		return fmt.Errorf("proof: encoding chain: %w", err)
-	}
-	ag.SetBaggage(MechanismName, buf.Bytes())
-	return nil
+	return AttachChain(ag, append(chain, c))
 }
 
 // HandleCall answers "open" requests with Merkle openings.
@@ -166,8 +159,8 @@ func (m *Mechanism) HandleCall(_ context.Context, hc *core.HostContext, method s
 	if method != "open" {
 		return nil, fmt.Errorf("%w: proof/%s", transport.ErrUnknownMethod, method)
 	}
-	var req OpenRequest
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+	req, err := decodeOpen(body)
+	if err != nil {
 		return nil, fmt.Errorf("proof: malformed open request: %w", err)
 	}
 	m.mu.Lock()
@@ -187,57 +180,241 @@ func (m *Mechanism) HandleCall(_ context.Context, hc *core.HostContext, method s
 		}
 		openings = append(openings, Opening{Index: i, Entry: sp.trace.Entries[i], Path: path})
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(wireOpenings{Openings: toWireOpenings(openings)}); err != nil {
-		return nil, fmt.Errorf("proof: encoding openings: %w", err)
+	return encodeOpenings(openings)
+}
+
+// Wire layouts (canon.Tuple framing). Every host on the route writes
+// the chain, and open requests and their replies cross the network, so
+// each decoder checks the total size and the record count before
+// parsing and every field against its bound; the encoders refuse
+// whatever the decoders reject. Index lists and opening paths travel
+// packed: 8-byte big-endian indices, 32-byte siblings.
+//
+//	chain      := Tuple(chainLabel, commitment, commitment, ...)
+//	commitment := Tuple(host, hop8, entry, root32, n8, stateHash32,
+//	                    sigSigner, sigBytes)
+//	open       := Tuple(openLabel, agentID, hop8, indices)
+//	openings   := Tuple(openingsLabel, opening, opening, ...)
+//	opening    := Tuple(index8, entryEnc, siblings)
+//
+// An opened trace entry travels as a single-entry trace.Marshal
+// encoding, the trace package's wire form.
+const (
+	chainLabel    = "proof-chain"
+	openLabel     = "proof-open"
+	openingsLabel = "proof-openings"
+
+	maxChainBytes = 4 << 20
+	maxChainLen   = 4096
+	// maxOpenings bounds the positions one request may open; a full
+	// recheck opens every entry of a session's trace.
+	maxOpenings = 1 << 20
+	// maxOpenBytes is the largest request the field bounds allow.
+	maxOpenBytes     = 6 + 4*4 + len(openLabel) + canon.MaxNameLen + 8 + 8*maxOpenings
+	maxOpeningsBytes = 128 << 20
+	maxEntryEncLen   = 4 << 20
+	// maxPathLen bounds an opening path: a tree over 2^64 leaves.
+	maxPathLen = 64
+)
+
+// commitmentFields and openingFields are the records' wire arities.
+const (
+	commitmentFields = 8
+	openingFields    = 3
+)
+
+// encodeChain renders a commitment chain, refusing what decodeChain
+// would reject.
+func encodeChain(chain []Commitment) ([]byte, error) {
+	if len(chain) > maxChainLen {
+		return nil, fmt.Errorf("proof: %d commitments over %d: %w", len(chain), maxChainLen, canon.ErrMalformed)
 	}
-	return buf.Bytes(), nil
-}
-
-// wire forms: trace entries reuse the trace package's canonical value
-// encoding via a single-entry Trace.
-type wireOpenings struct {
-	Openings []wireOpening
-}
-
-type wireOpening struct {
-	Index    int
-	EntryEnc []byte
-	Path     []PathElem
-}
-
-func toWireOpenings(os []Opening) []wireOpening {
-	out := make([]wireOpening, len(os))
-	for i, o := range os {
-		enc, err := (trace.Trace{Entries: []trace.Entry{o.Entry}}).Marshal()
+	recs := make([][]byte, len(chain))
+	for i := range chain {
+		c := &chain[i]
+		if len(c.Host) > canon.MaxNameLen || len(c.Entry) > canon.MaxNameLen {
+			return nil, fmt.Errorf("proof: commitment %d name over bound: %w", i, canon.ErrMalformed)
+		}
+		fields, err := c.Sig.AppendWire([][]byte{
+			[]byte(c.Host),
+			canon.Uint64Field(uint64(c.Hop)),
+			[]byte(c.Entry),
+			c.Root[:],
+			canon.Uint64Field(uint64(c.N)),
+			c.StateHash[:],
+		})
 		if err != nil {
-			enc = nil // undecodable on the far side; verification fails, which is correct
+			return nil, fmt.Errorf("proof: commitment %d: %w", i, err)
 		}
-		out[i] = wireOpening{Index: o.Index, EntryEnc: enc, Path: o.Path}
+		recs[i] = canon.Tuple(fields...)
 	}
-	return out
-}
-
-func fromWireOpenings(ws []wireOpening) ([]Opening, error) {
-	out := make([]Opening, len(ws))
-	for i, w := range ws {
-		tr, err := trace.Unmarshal(w.EntryEnc)
-		if err != nil || tr.Len() != 1 {
-			return nil, fmt.Errorf("proof: opening %d malformed", i)
-		}
-		out[i] = Opening{Index: w.Index, Entry: tr.Entries[0], Path: w.Path}
+	out, err := canon.List(chainLabel, maxChainBytes, maxChainLen, recs)
+	if err != nil {
+		return nil, fmt.Errorf("proof: chain: %w", err)
 	}
 	return out, nil
+}
+
+// decodeChain parses a commitment chain; every rejection wraps
+// canon.ErrMalformed.
+func decodeChain(data []byte) ([]Commitment, error) {
+	s, err := canon.ScanList(data, chainLabel, maxChainBytes, maxChainLen)
+	if err != nil {
+		return nil, err
+	}
+	var chain []Commitment
+	if s.Len() > 0 {
+		chain = make([]Commitment, 0, s.Len())
+	}
+	for s.Len() > 0 {
+		r, err := canon.ScanTuple(s.Field(maxChainBytes))
+		if err != nil {
+			return nil, err
+		}
+		if r.Len() != commitmentFields {
+			return nil, fmt.Errorf("%w: commitment has %d fields", canon.ErrMalformed, r.Len())
+		}
+		c := Commitment{
+			Host:      string(r.Field(canon.MaxNameLen)),
+			Hop:       int(r.Uint64()),
+			Entry:     string(r.Field(canon.MaxNameLen)),
+			Root:      r.Digest(),
+			N:         int(r.Uint64()),
+			StateHash: r.Digest(),
+		}
+		sigcrypto.ScanSignature(&r, &c.Sig)
+		if err := r.End(); err != nil {
+			return nil, err
+		}
+		chain = append(chain, c)
+	}
+	if err := s.End(); err != nil {
+		return nil, err
+	}
+	return chain, nil
+}
+
+// encodeOpen renders an open request, refusing what decodeOpen would
+// reject.
+func encodeOpen(req OpenRequest) ([]byte, error) {
+	if len(req.AgentID) > canon.MaxNameLen || len(req.Indices) > maxOpenings {
+		return nil, fmt.Errorf("proof: open request over bound: %w", canon.ErrMalformed)
+	}
+	indices := make([]byte, 0, 8*len(req.Indices))
+	for _, i := range req.Indices {
+		indices = binary.BigEndian.AppendUint64(indices, uint64(i))
+	}
+	return canon.Tuple([]byte(openLabel), []byte(req.AgentID), canon.Uint64Field(uint64(req.Hop)), indices), nil
+}
+
+// decodeOpen parses an open request; every rejection wraps
+// canon.ErrMalformed.
+func decodeOpen(data []byte) (OpenRequest, error) {
+	s, err := canon.ScanList(data, openLabel, maxOpenBytes, 3)
+	if err != nil {
+		return OpenRequest{}, err
+	}
+	req := OpenRequest{AgentID: string(s.Field(canon.MaxNameLen)), Hop: int(s.Uint64())}
+	packed := s.Field(8 * maxOpenings)
+	if err := s.End(); err != nil {
+		return OpenRequest{}, err
+	}
+	if len(packed)%8 != 0 {
+		return OpenRequest{}, fmt.Errorf("%w: %d-byte index list", canon.ErrMalformed, len(packed))
+	}
+	if len(packed) > 0 {
+		req.Indices = make([]int, len(packed)/8)
+		for i := range req.Indices {
+			req.Indices[i] = int(binary.BigEndian.Uint64(packed[8*i:]))
+		}
+	}
+	return req, nil
+}
+
+// encodeOpenings renders a reply to an open request, refusing what
+// decodeOpenings would reject.
+func encodeOpenings(openings []Opening) ([]byte, error) {
+	if len(openings) > maxOpenings {
+		return nil, fmt.Errorf("proof: %d openings over %d: %w", len(openings), maxOpenings, canon.ErrMalformed)
+	}
+	recs := make([][]byte, 0, len(openings))
+	for _, o := range openings {
+		entry, err := (trace.Trace{Entries: []trace.Entry{o.Entry}}).Marshal()
+		if err != nil {
+			return nil, fmt.Errorf("proof: encoding opened entry %d: %w", o.Index, err)
+		}
+		if len(entry) > maxEntryEncLen || len(o.Path) > maxPathLen {
+			return nil, fmt.Errorf("proof: opening %d over bound: %w", o.Index, canon.ErrMalformed)
+		}
+		path := make([]byte, 0, len(o.Path)*len(canon.Digest{}))
+		for _, el := range o.Path {
+			path = append(path, el.Sibling[:]...)
+		}
+		recs = append(recs, canon.Tuple(canon.Uint64Field(uint64(o.Index)), entry, path))
+	}
+	out, err := canon.List(openingsLabel, maxOpeningsBytes, maxOpenings, recs)
+	if err != nil {
+		return nil, fmt.Errorf("proof: openings: %w", err)
+	}
+	return out, nil
+}
+
+// decodeOpenings parses a reply to an open request; every rejection,
+// an opened entry that is not a single-entry trace included, wraps
+// canon.ErrMalformed.
+func decodeOpenings(data []byte) ([]Opening, error) {
+	s, err := canon.ScanList(data, openingsLabel, maxOpeningsBytes, maxOpenings)
+	if err != nil {
+		return nil, err
+	}
+	var openings []Opening
+	if s.Len() > 0 {
+		openings = make([]Opening, 0, s.Len())
+	}
+	for i := 0; s.Len() > 0; i++ {
+		r, err := canon.ScanTuple(s.Field(maxOpeningsBytes))
+		if err != nil {
+			return nil, err
+		}
+		if r.Len() != openingFields {
+			return nil, fmt.Errorf("%w: opening has %d fields", canon.ErrMalformed, r.Len())
+		}
+		index := int(r.Uint64())
+		entry := r.Field(maxEntryEncLen)
+		path := r.Field(maxPathLen * len(canon.Digest{}))
+		if err := r.End(); err != nil {
+			return nil, err
+		}
+		if len(path)%len(canon.Digest{}) != 0 {
+			return nil, fmt.Errorf("%w: %d-byte opening path", canon.ErrMalformed, len(path))
+		}
+		tr, err := trace.Unmarshal(entry)
+		if err != nil || tr.Len() != 1 {
+			return nil, fmt.Errorf("%w: opening %d holds no single trace entry", canon.ErrMalformed, i)
+		}
+		o := Opening{Index: index, Entry: tr.Entries[0]}
+		if len(path) > 0 {
+			o.Path = make([]PathElem, len(path)/len(canon.Digest{}))
+			for j := range o.Path {
+				o.Path[j].Sibling = canon.Digest(path[j*len(canon.Digest{}):])
+			}
+		}
+		openings = append(openings, o)
+	}
+	if err := s.End(); err != nil {
+		return nil, err
+	}
+	return openings, nil
 }
 
 // AttachChain encodes a commitment chain into the agent's baggage,
 // replacing any existing one.
 func AttachChain(ag *agent.Agent, chain []Commitment) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(chain); err != nil {
-		return fmt.Errorf("proof: encoding chain: %w", err)
+	enc, err := encodeChain(chain)
+	if err != nil {
+		return err
 	}
-	ag.SetBaggage(MechanismName, buf.Bytes())
+	ag.SetBaggage(MechanismName, enc)
 	return nil
 }
 
@@ -247,8 +424,8 @@ func ChainFromAgent(ag *agent.Agent) ([]Commitment, error) {
 	if !ok {
 		return nil, nil
 	}
-	var chain []Commitment
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&chain); err != nil {
+	chain, err := decodeChain(data)
+	if err != nil {
 		return nil, fmt.Errorf("proof: decoding chain: %w", err)
 	}
 	return chain, nil
@@ -342,11 +519,11 @@ func Verify(ctx context.Context, cfg VerifyConfig, ag *agent.Agent) (*Report, er
 			}
 			indices = append(indices, idx)
 		}
-		reqBuf := &bytes.Buffer{}
-		if err := gob.NewEncoder(reqBuf).Encode(OpenRequest{AgentID: ag.ID, Hop: c.Hop, Indices: indices}); err != nil {
+		req, err := encodeOpen(OpenRequest{AgentID: ag.ID, Hop: c.Hop, Indices: indices})
+		if err != nil {
 			return nil, fmt.Errorf("proof: encoding request: %w", err)
 		}
-		resp, err := cfg.Net.Call(ctx, c.Host, MechanismName+"/open", reqBuf.Bytes())
+		resp, err := cfg.Net.Call(ctx, c.Host, MechanismName+"/open", req)
 		if err != nil {
 			return blame(c, fmt.Sprintf("host refused to open proof: %v", err)), nil
 		}
@@ -354,13 +531,9 @@ func Verify(ctx context.Context, cfg VerifyConfig, ag *agent.Agent) (*Report, er
 		// tolerant unwrap so a bare reply passes through unchanged and an
 		// honest host is never blamed for carrying baggage.
 		resp, _ = transport.OpenReply(resp)
-		var w wireOpenings
-		if err := gob.NewDecoder(bytes.NewReader(resp)).Decode(&w); err != nil {
-			return blame(c, fmt.Sprintf("malformed openings: %v", err)), nil
-		}
-		openings, err := fromWireOpenings(w.Openings)
+		openings, err := decodeOpenings(resp)
 		if err != nil {
-			return blame(c, err.Error()), nil
+			return blame(c, fmt.Sprintf("malformed openings: %v", err)), nil
 		}
 		if len(openings) != len(indices) {
 			return blame(c, fmt.Sprintf("asked for %d openings, got %d", len(indices), len(openings))), nil
@@ -400,11 +573,11 @@ func FullRecheck(ctx context.Context, cfg VerifyConfig, ag *agent.Agent) (*Repor
 		for i := range indices {
 			indices[i] = i
 		}
-		reqBuf := &bytes.Buffer{}
-		if err := gob.NewEncoder(reqBuf).Encode(OpenRequest{AgentID: ag.ID, Hop: c.Hop, Indices: indices}); err != nil {
+		req, err := encodeOpen(OpenRequest{AgentID: ag.ID, Hop: c.Hop, Indices: indices})
+		if err != nil {
 			return nil, err
 		}
-		resp, err := cfg.Net.Call(ctx, c.Host, MechanismName+"/open", reqBuf.Bytes())
+		resp, err := cfg.Net.Call(ctx, c.Host, MechanismName+"/open", req)
 		if err != nil {
 			rep.OK = false
 			rep.Suspect = c.Host
@@ -413,11 +586,7 @@ func FullRecheck(ctx context.Context, cfg VerifyConfig, ag *agent.Agent) (*Repor
 			return rep, nil
 		}
 		resp, _ = transport.OpenReply(resp)
-		var w wireOpenings
-		if err := gob.NewDecoder(bytes.NewReader(resp)).Decode(&w); err != nil {
-			return nil, err
-		}
-		openings, err := fromWireOpenings(w.Openings)
+		openings, err := decodeOpenings(resp)
 		if err != nil {
 			return nil, err
 		}

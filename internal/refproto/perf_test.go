@@ -105,6 +105,34 @@ func BenchmarkRefprotoHop(b *testing.B) {
 	}
 }
 
+// BenchmarkRefprotoRelayedHop is BenchmarkRefprotoHop for a session
+// that did not launch the agent, which is every untrusted session: its
+// initial state arrives dual-signed, as "resulting" by the host before
+// and as "initial" by the executing host, and the checker verifies both.
+func BenchmarkRefprotoRelayedHop(b *testing.B) {
+	bed := newHopBed(b, 20)
+	older, err := sigcrypto.GenerateKeyPair("older")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := bed.hcPrev.Host.Registry().RegisterKeyPair(older); err != nil {
+		b.Fatal(err)
+	}
+	d := bed.rec.InitialDigest()
+	relayed := handoff{Digest: d, Sigs: []sigcrypto.Signature{
+		signBinding(older, bed.ag, "resulting", bed.rec.Hop-1, d),
+		signBinding(bed.hcPrev.Host.Keys(), bed.ag, "initial", bed.rec.Hop, d),
+	}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bed.mPrev.mu.Lock()
+		bed.mPrev.pending[bed.ag.ID] = relayed
+		bed.mPrev.mu.Unlock()
+		bed.hop(b)
+	}
+}
+
 // TestRefprotoHopAllocs pins the hop's allocation ceiling so the
 // streaming pipeline cannot silently regress. The seed's gob-based hop
 // measured ~1700 allocs/op; the streaming pipeline runs at ~500. The

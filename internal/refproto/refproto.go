@@ -520,20 +520,35 @@ func (m *Mechanism) verifyHandoff(hc *core.HostContext, ag *agent.Agent, hop int
 	}
 	receiverSigned := false
 	for _, sig := range h.Sigs {
-		if err := verifyBinding(reg, ag, "initial", hop, h.Digest, sig); err != nil {
-			// The producer signed the same digest under the *previous*
-			// hop's "resulting" role; accept that binding as the
-			// producer signature.
-			if err2 := verifyBinding(reg, ag, "resulting", hop-1, h.Digest, sig); err2 != nil {
+		// The checked host countersigned the digest as its "initial"
+		// state; the producer signed the same digest as the *previous*
+		// hop's "resulting" state. Each signature is tried under its
+		// signer's binding first and the other one second, so the
+		// accepted set is that of trying both in either order.
+		receiver := sig.Signer == checkedHost
+		first, second := "resulting", "initial"
+		if receiver {
+			first, second = second, first
+		}
+		if err := verifyRole(reg, ag, first, hop, h.Digest, sig); err != nil {
+			if verifyRole(reg, ag, second, hop, h.Digest, sig) != nil {
 				return fmt.Errorf("signature by %q invalid under both bindings: %v", sig.Signer, err)
 			}
 		}
-		if sig.Signer == checkedHost {
-			receiverSigned = true
-		}
+		receiverSigned = receiverSigned || receiver
 	}
 	if !receiverSigned {
 		return fmt.Errorf("checked host %q did not countersign its initial state", checkedHost)
 	}
 	return nil
+}
+
+// verifyRole verifies a handoff signature over the checked session's
+// initial-state digest under one of its two bindings: "initial" at the
+// checked hop, or "resulting" at the hop before it.
+func verifyRole(reg *sigcrypto.Registry, ag *agent.Agent, role string, hop int, d canon.Digest, sig sigcrypto.Signature) error {
+	if role == "resulting" {
+		hop--
+	}
+	return verifyBinding(reg, ag, role, hop, d, sig)
 }

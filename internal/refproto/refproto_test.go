@@ -2,6 +2,7 @@ package refproto_test
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -163,6 +164,43 @@ func TestIncorrectExecutionDetected(t *testing.T) {
 	err := launch(t, bed)
 	if !errors.Is(err, core.ErrDetection) {
 		t.Fatalf("err = %v, want ErrDetection", err)
+	}
+}
+
+// TestOversizedDivergenceStaysOnRecord: the cheating host chooses the
+// state it signs, so it chooses how large the divergence evidence is.
+// Two thousand junk variables and a 300 KiB string must not keep its
+// detection out of the agent's travelling record.
+func TestOversizedDivergenceStaysOnRecord(t *testing.T) {
+	bed := buildBed(t, map[string]func(*host.Config){
+		"shop1": func(c *host.Config) {
+			c.Behavior = attack.StateMutation{Mutate: func(st value.State) {
+				for i := 0; i < 2000; i++ {
+					st[fmt.Sprintf("junk%04d", i)] = value.Int(int64(i))
+				}
+				st["bestShop"] = value.Str(strings.Repeat("x", 300<<10))
+			}}
+		},
+	}, nil)
+	if err := launch(t, bed); !errors.Is(err, core.ErrDetection) {
+		t.Fatalf("err = %v, want ErrDetection", err)
+	}
+	done, aborted := bed.Completed()
+	if len(done) != 1 || !aborted {
+		t.Fatalf("done=%d aborted=%v", len(done), aborted)
+	}
+	var failed []core.Verdict
+	for _, v := range core.AgentVerdicts(done[0]) {
+		if !v.OK {
+			failed = append(failed, v)
+		}
+	}
+	if len(failed) != 1 || failed[0].Suspect != "shop1" || failed[0].Checker != "shop2" {
+		t.Fatalf("failed verdicts carried by the agent: %v", failed)
+	}
+	ev := failed[0].Evidence
+	if len(ev) < 2 || !strings.HasSuffix(ev[len(ev)-1], "more lines") {
+		t.Fatalf("evidence of %d lines does not end in a count of the lines cut", len(ev))
 	}
 }
 

@@ -85,6 +85,40 @@ type Signature struct {
 	Sig    []byte
 }
 
+// MaxSigLen bounds a signature's bytes in the record codecs (Ed25519
+// signatures are 64 bytes; the slack admits another scheme without
+// unbounding the field).
+const MaxSigLen = 128
+
+// MaxWireLen is the most a signature adds to a canon tuple: its two
+// fields at their bounds, each with its 4-byte length prefix.
+const MaxWireLen = 4 + canon.MaxNameLen + 4 + MaxSigLen
+
+// AppendWire appends s to a record's tuple fields as two fields, the
+// signer and then the signature bytes, refusing a signature
+// ScanSignature would reject.
+func (s Signature) AppendWire(fields [][]byte) ([][]byte, error) {
+	if len(s.Signer) > canon.MaxNameLen || len(s.Sig) > MaxSigLen {
+		return nil, fmt.Errorf("sigcrypto: signature field over its wire bound: %w", canon.ErrMalformed)
+	}
+	return append(fields, []byte(s.Signer), s.Sig), nil
+}
+
+// ScanSignature reads the two fields AppendWire writes into sig; an
+// over-bound field fails the scanner. With sig nil the fields are only
+// checked, which allocates nothing. The signature bytes are copied out
+// of the input, and an empty signature reads back as nil.
+func ScanSignature(s *canon.TupleScanner, sig *Signature) {
+	signer, b := s.Field(canon.MaxNameLen), s.Field(MaxSigLen)
+	if sig == nil {
+		return
+	}
+	*sig = Signature{Signer: string(signer)}
+	if len(b) > 0 {
+		sig.Sig = append([]byte(nil), b...)
+	}
+}
+
 // Registry maps principal names to public keys. It simulates the PKI /
 // certificate infrastructure the paper assumes ("the mechanism uses
 // digital signatures ... to authenticate the data a host produces").

@@ -154,6 +154,13 @@ func Unmarshal(data []byte) (Trace, error) {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
 		return Trace{}, fmt.Errorf("trace: decoding: %w", err)
 	}
+	// The wire carries names and values as two lists; a peer can send
+	// them at different lengths.
+	for i, we := range w.Entries {
+		if len(we.Names) != len(we.ValsEnc) {
+			return Trace{}, fmt.Errorf("trace: decoding: entry %d has %d names for %d values", i, len(we.Names), len(we.ValsEnc))
+		}
+	}
 	return Trace{Entries: fromWire(w.Entries)}, nil
 }
 

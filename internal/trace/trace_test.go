@@ -1,10 +1,13 @@
 package trace
 
 import (
+	"bytes"
+	"encoding/gob"
 	"strings"
 	"testing"
 
 	"repro/internal/agentlang"
+	"repro/internal/canon"
 	"repro/internal/value"
 )
 
@@ -135,6 +138,25 @@ func TestMarshalRoundTrip(t *testing.T) {
 	}
 	if _, err := Unmarshal([]byte("junk")); err == nil {
 		t.Error("junk accepted")
+	}
+}
+
+// TestUnmarshalRefusesRaggedEntry: an entry whose name and value lists
+// differ in length is refused, not indexed out of range. A host decodes
+// peers' traces inside reference packages and proof openings, so the
+// panic took the decoding host down.
+func TestUnmarshalRefusesRaggedEntry(t *testing.T) {
+	for _, we := range []wireEntry{
+		{StmtID: 1, Names: []string{"x"}},
+		{StmtID: 1, ValsEnc: [][]byte{canon.EncodeValue(value.Int(1))}},
+	} {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(wireTrace{Entries: []wireEntry{we}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Unmarshal(buf.Bytes()); err == nil {
+			t.Errorf("entry with %d names and %d values accepted", len(we.Names), len(we.ValsEnc))
+		}
 	}
 }
 

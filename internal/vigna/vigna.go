@@ -25,9 +25,7 @@
 package vigna
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"strconv"
@@ -166,13 +164,7 @@ func (m *Mechanism) PrepareDeparture(_ context.Context, hc *core.HostContext, ag
 	if err != nil {
 		return fmt.Errorf("vigna: reading chain: %w", err)
 	}
-	chain = append(chain, c)
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(chain); err != nil {
-		return fmt.Errorf("vigna: encoding chain: %w", err)
-	}
-	ag.SetBaggage(MechanismName, buf.Bytes())
-	return nil
+	return AttachChain(ag, append(chain, c))
 }
 
 // CheckAfterSession verifies that the arrived state matches the chain
@@ -207,14 +199,14 @@ func (m *Mechanism) CheckAfterSession(_ context.Context, hc *core.HostContext, a
 	return nil, nil // silent unless something is off: checks happen on suspicion
 }
 
-// HandleCall serves audit fetches: method "fetch" with a gob-encoded
+// HandleCall serves audit fetches: method "fetch" with an encoded
 // FetchRequest returns the retained (trace, input) package.
 func (m *Mechanism) HandleCall(_ context.Context, hc *core.HostContext, method string, body []byte) ([]byte, error) {
 	if method != "fetch" {
 		return nil, fmt.Errorf("%w: vigna/%s", transport.ErrUnknownMethod, method)
 	}
-	var req FetchRequest
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+	req, err := decodeFetch(body)
+	if err != nil {
 		return nil, fmt.Errorf("vigna: malformed fetch request: %w", err)
 	}
 	enc, ok := m.store.Get(storeKey(req.AgentID, req.Hop))
@@ -230,14 +222,141 @@ type FetchRequest struct {
 	Hop     int
 }
 
+// Wire layouts (canon.Tuple framing). Every host on the route writes
+// the chain and any peer can send a fetch, so both decoders check the
+// total size and the record count before parsing and every field
+// against its bound; the encoders refuse whatever the decoders reject.
+//
+//	chain      := Tuple(chainLabel, commitment, commitment, ...)
+//	commitment := Tuple(host, hop8, entry, resultEntry, pkgHash32,
+//	                    stateHash32, sigSigner, sigBytes)
+//	fetch      := Tuple(fetchLabel, agentID, hop8)
+const (
+	chainLabel = "vigna-chain"
+	fetchLabel = "vigna-fetch"
+
+	maxChainBytes = 4 << 20
+	maxChainLen   = 4096
+	// maxFetchBytes is the largest fetch the field bounds allow.
+	maxFetchBytes = 6 + 3*4 + len(fetchLabel) + canon.MaxNameLen + 8
+)
+
+// commitmentFields is a commitment's arity on the wire.
+const commitmentFields = 8
+
+// encodeChain renders a commitment chain in its baggage form, refusing
+// what decodeChain would reject.
+func encodeChain(chain []Commitment) ([]byte, error) {
+	if len(chain) > maxChainLen {
+		return nil, fmt.Errorf("vigna: %d commitments over %d: %w", len(chain), maxChainLen, canon.ErrMalformed)
+	}
+	recs := make([][]byte, len(chain))
+	for i := range chain {
+		c := &chain[i]
+		if len(c.Host) > canon.MaxNameLen || len(c.Entry) > canon.MaxNameLen || len(c.ResultEntry) > canon.MaxNameLen {
+			return nil, fmt.Errorf("vigna: commitment %d name over bound: %w", i, canon.ErrMalformed)
+		}
+		fields, err := c.Sig.AppendWire([][]byte{
+			[]byte(c.Host),
+			canon.Uint64Field(uint64(c.Hop)),
+			[]byte(c.Entry),
+			[]byte(c.ResultEntry),
+			c.PkgHash[:],
+			c.StateHash[:],
+		})
+		if err != nil {
+			return nil, fmt.Errorf("vigna: commitment %d: %w", i, err)
+		}
+		recs[i] = canon.Tuple(fields...)
+	}
+	out, err := canon.List(chainLabel, maxChainBytes, maxChainLen, recs)
+	if err != nil {
+		return nil, fmt.Errorf("vigna: chain: %w", err)
+	}
+	return out, nil
+}
+
+// decodeChain parses a commitment chain; every rejection wraps
+// canon.ErrMalformed.
+func decodeChain(data []byte) ([]Commitment, error) {
+	s, err := canon.ScanList(data, chainLabel, maxChainBytes, maxChainLen)
+	if err != nil {
+		return nil, err
+	}
+	var chain []Commitment
+	if s.Len() > 0 {
+		chain = make([]Commitment, 0, s.Len())
+	}
+	for s.Len() > 0 {
+		r, err := canon.ScanTuple(s.Field(maxChainBytes))
+		if err != nil {
+			return nil, err
+		}
+		if r.Len() != commitmentFields {
+			return nil, fmt.Errorf("%w: commitment has %d fields", canon.ErrMalformed, r.Len())
+		}
+		c := Commitment{
+			Host:        string(r.Field(canon.MaxNameLen)),
+			Hop:         int(r.Uint64()),
+			Entry:       string(r.Field(canon.MaxNameLen)),
+			ResultEntry: string(r.Field(canon.MaxNameLen)),
+			PkgHash:     r.Digest(),
+			StateHash:   r.Digest(),
+		}
+		sigcrypto.ScanSignature(&r, &c.Sig)
+		if err := r.End(); err != nil {
+			return nil, err
+		}
+		chain = append(chain, c)
+	}
+	if err := s.End(); err != nil {
+		return nil, err
+	}
+	return chain, nil
+}
+
+// encodeFetch renders a fetch request, refusing what decodeFetch would
+// reject.
+func encodeFetch(req FetchRequest) ([]byte, error) {
+	if len(req.AgentID) > canon.MaxNameLen {
+		return nil, fmt.Errorf("vigna: agent ID over %d bytes: %w", canon.MaxNameLen, canon.ErrMalformed)
+	}
+	return canon.Tuple([]byte(fetchLabel), []byte(req.AgentID), canon.Uint64Field(uint64(req.Hop))), nil
+}
+
+// decodeFetch parses a fetch request; every rejection wraps
+// canon.ErrMalformed.
+func decodeFetch(data []byte) (FetchRequest, error) {
+	s, err := canon.ScanList(data, fetchLabel, maxFetchBytes, 2)
+	if err != nil {
+		return FetchRequest{}, err
+	}
+	req := FetchRequest{AgentID: string(s.Field(canon.MaxNameLen)), Hop: int(s.Uint64())}
+	if err := s.End(); err != nil {
+		return FetchRequest{}, err
+	}
+	return req, nil
+}
+
+// AttachChain encodes a commitment chain into the agent's baggage,
+// replacing any existing one.
+func AttachChain(ag *agent.Agent, chain []Commitment) error {
+	enc, err := encodeChain(chain)
+	if err != nil {
+		return err
+	}
+	ag.SetBaggage(MechanismName, enc)
+	return nil
+}
+
 // ChainFromAgent decodes the commitment chain from agent baggage.
 func ChainFromAgent(ag *agent.Agent) ([]Commitment, error) {
 	data, ok := ag.GetBaggage(MechanismName)
 	if !ok {
 		return nil, nil
 	}
-	var chain []Commitment
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&chain); err != nil {
+	chain, err := decodeChain(data)
+	if err != nil {
 		return nil, fmt.Errorf("vigna: decoding chain: %w", err)
 	}
 	return chain, nil
@@ -325,11 +444,11 @@ func Audit(ctx context.Context, cfg AuditConfig, ag *agent.Agent) (*Report, erro
 		// Fetch the retained trace+input and verify against the
 		// commitment ("computes a hash of the received trace and
 		// compares").
-		reqBuf := &bytes.Buffer{}
-		if err := gob.NewEncoder(reqBuf).Encode(FetchRequest{AgentID: ag.ID, Hop: c.Hop}); err != nil {
-			return nil, fmt.Errorf("vigna: encoding fetch: %w", err)
+		req, err := encodeFetch(FetchRequest{AgentID: ag.ID, Hop: c.Hop})
+		if err != nil {
+			return nil, err
 		}
-		resp, err := cfg.Net.Call(ctx, c.Host, MechanismName+"/fetch", reqBuf.Bytes())
+		resp, err := cfg.Net.Call(ctx, c.Host, MechanismName+"/fetch", req)
 		if err != nil {
 			return blame(c, fmt.Sprintf("host refused audit fetch: %v", err)), nil
 		}

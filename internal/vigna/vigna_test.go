@@ -1,9 +1,7 @@
 package vigna_test
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"strings"
 	"testing"
@@ -270,11 +268,9 @@ func TestAuditDetectsRefetchedTraceMismatch(t *testing.T) {
 func encodeChain(t *testing.T, ag *agent.Agent, chain []vigna.Commitment) *agent.Agent {
 	t.Helper()
 	cp := ag.Clone()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(chain); err != nil {
+	if err := vigna.AttachChain(cp, chain); err != nil {
 		t.Fatal(err)
 	}
-	cp.SetBaggage(vigna.MechanismName, buf.Bytes())
 	return cp
 }
 

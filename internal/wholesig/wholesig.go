@@ -13,9 +13,7 @@
 package wholesig
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"strings"
 
@@ -53,6 +51,42 @@ type payload struct {
 	Sig    sigcrypto.Signature
 }
 
+// Payload wire layout (canon.Tuple framing), every field bounded:
+//
+//	payload := Tuple(payloadLabel, digest32, sigSigner, sigBytes)
+const (
+	payloadLabel = "wholesig-payload"
+	// maxPayloadBytes is the largest payload the field bounds allow:
+	// tuple header, the label and digest fields with their length
+	// prefixes, then the signature.
+	maxPayloadBytes = 6 + 4 + len(payloadLabel) + 4 + len(canon.Digest{}) + sigcrypto.MaxWireLen
+)
+
+// encodePayload renders p, refusing what decodePayload would reject.
+func encodePayload(p payload) ([]byte, error) {
+	fields, err := p.Sig.AppendWire([][]byte{[]byte(payloadLabel), p.Digest[:]})
+	if err != nil {
+		return nil, fmt.Errorf("wholesig: %w", err)
+	}
+	return canon.Tuple(fields...), nil
+}
+
+// decodePayload parses a payload; every rejection wraps
+// canon.ErrMalformed.
+func decodePayload(data []byte) (payload, error) {
+	var p payload
+	s, err := canon.ScanList(data, payloadLabel, maxPayloadBytes, 3)
+	if err != nil {
+		return p, err
+	}
+	p.Digest = s.Digest()
+	sigcrypto.ScanSignature(&s, &p.Sig)
+	if err := s.End(); err != nil {
+		return payload{}, err
+	}
+	return p, nil
+}
+
 // agentDigest binds everything about the agent except this mechanism's
 // own baggage slot (which cannot cover itself).
 func agentDigest(ag *agent.Agent) canon.Digest {
@@ -86,11 +120,11 @@ func (m *Mechanism) PrepareDeparture(_ context.Context, hc *core.HostContext, ag
 	defer stop()
 	p := payload{Digest: agentDigest(ag)}
 	p.Sig = hc.Host.Keys().SignDigest(p.Digest)
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
-		return fmt.Errorf("wholesig: encoding: %w", err)
+	enc, err := encodePayload(p)
+	if err != nil {
+		return err
 	}
-	ag.SetBaggage(MechanismName, buf.Bytes())
+	ag.SetBaggage(MechanismName, enc)
 	return nil
 }
 
@@ -123,8 +157,8 @@ func (m *Mechanism) CheckAfterSession(_ context.Context, hc *core.HostContext, a
 		v.Reason = "agent arrived without whole-agent signature"
 		return v, nil
 	}
-	var p payload
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&p); err != nil {
+	p, err := decodePayload(data)
+	if err != nil {
 		v.OK = false
 		v.Suspect = prev
 		v.Reason = fmt.Sprintf("malformed signature baggage: %v", err)
