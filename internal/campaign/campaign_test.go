@@ -252,7 +252,7 @@ func TestCampaignChaosCI(t *testing.T) {
 			t.Errorf("%s: honest journeys quarantined: %d", cfg.Name, s.HonestQuarantines)
 		}
 		switch cfg.Name {
-		case "partition-heal", "restart-chaos", "flap", "planner-evasion", "aggregator-cut":
+		case "partition-heal", "restart-chaos", "flap", "planner-evasion", "aggregator-cut", "cap-rider":
 			if !s.Converged {
 				t.Errorf("%s: fleet never converged on the adversary", cfg.Name)
 			}

@@ -169,6 +169,28 @@ func ScenarioAggregatorCut() Config {
 	}
 }
 
+// ScenarioCapRider earns an above-cap record and then behaves: mallory
+// cheats on every step until its checker's first-hand suspicion has
+// passed the gossip merge cap (9.7 after fourteen offenses), then
+// stays honest for just over three half-lives. It pressures what the
+// fleet believes about its worst hosts while their checkers sign claims
+// above the cap, and how long that belief outlives the cheating.
+// Expected: every tampered journey detected, fleet-wide convergence,
+// the rider's later journeys completing once decay has forgiven it,
+// zero honest quarantines.
+func ScenarioCapRider() Config {
+	return Config{
+		Name:              "cap-rider",
+		Seed:              67,
+		Steps:             48,
+		Workers:           []string{"w1", "w2", "w3"},
+		Adversary:         "mallory",
+		AdversaryPosition: 1, // w2 checks
+		// Cheats on steps 4–17, honest on steps 18–48 (31 steps of 30 s).
+		Playbook: Playbook{CheatStart: 4, Period: 1000, Duty: 14},
+	}
+}
+
 // Scenarios returns the full campaign suite in report order.
 func Scenarios() []Config {
 	return []Config{
@@ -178,5 +200,6 @@ func Scenarios() []Config {
 		ScenarioRestartChaos(),
 		ScenarioPlannerEvasion(),
 		ScenarioAggregatorCut(),
+		ScenarioCapRider(),
 	}
 }

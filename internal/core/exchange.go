@@ -126,7 +126,8 @@ type ExchangeStats struct {
 	PeersSkipped int64
 	// EntriesSent counts extracts pushed to peers, EntriesReceived the
 	// delta entries peers returned, EntriesMerged the received entries
-	// that survived verification and were folded into the ledger.
+	// that would raise a ledger record, verified, and were folded in
+	// (an entry that would raise nothing is neither checked nor counted).
 	EntriesSent     int64
 	EntriesReceived int64
 	EntriesMerged   int64
@@ -142,13 +143,17 @@ type ExchangeStats struct {
 	Role string
 	// UrgentSent counts protocol replies this node wrapped with urgent
 	// quarantine-level extracts; UrgentMerged counts urgent entries
-	// received on replies that survived verification and merged.
+	// received on replies that were adopted: they would raise a ledger
+	// record, verified, and merged. Entries that would raise nothing are
+	// not checked and not counted.
 	UrgentSent   int64
 	UrgentMerged int64
 	// ExtractsSigned counts own ledger extracts this node signed;
 	// ExtractsReused those it reissued unchanged because the ledger
-	// record behind them had not been raised since they were signed
-	// (departures, exchange rounds and urgent baggage alike).
+	// record behind them had not been raised since they were signed and,
+	// above the gossip merge cap, no new grid cell (a 64th of the
+	// half-life) had begun (departures, exchange rounds and urgent
+	// baggage alike).
 	// VerifyMisses counts received entries whose signature this node
 	// checked; VerifyHits those it had already verified byte for byte
 	// and did not check again (an entry that could raise nothing here,

@@ -14,8 +14,8 @@ import (
 // hop — every signature checked, every extract signed, what each hop
 // cost before the memos; "warm" is the steady state of a node that has
 // seen these entries and whose ledger is not being raised (its records
-// sit at or below the merge cap: above it an extract is stamped and
-// signed on every departure whatever the memo holds).
+// sit at or below the merge cap; BenchmarkDepartureAboveCap covers the
+// records above it).
 func BenchmarkGossipHop(b *testing.B) {
 	ctx := context.Background()
 	observers := []string{"o0", "o1", "o2", "o3"}
@@ -61,4 +61,56 @@ func BenchmarkGossipHop(b *testing.B) {
 			hop()
 		}
 	})
+}
+
+// BenchmarkDepartureAboveCap is the departure stage of a node whose
+// ledger holds k records above the merge cap — every first-hand
+// observer of a cheater under sustained attack is in this state. Each
+// departing agent carries a full bag of maxGossipEntries entries from
+// four observers, which the node verifies once, and the node's clock
+// moves 10 ms per departure (100 departures a second, one grid cell
+// every 469). signs/op is own extracts signed per departure, about
+// k·10 ms/cell; re-stamping at every departure signed k. verifies/op is
+// signature checks per departure.
+func BenchmarkDepartureAboveCap(b *testing.B) {
+	ctx := context.Background()
+	observers := []string{"o0", "o1", "o2", "o3"}
+	for _, k := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			clock, now := testClock(time.Unix(4_000_000, 0))
+			nodes := newClockedBed(b, DefaultHalfLife, now, append(observers, "node")...)
+			node := nodes[len(nodes)-1]
+			var arriving []GossipEntry
+			for i, o := range nodes[:len(observers)] {
+				for j := 0; j < maxGossipEntries/len(observers); j++ {
+					arriving = append(arriving, signedBy(o.hc, fmt.Sprintf("suspect-%d", j), 1+float64(i+j), now()))
+				}
+			}
+			baggage, err := encodeEntries(arriving)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < k; i++ {
+				node.led.Observe(fmt.Sprintf("cheater-%d", i), false, 2*maxMergeSuspicion)
+			}
+			ag := mkGossipAgent(b)
+			depart := func() {
+				ag.SetBaggage(GossipMechanismName, baggage)
+				if err := node.g.PrepareDeparture(ctx, node.hc, ag, nil); err != nil {
+					b.Fatal(err)
+				}
+				*clock = clock.Add(10 * time.Millisecond)
+			}
+			depart()
+			signed, verified := node.g.extractsSigned.Load(), node.g.verifyMisses.Load()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				depart()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(node.g.extractsSigned.Load()-signed)/float64(b.N), "signs/op")
+			b.ReportMetric(float64(node.g.verifyMisses.Load()-verified)/float64(b.N), "verifies/op")
+		})
+	}
 }

@@ -1,12 +1,15 @@
 package policy
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,6 +44,10 @@ const (
 	memoGenSize = 512
 )
 
+// rowsPool recycles the ledger-row buffer a departure picks its own
+// extracts from.
+var rowsPool = sync.Pool{New: func() any { return new([]ledgerRow) }}
+
 // GossipEntry is one signed reputation observation: Observer vouches
 // that Host had the given suspicion at time At.
 type GossipEntry struct {
@@ -48,32 +55,33 @@ type GossipEntry struct {
 	Host      string
 	Suspicion float64
 	// AtUnixNano is the observation time; receivers decay from it. For
-	// an extract of the observer's own ledger it is when the record was
-	// last raised, or the moment of signing while the record is above
-	// the merge cap (see ownExtract); never later than that moment.
+	// an extract of the observer's own ledger, (Suspicion, AtUnixNano) is
+	// a point on the record's decay curve no later than the moment of
+	// signing: the point of its last raise, or, while that point is above
+	// the merge cap, the later of it and the start of the current grid
+	// cell (see ownExtract). Above the cap the claim therefore says "the
+	// record was at least Suspicion at AtUnixNano".
 	AtUnixNano int64
 	Sig        sigcrypto.Signature
 }
 
-// bindingDigest is what the entry signature covers.
+// bindingDigest is what the entry signature covers: the canon tuple
+// ("policy-gossip", observer, host, suspicion bits, time), streamed into
+// a pooled hasher so that checking a bundle allocates nothing per entry.
 func (e *GossipEntry) bindingDigest() canon.Digest {
-	var bits [8]byte
-	u := math.Float64bits(e.Suspicion)
-	for i := 0; i < 8; i++ {
-		bits[i] = byte(u >> (56 - 8*i))
-	}
-	var at [8]byte
-	v := uint64(e.AtUnixNano)
-	for i := 0; i < 8; i++ {
-		at[i] = byte(v >> (56 - 8*i))
-	}
-	return canon.HashTuple(
-		[]byte("policy-gossip"),
-		[]byte(e.Observer),
-		[]byte(e.Host),
-		bits[:],
-		at[:],
-	)
+	var bits, at [8]byte
+	binary.BigEndian.PutUint64(bits[:], math.Float64bits(e.Suspicion))
+	binary.BigEndian.PutUint64(at[:], uint64(e.AtUnixNano))
+	x := canon.AcquireHasher()
+	x.TupleHeader(5)
+	x.StringField("policy-gossip")
+	x.StringField(e.Observer)
+	x.StringField(e.Host)
+	x.StringField(string(bits[:]))
+	x.StringField(string(at[:]))
+	d := x.Sum()
+	canon.ReleaseHasher(x)
+	return d
 }
 
 // Gossip is a core.Mechanism that propagates ledger extracts in agent
@@ -96,10 +104,11 @@ type Gossip struct {
 	ledger *Ledger
 	now    func() time.Time
 
-	// own remembers, per subject host, the extract this node last signed
-	// at the ledger record's raise point; extracts reissues it until a
-	// raise moves the point. seen remembers which (binding digest,
-	// signature) pairs this node has verified; only successes go in.
+	// own remembers, per subject host, the extract this node last signed;
+	// extracts reissues it until a raise or, above the merge cap, the
+	// next grid cell moves the claim point. seen remembers which (binding
+	// digest, signature) pairs this node has verified; only successes go
+	// in.
 	// Both belong to this node alone — a memo shared through the registry
 	// or a package variable would let one node skip a check only another
 	// performed — and both start empty and unallocated. The counters
@@ -209,13 +218,13 @@ func (c *memo[K, V]) putLocked(k K, v V) {
 // path. Call before the node starts, like SetClock.
 func (m *Gossip) SetBatchVerify(on bool) { m.batchVerify = on }
 
-// SetClock replaces the clock that stamps exchange rounds and the
-// extracts of records above the merge cap (other extracts carry the
-// ledger's record times, on the ledger's clock — give both the same
-// one). Campaign harnesses running on virtual time call it once, right
-// after construction and before the node starts any exchange loop — the
-// loop captures the clock at start, so later calls do not reach an
-// already-running exchange.
+// SetClock replaces the clock that stamps exchange rounds and picks the
+// grid cell of extracts above the merge cap (extracts carry points of
+// the ledger's record curves, on the ledger's clock — give both the
+// same one). Campaign harnesses running on virtual time call it once,
+// right after construction and before the node starts any exchange
+// loop — the loop captures the clock at start, so later calls do not
+// reach an already-running exchange.
 func (m *Gossip) SetClock(now func() time.Time) {
 	if now != nil {
 		m.now = now
@@ -274,17 +283,25 @@ func seenKey(d canon.Digest, sig []byte) [sha256.Size]byte {
 	return sha256.Sum256(buf)
 }
 
-// mergeVerified filters entries exactly as arrival does — dropping
-// self-reports, entries echoing our own observations back, non-finite
-// or non-positive suspicion, and anything whose signature does not
-// verify against the claimed observer — and merges the survivors into
-// the ledger. It returns the surviving entries and is shared verbatim
-// by the anti-entropy exchange and the urgent path, so every ingestion
-// path enforces one trust policy.
+// mergeVerified is the one ingestion path: baggage arrival, exchange
+// offers and deltas, and urgent reply baggage all go through it. It
+// drops self-reports, entries echoing our own observations back,
+// non-finite or non-positive suspicion and entries that would raise no
+// record here, checks the signatures of the rest against the claimed
+// observers, and merges what verifies. An entry that would raise
+// nothing is not checked: merging it writes nothing (Ledger.Merge), and
+// nothing received on these paths travels on, so its signature decides
+// nothing. It returns the entries it merged.
 func (m *Gossip) mergeVerified(reg *sigcrypto.Registry, self string, entries []GossipEntry) []GossipEntry {
-	keep := m.verified(reg, self, entries, nil)
+	keep := m.verified(nil, reg, self, entries, m.raises)
 	m.merge(keep)
 	return keep
+}
+
+// raises reports whether merging e now would raise this node's record
+// of e.Host.
+func (m *Gossip) raises(e *GossipEntry) bool {
+	return m.ledger.wouldAdopt(e.Host, e.Suspicion, time.Unix(0, e.AtUnixNano))
 }
 
 // merge folds entries this node has verified into its ledger.
@@ -303,10 +320,10 @@ func (m *Gossip) merge(verified []GossipEntry) {
 // verified is the arrival filter, the one gate every gossip entry
 // passes before this node merges it or carries it on: the structural
 // checks of admissible, then the signature under the observer's
-// registered key. It returns the entries that passed, in order. A
-// non-nil wanted narrows the work to the entries it accepts — the rest
-// are left out unchecked, which is how arrival avoids checking
-// signatures whose validity would decide nothing (CheckAfterSession).
+// registered key. It appends the entries that passed to dst, in order.
+// A non-nil wanted narrows the work to the entries it accepts — the
+// rest are left out unchecked, which is how ingestion avoids checking
+// signatures whose validity would decide nothing (mergeVerified).
 //
 // A signature is checked once per node, not once per arrival: an entry
 // whose exact (digest, signature) bytes this node has already verified
@@ -314,21 +331,25 @@ func (m *Gossip) merge(verified []GossipEntry) {
 // the registry refuses to rebind a principal to a different key, so
 // bytes that verified once verify always; a failure is never
 // remembered.
-func (m *Gossip) verified(reg *sigcrypto.Registry, self string, entries []GossipEntry, wanted func(*GossipEntry) bool) []GossipEntry {
+func (m *Gossip) verified(dst []GossipEntry, reg *sigcrypto.Registry, self string, entries []GossipEntry, wanted func(*GossipEntry) bool) []GossipEntry {
 	type candidate struct {
-		entry  GossipEntry
+		entry  *GossipEntry
 		digest canon.Digest
 		key    [sha256.Size]byte
 		ok     bool
 	}
-	cand := make([]candidate, 0, len(entries))
-	var fresh []int // indexes into cand the memo does not vouch for
+	// A bag holds at most maxGossipEntries, so both lists live on the
+	// stack unless an exchange message is longer.
+	var candBuf [maxGossipEntries]candidate
+	var freshBuf [maxGossipEntries]int
+	cand := candBuf[:0]
+	fresh := freshBuf[:0] // indexes into cand the memo does not vouch for
 	for i := range entries {
 		e := &entries[i]
 		if !admissible(e, self) || (wanted != nil && !wanted(e)) {
 			continue
 		}
-		c := candidate{entry: *e, digest: e.bindingDigest()}
+		c := candidate{entry: e, digest: e.bindingDigest()}
 		c.key = seenKey(c.digest, e.Sig.Sig)
 		if _, c.ok = m.seen.get(c.key); !c.ok {
 			fresh = append(fresh, len(cand))
@@ -365,13 +386,12 @@ func (m *Gossip) verified(reg *sigcrypto.Registry, self string, entries []Gossip
 		}
 	}
 
-	var keep []GossipEntry
 	for i := range cand {
 		if cand[i].ok {
-			keep = append(keep, cand[i].entry)
+			dst = append(dst, *cand[i].entry)
 		}
 	}
-	return keep
+	return dst
 }
 
 // extracts selects up to limit signed extracts from snap — the ledger's
@@ -421,38 +441,67 @@ func (m *Gossip) extracts(snap []ledgerRow, self string, keys *sigcrypto.KeyPair
 }
 
 // ownExtract returns this host's signed claim about row's host, a pure
-// function of the ledger record and, above the merge cap, of now.
+// function of the ledger record and, above the merge cap, of the grid
+// cell now falls in.
 //
 // A record moves along one decay curve until it is raised, and a
-// receiver decays a claim from AtUnixNano, so the record's raise point
-// says everything a re-stamped (current value, now) claim would: it is
-// signed once and reissued until the next raise moves it. That holds
-// only while the raise point is at or below maxMergeSuspicion. A
-// receiver clamps a claim to the cap before it decays it, so above the
-// cap what it ends up with depends on when the claim was stamped; such
-// a record is stamped now and signed on every call, as every extract
-// used to be.
+// receiver decays a claim from AtUnixNano, so any point of the curve no
+// later than now says what a re-stamped (current value, now) claim
+// would — as long as the point is at or below maxMergeSuspicion. That
+// point is the raise point, signed once and reissued until the next
+// raise moves it.
+//
+// Above the cap a receiver clamps the claim before it decays it, so a
+// point of the curve is worth less there the older it is — the raise
+// point by up to h·log2(s/cap), the whole time a record of s spends
+// above the cap. Such a record is sampled at the later of its raise
+// point and the start of the current grid cell (extractCell, a 64th of
+// the half-life), so it is signed once per cell and per raise, and a
+// receiver adopts at most 2^(-1/64), 1.1 %, less than from a claim
+// stamped at signing. The receiver's rule is untouched, so every bound
+// it enforces on what a claim can inject holds as before; and because
+// every above-cap observer samples the same grid point, their claims
+// about one host clamp to the same value and raise a receiver once per
+// cell, not once per arrival.
 //
 // The memo cannot change what is sent: it is consulted only for a claim
 // already determined, returns an entry only when host, suspicion and
 // time all equal it, and Ed25519 signing is deterministic, so the entry
 // is the one signing again would produce.
 func (m *Gossip) ownExtract(row ledgerRow, self string, keys *sigcrypto.KeyPair, now int64) GossipEntry {
-	e := GossipEntry{Observer: self, Host: row.Host, Suspicion: row.Suspicion, AtUnixNano: now}
-	reusable := row.raised <= maxMergeSuspicion
-	if reusable {
-		e.Suspicion, e.AtUnixNano = row.raised, row.raisedAtUnixNano
-		if c, ok := m.own.get(row.Host); ok && c.Suspicion == e.Suspicion && c.AtUnixNano == e.AtUnixNano {
-			m.extractsReused.Add(1)
-			return c
-		}
+	s, at := m.claimPoint(row.raised, row.raisedAtUnixNano, now)
+	if c, ok := m.own.get(row.Host); ok && c.Suspicion == s && c.AtUnixNano == at {
+		m.extractsReused.Add(1)
+		return c
 	}
+	e := GossipEntry{Observer: self, Host: row.Host, Suspicion: s, AtUnixNano: at}
 	e.Sig = keys.SignDigest(e.bindingDigest())
 	m.extractsSigned.Add(1)
-	if reusable {
-		m.own.put(row.Host, e)
-	}
+	m.own.put(row.Host, e)
 	return e
+}
+
+// claimPoint is the point of a record's decay curve ownExtract signs:
+// the raise point (raised, raisedAt) while it is at or below the merge
+// cap or decay is off, otherwise the curve sampled at the start of
+// now's grid cell when that is later than the raise.
+func (m *Gossip) claimPoint(raised float64, raisedAt, now int64) (float64, int64) {
+	halfLife := m.ledger.cfg.HalfLife
+	if raised <= maxMergeSuspicion || halfLife < 0 {
+		return raised, raisedAt
+	}
+	grid := now - now%extractCell(halfLife)
+	if grid <= raisedAt {
+		return raised, raisedAt
+	}
+	return raised * math.Exp2(-float64(grid-raisedAt)/float64(halfLife)), grid
+}
+
+// extractCell is the grid step, in nanoseconds, of extracts above the
+// merge cap: a 64th of the half-life, 4.7 s at the default five
+// minutes.
+func extractCell(halfLife time.Duration) int64 {
+	return max(int64(halfLife)/64, 1)
 }
 
 // CheckAfterSession merges the agent's gossip into the local ledger:
@@ -469,10 +518,7 @@ func (m *Gossip) CheckAfterSession(_ context.Context, hc *core.HostContext, ag *
 	if !ok {
 		return nil, nil
 	}
-	raises := func(e *GossipEntry) bool {
-		return m.ledger.wouldAdopt(e.Host, e.Suspicion, time.Unix(0, e.AtUnixNano))
-	}
-	m.merge(m.verified(hc.Host.Registry(), hc.Host.Name(), decodeEntries(data), raises))
+	m.mergeVerified(hc.Host.Registry(), hc.Host.Name(), decodeEntries(data))
 	return nil, nil
 }
 
@@ -485,36 +531,45 @@ func (m *Gossip) CheckAfterSession(_ context.Context, hc *core.HostContext, ag *
 // the verify memo vouches for, the rest is checked now, and nothing
 // that fails is carried.
 func (m *Gossip) PrepareDeparture(_ context.Context, hc *core.HostContext, ag *agent.Agent, _ *host.SessionRecord) error {
-	keep := make(map[string]GossipEntry)
 	self := hc.Host.Name()
 	data, _ := ag.GetBaggage(GossipMechanismName)
-	for _, e := range m.verified(hc.Host.Registry(), self, decodeEntries(data), nil) {
-		k := e.Observer + "\x00" + e.Host
-		if prev, dup := keep[k]; !dup || e.AtUnixNano > prev.AtUnixNano {
-			keep[k] = e
+	arrived := decodeEntries(data)
+	entries := m.verified(make([]GossipEntry, 0, len(arrived)+gossipShareLimit), hc.Host.Registry(), self, arrived, nil)
+	// Newest per (observer, host), the first to arrive among equals: a
+	// stable sort puts each pair's entries together, newest first, and
+	// compaction keeps the head of each run.
+	slices.SortStableFunc(entries, func(a, b GossipEntry) int {
+		if c := strings.Compare(a.Observer, b.Observer); c != 0 {
+			return c
 		}
-	}
-	for _, e := range m.extracts(m.ledger.rows(), self, hc.Host.Keys(), gossipShareLimit, nil) {
-		keep[e.Observer+"\x00"+e.Host] = e
-	}
-	if len(keep) == 0 {
+		if c := strings.Compare(a.Host, b.Host); c != 0 {
+			return c
+		}
+		return cmp.Compare(b.AtUnixNano, a.AtUnixNano)
+	})
+	entries = slices.CompactFunc(entries, func(a, b GossipEntry) bool {
+		return a.Observer == b.Observer && a.Host == b.Host
+	})
+	// admissible dropped every arriving entry observed by this host, so
+	// its own extracts pair with none of them.
+	rows := rowsPool.Get().(*[]ledgerRow)
+	*rows = m.ledger.appendRows((*rows)[:0])
+	entries = append(entries, m.extracts(*rows, self, hc.Host.Keys(), gossipShareLimit, nil)...)
+	rowsPool.Put(rows)
+	if len(entries) == 0 {
 		// Nothing worth carrying: strip any baggage that failed
 		// verification rather than ferrying it onward.
 		ag.ClearBaggage(GossipMechanismName)
 		return nil
 	}
-	entries := make([]GossipEntry, 0, len(keep))
-	for _, e := range keep {
-		entries = append(entries, e)
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].Suspicion != entries[j].Suspicion {
-			return entries[i].Suspicion > entries[j].Suspicion
+	slices.SortFunc(entries, func(a, b GossipEntry) int {
+		if c := cmp.Compare(b.Suspicion, a.Suspicion); c != 0 {
+			return c
 		}
-		if entries[i].Host != entries[j].Host {
-			return entries[i].Host < entries[j].Host
+		if c := strings.Compare(a.Host, b.Host); c != 0 {
+			return c
 		}
-		return entries[i].Observer < entries[j].Observer
+		return strings.Compare(a.Observer, b.Observer)
 	})
 	if len(entries) > maxGossipEntries {
 		entries = entries[:maxGossipEntries]

@@ -19,10 +19,12 @@
 package policy
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -429,12 +431,16 @@ type ledgerRow struct {
 }
 
 // rows returns every tracked host, most suspect first.
-func (l *Ledger) rows() []ledgerRow {
+func (l *Ledger) rows() []ledgerRow { return l.appendRows(nil) }
+
+// appendRows appends every tracked host to dst, most suspect first, so
+// a caller on a hot path can reuse one buffer.
+func (l *Ledger) appendRows(dst []ledgerRow) []ledgerRow {
 	now := l.cfg.Now()
-	var out []ledgerRow
+	start := len(dst)
 	l.store.Range(func(host string, rec hostRecord) bool {
 		raised, raisedAt := rec.raisePoint()
-		out = append(out, ledgerRow{
+		dst = append(dst, ledgerRow{
 			HostReputation: core.HostReputation{
 				Host:            host,
 				Suspicion:       l.decayed(rec, now),
@@ -447,11 +453,11 @@ func (l *Ledger) rows() []ledgerRow {
 		})
 		return true
 	})
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Suspicion != out[j].Suspicion {
-			return out[i].Suspicion > out[j].Suspicion
+	slices.SortFunc(dst[start:], func(a, b ledgerRow) int {
+		if c := cmp.Compare(b.Suspicion, a.Suspicion); c != 0 {
+			return c
 		}
-		return out[i].Host < out[j].Host
+		return strings.Compare(a.Host, b.Host)
 	})
-	return out
+	return dst
 }

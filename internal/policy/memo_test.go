@@ -35,11 +35,20 @@ func signedBy(observer *core.HostContext, host string, s float64, at time.Time) 
 	return e
 }
 
-// arrive runs the arrival path of node name over entries and returns
-// what the node would re-carry on departure.
+// arrive puts entries through node name's arrival filter with nothing
+// left out, as departure does, merges what passes and returns it: what
+// the node would re-carry on departure.
 func (bed *gossipBed) arrive(name string, entries ...GossipEntry) []GossipEntry {
-	hc := bed.hosts[name]
-	return bed.mechs[name].mergeVerified(hc.Host.Registry(), name, entries)
+	return bed.mechs[name].verifyAll(bed.hosts[name].Host.Registry(), name, entries)
+}
+
+// verifyAll checks every admissible entry, whether it could raise a
+// record or not, and merges what verifies: ingestion before arrival
+// learned to skip the entries that decide nothing.
+func (m *Gossip) verifyAll(reg *sigcrypto.Registry, self string, entries []GossipEntry) []GossipEntry {
+	keep := m.verified(nil, reg, self, entries, nil)
+	m.merge(keep)
+	return keep
 }
 
 // TestVerifyMemoFlippedSignatureByte: the memo is keyed by the
@@ -299,7 +308,7 @@ func btoi(b bool) int {
 // mechanisms with a ledger each serve one host on one clock. Random
 // bundles — genuine, forged, duplicated, self-reported, future-dated,
 // over the cap — reach both: one through CheckAfterSession and
-// PrepareDeparture, the other through mergeVerified, which verifies and
+// PrepareDeparture, the other through verifyAll, which verifies and
 // merges every entry as arrival used to, before its departure. After
 // every bundle both ledgers read the same, bit for bit, and both agents
 // leave with the same bytes; and the first has checked fewer
@@ -353,7 +362,7 @@ func TestArrivalChecksOnlyWhatCouldRaise(t *testing.T) {
 		if _, err := lazy.CheckAfterSession(ctx, hc, lazyAg); err != nil {
 			t.Fatal(err)
 		}
-		eager.mergeVerified(hc.Host.Registry(), "node", bundle)
+		eager.verifyAll(hc.Host.Registry(), "node", bundle)
 		if lazyLed.Version() != eagerLed.Version() {
 			t.Fatalf("round %d: %d raises where verifying everything made %d", round, lazyLed.Version(), eagerLed.Version())
 		}
@@ -417,7 +426,7 @@ func TestExtractLiesOnRecordCurve(t *testing.T) {
 
 // newClockedBed builds gossip nodes over one registry, one half-life
 // and one settable clock.
-func newClockedBed(t *testing.T, halfLife time.Duration, now func() time.Time, names ...string) []*exNode {
+func newClockedBed(t testing.TB, halfLife time.Duration, now func() time.Time, names ...string) []*exNode {
 	t.Helper()
 	reg := sigcrypto.NewRegistry()
 	var nodes []*exNode
@@ -449,24 +458,31 @@ func memoless(n *exNode, now func() time.Time) []GossipEntry {
 // TestExtractReuseEquivalence is the property the extract memo rests
 // on. A sender's ledger goes through a random schedule of raises
 // (first-hand failures and adopted gossip, below and above the merge
-// cap), clean observations and departures at random intervals. At every
-// departure:
+// cap), clean observations and departures at random intervals, some of
+// them bursts inside one grid cell. At every departure:
 //
 //   - what the sender emits is, byte for byte, what a mechanism with no
 //     memo emits from the same ledger: the memo never decides what is
 //     propagated;
-//   - a receiver hearing it ends up where a receiver of the old
-//     extracts does — every one re-stamped (suspicion decayed to now,
-//     now) and signed — to within 1e-9 relative, above the cap too;
-//   - an extract at or below the cap is re-signed exactly when the
-//     record behind it was raised since the last departure, to a claim
-//     that reads higher.
+//   - a receiver hearing it ends up where a receiver of extracts
+//     re-stamped at every departure (suspicion decayed to now, now)
+//     does: to within 1e-9 relative for a subject whose record has not
+//     been above the cap, and within restamped·2^(-1/64) ≤ got ≤
+//     restamped for one that has — never above, and at most one grid
+//     cell of decay below;
+//   - an extract is a point of its record's curve: the raise point, or
+//     above the cap the later of it and the start of the current cell;
+//   - it is re-signed exactly when that point moved — a raise since the
+//     last departure, to a claim that reads higher, or above the cap a
+//     new cell — and otherwise reissued.
 func TestExtractReuseEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	subjects := []string{"s0", "s1", "s2", "s3", "s4"}
-	var reissued, overCap int
+	oneCell := math.Exp2(-1.0 / 64)
+	var reissued, overCap, overCapReissued int
 	for trial := 0; trial < 24; trial++ {
 		halfLife := time.Duration(1+rng.Intn(60)) * time.Minute
+		cell := extractCell(halfLife)
 		clock, now := testClock(time.Unix(3_000_000, 0))
 		nodes := newClockedBed(t, halfLife, now, "sender", "other", "r-reuse", "r-restamp")
 		sender, other, rReuse, rRestamp := nodes[0], nodes[1], nodes[2], nodes[3]
@@ -481,9 +497,14 @@ func TestExtractReuseEquivalence(t *testing.T) {
 		}
 		last := map[string]GossipEntry{}
 		raisedSince := map[string]bool{}
+		wasOverCap := map[string]bool{}
 
 		for step := 0; step < 60; step++ {
-			*clock = clock.Add(time.Duration(rng.Int63n(int64(halfLife) / 4)))
+			gap := int64(halfLife) / 4
+			if rng.Intn(4) == 0 {
+				gap = cell // a burst of departures inside one cell
+			}
+			*clock = clock.Add(time.Duration(rng.Int63n(gap)))
 			subject := subjects[rng.Intn(len(subjects))]
 			switch rng.Intn(4) {
 			case 0: // first-hand raise
@@ -510,9 +531,12 @@ func TestExtractReuseEquivalence(t *testing.T) {
 				t.Fatalf("trial %d step %d: the memo changed what is sent:\n got %+v\nwant %+v", trial, step, emitted, want)
 			}
 			var restamped []GossipEntry
-			stampedNow := map[string]bool{} // raised past the cap: the raise point will not do
+			point := map[string]ledgerRow{}
 			for _, row := range rows {
-				stampedNow[row.Host] = row.raised > maxMergeSuspicion
+				point[row.Host] = row
+				if row.raised > maxMergeSuspicion {
+					wasOverCap[row.Host] = true
+				}
 				if row.Suspicion >= minGossipSuspicion {
 					restamped = append(restamped, signedBy(sender.hc, row.Host, row.Suspicion, now()))
 				}
@@ -521,73 +545,106 @@ func TestExtractReuseEquivalence(t *testing.T) {
 			rRestamp.g.mergeVerified(rRestamp.hc.Host.Registry(), rRestamp.name, restamped)
 			for _, subject := range subjects {
 				got, want := rReuse.led.Suspicion(subject), rRestamp.led.Suspicion(subject)
-				if math.Abs(got-want) > 1e-9*want {
+				if !wasOverCap[subject] && math.Abs(got-want) > 1e-9*want {
 					t.Fatalf("trial %d step %d %s: receiver at %v, receiver of re-stamped extracts at %v", trial, step, subject, got, want)
+				}
+				if wasOverCap[subject] && (got > want*(1+1e-9) || got < want*oneCell*(1-1e-9)) {
+					t.Fatalf("trial %d step %d %s: receiver at %v, outside [%v, %v] from re-stamped extracts", trial, step, subject, got, want*oneCell, want)
 				}
 			}
 
+			grid := now().UnixNano() / cell * cell
 			for _, e := range emitted {
 				prev, had := last[e.Host]
 				last[e.Host] = e
 				raised := raisedSince[e.Host]
 				raisedSince[e.Host] = false
-				if stampedNow[e.Host] {
+				row := point[e.Host]
+				above := row.raised > maxMergeSuspicion
+				wantAt := row.raisedAtUnixNano
+				if above {
 					overCap++
-					if e.AtUnixNano != now().UnixNano() {
-						t.Fatalf("trial %d step %d: %s was raised past the cap but its extract is not stamped now", trial, step, e.Host)
-					}
-					delete(last, e.Host)
-					continue
+					wantAt = max(wantAt, grid)
+				}
+				onCurve := row.raised * math.Exp2(-float64(e.AtUnixNano-row.raisedAtUnixNano)/float64(halfLife))
+				if e.AtUnixNano != wantAt || math.Abs(e.Suspicion-onCurve) > 1e-12*onCurve {
+					t.Fatalf("trial %d step %d: %s extract (%v, %v), want the curve at %v", trial, step, e.Host, e.Suspicion, e.AtUnixNano, wantAt)
 				}
 				if !had {
 					continue
 				}
+				moved := e.Suspicion != prev.Suspicion || e.AtUnixNano != prev.AtUnixNano
+				newCell := above && e.AtUnixNano == grid && prev.AtUnixNano < grid
 				switch same := bytes.Equal(prev.Sig.Sig, e.Sig.Sig); {
-				case !raised && !same:
-					t.Fatalf("trial %d step %d: %s re-signed with no raise since the last departure", trial, step, e.Host)
-				case raised && same:
+				case same == moved:
+					t.Fatalf("trial %d step %d: %s claim point moved=%v but signature reused=%v", trial, step, e.Host, moved, same)
+				case moved && !raised && !newCell:
+					t.Fatalf("trial %d step %d: %s re-signed with no raise since the last departure and no new cell", trial, step, e.Host)
+				case raised && !moved:
 					t.Fatalf("trial %d step %d: %s raised since the last departure but its old extract was reissued", trial, step, e.Host)
 				case raised && decayTo(e, now()) <= decayTo(prev, now()):
 					t.Fatalf("trial %d step %d: %s raised but the new extract reads %v, the old one %v", trial, step, e.Host, decayTo(e, now()), decayTo(prev, now()))
-				case !raised:
+				case !moved:
 					reissued++
+					if above {
+						overCapReissued++
+					}
 				}
 			}
 		}
 	}
-	t.Logf("%d extracts reissued, %d stamped now", reissued, overCap)
-	if reissued < 100 || overCap < 100 {
-		t.Fatalf("%d extracts reissued, %d above the cap: the schedule no longer exercises both", reissued, overCap)
+	t.Logf("%d extracts reissued (%d of them above the cap), %d above the cap", reissued, overCapReissued, overCap)
+	if reissued < 100 || overCap < 100 || overCapReissued < 10 {
+		t.Fatalf("%d extracts reissued, %d above the cap, %d reissued there: the schedule no longer exercises all three", reissued, overCap, overCapReissued)
 	}
 }
 
-// TestExtractAboveCapIsStampedNow: a receiver clamps a claim to the
-// merge cap before decaying it, so above the cap the time of the claim
-// matters and the raise point will not do. While the sender's own value
-// is above the cap every departure stamps and signs afresh, and the
-// receiver is held at the damped cap, as it always was.
-func TestExtractAboveCapIsStampedNow(t *testing.T) {
-	const halfLife = 10 * time.Minute
-	clock, now := testClock(time.Unix(4_000_000, 0))
+// TestExtractAboveCapSignedOncePerCell: above the merge cap an extract
+// is the record's curve at the start of the current grid cell, so a
+// sender departing 100 times a second for three cells signs each
+// subject once per cell plus once per raise, and reissues the rest. A
+// receiver hearing every departure is never more than one cell of
+// decay below the damped cap.
+func TestExtractAboveCapSignedOncePerCell(t *testing.T) {
+	const halfLife = DefaultHalfLife
+	cell := extractCell(halfLife)
+	start := time.Unix(4_000_000, 0)
+	start = start.Add(-time.Duration(start.UnixNano() % cell)) // a cell boundary
+	clock, now := testClock(start)
 	nodes := newClockedBed(t, halfLife, now, "sender", "receiver")
 	sender, receiver := nodes[0], nodes[1]
-	sender.led.Observe("mallory", false, 4*maxMergeSuspicion)
-	var prev GossipEntry
-	for i := 0; i < 4; i++ {
+	subjects := []string{"mallory", "trudy", "eve"}
+	for i, s := range subjects {
+		sender.led.Observe(s, false, float64(2+i)*maxMergeSuspicion)
+	}
+	floor := gossipDamping * maxMergeSuspicion * math.Exp2(-1.0/64)
+
+	raises := 0
+	cells := map[int64]bool{}
+	signed0 := sender.g.extractsSigned.Load()
+	for i := 0; now().Sub(start) < 3*time.Duration(cell); i++ {
+		if i%500 == 250 { // a raise mid-cell
+			sender.led.Observe(subjects[i%len(subjects)], false, 0)
+			raises++
+		}
+		cells[now().UnixNano()/cell] = true
 		out := sender.g.extracts(sender.led.rows(), sender.name, sender.hc.Host.Keys(), gossipShareLimit, nil)
-		if len(out) != 1 || out[0].AtUnixNano != now().UnixNano() || bytes.Equal(out[0].Sig.Sig, prev.Sig.Sig) {
-			t.Fatalf("departure %d: %+v; want one extract, stamped now and freshly signed", i, out)
+		if len(out) != len(subjects) {
+			t.Fatalf("departure %d: %d extracts, want %d", i, len(out), len(subjects))
 		}
-		prev = out[0]
 		receiver.g.mergeVerified(receiver.hc.Host.Registry(), receiver.name, out)
-		if got, want := receiver.led.Suspicion("mallory"), gossipDamping*maxMergeSuspicion; math.Abs(got-want) > 1e-9*want {
-			t.Fatalf("departure %d: receiver at %v, want the damped cap %v while the sender reads %v", i, got, want, sender.led.Suspicion("mallory"))
+		for _, s := range subjects {
+			if got := receiver.led.Suspicion(s); got < floor*(1-1e-12) {
+				t.Fatalf("departure %d: receiver holds %s at %v, below %v while the sender reads %v", i, s, got, floor, sender.led.Suspicion(s))
+			}
 		}
-		*clock = clock.Add(halfLife / 2)
+		*clock = clock.Add(10 * time.Millisecond)
 	}
-	if sender.g.extractsReused.Load() != 0 {
-		t.Fatal("an extract above the cap was served from the memo")
+	signed := sender.g.extractsSigned.Load() - signed0
+	if bound := int64(len(subjects)*len(cells) + raises); signed > bound || signed < int64(len(cells)) {
+		t.Fatalf("%d signatures over %d cells and %d raises; want at least one per cell and at most %d", signed, len(cells), raises, bound)
 	}
+	t.Logf("%d signatures, %d reissued, over %d cells and %d raises", signed, sender.g.extractsReused.Load(), len(cells), raises)
 }
 
 // TestExtractSurvivesRestart: the raise point is not persisted, so a

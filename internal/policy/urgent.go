@@ -91,9 +91,11 @@ func (m *Gossip) noteUrgentSent(b []byte) {
 }
 
 // MergeUrgentBaggage implements core.UrgentMerger: decode under the
-// gossip bounds, then the shared verify-then-Merge. Malformed baggage
-// merges nothing — it is advisory second-hand evidence and never fails
-// the carrying call.
+// gossip bounds, then the shared verify-then-Merge. It returns, and
+// counts in UrgentMerged, the entries adopted — those that would raise
+// a record here and verified; the rest are not checked. Malformed
+// baggage merges nothing — it is advisory second-hand evidence and
+// never fails the carrying call.
 func (m *Gossip) MergeUrgentBaggage(hc *core.HostContext, baggage []byte) int {
 	if hc == nil || hc.Host == nil {
 		return 0

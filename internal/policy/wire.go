@@ -121,53 +121,58 @@ func encodeEntries(entries []GossipEntry) ([]byte, error) {
 // length. Semantic filtering (signature verification, self-reports,
 // non-finite suspicion) is the caller's job — this is framing only.
 func decodeEntriesBounded(data []byte, maxEntries int) ([]GossipEntry, error) {
-	if len(data) > MaxGossipWireBytes {
-		return nil, fmt.Errorf("%w: %d bytes over %d", ErrGossipWire, len(data), MaxGossipWireBytes)
-	}
-	fields, err := canon.ParseTuple(data)
+	s, err := canon.ScanList(data, entriesWireLabel, MaxGossipWireBytes, maxEntries)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrGossipWire, err)
 	}
-	if len(fields) == 0 || string(fields[0]) != entriesWireLabel {
-		return nil, fmt.Errorf("%w: missing label", ErrGossipWire)
-	}
-	if n := len(fields) - 1; n > maxEntries {
-		return nil, fmt.Errorf("%w: %d entries over %d", ErrGossipWire, n, maxEntries)
-	}
-	entries := make([]GossipEntry, 0, len(fields)-1)
-	for _, f := range fields[1:] {
+	entries := make([]GossipEntry, 0, s.Len())
+	for s.Len() > 0 {
+		f := s.Field(maxEntryWireBytes)
+		if f == nil {
+			break // s.End reports why
+		}
 		e, err := decodeEntry(f)
 		if err != nil {
 			return nil, err
 		}
 		entries = append(entries, e)
 	}
+	if err := s.End(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrGossipWire, err)
+	}
 	return entries, nil
 }
 
-// decodeEntry parses one entry tuple, enforcing per-field bounds.
+// maxEntryWireBytes is the largest entry tuple decodeEntry can accept.
+var maxEntryWireBytes = tupleWireSize(maxPrincipalLen, maxPrincipalLen, 8, 8, maxPrincipalLen, maxSigLen)
+
+// decodeEntry parses one entry tuple in place, enforcing per-field
+// bounds; only the names and the signature are copied out.
 func decodeEntry(b []byte) (GossipEntry, error) {
-	fields, err := canon.ParseTuple(b)
+	s, err := canon.ScanTuple(b)
 	if err != nil {
 		return GossipEntry{}, fmt.Errorf("%w: entry: %v", ErrGossipWire, err)
 	}
-	if len(fields) != entryFieldCount {
-		return GossipEntry{}, fmt.Errorf("%w: entry has %d fields, want %d", ErrGossipWire, len(fields), entryFieldCount)
+	if s.Len() != entryFieldCount {
+		return GossipEntry{}, fmt.Errorf("%w: entry has %d fields, want %d", ErrGossipWire, s.Len(), entryFieldCount)
 	}
-	if len(fields[0]) > maxPrincipalLen || len(fields[1]) > maxPrincipalLen ||
-		len(fields[4]) > maxPrincipalLen || len(fields[5]) > maxSigLen {
-		return GossipEntry{}, fmt.Errorf("%w: entry field over bound", ErrGossipWire)
-	}
-	if len(fields[2]) != 8 || len(fields[3]) != 8 {
-		return GossipEntry{}, fmt.Errorf("%w: bad fixed-width field", ErrGossipWire)
+	observer, host := s.Field(maxPrincipalLen), s.Field(maxPrincipalLen)
+	suspicion, at := s.Uint64(), s.Uint64()
+	signer, sig := s.Field(maxPrincipalLen), s.Field(maxSigLen)
+	if err := s.End(); err != nil {
+		return GossipEntry{}, fmt.Errorf("%w: entry: %v", ErrGossipWire, err)
 	}
 	e := GossipEntry{
-		Observer:   string(fields[0]),
-		Host:       string(fields[1]),
-		Suspicion:  math.Float64frombits(binary.BigEndian.Uint64(fields[2])),
-		AtUnixNano: int64(binary.BigEndian.Uint64(fields[3])),
+		Observer:   string(observer),
+		Host:       string(host),
+		Suspicion:  math.Float64frombits(suspicion),
+		AtUnixNano: int64(at),
 	}
-	e.Sig.Signer = string(fields[4])
-	e.Sig.Sig = append([]byte(nil), fields[5]...)
+	// The signer of every honest entry is its observer: share the string.
+	e.Sig.Signer = e.Observer
+	if string(signer) != e.Observer {
+		e.Sig.Signer = string(signer)
+	}
+	e.Sig.Sig = append([]byte(nil), sig...)
 	return e, nil
 }

@@ -3,9 +3,11 @@ package policy
 import (
 	"encoding/binary"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
+	"repro/internal/canon"
 	"repro/internal/core"
 	"repro/internal/sigcrypto"
 )
@@ -89,6 +91,24 @@ func TestGossipWireBounds(t *testing.T) {
 	overlong[0].Observer = string(make([]byte, maxPrincipalLen+1))
 	if _, err := encodeEntries(overlong); !errors.Is(err, ErrGossipWire) {
 		t.Fatalf("overlong principal encoded: err = %v", err)
+	}
+}
+
+// TestBindingDigestIsTheTuple pins what an entry signature covers to
+// the canon tuple it has always been, so that signatures made before
+// and after the streamed digest verify alike.
+func TestBindingDigestIsTheTuple(t *testing.T) {
+	for _, e := range []GossipEntry{
+		{Observer: "o", Host: "h", Suspicion: 1.5, AtUnixNano: 1},
+		{Observer: string(make([]byte, maxPrincipalLen)), Host: "", Suspicion: math.MaxFloat64, AtUnixNano: -7},
+		{Observer: "observer-with-a-longer-name", Host: "h\x00x", Suspicion: 8.000001, AtUnixNano: time.Now().UnixNano()},
+	} {
+		want := canon.HashTuple([]byte("policy-gossip"), []byte(e.Observer), []byte(e.Host),
+			binary.BigEndian.AppendUint64(nil, math.Float64bits(e.Suspicion)),
+			binary.BigEndian.AppendUint64(nil, uint64(e.AtUnixNano)))
+		if got := e.bindingDigest(); got != want {
+			t.Fatalf("%+v: digest %v, tuple %v", e, got, want)
+		}
 	}
 }
 
