@@ -308,16 +308,11 @@ func runMetrics(args []string) error {
 }
 
 // printNodeGauges renders the node-owned counters a registry cannot
-// see: per-store WAL amortization and intake flush batching.
+// see: per-store WAL amortization and the gossip memo counters.
 func printNodeGauges(r core.MetricsReply) {
 	for _, w := range r.WALs {
 		fmt.Printf("  wal       %-32s appends=%d syncs=%d mean_batch=%.2f\n",
 			w.Store, w.Stats.Appends, w.Stats.Syncs, w.Stats.MeanBatch())
-	}
-	if r.IntakeFlushes > 0 {
-		fmt.Printf("  intake    %-32s flushes=%d items=%d mean_batch=%.2f\n",
-			"flush_batching", r.IntakeFlushes, r.IntakeFlushedItems,
-			float64(r.IntakeFlushedItems)/float64(r.IntakeFlushes))
 	}
 	if line := gossipMemoLine(r.Exchange); line != "" {
 		fmt.Printf("  gossip    %-32s %s\n", "memos", line)
@@ -326,7 +321,7 @@ func printNodeGauges(r core.MetricsReply) {
 
 // writePromReply renders one node/metrics reply as Prometheus text:
 // the registry snapshot via events.WritePrometheus, then the
-// node-owned WAL and intake counters, labelled with the peer name
+// node-owned WAL and gossip memo counters, labelled with the peer name
 // from the address book so a fleet scrape stays attributable even
 // for nodes running without an event pipeline.
 func writePromReply(w io.Writer, peer string, r core.MetricsReply) error {
@@ -344,10 +339,6 @@ func writePromReply(w io.Writer, peer string, r core.MetricsReply) error {
 			peer, st.Store, st.Stats.Appends, peer, st.Store, st.Stats.Syncs, peer, st.Store, st.Stats.SyncedRecords); err != nil {
 			return err
 		}
-	}
-	if _, err := fmt.Fprintf(w, "repro_intake_flushes_total{node=%q} %d\nrepro_intake_flushed_items_total{node=%q} %d\n",
-		peer, r.IntakeFlushes, peer, r.IntakeFlushedItems); err != nil {
-		return err
 	}
 	ex := r.Exchange
 	_, err := fmt.Fprintf(w, "repro_gossip_extracts_signed_total{node=%q} %d\nrepro_gossip_extracts_reused_total{node=%q} %d\nrepro_gossip_signatures_checked_total{node=%q} %d\nrepro_gossip_signatures_skipped_total{node=%q} %d\n",

@@ -47,7 +47,7 @@ func run() error {
 	fleetWorkers := flag.Int("fleet-workers", 4, "fleet scenario: per-node intake workers")
 	camp := flag.Bool("campaign", false, "run the adversary campaign suite (churn, partitions, restarts, Sybil pressure)")
 	campOut := flag.String("campaign-out", "BENCH_campaign.json", "score file for the campaign suite")
-	scaleRun := flag.Bool("scale", false, "run the fleet-scale A/B harness (batched vs unbatched layers)")
+	scaleRun := flag.Bool("scale", false, "run the fleet-scale harness (one durable run, then the fixed vs planner routing A/B)")
 	scaleOut := flag.String("scale-out", "BENCH_scale.json", "measurement file for the scale numbers")
 	scaleNodes := flag.Int("scale-nodes", 500, "scale harness: total nodes (homes + workers)")
 	scaleItins := flag.Int("scale-itins", 10000, "scale harness: concurrent itineraries")
@@ -172,17 +172,18 @@ func run() error {
 	return nil
 }
 
-// scaleFile is the BENCH_scale.json layout: the in-run A/B of the
-// batching layers at fleet scale, plus the routing A/B (fixed
-// pre-drawn routes vs reputation-aware planner routing with admission
-// control) on the same staged fleet.
+// scaleFile is the BENCH_scale.json layout: one durable run at fleet
+// scale with its detection gate, plus the routing A/B (fixed pre-drawn
+// routes vs reputation-aware planner routing with admission control)
+// on the same staged fleet.
 type scaleFile struct {
-	GeneratedAt string `json:"generated_at"`
-	scale.ABResult
-	Routing *scale.PlannerABResult `json:"routing,omitempty"`
+	GeneratedAt    string           `json:"generated_at"`
+	Durable        scale.Result     `json:"durable"`
+	DetectionMatch bool             `json:"detection_match"`
+	Routing        *scale.PlannerAB `json:"routing,omitempty"`
 }
 
-// runScale executes the fleet-scale A/B and writes the measurement
+// runScale executes the fleet-scale runs and writes the measurement
 // file. Durable state goes to a fresh temp directory unless the
 // caller pins one, and is removed afterwards either way (the
 // measurement is the artifact, not the WALs).
@@ -195,16 +196,16 @@ func runScale(outPath string, cfg scale.Config) error {
 		cfg.DataDir = dir
 	}
 	defer os.RemoveAll(cfg.DataDir)
-	fmt.Fprintf(os.Stderr, "running scale A/B: %d nodes, %d itineraries (unbatched then batched)...\n",
+	fmt.Fprintf(os.Stderr, "running scale: %d nodes, %d itineraries, durable...\n",
 		cfg.Nodes, cfg.Itineraries)
-	ab, err := scale.RunAB(cfg)
+	dur, err := scale.Run(cfg)
 	if err != nil {
 		return err
 	}
 	// The routing A/B runs the same fleet shape memory-only: the gate it
 	// pins is detection parity under planner routing and admission
-	// control, not WAL behaviour, and the batching halves above already
-	// cover the durable path.
+	// control, not WAL behaviour, and the run above already covers the
+	// durable path.
 	rcfg := cfg
 	rcfg.Durable = false
 	rcfg.DataDir = ""
@@ -214,7 +215,12 @@ func runScale(outPath string, cfg scale.Config) error {
 	if err != nil {
 		return err
 	}
-	out := scaleFile{GeneratedAt: time.Now().UTC().Format(time.RFC3339), ABResult: ab, Routing: &rab}
+	out := scaleFile{
+		GeneratedAt:    time.Now().UTC().Format(time.RFC3339),
+		Durable:        dur,
+		DetectionMatch: dur.DetectionMatch(),
+		Routing:        &rab,
+	}
 	enc, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
 		return err
@@ -222,16 +228,11 @@ func runScale(outPath string, cfg scale.Config) error {
 	if err := os.WriteFile(outPath, append(enc, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("scale A/B written to %s\n", outPath)
-	fmt.Printf("  unbatched: %8.1f itin/s  p50 %7.1fms  p99 %7.1fms  rss %6.1fMB  syncs %d\n",
-		ab.Unbatched.ItinerariesPerSec, ab.Unbatched.P50MS, ab.Unbatched.P99MS, ab.Unbatched.PeakRSSMB, ab.Unbatched.WALSyncs)
-	fmt.Printf("  batched:   %8.1f itin/s  p50 %7.1fms  p99 %7.1fms  rss %6.1fMB  syncs %d\n",
-		ab.Batched.ItinerariesPerSec, ab.Batched.P50MS, ab.Batched.P99MS, ab.Batched.PeakRSSMB, ab.Batched.WALSyncs)
-	fmt.Printf("  speedup %.3fx, detection match %v (tampered %d/%d, detected %d/%d, honest quarantines %d/%d)\n",
-		ab.SpeedupItinPerSec, ab.DetectionMatch,
-		ab.Unbatched.TamperedSessions, ab.Batched.TamperedSessions,
-		ab.Unbatched.DetectedTampered, ab.Batched.DetectedTampered,
-		ab.Unbatched.HonestQuarantined, ab.Batched.HonestQuarantined)
+	fmt.Printf("scale numbers written to %s\n", outPath)
+	fmt.Printf("  durable:   %8.1f itin/s  p50 %7.1fms  p99 %7.1fms  rss %6.1fMB  syncs %d  mean batch %.2f\n",
+		dur.ItinerariesPerSec, dur.P50MS, dur.P99MS, dur.PeakRSSMB, dur.WALSyncs, dur.WALMeanBatch)
+	fmt.Printf("  detection match %v (tampered %d, detected %d, honest quarantines %d)\n",
+		out.DetectionMatch, dur.TamperedSessions, dur.DetectedTampered, dur.HonestQuarantined)
 	fmt.Printf("  fixed:     %8.1f itin/s  p50 %7.1fms  p99 %7.1fms  tampered %d detected %d\n",
 		rab.Fixed.ItinerariesPerSec, rab.Fixed.P50MS, rab.Fixed.P99MS,
 		rab.Fixed.TamperedSessions, rab.Fixed.DetectedTampered)

@@ -372,68 +372,42 @@ func (n *Node) openStores(journalLimit, quarantineLimit int) error {
 			n.spillEvidence(ag)
 		},
 	}
-	if cfg.DataDir == "" && cfg.SharedWAL == nil {
+	if cfg.DataDir == "" {
 		n.journal = shardstore.New(jcfg)
 		n.quarantine = shardstore.New(qcfg)
 		return nil
 	}
-	if cfg.DataDir != "" {
-		if err := os.MkdirAll(filepath.Join(cfg.DataDir, evidenceDirName), 0o755); err != nil {
-			return fmt.Errorf("core: node %s: %w", cfg.Host.Name(), err)
-		}
-		n.evidenceDir = filepath.Join(cfg.DataDir, evidenceDirName)
-		if cfg.EvidenceLimit >= 0 {
-			if err := n.loadEvidenceLedger(); err != nil {
-				return fmt.Errorf("core: node %s: scanning evidence: %w", cfg.Host.Name(), err)
-			}
+	if err := os.MkdirAll(filepath.Join(cfg.DataDir, evidenceDirName), 0o755); err != nil {
+		return fmt.Errorf("core: node %s: %w", cfg.Host.Name(), err)
+	}
+	n.evidenceDir = filepath.Join(cfg.DataDir, evidenceDirName)
+	if cfg.EvidenceLimit >= 0 {
+		if err := n.loadEvidenceLedger(); err != nil {
+			return fmt.Errorf("core: node %s: scanning evidence: %w", cfg.Host.Name(), err)
 		}
 	}
-	// Pick the stores' backends: handles on the caller's shared
-	// group-commit WAL (one fsync stream for the whole node), or the
-	// classic pair of private WALs under DataDir. With a SharedWAL the
-	// stores' own compaction triggers are disabled — the SharedWAL
-	// compacts the joint log from its shadow state.
-	var jb, qb shardstore.Backend
-	compactEvery := 0
-	if cfg.SharedWAL != nil {
-		jh, err := cfg.SharedWAL.Handle(journalDirName)
-		if err != nil {
-			return fmt.Errorf("core: node %s: %w", cfg.Host.Name(), err)
-		}
-		qh, err := cfg.SharedWAL.Handle(quarantineDirName)
-		if err != nil {
-			return fmt.Errorf("core: node %s: %w", cfg.Host.Name(), err)
-		}
-		jb, qb = jh, qh
-		compactEvery = -1
-	} else {
-		jw, err := shardstore.OpenWAL(filepath.Join(cfg.DataDir, journalDirName), shardstore.WALConfig{})
-		if err != nil {
-			return fmt.Errorf("core: node %s: %w", cfg.Host.Name(), err)
-		}
-		qw, err := shardstore.OpenWAL(filepath.Join(cfg.DataDir, quarantineDirName), shardstore.WALConfig{})
-		if err != nil {
-			_ = jw.Close()
-			return fmt.Errorf("core: node %s: %w", cfg.Host.Name(), err)
-		}
-		jb, qb = jw, qw
+	jw, err := shardstore.OpenWAL(filepath.Join(cfg.DataDir, journalDirName), shardstore.WALConfig{})
+	if err != nil {
+		return fmt.Errorf("core: node %s: %w", cfg.Host.Name(), err)
 	}
-	var err error
+	qw, err := shardstore.OpenWAL(filepath.Join(cfg.DataDir, quarantineDirName), shardstore.WALConfig{})
+	if err != nil {
+		_ = jw.Close()
+		return fmt.Errorf("core: node %s: %w", cfg.Host.Name(), err)
+	}
 	n.journal, err = shardstore.NewPersistent(jcfg, shardstore.PersistConfig[*journalEntry]{
-		Backend:      jb,
-		Codec:        n.journalCodec(),
-		CompactEvery: compactEvery,
-		OnError:      n.persistErr,
+		Backend: jw,
+		Codec:   n.journalCodec(),
+		OnError: n.persistErr,
 	})
 	if err != nil {
-		_ = qb.Close()
+		_ = qw.Close()
 		return fmt.Errorf("core: node %s: recovering journal: %w", cfg.Host.Name(), err)
 	}
 	n.quarantine, err = shardstore.NewPersistent(qcfg, shardstore.PersistConfig[*agent.Agent]{
-		Backend:      qb,
-		Codec:        quarantineCodec(),
-		CompactEvery: compactEvery,
-		OnError:      n.persistErr,
+		Backend: qw,
+		Codec:   quarantineCodec(),
+		OnError: n.persistErr,
 	})
 	if err != nil {
 		_ = n.journal.Close()

@@ -400,3 +400,52 @@ func TestJournalTTLShedsSettledEntries(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestNodeMetricsReportPerStoreWALs pins the node/metrics WAL surface:
+// a durable node reports one entry per store, each with its own
+// appends.
+func TestNodeMetricsReportPerStoreWALs(t *testing.T) {
+	b := newDurableBed(t, nil)
+	if res := b.runToCheck("stats-1"); !res.Aborted {
+		t.Fatalf("journey not aborted: %+v", res)
+	}
+	mr := b.checker.metricsReply()
+	if len(mr.WALs) != 2 {
+		t.Fatalf("metrics report %d WAL entries, want 2 (journal + quarantine): %+v", len(mr.WALs), mr.WALs)
+	}
+	for _, w := range mr.WALs {
+		if w.Stats.Appends == 0 {
+			t.Fatalf("store %s reports zero WAL appends", w.Store)
+		}
+	}
+}
+
+// TestWatchClosedDurableNodeWritesNothing: a Watch on a closed node
+// must not append to its closed WAL (which would mark the node degraded
+// and publish a persist error); a fresh ID gets a receipt already
+// resolved with ErrNodeClosed, a known one its existing receipt.
+func TestWatchClosedDurableNodeWritesNothing(t *testing.T) {
+	b := newDurableBed(t, nil)
+	if res := b.runToCheck("known-1"); !res.Aborted {
+		t.Fatalf("journey not aborted: %+v", res)
+	}
+	b.crashChecker()
+
+	select {
+	case <-b.checker.Watch("known-1").Done():
+	default:
+		t.Fatal("watch of a settled agent on a closed node returned an unresolved receipt")
+	}
+	rc := b.checker.Watch("fresh-1")
+	select {
+	case <-rc.Done():
+	default:
+		t.Fatal("watch of a fresh ID on a closed node returned an unresolved receipt")
+	}
+	if _, err := rc.Wait(b.ctx); !errors.Is(err, ErrNodeClosed) {
+		t.Fatalf("watch on a closed node resolved with %v, want ErrNodeClosed", err)
+	}
+	if h := b.checker.Health(); h.PersistFailures != 0 || h.Degraded {
+		t.Fatalf("watch on a closed node wrote to its WAL: %+v", h)
+	}
+}

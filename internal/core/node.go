@@ -134,23 +134,6 @@ type NodeConfig struct {
 	// copy. Empty keeps all bookkeeping in memory (the seed behaviour).
 	// Each node needs its own directory; see docs/OPERATIONS.md.
 	DataDir string
-	// SharedWAL, when set, backs the journal and quarantine stores with
-	// handles on this shared group-commit WAL instead of two private
-	// WALs under DataDir — one fsync stream and one background flusher
-	// for the whole node (the protection stack's ledger can join the
-	// same stream; see protection.Options.WAL). The caller owns the
-	// SharedWAL's lifecycle and must close it only after Node.Close.
-	// DataDir may still be set alongside for the evidence spill
-	// directory; the stores themselves then ignore it.
-	SharedWAL *shardstore.SharedWAL
-	// FlushBatch enables per-worker intake flush batching: each worker
-	// drains up to this many queued deliveries at once and processes
-	// them as one flush, skipping the per-delivery "running" journal
-	// write (phases go queued → terminal, two WAL appends per delivery
-	// instead of three; node/status reads "queued" while a batched
-	// delivery executes). 0 or 1 keeps the one-delivery-at-a-time seed
-	// behaviour.
-	FlushBatch int
 	// OnPersistError observes asynchronous persistence failures (WAL
 	// append/compaction I/O errors, evidence spill failures); may be
 	// nil. After a failure the node keeps serving from memory —
@@ -270,12 +253,6 @@ type Node struct {
 	evMu        sync.Mutex
 	evFiles     []evidenceFile
 	evBytes     int64
-
-	// intakeFlushes / intakeFlushedItems count worker drain batches and
-	// the deliveries they carried (FlushBatch > 1 only); their ratio is
-	// the realized flush batch size, surfaced through node/metrics.
-	intakeFlushes      atomic.Int64
-	intakeFlushedItems atomic.Int64
 
 	// admissionRefused counts deliveries the AdmissionPolicy rejected;
 	// intakeRefused counts deliveries fast-failed by RefuseWhenFull.
@@ -586,8 +563,25 @@ func fileExists(path string) bool {
 // it if needed. The receipt resolves when the agent reaches a terminal
 // outcome here (task completion, quarantine, or processing failure);
 // watching before launch is race-free, and watching after the outcome
-// returns an already-resolved receipt.
+// returns an already-resolved receipt. A closed node writes nothing: it
+// returns the agent's existing receipt, or else one already resolved
+// with ErrNodeClosed.
 func (n *Node) Watch(agentID string) *Receipt {
+	n.mu.Lock()
+	if n.closed {
+		n.mu.Unlock()
+		if e, ok := n.journal.Get(agentID); ok {
+			return e.rc
+		}
+		rc := newReceipt(agentID)
+		rc.resolve(Result{Err: fmt.Errorf("core: node %s: %w", n.cfg.Host.Name(), ErrNodeClosed)})
+		return rc
+	}
+	// Close flips closed, then waits out the intake group before closing
+	// the stores, so a Watch that got this far appends to an open WAL.
+	n.intake.Add(1)
+	defer n.intake.Done()
+	n.mu.Unlock()
 	return n.entryFor(agentID).rc
 }
 
@@ -744,55 +738,20 @@ func (n *Node) enqueue(ctx context.Context, ag *agent.Agent) (*Receipt, error) {
 
 func (n *Node) worker(q chan intakeItem) {
 	defer n.wg.Done()
-	batchMax := n.cfg.FlushBatch
-	var batch []intakeItem
 	for {
 		select {
 		case <-n.rootCtx.Done():
 			return
 		case item := <-q:
-			if batchMax <= 1 {
-				n.runOne(item, false)
-				continue
-			}
-			// Flush batching: drain whatever else is already queued (up
-			// to FlushBatch) and process the whole batch as one flush.
-			// Per-agent ordering is preserved — same agent, same stripe,
-			// drained in arrival order.
-			batch = drainQueue(q, append(batch[:0], item), batchMax)
-			n.intakeFlushes.Add(1)
-			n.intakeFlushedItems.Add(int64(len(batch)))
-			for i := range batch {
-				n.runOne(batch[i], true)
-				batch[i] = intakeItem{} // release the agent for GC
-			}
+			n.runOne(item)
 		}
 	}
-}
-
-// drainQueue tops batch up with immediately available deliveries, never
-// blocking, up to max items total.
-func drainQueue(q chan intakeItem, batch []intakeItem, max int) []intakeItem {
-	for len(batch) < max {
-		select {
-		case item := <-q:
-			batch = append(batch, item)
-		default:
-			return batch
-		}
-	}
-	return batch
 }
 
 // runOne drives one delivery through the pipeline and resolves the
-// receipt on failure (success paths resolve inside process). With
-// coalesce set (flush batching), the informational "running" journal
-// write is skipped: the entry stays "queued" until its terminal phase,
-// saving one WAL append per delivery.
-func (n *Node) runOne(item intakeItem, coalesce bool) {
-	if !coalesce {
-		n.setPhase(item.ag.ID, AgentStatus{Phase: PhaseRunning})
-	}
+// receipt on failure (success paths resolve inside process).
+func (n *Node) runOne(item intakeItem) {
+	n.setPhase(item.ag.ID, AgentStatus{Phase: PhaseRunning})
 	err := n.process(item.ctx, item.ag)
 	if err != nil {
 		// The quarantine path already recorded PhaseQuarantined; only

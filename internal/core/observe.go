@@ -69,15 +69,8 @@ type MetricsReply struct {
 	QuarantineEntries int
 	// WALs reports the durable stores' backend counters (appends,
 	// fsyncs, records per fsync) — how observable fsync amortization
-	// is, per store. Empty for memory-only nodes. With a SharedWAL the
-	// fsync counters are the shared stream's (every store rides the
-	// same fsyncs); Appends stay per store.
+	// is, per store. Empty for memory-only nodes.
 	WALs []WALStatsEntry
-	// IntakeFlushes / IntakeFlushedItems count worker drain batches and
-	// the deliveries they carried when FlushBatch > 1; their ratio is
-	// the realized intake flush batch size.
-	IntakeFlushes      int64
-	IntakeFlushedItems int64
 	// AdmissionRefused counts deliveries rejected by the node's
 	// AdmissionPolicy; IntakeRefused counts RefuseWhenFull fast-fails.
 	// Both also appear on node/plan.
@@ -109,12 +102,10 @@ func DecodeMetricsReply(body []byte) (MetricsReply, error) {
 // metricsReply snapshots the node's metrics surface.
 func (n *Node) metricsReply() MetricsReply {
 	r := MetricsReply{
-		JournalEntries:     n.journal.Len(),
-		QuarantineEntries:  n.quarantine.Len(),
-		IntakeFlushes:      n.intakeFlushes.Load(),
-		IntakeFlushedItems: n.intakeFlushedItems.Load(),
-		AdmissionRefused:   n.admissionRefused.Load(),
-		IntakeRefused:      n.intakeRefused.Load(),
+		JournalEntries:    n.journal.Len(),
+		QuarantineEntries: n.quarantine.Len(),
+		AdmissionRefused:  n.admissionRefused.Load(),
+		IntakeRefused:     n.intakeRefused.Load(),
 	}
 	if st, ok := n.journal.BackendStats(); ok {
 		r.WALs = append(r.WALs, WALStatsEntry{Store: "journal", Stats: st})

@@ -41,7 +41,7 @@ import (
 // genuinely varies (behaviour, feed, workers, queue depth, exchange,
 // callbacks). Everything Open can work out it overwrites, so a caller
 // cannot set it wrongly: Host.Registry and Host.RecordTrace;
-// Protection.DataDir, Events, WAL and OnPersistError; Node.Host, Net,
+// Protection.DataDir, Events and OnPersistError; Node.Host, Net,
 // Mechanisms, Events and DataDir, plus Node.Policy and Node.Admission
 // whenever a Level is assembled.
 type Spec struct {
@@ -61,8 +61,6 @@ type Spec struct {
 	// health record, the same channel as the node's own stores.
 	Protection protection.Options
 	// Node carries workers, queue depth, exchange, limits and callbacks.
-	// Node.SharedWAL, when set, also backs the stack's ledger; the
-	// caller still owns it and closes it after the member.
 	Node core.NodeConfig
 	// DataDir is the node's one durable root: journal/, quarantine/,
 	// evidence/ (node), ledger/ or vigna/ (stack) and flight/ (pipeline)
@@ -158,7 +156,6 @@ func (m *Member) open(reg *sigcrypto.Registry, net transport.Network, spec Spec,
 		}
 		opts := spec.Protection
 		opts.DataDir = spec.DataDir
-		opts.WAL = spec.Node.SharedWAL
 		if m.Pipe != nil {
 			opts.Events = m.Pipe.Bus
 		}

@@ -147,14 +147,6 @@ type Gossip struct {
 	// bus, when non-nil, receives gossip-merge, exchange-round, and
 	// peer-cooldown events; set via SetBus before the node starts.
 	bus *events.Bus
-
-	// batchVerify selects sigcrypto.Registry.VerifyBatch for signature
-	// checks in verified (one key resolution and one verification
-	// pass per bundle instead of per entry). On by default; scale A/B
-	// runs switch it off via SetBatchVerify to measure the delta. The
-	// trust policy is identical either way — entries failing the batch
-	// are dropped exactly as scalar failures are.
-	batchVerify bool
 }
 
 var (
@@ -169,9 +161,8 @@ func NewGossip(ledger *Ledger) *Gossip {
 		ledger = NewLedger(LedgerConfig{})
 	}
 	return &Gossip{
-		ledger:      ledger,
-		now:         time.Now,
-		batchVerify: true,
+		ledger: ledger,
+		now:    time.Now,
 	}
 }
 
@@ -213,10 +204,6 @@ func (c *memo[K, V]) putLocked(k K, v V) {
 	}
 	c.young[k] = v
 }
-
-// SetBatchVerify toggles batched signature verification in the merge
-// path. Call before the node starts, like SetClock.
-func (m *Gossip) SetBatchVerify(on bool) { m.batchVerify = on }
 
 // SetClock replaces the clock that stamps exchange rounds and picks the
 // grid cell of extracts above the merge cap (extracts carry points of
@@ -359,29 +346,18 @@ func (m *Gossip) verified(dst []GossipEntry, reg *sigcrypto.Registry, self strin
 	m.verifyHits.Add(int64(len(cand) - len(fresh)))
 	m.verifyMisses.Add(int64(len(fresh)))
 
-	// The only place a gossip signature is checked. With batchVerify it
-	// is one VerifyBatch for what the memo left over (one key
-	// resolution, one pass; nil means every entry verified, and
-	// failures are re-checked through the scalar Verify, so per-signer
-	// attribution is the scalar path's). The scalar loop survives only
-	// as the batchVerify=false arm the scale A/B measures against; the
-	// trust policy is identical either way.
-	var errs []error
-	if m.batchVerify && len(fresh) > 0 {
-		batch := make([]sigcrypto.BatchEntry, len(fresh))
-		for j, i := range fresh {
-			batch[j] = sigcrypto.DigestEntry(cand[i].digest, cand[i].entry.Sig)
-		}
-		errs = reg.VerifyBatch(batch)
+	// The only place a gossip signature is checked: one VerifyBatch for
+	// what the memo left over (one key resolution, one pass; nil means
+	// every entry verified, and failures are re-checked through the
+	// scalar Verify, so per-signer attribution is the scalar path's).
+	batch := make([]sigcrypto.BatchEntry, len(fresh))
+	for j, i := range fresh {
+		batch[j] = sigcrypto.DigestEntry(cand[i].digest, cand[i].entry.Sig)
 	}
+	errs := reg.VerifyBatch(batch)
 	for j, i := range fresh {
 		c := &cand[i]
-		if m.batchVerify {
-			c.ok = errs == nil || errs[j] == nil
-		} else {
-			c.ok = reg.VerifyDigest(c.digest, c.entry.Sig) == nil
-		}
-		if c.ok {
+		if c.ok = errs == nil || errs[j] == nil; c.ok {
 			m.seen.put(c.key, struct{}{})
 		}
 	}

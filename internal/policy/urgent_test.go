@@ -120,44 +120,40 @@ func TestUrgentBaggageMergeIdempotentReplay(t *testing.T) {
 
 // TestUrgentBaggageAttribution pins per-signer attribution through the
 // batch verify path: a forged entry travelling with valid ones is
-// dropped alone, batched and scalar verdicts identical — the exchange's
-// offer/delta bundles ride the same mergeVerified, so this holds the
-// line for all three ingestion paths.
+// dropped alone — the exchange's offer/delta bundles ride the same
+// mergeVerified, so this holds the line for all three ingestion paths.
 func TestUrgentBaggageAttribution(t *testing.T) {
-	for _, batched := range []bool{true, false} {
-		bed := newExBed(t, 2, [][]string{nil, nil}, nil)
-		a, b := bed.nodes[0], bed.nodes[1]
-		a.g.SetBatchVerify(batched)
-		b.g.SetUrgentThreshold(2.0)
-		b.led.Observe("honest-victim", false, 4.0)
-		b.led.Observe("real-cheat", false, 5.0)
+	bed := newExBed(t, 2, [][]string{nil, nil}, nil)
+	a, b := bed.nodes[0], bed.nodes[1]
+	b.g.SetUrgentThreshold(2.0)
+	b.led.Observe("honest-victim", false, 4.0)
+	b.led.Observe("real-cheat", false, 5.0)
 
-		entries, err := decodeEntriesBounded(b.g.UrgentReplyBaggage(b.hc), maxGossipEntries)
-		if err != nil {
-			t.Fatal(err)
+	entries, err := decodeEntriesBounded(b.g.UrgentReplyBaggage(b.hc), maxGossipEntries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 2 {
+		t.Fatalf("want 2 entries, got %d", len(entries))
+	}
+	// Tamper one entry after signing: its signature no longer binds.
+	for i := range entries {
+		if entries[i].Host == "honest-victim" {
+			entries[i].Suspicion = maxMergeSuspicion
 		}
-		if len(entries) != 2 {
-			t.Fatalf("want 2 entries, got %d", len(entries))
-		}
-		// Tamper one entry after signing: its signature no longer binds.
-		for i := range entries {
-			if entries[i].Host == "honest-victim" {
-				entries[i].Suspicion = maxMergeSuspicion
-			}
-		}
-		forged, err := encodeEntries(entries)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := a.g.MergeUrgentBaggage(a.hc, forged); got != 1 {
-			t.Fatalf("batched=%v: merged %d entries, want only the intact one", batched, got)
-		}
-		if got := a.led.Suspicion("honest-victim"); got != 0 {
-			t.Fatalf("batched=%v: forged entry merged (suspicion %.3f)", batched, got)
-		}
-		if got := a.led.Suspicion("real-cheat"); got <= 0 {
-			t.Fatalf("batched=%v: intact entry dropped with the forged one", batched)
-		}
+	}
+	forged, err := encodeEntries(entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := a.g.MergeUrgentBaggage(a.hc, forged); got != 1 {
+		t.Fatalf("merged %d entries, want only the intact one", got)
+	}
+	if got := a.led.Suspicion("honest-victim"); got != 0 {
+		t.Fatalf("forged entry merged (suspicion %.3f)", got)
+	}
+	if got := a.led.Suspicion("real-cheat"); got <= 0 {
+		t.Fatal("intact entry dropped with the forged one")
 	}
 }
 

@@ -152,18 +152,6 @@ type Options struct {
 	// AdaptiveGate ledger keeps its own bus wiring — only the gate and
 	// gossip adopt this one then. Other levels ignore it.
 	Events *events.Bus
-	// WAL, when non-nil, backs LevelAdaptive's reputation ledger with a
-	// handle on this shared group-commit WAL (consumer name "ledger")
-	// instead of a private WAL under DataDir — pair it with
-	// core.NodeConfig.SharedWAL so one node's journal, quarantine, and
-	// ledger share one fsync stream. Takes precedence over DataDir for
-	// the ledger; ignored when the caller supplies its own ledger.
-	WAL *shardstore.SharedWAL
-	// DisableBatchVerify forces scalar signature verification in
-	// LevelAdaptive's gossip merge path (see policy.Gossip
-	// .SetBatchVerify). The default (false) verifies gossip bundles in
-	// one batch; detection outcomes are identical either way.
-	DisableBatchVerify bool
 	// AdmissionThreshold, when positive, builds a ledger-backed
 	// admission policy into LevelAdaptive's stack: deliveries from
 	// hosts whose suspicion on this node's ledger is at/above the
@@ -261,14 +249,7 @@ func Assemble(l Level, opts Options) (Stack, error) {
 				EscalateAt:     opts.AdaptiveGate.EscalateThreshold,
 				HalfLife:       opts.LedgerHalfLife,
 			}
-			switch {
-			case opts.WAL != nil:
-				h, err := opts.WAL.Handle("ledger")
-				if err != nil {
-					return Stack{}, fmt.Errorf("protection: claiming shared ledger stream: %w", err)
-				}
-				lcfg.Backend = h
-			case opts.DataDir != "":
+			if opts.DataDir != "" {
 				backend, err := shardstore.OpenWAL(filepath.Join(opts.DataDir, "ledger"), shardstore.WALConfig{})
 				if err != nil {
 					return Stack{}, fmt.Errorf("protection: opening ledger wal: %w", err)
@@ -299,9 +280,6 @@ func Assemble(l Level, opts Options) (Stack, error) {
 			gossip.SetClock(opts.Clock)
 		}
 		gossip.SetBus(opts.Events)
-		if opts.DisableBatchVerify {
-			gossip.SetBatchVerify(false)
-		}
 		// Urgent piggybacking fires exactly at the policy's quarantine
 		// threshold: a detection severe enough to quarantine is the one
 		// detection a calling peer should hear about in the same RPC.

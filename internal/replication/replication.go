@@ -276,12 +276,6 @@ type Coordinator struct {
 	// the operational stream mirroring what Reputation charges. May be
 	// nil.
 	Events *events.Bus
-	// DisableBatchVerify forces per-vote scalar signature checks. By
-	// default a stage's structurally valid votes are verified in one
-	// batch (one key resolution, one pass); per-replica attribution is
-	// identical either way because batch failures fall back to the
-	// scalar error.
-	DisableBatchVerify bool
 	// Rounds, when set, checkpoints the journey's progress durably: the
 	// adopted agent is saved after every decided stage, a Run finding a
 	// checkpoint for its agent resumes from the stage after it instead
@@ -444,19 +438,11 @@ func (c *Coordinator) runStage(ctx context.Context, stageIdx int, replicas []str
 	// One signature pass for the whole stage. A nil errs slice from
 	// VerifyBatch means every vote verified; failed slots carry the
 	// exact scalar error, so per-replica attribution is unchanged.
-	var sigErrs []error
-	if !c.DisableBatchVerify && len(pending) > 1 {
-		batch := make([]sigcrypto.BatchEntry, len(pending))
-		for i, res := range pending {
-			batch[i] = sigcrypto.BatchEntry{Msg: res.vote.bindingBytes(cur.ID), Sig: res.vote.Sig}
-		}
-		sigErrs = c.Registry.VerifyBatch(batch)
-	} else {
-		sigErrs = make([]error, len(pending))
-		for i, res := range pending {
-			sigErrs[i] = c.Registry.Verify(res.vote.bindingBytes(cur.ID), res.vote.Sig)
-		}
+	batch := make([]sigcrypto.BatchEntry, len(pending))
+	for i, res := range pending {
+		batch[i] = sigcrypto.BatchEntry{Msg: res.vote.bindingBytes(cur.ID), Sig: res.vote.Sig}
 	}
+	sigErrs := c.Registry.VerifyBatch(batch)
 	for i, res := range pending {
 		if sigErrs != nil && sigErrs[i] != nil {
 			report.Failures[res.replica] = fmt.Sprintf("signature: %v", sigErrs[i])

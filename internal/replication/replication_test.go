@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/attack"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/platformtest"
 	"repro/internal/replication"
 	"repro/internal/shardstore"
+	"repro/internal/transport"
 	"repro/internal/value"
 )
 
@@ -263,6 +265,73 @@ func TestRouteRecordsWinnerReplica(t *testing.T) {
 	// first by name — never the out-voted cheater.
 	if w := rep.Stages[0].WinnerReplica; w != "s0r1" {
 		t.Errorf("stage 0 winner = %q, want s0r1 (first honest voter)", w)
+	}
+}
+
+// forgingNet corrupts the signature of the named replicas' votes in
+// transit. The vote still decodes and names the right replica and hop,
+// so only the signature check can reject it.
+type forgingNet struct {
+	transport.Network
+	forgers map[string]bool
+}
+
+func (n forgingNet) Call(ctx context.Context, to, method string, body []byte) ([]byte, error) {
+	reply, err := n.Network.Call(ctx, to, method, body)
+	if err != nil || !n.forgers[to] {
+		return reply, err
+	}
+	vote, _ := transport.OpenReply(reply)
+	forged := append([]byte(nil), vote...)
+	forged[len(forged)-1] ^= 0xff // the last tuple field is the signature
+	return forged, nil
+}
+
+// TestForgedVoteRejectedBySignature pins the stage's one verify pass: a
+// vote whose signature does not bind is a signature failure, counts for
+// nobody, and leaves the honest winner standing.
+func TestForgedVoteRejectedBySignature(t *testing.T) {
+	bed, coord := buildReplicaBed(t, 4, nil)
+	ag := bed.NewAgent("staged", stagedCode)
+	clean, err := coord.Run(context.Background(), ag)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	coord.Net = forgingNet{Network: bed.Net, forgers: map[string]bool{"s0r3": true}}
+	rep, err := coord.Run(context.Background(), ag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s0 := rep.Stages[0]
+	if reason := s0.Failures["s0r3"]; !strings.HasPrefix(reason, "signature:") {
+		t.Fatalf("forger's failure = %q, want a signature failure (failures %v)", reason, s0.Failures)
+	}
+	if _, ok := s0.Votes["s0r3"]; ok || len(s0.Votes) != 3 || s0.WinnerN != 3 {
+		t.Fatalf("votes = %v (winner %d), want only the three valid ones counted", s0.Votes, s0.WinnerN)
+	}
+	if s0.Winner != clean.Stages[0].Winner || rep.Final.State["result"].Int != 42 {
+		t.Fatalf("forged vote moved the winner: %x, want %x", s0.Winner, clean.Stages[0].Winner)
+	}
+}
+
+// TestForgedOnlyVoteDecidesNothing: a stage whose only surviving vote is
+// forged has no countable vote and no majority.
+func TestForgedOnlyVoteDecidesNothing(t *testing.T) {
+	bed, coord := buildReplicaBed(t, 1, nil)
+	coord.Stages[0] = append(coord.Stages[0], "ghost-a", "ghost-b") // absent replicas
+	coord.Net = forgingNet{Network: bed.Net, forgers: map[string]bool{"s0r0": true}}
+	ag := bed.NewAgent("staged", stagedCode)
+	rep, err := coord.Run(context.Background(), ag)
+	if !errors.Is(err, replication.ErrNoMajority) {
+		t.Fatalf("err = %v, want ErrNoMajority", err)
+	}
+	s0 := rep.Stages[0]
+	if reason := s0.Failures["s0r0"]; !strings.HasPrefix(reason, "signature:") {
+		t.Fatalf("forger's failure = %q, want a signature failure (failures %v)", reason, s0.Failures)
+	}
+	if len(s0.Votes) != 0 || s0.WinnerN != 0 {
+		t.Fatalf("votes = %v (winner %d), want none counted", s0.Votes, s0.WinnerN)
 	}
 }
 

@@ -39,9 +39,8 @@ var ErrRoundLog = errors.New("replication: malformed round checkpoint")
 
 // RoundLog is a coordinator's durable round state: for each in-flight
 // agent, the last decided stage and the agent adopted after it. Open it
-// over any shardstore.Backend (a dedicated WAL, or a handle on the
-// node's SharedWAL) and set it as Coordinator.Rounds; one RoundLog may
-// serve many runs concurrently.
+// over any shardstore.Backend (typically a dedicated WAL) and set it as
+// Coordinator.Rounds; one RoundLog may serve many runs concurrently.
 type RoundLog struct {
 	mu      sync.Mutex
 	backend shardstore.Backend

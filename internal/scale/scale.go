@@ -1,13 +1,12 @@
 // Package scale is the fleet-scale harness behind `benchtables
 // -scale`: hundreds of in-proc nodes, tens of thousands of concurrent
-// itineraries, and an in-run A/B of the batching layers (batch
-// signature verification, shared group-commit WAL, intake flush
-// batching) against the unbatched seed behaviour. Where bench.RunFleet
+// itineraries, each node built exactly as fleet.Open builds it for a
+// DataDir (one private WAL per store), plus a routing A/B of fixed
+// routes against reputation-aware planner routing. Where bench.RunFleet
 // measures protection levels against a handful of agents on one
 // itinerary, this package measures the deployment envelope: how many
 // itineraries per second a fleet sustains, at what tail latency and
-// peak RSS, and whether the batching layers buy throughput without
-// costing detection.
+// peak RSS, and whether every tampered session is still detected.
 package scale
 
 import (
@@ -30,7 +29,6 @@ import (
 	plannerpkg "repro/internal/planner"
 	"repro/internal/policy"
 	"repro/internal/protection"
-	"repro/internal/shardstore"
 )
 
 // Config parameterizes one scale run. The zero value is a small smoke
@@ -67,26 +65,15 @@ type Config struct {
 	// Concurrency bounds in-flight itineraries (launched but not yet
 	// resolved). 0 means 256.
 	Concurrency int
-	// Batched turns all three batching layers on: batch signature
-	// verification in gossip/appraisal merge paths, a per-node shared
-	// group-commit WAL (when Durable), and intake flush batching.
-	// False reproduces the unbatched seed behaviour.
-	Batched bool
-	// Durable backs every node's journal, quarantine, and reputation
-	// ledger with WALs under DataDir. Batched && Durable multiplexes
-	// them onto one SharedWAL per node; unbatched uses three private
-	// WALs per node, as before this harness existed.
+	// Durable gives every node a durable root under DataDir: private
+	// WALs for its journal, quarantine and reputation ledger.
 	Durable bool
 	// DataDir is the root directory for durable state; required when
 	// Durable.
 	DataDir string
 	// Seed drives route selection. Two runs with the same Config
-	// modulo Batched launch identical itineraries over identical
-	// malicious sets — the basis of the A/B detection-parity check.
+	// launch identical itineraries over identical malicious sets.
 	Seed int64
-	// FlushBatch overrides the batched intake flush batch size; 0
-	// means 16. Ignored when Batched is false.
-	FlushBatch int
 	// Planner routes itineraries through the reputation-aware planner
 	// instead of fixed pre-drawn routes: per-home planners pick each
 	// hop from staged candidate pools, every node runs ledger-backed
@@ -105,7 +92,6 @@ type Config struct {
 
 // Result is one scale run's measurement.
 type Result struct {
-	Batched        bool  `json:"batched"`
 	Durable        bool  `json:"durable"`
 	Nodes          int   `json:"nodes"`
 	Homes          int   `json:"homes"`
@@ -129,23 +115,16 @@ type Result struct {
 	// manipulated; DetectedTampered counts how many of those some
 	// node's failed verdict blamed; HonestQuarantined counts
 	// quarantined itineraries that no malicious worker ever touched
-	// (must be zero — batching may never create false positives).
+	// (must be zero).
 	TamperedSessions  int `json:"tampered_sessions"`
 	DetectedTampered  int `json:"detected_tampered"`
 	HonestQuarantined int `json:"honest_quarantined"`
 
-	// WAL fsync amortization, summed fleet-wide from node/metrics.
-	// For batched runs the sync counters are per shared stream (each
-	// node's stores ride the same fsyncs, counted once); for
-	// unbatched runs they sum the private journal and quarantine
-	// WALs. Zero for memory-only runs.
+	// WAL fsync amortization of the nodes' journal and quarantine WALs,
+	// summed fleet-wide from node/metrics. Zero for memory-only runs.
 	WALAppends   int64   `json:"wal_appends"`
 	WALSyncs     int64   `json:"wal_syncs"`
 	WALMeanBatch float64 `json:"wal_mean_batch"`
-
-	// Intake flush batching counters, summed fleet-wide.
-	IntakeFlushes      int64 `json:"intake_flushes"`
-	IntakeFlushedItems int64 `json:"intake_flushed_items"`
 
 	// Planner-mode accounting (zero for fixed-route runs).
 	// AdmissionRefused/IntakeRefused sum the fleet's node/metrics
@@ -162,21 +141,14 @@ type Result struct {
 	UndetectedTampered int   `json:"undetected_tampered"`
 }
 
-// ABResult is one in-run A/B: the same fleet and itineraries (same
-// seed) measured unbatched then batched.
-type ABResult struct {
-	Unbatched Result `json:"unbatched"`
-	Batched   Result `json:"batched"`
-	// SpeedupItinPerSec is batched throughput over unbatched.
-	SpeedupItinPerSec float64 `json:"speedup_itins_per_sec"`
-	// DetectionMatch is the safety criterion: identical tampered and
-	// detected session counts both ways, zero honest quarantines both
-	// ways.
-	DetectionMatch bool `json:"detection_match"`
+// DetectionMatch is a fixed-route run's safety gate: something was
+// tampered, every tampered session was detected, and no honest
+// itinerary was quarantined.
+func (r Result) DetectionMatch() bool {
+	return r.TamperedSessions > 0 &&
+		r.DetectedTampered == r.TamperedSessions &&
+		r.HonestQuarantined == 0
 }
-
-// DefaultFlushBatch is the batched intake flush batch size.
-const DefaultFlushBatch = 16
 
 func (c *Config) fill() error {
 	if c.Nodes <= 0 {
@@ -212,9 +184,6 @@ func (c *Config) fill() error {
 	}
 	if c.Concurrency <= 0 {
 		c.Concurrency = 256
-	}
-	if c.FlushBatch <= 0 {
-		c.FlushBatch = DefaultFlushBatch
 	}
 	if c.Planner {
 		c.StagedLayout = true
@@ -325,8 +294,8 @@ func Run(cfg Config) (Result, error) {
 	}
 	workerCount := cfg.Nodes - cfg.Homes
 	res := Result{
-		Batched: cfg.Batched, Durable: cfg.Durable,
-		Nodes: cfg.Nodes, Homes: cfg.Homes, WorkerNodes: workerCount,
+		Durable: cfg.Durable,
+		Nodes:   cfg.Nodes, Homes: cfg.Homes, WorkerNodes: workerCount,
 		MaliciousNodes: cfg.MaliciousNodes, Itineraries: cfg.Itineraries,
 		Hops: cfg.Hops, Seed: cfg.Seed,
 	}
@@ -362,25 +331,17 @@ func Run(cfg Config) (Result, error) {
 		}
 	}
 
-	var sharedWALs []*shardstore.SharedWAL
-	defer func() {
-		// Members first, then the shared streams their stores ride on.
-		_ = f.Close()
-		for _, sw := range sharedWALs {
-			_ = sw.Close()
-		}
-	}()
+	defer f.Close()
 
 	addNode := func(name string, trusted bool, behavior host.Behavior) error {
 		spec := fleet.Spec{
 			Host:  host.Config{Name: name, Trusted: trusted, Behavior: behavior},
 			Level: protection.LevelAdaptive,
 			Protection: protection.Options{
-				DisableBatchVerify: !cfg.Batched,
 				// First offense quarantines: detection outcomes become a
-				// pure function of routes and malicious placement, so the
-				// batched and unbatched halves of an A/B are comparable
-				// session for session.
+				// pure function of routes and malicious placement, so every
+				// tampered session must be detected and two runs with the
+				// same seed are comparable session for session.
 				AdaptivePolicy: policy.ReputationConfig{FirstOffenseQuarantines: true},
 			},
 			Node: core.NodeConfig{
@@ -414,21 +375,8 @@ func Run(cfg Config) (Result, error) {
 			spec.Protection.AdmissionThreshold = policy.DefaultEscalateThreshold
 			spec.Node.RefuseWhenFull = true
 		}
-		if cfg.Batched {
-			spec.Node.FlushBatch = cfg.FlushBatch
-		}
 		if cfg.Durable {
-			dir := filepath.Join(cfg.DataDir, name)
-			if cfg.Batched {
-				sw, err := shardstore.OpenSharedWAL(filepath.Join(dir, "wal"), shardstore.SharedWALConfig{})
-				if err != nil {
-					return err
-				}
-				sharedWALs = append(sharedWALs, sw)
-				spec.Node.SharedWAL = sw
-			} else {
-				spec.DataDir = dir
-			}
+			spec.DataDir = filepath.Join(cfg.DataDir, name)
 		}
 		_, err := f.Add(spec)
 		return err
@@ -687,17 +635,11 @@ func Run(cfg Config) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		for i, w := range mr.WALs {
+		for _, w := range mr.WALs {
 			res.WALAppends += w.Stats.Appends
-			// On a shared stream every store reports the same fsync
-			// counters; count each stream once.
-			if !cfg.Batched || i == 0 {
-				res.WALSyncs += w.Stats.Syncs
-				syncedRecords += w.Stats.SyncedRecords
-			}
+			res.WALSyncs += w.Stats.Syncs
+			syncedRecords += w.Stats.SyncedRecords
 		}
-		res.IntakeFlushes += mr.IntakeFlushes
-		res.IntakeFlushedItems += mr.IntakeFlushedItems
 		res.AdmissionRefused += mr.AdmissionRefused
 		res.IntakeRefused += mr.IntakeRefused
 	}
@@ -707,10 +649,10 @@ func Run(cfg Config) (Result, error) {
 	return res, nil
 }
 
-// PlannerABResult is one routing A/B: the same fleet, seed, and
+// PlannerAB is one routing A/B: the same fleet, seed, and
 // staged malicious layout measured with fixed pre-drawn routes, then
 // with reputation-aware planner routing plus admission control.
-type PlannerABResult struct {
+type PlannerAB struct {
 	Fixed   Result `json:"fixed"`
 	Planner Result `json:"planner"`
 	// SpeedupItinPerSec is planner-routed throughput over fixed.
@@ -725,7 +667,7 @@ type PlannerABResult struct {
 // RunPlannerAB measures the same configuration with fixed routes then
 // with planner routing. Both halves share the staged worker layout so
 // the malicious placement is identical.
-func RunPlannerAB(cfg Config) (PlannerABResult, error) {
+func RunPlannerAB(cfg Config) (PlannerAB, error) {
 	fx := cfg
 	fx.Planner = false
 	fx.StagedLayout = true
@@ -734,7 +676,7 @@ func RunPlannerAB(cfg Config) (PlannerABResult, error) {
 	}
 	fixed, err := Run(fx)
 	if err != nil {
-		return PlannerABResult{}, fmt.Errorf("scale: fixed-route run: %w", err)
+		return PlannerAB{}, fmt.Errorf("scale: fixed-route run: %w", err)
 	}
 
 	pr := cfg
@@ -744,52 +686,16 @@ func RunPlannerAB(cfg Config) (PlannerABResult, error) {
 	}
 	planned, err := Run(pr)
 	if err != nil {
-		return PlannerABResult{}, fmt.Errorf("scale: planner-routed run: %w", err)
+		return PlannerAB{}, fmt.Errorf("scale: planner-routed run: %w", err)
 	}
 
-	ab := PlannerABResult{Fixed: fixed, Planner: planned}
+	ab := PlannerAB{Fixed: fixed, Planner: planned}
 	if fixed.ItinerariesPerSec > 0 {
 		ab.SpeedupItinPerSec = planned.ItinerariesPerSec / fixed.ItinerariesPerSec
 	}
-	ab.DetectionMatch = fixed.TamperedSessions > 0 &&
-		fixed.DetectedTampered == fixed.TamperedSessions &&
-		fixed.HonestQuarantined == 0 &&
+	ab.DetectionMatch = fixed.DetectionMatch() &&
 		planned.UndetectedTampered == 0 &&
 		planned.HonestQuarantined == 0
-	return ab, nil
-}
-
-// RunAB measures the same configuration unbatched then batched and
-// reports the deltas. Durable variants get disjoint subdirectories of
-// cfg.DataDir.
-func RunAB(cfg Config) (ABResult, error) {
-	ub := cfg
-	ub.Batched = false
-	if cfg.Durable && cfg.DataDir != "" {
-		ub.DataDir = filepath.Join(cfg.DataDir, "unbatched")
-	}
-	unbatched, err := Run(ub)
-	if err != nil {
-		return ABResult{}, fmt.Errorf("scale: unbatched run: %w", err)
-	}
-
-	ba := cfg
-	ba.Batched = true
-	if cfg.Durable && cfg.DataDir != "" {
-		ba.DataDir = filepath.Join(cfg.DataDir, "batched")
-	}
-	batched, err := Run(ba)
-	if err != nil {
-		return ABResult{}, fmt.Errorf("scale: batched run: %w", err)
-	}
-
-	ab := ABResult{Unbatched: unbatched, Batched: batched}
-	if unbatched.ItinerariesPerSec > 0 {
-		ab.SpeedupItinPerSec = batched.ItinerariesPerSec / unbatched.ItinerariesPerSec
-	}
-	ab.DetectionMatch = unbatched.TamperedSessions == batched.TamperedSessions &&
-		unbatched.DetectedTampered == batched.DetectedTampered &&
-		unbatched.HonestQuarantined == 0 && batched.HonestQuarantined == 0
 	return ab, nil
 }
 

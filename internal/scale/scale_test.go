@@ -1,7 +1,6 @@
 package scale
 
 import (
-	"fmt"
 	"math/rand"
 	"os"
 	"testing"
@@ -9,65 +8,56 @@ import (
 	"repro/internal/testutil"
 )
 
-// assertAB pins the scale harness's safety contract on one A/B run:
-// every itinerary resolves, batching changes no detection outcome,
-// and no honest itinerary is ever quarantined.
-func assertAB(t *testing.T, cfg Config, ab ABResult) {
+// runAndAssert runs cfg and pins the scale harness's safety contract:
+// every itinerary resolves, every tampered session is detected, no
+// honest itinerary is ever quarantined, and a durable run shows WAL
+// activity.
+func runAndAssert(t *testing.T, cfg Config) Result {
 	t.Helper()
-	for _, r := range []Result{ab.Unbatched, ab.Batched} {
-		if r.Completed+r.Quarantined+r.Failed != cfg.Itineraries {
-			t.Fatalf("batched=%v: %d+%d+%d outcomes, want %d itineraries",
-				r.Batched, r.Completed, r.Quarantined, r.Failed, cfg.Itineraries)
-		}
-		if r.Failed != 0 {
-			t.Fatalf("batched=%v: %d itineraries failed", r.Batched, r.Failed)
-		}
-		if r.TamperedSessions == 0 {
-			t.Fatalf("batched=%v: malicious workers tampered nothing; the run proves nothing", r.Batched)
-		}
-		if r.DetectedTampered != r.TamperedSessions {
-			t.Fatalf("batched=%v: detected %d of %d tampered sessions",
-				r.Batched, r.DetectedTampered, r.TamperedSessions)
-		}
-		if r.HonestQuarantined != 0 {
-			t.Fatalf("batched=%v: %d honest itineraries quarantined", r.Batched, r.HonestQuarantined)
-		}
-	}
-	if !ab.DetectionMatch {
-		t.Fatalf("batched and unbatched detection outcomes diverge: unbatched=%+v batched=%+v",
-			ab.Unbatched, ab.Batched)
-	}
-	if ab.Batched.IntakeFlushes == 0 {
-		t.Fatal("batched run recorded no intake flushes; flush batching was not exercised")
-	}
-}
-
-// TestRunABSmall is the always-on smoke: a small memory-only fleet
-// where the batched and unbatched halves must agree session for
-// session.
-func TestRunABSmall(t *testing.T) {
-	cfg := Config{
-		Nodes:          12,
-		Itineraries:    48,
-		MaliciousNodes: 2,
-		Concurrency:    32,
-		Seed:           7,
-	}
-	ab, err := RunAB(cfg)
+	r, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := (&cfg).fill(); err != nil {
 		t.Fatal(err)
 	}
-	assertAB(t, cfg, ab)
+	if r.Completed+r.Quarantined+r.Failed != cfg.Itineraries {
+		t.Fatalf("%d+%d+%d outcomes, want %d itineraries",
+			r.Completed, r.Quarantined, r.Failed, cfg.Itineraries)
+	}
+	if r.Failed != 0 {
+		t.Fatalf("%d itineraries failed", r.Failed)
+	}
+	if r.TamperedSessions == 0 {
+		t.Fatal("malicious workers tampered nothing; the run proves nothing")
+	}
+	if r.DetectedTampered != r.TamperedSessions {
+		t.Fatalf("detected %d of %d tampered sessions", r.DetectedTampered, r.TamperedSessions)
+	}
+	if r.HonestQuarantined != 0 {
+		t.Fatalf("%d honest itineraries quarantined", r.HonestQuarantined)
+	}
+	if cfg.Durable && (r.WALAppends == 0 || r.WALSyncs == 0) {
+		t.Fatalf("durable run reports no WAL activity: %+v", r)
+	}
+	return r
 }
 
-// TestRunABDurable exercises the durable paths: unbatched private
-// WALs against the shared group-commit WAL, same safety contract,
-// and the batched half must report shared-stream fsync counters.
-func TestRunABDurable(t *testing.T) {
-	cfg := Config{
+// TestRunSmall is the always-on smoke: a small memory-only fleet.
+func TestRunSmall(t *testing.T) {
+	runAndAssert(t, Config{
+		Nodes:          12,
+		Itineraries:    48,
+		MaliciousNodes: 2,
+		Concurrency:    32,
+		Seed:           7,
+	})
+}
+
+// TestRunDurable exercises the durable path: every node's stores on
+// private WALs under its own data dir, as fleet.Open builds them.
+func TestRunDurable(t *testing.T) {
+	runAndAssert(t, Config{
 		Nodes:          10,
 		Itineraries:    24,
 		MaliciousNodes: 2,
@@ -75,51 +65,26 @@ func TestRunABDurable(t *testing.T) {
 		Durable:        true,
 		DataDir:        t.TempDir(),
 		Seed:           11,
-	}
-	ab, err := RunAB(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := (&cfg).fill(); err != nil {
-		t.Fatal(err)
-	}
-	assertAB(t, cfg, ab)
-	for _, r := range []Result{ab.Unbatched, ab.Batched} {
-		if r.WALAppends == 0 || r.WALSyncs == 0 {
-			t.Fatalf("batched=%v: durable run reports no WAL activity: %+v", r.Batched, r)
-		}
-	}
-	if ab.Batched.WALMeanBatch < ab.Unbatched.WALMeanBatch {
-		t.Logf("note: shared WAL mean batch %.2f below private %.2f (legal, load-dependent)",
-			ab.Batched.WALMeanBatch, ab.Unbatched.WALMeanBatch)
-	}
+	})
 }
 
-// TestRunABRepro is the CI smoke behind REPRO_SCALE=1: 64 nodes, 512
+// TestRunRepro is the CI smoke behind REPRO_SCALE=1: 64 nodes, 512
 // itineraries, durable, asserting the acceptance criteria at reduced
 // scale (the full 500-node/10k-itinerary run lives in benchtables
 // -scale).
-func TestRunABRepro(t *testing.T) {
+func TestRunRepro(t *testing.T) {
 	if os.Getenv("REPRO_SCALE") == "" {
 		t.Skip("set REPRO_SCALE=1 to run the reduced-scale reproduction")
 	}
-	cfg := Config{
+	r := runAndAssert(t, Config{
 		Nodes:       64,
 		Itineraries: 512,
 		Durable:     true,
 		DataDir:     t.TempDir(),
 		Seed:        1,
-	}
-	ab, err := RunAB(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := (&cfg).fill(); err != nil {
-		t.Fatal(err)
-	}
-	assertAB(t, cfg, ab)
-	t.Logf("unbatched: %.1f itin/s p99=%.1fms syncs=%d", ab.Unbatched.ItinerariesPerSec, ab.Unbatched.P99MS, ab.Unbatched.WALSyncs)
-	t.Logf("batched:   %.1f itin/s p99=%.1fms syncs=%d (speedup %.2fx)", ab.Batched.ItinerariesPerSec, ab.Batched.P99MS, ab.Batched.WALSyncs, ab.SpeedupItinPerSec)
+	})
+	t.Logf("%.1f itin/s p99=%.1fms syncs=%d mean batch %.2f",
+		r.ItinerariesPerSec, r.P99MS, r.WALSyncs, r.WALMeanBatch)
 }
 
 // assertPlannerAB pins the routing A/B's safety gate: same staged
@@ -127,7 +92,7 @@ func TestRunABRepro(t *testing.T) {
 // planner routing detects or sheds every tampered session, honest
 // itineraries come through unpunished, and the planner half actually
 // exercised admission control.
-func assertPlannerAB(t *testing.T, cfg Config, ab PlannerABResult) {
+func assertPlannerAB(t *testing.T, cfg Config, ab PlannerAB) {
 	t.Helper()
 	for _, r := range []Result{ab.Fixed, ab.Planner} {
 		if r.Completed+r.Quarantined+r.Failed != cfg.Itineraries {
@@ -275,27 +240,25 @@ func TestConfigRejections(t *testing.T) {
 	}
 }
 
-// TestRunLeavesNothingBehind: a run returns with every node, stack
-// (one ledger WAL flusher each, unbatched) and shared stream closed —
-// otherwise RunAB measures its second half on top of the first half's
-// goroutines, tickers and descriptors.
+// TestRunLeavesNothingBehind: a durable run returns with every node and
+// stack (one ledger WAL flusher each) closed — otherwise RunPlannerAB
+// measures its second half on top of the first half's goroutines,
+// tickers and descriptors. The subtest name marks the run as unbatched:
+// each node flushes one delivery at a time through its private WALs.
 func TestRunLeavesNothingBehind(t *testing.T) {
-	for _, batched := range []bool{false, true} {
-		t.Run(fmt.Sprintf("batched=%v", batched), func(t *testing.T) {
-			check := testutil.NoLeaks(t)
-			_, err := Run(Config{
-				Nodes:       16,
-				Itineraries: 16,
-				Concurrency: 8,
-				Batched:     batched,
-				Durable:     true,
-				DataDir:     t.TempDir(),
-				Seed:        3,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			check()
+	t.Run("batched=false", func(t *testing.T) {
+		check := testutil.NoLeaks(t)
+		_, err := Run(Config{
+			Nodes:       16,
+			Itineraries: 16,
+			Concurrency: 8,
+			Durable:     true,
+			DataDir:     t.TempDir(),
+			Seed:        3,
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		check()
+	})
 }

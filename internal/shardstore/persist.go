@@ -205,7 +205,7 @@ func (s *Store[V]) reportPersistErr(err error) {
 }
 
 // StatsProvider is implemented by backends that expose WAL-style
-// lifetime counters (*WAL does; SharedWAL consumer handles do too).
+// lifetime counters (*WAL does).
 type StatsProvider interface {
 	Stats() WALStats
 }
