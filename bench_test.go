@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/protection"
 )
 
 // benchWorkloads mirrors the paper's four configurations but also
@@ -99,49 +98,6 @@ func BenchmarkSeriesProof(b *testing.B) {
 		if _, err := bench.SeriesProof([]int{100, 1000, 5000}, 8); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkFleetMixed measures the adaptive protection level on the
-// mixed honest/malicious fleet scenario (DESIGN.md §5): on an
-// all-honest fleet, adaptive throughput must sit within 15% of
-// LevelRules (the cheap baseline), while on the mixed fleet it must
-// detect every tampered session LevelFull detects (the detected vs
-// tampered metrics; TestFleetDetectionParity pins the equality in CI).
-func BenchmarkFleetMixed(b *testing.B) {
-	scenarios := []struct {
-		name      string
-		level     protection.Level
-		malicious int
-	}{
-		{"honest/rules", protection.LevelRules, 0},
-		{"honest/adaptive", protection.LevelAdaptive, 0},
-		{"honest/full", protection.LevelFull, 0},
-		{"mixed/rules", protection.LevelRules, 2},
-		{"mixed/adaptive", protection.LevelAdaptive, 2},
-		{"mixed/full", protection.LevelFull, 2},
-	}
-	for _, sc := range scenarios {
-		b.Run(sc.name, func(b *testing.B) {
-			var last bench.FleetResult
-			for i := 0; i < b.N; i++ {
-				var err error
-				last, err = bench.RunFleet(bench.FleetConfig{
-					Level:          sc.level,
-					Agents:         16,
-					UntrustedHosts: 6,
-					MaliciousHosts: sc.malicious,
-					Workers:        4,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(last.ItinerariesPerSecond(), "itineraries/s")
-			b.ReportMetric(float64(last.TamperedSessions), "tampered")
-			b.ReportMetric(float64(last.DetectedTampered), "detected")
-			b.ReportMetric(float64(last.Quarantined), "quarantined")
-		})
 	}
 }
 

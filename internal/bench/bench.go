@@ -1,7 +1,8 @@
 // Package bench reproduces the paper's evaluation (§5.2-§5.3): the
 // generic example agent, the four workload configurations of Tables 1
 // and 2, per-phase timing (sign&verify / cycle / remainder / overall),
-// and the sweep series of DESIGN.md §6.
+// and the sweep series of DESIGN.md §6, plus the worker-pool
+// measurement of concurrent itineraries.
 //
 // The workload, per the paper: an agent migrating along three hosts —
 // trusted, untrusted, trusted — parameterized by a "cycle" count

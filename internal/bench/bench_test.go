@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/agentlang"
 	"repro/internal/protection"
+	"repro/internal/testutil"
 )
 
 func TestAgentCodeParses(t *testing.T) {
@@ -161,6 +162,19 @@ func TestSeriesReplicationSmall(t *testing.T) {
 	if points[0].Values["tolerated"] != 0 || points[1].Values["tolerated"] != 1 {
 		t.Errorf("tolerance column wrong: %+v", points)
 	}
+}
+
+// TestHarnessesLeaveNothingBehind: the harnesses close every node and
+// stack they open (SeriesReplication used to return with all of its
+// replica nodes' workers still running).
+func TestHarnessesLeaveNothingBehind(t *testing.T) {
+	t.Run("SeriesReplication", func(t *testing.T) {
+		check := testutil.NoLeaks(t)
+		if _, err := SeriesReplication([]int{1, 3}); err != nil {
+			t.Fatal(err)
+		}
+		check()
+	})
 }
 
 func TestSeriesTraceSmall(t *testing.T) {

@@ -14,17 +14,17 @@ type TableRow struct {
 	Protected Result
 }
 
-// MeasureTables runs all four paper workloads in both configurations,
-// producing the data for Tables 1 and 2. progress (may be nil) is
-// called before each run.
-func MeasureTables(progress func(msg string)) ([]TableRow, error) {
+// MeasureTables runs each workload in both configurations, producing
+// the data for Tables 1 and 2 when given PaperWorkloads(). progress
+// (may be nil) is called before each run.
+func MeasureTables(workloads []Workload, progress func(msg string)) ([]TableRow, error) {
 	note := func(format string, args ...any) {
 		if progress != nil {
 			progress(fmt.Sprintf(format, args...))
 		}
 	}
 	var rows []TableRow
-	for _, w := range PaperWorkloads() {
+	for _, w := range workloads {
 		note("plain      %s", w)
 		plain, err := RunPlain(w)
 		if err != nil {

@@ -14,10 +14,10 @@
 //
 // The campaign exercises the platform end to end: real agents with
 // signed appraisal rules migrate across real nodes; the adversary is a
-// host.Behavior that manipulates the audited state exactly like the
-// bench fleet's malicious hosts; detections, quarantines, reputation
-// decay, gossip, anti-entropy exchange (with per-peer failure
-// backoff), WAL-backed restarts — all the production paths, under
+// host.Behavior that manipulates the audited state exactly like
+// fleet.Tamperer; detections, quarantines, reputation decay, gossip,
+// anti-entropy exchange (with per-peer failure backoff), WAL-backed
+// restarts — all the production paths, under
 // churn, partitions, crash-restart chaos, and Sybil pressure.
 package campaign
 
@@ -186,10 +186,10 @@ type member struct {
 }
 
 // switchBehavior is the adversary: honest until told otherwise, then
-// the bench fleet's malicious host (fleet.Tamperer, manipulating the
-// audited total). The cheat switch is flipped by the playbook between
-// steps; while it is on, tampered sessions are reported to the scorer
-// as ground truth.
+// fleet.Tamperer, the shared malicious host (manipulating the audited
+// total). The cheat switch is flipped by the playbook between steps;
+// while it is on, tampered sessions are reported to the scorer as
+// ground truth.
 type switchBehavior struct {
 	fleet.Tamperer
 	mu    sync.Mutex
@@ -685,7 +685,7 @@ func (r *runner) launch(step, i int) error {
 		return nil // fleet cut off from home this step; nothing to launch
 	}
 	id := fmt.Sprintf("%s-%03d-%d", r.cfg.Name, step, i)
-	// The same journey shape as the bench fleet's: per-session summation
+	// The fleet package's shared journey shape: per-session summation
 	// work plus the audited counters the owner's rule binds.
 	wire, err := r.fleet.AuditedAgent(id, fleet.RouteCode("home", route, r.cfg.Cycles))
 	if err != nil {

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"encoding/json"
 	"os"
 	"testing"
 	"time"
@@ -233,18 +234,43 @@ func TestCampaignAggregatorCut(t *testing.T) {
 // REPRO_CAMPAIGN=1 (CI runs it; see .github/workflows/ci.yml): every
 // canned scenario runs end to end, honest hosts come through every one
 // unscathed, the partition and restart scenarios converge on the
-// adversary, and restart chaos proves no-free-reset.
+// adversary, and restart chaos proves no-free-reset. The committed
+// BENCH_campaign.json must list the same scenarios in the same order
+// with the fingerprints this run reproduces, so a stale file fails here
+// (regenerate it with `benchtables -tables=false -campaign`).
 func TestCampaignChaosCI(t *testing.T) {
 	if os.Getenv("REPRO_CAMPAIGN") != "1" {
 		t.Skip("set REPRO_CAMPAIGN=1 to run the full campaign suite")
 	}
-	for _, cfg := range Scenarios() {
+	data, err := os.ReadFile("../../BENCH_campaign.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var committed struct {
+		Scenarios []Score `json:"scenarios"`
+	}
+	if err := json.Unmarshal(data, &committed); err != nil {
+		t.Fatalf("BENCH_campaign.json: %v", err)
+	}
+	scenarios := Scenarios()
+	if len(committed.Scenarios) != len(scenarios) {
+		t.Fatalf("BENCH_campaign.json lists %d scenarios, the suite has %d", len(committed.Scenarios), len(scenarios))
+	}
+	for i, cfg := range scenarios {
+		if committed.Scenarios[i].Name != cfg.Name {
+			t.Fatalf("BENCH_campaign.json scenario %d is %q, the suite's is %q", i, committed.Scenarios[i].Name, cfg.Name)
+		}
+	}
+	for i, cfg := range scenarios {
 		begin := time.Now()
 		s, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Name, err)
 		}
 		t.Logf("%s (%.2fs): %s", cfg.Name, time.Since(begin).Seconds(), s.Fingerprint())
+		if want := committed.Scenarios[i].Fingerprint(); s.Fingerprint() != want {
+			t.Errorf("%s: BENCH_campaign.json is stale:\n  committed %s\n  this run  %s", cfg.Name, want, s.Fingerprint())
+		}
 		if s.TamperedAgents == 0 {
 			t.Errorf("%s: adversary never tampered", cfg.Name)
 		}

@@ -3,7 +3,6 @@ package core_test
 import (
 	"context"
 	"errors"
-	"fmt"
 	"os"
 	"testing"
 	"time"
@@ -11,23 +10,34 @@ import (
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/host"
+	"repro/internal/policy"
 	"repro/internal/protection"
 )
 
-// TestTCPExchangeConvergence is the exchange-enabled fleet variant of
-// the e2e suite (REPRO_E2E_EXCHANGE=1, see ci.yml): four adaptive
-// nodes over real TCP sockets, one of which ("remote") is never
-// visited by any agent. A tampering host is detected first-hand on the
-// itinerary; the anti-entropy exchange must carry the suspicion to
-// "remote", observable through the same node/reputation call agentctl
-// uses — including the exchange counters.
-func TestTCPExchangeConvergence(t *testing.T) {
-	if os.Getenv("REPRO_E2E_EXCHANGE") == "" {
-		t.Skip("set REPRO_E2E_EXCHANGE=1 to run the exchange-enabled TCP fleet variant")
-	}
+// TestExchangeConvergence is the anti-entropy layer's acceptance test:
+// four adaptive nodes, one of which ("remote") no agent ever visits. A
+// tampering host is detected first-hand on the itinerary; the exchange
+// alone must carry the suspicion to "remote", past the gate's
+// escalation threshold within a bounded number of synchronized rounds,
+// observable through the same node/reputation call agentctl uses —
+// exchange counters included. The in-process case runs in every test
+// run; the TCP case is the e2e variant over real sockets
+// (REPRO_E2E_EXCHANGE=1, see ci.yml).
+func TestExchangeConvergence(t *testing.T) {
+	t.Run("inproc", func(t *testing.T) { exchangeConvergence(t, fleet.New) })
+	t.Run("tcp", func(t *testing.T) {
+		if os.Getenv("REPRO_E2E_EXCHANGE") == "" {
+			t.Skip("set REPRO_E2E_EXCHANGE=1 to run the exchange over real TCP sockets")
+		}
+		exchangeConvergence(t, fleet.NewTCP)
+	})
+}
+
+func exchangeConvergence(t *testing.T, open func(owner string) (*fleet.Fleet, error)) {
+	const maxRounds = 16
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	f, err := fleet.NewTCP("exchange-owner")
+	f, err := open("exchange-owner")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,15 +52,18 @@ func TestTCPExchangeConvergence(t *testing.T) {
 		if _, err := f.Add(fleet.Spec{
 			Host:  cfg,
 			Level: protection.LevelAdaptive,
+			// The interval is parked: the test steps every node once per
+			// round itself, so rounds are counted exactly.
 			Node: core.NodeConfig{Exchange: core.ExchangeConfig{
 				Peers:    names,
-				Interval: 50 * time.Millisecond,
+				Interval: time.Hour,
 			}},
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	net := f.Net()
+	ledger := func(name string) *policy.Ledger { return f.Member(name).Stack.Ledger }
 
 	const agentID = "exchange-agent"
 	wire, err := f.AuditedAgent(agentID, fleet.RouteCode("home", []string{"mid", "back"}, 1))
@@ -69,26 +82,34 @@ func TestTCPExchangeConvergence(t *testing.T) {
 		t.Fatalf("journey: %v", err)
 	}
 
-	// The remote node took no agent traffic; only the exchange can
-	// teach it about mid. Poll the same built-in call agentctl uses.
-	deadline := time.Now().Add(45 * time.Second)
-	var last core.ReputationReply
-	for {
-		if time.Now().After(deadline) {
-			t.Fatalf("remote never learned about mid via exchange: %+v", last)
+	// The disjoint-traffic premise: a first-hand detection to spread,
+	// and none at remote before any exchange round.
+	seed := max(ledger("home").Suspicion("mid"), ledger("back").Suspicion("mid"))
+	if seed < policy.DefaultEscalateThreshold {
+		t.Fatalf("seed suspicion %.3f below the escalation threshold — no first-hand detection to spread", seed)
+	}
+	if s := ledger("remote").Suspicion("mid"); s != 0 {
+		t.Fatalf("remote suspects mid (%.3f) before any exchange round — traffic was not disjoint", s)
+	}
+
+	rounds := 0
+	for ; rounds < maxRounds && ledger("remote").Suspicion("mid") < policy.DefaultEscalateThreshold; rounds++ {
+		for _, name := range names {
+			_ = f.Member(name).Stack.Gossip.Exchange().Step(ctx)
 		}
-		body, err := net.Call(ctx, "remote", "node/reputation", core.ReputationCallBody("mid"))
-		if err != nil {
-			t.Fatalf("node/reputation: %v", err)
-		}
-		last, err = core.DecodeReputationReply(body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if last.Known && last.Rep.Suspicion > 0.4 {
-			break
-		}
-		time.Sleep(100 * time.Millisecond)
+	}
+
+	// Read remote's view through the built-in call agentctl uses.
+	body, err := net.Call(ctx, "remote", "node/reputation", core.ReputationCallBody("mid"))
+	if err != nil {
+		t.Fatalf("node/reputation: %v", err)
+	}
+	last, err := core.DecodeReputationReply(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !last.Known || last.Rep.Suspicion < policy.DefaultEscalateThreshold {
+		t.Fatalf("remote did not escalate against mid within %d rounds: %+v", maxRounds, last)
 	}
 	if !last.ExchangeEnabled {
 		t.Error("remote did not report its exchange loop enabled")
@@ -99,6 +120,6 @@ func TestTCPExchangeConvergence(t *testing.T) {
 	if st := f.Member("remote").Node.Status(agentID); st.Phase != core.PhaseUnknown {
 		t.Errorf("remote saw agent traffic (phase %s) — the scenario requires disjoint traffic", st.Phase)
 	}
-	fmt.Printf("remote's exchanged view of mid: suspicion %.3f after %d rounds\n",
-		last.Rep.Suspicion, last.Exchange.Rounds)
+	t.Logf("remote escalated against mid after %d synchronized rounds (seed %.3f, remote %.3f)",
+		rounds, seed, last.Rep.Suspicion)
 }

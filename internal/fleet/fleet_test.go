@@ -31,8 +31,20 @@ func testCtx(t *testing.T) context.Context {
 }
 
 // itinerary sends one audited agent home -> route... -> home and
-// returns its terminal result.
+// returns its terminal result; a journey that does not complete is
+// fatal.
 func itinerary(t *testing.T, ctx context.Context, f *fleet.Fleet, id string, route ...string) core.Result {
+	t.Helper()
+	res, err := journey(t, ctx, f, id, route...)
+	if err != nil {
+		t.Fatalf("itinerary %s: %v", id, err)
+	}
+	return res
+}
+
+// journey is itinerary for a route that may end in detection: it
+// returns the terminal result and error core.AwaitAny reports.
+func journey(t *testing.T, ctx context.Context, f *fleet.Fleet, id string, route ...string) (core.Result, error) {
 	t.Helper()
 	wire, err := f.AuditedAgent(id, fleet.RouteCode("home", route, 1))
 	if err != nil {
@@ -42,11 +54,144 @@ func itinerary(t *testing.T, ctx context.Context, f *fleet.Fleet, id string, rou
 	if err := f.Net().SendAgent(ctx, "home", wire); err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.AwaitAny(ctx, receipts...)
+	return core.AwaitAny(ctx, receipts...)
+}
+
+// parityLevels are the levels the parity tests compare: the cheap
+// (LevelRules), adaptive and paranoid (LevelFull) ones.
+var parityLevels = []protection.Level{protection.LevelRules, protection.LevelAdaptive, protection.LevelFull}
+
+// parityRoute is the untrusted leg every parity journey travels.
+var parityRoute = []string{"u0", "u1", "u2", "u3"}
+
+// parityRun is what one parity fleet saw: journey outcomes, failed
+// verdicts, the sessions the malicious hosts tampered with (ground
+// truth recorded by the malicious behaviour itself) and the sessions
+// some node's failed verdict blamed on a malicious host.
+type parityRun struct {
+	completed, quarantined, failed, failedVerdicts int
+	tampered, detected                             map[string]bool
+}
+
+// runParity sends agents audited journeys home -> parityRoute -> home
+// over a fleet at level where the malicious hosts tamper with every
+// session they run, and closes the fleet before returning.
+func runParity(t *testing.T, level protection.Level, agents int, malicious map[string]bool) parityRun {
+	t.Helper()
+	ctx := testCtx(t)
+	f, err := fleet.New("owner")
 	if err != nil {
-		t.Fatalf("itinerary %s: %v", id, err)
+		t.Fatal(err)
 	}
-	return res
+	defer func() { _ = f.Close() }()
+
+	var mu sync.Mutex
+	run := parityRun{tampered: make(map[string]bool), detected: make(map[string]bool)}
+	for _, name := range append([]string{"home"}, parityRoute...) {
+		var behavior host.Behavior
+		if malicious[name] {
+			behavior = fleet.Tamperer{OnSession: func(agentID string, hop int) {
+				mu.Lock()
+				run.tampered[fleet.SessionKey(agentID, hop)] = true
+				mu.Unlock()
+			}}
+		}
+		if _, err := f.Add(fleet.Spec{
+			Host:  host.Config{Name: name, Trusted: name == "home", Behavior: behavior},
+			Level: level,
+			Node: core.NodeConfig{OnVerdict: func(v core.Verdict) {
+				if v.OK {
+					return
+				}
+				mu.Lock()
+				run.failedVerdicts++
+				if malicious[v.CheckedHost] {
+					run.detected[fleet.SessionKey(v.AgentID, v.CheckedHop)] = true
+				}
+				mu.Unlock()
+			}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for i := 0; i < agents; i++ {
+		id := fmt.Sprintf("parity-%d", i)
+		res, err := journey(t, ctx, f, id, parityRoute...)
+		switch {
+		case err == nil:
+			run.completed++
+		case errors.Is(err, core.ErrDetection):
+			run.quarantined++
+		case res.Err != nil:
+			run.failed++
+		default:
+			t.Fatalf("itinerary %s: %v", id, err)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Errorf("Close: %v", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	return run
+}
+
+// TestDetectionParity pins the adaptive level's acceptance bar against
+// the cheap and paranoid levels: on a fleet where two non-adjacent hosts
+// tamper with every session they run, each level blames every tampered
+// session in some node's failed verdict and quarantines, and no journey
+// fails outside detection.
+func TestDetectionParity(t *testing.T) {
+	for _, level := range parityLevels {
+		t.Run(level.String(), func(t *testing.T) {
+			run := runParity(t, level, 6, map[string]bool{"u0": true, "u2": true})
+			if run.failed != 0 {
+				t.Errorf("%d journeys failed outside detection", run.failed)
+			}
+			if len(run.tampered) == 0 {
+				t.Fatal("mixed fleet ran no tampered sessions; scenario broken")
+			}
+			missed := 0
+			for k := range run.tampered {
+				if !run.detected[k] {
+					missed++
+				}
+			}
+			if missed != 0 {
+				t.Errorf("%d of %d tampered sessions never blamed", missed, len(run.tampered))
+			}
+			if run.quarantined == 0 {
+				t.Errorf("no journey quarantined despite %d tampered sessions", len(run.tampered))
+			}
+		})
+	}
+}
+
+// TestHonestCompletes: on an all-honest fleet every journey completes
+// with no failed verdict, at every parity level.
+func TestHonestCompletes(t *testing.T) {
+	for _, level := range parityLevels {
+		t.Run(level.String(), func(t *testing.T) {
+			const agents = 6
+			run := runParity(t, level, agents, nil)
+			if run.completed != agents || run.failedVerdicts != 0 {
+				t.Errorf("honest fleet: %d of %d completed, %d failed verdicts", run.completed, agents, run.failedVerdicts)
+			}
+		})
+	}
+}
+
+// TestParityLeavesNothingBehind: a mixed adaptive fleet opens and closes
+// the most (ledger, gossip, escalating gate); closing it must leave no
+// goroutine or descriptor behind.
+func TestParityLeavesNothingBehind(t *testing.T) {
+	check := testutil.NoLeaks(t)
+	run := runParity(t, protection.LevelAdaptive, 4, map[string]bool{"u1": true})
+	check()
+	if run.failed != 0 {
+		t.Errorf("%d journeys failed outside detection", run.failed)
+	}
 }
 
 // traceSpy observes what the host recorded for each session.

@@ -449,8 +449,8 @@ func (x *Exchange) persistSched() {
 
 // Step runs one exchange round against the scheduler's best-scoring
 // peer: push our signed extracts, pull the peer's delta, verify and
-// merge it. Exported so tests and the convergence bench can drive
-// rounds deterministically instead of waiting out the interval; the
+// merge it. Exported so tests and the campaign can drive rounds
+// deterministically instead of waiting out the interval; the
 // background loop calls it on every tick. With an empty partner pool
 // (a sole aggregator) the round is a no-op.
 func (x *Exchange) Step(ctx context.Context) error {
@@ -632,7 +632,7 @@ func (m *Gossip) StartExchange(ctx context.Context, hc *core.HostContext, cfg co
 }
 
 // Exchange returns the running anti-entropy loop, or nil when the node
-// runs gossip-in-baggage only. The convergence bench uses it to drive
+// runs gossip-in-baggage only. Tests and the campaign use it to drive
 // rounds deterministically.
 func (m *Gossip) Exchange() *Exchange {
 	m.exMu.Lock()

@@ -6,7 +6,24 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/transport"
 )
+
+// exCall is one exchange RPC: who called whom.
+type exCall struct{ from, to string }
+
+// callLog records every call one node makes. Rounds are stepped on the
+// test goroutine (the loops' intervals are parked), so it takes no lock.
+type callLog struct {
+	transport.Network
+	from  string
+	calls *[]exCall
+}
+
+func (l callLog) Call(ctx context.Context, host, method string, body []byte) ([]byte, error) {
+	*l.calls = append(*l.calls, exCall{l.from, host})
+	return l.Network.Call(ctx, host, method, body)
+}
 
 // TestFederationConvergenceBound is the hierarchical federation's
 // convergence-bound property: with two aggregators fronting a member
@@ -33,6 +50,11 @@ func TestFederationConvergenceBound(t *testing.T) {
 			return cfg
 		}, nil)
 
+		var calls []exCall
+		for _, node := range bed.nodes {
+			node.hc.Net = callLog{Network: bed.net, from: node.name, calls: &calls}
+		}
+
 		seeded := 2 + rng.Intn(members)
 		bed.nodes[seeded].led.Observe("mallory", false, maxMergeSuspicion)
 
@@ -57,6 +79,14 @@ func TestFederationConvergenceBound(t *testing.T) {
 				t.Fatalf("trial %d (members=%d seeded=%s): %s below escalation after bounded rounds (%.3f)",
 					trial, members, bed.nodes[seeded].name, node.name, s)
 			}
+		}
+		for _, c := range calls {
+			if c.to == c.from || (c.to != aggs[0] && c.to != aggs[1]) {
+				t.Fatalf("trial %d: %s called %s — every exchange call must go to another aggregator", trial, c.from, c.to)
+			}
+		}
+		if want := 2*members + len(aggs); len(calls) != want {
+			t.Fatalf("trial %d: %d exchange RPCs over three rounds, want %d (one per step)", trial, len(calls), want)
 		}
 	}
 }

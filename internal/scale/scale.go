@@ -2,9 +2,9 @@
 // -scale`: hundreds of in-proc nodes, tens of thousands of concurrent
 // itineraries, each node built exactly as fleet.Open builds it for a
 // DataDir (one private WAL per store), plus a routing A/B of fixed
-// routes against reputation-aware planner routing. Where bench.RunFleet
-// measures protection levels against a handful of agents on one
-// itinerary, this package measures the deployment envelope: how many
+// routes against reputation-aware planner routing. Where the paper's
+// tables (internal/bench) measure one agent's phases on a three-host
+// route, this package measures the deployment envelope: how many
 // itineraries per second a fleet sustains, at what tail latency and
 // peak RSS, and whether every tampered session is still detected.
 package scale
