@@ -341,8 +341,8 @@ func writePromReply(w io.Writer, peer string, r core.MetricsReply) error {
 		}
 	}
 	ex := r.Exchange
-	_, err := fmt.Fprintf(w, "repro_gossip_extracts_signed_total{node=%q} %d\nrepro_gossip_extracts_reused_total{node=%q} %d\nrepro_gossip_signatures_checked_total{node=%q} %d\nrepro_gossip_signatures_skipped_total{node=%q} %d\n",
-		peer, ex.ExtractsSigned, peer, ex.ExtractsReused, peer, ex.VerifyMisses, peer, ex.VerifyHits)
+	_, err := fmt.Fprintf(w, "repro_gossip_extracts_signed_total{node=%q} %d\nrepro_gossip_extracts_reused_total{node=%q} %d\nrepro_gossip_signatures_checked_total{node=%q} %d\nrepro_gossip_signatures_skipped_total{node=%q} %d\nrepro_gossip_claims_dominated_total{node=%q} %d\n",
+		peer, ex.ExtractsSigned, peer, ex.ExtractsReused, peer, ex.VerifyMisses, peer, ex.VerifyHits, peer, ex.ClaimsDominated)
 	return err
 }
 
@@ -604,16 +604,17 @@ func runReputation(args []string) error {
 }
 
 // gossipMemoLine renders a node's extract-reuse and verify-memo
-// counters with their hit rates; empty when the node has neither signed
-// nor received an extract.
+// counters with their hit rates, and the claims it left out as
+// dominated; empty when the node has neither signed nor received an
+// extract.
 func gossipMemoLine(ex core.ExchangeStats) string {
 	share := func(part, rest int64) float64 { return 100 * float64(part) / float64(max(part+rest, 1)) }
-	if ex.ExtractsSigned+ex.ExtractsReused+ex.VerifyHits+ex.VerifyMisses == 0 {
+	if ex.ExtractsSigned+ex.ExtractsReused+ex.VerifyHits+ex.VerifyMisses+ex.ClaimsDominated == 0 {
 		return ""
 	}
-	return fmt.Sprintf("extracts signed=%d reused=%d (%.0f%% reused), signatures checked=%d skipped=%d (%.0f%% skipped)",
+	return fmt.Sprintf("extracts signed=%d reused=%d (%.0f%% reused), signatures checked=%d skipped=%d (%.0f%% skipped), claims dominated=%d",
 		ex.ExtractsSigned, ex.ExtractsReused, share(ex.ExtractsReused, ex.ExtractsSigned),
-		ex.VerifyMisses, ex.VerifyHits, share(ex.VerifyHits, ex.VerifyMisses))
+		ex.VerifyMisses, ex.VerifyHits, share(ex.VerifyHits, ex.VerifyMisses), ex.ClaimsDominated)
 }
 
 // exchangeRole renders the federation tier (older nodes report none).

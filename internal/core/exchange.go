@@ -165,6 +165,12 @@ type ExchangeStats struct {
 	ExtractsReused int64
 	VerifyHits     int64
 	VerifyMisses   int64
+	// ClaimsDominated counts the gossip claims this node left out of
+	// departing bags because another claim it carries outweighs them at
+	// every time: received entries dropped unchecked, plus own extracts
+	// left unsigned (DESIGN §5, "Dominated claims are neither checked nor
+	// carried").
+	ClaimsDominated int64
 }
 
 // ExchangeReporter is the optional Mechanism extension that exposes

@@ -61,6 +61,53 @@ func BenchmarkGossipHop(b *testing.B) {
 			hop()
 		}
 	})
+	b.Run("relays", benchmarkRelayHop)
+}
+
+// benchmarkRelayHop is a hop on a fleet where gossip relays: the bag
+// holds 32 originals, each beside its 0.9-damped relay from another
+// observer, and the node's own records were raised by merging the
+// originals, so its own extracts are relays too. Both memos are emptied
+// before every hop, as in "cold": signs/op and verifies/op are what one
+// hop needs signed and checked.
+func benchmarkRelayHop(b *testing.B) {
+	ctx := context.Background()
+	observers := []string{"o0", "o1", "o2", "o3"}
+	_, now := testClock(time.Unix(4_000_000, 0))
+	nodes := newClockedBed(b, DefaultHalfLife, now, append(observers, "node")...)
+	node := nodes[len(nodes)-1]
+	var originals, arriving []GossipEntry
+	for j := 0; j < maxGossipEntries/2; j++ {
+		suspect := fmt.Sprintf("suspect-%d", j)
+		s := 1 + float64(j%7)
+		original := signedBy(nodes[j%len(observers)].hc, suspect, s, now())
+		relay := signedBy(nodes[(j+1)%len(observers)].hc, suspect, gossipDamping*s, now())
+		originals = append(originals, original)
+		arriving = append(arriving, original, relay)
+	}
+	node.g.mergeVerified(node.hc.Host.Registry(), node.name, originals)
+	baggage, err := encodeEntries(arriving)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ag := mkGossipAgent(b)
+	signed, verified := node.g.extractsSigned.Load(), node.g.verifyMisses.Load()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		node.g.own.young, node.g.own.old = nil, nil
+		node.g.seen.young, node.g.seen.old = nil, nil
+		ag.SetBaggage(GossipMechanismName, baggage)
+		if _, err := node.g.CheckAfterSession(ctx, node.hc, ag); err != nil {
+			b.Fatal(err)
+		}
+		if err := node.g.PrepareDeparture(ctx, node.hc, ag, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(node.g.extractsSigned.Load()-signed)/float64(b.N), "signs/op")
+	b.ReportMetric(float64(node.g.verifyMisses.Load()-verified)/float64(b.N), "verifies/op")
 }
 
 // BenchmarkDepartureAboveCap is the departure stage of a node whose

@@ -675,6 +675,7 @@ func (m *Gossip) ExchangeStats() (core.ExchangeStats, bool) {
 	st.ExtractsReused = m.extractsReused.Load()
 	st.VerifyHits = m.verifyHits.Load()
 	st.VerifyMisses = m.verifyMisses.Load()
+	st.ClaimsDominated = m.claimsDominated.Load()
 	return st, x != nil
 }
 

@@ -3,13 +3,13 @@ package policy
 import (
 	"cmp"
 	"context"
+	"crypto/ed25519"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,7 +59,7 @@ type GossipEntry struct {
 	// a point on the record's decay curve no later than the moment of
 	// signing: the point of its last raise, or, while that point is above
 	// the merge cap, the later of it and the start of the current grid
-	// cell (see ownExtract). Above the cap the claim therefore says "the
+	// cell (see claimPoint). Above the cap the claim therefore says "the
 	// record was at least Suspicion at AtUnixNano".
 	AtUnixNano int64
 	Sig        sigcrypto.Signature
@@ -112,13 +112,16 @@ type Gossip struct {
 	// Both belong to this node alone — a memo shared through the registry
 	// or a package variable would let one node skip a check only another
 	// performed — and both start empty and unallocated. The counters
-	// beside them feed ExchangeStats.
-	own            memo[string, GossipEntry]
-	seen           memo[[sha256.Size]byte, struct{}]
-	extractsSigned atomic.Int64
-	extractsReused atomic.Int64
-	verifyHits     atomic.Int64
-	verifyMisses   atomic.Int64
+	// beside them feed ExchangeStats; claimsDominated counts the claims
+	// departure left out because a claim it carries dominates them
+	// (filter.go).
+	own             memo[string, GossipEntry]
+	seen            memo[[sha256.Size]byte, struct{}]
+	extractsSigned  atomic.Int64
+	extractsReused  atomic.Int64
+	verifyHits      atomic.Int64
+	verifyMisses    atomic.Int64
+	claimsDominated atomic.Int64
 
 	// exchange is the anti-entropy loop started through the node
 	// lifecycle (core.Exchanger); nil when the node runs gossip-in-
@@ -280,7 +283,7 @@ func seenKey(d canon.Digest, sig []byte) [sha256.Size]byte {
 // nothing received on these paths travels on, so its signature decides
 // nothing. It returns the entries it merged.
 func (m *Gossip) mergeVerified(reg *sigcrypto.Registry, self string, entries []GossipEntry) []GossipEntry {
-	keep := m.verified(nil, reg, self, entries, m.raises)
+	keep := m.verified(reg, self, entries, m.raises)
 	m.merge(keep)
 	return keep
 }
@@ -304,13 +307,14 @@ func (m *Gossip) merge(verified []GossipEntry) {
 	}
 }
 
-// verified is the arrival filter, the one gate every gossip entry
-// passes before this node merges it or carries it on: the structural
-// checks of admissible, then the signature under the observer's
-// registered key. It appends the entries that passed to dst, in order.
-// A non-nil wanted narrows the work to the entries it accepts — the
-// rest are left out unchecked, which is how ingestion avoids checking
-// signatures whose validity would decide nothing (mergeVerified).
+// verified is the arrival filter (filter.go), the gate every gossip
+// entry passes before this node merges it: the structural checks of
+// admissible, then the signature under the observer's registered key.
+// It returns the entries that passed, in input order. A non-nil wanted
+// narrows the work to the entries it accepts — the rest are left out
+// unchecked, which is how ingestion avoids checking signatures whose
+// validity would decide nothing (mergeVerified). Departure runs the
+// same filter over what it carries on (PrepareDeparture).
 //
 // A signature is checked once per node, not once per arrival: an entry
 // whose exact (digest, signature) bytes this node has already verified
@@ -318,70 +322,44 @@ func (m *Gossip) merge(verified []GossipEntry) {
 // the registry refuses to rebind a principal to a different key, so
 // bytes that verified once verify always; a failure is never
 // remembered.
-func (m *Gossip) verified(dst []GossipEntry, reg *sigcrypto.Registry, self string, entries []GossipEntry, wanted func(*GossipEntry) bool) []GossipEntry {
-	type candidate struct {
-		entry  *GossipEntry
-		digest canon.Digest
-		key    [sha256.Size]byte
-		ok     bool
-	}
-	// A bag holds at most maxGossipEntries, so both lists live on the
-	// stack unless an exchange message is longer.
-	var candBuf [maxGossipEntries]candidate
-	var freshBuf [maxGossipEntries]int
-	cand := candBuf[:0]
-	fresh := freshBuf[:0] // indexes into cand the memo does not vouch for
-	for i := range entries {
-		e := &entries[i]
-		if !admissible(e, self) || (wanted != nil && !wanted(e)) {
-			continue
-		}
-		c := candidate{entry: e, digest: e.bindingDigest()}
-		c.key = seenKey(c.digest, e.Sig.Sig)
-		if _, c.ok = m.seen.get(c.key); !c.ok {
-			fresh = append(fresh, len(cand))
-		}
-		cand = append(cand, c)
-	}
-	m.verifyHits.Add(int64(len(cand) - len(fresh)))
-	m.verifyMisses.Add(int64(len(fresh)))
-
-	// The only place a gossip signature is checked: one VerifyBatch for
-	// what the memo left over (one key resolution, one pass; nil means
-	// every entry verified, and failures are re-checked through the
-	// scalar Verify, so per-signer attribution is the scalar path's).
-	batch := make([]sigcrypto.BatchEntry, len(fresh))
-	for j, i := range fresh {
-		batch[j] = sigcrypto.DigestEntry(cand[i].digest, cand[i].entry.Sig)
-	}
-	errs := reg.VerifyBatch(batch)
-	for j, i := range fresh {
-		c := &cand[i]
-		if c.ok = errs == nil || errs[j] == nil; c.ok {
-			m.seen.put(c.key, struct{}{})
+func (m *Gossip) verified(reg *sigcrypto.Registry, self string, entries []GossipEntry, wanted func(*GossipEntry) bool) []GossipEntry {
+	f := m.newFilter(self, nil, entries, wanted)
+	f.checkAll(reg)
+	var out []GossipEntry
+	for _, c := range f.cand {
+		if c.state == valid {
+			out = append(out, *c.e)
 		}
 	}
-
-	for i := range cand {
-		if cand[i].ok {
-			dst = append(dst, *cand[i].entry)
-		}
-	}
-	return dst
+	return out
 }
 
 // extracts selects up to limit signed extracts from snap — the ledger's
 // rows, most suspect first — skipping the host itself, entries below
-// the sharing floor, and any host in the skip set. Both the departure
-// path and the exchange protocol share it: one extract format, one
+// the sharing floor, and any host in the skip set. The exchange
+// protocol and urgent baggage use it; departure takes the same claims
+// unsigned and signs the ones that travel. One extract format, one
 // signer (callers that need the rows for other work too, like the
-// exchange's summary, take them once and pass them in). Selection also
-// stops at the wire byte budget, so the returned list always encodes
-// within MaxGossipWireBytes — a fleet with many long principal names
-// trades fewer extracts per message, never a failing one (the most
-// suspect hosts still go first; the rest wait for the next departure
-// or round).
+// exchange's summary, take them once and pass them in).
 func (m *Gossip) extracts(snap []ledgerRow, self string, keys *sigcrypto.KeyPair, limit int, skip func(rep core.HostReputation) bool) []GossipEntry {
+	out := m.claims(snap, self, limit, skip)
+	for i := range out {
+		m.sign(&out[i], keys)
+	}
+	return out
+}
+
+// claims is extracts before signing: this host's claims about up to
+// limit hosts of snap, with Sig.Signer set and no signature. Selection
+// stops at the wire byte budget, counting each claim with its
+// signature, so the signed list always encodes within
+// MaxGossipWireBytes — a fleet with many long principal names trades
+// fewer extracts per message, never a failing one (the most suspect
+// hosts still go first; the rest wait for the next departure or round).
+//
+// A claim is a pure function of the ledger record and, above the merge
+// cap, of the grid cell now falls in (claimPoint).
+func (m *Gossip) claims(snap []ledgerRow, self string, limit int, skip func(rep core.HostReputation) bool) []GossipEntry {
 	if len(self) > maxPrincipalLen {
 		// A node whose own name cannot travel in an entry has nothing
 		// it can share.
@@ -406,19 +384,42 @@ func (m *Gossip) extracts(snap []ledgerRow, self string, keys *sigcrypto.KeyPair
 		if skip != nil && skip(row.HostReputation) {
 			continue
 		}
-		e := m.ownExtract(row, self, keys, now)
-		if size+entryWireSize(&e) > MaxGossipWireBytes {
+		e := GossipEntry{Observer: self, Host: row.Host, Sig: sigcrypto.Signature{Signer: self}}
+		e.Suspicion, e.AtUnixNano = m.claimPoint(row.raised, row.raisedAtUnixNano, now)
+		n := entryWireSize(&e) + ed25519.SignatureSize
+		if size+n > MaxGossipWireBytes {
 			break
 		}
-		size += entryWireSize(&e)
+		size += n
 		out = append(out, e)
 	}
 	return out
 }
 
-// ownExtract returns this host's signed claim about row's host, a pure
-// function of the ledger record and, above the merge cap, of the grid
-// cell now falls in.
+// sign completes one of this host's claims with its signature: the
+// extract memo reissues the one last signed about the host while the
+// claim point has not moved, so a claim is signed once per raise and,
+// above the merge cap, once per grid cell (claimPoint).
+//
+// The memo cannot change what is sent: it is consulted only for a claim
+// already determined, returns an entry only when host, suspicion and
+// time all equal it, and Ed25519 signing is deterministic, so the entry
+// is the one signing again would produce.
+func (m *Gossip) sign(e *GossipEntry, keys *sigcrypto.KeyPair) {
+	if c, ok := m.own.get(e.Host); ok && c.Suspicion == e.Suspicion && c.AtUnixNano == e.AtUnixNano {
+		m.extractsReused.Add(1)
+		*e = c
+		return
+	}
+	e.Sig = keys.SignDigest(e.bindingDigest())
+	m.extractsSigned.Add(1)
+	m.own.put(e.Host, *e)
+}
+
+// claimPoint is the point of a record's decay curve an extract claims:
+// the raise point (raised, raisedAt) while it is at or below the merge
+// cap or decay is off, otherwise the curve sampled at the start of
+// now's grid cell when that is later than the raise.
 //
 // A record moves along one decay curve until it is raised, and a
 // receiver decays a claim from AtUnixNano, so any point of the curve no
@@ -439,28 +440,6 @@ func (m *Gossip) extracts(snap []ledgerRow, self string, keys *sigcrypto.KeyPair
 // every above-cap observer samples the same grid point, their claims
 // about one host clamp to the same value and raise a receiver once per
 // cell, not once per arrival.
-//
-// The memo cannot change what is sent: it is consulted only for a claim
-// already determined, returns an entry only when host, suspicion and
-// time all equal it, and Ed25519 signing is deterministic, so the entry
-// is the one signing again would produce.
-func (m *Gossip) ownExtract(row ledgerRow, self string, keys *sigcrypto.KeyPair, now int64) GossipEntry {
-	s, at := m.claimPoint(row.raised, row.raisedAtUnixNano, now)
-	if c, ok := m.own.get(row.Host); ok && c.Suspicion == s && c.AtUnixNano == at {
-		m.extractsReused.Add(1)
-		return c
-	}
-	e := GossipEntry{Observer: self, Host: row.Host, Suspicion: s, AtUnixNano: at}
-	e.Sig = keys.SignDigest(e.bindingDigest())
-	m.extractsSigned.Add(1)
-	m.own.put(row.Host, e)
-	return e
-}
-
-// claimPoint is the point of a record's decay curve ownExtract signs:
-// the raise point (raised, raisedAt) while it is at or below the merge
-// cap or decay is off, otherwise the curve sampled at the start of
-// now's grid cell when that is later than the raise.
 func (m *Gossip) claimPoint(raised float64, raisedAt, now int64) (float64, int64) {
 	halfLife := m.ledger.cfg.HalfLife
 	if raised <= maxMergeSuspicion || halfLife < 0 {
@@ -499,56 +478,45 @@ func (m *Gossip) CheckAfterSession(_ context.Context, hc *core.HostContext, ag *
 }
 
 // PrepareDeparture refreshes the agent's gossip baggage: this host's
-// own most-suspect ledger extracts (signed) joined with the travelling
-// entries this node has verified, newest per (observer, host), capped
-// at maxGossipEntries by descending suspicion. The baggage is still
-// what arrived, so it is put through the arrival filter here: what
-// CheckAfterSession verified moments ago (or any earlier agent brought)
-// the verify memo vouches for, the rest is checked now, and nothing
-// that fails is carried.
-func (m *Gossip) PrepareDeparture(_ context.Context, hc *core.HostContext, ag *agent.Agent, _ *host.SessionRecord) error {
+// own most-suspect ledger extracts joined with the travelling entries
+// this node has verified, newest per (observer, host), in bagOrder and
+// capped at maxGossipEntries. The baggage is still what arrived, so it
+// is put through the arrival filter here, with this host's own claims,
+// unsigned, counted as accepted from the start: what CheckAfterSession
+// verified moments ago (or any earlier agent brought) the verify memo
+// vouches for, the rest is checked now, and nothing that fails is
+// carried. An entry one of them dominates is dropped unchecked, and an
+// own claim that a carried entry dominates is never signed; it still
+// takes its slot among the gossipShareLimit rows, so a bag never says
+// more than one without dominance would. A claim observed by the next
+// hop (rec's migration target) dominates nothing: the next hop drops
+// it on arrival.
+func (m *Gossip) PrepareDeparture(_ context.Context, hc *core.HostContext, ag *agent.Agent, rec *host.SessionRecord) error {
 	self := hc.Host.Name()
 	data, _ := ag.GetBaggage(GossipMechanismName)
-	arrived := decodeEntries(data)
-	entries := m.verified(make([]GossipEntry, 0, len(arrived)+gossipShareLimit), hc.Host.Registry(), self, arrived, nil)
-	// Newest per (observer, host), the first to arrive among equals: a
-	// stable sort puts each pair's entries together, newest first, and
-	// compaction keeps the head of each run.
-	slices.SortStableFunc(entries, func(a, b GossipEntry) int {
-		if c := strings.Compare(a.Observer, b.Observer); c != 0 {
-			return c
-		}
-		if c := strings.Compare(a.Host, b.Host); c != 0 {
-			return c
-		}
-		return cmp.Compare(b.AtUnixNano, a.AtUnixNano)
-	})
-	entries = slices.CompactFunc(entries, func(a, b GossipEntry) bool {
-		return a.Observer == b.Observer && a.Host == b.Host
-	})
-	// admissible dropped every arriving entry observed by this host, so
-	// its own extracts pair with none of them.
 	rows := rowsPool.Get().(*[]ledgerRow)
 	*rows = m.ledger.appendRows((*rows)[:0])
-	entries = append(entries, m.extracts(*rows, self, hc.Host.Keys(), gossipShareLimit, nil)...)
+	own := m.claims(*rows, self, gossipShareLimit, nil)
 	rowsPool.Put(rows)
-	if len(entries) == 0 {
+	f := m.newFilter(self, own, decodeEntries(data), nil)
+	if rec != nil {
+		f.next = rec.Outcome.MigrateHost
+	}
+	acc := f.run(hc.Host.Registry())
+	if len(acc) == 0 {
 		// Nothing worth carrying: strip any baggage that failed
 		// verification rather than ferrying it onward.
 		ag.ClearBaggage(GossipMechanismName)
 		return nil
 	}
-	slices.SortFunc(entries, func(a, b GossipEntry) int {
-		if c := cmp.Compare(b.Suspicion, a.Suspicion); c != 0 {
-			return c
+	slices.SortFunc(acc, func(i, j int) int { return cmp.Compare(f.cand[i].rank, f.cand[j].rank) })
+	entries := make([]GossipEntry, min(len(acc), maxGossipEntries))
+	for k := range entries {
+		c := &f.cand[acc[k]]
+		entries[k] = *c.e
+		if c.own {
+			m.sign(&entries[k], hc.Host.Keys())
 		}
-		if c := strings.Compare(a.Host, b.Host); c != 0 {
-			return c
-		}
-		return strings.Compare(a.Observer, b.Observer)
-	})
-	if len(entries) > maxGossipEntries {
-		entries = entries[:maxGossipEntries]
 	}
 	enc, err := encodeEntries(entries)
 	if err != nil {

@@ -46,7 +46,7 @@ func (bed *gossipBed) arrive(name string, entries ...GossipEntry) []GossipEntry 
 // record or not, and merges what verifies: ingestion before arrival
 // learned to skip the entries that decide nothing.
 func (m *Gossip) verifyAll(reg *sigcrypto.Registry, self string, entries []GossipEntry) []GossipEntry {
-	keep := m.verified(nil, reg, self, entries, nil)
+	keep := m.verified(reg, self, entries, nil)
 	m.merge(keep)
 	return keep
 }
@@ -252,7 +252,10 @@ func TestTerminalAgentsRetainNothing(t *testing.T) {
 // now that departure puts the baggage through the arrival filter itself
 // instead of reading a per-agent store: genuine entries travel on,
 // whether arrival had reason to verify them or not, and entries that do
-// not verify never do.
+// not verify never do. Once arrival has merged genuine, the node's own
+// extract about mallory is a relay of it, damped: beside genuine it is
+// neither signed nor carried, and on an agent that does not carry
+// genuine it is signed and carried.
 func TestDepartureCarriesOnlyWhatThisNodeVerified(t *testing.T) {
 	ctx := context.Background()
 	bed := newGossipBed(t, "src", "node")
@@ -262,19 +265,23 @@ func TestDepartureCarriesOnlyWhatThisNodeVerified(t *testing.T) {
 	forged := signedBy(bed.hosts["src"], "victim", 2, time.Now())
 	forged.Sig.Sig[3] ^= 1
 
-	for _, arrivalRan := range []bool{false, true} {
+	// depart runs an agent carrying bag through the node and counts, in
+	// what it leaves with, src's genuine entry and the node's own extract
+	// about mallory, and the extracts the node signed on the way.
+	depart := func(arrivalRan bool, bag ...GossipEntry) (carried, own int, signed int64) {
+		t.Helper()
 		ag := mkGossipAgent(t)
-		setEntries(t, ag, []GossipEntry{genuine, stale, forged})
+		setEntries(t, ag, bag)
 		if arrivalRan {
 			if _, err := node.CheckAfterSession(ctx, hc, ag); err != nil {
 				t.Fatal(err)
 			}
 		}
+		before := node.extractsSigned.Load()
 		if err := node.PrepareDeparture(ctx, hc, ag, nil); err != nil {
 			t.Fatal(err)
 		}
 		data, _ := ag.GetBaggage(GossipMechanismName)
-		var carried, own int
 		for _, e := range decodeEntries(data) {
 			switch {
 			case e.Host == "victim":
@@ -285,22 +292,23 @@ func TestDepartureCarriesOnlyWhatThisNodeVerified(t *testing.T) {
 				own++
 			}
 		}
-		// stale shares genuine's (observer, host) and is older: the
-		// newer one travels.
-		if carried != 1 || own != btoi(arrivalRan) {
-			t.Fatalf("arrival ran=%v: src's entry carried %d times, node's own extract %d times", arrivalRan, carried, own)
-		}
+		return carried, own, node.extractsSigned.Load() - before
+	}
+
+	// stale shares genuine's (observer, host) and is older: the newer one
+	// travels.
+	if carried, own, _ := depart(false, genuine, stale, forged); carried != 1 || own != 0 {
+		t.Fatalf("arrival skipped: src's entry carried %d times, node's own extract %d times; want 1 and 0", carried, own)
+	}
+	if carried, own, signed := depart(true, genuine, stale, forged); carried != 1 || own != 0 || signed != 0 {
+		t.Fatalf("beside the original: src's entry carried %d times, the node's relay carried %d times and %d extracts signed; want 1, 0 and 0", carried, own, signed)
+	}
+	if carried, own, signed := depart(false, stale, forged); carried != 0 || own != 1 || signed != 1 {
+		t.Fatalf("without the original: src's entry carried %d times, the node's relay carried %d times and %d extracts signed; want 0, 1 and 1", carried, own, signed)
 	}
 	if got := bed.leds["node"].Suspicion("victim"); got != 0 {
 		t.Fatalf("victim charged %v", got)
 	}
-}
-
-func btoi(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // TestArrivalChecksOnlyWhatCouldRaise is the property arrival rests on
