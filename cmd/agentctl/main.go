@@ -43,9 +43,7 @@
 //
 // "plan" prints every node's admission posture — the policy consulted
 // on intake, its refusal threshold, and the admission/intake refusal
-// counters — plus, on nodes where a planner registered its view, the
-// per-host routing table (suspicion, latency EWMA, overload pressure,
-// picks, bans). See DESIGN.md §9.
+// counters. See DESIGN.md §9.
 //
 // The observability plane (see DESIGN.md §8): "metrics" prints every
 // node's event-derived counters, gauges, and histograms plus the
@@ -115,9 +113,7 @@ func run() error {
 
 // runPlan serves `agentctl plan`: every node's admission posture (the
 // policy consulted on intake, its refusal threshold, and the refusal
-// counters) via the node/plan built-in, plus — on nodes where a
-// planner registered its view — the per-host routing table: suspicion,
-// observed latency, decayed overload pressure, picks, and bans.
+// counters) via the node/plan built-in.
 func runPlan(args []string) error {
 	fs := flag.NewFlagSet("plan", flag.ExitOnError)
 	peers := fs.String("peers", "", "address book: name=host:port,...")
@@ -148,22 +144,6 @@ func runPlan(args []string) error {
 		}
 		fmt.Printf("%s: %s refuse-when-full=%v refused=%d intake-refused=%d\n",
 			peer, admission, r.RefuseWhenFull, r.AdmissionRefused, r.IntakeRefused)
-		if !r.PlannerEnabled {
-			continue
-		}
-		if len(r.PlannerHosts) == 0 {
-			fmt.Println("  planner attached, no hosts observed yet")
-			continue
-		}
-		fmt.Printf("  %-12s %9s %12s %10s %6s %s\n", "host", "suspicion", "latency_ms", "overloads", "picks", "banned")
-		for _, h := range r.PlannerHosts {
-			banned := ""
-			if h.Banned {
-				banned = "BANNED"
-			}
-			fmt.Printf("  %-12s %9.3f %12.2f %10.3f %6d %s\n",
-				h.Host, h.Suspicion, h.LatencyEWMAMS, h.Overloads, h.Picks, banned)
-		}
 	}
 	return nil
 }

@@ -29,9 +29,8 @@ import (
 
 // Common validation errors.
 var (
-	ErrNoCode     = errors.New("agent: empty code")
-	ErrNoEntry    = errors.New("agent: empty entry procedure")
-	ErrBadBaggage = errors.New("agent: malformed baggage")
+	ErrNoCode  = errors.New("agent: empty code")
+	ErrNoEntry = errors.New("agent: empty entry procedure")
 )
 
 // Agent is a mobile agent between (or during) execution sessions.
@@ -359,15 +358,6 @@ func Unmarshal(data []byte) (*Agent, error) {
 	// CheckAfterSession makes one) costs nothing extra.
 	a.seedStateDigest(canon.HashBytes(fields[5]))
 	return a, nil
-}
-
-// SessionBinding returns the canonical bytes that protocol signatures
-// over a session's states bind to: agent identity, code digest, hop
-// index, and the given role label. Including the role prevents an
-// initial-state signature from being replayed as a resulting-state
-// signature and vice versa.
-func (a *Agent) SessionBinding(role string, hop int, stateDigest canon.Digest) []byte {
-	return a.AppendSessionBinding(nil, role, hop, stateDigest)
 }
 
 // AppendSessionBinding appends the session binding to dst and returns

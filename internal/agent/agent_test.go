@@ -190,9 +190,9 @@ func TestSessionBindingDistinguishesRoles(t *testing.T) {
 	a := newTestAgent(t)
 	d := a.StateDigest()
 	tests := map[string][]byte{
-		"initial/0":   a.SessionBinding("initial", 0, d),
-		"resulting/0": a.SessionBinding("resulting", 0, d),
-		"initial/1":   a.SessionBinding("initial", 1, d),
+		"initial/0":   a.AppendSessionBinding(nil, "initial", 0, d),
+		"resulting/0": a.AppendSessionBinding(nil, "resulting", 0, d),
+		"initial/1":   a.AppendSessionBinding(nil, "initial", 1, d),
 	}
 	seen := map[string]string{}
 	for name, b := range tests {
@@ -208,7 +208,7 @@ func TestSessionBindingDependsOnState(t *testing.T) {
 	d1 := a.StateDigest()
 	a.SetVar("x", value.Int(1))
 	d2 := a.StateDigest()
-	if string(a.SessionBinding("initial", 0, d1)) == string(a.SessionBinding("initial", 0, d2)) {
+	if string(a.AppendSessionBinding(nil, "initial", 0, d1)) == string(a.AppendSessionBinding(nil, "initial", 0, d2)) {
 		t.Error("binding ignores state digest")
 	}
 }

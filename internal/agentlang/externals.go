@@ -62,13 +62,6 @@ var externals = map[string]*externalSpec{
 	"done":    {name: "done", minArgs: 0, maxArgs: 0, isControl: true},
 }
 
-// IsInputExternal reports whether name is an input external; used by
-// trace recording to decide which statements consumed input.
-func IsInputExternal(name string) bool {
-	spec, ok := externals[name]
-	return ok && spec.isInput
-}
-
 func (s *externalSpec) checkArity(n int, p Pos) error {
 	if n < s.minArgs || (s.maxArgs >= 0 && n > s.maxArgs) {
 		return &SyntaxError{Pos: p, Msg: fmt.Sprintf("%s expects %s, got %d arguments",

@@ -150,10 +150,6 @@ type Config struct {
 	// when the campaign ends.
 	Durable  bool
 	DataRoot string
-	// QuarantineThreshold / EscalateThreshold tune the adaptive policy;
-	// zero selects the policy defaults.
-	QuarantineThreshold float64
-	EscalateThreshold   float64
 	// LedgerHalfLife overrides every member ledger's suspicion decay
 	// half-life (0 = the policy default). An evasion scenario treats
 	// this as the attack parameter: the shorter the fleet forgets, the
@@ -437,8 +433,6 @@ func (r *runner) specFor(m *member, name string) fleet.Spec {
 		Host:  host.Config{Name: name, Trusted: m.trusted},
 		Level: protection.LevelAdaptive,
 		Protection: protection.Options{
-			AdaptivePolicy: policy.ReputationConfig{QuarantineThreshold: r.cfg.QuarantineThreshold},
-			AdaptiveGate:   policy.GateConfig{EscalateThreshold: r.cfg.EscalateThreshold},
 			LedgerHalfLife: r.cfg.LedgerHalfLife,
 		},
 		Node: core.NodeConfig{
@@ -817,10 +811,7 @@ func (r *runner) sample(step int) {
 		}
 	}
 	if r.firstTamperStep >= 0 && !r.score.Converged {
-		escalate := r.cfg.EscalateThreshold
-		if escalate <= 0 {
-			escalate = policy.DefaultEscalateThreshold
-		}
+		escalate := policy.DefaultEscalateThreshold
 		all := true
 		sampled := 0
 		for _, m := range r.members {

@@ -32,7 +32,6 @@ const (
 	tagList   byte = 0x05
 	tagMap    byte = 0x06
 	tagState  byte = 0x07
-	tagBytes  byte = 0x08
 	tagTuple  byte = 0x09
 )
 
@@ -381,9 +380,6 @@ type Digest [sha256.Size]byte
 
 // String returns the first 12 hex digits, enough for log readability.
 func (d Digest) String() string { return fmt.Sprintf("%x", d[:6]) }
-
-// IsZero reports whether d is the all-zero digest (i.e. unset).
-func (d Digest) IsZero() bool { return d == Digest{} }
 
 // HashBytes digests an arbitrary byte string.
 func HashBytes(b []byte) Digest { return sha256.Sum256(b) }

@@ -248,13 +248,6 @@ func TestDigestString(t *testing.T) {
 	if len(d.String()) != 12 {
 		t.Errorf("Digest.String() = %q, want 12 hex chars", d.String())
 	}
-	var zero Digest
-	if !zero.IsZero() {
-		t.Error("zero digest not IsZero")
-	}
-	if d.IsZero() {
-		t.Error("nonzero digest reports IsZero")
-	}
 }
 
 func TestHashValueDiffersFromHashState(t *testing.T) {

@@ -131,27 +131,8 @@ func (e *ForwardError) Unwrap() error { return e.Err }
 // PlanCallBody builds the (empty) body for a node/plan call.
 func PlanCallBody() []byte { return nil }
 
-// PlannerHostStats is one candidate host as a planner sees it — served
-// through node/plan when a planner is attached to the node via
-// SetPlanReporter.
-type PlannerHostStats struct {
-	Host string
-	// Suspicion is the planner's ledger read for the host.
-	Suspicion float64
-	// LatencyEWMAMS is the observed intake-to-terminal latency EWMA the
-	// planner holds for the host, in milliseconds (0 = never observed).
-	LatencyEWMAMS float64
-	// Overloads is the decayed mailbox-full/overload pressure signal.
-	Overloads float64
-	// Picks counts how often the planner routed to the host; Banned
-	// reports it excluded from all future plans.
-	Picks  int64
-	Banned bool
-}
-
 // PlanReply is the answer to a node/plan call: the node's admission
-// posture and refusal counters, plus — when a planner runs on this
-// node — the planner's per-host routing view.
+// posture and refusal counters.
 type PlanReply struct {
 	// Host is the answering node's principal name.
 	Host string
@@ -166,10 +147,6 @@ type PlanReply struct {
 	AdmissionRefused int64
 	IntakeRefused    int64
 	RefuseWhenFull   bool
-	// PlannerEnabled reports a planner registered its view here;
-	// PlannerHosts is that view, sorted by host name.
-	PlannerEnabled bool
-	PlannerHosts   []PlannerHostStats
 }
 
 // DecodePlanReply decodes a node/plan response.
@@ -187,15 +164,6 @@ type AdmissionThresholder interface {
 	AdmissionThreshold() float64
 }
 
-// SetPlanReporter attaches a planner's per-host view to the node's
-// node/plan built-in (nil detaches). The report function is called on
-// every node/plan request and must be safe for concurrent use.
-func (n *Node) SetPlanReporter(report func() []PlannerHostStats) {
-	n.planMu.Lock()
-	n.planReporter = report
-	n.planMu.Unlock()
-}
-
 // planReply snapshots the node's admission/planning surface.
 func (n *Node) planReply() PlanReply {
 	r := PlanReply{
@@ -210,13 +178,6 @@ func (n *Node) planReply() PlanReply {
 		if t, ok := ap.(AdmissionThresholder); ok {
 			r.AdmissionThreshold = t.AdmissionThreshold()
 		}
-	}
-	n.planMu.Lock()
-	report := n.planReporter
-	n.planMu.Unlock()
-	if report != nil {
-		r.PlannerEnabled = true
-		r.PlannerHosts = report()
 	}
 	return r
 }

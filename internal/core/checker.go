@@ -92,8 +92,6 @@ func normalizeList(st value.State, name string) {
 type ReExecChecker struct {
 	// Compare is the state comparison; nil means StrictComparer.
 	Compare StateComparer
-	// Fuel bounds the re-execution; 0 means agentlang.DefaultFuel.
-	Fuel int64
 	// Hook observes the re-execution (the benchmark harness attaches a
 	// procedure timer here: the paper's Table 2 "cycle" column includes
 	// the checking re-execution's computation).
@@ -131,7 +129,7 @@ func (r *ReExecChecker) Check(cc *CheckContext) (bool, []string, error) {
 	// packaged initial state stays intact for later evidence.
 	working := initial.Snapshot()
 	replay := agentlang.NewReplayEnv(input)
-	outcome, err := agentlang.Run(prog, pkg.Entry, working, replay, agentlang.Options{Fuel: r.Fuel, Hook: r.Hook})
+	outcome, err := agentlang.Run(prog, pkg.Entry, working, replay, agentlang.Options{Hook: r.Hook})
 	if err != nil {
 		// Replay divergence: the (initial state, input, code) triple is
 		// inconsistent with itself — the session as reported cannot have

@@ -227,36 +227,6 @@ proc step() { done() }`)
 	}
 }
 
-func TestContinueOnDetection(t *testing.T) {
-	tb := newTestbed(t)
-	keys, err := sigcrypto.GenerateKeyPair("h2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2, err := host.New(host.Config{Name: "h2", Keys: keys, Registry: tb.reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	node2, err := NewNode(NodeConfig{
-		Host: h2, Net: tb.net, Mechanisms: []Mechanism{failingMechanism{}},
-		ContinueOnDetection: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb.nodes["h2"] = node2
-	tb.net.Register("h2", node2)
-	t.Cleanup(func() { _ = node2.Close() })
-	tb.addHost("h1", true, []Mechanism{failingMechanism{}}, nil)
-
-	ag := mkAgent(t, `
-proc main() { migrate("h2", "step") }
-proc step() { done() }`)
-	if err := tb.run("h1", ag); err != nil {
-		t.Fatalf("ContinueOnDetection still aborted: %v", err)
-	}
-}
-
 func TestHandleAgentRejectsGarbage(t *testing.T) {
 	tb := newTestbed(t)
 	node := tb.addHost("h1", true, nil, nil)

@@ -127,10 +127,8 @@ type evidenceFile struct {
 }
 
 // recordEvidenceFile appends a freshly spilled file to the oldest-first
-// ledger and prunes beyond the count and byte budgets. The archive hook
-// (NodeConfig.OnEvidencePrune, plus an evidence-prune bus event) fires
-// for each pruned file *before* its removal, while the bytes are still
-// readable.
+// ledger and prunes beyond the count and byte budgets. An
+// evidence-prune bus event names each pruned file *before* its removal.
 func (n *Node) recordEvidenceFile(path string, size int64) {
 	limit := n.cfg.EvidenceLimit
 	if limit < 0 {
@@ -165,14 +163,11 @@ func (n *Node) recordEvidenceFile(path string, size int64) {
 	// just preserved would defeat the spill's purpose).
 }
 
-// pruneOldestEvidenceLocked fires the archive hook for the oldest
-// ledgered file, removes it, and updates the byte total; caller holds
-// evMu.
+// pruneOldestEvidenceLocked publishes the oldest ledgered file's
+// evidence-prune event, removes the file, and updates the byte total;
+// caller holds evMu.
 func (n *Node) pruneOldestEvidenceLocked() {
 	f := n.evFiles[0]
-	if n.cfg.OnEvidencePrune != nil {
-		n.cfg.OnEvidencePrune(f.path, f.size)
-	}
 	n.publish(events.Event{
 		Kind:   events.KindEvidencePrune,
 		Fields: map[string]string{"path": f.path, "bytes": fmt.Sprintf("%d", f.size)},

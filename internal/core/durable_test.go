@@ -7,12 +7,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/agent"
+	"repro/internal/events"
 	"repro/internal/host"
 	"repro/internal/sigcrypto"
 	"repro/internal/transport"
@@ -270,60 +271,104 @@ func TestEvidenceDirectoryIsBounded(t *testing.T) {
 }
 
 func TestEvidenceByteBudgetAndPruneHook(t *testing.T) {
-	var (
-		mu     sync.Mutex
-		pruned []string
-	)
+	pipe, err := events.Open(events.PipelineConfig{Node: "checker"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = pipe.Close() })
+	sub := pipe.Bus.Subscribe("prune-watch", 4096)
 	b := newDurableBed(t, func(cfg *NodeConfig) {
 		cfg.QuarantineLimit = 1
 		// A budget below two spilled agents: every spill beyond the
 		// first prunes the oldest file, but the newest always survives
 		// (the single-over-budget-file allowance).
 		cfg.EvidenceByteLimit = 700
-		cfg.OnEvidencePrune = func(path string, size int64) {
-			if size <= 0 {
-				t.Errorf("prune hook got size %d for %s", size, path)
-			}
-			if _, err := os.Stat(path); err != nil {
-				t.Errorf("prune hook fired after deletion, not before: %v", err)
-			}
-			mu.Lock()
-			pruned = append(pruned, path)
-			mu.Unlock()
-		}
+		cfg.Events = pipe
 	})
-	for i := 0; i < 5; i++ {
-		b.runToCheck(fmt.Sprintf("budget-%d", i))
-	}
-	files, err := os.ReadDir(filepath.Join(b.cfgC.DataDir, "evidence"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total int64
-	count := 0
-	for _, f := range files {
-		if !strings.HasSuffix(f.Name(), ".agent") {
-			continue
-		}
-		count++
-		info, err := f.Info()
-		if err != nil {
+	evidenceDir := filepath.Join(b.cfgC.DataDir, "evidence")
+	// Every file the directory ever held, with its size: one spill per
+	// run, and the newest file survives its own spill, so a listing
+	// after each run sees every file before any prune removes it.
+	seen := map[string]int64{}
+	listing := func() map[string]int64 {
+		files, err := os.ReadDir(evidenceDir)
+		if err != nil && !os.IsNotExist(err) {
 			t.Fatal(err)
 		}
-		total += info.Size()
+		out := map[string]int64{}
+		for _, f := range files {
+			if !strings.HasSuffix(f.Name(), ".agent") {
+				continue
+			}
+			info, err := f.Info()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[f.Name()] = info.Size()
+			seen[f.Name()] = info.Size()
+		}
+		return out
 	}
-	if count == 0 {
+	for i := 0; i < 5; i++ {
+		b.runToCheck(fmt.Sprintf("budget-%d", i))
+		listing()
+	}
+	present := listing()
+	var total int64
+	for _, size := range present {
+		total += size
+	}
+	if len(present) == 0 {
 		t.Fatal("no evidence spilled at all")
 	}
 	// Either the directory is within budget, or a single file blew it
 	// (the newest spill is never pruned to make room for itself).
-	if total > 700 && count > 1 {
-		t.Fatalf("evidence directory %d bytes in %d files, want within the 700-byte budget (or one over-budget file)", total, count)
+	if total > 700 && len(present) > 1 {
+		t.Fatalf("evidence directory %d bytes in %d files, want within the 700-byte budget (or one over-budget file)", total, len(present))
 	}
-	mu.Lock()
-	defer mu.Unlock()
+
+	// Pruned, and observably so: one evidence-prune event per file that
+	// disappeared, naming it and its size.
+	pruned := map[string]int64{}
+	for _, ev := range sub.Drain() {
+		if ev.Kind != events.KindEvidencePrune {
+			continue
+		}
+		name := filepath.Base(ev.Fields["path"])
+		if filepath.Dir(ev.Fields["path"]) != evidenceDir {
+			t.Errorf("evidence-prune path %q is outside %s", ev.Fields["path"], evidenceDir)
+		}
+		if _, dup := pruned[name]; dup {
+			t.Errorf("evidence-prune published twice for %s", name)
+		}
+		size, err := strconv.ParseInt(ev.Fields["bytes"], 10, 64)
+		if err != nil {
+			t.Fatalf("evidence-prune bytes %q: %v", ev.Fields["bytes"], err)
+		}
+		pruned[name] = size
+	}
+	if _, dropped := sub.Stats(); dropped != 0 {
+		t.Fatalf("subscriber dropped %d events", dropped)
+	}
 	if len(pruned) == 0 {
 		t.Fatal("byte budget never pruned despite repeated spills")
+	}
+	for name, size := range seen {
+		_, still := present[name]
+		got, published := pruned[name]
+		switch {
+		case still && published:
+			t.Errorf("evidence-prune published for %s, which is still on disk", name)
+		case !still && !published:
+			t.Errorf("%s disappeared from evidence/ without an evidence-prune event", name)
+		case published && got != size:
+			t.Errorf("evidence-prune for %s says %d bytes, the file held %d", name, got, size)
+		}
+	}
+	for name := range pruned {
+		if _, ok := seen[name]; !ok {
+			t.Errorf("evidence-prune names %s, which evidence/ never held", name)
+		}
 	}
 }
 

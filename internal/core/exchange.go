@@ -121,9 +121,6 @@ type ExchangeStats struct {
 	// errored (peer unreachable, malformed reply).
 	Rounds   int64
 	Failures int64
-	// PeersSkipped counts ring positions passed over because the peer
-	// was cooling down after failures (per-peer failure backoff).
-	PeersSkipped int64
 	// EntriesSent counts extracts pushed to peers, EntriesReceived the
 	// delta entries peers returned, EntriesMerged the received entries
 	// that would raise a ledger record, verified, and were folded in

@@ -103,13 +103,6 @@ type NodeConfig struct {
 	// count trips). 0 disables the byte budget. Ignored without a
 	// DataDir or with EvidenceLimit < 0.
 	EvidenceByteLimit int64
-	// OnEvidencePrune fires immediately *before* a spilled evidence
-	// file is removed by either budget, with the file still intact —
-	// the archive hook: copy the file elsewhere during the callback for
-	// retention beyond the node's budgets. May be nil. Called under the
-	// evidence ledger lock; keep it brief. The same fact is published
-	// on the event bus as an evidence-prune event.
-	OnEvidencePrune func(path string, size int64)
 	// Events, when non-nil, receives the node's operational facts
 	// (intake, verdicts, quarantines, completions, forwards, journal
 	// evictions, persistence errors, evidence pruning, owner notices)
@@ -150,9 +143,10 @@ type NodeConfig struct {
 	Exchange ExchangeConfig
 	// Policy decides the node's response to every verdict produced
 	// here: quarantine, continue-flagged, and owner notification. Nil
-	// selects a built-in: the strict seed behaviour (any failed check
-	// quarantines), or the permissive one when ContinueOnDetection is
-	// set. See internal/policy for the reputation-driven policies.
+	// selects the strict seed behaviour (any failed check quarantines:
+	// "a compromised agent continues to work on other hosts" is the
+	// low end of the protection scale the paper criticizes, §4.1). See
+	// internal/policy for the reputation-driven policies.
 	Policy VerdictPolicy
 	// Admission, when non-nil, is consulted on every delivery whose
 	// sender is known (the last entry of the agent's route): a Refuse
@@ -181,17 +175,6 @@ type NodeConfig struct {
 	// this node, with all verdicts accumulated over its journey; may be
 	// nil. It may be called from multiple workers concurrently.
 	OnComplete func(ag *agent.Agent, verdicts []Verdict, aborted bool)
-	// OnError is invoked when processing a delivery fails for any
-	// reason (detection, refused agent, forwarding failure,
-	// cancellation); may be nil. The same outcome also resolves the
-	// agent's Receipt.
-	OnError func(ag *agent.Agent, err error)
-	// ContinueOnDetection keeps forwarding an agent even after a failed
-	// check. The default (false) quarantines the agent at the detecting
-	// node: "a compromised agent continues to work on other hosts" is
-	// exactly the low end of the protection scale the paper criticizes
-	// (§4.1).
-	ContinueOnDetection bool
 	// SessionOptions is passed to every session run (benchmark hooks).
 	SessionOptions host.SessionOptions
 }
@@ -259,10 +242,6 @@ type Node struct {
 	// Both are served through node/plan and node/metrics.
 	admissionRefused atomic.Int64
 	intakeRefused    atomic.Int64
-
-	// planMu guards the planner report hook behind node/plan.
-	planMu       sync.Mutex
-	planReporter func() []PlannerHostStats
 
 	// healthMu guards the sticky persistence-failure record served by
 	// the node/health built-in: once a WAL append, compaction, or
@@ -782,9 +761,6 @@ func (n *Node) runOne(item intakeItem) {
 			Aborted:  errors.Is(err, ErrDetection),
 			Err:      err,
 		})
-		if n.cfg.OnError != nil {
-			n.cfg.OnError(item.ag, err)
-		}
 	}
 }
 
@@ -939,13 +915,10 @@ func (n *Node) decide(agentID string, v Verdict) Decision {
 }
 
 // policy resolves the node's verdict policy, falling back to the
-// built-ins that reproduce the pre-policy boolean behaviour.
+// strict built-in that reproduces the seed behaviour.
 func (n *Node) policy() VerdictPolicy {
 	if n.cfg.Policy != nil {
 		return n.cfg.Policy
-	}
-	if n.cfg.ContinueOnDetection {
-		return permissivePolicy{}
 	}
 	return strictPolicy{}
 }
@@ -1067,7 +1040,7 @@ type ReputationReply struct {
 	// Policy names the node's verdict policy.
 	Policy string
 	// Tracked is false when the policy keeps no reputation ledger (the
-	// strict/permissive built-ins).
+	// strict built-in).
 	Tracked bool
 	// Known reports whether the ledger has observations for the host;
 	// Rep is meaningful only when Known.

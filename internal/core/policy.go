@@ -78,16 +78,3 @@ func (strictPolicy) Decide(_ string, v Verdict) Decision {
 	}
 	return Decision{Quarantine: true, NotifyOwner: true, Reason: "failed check quarantines (strict)"}
 }
-
-// permissivePolicy reproduces ContinueOnDetection: the agent keeps
-// travelling, but the detection is flagged rather than dropped.
-type permissivePolicy struct{}
-
-func (permissivePolicy) Name() string { return "permissive" }
-
-func (permissivePolicy) Decide(_ string, v Verdict) Decision {
-	if v.OK {
-		return Decision{}
-	}
-	return Decision{Flag: true, NotifyOwner: true, Reason: "failed check flagged (permissive)"}
-}

@@ -4,10 +4,8 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"testing"
 )
 
@@ -16,42 +14,25 @@ import (
 // them; everything else builds nodes through fleet.Open / Fleet.Add.
 var assemblers = map[string]map[string]bool{
 	"repro/internal/core":       {"NewNode": true},
-	"repro/internal/protection": {"Assemble": true, "Mechanisms": true},
+	"repro/internal/protection": {"Assemble": true},
 }
 
 // TestNodesAreAssembledOnlyInFleet is the gate against the next
 // hand-rolled keys → host → stack → node → register loop: no non-test
 // Go file outside internal/fleet, internal/core, internal/protection
 // and benchmark/ (the frozen yardstick, a module of its own) calls
-// core.NewNode, protection.Assemble or protection.Mechanisms.
+// core.NewNode or protection.Assemble.
 func TestNodesAreAssembledOnlyInFleet(t *testing.T) {
 	root := "../.."
-	exempt := map[string]bool{
-		"benchmark":           true,
-		".bench_build":        true,
-		".git":                true,
-		"internal/fleet":      true,
-		"internal/core":       true,
-		"internal/protection": true,
+	files, err := goSources(root, "benchmark", "internal/fleet", "internal/core", "internal/protection")
+	if err != nil {
+		t.Fatal(err)
 	}
-	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, _ := filepath.Rel(root, path)
-		if d.IsDir() {
-			if exempt[filepath.ToSlash(rel)] {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
+	for _, rel := range files {
 		fset := token.NewFileSet()
-		file, err := parser.ParseFile(fset, path, nil, 0)
+		file, err := parser.ParseFile(fset, filepath.Join(root, rel), nil, 0)
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
 		// Local name of each assembler package in this file.
 		local := make(map[string]map[string]bool)
@@ -78,9 +59,5 @@ func TestNodesAreAssembledOnlyInFleet(t *testing.T) {
 			}
 			return true
 		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }

@@ -1,0 +1,18 @@
+// Command reach is the reachability gate's fixture: the production
+// root of a tree with one finding of each reported shape.
+package main
+
+import (
+	"fmt"
+
+	"reach/internal/lib"
+)
+
+func main() {
+	cfg := lib.Config{Name: "demo"}
+	if cfg.OnlyTestsSet {
+		fmt.Println("set")
+	}
+	var s lib.Shape = lib.Square{Side: 2}
+	fmt.Println(s.Area(), lib.Check(cfg))
+}

@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/canon"
 )
@@ -68,9 +67,6 @@ const (
 	// KindOwnerNotice fires when policy asks the platform to notify
 	// the agent's owner.
 	KindOwnerNotice = "owner-notice"
-	// KindStageDissent fires once per dissenting or failed replica in
-	// a replicated stage.
-	KindStageDissent = "stage-dissent"
 	// KindAdmissionRefused fires when a node's admission policy turns a
 	// delivery away before intake (the verdict-free refusal path); Host
 	// names the suspicious sender that was shunned.
@@ -105,9 +101,6 @@ type Event struct {
 	// Fields holds bounded key/value extras; may be nil.
 	Fields map[string]string
 }
-
-// Time returns the event timestamp as a time.Time.
-func (e Event) Time() time.Time { return time.Unix(0, e.UnixNano) }
 
 // Field returns a field value or "" when absent.
 func (e Event) Field(key string) string {

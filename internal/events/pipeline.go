@@ -15,15 +15,9 @@ type PipelineConfig struct {
 	Node string
 	// Now overrides the event clock; nil means time.Now.
 	Now func() time.Time
-	// JournalSize bounds the cursor journal; 0 means
-	// DefaultJournalSize.
-	JournalSize int
 	// DataDir, when non-empty, enables the flight recorder with its
 	// WAL under DataDir/flight.
 	DataDir string
-	// FlightCapacity bounds the recorded ring; 0 means
-	// DefaultFlightCapacity.
-	FlightCapacity int
 	// OnPersistError observes the flight recorder's first sticky
 	// persistence failure; may be nil.
 	OnPersistError func(error)
@@ -51,8 +45,7 @@ func Open(cfg PipelineConfig) (*Pipeline, error) {
 	first := uint64(0)
 	if cfg.DataDir != "" {
 		rec, err := OpenRecorder(filepath.Join(cfg.DataDir, FlightDirName), RecorderConfig{
-			Capacity: cfg.FlightCapacity,
-			OnError:  cfg.OnPersistError,
+			OnError: cfg.OnPersistError,
 		})
 		if err != nil {
 			return nil, err
@@ -61,10 +54,9 @@ func Open(cfg PipelineConfig) (*Pipeline, error) {
 		first = rec.NextSeq()
 	}
 	p.Bus = NewBus(BusConfig{
-		Node:        cfg.Node,
-		Now:         cfg.Now,
-		JournalSize: cfg.JournalSize,
-		FirstSeq:    first,
+		Node:     cfg.Node,
+		Now:      cfg.Now,
+		FirstSeq: first,
 	})
 	if p.Flight != nil {
 		p.Flight.Attach(p.Bus)

@@ -22,9 +22,6 @@ type RecorderConfig struct {
 	// failure; may be nil. The recorder keeps running in memory — the
 	// degraded flag is what health reporting surfaces.
 	OnError func(error)
-	// SyncEvery tunes the underlying WAL's fsync batch; 0 takes the
-	// WAL default.
-	SyncEvery int
 }
 
 // Recorder is the flight recorder: a ring of the most recent bus
@@ -60,7 +57,7 @@ func OpenRecorder(dir string, cfg RecorderConfig) (*Recorder, error) {
 		capacity = DefaultFlightCapacity
 	}
 	r := &Recorder{cap: capacity, done: make(chan struct{})}
-	wal, err := shardstore.OpenWAL(dir, shardstore.WALConfig{SyncEvery: cfg.SyncEvery})
+	wal, err := shardstore.OpenWAL(dir, shardstore.WALConfig{})
 	if err != nil {
 		return nil, fmt.Errorf("events: open flight WAL: %w", err)
 	}
@@ -170,9 +167,6 @@ func (r *Recorder) Events() []Event {
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
 }
-
-// Len returns the number of recorded events.
-func (r *Recorder) Len() int { return r.store.Len() }
 
 // Degraded reports whether the recorder's WAL has hit a sticky
 // persistence failure (it keeps recording in memory).

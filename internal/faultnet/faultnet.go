@@ -133,13 +133,6 @@ func (f *Fabric) SetLinkFaults(src, dst string, lf LinkFaults) {
 	f.links[linkKey(src, dst)] = lf
 }
 
-// ClearLinkFaults removes every installed fault profile.
-func (f *Fabric) ClearLinkFaults() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.links = make(map[string]LinkFaults)
-}
-
 // linkFor resolves the fault profile for src->dst; zero when none is
 // installed. Caller holds f.mu.
 func (f *Fabric) linkFor(src, dst string) LinkFaults {

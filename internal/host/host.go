@@ -77,8 +77,6 @@ type Config struct {
 	Clock func() int64
 	// RandSeed seeds the host's deterministic rand() source.
 	RandSeed int64
-	// Fuel bounds statements per session; 0 means agentlang.DefaultFuel.
-	Fuel int64
 	// RecordTrace enables full execution-trace recording (needed by the
 	// vigna and proof mechanisms; the example mechanism needs only the
 	// input log).
@@ -343,10 +341,7 @@ func (h *Host) RunSession(ctx context.Context, ag *agent.Agent, opts SessionOpti
 		}
 	}
 
-	outcome, err := agentlang.Run(prog, ag.Entry, ag.State, recEnv, agentlang.Options{
-		Fuel: h.cfg.Fuel,
-		Hook: hook,
-	})
+	outcome, err := agentlang.Run(prog, ag.Entry, ag.State, recEnv, agentlang.Options{Hook: hook})
 	if err != nil {
 		return nil, fmt.Errorf("host %s: session hop %d: %w", h.cfg.Name, ag.Hop, err)
 	}

@@ -66,8 +66,9 @@ func TestNewValidation(t *testing.T) {
 
 func TestNewRegistersKey(t *testing.T) {
 	h := newHost(t, "alpha", nil)
-	if !h.Registry().Known("alpha") {
-		t.Error("host key not registered")
+	msg := []byte("m")
+	if err := h.Registry().Verify(msg, h.Keys().Sign(msg)); err != nil {
+		t.Errorf("host key not registered: %v", err)
 	}
 }
 

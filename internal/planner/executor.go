@@ -71,9 +71,6 @@ type Executor struct {
 	MaxAttempts int
 	// Backoff is the base spillover wait; 0 means DefaultBackoff.
 	Backoff time.Duration
-	// Sleep overrides the backoff sleep (virtual-time tests); nil means
-	// a ctx-aware real sleep.
-	Sleep func(ctx context.Context, d time.Duration)
 }
 
 // RunResult is one itinerary's execution ledger.
@@ -111,10 +108,6 @@ func (e *Executor) maxAttempts() int {
 }
 
 func (e *Executor) sleep(ctx context.Context, d time.Duration) {
-	if e.Sleep != nil {
-		e.Sleep(ctx, d)
-		return
-	}
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
@@ -126,11 +119,6 @@ func (e *Executor) sleep(ctx context.Context, d time.Duration) {
 // Execute runs one itinerary to completion or terminal failure.
 func (e *Executor) Execute(ctx context.Context, it Itinerary) RunResult {
 	res := RunResult{ItineraryID: it.ID}
-	if !it.Deadline.IsZero() {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, it.Deadline)
-		defer cancel()
-	}
 	home := e.Planner.cfg.Home
 	backoff := e.Backoff
 	if backoff <= 0 {

@@ -22,11 +22,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/policy"
 )
 
@@ -61,13 +59,10 @@ type Stage struct {
 }
 
 // Itinerary is a routing goal: an ordered list of stages to place on
-// concrete hosts, with an optional deadline the executor enforces and
-// the planner's slack scoring leans on.
+// concrete hosts.
 type Itinerary struct {
 	ID     string
 	Stages []Stage
-	// Deadline bounds the journey; zero means none.
-	Deadline time.Time
 }
 
 // Config parameterizes a Planner. One planner serves one home: its
@@ -100,7 +95,6 @@ type hostView struct {
 	latencyEWMA float64 // milliseconds; 0 = never observed
 	overload    float64 // decaying spike mass
 	updated     time.Time
-	picks       int64
 	banned      bool
 }
 
@@ -190,21 +184,11 @@ func (p *Planner) Ban(host string) {
 	p.view(host).banned = true
 }
 
-// Banned reports whether the host is excluded.
-func (p *Planner) Banned(host string) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	v, ok := p.hosts[host]
-	return ok && v.banned
-}
-
 // weight scores one candidate; caller holds p.mu. The blend: suspicion
 // shrinks a host's share hyperbolically, observed load (latency EWMA
 // against the reference, plus decaying overload spikes) shrinks it
-// further, and with a deadline the latency penalty sharpens as slack
-// runs out — a slow host is affordable with a loose deadline and
-// poison with a tight one.
-func (p *Planner) weight(host string, now time.Time, slack time.Duration) float64 {
+// further.
+func (p *Planner) weight(host string, now time.Time) float64 {
 	v := p.view(host)
 	var susp float64
 	if p.cfg.Suspicion != nil {
@@ -214,10 +198,6 @@ func (p *Planner) weight(host string, now time.Time, slack time.Duration) float6
 	refMS := float64(DefaultLatencyRef.Microseconds()) / 1e3
 	load := v.latencyEWMA/refMS + p.decayedOverload(v, now)
 	w /= 1 + load
-	if slack > 0 && v.latencyEWMA > 0 {
-		slackMS := float64(slack.Microseconds()) / 1e3
-		w /= 1 + v.latencyEWMA/slackMS
-	}
 	return w
 }
 
@@ -230,10 +210,6 @@ func (p *Planner) weight(host string, now time.Time, slack time.Duration) float6
 // stage, so routes are deterministic per (seed, pools, observations).
 func (p *Planner) PlanRoute(it Itinerary) ([]string, error) {
 	now := p.cfg.Now()
-	var slack time.Duration
-	if !it.Deadline.IsZero() {
-		slack = it.Deadline.Sub(now)
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	route := make([]string, 0, len(it.Stages))
@@ -260,21 +236,20 @@ func (p *Planner) PlanRoute(it Itinerary) ([]string, error) {
 		if len(pool) == 0 {
 			return nil, fmt.Errorf("%w: itinerary %s stage %d (pool %v)", ErrNoFeasibleHost, it.ID, si, stage.Candidates)
 		}
-		pick := p.samplePool(pool, now, slack)
+		pick := p.samplePool(pool, now)
 		route = append(route, pick)
 		used[pick] = true
-		p.view(pick).picks++
 	}
 	return route, nil
 }
 
 // samplePool weighted-samples one host from the pool with a single RNG
 // draw (cumulative-sum walk in pool order); caller holds p.mu.
-func (p *Planner) samplePool(pool []string, now time.Time, slack time.Duration) string {
+func (p *Planner) samplePool(pool []string, now time.Time) string {
 	weights := make([]float64, len(pool))
 	total := 0.0
 	for i, c := range pool {
-		weights[i] = p.weight(c, now, slack)
+		weights[i] = p.weight(c, now)
 		total += weights[i]
 	}
 	// weight() is strictly positive (its factors are hyperbolic, never
@@ -289,28 +264,4 @@ func (p *Planner) samplePool(pool []string, now time.Time, slack time.Duration) 
 		}
 	}
 	return pool[len(pool)-1]
-}
-
-// Report snapshots the planner's per-host view, sorted by host name —
-// the payload behind the node/plan built-in.
-func (p *Planner) Report() []core.PlannerHostStats {
-	now := p.cfg.Now()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]core.PlannerHostStats, 0, len(p.hosts))
-	for name, v := range p.hosts {
-		st := core.PlannerHostStats{
-			Host:          name,
-			LatencyEWMAMS: v.latencyEWMA,
-			Overloads:     p.decayedOverload(v, now),
-			Picks:         v.picks,
-			Banned:        v.banned,
-		}
-		if p.cfg.Suspicion != nil {
-			st.Suspicion = p.cfg.Suspicion(name)
-		}
-		out = append(out, st)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Host < out[j].Host })
-	return out
 }

@@ -426,9 +426,6 @@ func (x *Exchange) Stats() core.ExchangeStats {
 // while the loop runs will interleave with the loop's own updates.
 func (x *Exchange) Scheduler() *Scheduler { return x.sched }
 
-// Role returns the loop's federation tier.
-func (x *Exchange) Role() core.ExchangeRole { return x.role }
-
 // persistSched writes the scheduler's state to statePath atomically
 // (temp + rename). Failures are silent-but-bounded: the state is pure
 // optimization, and the next successful round retries the write.

@@ -109,10 +109,6 @@ func ParseLevel(s string) (Level, error) {
 type Options struct {
 	// Timer receives sign&verify time accounting; may be nil.
 	Timer *stopwatch.PhaseTimer
-	// Compare overrides the resulting-state comparison for LevelFull.
-	Compare core.StateComparer
-	// Fuel bounds checking re-executions.
-	Fuel int64
 	// ExecHook observes checking re-executions (benchmark phase
 	// timing); may be nil.
 	ExecHook agentlang.Hook
@@ -120,10 +116,6 @@ type Options struct {
 	// quarantine threshold); zero values select the policy package
 	// defaults. Other levels ignore it.
 	AdaptivePolicy policy.ReputationConfig
-	// AdaptiveGate tunes LevelAdaptive's escalation gate (suspicion
-	// threshold, baseline audit cadence); zero values select the policy
-	// package defaults. Other levels ignore it.
-	AdaptiveGate policy.GateConfig
 	// DataDir makes the stack's durable protection state persistent
 	// under this directory: LevelAdaptive's reputation ledger (ledger/)
 	// and LevelTraces' retained trace packages (vigna/) are WAL-backed
@@ -135,8 +127,8 @@ type Options struct {
 	// Clock overrides the stack's clock for LevelAdaptive: the
 	// default-built ledger's decay clock and the gossip mechanism's
 	// extract timestamps. Campaign harnesses on virtual time set it;
-	// nil means time.Now. A caller-supplied AdaptivePolicy/AdaptiveGate
-	// ledger keeps its own Now — only gossip adopts the clock then.
+	// nil means time.Now. A caller-supplied AdaptivePolicy ledger keeps
+	// its own Now — only gossip adopts the clock then.
 	Clock func() time.Time
 	// OnPersistError receives the stack's durable-state write failures
 	// (the adaptive ledger WAL; fires once, then the store is degraded
@@ -148,9 +140,9 @@ type Options struct {
 	// ledger publishes escalation crossings, its gate level-escalation
 	// decisions, and its gossip mechanism merge/exchange/cooldown
 	// outcomes. Pair it with core.NodeConfig.Events (the pipeline
-	// wrapping the same bus). A caller-supplied AdaptivePolicy/
-	// AdaptiveGate ledger keeps its own bus wiring — only the gate and
-	// gossip adopt this one then. Other levels ignore it.
+	// wrapping the same bus). A caller-supplied AdaptivePolicy ledger
+	// keeps its own bus wiring — only the gate and gossip adopt this
+	// one then. Other levels ignore it.
 	Events *events.Bus
 	// AdmissionThreshold, when positive, builds a ledger-backed
 	// admission policy into LevelAdaptive's stack: deliveries from
@@ -173,8 +165,8 @@ type Options struct {
 // policy are exposed for inspection (benchmarks, status calls).
 type Stack struct {
 	Mechanisms []core.Mechanism
-	// Policy is the node's verdict policy; nil selects the core
-	// built-ins (strict, or permissive with ContinueOnDetection).
+	// Policy is the node's verdict policy; nil selects the core's
+	// strict built-in.
 	Policy core.VerdictPolicy
 	// Ledger, Gate, and Gossip are non-nil only for LevelAdaptive.
 	// Gossip is exposed so deployments can wire the node's anti-entropy
@@ -228,7 +220,7 @@ func Assemble(l Level, opts Options) (Stack, error) {
 	case LevelFull:
 		return Stack{Mechanisms: []core.Mechanism{
 			wholesig.New(opts.Timer),
-			refproto.New(refproto.Config{Compare: opts.Compare, Fuel: opts.Fuel, Timer: opts.Timer, ExecHook: opts.ExecHook}),
+			refproto.New(refproto.Config{Timer: opts.Timer, ExecHook: opts.ExecHook}),
 		}}, nil
 	case LevelAdaptive:
 		// One ledger per node, shared by the policy (writes suspicion),
@@ -236,17 +228,10 @@ func Assemble(l Level, opts Options) (Stack, error) {
 		// (reads it to price the next check).
 		led := opts.AdaptivePolicy.Ledger
 		if led == nil {
-			led = opts.AdaptiveGate.Ledger
-		}
-		if led == nil {
-			// The escalation event should fire at the same suspicion the
-			// gate actually escalates at, so the gate's threshold (default
-			// resolved by NewGate) is wired into the ledger here.
 			lcfg := policy.LedgerConfig{
 				Now:            opts.Clock,
 				OnPersistError: opts.OnPersistError,
 				Bus:            opts.Events,
-				EscalateAt:     opts.AdaptiveGate.EscalateThreshold,
 				HalfLife:       opts.LedgerHalfLife,
 			}
 			if opts.DataDir != "" {
@@ -264,12 +249,7 @@ func Assemble(l Level, opts Options) (Stack, error) {
 		}
 		pcfg := opts.AdaptivePolicy
 		pcfg.Ledger = led
-		gcfg := opts.AdaptiveGate
-		gcfg.Ledger = led
-		if gcfg.Bus == nil {
-			gcfg.Bus = opts.Events
-		}
-		gate := policy.NewGate(gcfg)
+		gate := policy.NewGate(policy.GateConfig{Ledger: led, Bus: opts.Events})
 		// Onion order: wholesig outermost (its departure signature
 		// covers the gossip and protocol baggage), gossip next so
 		// imported suspicion is in the ledger before this arrival's own
@@ -293,8 +273,7 @@ func Assemble(l Level, opts Options) (Stack, error) {
 			gossip,
 			appraisalpkg.New(),
 			refproto.New(refproto.Config{
-				Compare: opts.Compare, Fuel: opts.Fuel, Timer: opts.Timer,
-				ExecHook: opts.ExecHook, ReExecGate: gate.ShouldReExecute,
+				Timer: opts.Timer, ExecHook: opts.ExecHook, ReExecGate: gate.ShouldReExecute,
 			}),
 		}
 		st := Stack{Mechanisms: mechs, Policy: policy.NewReputation(pcfg), Ledger: led, Gate: gate, Gossip: gossip}
@@ -312,17 +291,4 @@ func Assemble(l Level, opts Options) (Stack, error) {
 	default:
 		return Stack{}, fmt.Errorf("protection: unknown level %d", int(l))
 	}
-}
-
-// Mechanisms builds a fresh per-node mechanism stack for the level.
-// Call once per node. LevelAdaptive is refused here: its mechanism
-// list is inseparable from its verdict policy (the gate's ledger is
-// fed by the policy), and silently dropping the policy would deploy a
-// weaker stack than asked for — use Assemble.
-func Mechanisms(l Level, opts Options) ([]core.Mechanism, error) {
-	if l == LevelAdaptive {
-		return nil, fmt.Errorf("protection: %s carries a verdict policy; use Assemble and set NodeConfig.Policy", l)
-	}
-	st, err := Assemble(l, opts)
-	return st.Mechanisms, err
 }

@@ -49,27 +49,22 @@ func TestMechanismStacks(t *testing.T) {
 			}
 		}
 	}
-	if _, err := Mechanisms(Level(99), Options{}); err == nil {
+	if _, err := Assemble(Level(99), Options{}); err == nil {
 		t.Error("unknown level built a stack")
-	}
-	// The legacy wrapper must refuse the one level whose stack is
-	// inseparable from its policy, not silently weaken it.
-	if _, err := Mechanisms(LevelAdaptive, Options{}); err == nil {
-		t.Error("Mechanisms(LevelAdaptive) should refuse; the policy would be dropped")
 	}
 }
 
 func TestMechanismInstancesAreFresh(t *testing.T) {
-	a, err := Mechanisms(LevelFull, Options{})
+	a, err := Assemble(LevelFull, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Mechanisms(LevelFull, Options{})
+	b, err := Assemble(LevelFull, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range a {
-		if a[i] == b[i] {
+	for i := range a.Mechanisms {
+		if a.Mechanisms[i] == b.Mechanisms[i] {
 			t.Errorf("mechanism %d shared between calls (per-node state would leak)", i)
 		}
 	}

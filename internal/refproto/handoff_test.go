@@ -106,7 +106,7 @@ func TestVerifyHandoffAcceptsWhatEitherOrderAccepts(t *testing.T) {
 	m := New(Config{})
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if c.h.Digest.IsZero() {
+			if c.h.Digest == (canon.Digest{}) {
 				c.h.Digest = d
 			}
 			got := m.verifyHandoff(hc, ag, hop, "checked", c.h)

@@ -54,8 +54,6 @@ type Config struct {
 	// Compare is the resulting-state comparison used after
 	// re-execution; nil means core.StrictComparer.
 	Compare core.StateComparer
-	// Fuel bounds checking re-executions; 0 means agentlang.DefaultFuel.
-	Fuel int64
 	// Timer, when non-nil, accumulates signing/verification time under
 	// stopwatch.PhaseSignVerify.
 	Timer *stopwatch.PhaseTimer
@@ -486,7 +484,7 @@ func (m *Mechanism) CheckAfterSession(ctx context.Context, hc *core.HostContext,
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("refproto: %w", err)
 	}
-	checker := &core.ReExecChecker{Compare: m.cfg.Compare, Fuel: m.cfg.Fuel, Hook: m.cfg.ExecHook}
+	checker := &core.ReExecChecker{Compare: m.cfg.Compare, Hook: m.cfg.ExecHook}
 	cc := core.NewCheckContext(m, pkg, ag, hc, core.AfterSession)
 	ok, evidence, err := checker.Check(cc)
 	if err != nil {

@@ -29,13 +29,11 @@ import (
 	"maps"
 	"slices"
 	"sort"
-	"strconv"
 	"sync"
 
 	"repro/internal/agent"
 	"repro/internal/canon"
 	"repro/internal/core"
-	"repro/internal/events"
 	"repro/internal/host"
 	"repro/internal/sigcrypto"
 	"repro/internal/transport"
@@ -228,11 +226,6 @@ type StageReport struct {
 type Report struct {
 	Final  *agent.Agent
 	Stages []StageReport
-	// ResumedFrom is the index of the first stage this run actually
-	// executed: 0 for a fresh journey, the checkpointed stage + 1 when
-	// the coordinator resumed from its RoundLog. Stages decided by a
-	// previous run are absent from Stages.
-	ResumedFrom int
 }
 
 // Errors returned by the coordinator.
@@ -271,19 +264,6 @@ type Coordinator struct {
 	// winning ballot there is no ground truth to dissent from. May be
 	// nil.
 	Reputation ReputationSink
-	// Events, when non-nil, receives one stage-dissent event per
-	// replica that voted against (or failed out of) a decided stage —
-	// the operational stream mirroring what Reputation charges. May be
-	// nil.
-	Events *events.Bus
-	// Rounds, when set, checkpoints the journey's progress durably: the
-	// adopted agent is saved after every decided stage, a Run finding a
-	// checkpoint for its agent resumes from the stage after it instead
-	// of re-executing decided stages, and a terminal outcome (success,
-	// or the agent finishing early) clears the record. Transient
-	// failures — no majority, cancellation, transport errors — leave
-	// the checkpoint in place for the next attempt. May be nil.
-	Rounds *RoundLog
 }
 
 // Run executes the agent through all stages and returns the report.
@@ -296,15 +276,7 @@ func (c *Coordinator) Run(ctx context.Context, ag *agent.Agent) (*Report, error)
 	}
 	cur := ag.Clone()
 	rep := &Report{}
-	first := 0
-	if c.Rounds != nil {
-		if doneStage, saved, ok := c.Rounds.Lookup(ag.ID); ok {
-			cur = saved
-			first = doneStage + 1
-		}
-	}
-	rep.ResumedFrom = first
-	for i := first; i < len(c.Stages); i++ {
+	for i := 0; i < len(c.Stages); i++ {
 		replicas := c.Stages[i]
 		if err := ctx.Err(); err != nil {
 			return rep, fmt.Errorf("replication: stage %d: %w", i, err)
@@ -329,36 +301,16 @@ func (c *Coordinator) Run(ctx context.Context, ag *agent.Agent) (*Report, error)
 		// the stage to a principal (a synthetic "stageN" name would be
 		// unchargeable).
 		cur.Route = append(cur.Route, stage.WinnerReplica)
-		if c.Rounds != nil {
-			// Checkpoint errors are surfaced, not fatal: the stage IS
-			// decided; only the crash-resume memory is degraded.
-			if cerr := c.Rounds.Save(i, cur); cerr != nil && c.Events != nil {
-				c.Events.Publish(events.Event{
-					Kind:   events.KindPersistError,
-					Agent:  cur.ID,
-					Fields: map[string]string{"error": cerr.Error()},
-				})
-			}
-		}
 		if cur.Entry == "" {
 			if i != len(c.Stages)-1 {
 				rep.Final = cur
-				c.clearRound(ag.ID)
 				return rep, fmt.Errorf("%w (stage %d of %d)", ErrAgentFailed, i+1, len(c.Stages))
 			}
 			break
 		}
 	}
 	rep.Final = cur
-	c.clearRound(ag.ID)
 	return rep, nil
-}
-
-// clearRound drops the agent's checkpoint on a terminal outcome.
-func (c *Coordinator) clearRound(agentID string) {
-	if c.Rounds != nil {
-		_ = c.Rounds.Clear(agentID)
-	}
 }
 
 // runStage fans the agent out to the stage's replicas, collects signed
@@ -499,23 +451,6 @@ func (c *Coordinator) runStage(ctx context.Context, stageIdx int, replicas []str
 		for _, r := range replicas {
 			d, ok := report.Votes[r]
 			c.Reputation.Observe(r, ok && d == winner, 0)
-		}
-	}
-	if c.Events != nil {
-		for _, r := range report.Dissenters {
-			reason, failed := report.Failures[r]
-			if !failed {
-				reason = "dissenting ballot"
-			}
-			c.Events.Publish(events.Event{
-				Kind:  events.KindStageDissent,
-				Agent: cur.ID,
-				Host:  r,
-				Fields: map[string]string{
-					"stage":  strconv.Itoa(stageIdx),
-					"reason": reason,
-				},
-			})
 		}
 	}
 	return report, winnerVote, nil

@@ -12,7 +12,6 @@ import (
 	"repro/internal/host"
 	"repro/internal/platformtest"
 	"repro/internal/replication"
-	"repro/internal/shardstore"
 	"repro/internal/transport"
 	"repro/internal/value"
 )
@@ -433,83 +432,5 @@ func TestEqualResources(t *testing.T) {
 	b["db"] = value.Int(2)
 	if replication.EqualResources(a, b) {
 		t.Error("unequal resources reported equal")
-	}
-}
-
-// TestCoordinatorRoundCheckpointResume pins the WAL round checkpoint: a
-// journey that dies mid-itinerary (stage 1 unreachable, no majority)
-// resumes from its last decided stage after a coordinator restart —
-// decided stages are not re-executed — and a terminal outcome clears
-// the record so the next journey with that ID starts fresh.
-func TestCoordinatorRoundCheckpointResume(t *testing.T) {
-	ctx := context.Background()
-	bed := platformtest.New(t)
-	dir := t.TempDir()
-	openLog := func() (*shardstore.WAL, *replication.RoundLog) {
-		t.Helper()
-		w, err := shardstore.OpenWAL(dir, shardstore.WALConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rl, err := replication.OpenRoundLog(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return w, rl
-	}
-	stages := [][]string{
-		{"c0r0", "c0r1", "c0r2"},
-		{"c1r0", "c1r1", "c1r2"},
-	}
-	addStage := func(stage int) {
-		for _, name := range stages[stage] {
-			bed.AddHost(name, platformtest.HostOptions{
-				Mechanisms: func() []core.Mechanism { return []core.Mechanism{replication.New()} },
-				Configure: func(c *host.Config) {
-					c.Resources = map[string]value.Value{"offer": value.Int(21)}
-					c.RandSeed = 42
-				},
-			})
-		}
-	}
-	// Only stage 0 is up: the first attempt decides stage 0, checkpoints
-	// it, and dies at stage 1 with no majority (every call fails).
-	addStage(0)
-	w1, rl1 := openLog()
-	coord := &replication.Coordinator{Net: bed.Net, Registry: bed.Reg, Stages: stages, Rounds: rl1}
-	ag := bed.NewAgent("staged", stagedCode)
-	rep1, err := coord.Run(ctx, ag)
-	if !errors.Is(err, replication.ErrNoMajority) {
-		t.Fatalf("first attempt: err = %v, want ErrNoMajority", err)
-	}
-	if len(rep1.Stages) != 2 || rep1.Stages[0].WinnerN != 3 {
-		t.Fatalf("first attempt decided %d stages: %+v", len(rep1.Stages), rep1.Stages)
-	}
-	if err := w1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// "Restart": stage 1 comes up, a fresh coordinator reopens the log
-	// and resumes — stage 0 is not re-executed.
-	addStage(1)
-	w2, rl2 := openLog()
-	defer w2.Close()
-	coord2 := &replication.Coordinator{Net: bed.Net, Registry: bed.Reg, Stages: stages, Rounds: rl2}
-	rep2, err := coord2.Run(ctx, ag)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.ResumedFrom != 1 {
-		t.Fatalf("ResumedFrom = %d, want 1", rep2.ResumedFrom)
-	}
-	if len(rep2.Stages) != 1 || rep2.Stages[0].Stage != 1 {
-		t.Fatalf("resumed run executed stages %+v, want only stage 1", rep2.Stages)
-	}
-	if rep2.Final.State["result"].Int != 42 {
-		t.Fatalf("resumed result = %s, want 42", rep2.Final.State["result"])
-	}
-	// Success is terminal: the checkpoint is gone, durably.
-	if _, _, ok := rl2.Lookup(ag.ID); ok {
-		t.Fatal("checkpoint survived a terminal outcome")
 	}
 }

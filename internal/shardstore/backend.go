@@ -41,8 +41,7 @@ func (o Op) String() string {
 //     that snapshot was taken. Applying the records in order to an
 //     empty map yields the persisted state.
 //   - Append durably records one mutation. Implementations may batch
-//     the actual sync (see WALConfig); Sync forces everything appended
-//     so far to stable storage.
+//     the actual sync (see WALConfig).
 //   - Compact asks the backend to replace its accumulated log with a
 //     fresh snapshot: it invokes write, which emits the store's full
 //     live contents, and on success drops log records made redundant by
@@ -53,12 +52,11 @@ func (o Op) String() string {
 //   - Close flushes and releases the backend. The Store that owns the
 //     backend calls Close from its own Close.
 //
-// Implementations must be safe for concurrent Append/Sync/Compact.
+// Implementations must be safe for concurrent Append/Compact.
 type Backend interface {
 	Replay(apply func(op Op, key string, value []byte) error) error
 	Append(op Op, key string, value []byte) error
 	Compact(write func(emit func(key string, value []byte) error) error) error
-	Sync() error
 	Close() error
 }
 

@@ -232,7 +232,6 @@ func (b *countingBackend) Append(Op, string, []byte) error             { b.appen
 func (b *countingBackend) Compact(func(emit func(string, []byte) error) error) error {
 	return nil
 }
-func (b *countingBackend) Sync() error  { return nil }
 func (b *countingBackend) Close() error { return nil }
 
 func TestGetOrCreateExistingKeyIsAPureRead(t *testing.T) {

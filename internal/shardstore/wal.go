@@ -136,13 +136,6 @@ func (s WALStats) MeanBatch() float64 {
 	return float64(s.SyncedRecords) / float64(s.Syncs)
 }
 
-// Add accumulates other into s (for summing stats across a fleet).
-func (s *WALStats) Add(other WALStats) {
-	s.Appends += other.Appends
-	s.Syncs += other.Syncs
-	s.SyncedRecords += other.SyncedRecords
-}
-
 // Stats returns the WAL's lifetime counters. Safe to call concurrently
 // with appends and after Close.
 func (w *WAL) Stats() WALStats {
@@ -456,10 +449,6 @@ func (w *WAL) Append(op Op, key string, value []byte) error {
 	}
 	return w.syncNow()
 }
-
-// Sync implements Backend: flush the write buffer and fsync the active
-// segment. A prior sync failure is sticky (see Append).
-func (w *WAL) Sync() error { return w.syncNow() }
 
 // syncNow flushes the write buffer (under w.mu, a fast in-memory move
 // to the OS) and fsyncs the segment (under syncMu only, so concurrent

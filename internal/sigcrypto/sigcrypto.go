@@ -16,7 +16,6 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/canon"
@@ -29,9 +28,6 @@ var (
 	ErrUnknownSigner = errors.New("sigcrypto: unknown signer")
 	// ErrBadSignature is returned when a signature does not verify.
 	ErrBadSignature = errors.New("sigcrypto: signature verification failed")
-	// ErrNoSignature is returned when an envelope carries no signature
-	// from a required principal.
-	ErrNoSignature = errors.New("sigcrypto: required signature missing")
 )
 
 // KeyPair is the signing identity of a principal (a host or an agent
@@ -160,26 +156,6 @@ func (r *Registry) RegisterKeyPair(kp *KeyPair) error {
 	return r.Register(kp.ID(), kp.Public())
 }
 
-// Known reports whether the principal has a registered key.
-func (r *Registry) Known(id string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	_, ok := r.keys[id]
-	return ok
-}
-
-// Principals returns all registered principal names in sorted order.
-func (r *Registry) Principals() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.keys))
-	for id := range r.keys {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Verify checks a detached signature over msg.
 func (r *Registry) Verify(msg []byte, sig Signature) error {
 	r.mu.RLock()
@@ -198,70 +174,3 @@ func (r *Registry) Verify(msg []byte, sig Signature) error {
 func (r *Registry) VerifyDigest(d canon.Digest, sig Signature) error {
 	return r.Verify(digestMessage(d), sig)
 }
-
-// Envelope binds a payload to one or more principals' signatures. The
-// payload is carried verbatim; signatures cover its digest together
-// with a context label, so an envelope signed in one protocol role can
-// never be replayed in another.
-type Envelope struct {
-	Context string
-	Payload []byte
-	Sigs    []Signature
-}
-
-// NewEnvelope creates an unsigned envelope for a payload in the given
-// protocol context (e.g. "refproto/initial-state").
-func NewEnvelope(context string, payload []byte) *Envelope {
-	return &Envelope{Context: context, Payload: append([]byte(nil), payload...)}
-}
-
-// signingBytes is what envelope signatures actually cover.
-func (e *Envelope) signingBytes() []byte {
-	d := canon.HashBytes(e.Payload)
-	return canon.Tuple([]byte("envelope"), []byte(e.Context), d[:])
-}
-
-// AddSignature signs the envelope with kp and appends the signature.
-// Signing twice with the same key is idempotent.
-func (e *Envelope) AddSignature(kp *KeyPair) {
-	for _, s := range e.Sigs {
-		if s.Signer == kp.ID() {
-			return
-		}
-	}
-	e.Sigs = append(e.Sigs, kp.Sign(e.signingBytes()))
-}
-
-// VerifyAll checks every signature on the envelope and additionally
-// that every principal in required has signed. It returns the first
-// failure encountered.
-func (e *Envelope) VerifyAll(reg *Registry, required ...string) error {
-	msg := e.signingBytes()
-	signed := make(map[string]bool, len(e.Sigs))
-	for _, s := range e.Sigs {
-		if err := reg.Verify(msg, s); err != nil {
-			return err
-		}
-		signed[s.Signer] = true
-	}
-	for _, id := range required {
-		if !signed[id] {
-			return fmt.Errorf("%w: %q", ErrNoSignature, id)
-		}
-	}
-	return nil
-}
-
-// SignedBy reports whether the envelope carries a (not yet verified)
-// signature attributed to the principal.
-func (e *Envelope) SignedBy(id string) bool {
-	for _, s := range e.Sigs {
-		if s.Signer == id {
-			return true
-		}
-	}
-	return false
-}
-
-// Digest returns the digest of the payload.
-func (e *Envelope) Digest() canon.Digest { return canon.HashBytes(e.Payload) }

@@ -2,6 +2,7 @@ package sigcrypto
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -102,28 +103,6 @@ func TestRegistryRejectsBadKey(t *testing.T) {
 	}
 }
 
-func TestRegistryPrincipalsSorted(t *testing.T) {
-	reg := NewRegistry()
-	for _, id := range []string{"zeta", "alpha", "mid"} {
-		if err := reg.RegisterKeyPair(mustKey(t, id)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := reg.Principals()
-	want := []string{"alpha", "mid", "zeta"}
-	if len(got) != len(want) {
-		t.Fatalf("Principals() = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Principals() = %v, want %v", got, want)
-		}
-	}
-	if !reg.Known("alpha") || reg.Known("nobody") {
-		t.Error("Known() misreports")
-	}
-}
-
 func TestRegistryConcurrentAccess(t *testing.T) {
 	reg := NewRegistry()
 	kp := mustKey(t, "shared")
@@ -142,7 +121,10 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 					t.Errorf("concurrent verify: %v", err)
 					return
 				}
-				_ = reg.Principals()
+				if err := reg.Register(fmt.Sprintf("p%d-%d", i, j), kp.Public()); err != nil {
+					t.Errorf("concurrent register: %v", err)
+					return
+				}
 			}
 		}(i)
 	}
@@ -163,92 +145,6 @@ func TestSignDigestDomainSeparation(t *testing.T) {
 	// A digest signature must not verify as a raw signature over d[:].
 	if err := reg.Verify(d[:], sig); err == nil {
 		t.Error("digest signature verified as raw message signature")
-	}
-}
-
-func TestEnvelopeSingleSigner(t *testing.T) {
-	kp := mustKey(t, "host-1")
-	reg := NewRegistry()
-	if err := reg.RegisterKeyPair(kp); err != nil {
-		t.Fatal(err)
-	}
-	env := NewEnvelope("test/ctx", []byte("payload"))
-	env.AddSignature(kp)
-	if err := env.VerifyAll(reg, "host-1"); err != nil {
-		t.Errorf("valid envelope rejected: %v", err)
-	}
-	if !env.SignedBy("host-1") || env.SignedBy("host-2") {
-		t.Error("SignedBy misreports")
-	}
-}
-
-func TestEnvelopeDualSignature(t *testing.T) {
-	// The example mechanism requires initial states signed by both the
-	// checking and the checked host (paper §5.1).
-	checker, checked := mustKey(t, "checker"), mustKey(t, "checked")
-	reg := NewRegistry()
-	if err := reg.RegisterKeyPair(checker); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.RegisterKeyPair(checked); err != nil {
-		t.Fatal(err)
-	}
-	env := NewEnvelope("refproto/initial-state", []byte("state"))
-	env.AddSignature(checker)
-	if err := env.VerifyAll(reg, "checker", "checked"); !errors.Is(err, ErrNoSignature) {
-		t.Errorf("missing second signature: err = %v, want ErrNoSignature", err)
-	}
-	env.AddSignature(checked)
-	if err := env.VerifyAll(reg, "checker", "checked"); err != nil {
-		t.Errorf("dual-signed envelope rejected: %v", err)
-	}
-}
-
-func TestEnvelopeSignatureIdempotent(t *testing.T) {
-	kp := mustKey(t, "a")
-	env := NewEnvelope("c", []byte("p"))
-	env.AddSignature(kp)
-	env.AddSignature(kp)
-	if len(env.Sigs) != 1 {
-		t.Errorf("duplicate signature appended: %d sigs", len(env.Sigs))
-	}
-}
-
-func TestEnvelopeTamperDetection(t *testing.T) {
-	kp := mustKey(t, "a")
-	reg := NewRegistry()
-	if err := reg.RegisterKeyPair(kp); err != nil {
-		t.Fatal(err)
-	}
-	env := NewEnvelope("ctx", []byte("honest payload"))
-	env.AddSignature(kp)
-
-	tampered := *env
-	tampered.Payload = []byte("evil payload")
-	if err := tampered.VerifyAll(reg, "a"); err == nil {
-		t.Error("payload tampering undetected")
-	}
-
-	relabeled := *env
-	relabeled.Context = "other-protocol"
-	if err := relabeled.VerifyAll(reg, "a"); err == nil {
-		t.Error("context relabeling undetected (replay across protocol roles)")
-	}
-}
-
-func TestEnvelopePayloadCopied(t *testing.T) {
-	buf := []byte("mutable")
-	env := NewEnvelope("c", buf)
-	buf[0] = 'X'
-	if string(env.Payload) != "mutable" {
-		t.Error("envelope shares payload storage with caller")
-	}
-}
-
-func TestEnvelopeDigest(t *testing.T) {
-	env := NewEnvelope("c", []byte("p"))
-	if env.Digest() != canon.HashBytes([]byte("p")) {
-		t.Error("Digest() does not match payload hash")
 	}
 }
 

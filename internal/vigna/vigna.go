@@ -390,8 +390,6 @@ type AuditConfig struct {
 	// launched by the owner — the root of the re-execution chain.
 	LaunchState value.State
 	LaunchEntry string
-	// Fuel bounds each re-execution; 0 means agentlang.DefaultFuel.
-	Fuel int64
 }
 
 // Audit re-checks an agent's whole journey from its commitment chain,
@@ -473,7 +471,7 @@ func Audit(ctx context.Context, cfg AuditConfig, ag *agent.Agent) (*Report, erro
 		// identically. The snapshot itself is discarded.
 		state.Snapshot()
 		replay := agentlang.NewReplayEnv(pkg.Input)
-		outcome, err := agentlang.Run(prog, entry, state, replay, agentlang.Options{Fuel: cfg.Fuel})
+		outcome, err := agentlang.Run(prog, entry, state, replay, agentlang.Options{})
 		if err != nil {
 			return blame(c, fmt.Sprintf("re-execution with recorded input fails: %v", err)), nil
 		}
