@@ -123,6 +123,9 @@ type assignStmt struct {
 	local int // local slot or -1 for global
 	path  []expr
 	rhs   expr
+	// grow is rhs when the statement is x = append(x, e…), which the
+	// interpreter runs by growing x's own array (interp.appendSelf).
+	grow *callExpr
 }
 
 // ifStmt is a chain of conditions with an optional trailing else.

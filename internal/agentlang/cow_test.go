@@ -93,6 +93,30 @@ proc main() {
 	}
 }
 
+// TestSelfAppendHonoursSnapshots: a snapshot taken before a session, as
+// host.RunSession takes one and a checker re-executes from it, keeps its
+// list whatever the session appends, and so does the re-execution's
+// own working copy of it — also when the list has room behind it.
+func TestSelfAppendHonoursSnapshots(t *testing.T) {
+	prog := MustParse(`
+proc main() {
+    x = append(x, read("n"))
+    x = append(x, read("n"))
+}`)
+	st := value.State{"x": roomy(1, 2)}
+	initial := st.Snapshot()
+	if _, err := Run(prog, "main", st, &testEnv{inputs: []value.Value{value.Int(3), value.Int(4)}}, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	working := initial.Snapshot()
+	if _, err := Run(prog, "main", working, &testEnv{inputs: []value.Value{value.Int(5), value.Int(6)}}, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	wantValue(t, "live x", st["x"], intList(1, 2, 3, 4))
+	wantValue(t, "re-executed x", working["x"], intList(1, 2, 5, 6))
+	wantValue(t, "snapshot x", initial["x"], intList(1, 2))
+}
+
 // TestIndexedAssignmentInPlaceWhenUnshared guards the perf property the
 // copy-on-write design buys: without a snapshot, repeated indexed
 // writes must keep mutating the same backing storage (reference

@@ -50,7 +50,9 @@
 //
 // Builtins (pure, never recorded as input): len, append, str, int, abs,
 // min, max, sum, contains, keys, get, delete, sort, slice, isnull,
-// list, map.
+// list, map. The statement x = append(x, e…), one variable on both
+// sides, takes amortized constant time; any other append, and list +,
+// copies the whole list.
 //
 // Externals (routed through the host Env):
 //

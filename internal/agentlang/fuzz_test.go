@@ -53,12 +53,17 @@ func fuzzRun(prog *Program) string {
 
 // FuzzParseRun: Parse survives any source text, and what it accepts
 // runs the same way twice — determinism is what reference states rest
-// on. Inputs the fuzzer finds are kept under testdata/fuzz.
+// on — and the same way again with every x = append(x, e…) left to the
+// copying builtin (copyingForm). Inputs the fuzzer finds are kept under
+// testdata/fuzz.
 func FuzzParseRun(f *testing.F) {
 	for _, c := range readGolden(f) {
 		if !strings.HasPrefix(c.Name, "work/") { // 150 000 steps each under the golden budget
 			f.Add(c.Src)
 		}
+	}
+	for _, c := range growCases {
+		f.Add(c.src)
 	}
 	// The nesting reproducers of TestNestingBound, at a size the fuzzer
 	// can still mutate.
@@ -74,8 +79,12 @@ func FuzzParseRun(f *testing.F) {
 		if h := tallestExpr(prog); h > maxNesting {
 			t.Fatalf("accepted an expression %d nodes tall", h)
 		}
-		if first, second := fuzzRun(prog), fuzzRun(prog); first != second {
+		first := fuzzRun(prog)
+		if second := fuzzRun(prog); first != second {
 			t.Fatalf("two runs of one program differ:\n %s\n %s", first, second)
+		}
+		if copying := fuzzRun(copyingForm(t, src)); first != copying {
+			t.Fatalf("self-append in place and copying differ:\n %s\n %s", first, copying)
 		}
 	})
 }

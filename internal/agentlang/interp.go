@@ -130,6 +130,11 @@ type interp struct {
 	// Scratch for input-consumption tracking within one statement.
 	usedInput bool
 	depth     int
+	// grown is set once appendSelf has left room behind a global's
+	// list, and Run then compacts the globals before it returns. Until
+	// it is set no global has room to clip: Run clipped them all, and
+	// Expr.Eval must not write the state it reads.
+	grown bool
 }
 
 // maxCallDepth bounds recursion in agent programs.
@@ -172,7 +177,15 @@ func Run(prog *Program, entry string, globals value.State, env Env, opts Options
 			in.hook = opts.Hook
 		}
 	}
+	// Room behind a list handed in may be the caller's to use: only
+	// appendSelf leaves room in a binding.
+	for name, v := range globals {
+		if clip(&v) {
+			globals[name] = v
+		}
+	}
 	c, err := in.callProc(proc, in.frame(proc, 0))
+	in.compact()
 	if err != nil {
 		return Outcome{Steps: in.steps}, err
 	}
@@ -280,6 +293,9 @@ func (in *interp) execStmt(s stmt, locals []value.Value) (ctrl, error) {
 
 	case *assignStmt:
 		in.usedInput = false
+		if st.grow != nil {
+			return in.appendSelf(st, locals)
+		}
 		if len(st.path) > 0 {
 			return in.assignPath(st, locals)
 		}
@@ -429,12 +445,122 @@ func (in *interp) emit(sid int) {
 
 // emitAssign reports an assignment to a non-nil hook. The written
 // variable is passed through only when the statement consumed external
-// input, matching the trace format of Fig. 3.
+// input, matching the trace format of Fig. 3. The hook may keep what it
+// is handed, so v, the binding or the value about to be stored in it,
+// loses its room first, as on any read (see appendSelf).
 func (in *interp) emitAssign(sid int, name string, v *value.Value) {
 	if in.usedInput {
+		clip(v)
 		in.hook.Statement(sid, true, []Assignment{{Name: name, Val: *v}})
 	} else {
 		in.hook.Statement(sid, false, nil)
+	}
+}
+
+// appendSelf runs x = append(x, e…), the statement the parser marks in
+// assignStmt.grow, and ends exactly as the builtin would: the same list,
+// the same errors in the same order. While x's array has room and no
+// other value holds it, the elements go into that room; otherwise x
+// gets a new array, with room as Go's append leaves it. One rule keeps
+// this invisible: room behind a list never leaves the binding
+// appendSelf gave it to, nor the session.
+//
+//   - Only appendSelf leaves room in a binding. Run clips the globals it
+//     is handed, and no expression yields a list with room behind it:
+//     an element read out of a list and a builtin's or an Env's result
+//     may come from an array someone else holds, and are clipped.
+//   - Every read of a binding as a whole value clips it first: a
+//     variable reference, which covers arguments, let, return and
+//     stored elements, and the hook's report. Whoever got the array sees
+//     x[i] = v, as before; the next append copies, so what it adds goes
+//     nowhere they could look, also as before.
+//   - Run gives every grown global an array of exactly its length
+//     before it returns (compact).
+//
+// The arguments are evaluated first. If that read or reassigned x, the
+// binding no longer holds the list read before them, and the append
+// copies from that list, which is the one the builtin was handed.
+func (in *interp) appendSelf(st *assignStmt, locals []value.Value) (ctrl, error) {
+	call := st.grow
+	var cur value.Value
+	if st.local >= 0 {
+		cur = locals[st.local]
+	} else {
+		var ok bool
+		if cur, ok = in.globals[st.name]; !ok {
+			return ctrlNone, rtErrf(call.args[0].pos(), "undefined variable %q", st.name)
+		}
+	}
+	mark := in.sp
+	elems := in.push(len(call.args) - 1)
+	for i, a := range call.args[1:] {
+		if c, err := in.eval(a, locals, &elems[i]); err != nil || c != ctrlNone {
+			return c, err
+		}
+	}
+	if err := wantKind("append", 0, cur, value.KindList); err != nil {
+		return ctrlNone, rtErrf(call.p, "%s", err)
+	}
+	x := &in.tmp
+	if st.local >= 0 {
+		x = &locals[st.local]
+	} else {
+		in.tmp = in.globals[st.name]
+	}
+	if len(cur.List)+len(elems) <= cap(cur.List) && !cur.Shared() && sameList(x, &cur) {
+		x.List = append(x.List, elems...)
+	} else {
+		n := len(cur.List)
+		out := append(cur.List[:n:n], elems...)
+		if cur.Shared() {
+			// As the builtin: elements of a snapshot-shared list still
+			// point into snapshot storage one level down.
+			for i := range out[:n] {
+				out[i] = value.ShareFrom(cur, out[i])
+			}
+		}
+		*x = value.List(out...)
+	}
+	in.sp = mark
+	if in.hook != nil {
+		in.emitAssign(st.sid, st.name, x)
+	}
+	if st.local < 0 {
+		in.globals[st.name] = in.tmp
+		in.grown = true
+	}
+	return ctrlNone, nil
+}
+
+// sameList reports whether x holds the very list cur is a copy of: the
+// same array, length and capacity.
+func sameList(x, cur *value.Value) bool {
+	return x.Kind == value.KindList && !x.Shared() &&
+		len(x.List) == len(cur.List) && cap(x.List) == cap(cur.List) &&
+		cap(x.List) > 0 && &x.List[:1][0] == &cur.List[:1][0]
+}
+
+// clip drops the room behind v's list, reporting whether there was any.
+func clip(v *value.Value) bool {
+	if cap(v.List) == len(v.List) {
+		return false
+	}
+	v.List = v.List[:len(v.List):len(v.List)]
+	return true
+}
+
+// compact gives every global appendSelf grew an array of exactly its
+// length, so that no room outlives the session: states, reference
+// packages and traces stay the size the builtin left them.
+func (in *interp) compact() {
+	if !in.grown {
+		return
+	}
+	for name, v := range in.globals {
+		if cap(v.List) > len(v.List) {
+			v.List = append(make([]value.Value, 0, len(v.List)), v.List...)
+			in.globals[name] = v
+		}
 	}
 }
 
@@ -479,14 +605,14 @@ func (in *interp) assignPath(st *assignStmt, locals []value.Value) (ctrl, error)
 	if err != nil {
 		return ctrlNone, err
 	}
+	if in.hook != nil {
+		in.emitAssign(st.sid, st.name, &root)
+	}
 	// Store the (possibly copied) root back into its binding.
 	if st.local >= 0 {
 		locals[st.local] = root
 	} else {
 		in.globals[st.name] = root
-	}
-	if in.hook != nil {
-		in.emitAssign(st.sid, st.name, &root)
 	}
 	return ctrlNone, nil
 }
@@ -552,9 +678,10 @@ func (in *interp) setAt(cur value.Value, idxs []value.Value, v value.Value, st *
 // c. Storing v inside c would then close a cycle, and nothing that walks
 // a value (Equal, String, Clone, canon.HashState) returns from one.
 // Indexed assignment is the only operation that writes into existing
-// storage, so refusing it there keeps every value a finite tree. Lists
-// are never resliced: two share storage exactly when their first
-// elements do.
+// storage, so refusing it there keeps every value a finite tree. A list
+// always starts at its array's first element — nothing reslices from an
+// offset, and appendSelf only lengthens a binding within its own array —
+// so two lists share storage exactly when their first elements do.
 func holds(v, c *value.Value) bool {
 	switch v.Kind {
 	case value.KindList:
@@ -588,13 +715,19 @@ func (in *interp) eval(e expr, locals []value.Value, dst *value.Value) (ctrl, er
 		*dst = value.Value(*ex)
 		return ctrlNone, nil
 	case *varRef:
+		// A read of the whole value takes the binding's room away (see
+		// appendSelf).
 		if ex.local >= 0 {
+			clip(&locals[ex.local])
 			*dst = locals[ex.local]
 			return ctrlNone, nil
 		}
 		v, ok := in.globals[ex.name]
 		if !ok {
 			return ctrlNone, rtErrf(ex.p, "undefined variable %q", ex.name)
+		}
+		if in.grown && clip(&v) {
+			in.globals[ex.name] = v
 		}
 		*dst = v
 		return ctrlNone, nil
@@ -732,6 +865,7 @@ func (in *interp) evalIndex(ex *indexExpr, locals []value.Value, dst *value.Valu
 	default:
 		return ctrlNone, rtErrf(ex.p, "cannot index into %s", base.Kind)
 	}
+	clip(dst) // an element of a list handed in may have room behind it
 	return ctrlNone, nil
 }
 
@@ -866,6 +1000,7 @@ func (in *interp) evalCall(ex *callExpr, locals []value.Value, dst *value.Value)
 		}
 		in.sp = mark
 		*dst = v
+		clip(dst) // min, max and get return an element of their argument
 		return ctrlNone, nil
 
 	case callExternal:
@@ -888,6 +1023,7 @@ func (in *interp) evalCall(ex *callExpr, locals []value.Value, dst *value.Value)
 			}
 			in.usedInput = true
 			*dst = v
+			clip(dst) // the Env may keep and use the room behind its list
 			return ctrlNone, nil
 		default: // output
 			if err := in.env.Output(ex.name, args); err != nil {

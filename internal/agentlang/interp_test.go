@@ -612,18 +612,20 @@ proc main() {
 	tests := []struct {
 		name, body string
 		perRound   float64
+		atMost     bool // perRound is a ceiling: growth allocates now and then
 	}{
-		{"arithmetic and comparison", `x = x + i * 2 - g  if x > 10 && i != 3 { x = x % 7 }`, 0},
-		{"scalar builtins", `x = len(s) + abs(x) + min(i, 3) + max(l) + sum(l) + int(contains(l, i)) + int(isnull(g))`, 0},
-		{"indexing", `x = l[i % 3] + len(s[0])  l[1] = x`, 0},
-		{"procedure calls", `x = add(x, add(i, 1))`, 0},
-		{"append allocates its result only", `l = append(l, i)`, 1},
-		{"list literal allocates its elements only", `l = [i, x]`, 1},
+		{"arithmetic and comparison", `x = x + i * 2 - g  if x > 10 && i != 3 { x = x % 7 }`, 0, false},
+		{"scalar builtins", `x = len(s) + abs(x) + min(i, 3) + max(l) + sum(l) + int(contains(l, i)) + int(isnull(g))`, 0, false},
+		{"indexing", `x = l[i % 3] + len(s[0])  l[1] = x`, 0, false},
+		{"procedure calls", `x = add(x, add(i, 1))`, 0, false},
+		{"append to another variable allocates its result only", `m = append(l, i)`, 1, false},
+		{"append to the same variable grows in place", `l = append(l, i)`, 0.1, true},
+		{"list literal allocates its elements only", `l = [i, x]`, 1, false},
 	}
 	for _, tt := range tests {
 		few, many := allocs(10, tt.body), allocs(110, tt.body)
-		if got := (many - few) / 100; got != tt.perRound {
-			t.Errorf("%s: %.2f allocations per round (%.0f at 10 rounds, %.0f at 110), want %.0f",
+		if got := (many - few) / 100; got != tt.perRound && !(tt.atMost && got <= tt.perRound) {
+			t.Errorf("%s: %.2f allocations per round (%.0f at 10 rounds, %.0f at 110), want %g",
 				tt.name, got, few, many, tt.perRound)
 		}
 		if few > 4 && tt.perRound == 0 {

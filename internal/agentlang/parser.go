@@ -393,7 +393,15 @@ func (p *parser) parseSimpleStmt() (stmt, error) {
 	if slot, ok := p.locals[name.text]; ok {
 		local = slot
 	}
-	return &assignStmt{stmtBase: base, name: name.text, local: local, path: path, rhs: rhs}, nil
+	s := &assignStmt{stmtBase: base, name: name.text, local: local, path: path, rhs: rhs}
+	// x = append(x, e…): within one statement a name resolves to one
+	// local slot or one global, so equal names are the same variable.
+	if call, ok := rhs.(*callExpr); ok && len(path) == 0 && call.kind == callBuiltin && call.name == "append" {
+		if ref, ok := call.args[0].(*varRef); ok && ref.name == name.text {
+			s.grow = call
+		}
+	}
+	return s, nil
 }
 
 func (p *parser) parseIf() (stmt, error) {

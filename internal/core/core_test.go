@@ -138,6 +138,10 @@ func (m *countingMechanism) CheckAfterTask(_ context.Context, hc *HostContext, a
 	return &Verdict{Mechanism: "counting", Moment: AfterTask, Checker: hc.Host.Name(), OK: true}, nil
 }
 
+func (m *countingMechanism) EndStay(hc *HostContext, ag *agent.Agent) {
+	m.log("end@" + hc.Host.Name())
+}
+
 func TestPipelineLifecycleOrder(t *testing.T) {
 	tb := newTestbed(t)
 	m := &countingMechanism{}
@@ -157,7 +161,7 @@ proc fin() { n = n + 1 done() }`)
 	want := []string{
 		"session@h1", "depart@h1",
 		"session@h2", "depart@h2",
-		"session@h3", "task@h3",
+		"session@h3", "task@h3", "end@h3",
 	}
 	if len(m.events) != len(want) {
 		t.Fatalf("events = %v, want %v", m.events, want)
@@ -224,6 +228,44 @@ proc step() { done() }`)
 	}
 	if !tb.aborted {
 		t.Error("completion not marked aborted")
+	}
+}
+
+// TestEndStayOncePerStayNotForwarded: a stay that ends without a
+// forward ends once for every StayEnder, before the outcome is
+// reported — quarantined on arrival, failed in its session, completed
+// (end@h3 in TestPipelineLifecycleOrder) — and a forwarded stay never.
+func TestEndStayOncePerStayNotForwarded(t *testing.T) {
+	cases := []struct {
+		name  string
+		first []Mechanism // run before the counting mechanism
+		code  string
+		want  string
+	}{
+		{"quarantined", []Mechanism{failingMechanism{}}, `
+proc main() { migrate("h2", "step") }
+proc step() { done() }`, "session@h1 depart@h1 end@h2"},
+		{"session failed", nil, `
+proc main() { migrate("h2", "step") }
+proc step() { x = 1 / 0 }`, "session@h1 depart@h1 session@h2 end@h2"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tb := newTestbed(t)
+			m := &countingMechanism{}
+			mechs := append(tc.first, m)
+			tb.addHost("h1", true, mechs, nil)
+			tb.addHost("h2", false, mechs, nil)
+			if err := tb.run("h1", mkAgent(t, tc.code)); err == nil {
+				t.Fatal("journey ended without an error")
+			}
+			m.mu.Lock()
+			got := strings.Join(m.events, " ")
+			m.mu.Unlock()
+			if got != tc.want {
+				t.Errorf("events %q, want %q", got, tc.want)
+			}
+		})
 	}
 }
 

@@ -61,6 +61,15 @@ type CallHandler interface {
 	HandleCall(ctx context.Context, hc *HostContext, method string, body []byte) ([]byte, error)
 }
 
+// StayEnder is an optional Mechanism extension for mechanisms that keep
+// per-agent state from an agent's arrival to its departure. A stay that
+// ends in a forward ends in PrepareDeparture; for every other stay —
+// the agent completed here, was quarantined, or its processing failed —
+// the node calls EndStay once, before it reports the outcome.
+type StayEnder interface {
+	EndStay(hc *HostContext, ag *agent.Agent)
+}
+
 // CheckContext is the checking-time view of one session's reference
 // data — the paper's Fig. 5 host methods (getInitialState,
 // getResultingState, getInput, getExecutionLog, getResource). Access is

@@ -736,6 +736,7 @@ func (n *Node) runOne(item intakeItem) {
 		// The quarantine path already recorded PhaseQuarantined; only
 		// non-detection failures report as failed.
 		if !errors.Is(err, ErrDetection) {
+			n.endStay(item.ag)
 			st := AgentStatus{Phase: PhaseFailed, Err: err.Error()}
 			ev := events.Event{
 				Kind:   events.KindFailed,
@@ -828,6 +829,7 @@ func (n *Node) process(ctx context.Context, ag *agent.Agent) error {
 				n.decide(ag.ID, n.recordVerdict(ag, *v))
 			}
 		}
+		n.endStay(ag)
 		n.setPhase(ag.ID, AgentStatus{Phase: PhaseCompleted})
 		n.complete(ag, false)
 		return nil
@@ -924,10 +926,21 @@ func (n *Node) policy() VerdictPolicy {
 }
 
 func (n *Node) quarantineAgent(ag *agent.Agent) {
+	n.endStay(ag)
 	n.quarantine.Put(ag.ID, ag)
 	n.setPhase(ag.ID, AgentStatus{Phase: PhaseQuarantined})
 	n.publish(events.Event{Kind: events.KindQuarantine, Agent: ag.ID})
 	n.complete(ag, true)
+}
+
+// endStay tells every StayEnder that ag's stay here ended without a
+// forward.
+func (n *Node) endStay(ag *agent.Agent) {
+	for _, m := range n.cfg.Mechanisms {
+		if e, ok := m.(StayEnder); ok {
+			e.EndStay(n.hc, ag)
+		}
+	}
 }
 
 // complete fires the completion callback. The receipt resolution for

@@ -85,7 +85,6 @@ var reachAllow = map[string]string{
 	"trace.Store.Len":                       "test seam: host.TestTraceRecording",
 	"transport.InProc.Hosts":                "test seam: transport.TestInProcHostsSorted",
 	"transport.Server.ConnCount":            "test seam: transport.TestTCPConnectionReuse",
-	"value.Value.Shared":                    "test seam: value.TestSnapshotSharesStorageAndFlags",
 }
 
 // seamTest matches the test a "test seam: …" reason names.

@@ -20,7 +20,7 @@ func BenchmarkGossipHop(b *testing.B) {
 	ctx := context.Background()
 	observers := []string{"o0", "o1", "o2", "o3"}
 	bed := newGossipBed(b, append(observers, "node")...)
-	now := time.Now()
+	now := bed.now()
 	var arriving []GossipEntry
 	for _, o := range observers {
 		for i := 0; i < maxGossipEntries/len(observers); i++ {

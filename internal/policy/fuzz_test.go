@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 )
 
 // decodeSeeds is the seed corpus of FuzzDecodeEntries: encoded lists of
@@ -117,7 +116,7 @@ func TestUnsignedBytesNeverMerge(t *testing.T) {
 	ctx := context.Background()
 	bed := newGossipBed(t, "observer", "node")
 	node, hc, led := bed.mechs["node"], bed.hosts["node"], bed.leds["node"]
-	bed.arrive("node", signedBy(bed.hosts["observer"], "suspect", 1.5, time.Now()))
+	bed.arrive("node", signedBy(bed.hosts["observer"], "suspect", 1.5, bed.now()))
 	version := led.Version()
 
 	decoded := 0

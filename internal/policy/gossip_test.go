@@ -13,9 +13,12 @@ import (
 )
 
 // gossipBed builds named hosts sharing one registry, each with its own
-// ledger and gossip mechanism.
+// ledger and gossip mechanism, all on one clock that does not move: a
+// suspicion read back is exact, not decayed by however long the test
+// took to get there.
 type gossipBed struct {
 	reg   *sigcrypto.Registry
+	now   func() time.Time
 	hosts map[string]*core.HostContext
 	mechs map[string]*Gossip
 	leds  map[string]*Ledger
@@ -23,8 +26,10 @@ type gossipBed struct {
 
 func newGossipBed(t testing.TB, names ...string) *gossipBed {
 	t.Helper()
+	_, now := testClock(time.Unix(1_700_000_000, 0))
 	bed := &gossipBed{
 		reg:   sigcrypto.NewRegistry(),
+		now:   now,
 		hosts: make(map[string]*core.HostContext),
 		mechs: make(map[string]*Gossip),
 		leds:  make(map[string]*Ledger),
@@ -38,9 +43,11 @@ func newGossipBed(t testing.TB, names ...string) *gossipBed {
 		if err != nil {
 			t.Fatal(err)
 		}
-		led := NewLedger(LedgerConfig{HalfLife: time.Hour})
+		led := NewLedger(LedgerConfig{HalfLife: time.Hour, Now: now})
+		g := NewGossip(led)
+		g.SetClock(now)
 		bed.hosts[name] = &core.HostContext{Host: h}
-		bed.mechs[name] = NewGossip(led)
+		bed.mechs[name] = g
 		bed.leds[name] = led
 	}
 	return bed
@@ -79,8 +86,8 @@ func TestGossipRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := bed.leds["b"].Suspicion("mallory")
-	if math.Abs(got-0.9) > 1e-6 { // 1.0 damped by 0.9, no decay (fresh)
-		t.Fatalf("gossiped suspicion at b = %v, want ~0.9", got)
+	if got != 0.9 { // 1.0 damped by 0.9, no decay on the bed's clock
+		t.Fatalf("gossiped suspicion at b = %v, want 0.9", got)
 	}
 }
 
@@ -101,7 +108,7 @@ func TestGossipForgedFloodDoesNotCrowdOutHonestExtracts(t *testing.T) {
 			Observer:   "forger",
 			Host:       "victim",
 			Suspicion:  math.MaxFloat64,
-			AtUnixNano: time.Now().UnixNano(),
+			AtUnixNano: bed.now().UnixNano(),
 			Sig:        sigcrypto.Signature{Signer: "forger", Sig: []byte("junk")},
 		}
 	}
@@ -152,7 +159,7 @@ func TestGossipDefamationCapped(t *testing.T) {
 		Host:      "victim",
 		Suspicion: 1e12,
 		// Future-dated, trying to dodge decay.
-		AtUnixNano: time.Now().Add(time.Hour).UnixNano(),
+		AtUnixNano: bed.now().Add(time.Hour).UnixNano(),
 	}
 	e.Sig = bed.hosts["defamer"].Host.Keys().SignDigest(e.bindingDigest())
 	ag := mkGossipAgent(t)

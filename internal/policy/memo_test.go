@@ -57,7 +57,7 @@ func (m *Gossip) verifyAll(reg *sigcrypto.Registry, self string, entries []Gossi
 // either way.
 func TestVerifyMemoFlippedSignatureByte(t *testing.T) {
 	bed := newGossipBed(t, "a", "b")
-	good := signedBy(bed.hosts["a"], "mallory", 2, time.Now())
+	good := signedBy(bed.hosts["a"], "mallory", 2, bed.now())
 	if kept := bed.arrive("b", good); len(kept) != 1 {
 		t.Fatalf("valid entry kept %d times, want 1", len(kept))
 	}
@@ -91,13 +91,13 @@ func TestVerifyMemoFlippedSignatureByte(t *testing.T) {
 // binding digest, hence the memo key, and the real check drops it.
 func TestVerifyMemoOldSignatureNewClaim(t *testing.T) {
 	bed := newGossipBed(t, "a", "b")
-	good := signedBy(bed.hosts["a"], "mallory", 1, time.Now().Add(-time.Minute))
+	good := signedBy(bed.hosts["a"], "mallory", 1, bed.now().Add(-time.Minute))
 	if kept := bed.arrive("b", good); len(kept) != 1 {
 		t.Fatal("valid entry dropped")
 	}
 	tampered := map[string]func(*GossipEntry){
 		"suspicion": func(e *GossipEntry) { e.Suspicion = maxMergeSuspicion },
-		"time":      func(e *GossipEntry) { e.AtUnixNano = time.Now().UnixNano() },
+		"time":      func(e *GossipEntry) { e.AtUnixNano = bed.now().UnixNano() },
 		"host":      func(e *GossipEntry) { e.Host = "victim" },
 	}
 	for name, change := range tampered {
@@ -120,7 +120,7 @@ func TestVerifyMemoOldSignatureNewClaim(t *testing.T) {
 // signature still names a, and fails the real check when it names b.
 func TestVerifyMemoRelabelledObserver(t *testing.T) {
 	bed := newGossipBed(t, "a", "b", "c")
-	good := signedBy(bed.hosts["a"], "mallory", 2, time.Now())
+	good := signedBy(bed.hosts["a"], "mallory", 2, bed.now())
 	if kept := bed.arrive("c", good); len(kept) != 1 {
 		t.Fatal("valid entry dropped")
 	}
@@ -154,7 +154,7 @@ func TestVerifyMemoRelabelledObserver(t *testing.T) {
 // wrong) buys nothing at b.
 func TestMemosArePerNode(t *testing.T) {
 	bed := newGossipBed(t, "a", "b", "c")
-	now := time.Now()
+	now := bed.now()
 	var entries []GossipEntry
 	for i := 0; i < 8; i++ {
 		entries = append(entries, signedBy(bed.hosts["c"], fmt.Sprintf("suspect-%d", i), 1, now))
@@ -189,7 +189,7 @@ func TestMemosAreBounded(t *testing.T) {
 	}
 	const bound = 2 * memoGenSize
 	bed := newGossipBed(t, "a", "b")
-	now := time.Now()
+	now := bed.now()
 	for i := 0; i < 10*bound; i += maxGossipEntries {
 		batch := make([]GossipEntry, maxGossipEntries)
 		for j := range batch {
@@ -225,7 +225,7 @@ func TestTerminalAgentsRetainNothing(t *testing.T) {
 	ctx := context.Background()
 	retainedAfter := func(agents int) int {
 		bed := newGossipBed(t, "src", "node")
-		now := time.Now()
+		now := bed.now()
 		var entries []GossipEntry
 		for i := 0; i < maxGossipEntries; i++ {
 			entries = append(entries, signedBy(bed.hosts["src"], fmt.Sprintf("suspect-%d", i), 1, now))
@@ -260,9 +260,9 @@ func TestDepartureCarriesOnlyWhatThisNodeVerified(t *testing.T) {
 	ctx := context.Background()
 	bed := newGossipBed(t, "src", "node")
 	node, hc := bed.mechs["node"], bed.hosts["node"]
-	genuine := signedBy(bed.hosts["src"], "mallory", 2, time.Now())
-	stale := signedBy(bed.hosts["src"], "mallory", 1, time.Now().Add(-time.Hour)) // raises nothing once genuine is in
-	forged := signedBy(bed.hosts["src"], "victim", 2, time.Now())
+	genuine := signedBy(bed.hosts["src"], "mallory", 2, bed.now())
+	stale := signedBy(bed.hosts["src"], "mallory", 1, bed.now().Add(-time.Hour)) // raises nothing once genuine is in
+	forged := signedBy(bed.hosts["src"], "victim", 2, bed.now())
 	forged.Sig.Sig[3] ^= 1
 
 	// depart runs an agent carrying bag through the node and counts, in

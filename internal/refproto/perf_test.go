@@ -71,9 +71,9 @@ proc main() {
 	}
 }
 
-// hop performs one full protocol hop: sign and package at departure,
-// migrate over the wire, verify (including re-execution) on arrival.
-func (bed *hopBed) hop(tb testing.TB) {
+// depart signs and packages the session at departure and migrates the
+// agent over the wire.
+func (bed *hopBed) depart(tb testing.TB) *agent.Agent {
 	if err := bed.mPrev.PrepareDeparture(context.Background(), bed.hcPrev, bed.ag, bed.rec); err != nil {
 		tb.Fatal(err)
 	}
@@ -85,7 +85,13 @@ func (bed *hopBed) hop(tb testing.TB) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	v, err := bed.mNext.CheckAfterSession(context.Background(), bed.hcNext, arrived)
+	return arrived
+}
+
+// hop performs one full protocol hop: depart, then verify (including
+// re-execution) on arrival.
+func (bed *hopBed) hop(tb testing.TB) {
+	v, err := bed.mNext.CheckAfterSession(context.Background(), bed.hcNext, bed.depart(tb))
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -95,6 +95,7 @@ var (
 	_ core.InitialStateRequester   = (*Mechanism)(nil)
 	_ core.ResultingStateRequester = (*Mechanism)(nil)
 	_ core.InputRequester          = (*Mechanism)(nil)
+	_ core.StayEnder               = (*Mechanism)(nil)
 )
 
 // New builds the mechanism.
@@ -326,6 +327,16 @@ func (m *Mechanism) PrepareDeparture(_ context.Context, hc *core.HostContext, ag
 	*buf = enc
 	canon.PutBuf(buf)
 	return nil
+}
+
+// EndStay implements core.StayEnder. The handoff recorded at arrival is
+// consumed when the agent departs; where its stay ends instead — the
+// journey completed here, the agent was quarantined, its session
+// failed — it is dropped, or pending would keep it for good.
+func (m *Mechanism) EndStay(_ *core.HostContext, ag *agent.Agent) {
+	m.mu.Lock()
+	delete(m.pending, ag.ID)
+	m.mu.Unlock()
 }
 
 // CheckAfterSession verifies the previous host's session as the first

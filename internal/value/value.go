@@ -148,7 +148,7 @@ func (v Value) Clone() Value {
 }
 
 // Shared reports whether v's composite storage is marked as co-owned
-// with a copy-on-write snapshot. It exists for tests and diagnostics.
+// with a copy-on-write snapshot.
 func (v Value) Shared() bool { return v.shared }
 
 // ShareFrom returns child carrying parent's copy-on-write flag. Every
