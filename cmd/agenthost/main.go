@@ -29,13 +29,14 @@
 // the extracts traded per round; `agentctl reputation` shows each
 // node's exchange counters.
 //
-// -exchange-role with -exchange-aggregators runs the exchange as a
-// hierarchical federation instead of a flat mesh: members exchange only
-// with the named aggregator hosts, aggregators exchange among
-// themselves with a larger budget (-exchange-aggregator-budget,
-// default 4x), and fresh quarantine-level detections additionally ride
-// the reply envelope of every protocol call so a member learns them in
-// one RPC. See docs/OPERATIONS.md for the rollout walkthrough.
+// -exchange-aggregators runs the exchange as a hierarchical federation
+// instead of a flat mesh, and the list alone sets this host's tier: a
+// host named in it is an aggregator and exchanges with the other
+// aggregators at 4x -exchange-budget; any other host is a member and
+// exchanges with the aggregators only. Fresh quarantine-level
+// detections additionally ride the reply envelope of every protocol
+// call so a member learns them in one RPC. See docs/OPERATIONS.md for
+// the rollout walkthrough.
 //
 // With -level adaptive, -admission-threshold enables ledger-backed
 // admission control: a delivery from a host whose local suspicion sits
@@ -62,6 +63,7 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
+	"time"
 
 	"repro/internal/agent"
 	"repro/internal/core"
@@ -94,9 +96,7 @@ func run() error {
 	exchangeInterval := flag.Duration("exchange-interval", 0, "anti-entropy reputation exchange round interval (0 = disabled; requires -level adaptive)")
 	exchangePeers := flag.String("exchange-peers", "", "exchange partner hosts, comma-separated (empty = every -peers entry except this host)")
 	exchangeBudget := flag.Int("exchange-budget", 0, "ledger extracts traded per exchange round (0 = platform default)")
-	exchangeRole := flag.String("exchange-role", "", "federation tier: flat|member|aggregator (empty = flat; requires -exchange-interval)")
-	exchangeAggregators := flag.String("exchange-aggregators", "", "aggregator host names, comma-separated (required for -exchange-role member/aggregator)")
-	exchangeAggBudget := flag.Int("exchange-aggregator-budget", 0, "extracts per aggregator-to-aggregator round (0 = 4x -exchange-budget)")
+	exchangeAggregators := flag.String("exchange-aggregators", "", "aggregator host names, comma-separated: a federation in which a listed host is an aggregator and any other a member (empty = flat)")
 	admissionThreshold := flag.Float64("admission-threshold", 0, "refuse deliveries from hosts at/above this ledger suspicion (0 = admission control off; requires -level adaptive)")
 	refuseWhenFull := flag.Bool("refuse-when-full", false, "fast-fail deliveries when the intake queue is full instead of blocking the sender")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof and a runtime/metrics dump on this address, e.g. 127.0.0.1:6060 (empty = off; an address without a host is refused)")
@@ -172,55 +172,14 @@ func run() error {
 		nodeDir = filepath.Join(*dataDir, *name)
 		fmt.Printf("agenthost %s: durable state under %s\n", *name, nodeDir)
 	}
-	// Anti-entropy exchange: with an interval set, the node trades
-	// signed reputation extracts with random-order fleet peers so
-	// suspicion converges even across hosts no shared agent visits.
-	// Partial configuration is refused, not silently dropped — an
-	// operator who set peers or a budget expected an exchange to run.
-	var exchange core.ExchangeConfig
-	if *exchangeInterval <= 0 && (*exchangePeers != "" || *exchangeBudget != 0 ||
-		*exchangeRole != "" || *exchangeAggregators != "" || *exchangeAggBudget != 0) {
-		return fmt.Errorf("-exchange-peers/-exchange-budget/-exchange-role/-exchange-aggregators/-exchange-aggregator-budget require -exchange-interval > 0")
+	exchange, err := exchangeConfig(*name, book, *exchangeInterval, *exchangePeers, *exchangeAggregators, *exchangeBudget)
+	if err != nil {
+		return err
 	}
-	if *exchangeInterval > 0 {
-		role, err := core.ParseExchangeRole(*exchangeRole)
-		if err != nil {
-			return err
-		}
-		aggList := splitList(*exchangeAggregators)
-		// Same refusal idiom: a federation flag without the tier it
-		// belongs to means the operator expected a hierarchy to run.
-		if role == core.ExchangeRoleFlat && (len(aggList) > 0 || *exchangeAggBudget != 0) {
-			return fmt.Errorf("-exchange-aggregators/-exchange-aggregator-budget require -exchange-role member or aggregator")
-		}
-		if role != core.ExchangeRoleFlat && len(aggList) == 0 {
-			return fmt.Errorf("-exchange-role %s requires -exchange-aggregators", role)
-		}
-		peersList := splitList(*exchangePeers)
-		if len(peersList) == 0 {
-			for peer := range book {
-				if peer != *name {
-					peersList = append(peersList, peer)
-				}
-			}
-		}
-		if role == core.ExchangeRoleFlat && len(peersList) == 0 {
-			return fmt.Errorf("-exchange-interval set but no exchange peers (set -peers or -exchange-peers)")
-		}
-		exchange = core.ExchangeConfig{
-			Peers:            peersList,
-			Interval:         *exchangeInterval,
-			Budget:           *exchangeBudget,
-			Role:             role,
-			Aggregators:      aggList,
-			AggregatorBudget: *exchangeAggBudget,
-		}
-		switch role {
-		case core.ExchangeRoleFlat:
-			fmt.Printf("agenthost %s: anti-entropy exchange every %s with %d peers\n", *name, *exchangeInterval, len(peersList))
-		default:
-			fmt.Printf("agenthost %s: anti-entropy exchange every %s as federation %s (%d aggregators)\n", *name, *exchangeInterval, role, len(aggList))
-		}
+	if len(exchange.Aggregators) > 0 {
+		fmt.Printf("agenthost %s: anti-entropy exchange every %s in a federation of %d aggregators\n", *name, *exchangeInterval, len(exchange.Aggregators))
+	} else if exchange.Enabled() {
+		fmt.Printf("agenthost %s: anti-entropy exchange every %s with %d peers\n", *name, *exchangeInterval, len(exchange.Peers))
 	}
 	// One node, assembled the way every harness assembles its nodes
 	// (internal/fleet): event pipeline, protection stack, host, node. The
@@ -310,6 +269,39 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "agenthost %s: closing node: %v\n", *name, err)
 	}
 	return srvErr
+}
+
+// exchangeConfig turns the exchange flags into the node's anti-entropy
+// exchange configuration: with an interval set, the node trades signed
+// reputation extracts with fleet peers (default: every address-book
+// entry but itself) so suspicion converges even across hosts no shared
+// agent visits. Partial configuration is refused, not silently dropped
+// — an operator who set peers, a budget or aggregators expected an
+// exchange to run.
+func exchangeConfig(self string, book map[string]string, interval time.Duration, peers, aggregators string, budget int) (core.ExchangeConfig, error) {
+	if interval <= 0 {
+		if peers != "" || budget != 0 || aggregators != "" {
+			return core.ExchangeConfig{}, fmt.Errorf("-exchange-peers/-exchange-budget/-exchange-aggregators require -exchange-interval > 0")
+		}
+		return core.ExchangeConfig{}, nil
+	}
+	cfg := core.ExchangeConfig{
+		Peers:       splitList(peers),
+		Interval:    interval,
+		Budget:      budget,
+		Aggregators: splitList(aggregators),
+	}
+	if len(cfg.Peers) == 0 {
+		for peer := range book {
+			if peer != self {
+				cfg.Peers = append(cfg.Peers, peer)
+			}
+		}
+	}
+	if !cfg.Enabled() {
+		return core.ExchangeConfig{}, fmt.Errorf("-exchange-interval set but no exchange peers (set -peers, -exchange-peers or -exchange-aggregators)")
+	}
+	return cfg, nil
 }
 
 func loadPeerKeys(reg *sigcrypto.Registry, dir string) error {

@@ -462,20 +462,10 @@ func (r *runner) opened(m *member) {
 
 // exchangeConfigFor builds a member's exchange configuration: a flat
 // ring over the fleet, or — when the scenario names aggregators — the
-// hierarchical federation with this member's role derived from that
-// list. The interval is parked either way; the step loop drives rounds.
+// hierarchical federation, where that list sets each node's tier. The
+// interval is parked either way; the step loop drives rounds.
 func (r *runner) exchangeConfigFor(name string) core.ExchangeConfig {
-	xcfg := core.ExchangeConfig{Peers: r.exchangePeersFor(name), Interval: time.Hour}
-	if len(r.cfg.Aggregators) > 0 {
-		xcfg.Aggregators = r.cfg.Aggregators
-		xcfg.Role = core.ExchangeRoleMember
-		for _, a := range r.cfg.Aggregators {
-			if a == name {
-				xcfg.Role = core.ExchangeRoleAggregator
-			}
-		}
-	}
-	return xcfg
+	return core.ExchangeConfig{Peers: r.exchangePeersFor(name), Interval: time.Hour, Aggregators: r.cfg.Aggregators}
 }
 
 // exchangePeersFor seeds a new node's ring: the current fleet, or —

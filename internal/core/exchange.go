@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"time"
 )
 
@@ -29,47 +28,18 @@ const (
 	// arbitrarily large reply.
 	MaxExchangeBudget = 256
 	// DefaultAggregatorBudgetFactor scales an aggregator's per-round
-	// budget over the member budget when ExchangeConfig.AggregatorBudget
-	// is zero: aggregator↔aggregator rounds carry a whole sub-fleet's
-	// worth of extracts, so they get more room (clamped to the max).
+	// budget over ExchangeConfig.Budget: aggregator↔aggregator rounds
+	// carry a whole sub-fleet's worth of extracts, so they get more
+	// room (clamped to the max).
 	DefaultAggregatorBudgetFactor = 4
 )
-
-// ExchangeRole selects a node's tier in the exchange federation.
-type ExchangeRole string
-
-// Federation tiers. Flat is the original topology: every node draws
-// partners from the whole peer list. In hierarchical mode, members
-// exchange only with the designated aggregators (failing over among
-// them by score), and aggregators exchange with the other aggregators
-// using the larger budget — per-round fleet message count drops from
-// O(N²) toward O(N + A²).
-const (
-	ExchangeRoleFlat       ExchangeRole = "flat"
-	ExchangeRoleMember     ExchangeRole = "member"
-	ExchangeRoleAggregator ExchangeRole = "aggregator"
-)
-
-// ParseExchangeRole maps an operator-supplied string ("" means flat)
-// to a role, rejecting unknown values.
-func ParseExchangeRole(s string) (ExchangeRole, error) {
-	switch ExchangeRole(s) {
-	case "", ExchangeRoleFlat:
-		return ExchangeRoleFlat, nil
-	case ExchangeRoleMember:
-		return ExchangeRoleMember, nil
-	case ExchangeRoleAggregator:
-		return ExchangeRoleAggregator, nil
-	}
-	return "", fmt.Errorf("core: unknown exchange role %q (want flat, member, or aggregator)", s)
-}
 
 // ExchangeConfig configures a node's anti-entropy reputation exchange.
 // The zero value disables it.
 type ExchangeConfig struct {
-	// Peers is the fleet address list the loop draws partners from (the
-	// node's own name is skipped). Empty disables the exchange unless
-	// Aggregators is set.
+	// Peers is the fleet address list a flat node draws partners from
+	// (the node's own name is skipped). Empty disables the exchange
+	// unless Aggregators is set.
 	Peers []string
 	// Interval paces the rounds; one scheduler-picked peer is visited
 	// per round. 0 means DefaultExchangeInterval.
@@ -79,18 +49,15 @@ type ExchangeConfig struct {
 	// MaxExchangeBudget are clamped.
 	Budget int
 
-	// Role selects the federation tier; empty means flat. Member and
-	// aggregator roles require Aggregators.
-	Role ExchangeRole
-	// Aggregators names the designated aggregator nodes. A member draws
-	// partners only from this list; an aggregator from this list minus
-	// itself (a sole aggregator initiates no rounds but still serves
-	// its members' offers).
+	// Aggregators names the designated aggregator nodes, and the list
+	// alone sets the node's federation tier. Empty: the node is flat
+	// and draws partners from Peers. Naming the node: it is an
+	// aggregator, draws partners from the other aggregators, and
+	// trades DefaultAggregatorBudgetFactor × Budget per round (a sole
+	// aggregator initiates no rounds but still serves its members'
+	// offers). Not naming it: it is a member and draws partners from
+	// the aggregators only.
 	Aggregators []string
-	// AggregatorBudget is the per-round budget aggregator↔aggregator
-	// rounds use; 0 means DefaultAggregatorBudgetFactor × Budget,
-	// clamped to MaxExchangeBudget.
-	AggregatorBudget int
 
 	// StatePath, when set, persists the partner scheduler's per-peer
 	// state (staleness anchors, failure penalties, distance estimates)
@@ -135,8 +102,9 @@ type ExchangeStats struct {
 	// round.
 	LastPeer     string
 	LastUnixNano int64
-	// Role is the node's federation tier ("flat", "member",
-	// "aggregator").
+	// Role is the node's federation tier as its aggregator list sets
+	// it: "flat" (no list), "aggregator" (named in the list) or
+	// "member" (not named).
 	Role string
 	// UrgentSent counts protocol replies this node wrapped with urgent
 	// quarantine-level extracts; UrgentMerged counts urgent entries
@@ -183,9 +151,11 @@ type ExchangeReporter interface {
 // or rotate identities mid-run. Implementations must preserve per-peer
 // backoff state for peers present in both the old and new lists.
 type ExchangePeerUpdater interface {
-	// UpdateExchangePeers replaces the loop's peer ring. The list is
-	// normalized like ExchangeConfig.Peers (self and duplicates
-	// dropped); an empty usable list is an error — disable the
-	// exchange by closing the node, not by starving its ring.
+	// UpdateExchangePeers re-derives the loop's partner pool from a
+	// new fleet membership by the rule ExchangeConfig.Aggregators
+	// states: the whole list on a flat node, the aggregators still on
+	// it on a federated one (self and duplicates dropped). A pool left
+	// empty is an error except on an aggregator — disable the exchange
+	// by closing the node, not by starving its pool.
 	UpdateExchangePeers(peers []string) error
 }

@@ -43,13 +43,10 @@ func TestTCPFederationConvergence(t *testing.T) {
 			cfg.Behavior = fleet.Tamperer{}
 		}
 		xcfg := core.ExchangeConfig{
-			Role:        core.ExchangeRoleMember,
 			Aggregators: aggregators,
 			Interval:    50 * time.Millisecond,
 		}
 		switch name {
-		case "aggA", "aggB":
-			xcfg.Role = core.ExchangeRoleAggregator
 		case "probe":
 			// The probe's loop is parked: its rounds are driven by hand so
 			// the urgent exposure window can be counted in RPCs. It pins

@@ -427,12 +427,12 @@ func (n *Node) journalSweeper() {
 // Host returns the node's host.
 func (n *Node) Host() *host.Host { return n.cfg.Host }
 
-// UpdateExchangePeers replaces the running exchange loop's peer ring
-// with the given fleet membership — the live peer-update path for
+// UpdateExchangePeers re-derives the running exchange loop's partner
+// pool from the given fleet membership — the live peer-update path for
 // deployments whose membership changes mid-run (nodes joining,
 // leaving, or rotating identities during a campaign). It fails when
-// the node runs no exchange, or when the new list leaves no usable
-// peer.
+// the node runs no exchange, or when the new list leaves a flat node
+// or a member without a usable partner.
 func (n *Node) UpdateExchangePeers(peers []string) error {
 	for _, m := range n.cfg.Mechanisms {
 		if u, ok := m.(ExchangePeerUpdater); ok {

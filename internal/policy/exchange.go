@@ -52,11 +52,12 @@ import (
 // len(peers) rounds — still holds; with signal, divergent and
 // long-unseen peers are reached sooner.
 //
-// In hierarchical mode (core.ExchangeRoleMember / RoleAggregator) the
-// same loop runs over a role-derived partner pool: members pull from
-// the designated aggregators only, aggregators from each other with a
-// larger budget, and the fleet's per-round message count drops from
-// O(N²) toward O(N + A²).
+// The aggregator list (core.ExchangeConfig.Aggregators) alone sets the
+// partner pool and the budget the same loop runs with. With no list the
+// node is flat and draws from the whole peer list. With one, a member
+// (not on the list) pulls from the aggregators only and an aggregator
+// (on it) from the other aggregators with a larger budget, so the
+// fleet's per-round message count drops from O(N²) toward O(N + A²).
 const (
 	// offerWireLabel / summaryWireLabel / deltaWireLabel version the
 	// three exchange message framings.
@@ -207,13 +208,12 @@ type Exchange struct {
 	cfg    core.ExchangeConfig
 	now    func() time.Time
 
-	// sched is the weighted partner scheduler over the role-derived
-	// pool; role and aggSet derive partner pools from membership
-	// updates; budget is the effective per-round entry budget (the
-	// aggregator budget on the aggregator tier).
+	// sched is the weighted partner scheduler over the pool that pool
+	// derives; aggs is the configured aggregator list as a set (nil on
+	// a flat node); budget is the effective per-round entry budget
+	// (the aggregator budget on the aggregator tier).
 	sched  *Scheduler
-	role   core.ExchangeRole
-	aggSet map[string]bool
+	aggs   map[string]bool
 	budget int
 	// statePath, when non-empty, persists the scheduler's per-peer
 	// state after every round (and loads it at construction) — the
@@ -229,16 +229,12 @@ type Exchange struct {
 	done chan struct{}
 }
 
-// newExchange validates and normalizes the configuration, derives the
-// role's partner pool, and restores persisted scheduler state.
+// newExchange normalizes the configuration, derives the node's tier,
+// budget and partner pool from its aggregator list, and restores
+// persisted scheduler state.
 func newExchange(g *Gossip, hc *core.HostContext, cfg core.ExchangeConfig) (*Exchange, error) {
 	if hc == nil || hc.Host == nil || hc.Net == nil {
 		return nil, errors.New("policy: exchange needs a host context with a network")
-	}
-	self := hc.Host.Name()
-	role := cfg.Role
-	if role == "" {
-		role = core.ExchangeRoleFlat
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = core.DefaultExchangeInterval
@@ -246,53 +242,39 @@ func newExchange(g *Gossip, hc *core.HostContext, cfg core.ExchangeConfig) (*Exc
 	if cfg.Budget <= 0 {
 		cfg.Budget = core.DefaultExchangeBudget
 	}
-	if cfg.Budget > core.MaxExchangeBudget {
-		cfg.Budget = core.MaxExchangeBudget
-	}
-	budget := cfg.Budget
-	var aggSet map[string]bool
-	if role != core.ExchangeRoleFlat {
-		if len(cfg.Aggregators) == 0 {
-			return nil, fmt.Errorf("policy: exchange role %q at %s needs aggregators", role, self)
-		}
-		aggSet = make(map[string]bool, len(cfg.Aggregators))
-		for _, a := range cfg.Aggregators {
-			if a != "" {
-				aggSet[a] = true
-			}
-		}
-		if role == core.ExchangeRoleAggregator {
-			if !aggSet[self] {
-				return nil, fmt.Errorf("policy: aggregator %s is not in its own aggregator list", self)
-			}
-			budget = cfg.AggregatorBudget
-			if budget <= 0 {
-				budget = core.DefaultAggregatorBudgetFactor * cfg.Budget
-			}
-			if budget > core.MaxExchangeBudget {
-				budget = core.MaxExchangeBudget
-			}
-		}
-	}
-	pool, err := derivePool(self, role, aggSet, cfg.Peers)
-	if err != nil {
-		return nil, err
-	}
+	cfg.Budget = min(cfg.Budget, core.MaxExchangeBudget)
 	x := &Exchange{
 		gossip:    g,
 		hc:        hc,
-		self:      self,
+		self:      hc.Host.Name(),
 		cfg:       cfg,
 		now:       g.now,
-		sched:     NewScheduler(self, pool, g.now()),
-		role:      role,
-		aggSet:    aggSet,
-		budget:    budget,
+		budget:    cfg.Budget,
 		statePath: cfg.StatePath,
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
 	}
-	x.stats.Role = string(role)
+	list := cfg.Peers
+	if len(cfg.Aggregators) > 0 {
+		list = cfg.Aggregators
+		x.aggs = make(map[string]bool, len(list))
+		for _, a := range list {
+			x.aggs[a] = true
+		}
+	}
+	x.stats.Role = "flat"
+	switch {
+	case x.aggs[x.self]:
+		x.stats.Role = "aggregator"
+		x.budget = min(core.DefaultAggregatorBudgetFactor*cfg.Budget, core.MaxExchangeBudget)
+	case x.aggs != nil:
+		x.stats.Role = "member"
+	}
+	pool, err := x.pool(list)
+	if err != nil {
+		return nil, err
+	}
+	x.sched = NewScheduler(x.self, pool, g.now())
 	if x.statePath != "" {
 		if data, err := os.ReadFile(x.statePath); err == nil {
 			// A torn or stale state file costs only the restart memory;
@@ -303,82 +285,36 @@ func newExchange(g *Gossip, hc *core.HostContext, cfg core.ExchangeConfig) (*Exc
 	return x, nil
 }
 
-// derivePool maps a fleet membership list to the node's partner pool
-// for its tier. Flat nodes draw from the whole list; members from the
-// aggregators; aggregators from the other aggregators (a sole
-// aggregator gets an empty pool — it initiates nothing but still
-// serves its members' offers).
-func derivePool(self string, role core.ExchangeRole, aggSet map[string]bool, fleet []string) ([]string, error) {
+// pool maps a fleet membership list to the node's partners by the one
+// topology rule: a flat node draws from the whole list, a federated
+// node from the aggregators on it, and no node from itself. Only an
+// aggregator may be left without partners (a sole aggregator initiates
+// nothing but still serves its members' offers). Duplicates are left
+// to the scheduler, which keeps one entry per peer.
+func (x *Exchange) pool(list []string) ([]string, error) {
 	var pool []string
-	switch role {
-	case core.ExchangeRoleFlat:
-		pool = dedupe(self, fleet)
-		if len(pool) == 0 {
-			return nil, fmt.Errorf("policy: exchange at %s has no usable peers", self)
+	for _, p := range list {
+		if p != "" && p != x.self && (x.aggs == nil || x.aggs[p]) {
+			pool = append(pool, p)
 		}
-	case core.ExchangeRoleMember:
-		for a := range aggSet {
-			if a != self {
-				pool = append(pool, a)
-			}
-		}
-		if len(pool) == 0 {
-			return nil, fmt.Errorf("policy: member %s has no usable aggregators", self)
-		}
-	case core.ExchangeRoleAggregator:
-		for a := range aggSet {
-			if a != self {
-				pool = append(pool, a)
-			}
-		}
-	default:
-		return nil, fmt.Errorf("policy: unknown exchange role %q", role)
+	}
+	if len(pool) == 0 && !x.aggs[x.self] {
+		return nil, fmt.Errorf("policy: exchange at %s (%s) has no usable partners", x.self, x.stats.Role)
 	}
 	return pool, nil
 }
 
-// dedupe drops empties, self, and duplicates, preserving order.
-func dedupe(self string, list []string) []string {
-	seen := make(map[string]bool, len(list))
-	out := make([]string, 0, len(list))
-	for _, p := range list {
-		if p == "" || p == self || seen[p] {
-			continue
-		}
-		seen[p] = true
-		out = append(out, p)
-	}
-	return out
-}
-
-// UpdatePeers adopts a new fleet membership. Flat nodes replace their
-// pool with the list; hierarchical tiers re-derive theirs from the
-// configured aggregator set intersected with the list (an aggregator
-// that left the fleet stops being anyone's partner, but membership
-// churn among plain members never touches a member's pool). Scheduler
-// state survives for peers present in both pools — a dead peer does
-// not earn a fresh probe budget because an unrelated node joined.
+// UpdatePeers adopts a new fleet membership, re-deriving the pool by
+// the same rule: a flat node's pool becomes the list, a federated
+// node's the aggregators still on it (an aggregator that left the
+// fleet stops being anyone's partner, but churn among plain members
+// never touches a member's pool). Scheduler state survives for peers
+// present in both pools — a dead peer does not earn a fresh probe
+// budget because an unrelated node joined.
 func (x *Exchange) UpdatePeers(peers []string) error {
-	var pool []string
-	switch x.role {
-	case core.ExchangeRoleFlat:
-		pool = dedupe(x.self, peers)
-		if len(pool) == 0 {
-			return fmt.Errorf("policy: exchange at %s has no usable peers", x.self)
-		}
-	default:
-		present := make(map[string]bool, len(peers))
-		for _, p := range peers {
-			present[p] = true
-		}
-		for a := range x.aggSet {
-			if a != x.self && present[a] {
-				pool = append(pool, a)
-			}
-		}
-		if x.role == core.ExchangeRoleMember && len(pool) == 0 {
-			return fmt.Errorf("policy: member %s has no usable aggregators", x.self)
-		}
+	pool, err := x.pool(peers)
+	if err != nil {
+		return err
 	}
 	x.sched.UpdatePeers(pool)
 	return nil

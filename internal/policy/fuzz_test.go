@@ -4,12 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"maps"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // decodeSeeds is the seed corpus of FuzzDecodeEntries: encoded lists of
@@ -147,4 +152,92 @@ func TestUnsignedBytesNeverMerge(t *testing.T) {
 	if got := led.Version(); got != version {
 		t.Fatalf("unsigned bytes moved the ledger version %d -> %d", version, got)
 	}
+}
+
+// FuzzExchangeWire feeds the offer and delta decoders — what any peer
+// reaches through reputation/offer, before a single signature is
+// checked — the bytes a hostile peer could send. Neither may panic. An
+// accepted offer carries a budget in [1, MaxExchangeBudget], at most
+// maxSummaryEntries summary items and at most MaxExchangeBudget
+// entries; an accepted delta at most MaxExchangeBudget entries. What
+// either accepted encodes again, and that encoding decodes equal.
+func FuzzExchangeWire(f *testing.F) {
+	entries := mkEntries(3)
+	// A summary at its item bound and one past it.
+	var full []summaryItem
+	for i := 0; i <= maxSummaryEntries; i++ {
+		full = append(full, summaryItem{"h" + strconv.Itoa(i), 1})
+	}
+	seeds := [][]byte{[]byte("garbage")}
+	for _, o := range []struct {
+		budget  int
+		summary []summaryItem
+		entries []GossipEntry
+	}{
+		{32, []summaryItem{{"suspect", 1.5}, {"other", 0}}, entries},
+		{0, nil, nil},
+		{1 << 20, []summaryItem{{"suspect", math.NaN()}}, entries[:1]},
+		{32, full[:maxSummaryEntries], nil},
+		{32, full, nil},
+	} {
+		offer, err := encodeOffer("n1", o.budget, o.summary, o.entries)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, offer, offer[:len(offer)-3])
+	}
+	delta, err := encodeDelta(entries)
+	if err != nil {
+		f.Fatal(err)
+	}
+	seeds = append(seeds, delta, delta[:len(delta)-3])
+	for _, seed := range seeds {
+		f.Add(seed)
+	}
+	sameEntries := func(a, b []GossipEntry) bool {
+		return slices.EqualFunc(a, b, func(x, y GossipEntry) bool {
+			return x.Observer == y.Observer && x.Host == y.Host &&
+				math.Float64bits(x.Suspicion) == math.Float64bits(y.Suspicion) &&
+				x.AtUnixNano == y.AtUnixNano && x.Sig.Signer == y.Sig.Signer && bytes.Equal(x.Sig.Sig, y.Sig.Sig)
+		})
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if initiator, budget, summary, got, err := decodeOffer(data); err == nil {
+			if budget < 1 || budget > core.MaxExchangeBudget || len(summary) > maxSummaryEntries || len(got) > core.MaxExchangeBudget {
+				t.Fatalf("accepted an offer with budget %d, %d summary items, %d entries", budget, len(summary), len(got))
+			}
+			var items []summaryItem
+			for _, h := range slices.Sorted(maps.Keys(summary)) {
+				items = append(items, summaryItem{h, summary[h]})
+			}
+			again, err := encodeOffer(initiator, budget, items, got)
+			if err != nil {
+				t.Fatalf("accepted offer does not encode: %v", err)
+			}
+			i2, b2, s2, e2, err := decodeOffer(again)
+			if err != nil {
+				t.Fatalf("re-encoded offer refused: %v", err)
+			}
+			sameFloat := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+			if i2 != initiator || b2 != budget || !maps.EqualFunc(s2, summary, sameFloat) || !sameEntries(e2, got) {
+				t.Fatal("decode(encode(offer)) differs from the offer")
+			}
+		}
+		if got, err := decodeDelta(data); err == nil {
+			if len(got) > core.MaxExchangeBudget {
+				t.Fatalf("accepted a delta of %d entries", len(got))
+			}
+			again, err := encodeDelta(got)
+			if err != nil {
+				t.Fatalf("accepted delta does not encode: %v", err)
+			}
+			e2, err := decodeDelta(again)
+			if err != nil {
+				t.Fatalf("re-encoded delta refused: %v", err)
+			}
+			if !sameEntries(e2, got) {
+				t.Fatal("decode(encode(delta)) differs from the delta")
+			}
+		}
+	})
 }

@@ -360,7 +360,11 @@ func (n *TCPNetwork) dial(ctx context.Context, host, addr string) (*clientConn, 
 // failures. The retry window is the caller's ctx deadline when it has
 // one, else dialRetryBudget; each individual attempt still runs under
 // dial's own per-attempt timeout. On exhaustion the returned error
-// wraps both ErrDialRetriesExhausted and the last dial failure.
+// wraps both ErrDialRetriesExhausted and the last transient failure.
+// The window counts as exhausted whether it closes during the sleep
+// between attempts or during an attempt: once a transient failure has
+// been seen, an attempt cut short by the closing window is the end of
+// the retries, not a failure of its own.
 func (n *TCPNetwork) dialBackoff(ctx context.Context, host, addr string) (*clientConn, error) {
 	rctx := ctx
 	if _, ok := ctx.Deadline(); !ok {
@@ -370,6 +374,11 @@ func (n *TCPNetwork) dialBackoff(ctx context.Context, host, addr string) (*clien
 	}
 	backoff := dialBackoffBase
 	attempts := 0
+	var transient error
+	exhausted := func() error {
+		return fmt.Errorf("transport: dial %s (%s): %w after %d attempts: %w",
+			host, addr, ErrDialRetriesExhausted, attempts, transient)
+	}
 	for {
 		c, err := n.dial(rctx, host, addr)
 		attempts++
@@ -377,16 +386,19 @@ func (n *TCPNetwork) dialBackoff(ctx context.Context, host, addr string) (*clien
 			return c, nil
 		}
 		if !isTransientDial(err) {
+			if transient != nil && (rctx.Err() != nil || errors.Is(err, context.DeadlineExceeded)) {
+				return nil, exhausted()
+			}
 			return nil, err
 		}
+		transient = err
 		// Jitter: sleep somewhere in [backoff/2, backoff).
 		delay := backoff/2 + time.Duration(rand.Int63n(int64(backoff/2)))
 		t := time.NewTimer(delay)
 		select {
 		case <-rctx.Done():
 			t.Stop()
-			return nil, fmt.Errorf("transport: dial %s (%s): %w after %d attempts: %w",
-				host, addr, ErrDialRetriesExhausted, attempts, err)
+			return nil, exhausted()
 		case <-t.C:
 		}
 		if backoff *= 2; backoff > dialBackoffMax {
