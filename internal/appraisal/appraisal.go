@@ -8,10 +8,12 @@
 // Its place in the framework's attribute space: moment = after every
 // session (on arrival), reference data = only the arrived (resulting)
 // state, algorithm = rules (non-Turing-complete first-order
-// conditions). Because neither the input nor the initial state is
-// available, the mechanism detects only attacks that leave the state
-// rule-inconsistent: "the host may modify the execution and/or the
-// prices at its will without being detected as it is impossible to
+// conditions). The rule engine (RuleSet) belongs to this mechanism and
+// reads the arrived state directly; core has no checker interface to
+// plug it into elsewhere. Because neither the input nor the initial
+// state is available, the mechanism detects only attacks that leave the
+// state rule-inconsistent: "the host may modify the execution and/or
+// the prices at its will without being detected as it is impossible to
 // find an inconsistency in the resulting state without the used
 // prices" — a limitation the detection-matrix tests pin down.
 //
@@ -68,21 +70,8 @@ func (r Rule) Holds(st value.State) (bool, error) {
 	return r.expr.EvalBool(st)
 }
 
-// RuleSet is an ordered set of rules; it implements core.Checker so it
-// can serve as the "rules" checking algorithm in any mechanism.
+// RuleSet is an ordered set of rules: the "rules" checking algorithm.
 type RuleSet []Rule
-
-var _ core.Checker = (RuleSet)(nil)
-
-// Check implements core.Checker: every rule must hold on the resulting
-// state.
-func (rs RuleSet) Check(cc *core.CheckContext) (bool, []string, error) {
-	st, err := cc.ResultingState()
-	if err != nil {
-		return false, nil, err
-	}
-	return rs.evaluate(st)
-}
 
 // evaluate applies all rules to a state directly.
 func (rs RuleSet) evaluate(st value.State) (bool, []string, error) {

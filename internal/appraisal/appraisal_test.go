@@ -51,37 +51,6 @@ func TestRuleOnMissingVariableFails(t *testing.T) {
 	}
 }
 
-func TestRuleSetEvaluation(t *testing.T) {
-	rules := appraisal.RuleSet{
-		appraisal.MustRule("nonneg", "rest >= 0"),
-		appraisal.MustRule("budget", "spent + rest == 100"),
-		appraisal.MustRule("items", "len(items) <= 3"),
-	}
-	good := value.State{
-		"rest":  value.Int(60),
-		"spent": value.Int(40),
-		"items": value.List(value.Str("a")),
-	}
-	mech := appraisal.New()
-	pkg := &core.ReferencePackage{ResultingState: good}
-	cc := core.NewCheckContext(mech, pkg, nil, nil, core.AfterSession)
-	ok, violations, err := rules.Check(cc)
-	if err != nil || !ok {
-		t.Fatalf("good state rejected: %v %v", violations, err)
-	}
-	bad := good.Clone()
-	bad["rest"] = value.Int(-5)
-	bad["spent"] = value.Int(40)
-	cc = core.NewCheckContext(mech, &core.ReferencePackage{ResultingState: bad}, nil, nil, core.AfterSession)
-	ok, violations, err = rules.Check(cc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok || len(violations) != 2 {
-		t.Errorf("ok=%v violations=%v (want 2: nonneg and budget)", ok, violations)
-	}
-}
-
 // buyerCode is an agent with a money invariant: it "spends" on the shop
 // host.
 const buyerCode = `

@@ -15,17 +15,18 @@
 //     mechanism declares what it needs by implementing the requester
 //     marker interfaces (InitialStateRequester, ResultingStateRequester,
 //     InputRequester, ExecutionLogRequester, ResourceRequester — Fig. 4),
-//     and accesses it through the CheckContext accessor methods
-//     (InitialState, ResultingState, Input, ExecutionLog, Resource —
-//     Fig. 5). Data that was not declared is not packed into the agent
-//     and not accessible: the framework enforces the declaration.
+//     and BuildReferencePackage packs exactly the declared data into
+//     the agent: data that was not declared does not travel.
 //
 //   - Checking algorithm: rules, proofs, re-execution, or an arbitrary
 //     program (the most powerful option, which subsumes the others).
-//     The Checker interface abstracts the algorithm; ReExecChecker and
-//     ProgramChecker live here, the rule engine in package appraisal,
-//     and Merkle spot-check proofs in package proof.
-//
+//     Each Mechanism is its algorithm: the rule engine is package
+//     appraisal, Merkle spot-check proofs are package proof, and
+//     re-execution is host.Replay, shared by refproto's check after
+//     each session and vigna's audit. Re-execution compares strictly:
+//     the interpreter is single-threaded and byte-deterministic, so an
+//     honest session replays to exactly the state it reported.
+
 // Mechanisms plug into the platform through the Mechanism lifecycle
 // interface; Node drives agents through hosts, invoking mechanism
 // callbacks at the right moments and forwarding agents over any

@@ -2,14 +2,10 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/agent"
-	"repro/internal/agentlang"
 	"repro/internal/host"
-	"repro/internal/trace"
 	"repro/internal/transport"
-	"repro/internal/value"
 )
 
 // HostContext gives a mechanism access to the host it is running on and
@@ -68,85 +64,4 @@ type CallHandler interface {
 // the node calls EndStay once, before it reports the outcome.
 type StayEnder interface {
 	EndStay(hc *HostContext, ag *agent.Agent)
-}
-
-// CheckContext is the checking-time view of one session's reference
-// data — the paper's Fig. 5 host methods (getInitialState,
-// getResultingState, getInput, getExecutionLog, getResource). Access is
-// gated by the requester interfaces the mechanism declares (Fig. 4):
-// undeclared data returns ErrNotRequested even if present.
-type CheckContext struct {
-	// Agent is the agent being checked, as it arrived.
-	Agent *agent.Agent
-	// Checker is the host performing the check.
-	Checker *HostContext
-	// Moment is the check moment.
-	Moment Moment
-
-	mech Mechanism
-	pkg  *ReferencePackage
-}
-
-// NewCheckContext builds a context serving pkg's data to mechanism m.
-func NewCheckContext(m Mechanism, pkg *ReferencePackage, ag *agent.Agent, hc *HostContext, moment Moment) *CheckContext {
-	return &CheckContext{Agent: ag, Checker: hc, Moment: moment, mech: m, pkg: pkg}
-}
-
-// Package exposes the raw reference package (session identification
-// fields are always accessible).
-func (c *CheckContext) Package() *ReferencePackage { return c.pkg }
-
-// InitialState returns the checked session's initial state.
-func (c *CheckContext) InitialState() (value.State, error) {
-	if _, ok := c.mech.(InitialStateRequester); !ok {
-		return nil, fmt.Errorf("%w: initial state", ErrNotRequested)
-	}
-	if c.pkg == nil || c.pkg.InitialState == nil {
-		return nil, fmt.Errorf("%w: initial state", ErrNoReference)
-	}
-	return c.pkg.InitialState, nil
-}
-
-// ResultingState returns the checked session's resulting state.
-func (c *CheckContext) ResultingState() (value.State, error) {
-	if _, ok := c.mech.(ResultingStateRequester); !ok {
-		return nil, fmt.Errorf("%w: resulting state", ErrNotRequested)
-	}
-	if c.pkg == nil || c.pkg.ResultingState == nil {
-		return nil, fmt.Errorf("%w: resulting state", ErrNoReference)
-	}
-	return c.pkg.ResultingState, nil
-}
-
-// Input returns the checked session's input log.
-func (c *CheckContext) Input() ([]agentlang.InputRecord, error) {
-	if _, ok := c.mech.(InputRequester); !ok {
-		return nil, fmt.Errorf("%w: input", ErrNotRequested)
-	}
-	if c.pkg == nil || c.pkg.Input == nil {
-		return nil, fmt.Errorf("%w: input", ErrNoReference)
-	}
-	return c.pkg.Input, nil
-}
-
-// ExecutionLog returns the checked session's trace.
-func (c *CheckContext) ExecutionLog() (*trace.Trace, error) {
-	if _, ok := c.mech.(ExecutionLogRequester); !ok {
-		return nil, fmt.Errorf("%w: execution log", ErrNotRequested)
-	}
-	if c.pkg == nil || c.pkg.Trace == nil {
-		return nil, fmt.Errorf("%w: execution log", ErrNoReference)
-	}
-	return c.pkg.Trace, nil
-}
-
-// Resource returns the replicated host resources appended to the agent.
-func (c *CheckContext) Resource() (map[string]value.Value, error) {
-	if _, ok := c.mech.(ResourceRequester); !ok {
-		return nil, fmt.Errorf("%w: resources", ErrNotRequested)
-	}
-	if c.pkg == nil || c.pkg.Resources == nil {
-		return nil, fmt.Errorf("%w: resources", ErrNoReference)
-	}
-	return c.pkg.Resources, nil
 }

@@ -424,9 +424,6 @@ func (n *Node) journalSweeper() {
 	}
 }
 
-// Host returns the node's host.
-func (n *Node) Host() *host.Host { return n.cfg.Host }
-
 // UpdateExchangePeers re-derives the running exchange loop's partner
 // pool from the given fleet membership — the live peer-update path for
 // deployments whose membership changes mid-run (nodes joining,

@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"repro/internal/agentlang"
@@ -14,9 +13,9 @@ import (
 
 // The requester marker interfaces of Fig. 4. A mechanism implements the
 // interfaces for the reference data its checking algorithm needs; the
-// framework packs exactly the declared data into the agent and the
-// CheckContext serves exactly the declared data back. This mirrors the
-// paper's "similar to the usage of Clonable in Java".
+// framework packs exactly the declared data into the agent
+// (BuildReferencePackage). This mirrors the paper's "similar to the
+// usage of Clonable in Java".
 
 // InitialStateRequester declares need for the initial state.
 type InitialStateRequester interface{ RequestsInitialState() }
@@ -32,15 +31,6 @@ type ExecutionLogRequester interface{ RequestsExecutionLog() }
 
 // ResourceRequester declares need for the host resources.
 type ResourceRequester interface{ RequestsResource() }
-
-// ErrNotRequested is returned by CheckContext accessors for reference
-// data the mechanism did not declare.
-var ErrNotRequested = errors.New("core: reference data not requested by mechanism")
-
-// ErrNoReference is returned when the agent carries no reference
-// package for the mechanism (e.g. first hop, or a malicious host
-// stripped it).
-var ErrNoReference = errors.New("core: no reference package attached")
 
 // ReferencePackage is the reference data of one execution session, in
 // the combination the mechanism declared (§3.5, "used reference data").

@@ -1,13 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"context"
-	"errors"
 	"testing"
 
 	"repro/internal/agent"
 	"repro/internal/agentlang"
 	"repro/internal/host"
+	"repro/internal/sigcrypto"
 	"repro/internal/trace"
 	"repro/internal/value"
 )
@@ -162,229 +163,108 @@ func TestReferencePackageDigestSensitivity(t *testing.T) {
 	}
 }
 
-func TestCheckContextEnforcesRequesters(t *testing.T) {
-	rec := sampleRecord()
-	pkgAll := BuildReferencePackage(wantsAll{}, rec, map[string]value.Value{"r": value.Int(1)})
-
-	// A mechanism that declared nothing gets nothing, even though the
-	// package happens to contain everything.
-	ccNone := NewCheckContext(wantsNothing{}, pkgAll, nil, nil, AfterSession)
-	if _, err := ccNone.InitialState(); !errors.Is(err, ErrNotRequested) {
-		t.Errorf("InitialState: %v", err)
+// sessionPackages runs one real session on a tracing host and returns
+// its reference package once per presence-flag combination: bit i of
+// the index keeps the i-th data kind of a wantsAll package.
+func sessionPackages(tb testing.TB) []*ReferencePackage {
+	tb.Helper()
+	keys, err := sigcrypto.GenerateKeyPair("shop")
+	if err != nil {
+		tb.Fatal(err)
 	}
-	if _, err := ccNone.ResultingState(); !errors.Is(err, ErrNotRequested) {
-		t.Errorf("ResultingState: %v", err)
+	resources := map[string]value.Value{
+		"price": value.Int(120),
+		"stock": value.List(value.Str("a"), value.Map(map[string]value.Value{"n": value.Int(2)})),
 	}
-	if _, err := ccNone.Input(); !errors.Is(err, ErrNotRequested) {
-		t.Errorf("Input: %v", err)
+	h, err := host.New(host.Config{
+		Name: "shop", Keys: keys, Registry: sigcrypto.NewRegistry(),
+		Resources: resources, RecordTrace: true,
+	})
+	if err != nil {
+		tb.Fatal(err)
 	}
-	if _, err := ccNone.ExecutionLog(); !errors.Is(err, ErrNotRequested) {
-		t.Errorf("ExecutionLog: %v", err)
-	}
-	if _, err := ccNone.Resource(); !errors.Is(err, ErrNotRequested) {
-		t.Errorf("Resource: %v", err)
-	}
-
-	ccAll := NewCheckContext(wantsAll{}, pkgAll, nil, nil, AfterSession)
-	if st, err := ccAll.InitialState(); err != nil || st["x"].Int != 1 {
-		t.Errorf("InitialState: %v %v", st, err)
-	}
-	if st, err := ccAll.ResultingState(); err != nil || st["y"].Str != "s" {
-		t.Errorf("ResultingState: %v %v", st, err)
-	}
-	if in, err := ccAll.Input(); err != nil || len(in) != 2 {
-		t.Errorf("Input: %v %v", in, err)
-	}
-	if tr, err := ccAll.ExecutionLog(); err != nil || tr.Len() != 2 {
-		t.Errorf("ExecutionLog: %v", err)
-	}
-	if rs, err := ccAll.Resource(); err != nil || rs["r"].Int != 1 {
-		t.Errorf("Resource: %v", err)
-	}
-}
-
-func TestCheckContextMissingReference(t *testing.T) {
-	// Declared but absent (e.g. stripped by a malicious host): the
-	// accessor reports ErrNoReference.
-	pkgEmpty := BuildReferencePackage(wantsNothing{}, sampleRecord(), nil)
-	cc := NewCheckContext(wantsAll{}, pkgEmpty, nil, nil, AfterSession)
-	if _, err := cc.InitialState(); !errors.Is(err, ErrNoReference) {
-		t.Errorf("InitialState on empty pkg: %v", err)
-	}
-	ccNil := NewCheckContext(wantsAll{}, nil, nil, nil, AfterSession)
-	if _, err := ccNil.Input(); !errors.Is(err, ErrNoReference) {
-		t.Errorf("Input on nil pkg: %v", err)
-	}
-}
-
-// reexecMech is a minimal mechanism carrying a ReExecChecker.
-type reexecMech struct{ BaseMechanism }
-
-func (reexecMech) Name() string            { return "reexec-test" }
-func (reexecMech) RequestsInitialState()   {}
-func (reexecMech) RequestsResultingState() {}
-func (reexecMech) RequestsInput()          {}
-
-const reexecCode = `
+	ag, err := agent.New("fuzz-agent", "owner", `
 proc main() {
-    offer = read("price")
-    best = offer * 2
-    migrate("h2", "next")
+    offers = [read("price"), resource("stock")]
+    seen = {"at": here(), "t": time(), "r": rand(10)}
+    send("owner", offers)
+    migrate("home", "finish")
 }
-proc next() { done() }`
+proc finish() { done() }`, "main")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ag.State["budget"] = value.Int(500)
+	rec, err := h.RunSession(context.Background(), ag, host.SessionOptions{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if rec.Trace.Len() == 0 || len(rec.Input) == 0 {
+		tb.Fatal("session recorded no trace or no input")
+	}
+	var out []*ReferencePackage
+	for mask := 0; mask < 1<<5; mask++ {
+		p := BuildReferencePackage(wantsAll{}, rec, resources)
+		if mask&refPkgHasInitial == 0 {
+			p.InitialState = nil
+		}
+		if mask&refPkgHasResulting == 0 {
+			p.ResultingState = nil
+		}
+		if mask&refPkgHasInput == 0 {
+			p.Input = nil
+		}
+		if mask&refPkgHasTrace == 0 {
+			p.Trace = nil
+		}
+		if mask&refPkgHasResources == 0 {
+			p.Resources = nil
+		}
+		out = append(out, p)
+	}
+	return out
+}
 
-// runReexecSession executes one real session and returns the agent and
-// the truthful record.
-func runReexecSession(t *testing.T) (*agent.Agent, *host.SessionRecord) {
-	t.Helper()
-	tb := newTestbed(t)
-	tb.addHost("solo", true, nil, func(c *host.Config) {
-		c.Resources = map[string]value.Value{"price": value.Int(21)}
+// FuzzReferencePackage feeds peer bytes to the reference package
+// decoder, whose output a checking host replays. It must not panic, an
+// accepted package holds no more input records and resources than the
+// input has bytes, and what it accepted survives a round trip: the
+// digest is unchanged, and a second encoding equals the first. (The
+// trace inside is gob, so the input bytes themselves need not come
+// back.)
+func FuzzReferencePackage(f *testing.F) {
+	for _, p := range sessionPackages(f) {
+		data, err := p.Marshal()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := UnmarshalReferencePackage(data)
+		if err != nil {
+			return
+		}
+		if n := len(p.Input) + len(p.Resources); n > len(data) {
+			t.Fatalf("%d bytes decoded to %d input records and resources", len(data), n)
+		}
+		once, err := p.Marshal()
+		if err != nil {
+			t.Fatalf("accepted package does not encode: %v", err)
+		}
+		q, err := UnmarshalReferencePackage(once)
+		if err != nil {
+			t.Fatalf("encoded package does not decode: %v", err)
+		}
+		if q.Digest() != p.Digest() {
+			t.Fatal("digest changed across a round trip")
+		}
+		twice, err := q.Marshal()
+		if err != nil {
+			t.Fatalf("round-tripped package does not encode: %v", err)
+		}
+		if !bytes.Equal(twice, once) {
+			t.Fatal("encoding is not a fixed point after one round")
+		}
 	})
-	ag := mkAgent(t, reexecCode)
-	rec, err := tb.nodes["solo"].Host().RunSession(context.Background(), ag, host.SessionOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ag, rec
-}
-
-func TestReExecCheckerAcceptsHonestSession(t *testing.T) {
-	ag, rec := runReexecSession(t)
-	pkg := BuildReferencePackage(reexecMech{}, rec, nil)
-	cc := NewCheckContext(reexecMech{}, pkg, ag, nil, AfterSession)
-	checker := &ReExecChecker{}
-	ok, evidence, err := checker.Check(cc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Errorf("honest session rejected: %v", evidence)
-	}
-}
-
-func TestReExecCheckerDetectsStateTampering(t *testing.T) {
-	ag, rec := runReexecSession(t)
-	rec.Resulting["best"] = value.Int(1) // manipulate the result
-	pkg := BuildReferencePackage(reexecMech{}, rec, nil)
-	cc := NewCheckContext(reexecMech{}, pkg, ag, nil, AfterSession)
-	ok, evidence, err := (&ReExecChecker{}).Check(cc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Fatal("tampered resulting state accepted")
-	}
-	if len(evidence) == 0 {
-		t.Error("no evidence produced")
-	}
-}
-
-func TestReExecCheckerDetectsEntryRedirect(t *testing.T) {
-	ag, rec := runReexecSession(t)
-	rec.ResultEntry = "main" // claim the agent continues at a different proc
-	pkg := BuildReferencePackage(reexecMech{}, rec, nil)
-	cc := NewCheckContext(reexecMech{}, pkg, ag, nil, AfterSession)
-	ok, evidence, err := (&ReExecChecker{}).Check(cc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Errorf("entry redirect accepted: %v", evidence)
-	}
-}
-
-func TestReExecCheckerDetectsExtraInput(t *testing.T) {
-	ag, rec := runReexecSession(t)
-	rec.Input = append(rec.Input, agentlang.InputRecord{
-		Seq: len(rec.Input), Call: "read",
-		Args: []value.Value{value.Str("phantom")}, Result: value.Int(0),
-	})
-	pkg := BuildReferencePackage(reexecMech{}, rec, nil)
-	cc := NewCheckContext(reexecMech{}, pkg, ag, nil, AfterSession)
-	ok, _, err := (&ReExecChecker{}).Check(cc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Error("padded input log accepted")
-	}
-}
-
-func TestReExecCheckerDetectsTruncatedInput(t *testing.T) {
-	ag, rec := runReexecSession(t)
-	rec.Input = rec.Input[:0]
-	pkg := BuildReferencePackage(reexecMech{}, rec, nil)
-	cc := NewCheckContext(reexecMech{}, pkg, ag, nil, AfterSession)
-	ok, evidence, err := (&ReExecChecker{}).Check(cc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Errorf("truncated input accepted: %v", evidence)
-	}
-}
-
-func TestReExecCheckerErrsWithoutReferenceData(t *testing.T) {
-	ag, _ := runReexecSession(t)
-	cc := NewCheckContext(reexecMech{}, nil, ag, nil, AfterSession)
-	if _, _, err := (&ReExecChecker{}).Check(cc); !errors.Is(err, ErrNoReference) {
-		t.Errorf("err = %v, want ErrNoReference", err)
-	}
-}
-
-func TestProgramChecker(t *testing.T) {
-	called := false
-	pc := ProgramChecker(func(cc *CheckContext) (bool, []string, error) {
-		called = true
-		return false, []string{"custom"}, nil
-	})
-	ok, ev, err := pc.Check(&CheckContext{})
-	if err != nil || ok || !called || len(ev) != 1 {
-		t.Errorf("ProgramChecker: ok=%v ev=%v err=%v called=%v", ok, ev, err, called)
-	}
-}
-
-func TestStrictComparer(t *testing.T) {
-	a := value.State{"x": value.Int(1)}
-	if ok, _ := StrictComparer(a, a.Clone()); !ok {
-		t.Error("equal states rejected")
-	}
-	ok, diffs := StrictComparer(a, value.State{"x": value.Int(2)})
-	if ok || len(diffs) != 1 {
-		t.Errorf("diffs = %v", diffs)
-	}
-}
-
-func TestUnorderedListComparer(t *testing.T) {
-	cmp := UnorderedListComparer("offers")
-	a := value.State{
-		"offers": value.List(value.Int(3), value.Int(1), value.Int(2)),
-		"n":      value.Int(3),
-	}
-	b := value.State{
-		"offers": value.List(value.Int(1), value.Int(2), value.Int(3)),
-		"n":      value.Int(3),
-	}
-	if ok, diffs := cmp(a, b); !ok {
-		t.Errorf("permuted list rejected: %v", diffs)
-	}
-	// Multiset inequality still detected.
-	c := value.State{
-		"offers": value.List(value.Int(1), value.Int(1), value.Int(3)),
-		"n":      value.Int(3),
-	}
-	if ok, _ := cmp(a, c); ok {
-		t.Error("different multiset accepted")
-	}
-	// Other variables remain strict.
-	d := b.Clone()
-	d["n"] = value.Int(4)
-	if ok, _ := cmp(a, d); ok {
-		t.Error("strict variable difference ignored")
-	}
-	// Inputs must not be mutated by normalization.
-	if a["offers"].List[0].Int != 3 {
-		t.Error("comparer mutated its input")
-	}
 }

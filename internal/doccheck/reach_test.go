@@ -30,23 +30,16 @@ var reachAllow = map[string]string{
 	"agentlang.Options.Fuel":                "test seam: agentlang.TestFuelExhaustion shrinks the step budget",
 	"agentlang.Program.NumStatements":       "test seam: agentlang.TestStatementIDsSequential",
 	"agentlang.Program.Source":              "test seam: agentlang.TestHasProcAndSource",
-	"appraisal.RuleSet.Check":               "test seam: appraisal.TestRuleSetEvaluation evaluates rules outside a node",
 	"attack":                                "test seam: attack.TestDetectionMatrix and the mechanism tests take their adversaries and the paper's attack areas from here",
 	"campaign.Score.Fingerprint":            "test seam: campaign.TestCampaignDeterminism",
 	"canon.HashValue":                       "test seam: canon.TestStreamingHashMatchesMaterialized",
-	"core.CheckContext.ExecutionLog":        "test seam: core.TestCheckContextEnforcesRequesters",
-	"core.CheckContext.Resource":            "test seam: core.TestCheckContextEnforcesRequesters",
 	"core.EncodeVerdicts":                   "test seam: core.TestVerdictCodecBounds encodes lists no node builds",
-	"core.Node.Host":                        "test seam: core.TestReExecCheckerAcceptsHonestSession runs a session on a node's host",
 	"core.NodeConfig.EvidenceByteLimit":     "test seam: core.TestEvidenceByteBudgetAndPruneHook sets a byte budget to force pruning",
 	"core.NodeConfig.EvidenceLimit":         "test seam: core.TestEvidenceDirectoryIsBounded shrinks the file bound to force pruning",
 	"core.NodeConfig.JournalLimit":          "test seam: core.TestJournalEviction shrinks the journal to force eviction",
 	"core.NodeConfig.QuarantineLimit":       "test seam: core.TestQuarantineEvictionSpillsRecoverableEvidence shrinks retention to force a spill",
-	"core.ProgramChecker.Check":             "test seam: core.TestProgramChecker",
 	"core.Receipt.Wait":                     "test seam: core.TestIntakeBackpressure and the other core tests that block on a receipt",
-	"core.UnorderedListComparer":            "test seam: core.TestUnorderedListComparer",
 	"core.Verdict.VerifySig":                "test seam: appraisal.FuzzAppraisalBaggage checks the verdicts it vouches for",
-	"core.normalizeList":                    "test seam: core.TestUnorderedListComparer",
 	"events.Bus.NextSeq":                    "test seam: events.TestCursorResumeAcrossJournalWrap",
 	"events.BusConfig.JournalSize":          "test seam: events.TestCursorResumeAcrossJournalWrap shrinks the ring",
 	"events.MetricsSnapshot.Counter":        "test seam: events.TestSnapshotReflectsPriorPublishes",
@@ -74,8 +67,6 @@ var reachAllow = map[string]string{
 	"policy.Scheduler.Snapshot":             "test seam: policy.TestSchedulerStateRoundTrip",
 	"proof.VerifyConfig.Rand":               "test seam: proof.TestHonestJourneyVerifies pins the spot-check draw",
 	"refproto.Config.Colluding":             "test seam: refproto.TestConsecutiveCollusionNotDetected",
-	"refproto.Config.Compare":               "test seam: refproto.TestUnorderedComparerAcceptsPermutation",
-	"replication.Coordinator.Reputation":    "test seam: replication.TestDissentersFeedReputation; no main wires a sink",
 	"replication.EqualResources":            "test seam: replication.TestEqualResources",
 	"shardstore.Config.Now":                 "test seam: shardstore.TestTTLExpiry",
 	"shardstore.PersistConfig.CompactEvery": "test seam: shardstore.TestPersistentStoreAutoCompacts shrinks the compaction interval",

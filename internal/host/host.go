@@ -382,6 +382,30 @@ func (h *Host) RunSession(ctx context.Context, ag *agent.Agent, opts SessionOpti
 	return rec, nil
 }
 
+// Replay re-executes a recorded session: the checking half of
+// RunSession, shared by every mechanism that re-executes (refproto's
+// check after each session, vigna's audit of a whole journey). It runs
+// prog's entry procedure on a copy-on-write snapshot of initial and
+// answers every input request from the recorded log, in order, without
+// touching any host. Snapshotting first gives the replay the same
+// copy-on-write flags the live run saw, so alias-sensitive programs
+// behave identically; initial's values stay intact for evidence.
+//
+// It returns the replayed state, the entry the agent continues at (""
+// unless it migrated), the number of input records the run never
+// consumed, and the run error (a replay divergence, a run-time fault).
+// hook, when non-nil, observes the re-execution.
+func Replay(prog *agentlang.Program, entry string, initial value.State, input []agentlang.InputRecord, hook agentlang.Hook) (value.State, string, int, error) {
+	state := initial.Snapshot()
+	env := agentlang.NewReplayEnv(input)
+	outcome, err := agentlang.Run(prog, entry, state, env, agentlang.Options{Hook: hook})
+	next := ""
+	if outcome.Kind == agentlang.OutcomeMigrated {
+		next = outcome.MigrateEntry
+	}
+	return state, next, env.Remaining(), err
+}
+
 // hostEnv adapts the host to the agentlang environment interface.
 type hostEnv struct {
 	h       *Host

@@ -14,8 +14,9 @@
 //     execution session are used as well as the input to this session"
 //     — declared via the framework's requester interfaces.
 //
-//   - Checking algorithm: re-execution with input replay, with a
-//     pluggable state comparer.
+//   - Checking algorithm: re-execution with input replay (host.Replay,
+//     the same replay vigna's audit runs), then a strict comparison of
+//     the replayed state and continuation entry with the reported ones.
 //
 // The protocol detail the paper highlights: "to prevent an attack by
 // the checking host, initial states have to be signed by both the
@@ -34,6 +35,7 @@ package refproto
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -51,9 +53,6 @@ const MechanismName = "refproto"
 
 // Config tunes the mechanism.
 type Config struct {
-	// Compare is the resulting-state comparison used after
-	// re-execution; nil means core.StrictComparer.
-	Compare core.StateComparer
 	// Timer, when non-nil, accumulates signing/verification time under
 	// stopwatch.PhaseSignVerify.
 	Timer *stopwatch.PhaseTimer
@@ -495,19 +494,63 @@ func (m *Mechanism) CheckAfterSession(ctx context.Context, hc *core.HostContext,
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("refproto: %w", err)
 	}
-	checker := &core.ReExecChecker{Compare: m.cfg.Compare, Hook: m.cfg.ExecHook}
-	cc := core.NewCheckContext(m, pkg, ag, hc, core.AfterSession)
-	ok, evidence, err := checker.Check(cc)
-	if err != nil {
+	if evidence, err := m.reexecute(ag, pkg); err != nil {
 		return nil, fmt.Errorf("refproto: re-execution check: %w", err)
-	}
-	if !ok {
+	} else if evidence != nil {
 		// Full states are available: attach the complete divergence as
 		// evidence, so the owner can prove the damage (§5.1).
 		return fail("re-execution does not reproduce the claimed resulting state", evidence...)
 	}
 	v.OK = true
 	return v, nil
+}
+
+// reexecute replays the packaged session (host.Replay) and compares
+// the outcome with what the package reports. It returns nil evidence
+// when the replay reproduces the reported session, and an error when
+// the package lacks the data a replay needs. Comparison is strict: the
+// interpreter is single-threaded and byte-deterministic, so an honest
+// session replays to exactly the state it reported.
+func (m *Mechanism) reexecute(ag *agent.Agent, pkg *core.ReferencePackage) ([]string, error) {
+	switch {
+	case pkg.InitialState == nil:
+		return nil, errors.New("reference package has no initial state")
+	case pkg.ResultingState == nil:
+		return nil, errors.New("reference package has no resulting state")
+	case pkg.Input == nil:
+		return nil, errors.New("reference package has no input")
+	case pkg.Entry == "":
+		return nil, errors.New("reference package has no entry procedure")
+	}
+	prog, err := ag.Program()
+	if err != nil {
+		return nil, err
+	}
+	replayed, entry, unconsumed, err := host.Replay(prog, pkg.Entry, pkg.InitialState, pkg.Input, m.cfg.ExecHook)
+	if err != nil {
+		// Replay divergence: the (initial state, input, code) triple is
+		// inconsistent with itself — the session as reported cannot have
+		// happened.
+		return []string{fmt.Sprintf("re-execution failed: %v", err)}, nil
+	}
+	var evidence []string
+	if unconsumed != 0 {
+		evidence = append(evidence, fmt.Sprintf(
+			"reported input has %d records the re-execution never consumed", unconsumed))
+	}
+	// The execution state transition must match, too: an attacker could
+	// otherwise redirect the agent to a different entry procedure.
+	if entry != pkg.ResultEntry {
+		evidence = append(evidence, fmt.Sprintf(
+			"execution state mismatch: re-execution continues at %q, reported %q",
+			entry, pkg.ResultEntry))
+	}
+	if !replayed.Equal(pkg.ResultingState) {
+		for _, d := range replayed.Diff(pkg.ResultingState) {
+			evidence = append(evidence, "state mismatch: "+d)
+		}
+	}
+	return evidence, nil
 }
 
 // verifyHandoff checks the dual signature on the checked session's

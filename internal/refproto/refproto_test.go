@@ -410,61 +410,3 @@ func TestCryptoTimerAccumulates(t *testing.T) {
 		t.Error("no sign&verify time accumulated")
 	}
 }
-
-func TestUnorderedComparerAcceptsPermutation(t *testing.T) {
-	// An agent collects offers into a list whose order could legally
-	// vary (the paper's two-thread example); the deployment uses an
-	// order-insensitive comparer, so an in-flight permutation-equivalent
-	// report passes while content changes still fail.
-	code := `
-proc main() {
-    offers = []
-    migrate("shop1", "visit")
-}
-proc visit() {
-    offers = append(offers, read("price"))
-    if here() == "shop1" { migrate("shop2", "visit") } else { migrate("home2", "finish") }
-}
-proc finish() { done() }`
-	bed := platformtest.New(t)
-	prices := map[string]int64{"shop1": 120, "shop2": 80}
-	// shop1 reports its resulting state with the offers list permuted —
-	// legal under the unordered comparer.
-	behaviors := map[string]host.Behavior{
-		"shop1": attack.RecordLie{Mutate: func(rec *host.SessionRecord) {
-			v, ok := rec.Resulting["offers"]
-			if ok && v.Kind == value.KindList && len(v.List) >= 2 {
-				v.List[0], v.List[len(v.List)-1] = v.List[len(v.List)-1], v.List[0]
-			}
-		}},
-	}
-	_ = behaviors // single-element list on shop1; permutation is a no-op there.
-	for _, name := range []string{"home", "shop1", "shop2", "home2"} {
-		name := name
-		bed.AddHost(name, platformtest.HostOptions{
-			Trusted: strings.HasPrefix(name, "home"),
-			Mechanisms: func() []core.Mechanism {
-				return []core.Mechanism{refproto.New(refproto.Config{
-					Compare: core.UnorderedListComparer("offers"),
-				})}
-			},
-			Configure: func(c *host.Config) {
-				if p, ok := prices[name]; ok {
-					c.Resources = map[string]value.Value{"price": value.Int(p)}
-				}
-			},
-		})
-	}
-	ag := bed.NewAgent("collector", code)
-	if err := bed.Run("home", ag); err != nil {
-		t.Fatalf("unordered comparer run failed: %v", err)
-	}
-	done, _ := bed.Completed()
-	if len(done) != 1 {
-		t.Fatal("agent did not complete")
-	}
-	offers := done[0].State["offers"]
-	if offers.Kind != value.KindList || len(offers.List) != 2 {
-		t.Errorf("offers = %s", offers)
-	}
-}

@@ -238,15 +238,6 @@ var (
 	ErrAgentFailed = errors.New("replication: agent finished before the last stage")
 )
 
-// ReputationSink receives the coordinator's first-hand observations of
-// replica behaviour; *policy.Ledger satisfies it. The interface lives
-// here so replication does not depend on the policy package.
-type ReputationSink interface {
-	// Observe records one check outcome against host (ok false charges
-	// the host suspicion; weight 0 selects the sink's default).
-	Observe(host string, ok bool, weight float64) float64
-}
-
 // Coordinator drives an agent through staged replicated execution.
 type Coordinator struct {
 	// Net reaches the replicas.
@@ -255,15 +246,6 @@ type Coordinator struct {
 	Registry *sigcrypto.Registry
 	// Stages is the itinerary: one replica set per stage.
 	Stages [][]string
-	// Reputation, when set, receives each decided stage's tally as
-	// first-hand observations: majority voters count as clean events,
-	// dissenters and protocol failures as failed checks — a replica
-	// out-voted here starts paying for it everywhere the ledger's
-	// suspicion reaches (gate escalation, gossip, anti-entropy
-	// exchange). Undecided stages (no majority) charge nobody: with no
-	// winning ballot there is no ground truth to dissent from. May be
-	// nil.
-	Reputation ReputationSink
 }
 
 // Run executes the agent through all stages and returns the report.
@@ -443,15 +425,6 @@ func (c *Coordinator) runStage(ctx context.Context, stageIdx int, replicas []str
 	}
 	if winnerVote == nil {
 		return report, nil, fmt.Errorf("replication: stage %d: internal: winner vote not found", stageIdx)
-	}
-	// The decided tally is first-hand evidence about every replica:
-	// majority voters behaved, everyone else either cheated or failed
-	// the protocol.
-	if c.Reputation != nil {
-		for _, r := range replicas {
-			d, ok := report.Votes[r]
-			c.Reputation.Observe(r, ok && d == winner, 0)
-		}
 	}
 	return report, winnerVote, nil
 }

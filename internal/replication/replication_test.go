@@ -334,59 +334,6 @@ func TestForgedOnlyVoteDecidesNothing(t *testing.T) {
 	}
 }
 
-// recordingSink captures coordinator reputation observations.
-type recordingSink struct {
-	obs map[string][]bool
-}
-
-func (s *recordingSink) Observe(host string, ok bool, _ float64) float64 {
-	if s.obs == nil {
-		s.obs = make(map[string][]bool)
-	}
-	s.obs[host] = append(s.obs[host], ok)
-	return 0
-}
-
-// TestDissentersFeedReputation pins the ledger feeding: majority
-// voters are observed clean, dissenters and unresponsive replicas are
-// charged, and an undecided stage charges nobody.
-func TestDissentersFeedReputation(t *testing.T) {
-	sink := &recordingSink{}
-	bed, coord := buildReplicaBed(t, 5, map[string]host.Behavior{
-		"s0r2": attack.DataManipulation{Var: "offer", Val: value.Int(9999)},
-	})
-	coord.Reputation = sink
-	coord.Stages[0] = append(coord.Stages[0], "ghost")
-	ag := bed.NewAgent("staged", stagedCode)
-	if _, err := coord.Run(context.Background(), ag); err != nil {
-		t.Fatal(err)
-	}
-	for _, honest := range []string{"s0r0", "s0r1", "s0r3", "s0r4"} {
-		if got := sink.obs[honest]; len(got) != 1 || !got[0] {
-			t.Errorf("honest %s observations = %v, want one OK", honest, got)
-		}
-	}
-	for _, bad := range []string{"s0r2", "ghost"} {
-		if got := sink.obs[bad]; len(got) != 1 || got[0] {
-			t.Errorf("dissenter %s observations = %v, want one failure", bad, got)
-		}
-	}
-
-	// No majority: nobody is charged (there is no ground truth).
-	sink2 := &recordingSink{}
-	bed2, coord2 := buildReplicaBed(t, 2, map[string]host.Behavior{
-		"s0r0": attack.DataManipulation{Var: "offer", Val: value.Int(1)},
-	})
-	coord2.Reputation = sink2
-	ag2 := bed2.NewAgent("staged", stagedCode)
-	if _, err := coord2.Run(context.Background(), ag2); !errors.Is(err, replication.ErrNoMajority) {
-		t.Fatalf("err = %v, want ErrNoMajority", err)
-	}
-	if len(sink2.obs) != 0 {
-		t.Errorf("undecided stage charged principals: %v", sink2.obs)
-	}
-}
-
 func TestMaxTolerated(t *testing.T) {
 	tests := []struct{ n, want int }{
 		{0, 0}, {1, 0}, {2, 0}, {3, 1}, {4, 1}, {5, 2}, {7, 3},

@@ -447,9 +447,9 @@ func (n *TCPNetwork) roundTrip(ctx context.Context, host string, req rpcRequest)
 	// usual at-least-once caveat of connection reuse.)
 	if c := n.takeIdle(host); c != nil {
 		resp, retryable, err := n.exchange(ctx, host, c, req)
-		if err == nil || isRemote(err) {
-			// A RemoteError is a complete, healthy exchange — the far
-			// endpoint answered with a failure. Keep the connection.
+		if err == nil || answered(err) {
+			// A remote failure is a complete, healthy exchange — the far
+			// endpoint answered. Keep the connection.
 			n.putIdle(host, c)
 			return resp, err
 		}
@@ -464,7 +464,7 @@ func (n *TCPNetwork) roundTrip(ctx context.Context, host string, req rpcRequest)
 		return rpcResponse{}, err
 	}
 	resp, retryable, err := n.exchange(ctx, host, c, req)
-	if err != nil && !isRemote(err) {
+	if err != nil && !answered(err) {
 		c.close()
 		// A reset before the first response byte on a fresh connection
 		// is the same restart signature dialBackoff retries: the server
@@ -472,7 +472,7 @@ func (n *TCPNetwork) roundTrip(ctx context.Context, host string, req rpcRequest)
 		// attempt; past that the error stands.
 		if retryable && isTransientDial(err) && ctx.Err() == nil {
 			if c, derr := n.dialBackoff(ctx, host, addr); derr == nil {
-				if resp, _, rerr := n.exchange(ctx, host, c, req); rerr == nil || isRemote(rerr) {
+				if resp, _, rerr := n.exchange(ctx, host, c, req); rerr == nil || answered(rerr) {
 					n.putIdle(host, c)
 					return resp, rerr
 				}
@@ -485,11 +485,13 @@ func (n *TCPNetwork) roundTrip(ctx context.Context, host string, req rpcRequest)
 	return resp, err
 }
 
-// isRemote reports whether the error is a failure reported by the far
-// endpoint over an intact connection.
-func isRemote(err error) bool {
+// answered reports whether err ends a complete exchange: the far
+// endpoint answered with a failure over an intact connection, in time
+// (RemoteError) or after the caller's deadline (lateReplyError).
+func answered(err error) bool {
 	var re *RemoteError
-	return errors.As(err, &re)
+	var late *lateReplyError
+	return errors.As(err, &re) || errors.As(err, &late)
 }
 
 // exchange performs one request/response on the connection under the
@@ -518,7 +520,26 @@ func (n *TCPNetwork) exchange(ctx context.Context, host string, c *clientConn, r
 	}
 	_ = c.conn.SetDeadline(time.Time{})
 	if resp.Err != "" {
+		// The server's deadline is the caller's remaining budget counted
+		// from when it received the request, so it never expires before
+		// the caller's. A failure that arrives once the caller's deadline
+		// has passed (by the clock: ctx's own timer may not have fired
+		// yet) is the caller's timeout, whatever the server ran out of.
+		if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+			return rpcResponse{}, false, &lateReplyError{host: host, msg: resp.Err}
+		}
 		return rpcResponse{}, false, &RemoteError{Host: host, Msg: resp.Err}
 	}
 	return resp, false, nil
 }
+
+// lateReplyError is a remote failure that arrived after the caller's
+// deadline. It reads as context.DeadlineExceeded, not as a RemoteError,
+// but like one it ends a complete exchange.
+type lateReplyError struct{ host, msg string }
+
+func (e *lateReplyError) Error() string {
+	return fmt.Sprintf("transport: receive from %s: %v: %v", e.host, context.DeadlineExceeded, e.msg)
+}
+
+func (e *lateReplyError) Unwrap() error { return context.DeadlineExceeded }

@@ -11,7 +11,8 @@
 // hash of the resulting state — to the agent. When the agent returns
 // and the owner suspects fraud, the owner audits: fetch each host's
 // trace over the network, verify it against the committed hash,
-// re-execute session by session from the launch state, and compare
+// re-execute session by session from the launch state (host.Replay, the
+// re-execution refproto's check runs too), and compare
 // each resulting state hash with the commitment. The first host whose
 // committed hash cannot be reproduced is the cheater.
 //
@@ -31,7 +32,6 @@ import (
 	"strconv"
 
 	"repro/internal/agent"
-	"repro/internal/agentlang"
 	"repro/internal/canon"
 	"repro/internal/core"
 	"repro/internal/host"
@@ -465,30 +465,20 @@ func Audit(ctx context.Context, cfg AuditConfig, ag *agent.Agent) (*Report, erro
 			rep.TotalTraceEntries += pkg.Trace.Len()
 		}
 		// Re-execute from the chained state with the recorded input.
-		// Flag parity with the live run: hosts snapshot the state before
-		// every session, marking bindings copy-on-write; the audit runs
-		// under the same flags so alias-sensitive programs behave
-		// identically. The snapshot itself is discarded.
-		state.Snapshot()
-		replay := agentlang.NewReplayEnv(pkg.Input)
-		outcome, err := agentlang.Run(prog, entry, state, replay, agentlang.Options{})
+		replayed, nextEntry, unconsumed, err := host.Replay(prog, entry, state, pkg.Input, nil)
 		if err != nil {
 			return blame(c, fmt.Sprintf("re-execution with recorded input fails: %v", err)), nil
 		}
-		if replay.Remaining() != 0 {
-			return blame(c, fmt.Sprintf("recorded input has %d unconsumed records", replay.Remaining())), nil
+		if unconsumed != 0 {
+			return blame(c, fmt.Sprintf("recorded input has %d unconsumed records", unconsumed)), nil
 		}
-		if canon.HashState(state) != c.StateHash {
+		if canon.HashState(replayed) != c.StateHash {
 			return blame(c, "re-executed state hash differs from committed resulting state"), nil
-		}
-		nextEntry := ""
-		if outcome.Kind == agentlang.OutcomeMigrated {
-			nextEntry = outcome.MigrateEntry
 		}
 		if nextEntry != c.ResultEntry {
 			return blame(c, fmt.Sprintf("re-execution continues at %q, commitment claims %q", nextEntry, c.ResultEntry)), nil
 		}
-		entry = nextEntry
+		state, entry = replayed, nextEntry
 		rep.SessionsChecked++
 		rep.Details = append(rep.Details, fmt.Sprintf("session %d@%s verified (state %s)", c.Hop, c.Host, c.StateHash))
 	}
