@@ -269,13 +269,21 @@ func (a *Agent) BaggageKeys() []string {
 //	    mechanism order
 const agentWireLabel = "agent-wire"
 
-// Marshal serializes the agent for migration. The data state travels in
-// canonical encoding so that the bytes a host signs are exactly the
-// bytes the next host digests.
+// Marshal serializes the agent for migration: Validate, then Encode.
+// The data state travels in canonical encoding so that the bytes a host
+// signs are exactly the bytes the next host digests.
 func (a *Agent) Marshal() ([]byte, error) {
 	if err := a.Validate(); err != nil {
 		return nil, fmt.Errorf("agent: refusing to marshal invalid agent: %w", err)
 	}
+	return a.Encode(), nil
+}
+
+// Encode returns the agent's canonical encoding — the wire layout
+// above — without Marshal's migration-time Validate. A node keeps an
+// agent whose stay ended (completed, quarantined, failed) as these
+// bytes: a finished agent has an empty Entry, which Validate refuses.
+func (a *Agent) Encode() []byte {
 	var hopBuf, routeBuf, bagBuf [8]byte
 	binary.BigEndian.PutUint64(hopBuf[:], uint64(a.Hop))
 	binary.BigEndian.PutUint64(routeBuf[:], uint64(len(a.Route)))
@@ -299,12 +307,27 @@ func (a *Agent) Marshal() ([]byte, error) {
 	for _, k := range a.BaggageKeys() {
 		fields = append(fields, []byte(k), a.Baggage[k])
 	}
-	return canon.Tuple(fields...), nil
+	return canon.Tuple(fields...)
 }
 
 // Unmarshal deserializes an agent received from the network and
-// validates it.
+// validates it: Decode, then Validate.
 func Unmarshal(data []byte) (*Agent, error) {
+	a, err := Decode(data)
+	if err != nil {
+		return nil, err
+	}
+	if err := a.Validate(); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// Decode parses an encoding produced by Encode into an agent that
+// shares no memory with data. It checks the layout only: it neither
+// validates the agent nor parses its code (Program stays lazy), so it
+// reads back a finished agent's record as well as a migrating agent.
+func Decode(data []byte) (*Agent, error) {
 	fields, err := canon.ParseTuple(data)
 	if err != nil {
 		return nil, fmt.Errorf("agent: decoding: %w", err)
@@ -348,9 +371,6 @@ func Unmarshal(data []byte) (*Agent, error) {
 		// Copy the payload: baggage outlives the wire buffer.
 		a.Baggage[string(fields[off])] = append([]byte(nil), fields[off+1]...)
 		off += 2
-	}
-	if err := a.Validate(); err != nil {
-		return nil, err
 	}
 	// The wire encoding IS the canonical state encoding, so the arrival
 	// digest comes from one pass over bytes already in hand — the first

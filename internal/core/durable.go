@@ -80,7 +80,8 @@ func EvidencePath(evidenceDir, agentID string) string {
 
 // LoadEvidence reads a spilled evidence file back into the byte-
 // identical quarantined agent: the file holds the agent's canonical
-// wire encoding (agent.Marshal), so re-marshalling the returned agent
+// wire encoding (the record the quarantine store held, which is what
+// agent.Marshal produces), so re-marshalling the returned agent
 // reproduces the file's bytes exactly.
 func LoadEvidence(path string) (*agent.Agent, error) {
 	data, err := os.ReadFile(path)
@@ -94,30 +95,26 @@ func LoadEvidence(path string) (*agent.Agent, error) {
 	return ag, nil
 }
 
-// spillEvidence writes the agent's canonical bytes to the evidence
-// directory, pruning the oldest spilled files beyond EvidenceLimit (a
-// flood of failing agents bounded out of memory by QuarantineLimit
-// must not fill the disk instead). It runs from the quarantine store's
+// spillEvidence writes a quarantined agent's held record — its
+// canonical bytes, as is — to the evidence directory, pruning the
+// oldest spilled files beyond EvidenceLimit (a flood of failing agents
+// bounded out of memory by QuarantineLimit must not fill the disk
+// instead). It runs from the quarantine store's
 // OnEvict hook — under the shard lock, before the eviction reaches the
 // WAL — so a crash between the spill and the logged delete recovers
 // the agent in memory rather than losing it. The file is written whole
 // and fsynced via a temp-and-rename so a torn spill never masquerades
 // as evidence.
-func (n *Node) spillEvidence(ag *agent.Agent) {
+func (n *Node) spillEvidence(agentID string, record []byte) {
 	if n.evidenceDir == "" {
 		return
 	}
-	wire, err := ag.Marshal()
-	if err != nil {
-		n.persistErr(fmt.Errorf("core: spilling evidence for %s: %w", ag.ID, err))
+	path := EvidencePath(n.evidenceDir, agentID)
+	if err := writeFileSync(path, record); err != nil {
+		n.persistErr(fmt.Errorf("core: spilling evidence for %s: %w", agentID, err))
 		return
 	}
-	path := EvidencePath(n.evidenceDir, ag.ID)
-	if err := writeFileSync(path, wire); err != nil {
-		n.persistErr(fmt.Errorf("core: spilling evidence for %s: %w", ag.ID, err))
-		return
-	}
-	n.recordEvidenceFile(path, int64(len(wire)))
+	n.recordEvidenceFile(path, int64(len(record)))
 }
 
 // evidenceFile is one spilled evidence file in the oldest-first ledger.
@@ -255,8 +252,8 @@ func (n *Node) persistErr(err error) {
 // fresh receipt and resolves it under the recovery rules:
 //
 //   - completed / quarantined / failed: the recorded outcome stands;
-//     the receipt resolves to match (with a nil Agent — the recovered
-//     journal is a record, not the agent itself).
+//     the receipt resolves to match (with no agent — the recovered
+//     journal is a status record, not the agent itself).
 //   - queued / running: the delivery died with the process (intake
 //     queues are deliberately volatile), so the entry reads back as
 //     failed and the receipt resolves with ErrJournalEvicted.
@@ -298,30 +295,32 @@ func (n *Node) journalCodec() shardstore.Codec[*journalEntry] {
 			}
 			switch st.Phase {
 			case PhaseCompleted:
-				e.rc.resolve(Result{})
+				e.rc.resolve(nil, false, nil)
 			case PhaseQuarantined:
-				e.rc.resolve(Result{Aborted: true, Err: fmt.Errorf("%w: recovered from journal after restart", ErrDetection)})
+				e.rc.resolve(nil, true, fmt.Errorf("%w: recovered from journal after restart", ErrDetection))
 			case PhaseFailed:
-				e.rc.resolve(Result{Err: errors.New(st.Err)})
+				e.rc.resolve(nil, false, errors.New(st.Err))
 			case PhaseQueued, PhaseRunning:
 				msg := fmt.Sprintf("core: node %s: delivery interrupted by restart", hostName)
 				e.st = AgentStatus{Phase: PhaseFailed, Err: msg, Flags: st.Flags}
-				e.rc.resolve(Result{Err: fmt.Errorf("%s: %w", msg, ErrJournalEvicted)})
+				e.rc.resolve(nil, false, fmt.Errorf("%s: %w", msg, ErrJournalEvicted))
 			default: // forwarded, unknown
-				e.rc.resolve(Result{Err: fmt.Errorf("core: node %s: receipt recovered without a terminal outcome: %w", hostName, ErrJournalEvicted)})
+				e.rc.resolve(nil, false, fmt.Errorf("core: node %s: receipt recovered without a terminal outcome: %w", hostName, ErrJournalEvicted))
 			}
 			return e, nil
 		},
 	}
 }
 
-// quarantineCodec persists retained quarantined agents as their
-// canonical wire encoding — the same bytes evidence spills use, so a
-// recovered agent re-marshals byte-identically.
-func quarantineCodec() shardstore.Codec[*agent.Agent] {
-	return shardstore.Codec[*agent.Agent]{
-		Encode: func(ag *agent.Agent) ([]byte, error) { return ag.Marshal() },
-		Decode: func(b []byte) (*agent.Agent, error) { return agent.Unmarshal(b) },
+// quarantineCodec persists retained quarantined agents as the records
+// the store holds — their canonical wire encoding, the same bytes
+// evidence spills write — so the codec is the identity and a recovered
+// agent re-marshals byte-identically. Records written as agent.Marshal
+// output read back unchanged: it is the same encoding.
+func quarantineCodec() shardstore.Codec[[]byte] {
+	return shardstore.Codec[[]byte]{
+		Encode: func(record []byte) ([]byte, error) { return record, nil },
+		Decode: func(b []byte) ([]byte, error) { return b, nil },
 	}
 }
 
@@ -347,7 +346,7 @@ func (n *Node) openStores(journalLimit, quarantineLimit int) error {
 		// explicitly instead of hanging forever. resolve is a no-op on
 		// already-resolved receipts.
 		OnEvict: func(key string, e *journalEntry, reason shardstore.Reason) {
-			e.rc.resolve(Result{Err: fmt.Errorf("core: node %s: %w", cfg.Host.Name(), ErrJournalEvicted)})
+			e.rc.resolve(nil, false, fmt.Errorf("core: node %s: %w", cfg.Host.Name(), ErrJournalEvicted))
 			n.publish(events.Event{
 				Kind:   events.KindJournalEvict,
 				Agent:  key,
@@ -358,13 +357,13 @@ func (n *Node) openStores(journalLimit, quarantineLimit int) error {
 	if cfg.JournalTTL > 0 {
 		jcfg.TTL = cfg.JournalTTL
 	}
-	qcfg := shardstore.Config[*agent.Agent]{
+	qcfg := shardstore.Config[[]byte]{
 		Capacity: quarantineLimit,
 		// Spill the canonical agent bytes before the eviction lands, so
 		// ErrQuarantineEvicted stays recoverable (no-op without a data
 		// dir).
-		OnEvict: func(_ string, ag *agent.Agent, _ shardstore.Reason) {
-			n.spillEvidence(ag)
+		OnEvict: func(id string, record []byte, _ shardstore.Reason) {
+			n.spillEvidence(id, record)
 		},
 	}
 	if cfg.DataDir == "" {
@@ -399,7 +398,7 @@ func (n *Node) openStores(journalLimit, quarantineLimit int) error {
 		_ = qw.Close()
 		return fmt.Errorf("core: node %s: recovering journal: %w", cfg.Host.Name(), err)
 	}
-	n.quarantine, err = shardstore.NewPersistent(qcfg, shardstore.PersistConfig[*agent.Agent]{
+	n.quarantine, err = shardstore.NewPersistent(qcfg, shardstore.PersistConfig[[]byte]{
 		Backend: qw,
 		Codec:   quarantineCodec(),
 		OnError: n.persistErr,

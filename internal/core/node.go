@@ -76,8 +76,10 @@ type NodeConfig struct {
 	// Resolved receipts already handed out keep working after
 	// eviction; an evicted receipt that never resolved (a watch on a
 	// node the agent only transited) resolves with ErrJournalEvicted.
-	// Late Watch/Status lookups of evicted agents read "unknown". 0
-	// means DefaultJournalLimit.
+	// Late Watch/Status lookups of evicted agents read "unknown". A
+	// terminal receipt holds its agent as the agent's encoding, so an
+	// entry costs about the agent's wire size. 0 means
+	// DefaultJournalLimit.
 	JournalLimit int
 	// QuarantineLimit bounds how many quarantined agents the node
 	// retains for evidence; beyond it the oldest are evicted FIFO (a
@@ -223,10 +225,11 @@ type Node struct {
 	// beyond JournalTTL); eviction resolves still-pending receipts with
 	// ErrJournalEvicted. WAL-backed when DataDir is set.
 	journal *shardstore.Store[*journalEntry]
-	// quarantine retains quarantined agents for evidence, bounded by
-	// QuarantineLimit with FIFO eviction. WAL-backed when DataDir is
-	// set, with eviction spilling to evidenceDir.
-	quarantine *shardstore.Store[*agent.Agent]
+	// quarantine retains quarantined agents for evidence, as their
+	// canonical encoding (agent.Encode), bounded by QuarantineLimit with
+	// FIFO eviction. WAL-backed when DataDir is set, with eviction
+	// spilling the held bytes to evidenceDir.
+	quarantine *shardstore.Store[[]byte]
 	// evidenceDir is where quarantine evictions spill canonical agent
 	// bytes; empty without a DataDir. evFiles tracks the directory's
 	// files oldest-first with their sizes (seeded from disk at open) so
@@ -492,7 +495,7 @@ func (n *Node) Close() error {
 		for {
 			select {
 			case item := <-q:
-				n.resolve(item.ag.ID, Result{Agent: item.ag, Err: ErrNodeClosed})
+				n.resolve(item.ag, false, ErrNodeClosed)
 			default:
 				goto nextQueue
 			}
@@ -512,9 +515,14 @@ func (n *Node) Close() error {
 // pressure; when the node runs with a DataDir, the error's Evidence
 // field names the spilled canonical agent bytes, recoverable with
 // LoadEvidence. ErrNotQuarantined means the agent was never quarantined
-// at this node.
+// at this node. The node holds the agent as its encoding; each call
+// decodes a fresh copy.
 func (n *Node) Quarantined(id string) (*agent.Agent, error) {
-	if ag, ok := n.quarantine.Get(id); ok {
+	if record, ok := n.quarantine.Get(id); ok {
+		ag, err := agent.Decode(record)
+		if err != nil {
+			return nil, fmt.Errorf("core: node %s: quarantined agent %s: %w", n.cfg.Host.Name(), id, err)
+		}
 		return ag, nil
 	}
 	if n.Status(id).Phase == PhaseQuarantined {
@@ -550,7 +558,7 @@ func (n *Node) Watch(agentID string) *Receipt {
 			return e.rc
 		}
 		rc := newReceipt(agentID)
-		rc.resolve(Result{Err: fmt.Errorf("core: node %s: %w", n.cfg.Host.Name(), ErrNodeClosed)})
+		rc.resolve(nil, false, fmt.Errorf("core: node %s: %w", n.cfg.Host.Name(), ErrNodeClosed))
 		return rc
 	}
 	// Close flips closed, then waits out the intake group before closing
@@ -708,7 +716,7 @@ func (n *Node) enqueue(ctx context.Context, ag *agent.Agent) (*Receipt, error) {
 		}
 		return e
 	})
-	rc.resolve(Result{Agent: ag, Err: err})
+	rc.resolve(ag.Encode(), false, err)
 	return nil, err
 }
 
@@ -725,7 +733,7 @@ func (n *Node) worker(q chan intakeItem) {
 }
 
 // runOne drives one delivery through the pipeline and resolves the
-// receipt on failure (success paths resolve inside process).
+// receipt on failure (success and quarantine resolve inside process).
 func (n *Node) runOne(item intakeItem) {
 	n.setPhase(item.ag.ID, AgentStatus{Phase: PhaseRunning})
 	err := n.process(item.ctx, item.ag)
@@ -753,12 +761,7 @@ func (n *Node) runOne(item intakeItem) {
 			n.setPhase(item.ag.ID, st)
 			n.publish(ev)
 		}
-		n.resolve(item.ag.ID, Result{
-			Agent:    item.ag,
-			Verdicts: AgentVerdicts(item.ag),
-			Aborted:  errors.Is(err, ErrDetection),
-			Err:      err,
-		})
+		n.resolve(item.ag, errors.Is(err, ErrDetection), err)
 	}
 }
 
@@ -795,8 +798,9 @@ func (n *Node) process(ctx context.Context, ag *agent.Agent) error {
 		if v != nil {
 			stamped := n.recordVerdict(ag, *v)
 			if dec := n.decide(ag.ID, stamped); dec.Quarantine {
-				n.quarantineAgent(ag)
-				return fmt.Errorf("%w: %s", ErrDetection, v)
+				err := fmt.Errorf("%w: %s", ErrDetection, v)
+				n.quarantineAgent(ag, err)
+				return err
 			}
 		}
 	}
@@ -922,12 +926,17 @@ func (n *Node) policy() VerdictPolicy {
 	return strictPolicy{}
 }
 
-func (n *Node) quarantineAgent(ag *agent.Agent) {
+// quarantineAgent retains the agent and settles its receipt with the
+// detection err. The agent is encoded once: the quarantine store, its
+// WAL, the receipt and a later eviction spill all hold these bytes.
+func (n *Node) quarantineAgent(ag *agent.Agent, err error) {
 	n.endStay(ag)
-	n.quarantine.Put(ag.ID, ag)
+	record := ag.Encode()
+	n.quarantine.Put(ag.ID, record)
 	n.setPhase(ag.ID, AgentStatus{Phase: PhaseQuarantined})
 	n.publish(events.Event{Kind: events.KindQuarantine, Agent: ag.ID})
 	n.complete(ag, true)
+	n.entryFor(ag.ID).rc.resolve(record, true, err)
 }
 
 // endStay tells every StayEnder that ag's stay here ended without a
@@ -940,8 +949,8 @@ func (n *Node) endStay(ag *agent.Agent) {
 	}
 }
 
-// complete fires the completion callback. The receipt resolution for
-// the aborted path happens in runOne (where the detection error is in
+// complete fires the completion callback. The aborted path's receipt
+// is resolved by quarantineAgent (where the detection error is in
 // hand); the clean-finish path resolves here.
 func (n *Node) complete(ag *agent.Agent, aborted bool) {
 	if n.cfg.OnComplete != nil {
@@ -949,12 +958,17 @@ func (n *Node) complete(ag *agent.Agent, aborted bool) {
 	}
 	if !aborted {
 		n.publish(events.Event{Kind: events.KindComplete, Agent: ag.ID})
-		n.resolve(ag.ID, Result{Agent: ag, Verdicts: AgentVerdicts(ag)})
+		n.resolve(ag, false, nil)
 	}
 }
 
-func (n *Node) resolve(agentID string, res Result) {
-	n.entryFor(agentID).rc.resolve(res)
+// resolve settles ag's receipt at this node with ag's encoding. A
+// receipt already settled (quarantineAgent settles its own) is left as
+// it is, and ag is not encoded again.
+func (n *Node) resolve(ag *agent.Agent, aborted bool, err error) {
+	if rc := n.entryFor(ag.ID).rc; !rc.resolved() {
+		rc.resolve(ag.Encode(), aborted, err)
+	}
 }
 
 func (n *Node) setPhase(agentID string, st AgentStatus) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -13,9 +14,14 @@ import (
 // agent finished its task, was quarantined, or failed processing.
 // Forwarding an agent onward is not terminal.
 type Result struct {
-	// Agent is the agent as it was when the outcome was produced.
+	// Agent is the agent as it was when the outcome was produced,
+	// decoded from the receipt's record: each Receipt.Result call
+	// returns a private copy the caller may change freely. Nil when
+	// the outcome carries no agent (a receipt recovered after a
+	// restart, evicted from the journal, or refused by a closed node).
 	Agent *agent.Agent
-	// Verdicts are the verdicts accumulated over the whole journey.
+	// Verdicts are the verdicts accumulated over the whole journey, as
+	// Agent carries them.
 	Verdicts []Verdict
 	// Aborted reports that the agent was stopped by a detection.
 	Aborted bool
@@ -28,13 +34,21 @@ type Result struct {
 // asynchronous replacement for the old synchronous-chain contract:
 // callers enqueue an agent (Node.Launch / transport delivery) and wait
 // on the receipt of the node where the journey terminates.
+//
+// A resolved receipt holds the agent as its canonical encoding
+// (agent.Encode), not as a decoded agent: a home keeps up to
+// JournalLimit settled receipts, and a decoded agent — values, parsed
+// code, copied baggage — costs several times its encoding. Result
+// decodes on demand.
 type Receipt struct {
 	agentID string
 	done    chan struct{}
 
-	mu  sync.Mutex
-	res Result
-	set bool
+	mu      sync.Mutex
+	record  []byte // the agent's encoding; nil when the outcome carries none
+	aborted bool
+	err     error
+	set     bool
 }
 
 func newReceipt(agentID string) *Receipt {
@@ -49,11 +63,22 @@ func (r *Receipt) AgentID() string { return r.agentID }
 func (r *Receipt) Done() <-chan struct{} { return r.done }
 
 // Result returns the terminal outcome and whether one has been
-// produced yet.
+// produced yet. Every call decodes its own copy of the agent, outside
+// the receipt's lock.
 func (r *Receipt) Result() (Result, bool) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.res, r.set
+	record, res, set := r.record, Result{Aborted: r.aborted, Err: r.err}, r.set
+	r.mu.Unlock()
+	if record == nil {
+		return res, set
+	}
+	ag, err := agent.Decode(record)
+	if err != nil {
+		res.Err = errors.Join(res.Err, fmt.Errorf("core: receipt for %s: %w", r.agentID, err))
+		return res, set
+	}
+	res.Agent, res.Verdicts = ag, AgentVerdicts(ag)
+	return res, set
 }
 
 // Wait blocks until the terminal outcome is available or ctx is done.
@@ -69,20 +94,29 @@ func (r *Receipt) Wait(ctx context.Context) (Result, error) {
 	}
 }
 
-// resolve records the terminal outcome once; later calls are no-ops
-// (e.g. a quarantine already resolved the receipt before the pipeline
-// error propagates).
-func (r *Receipt) resolve(res Result) bool {
+// resolve records the terminal outcome once — record is the agent's
+// encoding, nil for an outcome without one; later calls are no-ops.
+func (r *Receipt) resolve(record []byte, aborted bool, err error) bool {
 	r.mu.Lock()
 	if r.set {
 		r.mu.Unlock()
 		return false
 	}
-	r.res = res
+	r.record, r.aborted, r.err = record, aborted, err
 	r.set = true
 	r.mu.Unlock()
 	close(r.done)
 	return true
+}
+
+// resolved reports whether the receipt already holds its outcome.
+func (r *Receipt) resolved() bool {
+	select {
+	case <-r.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // AwaitAny waits for the first of the given receipts to resolve —

@@ -1,6 +1,7 @@
 package events
 
 import (
+	"container/list"
 	"sort"
 	"sync"
 )
@@ -10,9 +11,9 @@ import (
 // needs to absorb bursts between scheduler wakeups.
 const metricsRingSize = 4096
 
-// journeyTrackMax bounds the in-flight intake-time map the journey
-// latency histogram is computed from; beyond it the oldest tracked
-// journey is forgotten (its latency simply goes unobserved).
+// journeyTrackMax bounds the in-flight journeys the latency histogram
+// is computed from; beyond it the oldest tracked journey is forgotten
+// (its latency simply goes unobserved). Finished journeys do not count.
 const journeyTrackMax = 4096
 
 // Registry aggregates bus events into counters, gauges, and
@@ -29,10 +30,11 @@ type Registry struct {
 	gauges   map[string]float64
 	hists    map[string]*histogram
 
-	// journey latency tracking: agent ID -> intake UnixNano, bounded
-	// FIFO.
-	inflight map[string]int64
-	order    []string
+	// journey latency tracking: agent ID -> its element of order, a
+	// FIFO of journeyStart bounded by journeyTrackMax. A journey leaves
+	// both when it finishes or is forgotten.
+	inflight map[string]*list.Element
+	order    list.List
 
 	done chan struct{}
 }
@@ -46,7 +48,7 @@ func NewRegistry(bus *Bus) *Registry {
 		counters: make(map[string]int64),
 		gauges:   make(map[string]float64),
 		hists:    make(map[string]*histogram),
-		inflight: make(map[string]int64),
+		inflight: make(map[string]*list.Element),
 		done:     make(chan struct{}),
 	}
 	go r.run()
@@ -90,9 +92,10 @@ func (r *Registry) apply(ev Event) {
 			r.counters["verdict_failed_total"]++
 		}
 	case KindQuarantine, KindComplete, KindFailed:
-		if t0, ok := r.inflight[ev.Agent]; ok {
+		if el, ok := r.inflight[ev.Agent]; ok {
 			delete(r.inflight, ev.Agent)
-			ms := float64(ev.UnixNano-t0) / 1e6
+			r.order.Remove(el)
+			ms := float64(ev.UnixNano-el.Value.(journeyStart).at) / 1e6
 			r.histogram("journey_ms").observe(ms)
 		}
 	case KindExchangeRound:
@@ -114,20 +117,29 @@ func (r *Registry) apply(ev Event) {
 	}
 }
 
+// journeyStart is one tracked journey: the agent and its first intake
+// at this node.
+type journeyStart struct {
+	agent string
+	at    int64
+}
+
 // trackIntake records a journey start for the latency histogram,
-// bounded FIFO; caller holds r.mu.
+// bounded FIFO; caller holds r.mu. The first intake wins: a journey
+// that leaves and comes back (a home launching an agent and later
+// receiving it for its last session) is measured from its launch.
 func (r *Registry) trackIntake(agent string, at int64) {
 	if agent == "" {
 		return
 	}
-	if _, ok := r.inflight[agent]; !ok {
-		if len(r.order) >= journeyTrackMax {
-			delete(r.inflight, r.order[0])
-			r.order = r.order[1:]
-		}
-		r.order = append(r.order, agent)
+	if _, ok := r.inflight[agent]; ok {
+		return
 	}
-	r.inflight[agent] = at
+	if r.order.Len() >= journeyTrackMax {
+		oldest := r.order.Front()
+		delete(r.inflight, r.order.Remove(oldest).(journeyStart).agent)
+	}
+	r.inflight[agent] = r.order.PushBack(journeyStart{agent: agent, at: at})
 }
 
 // histogram returns the named histogram, creating it with the default

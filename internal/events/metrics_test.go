@@ -52,6 +52,58 @@ func TestSnapshotReflectsPriorPublishes(t *testing.T) {
 	}
 }
 
+// TestJourneyMeasuresRoundTrip pins journey_ms to a home's whole round
+// trip: an agent launched at t=0, forwarded at t=5, back for its last
+// session at t=35 and complete at t=40 is one 40 ms journey. The return
+// is a second intake of the same agent; it must not restart the clock.
+func TestJourneyMeasuresRoundTrip(t *testing.T) {
+	clock := time.Unix(0, 0)
+	bus := NewBus(BusConfig{Node: "home", Now: func() time.Time { return clock }})
+	reg := NewRegistry(bus)
+	defer func() { bus.Close(); reg.Close() }()
+
+	at := func(ms int) { clock = time.Unix(0, 0).Add(time.Duration(ms) * time.Millisecond) }
+	bus.Publish(Event{Kind: KindIntake, Agent: "a1"})
+	at(5)
+	bus.Publish(Event{Kind: KindForward, Agent: "a1", Host: "w1"})
+	at(35)
+	bus.Publish(Event{Kind: KindIntake, Agent: "a1"})
+	at(40)
+	bus.Publish(Event{Kind: KindComplete, Agent: "a1"})
+
+	h := reg.Snapshot().Histograms["journey_ms"]
+	if h.Count != 1 || h.Sum != 40 {
+		t.Fatalf("journey_ms count=%d sum=%v, want one 40 ms journey", h.Count, h.Sum)
+	}
+}
+
+// TestFinishedJourneysFreeTrackingSlots pins the journey bound to
+// journeys still in flight: journeyTrackMax journeys that start and
+// finish behind an open one must not push it out of tracking.
+func TestFinishedJourneysFreeTrackingSlots(t *testing.T) {
+	clock := time.Unix(0, 0)
+	bus := NewBus(BusConfig{Node: "home", Now: func() time.Time { return clock }})
+	reg := NewRegistry(bus)
+	defer func() { bus.Close(); reg.Close() }()
+
+	bus.Publish(Event{Kind: KindIntake, Agent: "open"})
+	for i := 0; i < journeyTrackMax; i++ {
+		id := fmt.Sprintf("short-%d", i)
+		bus.Publish(Event{Kind: KindIntake, Agent: id})
+		bus.Publish(Event{Kind: KindComplete, Agent: id})
+		if i%512 == 0 {
+			reg.Snapshot() // drain: the registry's ring holds 4096 events
+		}
+	}
+	clock = clock.Add(7 * time.Millisecond)
+	bus.Publish(Event{Kind: KindQuarantine, Agent: "open"})
+
+	h := reg.Snapshot().Histograms["journey_ms"]
+	if want := int64(journeyTrackMax + 1); h.Count != want || h.Sum != 7 {
+		t.Fatalf("journey_ms count=%d sum=%v, want %d journeys summing to 7 ms", h.Count, h.Sum, want)
+	}
+}
+
 // TestCountersMonotoneAcrossConcurrentSnapshots hammers the registry
 // with concurrent publishers while snapshotting, asserting counters
 // never move backwards and converge on the exact publish total.
