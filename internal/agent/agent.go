@@ -68,9 +68,9 @@ type Agent struct {
 	prog *agentlang.Program
 
 	// digest memoizes the canonical state digest between mutations.
-	// Every protection mechanism digests the state at sign, handoff,
-	// countersign, and verify time — refproto alone 3-4 times per hop —
-	// so StateDigest is O(1) while the state is unchanged. The platform
+	// Several mechanisms compare the arrived state with a signed digest
+	// of it (refproto, vigna, wholesig, each once per hop), so
+	// StateDigest is O(1) while the state is unchanged. The platform
 	// write paths (RunSession, SetVar, SetState, MutateState) invalidate
 	// it; direct Go-level writes to State must be followed by
 	// InvalidateStateDigest.

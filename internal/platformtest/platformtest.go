@@ -75,6 +75,9 @@ type HostOptions struct {
 	// Configure mutates the host config (resources, behaviour). May be
 	// nil.
 	Configure func(*host.Config)
+	// Policy is the node's verdict policy; nil quarantines on every
+	// failed check.
+	Policy core.VerdictPolicy
 }
 
 // AddHost adds a host + node to the bed.
@@ -83,6 +86,7 @@ func (b *Bed) AddHost(name string, opts HostOptions) *core.Node {
 	spec := fleet.Spec{
 		Host: host.Config{Name: name, Trusted: opts.Trusted},
 		Node: core.NodeConfig{
+			Policy: opts.Policy,
 			OnVerdict: func(v core.Verdict) {
 				b.mu.Lock()
 				defer b.mu.Unlock()

@@ -1,49 +1,32 @@
 package refproto
 
 import (
-	"fmt"
+	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/agent"
 	"repro/internal/canon"
 	"repro/internal/core"
-	"repro/internal/host"
 	"repro/internal/sigcrypto"
 )
 
-// verifyHandoffEitherRole is the acceptance rule verifyHandoff must
-// keep, written the way it was before signatures were tried under
-// their signer's binding first: every signature is tried as "initial"
-// at the checked hop and, failing that, as "resulting" at the hop
-// before it.
-func verifyHandoffEitherRole(reg *sigcrypto.Registry, ag *agent.Agent, hop int, checkedHost string, h handoff) error {
-	if h.Origin {
-		if len(h.Sigs) != 1 || h.Sigs[0].Signer != checkedHost {
-			return fmt.Errorf("bad origin handoff")
-		}
-		return verifyBinding(reg, ag, "initial", hop, h.Digest, h.Sigs[0])
-	}
-	if len(h.Sigs) < 2 {
-		return fmt.Errorf("too few signatures")
-	}
-	receiverSigned := false
-	for _, sig := range h.Sigs {
-		if err := verifyBinding(reg, ag, "initial", hop, h.Digest, sig); err != nil {
-			if err := verifyBinding(reg, ag, "resulting", hop-1, h.Digest, sig); err != nil {
-				return err
-			}
-		}
-		receiverSigned = receiverSigned || sig.Signer == checkedHost
-	}
-	if !receiverSigned {
-		return fmt.Errorf("no countersignature")
-	}
-	return nil
+// signAs signs s's commitment under any role and hop: the honest
+// binding is role "session" at the session's own hop.
+func signAs(kp *sigcrypto.KeyPair, ag *agent.Agent, role string, hop int, s session) sigcrypto.Signature {
+	d := canon.HashTuple([]byte(sessionLabel), s.Initial[:], s.Result[:], s.Package[:])
+	return kp.Sign(ag.AppendSessionBinding(nil, role, hop, d))
 }
 
-// TestVerifyHandoffAcceptsWhatEitherOrderAccepts: trying each handoff
-// signature under its signer's binding first changes which verify runs
-// first, never whether a handoff is accepted.
+// TestVerifyHandoffAcceptsWhatEitherOrderAccepts pins which handoffs the
+// checker accepts. A session passes when the host it ran on signed it
+// as role "session" at its own hop, and, unless it is the agent's first
+// session, when a registered producer signed the session before it, at
+// the hop before, with the checked session's initial state as its
+// result. Only session 0 may come without a producer, and a session
+// marked trusted must have been signed without a package. The
+// "countersignature" rows concern the checked host's session signature.
+// Each payload crosses the wire codec before the check.
 func TestVerifyHandoffAcceptsWhatEitherOrderAccepts(t *testing.T) {
 	reg := sigcrypto.NewRegistry()
 	keys := map[string]*sigcrypto.KeyPair{}
@@ -61,61 +44,179 @@ func TestVerifyHandoffAcceptsWhatEitherOrderAccepts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := host.New(host.Config{Name: "other", Keys: keys["other"], Registry: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hc := &core.HostContext{Host: h}
 	ag, err := agent.New("handoff-agent", "owner", `proc main() { done() }`, "main")
 	if err != nil {
 		t.Fatal(err)
 	}
+	digest := func(s string) canon.Digest { return canon.HashBytes([]byte(s)) }
 	const hop = 3
-	d := canon.HashBytes([]byte("initial state of session 3"))
-	sign := func(kp *sigcrypto.KeyPair, role string, hop int) sigcrypto.Signature {
-		return signBinding(kp, ag, role, hop, d)
-	}
-	forged := sign(keys["other"], "initial", hop)
+	initial := digest("initial state of session 3")
+	checked := session{Initial: initial, Result: digest("resulting state"), Package: digest("package")}
+	producer := session{Initial: digest("initial state of session 2"), Result: initial, Package: digest("package 2")}
+	forged := signAs(keys["other"], ag, "session", hop, checked)
 	forged.Signer = "checked"
 
-	produced := sign(keys["producer"], "resulting", hop-1)
-	countersigned := sign(keys["checked"], "initial", hop)
+	// relayed is the honest payload of session 3; origin that of
+	// session 0, which the launching host ran.
+	relayed := func(producerSig, checkedSig sigcrypto.Signature) payload {
+		p := payload{Hop: hop, Session: checked, Producer: producer}
+		p.Session.Sig, p.Producer.Sig = checkedSig, producerSig
+		p.Producer.Result = canon.Digest{} // implied by Session.Initial; never on the wire
+		return p
+	}
+	origin := func(at int, sig sigcrypto.Signature) payload {
+		p := payload{Hop: at, Session: checked, Origin: true}
+		p.Session.Sig = sig
+		return p
+	}
+	produced := signAs(keys["producer"], ag, "session", hop-1, producer)
+	sessionSig := signAs(keys["checked"], ag, "session", hop, checked)
+	launched := signAs(keys["checked"], ag, "session", 0, checked)
+	otherResult := producer
+	otherResult.Result = digest("x")
 	cases := []struct {
 		name   string
-		h      handoff
+		p      payload
 		accept bool
+		reason string // substring of the rejection, where the row pins one
 	}{
-		{"producer then receiver", handoff{Sigs: []sigcrypto.Signature{produced, countersigned}}, true},
-		{"receiver then producer", handoff{Sigs: []sigcrypto.Signature{countersigned, produced}}, true},
-		{"producer is the checked host", handoff{Sigs: []sigcrypto.Signature{sign(keys["checked"], "resulting", hop-1), countersigned}}, true},
-		{"producer signed as initial", handoff{Sigs: []sigcrypto.Signature{sign(keys["producer"], "initial", hop), countersigned}}, true},
-		{"receiver signed as resulting", handoff{Sigs: []sigcrypto.Signature{produced, sign(keys["checked"], "resulting", hop-1)}}, true},
-		{"countersignature missing", handoff{Sigs: []sigcrypto.Signature{produced}}, false},
-		{"countersigned by a third host", handoff{Sigs: []sigcrypto.Signature{produced, sign(keys["other"], "initial", hop)}}, false},
-		{"countersignature forged", handoff{Sigs: []sigcrypto.Signature{produced, forged}}, false},
-		{"countersignature at the wrong hop", handoff{Sigs: []sigcrypto.Signature{produced, sign(keys["checked"], "initial", hop+1)}}, false},
-		{"producer at the wrong hop", handoff{Sigs: []sigcrypto.Signature{sign(keys["producer"], "resulting", hop), countersigned}}, false},
-		{"unregistered producer", handoff{Sigs: []sigcrypto.Signature{sign(stranger, "resulting", hop-1), countersigned}}, false},
-		{"over another digest", handoff{Digest: canon.HashBytes([]byte("x")), Sigs: []sigcrypto.Signature{produced, countersigned}}, false},
-		{"origin", handoff{Origin: true, Sigs: []sigcrypto.Signature{countersigned}}, true},
-		{"origin signed as resulting", handoff{Origin: true, Sigs: []sigcrypto.Signature{sign(keys["checked"], "resulting", hop-1)}}, false},
-		{"origin signed by another host", handoff{Origin: true, Sigs: []sigcrypto.Signature{produced}}, false},
-		{"origin with two signatures", handoff{Origin: true, Sigs: []sigcrypto.Signature{produced, countersigned}}, false},
-		{"origin forged", handoff{Origin: true, Sigs: []sigcrypto.Signature{forged}}, false},
+		{name: "producer then receiver", p: relayed(produced, sessionSig), accept: true},
+		{name: "producer is the checked host", p: relayed(signAs(keys["checked"], ag, "session", hop-1, producer), sessionSig), accept: true},
+		{name: "countersignature missing", p: relayed(produced, sigcrypto.Signature{}), reason: "session signature invalid"},
+		{name: "countersigned by a third host", p: relayed(produced, signAs(keys["other"], ag, "session", hop, checked)), reason: `session signed by "other"`},
+		{name: "countersignature forged", p: relayed(produced, forged), reason: "session signature invalid"},
+		{name: "countersignature at the wrong hop", p: relayed(produced, signAs(keys["checked"], ag, "session", hop+1, checked)), reason: "session signature invalid"},
+		{name: "producer at the wrong hop", p: relayed(signAs(keys["producer"], ag, "session", hop, producer), sessionSig), reason: `producer signature by "producer"`},
+		{name: "producer signed under another role", p: relayed(signAs(keys["producer"], ag, "resulting", hop-1, producer), sessionSig), reason: `producer signature by "producer"`},
+		{name: "unregistered producer", p: relayed(signAs(stranger, ag, "session", hop-1, producer), sessionSig), reason: `producer signature by "stranger"`},
+		{name: "over another digest", p: relayed(signAs(keys["producer"], ag, "session", hop-1, otherResult), sessionSig), reason: `producer signature by "producer"`},
+		{name: "origin", p: origin(0, launched), accept: true},
+		{name: "origin at session 3", p: origin(hop, sessionSig), reason: "origin handoff for session 3"},
+		{name: "origin signed as resulting", p: origin(0, signAs(keys["checked"], ag, "resulting", 0, checked)), reason: "session signature invalid"},
+		{name: "origin signed by another host", p: origin(0, signAs(keys["producer"], ag, "session", 0, checked)), reason: `session signed by "producer"`},
+		{name: "origin with two signatures", p: func() payload {
+			p := relayed(signAs(keys["producer"], ag, "session", -1, producer), launched)
+			p.Hop = 0
+			return p
+		}(), reason: "producer handoff for session 0"},
+		{name: "trust claimed over a packaged session", p: func() payload {
+			p := relayed(produced, sessionSig)
+			p.TrustedSkip = true
+			return p
+		}(), reason: "session marked trusted"},
+		{name: "origin forged", p: origin(0, func() sigcrypto.Signature {
+			s := signAs(keys["other"], ag, "session", 0, checked)
+			s.Signer = "checked"
+			return s
+		}()), reason: "session signature invalid"},
 	}
 	m := New(Config{})
+	check := func(enc []byte) error {
+		p, err := parsePayload(enc)
+		if err != nil {
+			return err
+		}
+		if err := m.verifySession(reg, ag, "checked", &p); err != nil {
+			return err
+		}
+		return m.verifyHandoff(reg, ag, &p)
+	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if c.h.Digest == (canon.Digest{}) {
-				c.h.Digest = d
+			err := check(appendPayload(nil, &c.p))
+			if (err == nil) != c.accept {
+				t.Fatalf("check = %v, want accept = %v", err, c.accept)
 			}
-			got := m.verifyHandoff(hc, ag, hop, "checked", c.h)
-			before := verifyHandoffEitherRole(reg, ag, hop, "checked", c.h)
-			if (got == nil) != (before == nil) {
-				t.Fatalf("verifyHandoff = %v, trying both roles in the old order = %v", got, before)
+			if err != nil && !strings.Contains(err.Error(), c.reason) {
+				t.Fatalf("check = %v, want a reason containing %q", err, c.reason)
 			}
-			if (got == nil) != c.accept {
-				t.Fatalf("verifyHandoff = %v, want accept = %v", got, c.accept)
+		})
+	}
+}
+
+// TestOriginHandoffOnlyAtSessionZero is the made-up-state attack: a host
+// at session 3 drops the producer it received, runs from a state it
+// invented (x = 1000) and presents the session as the agent's first.
+// The session is consistent with itself, so its package and its
+// re-execution pass; only the handoff tells it from a launch. An honest
+// host with no producer kept refuses to make that claim.
+func TestOriginHandoffOnlyAtSessionZero(t *testing.T) {
+	bed := newHopBed(t, bedConfig{hop: 3, x: 1000})
+	err := bed.mPrev.PrepareDeparture(context.Background(), bed.hcPrev, bed.ag, bed.rec)
+	if err == nil || !strings.Contains(err.Error(), "session 3 has no verified producer") {
+		t.Fatalf("honest departure without a producer: %v", err)
+	}
+
+	// The attacker's departure: PrepareDeparture's package and session
+	// signature, sent as the agent's first session.
+	rec := bed.rec
+	pkg := core.BuildReferencePackage(bed.mPrev, rec, nil)
+	enc, err := pkg.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := payload{Hop: rec.Hop, PkgEnc: enc, Origin: true, Session: session{
+		Initial: rec.InitialDigest(), Result: rec.ResultingDigest(), Package: pkg.Digest()}}
+	bed.mPrev.sign(bed.hcPrev.Host.Keys(), bed.ag, rec.Hop, &p.Session)
+	bed.ag.SetBaggage(MechanismName, appendPayload(nil, &p))
+
+	v, err := bed.mNext.CheckAfterSession(context.Background(), bed.hcNext, bed.migrate(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "initial-state handoff invalid: origin handoff for session 3"
+	if v == nil || v.OK || v.Reason != want {
+		t.Fatalf("verdict %+v, want a failure reading %q", v, want)
+	}
+}
+
+// TestSignaturesPerHop pins the protocol's signature count: each host
+// signs each of its sessions once, and the checker verifies that
+// signature plus, for an untrusted session that did not launch the
+// agent, its producer's.
+func TestSignaturesPerHop(t *testing.T) {
+	var signs, verifies int
+	sign, verify := signMsg, verifyMsg
+	t.Cleanup(func() { signMsg, verifyMsg = sign, verify })
+	signMsg = func(k *sigcrypto.KeyPair, msg []byte) sigcrypto.Signature {
+		signs++
+		return sign(k, msg)
+	}
+	verifyMsg = func(r *sigcrypto.Registry, msg []byte, sig sigcrypto.Signature) error {
+		verifies++
+		return verify(r, msg, sig)
+	}
+	for _, tc := range []struct {
+		name         string
+		cfg          bedConfig
+		relayed      bool
+		wantVerifies int
+		reason       string // substring of the verdict's reason
+	}{
+		{"origin", bedConfig{}, false, 1, ""},
+		{"relayed", bedConfig{hop: 1}, true, 2, ""},
+		{"trusted", bedConfig{hop: 1, trusted: true}, true, 1, "trusted"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bed := newHopBed(t, tc.cfg)
+			if tc.relayed {
+				bed.mPrev.keep(bed.ag, bed.producer(t))
+			}
+			signs, verifies = 0, 0
+			arrived := bed.depart(t)
+			if signs != 1 || verifies != 0 {
+				t.Fatalf("departure: %d signs, %d verifies; want 1 and 0", signs, verifies)
+			}
+			signs = 0
+			v, err := bed.mNext.CheckAfterSession(context.Background(), bed.hcNext, arrived)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v == nil || !v.OK || !strings.Contains(v.Reason, tc.reason) {
+				t.Fatalf("verdict %+v", v)
+			}
+			if signs != 0 || verifies != tc.wantVerifies {
+				t.Fatalf("check: %d signs, %d verifies; want 0 and %d", signs, verifies, tc.wantVerifies)
 			}
 		})
 	}

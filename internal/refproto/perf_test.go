@@ -5,7 +5,7 @@ import (
 	"context"
 	"encoding/gob"
 	"fmt"
-	"repro/internal/testutil"
+	"reflect"
 	"testing"
 
 	"repro/internal/agent"
@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/host"
 	"repro/internal/sigcrypto"
+	"repro/internal/testutil"
 	"repro/internal/value"
 )
 
@@ -24,23 +25,38 @@ type hopBed struct {
 	hcNext       *core.HostContext
 	ag           *agent.Agent
 	rec          *host.SessionRecord
+	older        *sigcrypto.KeyPair // registered; signs the session before the bed's
 }
 
-func newHopBed(tb testing.TB, vars int) *hopBed {
+// bedConfig shapes the session the bed runs.
+type bedConfig struct {
+	vars    int   // list-valued variables beside x
+	hop     int   // the session's index
+	x       int64 // x's value before the session
+	trusted bool  // the executing host is trusted
+}
+
+func newHopBed(tb testing.TB, cfg bedConfig) *hopBed {
 	tb.Helper()
 	reg := sigcrypto.NewRegistry()
-	mkHost := func(name string, trusted bool) *host.Host {
+	mkKeys := func(name string) *sigcrypto.KeyPair {
 		keys, err := sigcrypto.GenerateKeyPair(name)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		h, err := host.New(host.Config{Name: name, Keys: keys, Registry: reg, Trusted: trusted})
+		if err := reg.RegisterKeyPair(keys); err != nil {
+			tb.Fatal(err)
+		}
+		return keys
+	}
+	mkHost := func(name string, trusted bool) *host.Host {
+		h, err := host.New(host.Config{Name: name, Keys: mkKeys(name), Registry: reg, Trusted: trusted})
 		if err != nil {
 			tb.Fatal(err)
 		}
 		return h
 	}
-	prev := mkHost("prev", false)
+	prev := mkHost("prev", cfg.trusted)
 	next := mkHost("next", false)
 
 	ag, err := agent.New("bench-agent", "owner", `
@@ -51,8 +67,9 @@ proc main() {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ag.SetVar("x", value.Int(0))
-	for i := 0; i < vars; i++ {
+	ag.Hop = cfg.hop
+	ag.SetVar("x", value.Int(cfg.x))
+	for i := 0; i < cfg.vars; i++ {
 		ag.SetVar(fmt.Sprintf("v%02d", i), value.List(
 			value.Int(int64(i)), value.Str("0123456789"),
 			value.Map(map[string]value.Value{"k": value.Int(int64(i))})))
@@ -68,7 +85,25 @@ proc main() {
 		hcNext: &core.HostContext{Host: next},
 		ag:     ag,
 		rec:    rec,
+		older:  mkKeys("older"),
 	}
+}
+
+// producer is the signed session before the bed's, run on "older": the
+// commitment the executing host keeps at arrival when its session did
+// not launch the agent.
+func (bed *hopBed) producer(tb testing.TB) session {
+	tb.Helper()
+	if bed.rec.Hop == 0 {
+		tb.Fatal("session 0 has no producer")
+	}
+	s := session{
+		Initial: canon.HashBytes([]byte("older's initial state")),
+		Result:  bed.rec.InitialDigest(),
+		Package: canon.HashBytes([]byte("older's package")),
+	}
+	bed.mPrev.sign(bed.older, bed.ag, bed.rec.Hop-1, &s)
+	return s
 }
 
 // depart signs and packages the session at departure and migrates the
@@ -77,6 +112,11 @@ func (bed *hopBed) depart(tb testing.TB) *agent.Agent {
 	if err := bed.mPrev.PrepareDeparture(context.Background(), bed.hcPrev, bed.ag, bed.rec); err != nil {
 		tb.Fatal(err)
 	}
+	return bed.migrate(tb)
+}
+
+// migrate sends the agent over the wire.
+func (bed *hopBed) migrate(tb testing.TB) *agent.Agent {
 	wire, err := bed.ag.Marshal()
 	if err != nil {
 		tb.Fatal(err)
@@ -100,10 +140,11 @@ func (bed *hopBed) hop(tb testing.TB) {
 	}
 }
 
-// BenchmarkRefprotoHop measures the sign -> handoff -> countersign ->
-// verify path of one untrusted session, wire migration included.
+// BenchmarkRefprotoHop measures the sign -> verify path of the agent's
+// first, untrusted session, wire migration included: one session
+// signature at departure, one verify on arrival.
 func BenchmarkRefprotoHop(b *testing.B) {
-	bed := newHopBed(b, 20)
+	bed := newHopBed(b, bedConfig{vars: 20})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -112,46 +153,34 @@ func BenchmarkRefprotoHop(b *testing.B) {
 }
 
 // BenchmarkRefprotoRelayedHop is BenchmarkRefprotoHop for a session
-// that did not launch the agent, which is every untrusted session: its
-// initial state arrives dual-signed, as "resulting" by the host before
-// and as "initial" by the executing host, and the checker verifies both.
+// that did not launch the agent, which is every untrusted session but
+// the first: the checker verifies the executing host's session
+// signature and its producer's.
 func BenchmarkRefprotoRelayedHop(b *testing.B) {
-	bed := newHopBed(b, 20)
-	older, err := sigcrypto.GenerateKeyPair("older")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := bed.hcPrev.Host.Registry().RegisterKeyPair(older); err != nil {
-		b.Fatal(err)
-	}
-	d := bed.rec.InitialDigest()
-	relayed := handoff{Digest: d, Sigs: []sigcrypto.Signature{
-		signBinding(older, bed.ag, "resulting", bed.rec.Hop-1, d),
-		signBinding(bed.hcPrev.Host.Keys(), bed.ag, "initial", bed.rec.Hop, d),
-	}}
+	bed := newHopBed(b, bedConfig{vars: 20, hop: 1})
+	producer := bed.producer(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bed.mPrev.mu.Lock()
-		bed.mPrev.pending[bed.ag.ID] = relayed
-		bed.mPrev.mu.Unlock()
+		bed.mPrev.keep(bed.ag, producer)
 		bed.hop(b)
 	}
 }
 
 // TestRefprotoHopAllocs pins the hop's allocation ceiling so the
 // streaming pipeline cannot silently regress. The seed's gob-based hop
-// measured ~1700 allocs/op; the streaming pipeline runs at ~500. The
-// ceiling leaves headroom over the current measurement without letting
-// the old profile back in.
+// measured ~1700 allocs/op; the streaming pipeline ran at ~500, and
+// one signature per session brought it to ~485. The ceiling leaves
+// headroom over the current measurement without letting the old
+// profile back in.
 func TestRefprotoHopAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation ceilings are not meaningful under the race detector")
 	}
-	bed := newHopBed(t, 20)
+	bed := newHopBed(t, bedConfig{vars: 20})
 	bed.hop(t) // warm pools
-	if avg := testing.AllocsPerRun(20, func() { bed.hop(t) }); avg > 700 {
-		t.Errorf("refproto hop allocs/op = %.0f, want <= 700", avg)
+	if avg := testing.AllocsPerRun(20, func() { bed.hop(t) }); avg > 600 {
+		t.Errorf("refproto hop allocs/op = %.0f, want <= 600", avg)
 	}
 }
 
@@ -189,54 +218,44 @@ func benchPayload() *payload {
 		return sigcrypto.Signature{Signer: n, Sig: bytes.Repeat([]byte{7}, 64)}
 	}
 	return &payload{
-		Hop:          3,
-		PkgEnc:       bytes.Repeat([]byte{42}, 2048),
-		PkgSig:       sig("prev"),
-		ResultDigest: canon.HashBytes([]byte("resulting")),
-		ResultSig:    sig("prev"),
-		Handoff: handoff{
-			Digest: canon.HashBytes([]byte("initial")),
-			Sigs:   []sigcrypto.Signature{sig("older"), sig("prev")},
+		Hop:    3,
+		PkgEnc: bytes.Repeat([]byte{42}, 2048),
+		Session: session{
+			Initial: canon.HashBytes([]byte("initial")),
+			Result:  canon.HashBytes([]byte("resulting")),
+			Package: canon.HashBytes([]byte("package")),
+			Sig:     sig("prev"),
+		},
+		Producer: session{
+			Initial: canon.HashBytes([]byte("older's initial")),
+			Package: canon.HashBytes([]byte("older's package")),
+			Sig:     sig("older"),
 		},
 	}
+}
+
+// payloadShapes holds one payload of every shape the protocol
+// produces: a relayed untrusted session, the agent's first session,
+// and a trusted one.
+func payloadShapes() map[string]*payload {
+	origin := benchPayload()
+	origin.Hop, origin.Origin, origin.Producer = 0, true, session{}
+	trusted := benchPayload()
+	trusted.TrustedSkip, trusted.PkgEnc, trusted.Session.Package = true, nil, canon.Digest{}
+	return map[string]*payload{"relayed": benchPayload(), "origin": origin, "trusted": trusted}
 }
 
 // TestPayloadRoundTrip exercises the canonical codec across every
 // payload shape the protocol produces.
 func TestPayloadRoundTrip(t *testing.T) {
-	cases := map[string]*payload{
-		"full": benchPayload(),
-		"trusted-skip": {
-			Hop:          1,
-			TrustedSkip:  true,
-			ResultDigest: canon.HashBytes([]byte("r")),
-			ResultSig:    sigcrypto.Signature{Signer: "prev", Sig: []byte{1, 2}},
-			Handoff: handoff{
-				Digest: canon.HashBytes([]byte("i")),
-				Origin: true,
-				Sigs:   []sigcrypto.Signature{{Signer: "prev", Sig: []byte{3}}},
-			},
-		},
-	}
-	for name, p := range cases {
+	for name, p := range payloadShapes() {
 		enc := appendPayload(nil, p)
 		got, err := parsePayload(enc)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if got.Hop != p.Hop || got.TrustedSkip != p.TrustedSkip ||
-			got.ResultDigest != p.ResultDigest || got.Handoff.Digest != p.Handoff.Digest ||
-			got.Handoff.Origin != p.Handoff.Origin || len(got.Handoff.Sigs) != len(p.Handoff.Sigs) {
+		if !reflect.DeepEqual(&got, p) {
 			t.Fatalf("%s: round trip mismatch: %+v vs %+v", name, got, p)
-		}
-		if !bytes.Equal(got.PkgEnc, p.PkgEnc) || got.PkgSig.Signer != p.PkgSig.Signer {
-			t.Fatalf("%s: package fields mismatch", name)
-		}
-		for i := range p.Handoff.Sigs {
-			if got.Handoff.Sigs[i].Signer != p.Handoff.Sigs[i].Signer ||
-				!bytes.Equal(got.Handoff.Sigs[i].Sig, p.Handoff.Sigs[i].Sig) {
-				t.Fatalf("%s: handoff sig %d mismatch", name, i)
-			}
 		}
 	}
 	if _, err := parsePayload([]byte("junk")); err == nil {

@@ -20,16 +20,22 @@
 //
 // The protocol detail the paper highlights: "to prevent an attack by
 // the checking host, initial states have to be signed by both the
-// checking host and the checked host". Each session's initial state is
-// therefore covered by a dual-signature handoff: the producing host
-// signs the state it hands over, and the receiving (checked) host
-// countersigns on arrival. A checking host can consequently neither
-// forge the initial state a session started from, nor can the checked
-// host later repudiate it. Sessions on trusted hosts are not checked
-// ("trusted hosts will not attack by definition"), only their result
-// signature is verified. Unlike Vigna's hash-only commitments, the
-// package carries the complete states, so the owner "is able to prove
-// his/her damage in case of a fraud".
+// checking host and the checked host". Each host signs each of its
+// sessions once, at departure: one signature over the digests of the
+// session's initial state, resulting state and reference package. A
+// session's initial state is the previous session's resulting state, so
+// two hosts have signed it — the producing host as its result, the
+// checked host as its initial state. The checked host keeps the
+// producer's signed commitment from arrival and hands it on beside its
+// own, and the checker verifies both. A checking host can consequently
+// neither forge the initial state a session started from, nor can the
+// checked host later repudiate it. Only the agent's first session has
+// no producer: the launching host's own signature covers it. Sessions
+// on trusted hosts are not checked ("trusted hosts will not attack by
+// definition"), only their session signature is verified. Unlike
+// Vigna's hash-only commitments, the package carries the complete
+// states, so the owner "is able to prove his/her damage in case of a
+// fraud".
 package refproto
 
 import (
@@ -63,17 +69,17 @@ type Config struct {
 	// expensive re-execution step runs (the adaptive protection level
 	// plugs the reputation gate in here — the paper's suspicion-driven
 	// checking). When it returns false, every cheap check still runs —
-	// commitment signatures, state digests, the dual-signed handoff —
-	// and the session is accepted on that evidence alone; only the
-	// input-replay re-execution is skipped. Nil re-executes every
-	// untrusted session (the paper's full protocol).
+	// the session signatures, the state and package digests, the
+	// producer's handoff — and the session is accepted on that evidence
+	// alone; only the input-replay re-execution is skipped. Nil
+	// re-executes every untrusted session (the paper's full protocol).
 	ReExecGate func(checkedHost string) bool
 	// Colluding makes this node's checker accept every session without
-	// examining it, while still participating in the protocol (handoff
-	// countersignatures, departure packages). It models the paper's
-	// documented limitation: "collaboration attacks of two and more
-	// consecutive hosts cannot be detected" (§5.1). For attack
-	// simulation only.
+	// examining it, while still participating in the protocol (it hands
+	// the session it received on as its producer, and packages its own
+	// at departure). It models the paper's documented limitation:
+	// "collaboration attacks of two and more consecutive hosts cannot be
+	// detected" (§5.1). For attack simulation only.
 	Colluding bool
 }
 
@@ -83,10 +89,11 @@ type Mechanism struct {
 	cfg Config
 
 	mu sync.Mutex
-	// pending holds, per agent currently on this host, the dual-signed
-	// handoff of the state the agent arrived with — the initial state
-	// of the session this host is about to run.
-	pending map[string]handoff
+	// pending holds, per agent currently on this host, the signed
+	// commitment of the session that produced the state the agent
+	// arrived with: the producer of the session this host is about to
+	// run.
+	pending map[string]session
 }
 
 var (
@@ -99,7 +106,7 @@ var (
 
 // New builds the mechanism.
 func New(cfg Config) *Mechanism {
-	return &Mechanism{cfg: cfg, pending: make(map[string]handoff)}
+	return &Mechanism{cfg: cfg, pending: make(map[string]session)}
 }
 
 // Name implements core.Mechanism.
@@ -114,39 +121,52 @@ func (m *Mechanism) RequestsResultingState() {}
 // RequestsInput declares reference data (Fig. 4).
 func (m *Mechanism) RequestsInput() {}
 
-// handoff is the dual-signed commitment to a session's initial state.
-type handoff struct {
-	Digest canon.Digest
-	// Sigs holds the producer's and the receiver's signatures over the
-	// session binding of the digest. At the origin (the launching
-	// host's own first session) there is a single origin signature.
-	Sigs   []sigcrypto.Signature
-	Origin bool
+// session is a host's signed commitment to one of its execution
+// sessions: the digests of the session's initial state, resulting state
+// and reference package (zero for a trusted session, which carries
+// none), and the executing host's one signature over all three.
+type session struct {
+	Initial, Result, Package canon.Digest
+	Sig                      sigcrypto.Signature
 }
 
-// payload is the wire baggage: everything the next host needs to check
-// the previous session. It travels in the canonical tuple encoding
-// (see appendPayload), not gob: the hot sign→handoff→verify path runs
-// once per hop, and gob's per-encoder type negotiation dominated its
-// allocation profile.
-type payload struct {
-	// Hop is the checked session's index.
-	Hop int
-	// TrustedSkip marks sessions on trusted hosts: no package attached,
-	// result signature only.
-	TrustedSkip bool
-	// PkgEnc is the encoded reference package (initial state, input,
-	// resulting state); nil if TrustedSkip.
-	PkgEnc []byte
-	// PkgSig is the executing host's signature over the package digest.
-	PkgSig sigcrypto.Signature
-	// ResultDigest commits the resulting state (= the next session's
-	// initial state); ResultSig is the executing host's signature over
-	// its session binding.
-	ResultDigest canon.Digest
-	ResultSig    sigcrypto.Signature
-	// Handoff dual-signs the *checked* session's initial state.
-	Handoff handoff
+// sessionLabel domain-separates the digest a session signature covers.
+const sessionLabel = "refproto-session"
+
+// binding appends the message a session signature covers: the agent's
+// session binding, role "session", at the session's hop.
+func (s *session) binding(dst []byte, ag *agent.Agent, hop int) []byte {
+	d := canon.HashTuple([]byte(sessionLabel), s.Initial[:], s.Result[:], s.Package[:])
+	return ag.AppendSessionBinding(dst, "session", hop, d)
+}
+
+// signMsg and verifyMsg are the mechanism's only uses of a key pair and
+// the registry: the signature count per hop is counted through them.
+var (
+	signMsg   = (*sigcrypto.KeyPair).Sign
+	verifyMsg = (*sigcrypto.Registry).Verify
+)
+
+// sign signs s as the session at hop, in a pooled buffer that never
+// outlives the call.
+func (m *Mechanism) sign(keys *sigcrypto.KeyPair, ag *agent.Agent, hop int, s *session) {
+	defer m.timeCrypto()()
+	buf := canon.GetBuf()
+	msg := s.binding((*buf)[:0], ag, hop)
+	s.Sig = signMsg(keys, msg)
+	*buf = msg
+	canon.PutBuf(buf)
+}
+
+// verify verifies s's signature as the session at hop.
+func (m *Mechanism) verify(reg *sigcrypto.Registry, ag *agent.Agent, hop int, s *session) error {
+	defer m.timeCrypto()()
+	buf := canon.GetBuf()
+	msg := s.binding((*buf)[:0], ag, hop)
+	err := verifyMsg(reg, msg, s.Sig)
+	*buf = msg
+	canon.PutBuf(buf)
+	return err
 }
 
 func (m *Mechanism) timeCrypto() func() {
@@ -156,77 +176,81 @@ func (m *Mechanism) timeCrypto() func() {
 	return m.cfg.Timer.Time(stopwatch.PhaseSignVerify)
 }
 
-// signBinding signs a session binding assembled in a pooled buffer; the
-// binding bytes never outlive the call.
-func signBinding(keys *sigcrypto.KeyPair, ag *agent.Agent, role string, hop int, d canon.Digest) sigcrypto.Signature {
-	buf := canon.GetBuf()
-	msg := ag.AppendSessionBinding((*buf)[:0], role, hop, d)
-	sig := keys.Sign(msg)
-	*buf = msg
-	canon.PutBuf(buf)
-	return sig
+// payload is the wire baggage: everything the next host needs to check
+// the previous session. It travels in the canonical tuple encoding
+// (see appendPayload), not gob: the hot sign→verify path runs once per
+// hop, and gob's per-encoder type negotiation dominated its allocation
+// profile.
+type payload struct {
+	// Hop is the checked session's index.
+	Hop int
+	// TrustedSkip marks sessions on trusted hosts: no package attached,
+	// session signature only.
+	TrustedSkip bool
+	// PkgEnc is the encoded reference package (initial state, input,
+	// resulting state); nil if TrustedSkip.
+	PkgEnc []byte
+	// Session is the checked session's commitment, signed by the host
+	// that ran it.
+	Session session
+	// Producer is the session before it, as the checked host received
+	// it. Its resulting state is Session's initial state, so its Result
+	// does not travel. Origin marks the agent's first session, which
+	// has no producer.
+	Producer session
+	Origin   bool
 }
 
-// verifyBinding verifies a signature over a session binding assembled
-// in a pooled buffer.
-func verifyBinding(reg *sigcrypto.Registry, ag *agent.Agent, role string, hop int, d canon.Digest, sig sigcrypto.Signature) error {
-	buf := canon.GetBuf()
-	msg := ag.AppendSessionBinding((*buf)[:0], role, hop, d)
-	err := reg.Verify(msg, sig)
-	*buf = msg
-	canon.PutBuf(buf)
-	return err
-}
-
-// Payload wire layout: one canonical tuple whose field count varies
-// with the number of handoff signatures.
+// Payload wire layout: one canonical tuple; an origin payload stops
+// after field 8, and its field count is what marks it as one.
 //
-//	0  format label ("refproto-payload")
+//	0  format label ("refproto-session-payload")
 //	1  hop, 8-byte big-endian
-//	2  flags, 1 byte (bit0 TrustedSkip, bit1 handoff origin)
+//	2  flags, 1 byte (bit0 TrustedSkip)
 //	3  package encoding (empty when TrustedSkip)
-//	4  package signature: signer
-//	5  package signature: bytes
-//	6  resulting-state digest
-//	7  resulting-state signature: signer
-//	8  resulting-state signature: bytes
-//	9  handoff digest
-//	10+ one (signer, bytes) field pair per handoff signature
+//	4  session: initial-state digest
+//	5  session: resulting-state digest
+//	6  session: package digest
+//	7  session signature: signer
+//	8  session signature: bytes
+//	9  producer: initial-state digest
+//	10 producer: package digest
+//	11 producer signature: signer
+//	12 producer signature: bytes
 const (
-	payloadLabel     = "refproto-payload"
-	payloadMinFields = 10
-	flagTrustedSkip  = 1 << 0
-	flagOrigin       = 1 << 1
+	payloadLabel    = "refproto-session-payload"
+	originFields    = 9
+	relayedFields   = 13
+	flagTrustedSkip = 1 << 0
 )
 
 // appendPayload appends p's canonical encoding to dst.
 func appendPayload(dst []byte, p *payload) []byte {
 	var hopBuf [8]byte
 	binary.BigEndian.PutUint64(hopBuf[:], uint64(p.Hop))
-	var flags byte
+	// An array, not a []byte{…} literal in fields: go1.24 backs such a
+	// literal with static storage there, and concurrent departures then
+	// write the same byte (go test -race finds it).
+	var flags [1]byte
 	if p.TrustedSkip {
-		flags |= flagTrustedSkip
+		flags[0] |= flagTrustedSkip
 	}
-	if p.Handoff.Origin {
-		flags |= flagOrigin
+	n := relayedFields
+	if p.Origin {
+		n = originFields
 	}
-	fields := make([][]byte, 0, payloadMinFields+2*len(p.Handoff.Sigs))
-	fields = append(fields,
+	s, pr := &p.Session, &p.Producer
+	fields := [relayedFields][]byte{
 		[]byte(payloadLabel),
 		hopBuf[:],
-		[]byte{flags},
+		flags[:],
 		p.PkgEnc,
-		[]byte(p.PkgSig.Signer),
-		p.PkgSig.Sig,
-		p.ResultDigest[:],
-		[]byte(p.ResultSig.Signer),
-		p.ResultSig.Sig,
-		p.Handoff.Digest[:],
-	)
-	for _, s := range p.Handoff.Sigs {
-		fields = append(fields, []byte(s.Signer), s.Sig)
+		s.Initial[:], s.Result[:], s.Package[:],
+		[]byte(s.Sig.Signer), s.Sig.Sig,
+		pr.Initial[:], pr.Package[:],
+		[]byte(pr.Sig.Signer), pr.Sig.Sig,
 	}
-	return canon.AppendTuple(dst, fields...)
+	return canon.AppendTuple(dst, fields[:n]...)
 }
 
 // parsePayload decodes a payload produced by appendPayload. The
@@ -237,69 +261,65 @@ func parsePayload(data []byte) (payload, error) {
 	if err != nil {
 		return p, err
 	}
-	if len(fields) < payloadMinFields || (len(fields)-payloadMinFields)%2 != 0 {
+	if len(fields) != originFields && len(fields) != relayedFields {
 		return p, fmt.Errorf("%w: payload has %d fields", canon.ErrMalformed, len(fields))
 	}
 	if string(fields[0]) != payloadLabel {
 		return p, fmt.Errorf("%w: payload label %q", canon.ErrMalformed, fields[0])
 	}
-	if len(fields[1]) != 8 || len(fields[2]) != 1 {
+	if len(fields[1]) != 8 || len(fields[2]) != 1 || fields[2][0]&^flagTrustedSkip != 0 {
 		return p, fmt.Errorf("%w: payload header", canon.ErrMalformed)
 	}
-	if len(fields[6]) != len(canon.Digest{}) || len(fields[9]) != len(canon.Digest{}) {
+	p.Hop = int(binary.BigEndian.Uint64(fields[1]))
+	p.TrustedSkip = fields[2][0]&flagTrustedSkip != 0
+	p.Origin = len(fields) == originFields
+	digest := func(i int) bool { return len(fields[i]) == len(canon.Digest{}) }
+	if !digest(4) || !digest(5) || !digest(6) || !p.Origin && (!digest(9) || !digest(10)) {
 		return p, fmt.Errorf("%w: payload digest length", canon.ErrMalformed)
 	}
-	p.Hop = int(binary.BigEndian.Uint64(fields[1]))
-	flags := fields[2][0]
-	p.TrustedSkip = flags&flagTrustedSkip != 0
-	p.Handoff.Origin = flags&flagOrigin != 0
 	if len(fields[3]) > 0 {
 		p.PkgEnc = fields[3]
 	}
-	p.PkgSig = sigcrypto.Signature{Signer: string(fields[4]), Sig: fields[5]}
-	p.ResultDigest = canon.Digest(fields[6])
-	p.ResultSig = sigcrypto.Signature{Signer: string(fields[7]), Sig: fields[8]}
-	p.Handoff.Digest = canon.Digest(fields[9])
-	for i := payloadMinFields; i < len(fields); i += 2 {
-		p.Handoff.Sigs = append(p.Handoff.Sigs, sigcrypto.Signature{
-			Signer: string(fields[i]),
-			Sig:    fields[i+1],
-		})
+	p.Session = session{
+		Initial: canon.Digest(fields[4]),
+		Result:  canon.Digest(fields[5]),
+		Package: canon.Digest(fields[6]),
+		Sig:     sigcrypto.Signature{Signer: string(fields[7]), Sig: fields[8]},
+	}
+	if !p.Origin {
+		p.Producer = session{
+			Initial: canon.Digest(fields[9]),
+			Package: canon.Digest(fields[10]),
+			Sig:     sigcrypto.Signature{Signer: string(fields[11]), Sig: fields[12]},
+		}
 	}
 	return p, nil
 }
 
-// PrepareDeparture packages the just-executed session for checking by
-// the next host.
+// PrepareDeparture signs the just-executed session — the host's one
+// signature for it — and packages it for checking by the next host.
 func (m *Mechanism) PrepareDeparture(_ context.Context, hc *core.HostContext, ag *agent.Agent, rec *host.SessionRecord) error {
-	keys := hc.Host.Keys()
-	p := payload{Hop: rec.Hop}
-
-	// Resulting-state commitment: always present; it authenticates the
-	// next session's initial state. The record's memoized digest means
-	// the resulting state is hashed once per session no matter how many
-	// mechanisms commit to it.
-	p.ResultDigest = rec.ResultingDigest()
-	func() {
-		defer m.timeCrypto()()
-		p.ResultSig = signBinding(keys, ag, "resulting", rec.Hop, p.ResultDigest)
-	}()
-
-	// Handoff for the session just executed: retrieve the pending
-	// dual-signed initial state recorded at arrival, or self-sign as
-	// origin if this host launched the agent.
+	// The producer kept at arrival; none if this host launched the
+	// agent. The record's memoized digests mean each state is hashed
+	// once per session no matter how many mechanisms commit to it.
 	m.mu.Lock()
-	h, ok := m.pending[ag.ID]
+	producer, relayed := m.pending[ag.ID]
 	delete(m.pending, ag.ID)
 	m.mu.Unlock()
-	if !ok {
-		h = handoff{Digest: rec.InitialDigest(), Origin: true}
-		func() {
-			defer m.timeCrypto()()
-			h.Sigs = []sigcrypto.Signature{signBinding(keys, ag, "initial", rec.Hop, h.Digest)}
-		}()
+	if !relayed && rec.Hop > 0 {
+		// The arrival check failed before it could vouch for a producer,
+		// and a lenient policy let the agent run on. Presenting this
+		// session as the agent's first would be false, and the next
+		// checker would blame this host for it, so the journey stops
+		// here.
+		return fmt.Errorf("refproto: session %d has no verified producer to hand on", rec.Hop)
 	}
-	p.Handoff = h
+	p := payload{
+		Hop:      rec.Hop,
+		Session:  session{Initial: rec.InitialDigest(), Result: rec.ResultingDigest()},
+		Producer: producer,
+		Origin:   !relayed,
+	}
 
 	if hc.Host.Trusted() {
 		// Optimization (§5.1): trusted sessions are not checked.
@@ -311,12 +331,9 @@ func (m *Mechanism) PrepareDeparture(_ context.Context, hc *core.HostContext, ag
 			return fmt.Errorf("refproto: %w", err)
 		}
 		p.PkgEnc = enc
-		d := pkg.Digest()
-		func() {
-			defer m.timeCrypto()()
-			p.PkgSig = signBinding(keys, ag, "package", rec.Hop, d)
-		}()
+		p.Session.Package = pkg.Digest()
 	}
+	m.sign(hc.Host.Keys(), ag, rec.Hop, &p.Session)
 
 	// Encode into a pooled buffer; SetBaggage copies, so the scratch
 	// goes straight back to the pool.
@@ -328,13 +345,20 @@ func (m *Mechanism) PrepareDeparture(_ context.Context, hc *core.HostContext, ag
 	return nil
 }
 
-// EndStay implements core.StayEnder. The handoff recorded at arrival is
-// consumed when the agent departs; where its stay ends instead — the
+// EndStay implements core.StayEnder. The producer recorded at arrival
+// is consumed when the agent departs; where its stay ends instead — the
 // journey completed here, the agent was quarantined, its session
 // failed — it is dropped, or pending would keep it for good.
 func (m *Mechanism) EndStay(_ *core.HostContext, ag *agent.Agent) {
 	m.mu.Lock()
 	delete(m.pending, ag.ID)
+	m.mu.Unlock()
+}
+
+// keep records s as the producer of the session this host runs next.
+func (m *Mechanism) keep(ag *agent.Agent, s session) {
+	m.mu.Lock()
+	m.pending[ag.ID] = s
 	m.mu.Unlock()
 }
 
@@ -374,18 +398,10 @@ func (m *Mechanism) CheckAfterSession(ctx context.Context, hc *core.HostContext,
 	}
 
 	if m.cfg.Colluding {
-		// A colluding checker vouches for whatever it received: it
-		// countersigns the arrived state and reports nothing, so its own
+		// A colluding checker vouches for whatever it received: it hands
+		// the session on as its producer and reports nothing, so its own
 		// departure package looks perfectly regular to the host after it.
-		arrived := ag.StateDigest()
-		var mySig sigcrypto.Signature
-		func() {
-			defer m.timeCrypto()()
-			mySig = signBinding(hc.Host.Keys(), ag, "initial", ag.Hop, arrived)
-		}()
-		m.mu.Lock()
-		m.pending[ag.ID] = handoff{Digest: arrived, Sigs: []sigcrypto.Signature{p.ResultSig, mySig}}
-		m.mu.Unlock()
+		m.keep(ag, p.Session)
 		return nil, nil
 	}
 	if p.Hop != ag.Hop-1 {
@@ -394,56 +410,34 @@ func (m *Mechanism) CheckAfterSession(ctx context.Context, hc *core.HostContext,
 
 	reg := hc.Host.Registry()
 
-	// 1. The resulting-state commitment must match the state that
-	// actually arrived, and be signed by the previous host. The arrival
-	// digest was seeded from the wire bytes during unmarshalling, so
-	// this is a cache read, not a rehash.
-	arrived := ag.StateDigest()
-	if arrived != p.ResultDigest {
+	// 1. The session's resulting state must be the state that actually
+	// arrived, and the previous host must have signed the session. The
+	// arrival digest was seeded from the wire bytes during
+	// unmarshalling, so this is a cache read, not a rehash.
+	if ag.StateDigest() != p.Session.Result {
 		return fail("arrived state does not match the previous host's signed resulting state")
 	}
-	var sigErr error
-	func() {
-		defer m.timeCrypto()()
-		sigErr = verifyBinding(reg, ag, "resulting", p.Hop, p.ResultDigest, p.ResultSig)
-	}()
-	if sigErr != nil {
-		return fail(fmt.Sprintf("resulting-state signature invalid: %v", sigErr))
-	}
-	if p.ResultSig.Signer != prev {
-		return fail(fmt.Sprintf("resulting state signed by %q, but session ran on %q", p.ResultSig.Signer, prev))
+	if err := m.verifySession(reg, ag, prev, &p); err != nil {
+		return fail(err.Error())
 	}
 
-	// Record the dual-signed handoff for this host's own session before
-	// any early return: the arrived state is this session's initial
-	// state, signed by the producer (prev) and countersigned by us.
-	var mySig sigcrypto.Signature
-	func() {
-		defer m.timeCrypto()()
-		mySig = signBinding(hc.Host.Keys(), ag, "initial", ag.Hop, arrived)
-	}()
-	m.mu.Lock()
-	m.pending[ag.ID] = handoff{
-		Digest: arrived,
-		Sigs:   []sigcrypto.Signature{p.ResultSig, mySig},
-	}
-	m.mu.Unlock()
+	// Keep the checked session before any early return: it produced the
+	// initial state of this host's own session.
+	m.keep(ag, p.Session)
 
 	// 2. Trusted sessions are not re-executed.
 	if p.TrustedSkip {
-		// The claim "I am trusted" must hold in the checker's own
-		// deployment: fail if the route says otherwise is not possible
-		// here (trust is configured per host); we accept the skip only
-		// for hosts the checker's platform also considers trusted. In
-		// this reproduction trust is a deployment-wide host attribute,
-		// so the signature check above suffices.
+		// The flag is the executing host's own claim, and a node knows
+		// only its own trust: a host that claims trust is taken at its
+		// word (a known gap, listed in ROADMAP). verifySession has tied
+		// the flag to a session signed without a package.
 		v.OK = true
 		v.Reason = "trusted host; session not checked"
 		return v, nil
 	}
 
-	// 3. Verify the package: signature, internal consistency, and the
-	// dual-signed initial state.
+	// 3. Verify the package against the signed session, and the
+	// producer's handoff of its initial state.
 	if p.PkgEnc == nil {
 		return fail("untrusted session carries no reference package")
 	}
@@ -455,29 +449,16 @@ func (m *Mechanism) CheckAfterSession(ctx context.Context, hc *core.HostContext,
 		return fail(fmt.Sprintf("package identifies session %d@%s, expected %d@%s",
 			pkg.Hop, pkg.HostName, p.Hop, prev))
 	}
-	pkgDigest := pkg.Digest()
-	func() {
-		defer m.timeCrypto()()
-		sigErr = verifyBinding(reg, ag, "package", p.Hop, pkgDigest, p.PkgSig)
-	}()
-	if sigErr != nil {
-		return fail(fmt.Sprintf("package signature invalid: %v", sigErr))
+	if pkg.Digest() != p.Session.Package {
+		return fail("package differs from the signed session commitment")
 	}
-	if p.PkgSig.Signer != prev {
-		return fail(fmt.Sprintf("package signed by %q, not by executing host %q", p.PkgSig.Signer, prev))
-	}
-
-	// The package's resulting state must be the one committed to us.
-	if canon.HashState(pkg.ResultingState) != p.ResultDigest {
+	if canon.HashState(pkg.ResultingState) != p.Session.Result {
 		return fail("package resulting state differs from the signed commitment")
 	}
-
-	// The package's initial state must carry the dual-signed handoff:
-	// producer + checked host (or a single origin signature).
-	if canon.HashState(pkg.InitialState) != p.Handoff.Digest {
-		return fail("package initial state differs from the dual-signed handoff")
+	if canon.HashState(pkg.InitialState) != p.Session.Initial {
+		return fail("package initial state differs from the signed commitment")
 	}
-	if err := m.verifyHandoff(hc, ag, p.Hop, prev, p.Handoff); err != nil {
+	if err := m.verifyHandoff(reg, ag, &p); err != nil {
 		return fail(fmt.Sprintf("initial-state handoff invalid: %v", err))
 	}
 
@@ -503,6 +484,43 @@ func (m *Mechanism) CheckAfterSession(ctx context.Context, hc *core.HostContext,
 	}
 	v.OK = true
 	return v, nil
+}
+
+// verifySession checks the checked host's signature over its session,
+// and that a session marked trusted was signed without a package: the
+// flag itself is covered by no signature.
+func (m *Mechanism) verifySession(reg *sigcrypto.Registry, ag *agent.Agent, checkedHost string, p *payload) error {
+	if err := m.verify(reg, ag, p.Hop, &p.Session); err != nil {
+		return fmt.Errorf("session signature invalid: %v", err)
+	}
+	if p.Session.Sig.Signer != checkedHost {
+		return fmt.Errorf("session signed by %q, but session ran on %q", p.Session.Sig.Signer, checkedHost)
+	}
+	if p.TrustedSkip && p.Session.Package != (canon.Digest{}) {
+		return errors.New("session marked trusted, but its signed commitment names a reference package")
+	}
+	return nil
+}
+
+// verifyHandoff checks the producer's side of the checked session's
+// initial state: the session before it, signed at its own hop, resulted
+// in exactly that state. The agent's first session, and only that one,
+// has no producer; the checked host's own session signature covers it.
+func (m *Mechanism) verifyHandoff(reg *sigcrypto.Registry, ag *agent.Agent, p *payload) error {
+	switch {
+	case p.Origin && p.Hop != 0:
+		return fmt.Errorf("origin handoff for session %d", p.Hop)
+	case p.Origin:
+		return nil
+	case p.Hop == 0:
+		return errors.New("producer handoff for session 0")
+	}
+	producer := p.Producer
+	producer.Result = p.Session.Initial
+	if err := m.verify(reg, ag, p.Hop-1, &producer); err != nil {
+		return fmt.Errorf("producer signature by %q: %v", producer.Sig.Signer, err)
+	}
+	return nil
 }
 
 // reexecute replays the packaged session (host.Replay) and compares
@@ -551,56 +569,4 @@ func (m *Mechanism) reexecute(ag *agent.Agent, pkg *core.ReferencePackage) ([]st
 		}
 	}
 	return evidence, nil
-}
-
-// verifyHandoff checks the dual signature on the checked session's
-// initial state.
-func (m *Mechanism) verifyHandoff(hc *core.HostContext, ag *agent.Agent, hop int, checkedHost string, h handoff) error {
-	reg := hc.Host.Registry()
-	defer m.timeCrypto()()
-	if h.Origin {
-		if len(h.Sigs) != 1 {
-			return fmt.Errorf("origin handoff carries %d signatures, want 1", len(h.Sigs))
-		}
-		if h.Sigs[0].Signer != checkedHost {
-			return fmt.Errorf("origin handoff signed by %q, want launching host %q", h.Sigs[0].Signer, checkedHost)
-		}
-		return verifyBinding(reg, ag, "initial", hop, h.Digest, h.Sigs[0])
-	}
-	if len(h.Sigs) < 2 {
-		return fmt.Errorf("handoff carries %d signatures, want producer and receiver", len(h.Sigs))
-	}
-	receiverSigned := false
-	for _, sig := range h.Sigs {
-		// The checked host countersigned the digest as its "initial"
-		// state; the producer signed the same digest as the *previous*
-		// hop's "resulting" state. Each signature is tried under its
-		// signer's binding first and the other one second, so the
-		// accepted set is that of trying both in either order.
-		receiver := sig.Signer == checkedHost
-		first, second := "resulting", "initial"
-		if receiver {
-			first, second = second, first
-		}
-		if err := verifyRole(reg, ag, first, hop, h.Digest, sig); err != nil {
-			if verifyRole(reg, ag, second, hop, h.Digest, sig) != nil {
-				return fmt.Errorf("signature by %q invalid under both bindings: %v", sig.Signer, err)
-			}
-		}
-		receiverSigned = receiverSigned || receiver
-	}
-	if !receiverSigned {
-		return fmt.Errorf("checked host %q did not countersign its initial state", checkedHost)
-	}
-	return nil
-}
-
-// verifyRole verifies a handoff signature over the checked session's
-// initial-state digest under one of its two bindings: "initial" at the
-// checked hop, or "resulting" at the hop before it.
-func verifyRole(reg *sigcrypto.Registry, ag *agent.Agent, role string, hop int, d canon.Digest, sig sigcrypto.Signature) error {
-	if role == "resulting" {
-		hop--
-	}
-	return verifyBinding(reg, ag, role, hop, d, sig)
 }

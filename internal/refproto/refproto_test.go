@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/host"
 	"repro/internal/platformtest"
+	"repro/internal/policy"
 	"repro/internal/refproto"
 	"repro/internal/stopwatch"
 	"repro/internal/transport"
@@ -254,17 +255,18 @@ func TestRecordLieDetected(t *testing.T) {
 	}
 }
 
-func TestBaggageStrippingDetected(t *testing.T) {
-	// A man-in-the-middle (or the forwarding host itself) discards the
-	// protocol baggage between shop1 and shop2.
+// interceptBed wires the buildBed route with refproto on every node, and
+// mutate applied to the agent on its way to shop2. newPolicy builds
+// each node's verdict policy; nil quarantines on every failed check.
+func interceptBed(t *testing.T, mutate func(*agent.Agent) error, newPolicy func() core.VerdictPolicy) *platformtest.Bed {
+	t.Helper()
 	bed := platformtest.New(t)
-	strip := attack.StripBaggage(refproto.MechanismName)
 	bed.WrapNet(func(n transport.Network) transport.Network {
 		return &attack.InterceptNetwork{
 			Inner: n,
 			MutateAgent: func(dest string, ag *agent.Agent) error {
 				if dest == "shop2" {
-					return strip(dest, ag)
+					return mutate(ag)
 				}
 				return nil
 			},
@@ -273,7 +275,7 @@ func TestBaggageStrippingDetected(t *testing.T) {
 	prices := map[string]int64{"shop1": 120, "shop2": 80}
 	for _, name := range []string{"home", "shop1", "shop2", "home2"} {
 		name := name
-		bed.AddHost(name, platformtest.HostOptions{
+		opts := platformtest.HostOptions{
 			Trusted: strings.HasPrefix(name, "home"),
 			Mechanisms: func() []core.Mechanism {
 				return []core.Mechanism{refproto.New(refproto.Config{})}
@@ -283,8 +285,36 @@ func TestBaggageStrippingDetected(t *testing.T) {
 					c.Resources = map[string]value.Value{"price": value.Int(p)}
 				}
 			},
-		})
+		}
+		if newPolicy != nil {
+			opts.Policy = newPolicy()
+		}
+		bed.AddHost(name, opts)
 	}
+	return bed
+}
+
+// stripBaggage discards the protocol baggage, as a man-in-the-middle
+// (or the forwarding host itself) would.
+func stripBaggage(ag *agent.Agent) error {
+	return attack.StripBaggage(refproto.MechanismName)("shop2", ag)
+}
+
+// tamperState rewrites the state in transit: the arrived state no
+// longer matches the previous host's signed resulting state.
+func tamperState(ag *agent.Agent) error {
+	return attack.TamperStateInFlight("best", value.Int(1))("shop2", ag)
+}
+
+// replayBaggage delivers an agent whose baggage is for the session
+// before the one its position says: the hop is bumped in flight.
+func replayBaggage(ag *agent.Agent) error {
+	ag.Hop++
+	return nil
+}
+
+func TestBaggageStrippingDetected(t *testing.T) {
+	bed := interceptBed(t, stripBaggage, nil)
 	err := launch(t, bed)
 	if !errors.Is(err, core.ErrDetection) {
 		t.Fatalf("err = %v, want ErrDetection", err)
@@ -295,37 +325,40 @@ func TestBaggageStrippingDetected(t *testing.T) {
 	}
 }
 
-func TestInFlightStateTamperingDetected(t *testing.T) {
-	// The state is rewritten in transit: the arrived state no longer
-	// matches the previous host's signed resulting-state commitment.
-	bed := platformtest.New(t)
-	tamper := attack.TamperStateInFlight("best", value.Int(1))
-	bed.WrapNet(func(n transport.Network) transport.Network {
-		return &attack.InterceptNetwork{
-			Inner: n,
-			MutateAgent: func(dest string, ag *agent.Agent) error {
-				if dest == "shop2" {
-					return tamper(dest, ag)
-				}
-				return nil
-			},
-		}
-	})
-	prices := map[string]int64{"shop1": 120, "shop2": 80}
-	for _, name := range []string{"home", "shop1", "shop2", "home2"} {
-		name := name
-		bed.AddHost(name, platformtest.HostOptions{
-			Trusted: strings.HasPrefix(name, "home"),
-			Mechanisms: func() []core.Mechanism {
-				return []core.Mechanism{refproto.New(refproto.Config{})}
-			},
-			Configure: func(c *host.Config) {
-				if p, ok := prices[name]; ok {
-					c.Resources = map[string]value.Value{"price": value.Int(p)}
-				}
-			},
+// TestEarlyCheckFailureBlamesNoSuccessor: when shop2's check of shop1
+// fails before it can vouch for shop1's session, and a policy that
+// flags a first offence lets the agent run on, shop2 holds no producer
+// for its own session. It must not present that session as the agent's
+// first, which home2 would blame on shop2; the journey stops at shop2's
+// departure instead, and shop1 stays the only suspect.
+func TestEarlyCheckFailureBlamesNoSuccessor(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*agent.Agent) error
+		reason string
+	}{
+		{"stripped", stripBaggage, "without protocol baggage"},
+		{"tampered", tamperState, "signed resulting state"},
+		{"replayed", replayBaggage, "replayed?"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bed := interceptBed(t, tc.mutate, func() core.VerdictPolicy {
+				return policy.NewReputation(policy.ReputationConfig{})
+			})
+			err := launch(t, bed)
+			failed := bed.FailedVerdicts()
+			if len(failed) != 1 || failed[0].Suspect != "shop1" || !strings.Contains(failed[0].Reason, tc.reason) {
+				t.Errorf("failed verdicts = %v, want shop2's one verdict against shop1", failed)
+			}
+			if err == nil || errors.Is(err, core.ErrDetection) || !strings.Contains(err.Error(), "no verified producer") {
+				t.Errorf("err = %v, want shop2's departure to stop the journey", err)
+			}
 		})
 	}
+}
+
+func TestInFlightStateTamperingDetected(t *testing.T) {
+	bed := interceptBed(t, tamperState, nil)
 	err := launch(t, bed)
 	if !errors.Is(err, core.ErrDetection) {
 		t.Fatalf("err = %v, want ErrDetection", err)
@@ -363,35 +396,7 @@ func TestConsecutiveCollusionNotDetected(t *testing.T) {
 }
 
 func TestReplayedBaggageDetected(t *testing.T) {
-	// Replay: deliver an agent whose baggage hop index does not match
-	// its position. Simulated by bumping the hop in flight.
-	bed := platformtest.New(t)
-	bed.WrapNet(func(n transport.Network) transport.Network {
-		return &attack.InterceptNetwork{
-			Inner: n,
-			MutateAgent: func(dest string, ag *agent.Agent) error {
-				if dest == "shop2" {
-					ag.Hop++ // baggage now belongs to hop-1, not hop
-				}
-				return nil
-			},
-		}
-	})
-	prices := map[string]int64{"shop1": 120, "shop2": 80}
-	for _, name := range []string{"home", "shop1", "shop2", "home2"} {
-		name := name
-		bed.AddHost(name, platformtest.HostOptions{
-			Trusted: strings.HasPrefix(name, "home"),
-			Mechanisms: func() []core.Mechanism {
-				return []core.Mechanism{refproto.New(refproto.Config{})}
-			},
-			Configure: func(c *host.Config) {
-				if p, ok := prices[name]; ok {
-					c.Resources = map[string]value.Value{"price": value.Int(p)}
-				}
-			},
-		})
-	}
+	bed := interceptBed(t, replayBaggage, nil)
 	err := launch(t, bed)
 	if !errors.Is(err, core.ErrDetection) {
 		t.Fatalf("err = %v, want ErrDetection", err)

@@ -25,7 +25,7 @@ func TestHandoffEndsWithTheStay(t *testing.T) {
 	}{{"completed", false}, {"quarantined", true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx := context.Background()
-			bed := newHopBed(t, 2)
+			bed := newHopBed(t, bedConfig{vars: 2})
 			if tc.lie {
 				bed.rec.Input = append(bed.rec.Input, agentlang.InputRecord{
 					Call: "read", Args: []value.Value{value.Str("k")}, Result: value.Int(1)})
