@@ -56,7 +56,6 @@ var reachAllow = map[string]string{
 	"host.Config.MailboxLimit":              "test seam: host.TestMailboxBounded shrinks the mailbox",
 	"host.DefaultMailboxLimit":              "test seam: host.TestMailbox; no main delivers to a mailbox",
 	"host.Host.Deliver":                     "test seam: host.TestMailbox; no main delivers to a mailbox",
-	"host.Host.Traces":                      "test seam: host.TestTraceRecording",
 	"planner.Executor.Backoff":              "test seam: planner.TestScenarioFlashCrowd shortens the spillover wait",
 	"platformtest":                          "test seam: core.TestConcurrentItinerariesE2E and the mechanism packages' tests build their beds with it",
 	"policy.Exchange.Scheduler":             "test seam: policy.TestExchangeUpdatePeers",
@@ -72,8 +71,6 @@ var reachAllow = map[string]string{
 	"shardstore.PersistConfig.CompactEvery": "test seam: shardstore.TestPersistentStoreAutoCompacts shrinks the compaction interval",
 	"stopwatch.PhaseTimer.Phases":           "test seam: stopwatch.TestResetAndPhases",
 	"testutil":                              "test seam: fleet.TestSameResultOnEveryFabric and the other tests that check for leaked goroutines and descriptors",
-	"trace.Store.Get":                       "test seam: host.TestTraceRecording",
-	"trace.Store.Len":                       "test seam: host.TestTraceRecording",
 	"transport.InProc.Hosts":                "test seam: transport.TestInProcHostsSorted",
 	"transport.Server.ConnCount":            "test seam: transport.TestTCPConnectionReuse",
 }

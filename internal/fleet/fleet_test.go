@@ -205,8 +205,8 @@ func (s traceSpy) TamperRecord(rec *host.SessionRecord) {
 }
 
 // TestRecordTraceDerivedFromMechanisms pins the derivation: hosts
-// record (and retain) a statement trace iff an assembled mechanism
-// requests the execution log. In particular not at LevelFull, the
+// record a statement trace iff an assembled mechanism requests the
+// execution log. In particular not at LevelFull, the
 // agenthost default, which used to record every session for no reader.
 func TestRecordTraceDerivedFromMechanisms(t *testing.T) {
 	cases := []struct {
@@ -238,15 +238,8 @@ func TestRecordTraceDerivedFromMechanisms(t *testing.T) {
 				}
 			}
 			itinerary(t, testCtx(t), f, "t", "w")
-			retained := 0
-			for _, m := range f.Members() {
-				retained += m.Host.Traces().Len()
-			}
 			if got := entries.Load() > 0; got != tc.wants {
 				t.Errorf("sessions recorded %d trace entries, want recording = %v", entries.Load(), tc.wants)
-			}
-			if got := retained > 0; got != tc.wants {
-				t.Errorf("hosts retain %d traces, want retention = %v", retained, tc.wants)
 			}
 		})
 	}

@@ -3,12 +3,15 @@
 // it input, and produces the resulting state (paper §2.1, Fig. 1).
 //
 // A Host owns a signing identity, a trust classification, a resource
-// store (its "database"), a per-agent mailbox, and a trace store. It
-// knows nothing about protection mechanisms; those are layered on top by
-// package core, which invokes hosts through the session API defined
-// here. Malicious behaviour is injected through the Behavior hook so
-// that the attack library can corrupt executions without the platform
-// code carrying attack logic.
+// store (its "database") and a per-agent mailbox. With RecordTrace a
+// session returns its execution trace in the SessionRecord and the host
+// keeps no copy: a mechanism that needs traces for later audit (vigna,
+// proof) retains what it needs itself. A Host knows nothing about
+// protection mechanisms; those are layered on top by package core,
+// which invokes hosts through the session API defined here. Malicious
+// behaviour is injected through the Behavior hook so that the attack
+// library can corrupt executions without the platform code carrying
+// attack logic.
 package host
 
 import (
@@ -95,8 +98,7 @@ type Config struct {
 // distinct agents never serialize on one mutex; mu guards only the
 // host-global clock and rand state.
 type Host struct {
-	cfg    Config
-	traces *trace.Store
+	cfg Config
 	// mailbox queues undelivered messages per agent (recv()); each
 	// queue is bounded by Config.MailboxLimit.
 	mailbox *shardstore.Store[[]value.Value]
@@ -149,7 +151,6 @@ func New(cfg Config) (*Host, error) {
 	}
 	return &Host{
 		cfg:     cfg,
-		traces:  trace.NewStore(),
 		mailbox: shardstore.New[[]value.Value](shardstore.Config[[]value.Value]{}),
 		actions: shardstore.New[[]ActionRecord](shardstore.Config[[]ActionRecord]{}),
 		randSt:  seed,
@@ -167,9 +168,6 @@ func (h *Host) Keys() *sigcrypto.KeyPair { return h.cfg.Keys }
 
 // Registry returns the shared principal registry.
 func (h *Host) Registry() *sigcrypto.Registry { return h.cfg.Registry }
-
-// Traces returns the host's retained trace store.
-func (h *Host) Traces() *trace.Store { return h.traces }
 
 // Deliver queues a message for an agent; the agent receives it via
 // recv(). The per-agent mailbox is bounded (Config.MailboxLimit):
@@ -358,7 +356,6 @@ func (h *Host) RunSession(ctx context.Context, ag *agent.Agent, opts SessionOpti
 	rec.Resulting = ag.State.Snapshot()
 	if tracer != nil {
 		rec.Trace = tracer.Take()
-		h.traces.Put(ag.ID, ag.Hop, rec.Trace)
 	}
 	rec.Outputs = h.Actions(ag.ID)
 

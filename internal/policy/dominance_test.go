@@ -143,14 +143,25 @@ func (bed *domBed) randomBag(rng *rand.Rand) (bag []GossipEntry, forged []bool) 
 	return bag, forged
 }
 
-// referenceVerified is the filter before dominance: every admissible
+// referenceAdmits is the admission rule, the same at both copies: the
+// structural checks of admissible, then the ledger's reading of the
+// claim (claimed), which refuses a suspicion that is not finite and
+// positive and a date more than one extract cell past the clock.
+func referenceAdmits(n *exNode, e *GossipEntry) (curve, bool) {
+	if !admissible(e, n.name) {
+		return curve{}, false
+	}
+	return n.led.claim(e.Suspicion, e.AtUnixNano, n.led.now())
+}
+
+// referenceVerified is the filter before dominance: every admitted
 // entry that wanted accepts (all with wanted nil) is checked, and the
 // ones that verify are kept in input order.
 func referenceVerified(n *exNode, entries []GossipEntry, wanted func(*GossipEntry) bool) []GossipEntry {
 	var out []GossipEntry
 	for i := range entries {
 		e := &entries[i]
-		if !admissible(e, n.name) || (wanted != nil && !wanted(e)) {
+		if _, ok := referenceAdmits(n, e); !ok || (wanted != nil && !wanted(e)) {
 			continue
 		}
 		if n.hc.Host.Registry().VerifyDigest(e.bindingDigest(), e.Sig) == nil {
@@ -163,12 +174,16 @@ func referenceVerified(n *exNode, entries []GossipEntry, wanted func(*GossipEntr
 // referenceArrive is the reference's ingestion: verify what would
 // raise a record, merge it, and return what it checked.
 func referenceArrive(n *exNode, entries []GossipEntry) (checked int) {
+	raises := func(e *GossipEntry) bool {
+		c, ok := referenceAdmits(n, e)
+		return ok && n.led.adoptable(e.Host, c, n.led.now())
+	}
 	for i := range entries {
-		if admissible(&entries[i], n.name) && n.g.raises(&entries[i]) {
+		if raises(&entries[i]) {
 			checked++
 		}
 	}
-	n.g.merge(referenceVerified(n, entries, n.g.raises))
+	n.g.merge(referenceVerified(n, entries, raises))
 	return checked
 }
 
@@ -224,6 +239,7 @@ func (bed *domBed) hop(t testing.TB, bag []GossipEntry, terminal bool) {
 		if !verifies(e) {
 			t.Fatalf("the node merged an entry that does not verify: %+v", e)
 		}
+		bed.notAhead(t, "the node merged", e)
 	}
 	bed.refChecks += referenceArrive(ref.node, bag)
 	bed.sameLedgers(t, "node after arrival", mech.node.led, ref.node.led)
@@ -234,7 +250,7 @@ func (bed *domBed) hop(t testing.TB, bag []GossipEntry, terminal bool) {
 	carried := departTo(t, mech.node, mech.recv.name, bag)
 	want := referenceDepart(ref.node, bag)
 	for i := range bag {
-		if admissible(&bag[i], ref.node.name) {
+		if _, ok := referenceAdmits(ref.node, &bag[i]); ok {
 			bed.refChecks++
 		}
 	}
@@ -245,6 +261,7 @@ func (bed *domBed) hop(t testing.TB, bag []GossipEntry, terminal bool) {
 		if !verifies(e) {
 			t.Fatalf("an entry that does not verify was carried: %+v", e)
 		}
+		bed.notAhead(t, "carried", e)
 		if !slices.ContainsFunc(want, func(w GossipEntry) bool { return sameEntry(e, w) }) {
 			t.Fatalf("carried an entry the reference does not: %+v", e)
 		}
@@ -264,9 +281,29 @@ func (bed *domBed) hop(t testing.TB, bag []GossipEntry, terminal bool) {
 		if !verifies(e) {
 			t.Fatalf("the receiver merged an entry that does not verify: %+v", e)
 		}
+		bed.notAhead(t, "the receiver merged", e)
 	}
 	bed.refChecks += referenceArrive(ref.recv, want)
 	bed.sameLedgers(t, "receiver", mech.recv.led, ref.recv.led)
+}
+
+// notAhead fails when e is dated more than a 64th of the half-life past
+// the bed's clock, with decay on.
+func (bed *domBed) notAhead(t testing.TB, what string, e GossipEntry) {
+	t.Helper()
+	if ahead := time.Unix(0, e.AtUnixNano).Sub(bed.now()); bed.halfLife > 0 && ahead > bed.halfLife/64 {
+		t.Fatalf("%s a claim dated %v ahead, past the allowance of %v: %+v", what, ahead, bed.halfLife/64, e)
+	}
+}
+
+// claimValue is what ledger l merges claim e to at time at; 0 when it
+// refuses the claim.
+func claimValue(l *Ledger, e GossipEntry, at time.Time) float64 {
+	c, ok := l.claim(e.Suspicion, e.AtUnixNano, at.UnixNano())
+	if !ok {
+		return 0
+	}
+	return c.value(at.UnixNano()) * gossipDamping
 }
 
 // outweighs reports whether a receiver on the bed's clock, from now on,
@@ -284,7 +321,7 @@ func (bed *domBed) outweighs(e, w GossipEntry) bool {
 		if at.Before(now) {
 			continue
 		}
-		if l.claimValue(e.Host, e.Suspicion, eAt, at) < l.claimValue(w.Host, w.Suspicion, wAt, at)*(1-mergeSlack) {
+		if claimValue(l, e, at) < claimValue(l, w, at)*(1-mergeSlack) {
 			return false
 		}
 	}
@@ -385,7 +422,9 @@ func relayBed(t *testing.T) (node, oa, ob *exNode, bag []GossipEntry, now func()
 	node, oa, ob = nodes[0], nodes[1], nodes[2]
 	a := signedBy(oa.hc, "x", 4, now().Add(-time.Minute))
 	b := signedBy(ob.hc, "x", gossipDamping*4, now().Add(-time.Minute+time.Second))
-	if !node.g.dominates(&a, &b, now().UnixNano()) {
+	ca, _ := node.led.claim(a.Suspicion, a.AtUnixNano, now().UnixNano())
+	cb, _ := node.led.claim(b.Suspicion, b.AtUnixNano, now().UnixNano())
+	if !ca.outweighs(cb) {
 		t.Fatal("a does not dominate b: the bed no longer tests what it means to")
 	}
 	return node, oa, ob, []GossipEntry{a, b}, now
@@ -427,7 +466,7 @@ func TestNextHopHearsRelaysOfItsOwnClaims(t *testing.T) {
 	}
 	oa.g.mergeVerified(oa.hc.Host.Registry(), oa.name, got)
 	b := bag[1]
-	if got, want := oa.led.Suspicion("x"), oa.led.claimValue("x", b.Suspicion, time.Unix(0, b.AtUnixNano), now()); got != want {
+	if got, want := oa.led.Suspicion("x"), claimValue(oa.led, b, now()); got != want {
 		t.Fatalf("oa reads x at %v, want b's %v", got, want)
 	}
 }
@@ -541,8 +580,31 @@ func FuzzGossipFilter(f *testing.F) {
 		bed := newDomBed(t, halfLife, 4, 3)
 		bed.observe("h0", 3)
 		bed.observe("h1", 2*maxMergeSuspicion)
-		bed.hop(t, bed.fuzzBag(decoded), false)
+		bag := bed.fuzzBag(decoded)
+		bed.strengthOrders(t, bag)
+		bed.hop(t, bag, false)
 	})
+}
+
+// strengthOrders fails when strength ranks an admitted claim of bag
+// below one it outweighs. The margin is rounding: log2 v + at/h sums
+// terms near 1.5e4 here, a few 1e-12 apart in the last bit, and two
+// claims that close may be picked in either order, which keeps both.
+func (bed *domBed) strengthOrders(t testing.TB, bag []GossipEntry) {
+	t.Helper()
+	var claims []curve
+	for i := range bag {
+		if c, ok := referenceAdmits(bed.mech.node, &bag[i]); ok {
+			claims = append(claims, c)
+		}
+	}
+	for _, a := range claims {
+		for _, b := range claims {
+			if a.outweighs(b) && a.strength() < b.strength()-1e-9 {
+				t.Fatalf("%+v outweighs %+v but ranks below it: strength %v < %v", a, b, a.strength(), b.strength())
+			}
+		}
+	}
 }
 
 func btoi(b bool) int {
@@ -550,4 +612,33 @@ func btoi(b bool) int {
 		return 1
 	}
 	return 0
+}
+
+// TestAheadClaimDominatesNothing pins the date rule of dominance: a
+// claim dated ahead of the departing node's clock, though inside the
+// allowance, outweighs a claim with a sound date and still does not
+// displace it. A receiver whose clock lags the node's by a little more
+// than the rest of the allowance refuses the dated-ahead claim, and
+// reads x from the other.
+func TestAheadClaimDominatesNothing(t *testing.T) {
+	clock, now := testClock(time.Unix(9_800_000, 0))
+	nodes := newClockedBed(t, DefaultHalfLife, now, "node", "oa", "ob", "recv")
+	node, oa, ob, recv := nodes[0], nodes[1], nodes[2], nodes[3]
+	cell := time.Duration(curve{h: int64(DefaultHalfLife)}.cell())
+	ahead := signedBy(oa.hc, "x", 4, now().Add(cell/2))
+	sound := signedBy(ob.hc, "x", 3, now().Add(-time.Second))
+	ca, _ := node.led.claim(ahead.Suspicion, ahead.AtUnixNano, now().UnixNano())
+	cs, _ := node.led.claim(sound.Suspicion, sound.AtUnixNano, now().UnixNano())
+	if !ca.outweighs(cs) {
+		t.Fatal("the dated-ahead claim does not outweigh the other: the test no longer tests the date rule")
+	}
+	carried := departTo(t, node, recv.name, []GossipEntry{ahead, sound})
+	if !slices.ContainsFunc(carried, func(e GossipEntry) bool { return sameEntry(e, sound) }) {
+		t.Fatalf("carried %+v: the claim dated ahead displaced the one with a sound date", carried)
+	}
+	*clock = now().Add(-cell/2 - time.Second)
+	recv.g.mergeVerified(recv.hc.Host.Registry(), recv.name, carried)
+	if got, want := recv.led.Suspicion("x"), claimValue(recv.led, sound, now()); got != want {
+		t.Fatalf("the lagging receiver reads x at %v, want the sound claim's %v", got, want)
+	}
 }

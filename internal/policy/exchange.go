@@ -526,11 +526,15 @@ func (m *Gossip) HandleCall(_ context.Context, hc *core.HostContext, method stri
 	}
 	self := hc.Host.Name()
 	m.mergeVerified(hc.Host.Registry(), self, pushed)
+	now := m.ledger.now()
 	delta := m.extracts(m.ledger.rows(), self, hc.Host.Keys(), budget, func(rep core.HostReputation) bool {
+		// Useless to send: the initiator reads our extract as at most
+		// our record now, clamped and damped, and that could not raise
+		// what it already has.
 		have, known := summary[rep.Host]
-		// Useless to send: after damping the initiator's merge could
-		// not raise what it already has.
-		return known && rep.Suspicion*gossipDamping <= have+1e-9
+		c, _ := m.ledger.claim(rep.Suspicion, now, now)
+		_, raises := c.adopt(have, now)
+		return known && !raises
 	})
 	m.exMu.Lock()
 	m.offersServed++

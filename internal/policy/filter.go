@@ -3,18 +3,18 @@ package policy
 import (
 	"cmp"
 	"crypto/sha256"
-	"math"
 	"slices"
 	"strings"
 
 	"repro/internal/sigcrypto"
 )
 
-// The gossip filter: the structural checks of admissible, then each
-// signature under the observer's registered key, through the verify
-// memo, in one VerifyBatch. Arrival checks every admissible entry that
-// could raise a record (Gossip.verified); departure also leaves out
-// what the bag it builds makes redundant (claimFilter.run).
+// The gossip filter: the structural checks of admissible and the
+// ledger's admission of the claim (claimed), then each signature under
+// the observer's registered key, through the verify memo, in one
+// VerifyBatch. Arrival checks every admitted entry that could raise a
+// record (Gossip.verified); departure also leaves out what the bag it
+// builds makes redundant (claimFilter.run).
 //
 // Most of what a bag carries about a host adds nothing to what another
 // entry of the same bag already says: a relay (an observer re-signing,
@@ -23,14 +23,16 @@ import (
 // restates, damped, the claim that raised it. At departure such an
 // entry is neither checked, signed nor carried.
 //
-// A claim a dominates a claim b when a is about the same host, is not
-// dated ahead of the judging node's clock, and, read at b's time, is
-// worth at least b: c(a)·2^(−max(0, b.At − a.At)/h) ≥ c(b), with c a
-// claim clamped to maxMergeSuspicion and h the ledger half-life (c(a) ≥
-// c(b) with decay off). A receiver reads a claim as c·2^(−(t − At)/h)
-// at its time t, and a claim dated ahead of t as c, so for every t,
-// whatever the receiver's clock, a reads at least what b does, and
-// max-merge makes b redundant. The receiver's merge rule is untouched.
+// Every claim is a point of a decay curve (curve.go), clamped to the
+// merge cap, and a receiver merges the curve read at its time. A claim a
+// dominates a claim b when a is about the same host, is not dated after
+// the judging node's clock, and outweighs b: read at every time, a says
+// at least what b does, whatever the receiver's clock, and max-merge
+// makes b redundant. The date rule keeps the dominator admissible at
+// every receiver whose clock lags this one by less than the allowance
+// (curve.cell): a claim dated ahead, inside the allowance here, could be
+// refused further on and take the claims it displaced with it. The
+// receiver's merge rule is untouched.
 //
 // That presumes the receiver merges a. A receiver drops the claims it
 // observed itself (admissible), so a claim whose observer is the agent's
@@ -44,32 +46,6 @@ import (
 // bag made redundant, so arrival would find little to leave out (under
 // 1 % of its checks on the yardstick's workloads), and leaving it out
 // would change how many raises a ledger counts.
-
-// dominates reports whether claim a, judged at now, makes claim b
-// redundant.
-func (m *Gossip) dominates(a, b *GossipEntry, now int64) bool {
-	if a.Host != b.Host || a.AtUnixNano > now {
-		return false
-	}
-	ca := min(a.Suspicion, maxMergeSuspicion)
-	if h := m.ledger.cfg.HalfLife; h > 0 && b.AtUnixNano > a.AtUnixNano {
-		// The difference of two int64s fits a uint64 exactly.
-		ca *= math.Exp2(-float64(uint64(b.AtUnixNano)-uint64(a.AtUnixNano)) / float64(h))
-	}
-	return ca >= min(b.Suspicion, maxMergeSuspicion)
-}
-
-// strength orders claims consistently with dominance: log2 c + At/h
-// (log2 c with decay off) is never lower for a claim than for a claim
-// it dominates. Rounding can misorder two claims of nearly equal
-// strength, which at worst keeps both.
-func (m *Gossip) strength(e *GossipEntry) float64 {
-	s := math.Log2(min(e.Suspicion, maxMergeSuspicion))
-	if h := m.ledger.cfg.HalfLife; h > 0 {
-		s += float64(e.AtUnixNano) / float64(h)
-	}
-	return s
-}
 
 // bagOrder is the order of a departing bag, whose head the
 // maxGossipEntries cap keeps: most suspect first, then by host and
@@ -101,9 +77,10 @@ const (
 	shadowed       // a newer entry of its (observer, host) pair heads it
 )
 
-// candidate is one admissible claim before the filter.
+// candidate is one admitted claim before the filter.
 type candidate struct {
 	e     *GossipEntry
+	c     curve
 	own   bool
 	state checkState
 
@@ -150,18 +127,24 @@ type claimFilter struct {
 	acc []int
 }
 
-// newFilter lines up the admissible claims among entries that wanted
+// newFilter lines up the admitted claims among entries that wanted
 // accepts (all of them when wanted is nil), after own: this node's own
 // unsigned claims, valid without a check.
-func (m *Gossip) newFilter(self string, own, entries []GossipEntry, wanted func(*GossipEntry) bool) *claimFilter {
-	f := &claimFilter{m: m, now: m.now().UnixNano()}
+func (m *Gossip) newFilter(self string, own, entries []GossipEntry, wanted func(host string, c curve, now int64) bool) *claimFilter {
+	f := &claimFilter{m: m, now: m.ledger.now()}
 	f.cand = make([]candidate, 0, len(own)+len(entries))
 	for i := range own {
-		f.cand = append(f.cand, candidate{e: &own[i], own: true, state: valid})
+		if c, ok := m.ledger.claim(own[i].Suspicion, own[i].AtUnixNano, f.now); ok {
+			f.cand = append(f.cand, candidate{e: &own[i], c: c, own: true, state: valid})
+		}
 	}
 	for i := range entries {
-		if e := &entries[i]; admissible(e, self) && (wanted == nil || wanted(e)) {
-			f.cand = append(f.cand, candidate{e: e})
+		e := &entries[i]
+		if !admissible(e, self) {
+			continue
+		}
+		if c, ok := m.ledger.claim(e.Suspicion, e.AtUnixNano, f.now); ok && (wanted == nil || wanted(e.Host, c, f.now)) {
+			f.cand = append(f.cand, candidate{e: e, c: c})
 		}
 	}
 	return f
@@ -224,7 +207,7 @@ func (f *claimFilter) lineUp() {
 	idx := make([]int, len(f.cand))
 	for i := range f.cand {
 		idx[i] = i
-		f.cand[i].strength = f.m.strength(f.cand[i].e)
+		f.cand[i].strength = f.cand[i].c.strength()
 		f.cand[i].group = -1
 	}
 	f.strongest = slices.Clone(idx)
@@ -280,7 +263,7 @@ func (f *claimFilter) pick() {
 		if c.state == invalid {
 			continue
 		}
-		if d := f.dominator(c.e); d >= 0 {
+		if d := f.dominator(c); d >= 0 {
 			c.mark = dominated
 			f.cand[d].rank = min(f.cand[d].rank, c.order)
 			continue
@@ -294,11 +277,12 @@ func (f *claimFilter) pick() {
 	}
 }
 
-// dominator returns the first claim accepted so far that dominates e,
+// dominator returns the first claim accepted so far that dominates c,
 // or -1. A claim the next hop observed dominates nothing.
-func (f *claimFilter) dominator(e *GossipEntry) int {
+func (f *claimFilter) dominator(c *candidate) int {
 	for _, j := range f.acc {
-		if a := f.cand[j].e; a.Observer != f.next && f.m.dominates(a, e, f.now) {
+		a := &f.cand[j]
+		if a.e.Host == c.e.Host && a.e.Observer != f.next && a.c.at <= f.now && a.c.outweighs(c.c) {
 			return j
 		}
 	}

@@ -54,13 +54,15 @@ type GossipEntry struct {
 	Observer  string
 	Host      string
 	Suspicion float64
-	// AtUnixNano is the observation time; receivers decay from it. For
-	// an extract of the observer's own ledger, (Suspicion, AtUnixNano) is
-	// a point on the record's decay curve no later than the moment of
-	// signing: the point of its last raise, or, while that point is above
-	// the merge cap, the later of it and the start of the current grid
-	// cell (see claimPoint). Above the cap the claim therefore says "the
-	// record was at least Suspicion at AtUnixNano".
+	// AtUnixNano is the observation time; receivers decay from it, and
+	// refuse a claim dated more than one extract cell past their clock
+	// (claimed). For an extract of the observer's own ledger,
+	// (Suspicion, AtUnixNano) is a point on the record's decay curve no
+	// later than the moment of signing: the point of its last raise, or,
+	// while that point is above the merge cap, the later of it and the
+	// start of the current grid cell (curve.snap). Above the cap the
+	// claim therefore says "the record was at least Suspicion at
+	// AtUnixNano".
 	AtUnixNano int64
 	Sig        sigcrypto.Signature
 }
@@ -249,17 +251,12 @@ func decodeEntries(data []byte) []GossipEntry {
 }
 
 // admissible is the structural half of the arrival filter: no
-// self-reports, nothing echoing this host's own observations back, a
-// finite positive suspicion, and a signature that at least claims to
-// be the observer's.
+// self-reports, nothing echoing this host's own observations back, and a
+// signature that at least claims to be the observer's. What the claim
+// says — its suspicion and its date — is the ledger's to admit
+// (claimed).
 func admissible(e *GossipEntry, self string) bool {
-	if e.Observer == e.Host || e.Observer == self {
-		return false
-	}
-	if e.Suspicion <= 0 || math.IsNaN(e.Suspicion) || math.IsInf(e.Suspicion, 0) {
-		return false
-	}
-	return e.Sig.Signer == e.Observer
+	return e.Observer != e.Host && e.Observer != self && e.Sig.Signer == e.Observer
 }
 
 // seenKey names one (binding digest, signature) pair in the verify
@@ -275,23 +272,18 @@ func seenKey(d canon.Digest, sig []byte) [sha256.Size]byte {
 
 // mergeVerified is the one ingestion path: baggage arrival, exchange
 // offers and deltas, and urgent reply baggage all go through it. It
-// drops self-reports, entries echoing our own observations back,
-// non-finite or non-positive suspicion and entries that would raise no
-// record here, checks the signatures of the rest against the claimed
-// observers, and merges what verifies. An entry that would raise
-// nothing is not checked: merging it writes nothing (Ledger.Merge), and
-// nothing received on these paths travels on, so its signature decides
-// nothing. It returns the entries it merged.
+// drops self-reports, entries echoing our own observations back, claims
+// the ledger refuses (a suspicion that is not finite and positive, a
+// date too far ahead) and entries that would raise no record here,
+// checks the signatures of the rest against the claimed observers, and
+// merges what verifies. An entry that would raise nothing is not
+// checked: merging it writes nothing (Ledger.Merge), and nothing
+// received on these paths travels on, so its signature decides nothing.
+// It returns the entries it merged.
 func (m *Gossip) mergeVerified(reg *sigcrypto.Registry, self string, entries []GossipEntry) []GossipEntry {
-	keep := m.verified(reg, self, entries, m.raises)
+	keep := m.verified(reg, self, entries, m.ledger.adoptable)
 	m.merge(keep)
 	return keep
-}
-
-// raises reports whether merging e now would raise this node's record
-// of e.Host.
-func (m *Gossip) raises(e *GossipEntry) bool {
-	return m.ledger.wouldAdopt(e.Host, e.Suspicion, time.Unix(0, e.AtUnixNano))
 }
 
 // merge folds entries this node has verified into its ledger.
@@ -322,7 +314,7 @@ func (m *Gossip) merge(verified []GossipEntry) {
 // the registry refuses to rebind a principal to a different key, so
 // bytes that verified once verify always; a failure is never
 // remembered.
-func (m *Gossip) verified(reg *sigcrypto.Registry, self string, entries []GossipEntry, wanted func(*GossipEntry) bool) []GossipEntry {
+func (m *Gossip) verified(reg *sigcrypto.Registry, self string, entries []GossipEntry, wanted func(host string, c curve, now int64) bool) []GossipEntry {
 	f := m.newFilter(self, nil, entries, wanted)
 	f.checkAll(reg)
 	var out []GossipEntry
@@ -358,7 +350,7 @@ func (m *Gossip) extracts(snap []ledgerRow, self string, keys *sigcrypto.KeyPair
 // hosts still go first; the rest wait for the next departure or round).
 //
 // A claim is a pure function of the ledger record and, above the merge
-// cap, of the grid cell now falls in (claimPoint).
+// cap, of the grid cell now falls in (curve.snap).
 func (m *Gossip) claims(snap []ledgerRow, self string, limit int, skip func(rep core.HostReputation) bool) []GossipEntry {
 	if len(self) > maxPrincipalLen {
 		// A node whose own name cannot travel in an entry has nothing
@@ -384,8 +376,8 @@ func (m *Gossip) claims(snap []ledgerRow, self string, limit int, skip func(rep 
 		if skip != nil && skip(row.HostReputation) {
 			continue
 		}
-		e := GossipEntry{Observer: self, Host: row.Host, Sig: sigcrypto.Signature{Signer: self}}
-		e.Suspicion, e.AtUnixNano = m.claimPoint(row.raised, row.raisedAtUnixNano, now)
+		p := row.raised.snap(now)
+		e := GossipEntry{Observer: self, Host: row.Host, Suspicion: p.v, AtUnixNano: p.at, Sig: sigcrypto.Signature{Signer: self}}
 		n := entryWireSize(&e) + ed25519.SignatureSize
 		if size+n > MaxGossipWireBytes {
 			break
@@ -399,7 +391,7 @@ func (m *Gossip) claims(snap []ledgerRow, self string, limit int, skip func(rep 
 // sign completes one of this host's claims with its signature: the
 // extract memo reissues the one last signed about the host while the
 // claim point has not moved, so a claim is signed once per raise and,
-// above the merge cap, once per grid cell (claimPoint).
+// above the merge cap, once per grid cell (curve.snap).
 //
 // The memo cannot change what is sent: it is consulted only for a claim
 // already determined, returns an entry only when host, suspicion and
@@ -414,49 +406,6 @@ func (m *Gossip) sign(e *GossipEntry, keys *sigcrypto.KeyPair) {
 	e.Sig = keys.SignDigest(e.bindingDigest())
 	m.extractsSigned.Add(1)
 	m.own.put(e.Host, *e)
-}
-
-// claimPoint is the point of a record's decay curve an extract claims:
-// the raise point (raised, raisedAt) while it is at or below the merge
-// cap or decay is off, otherwise the curve sampled at the start of
-// now's grid cell when that is later than the raise.
-//
-// A record moves along one decay curve until it is raised, and a
-// receiver decays a claim from AtUnixNano, so any point of the curve no
-// later than now says what a re-stamped (current value, now) claim
-// would — as long as the point is at or below maxMergeSuspicion. That
-// point is the raise point, signed once and reissued until the next
-// raise moves it.
-//
-// Above the cap a receiver clamps the claim before it decays it, so a
-// point of the curve is worth less there the older it is — the raise
-// point by up to h·log2(s/cap), the whole time a record of s spends
-// above the cap. Such a record is sampled at the later of its raise
-// point and the start of the current grid cell (extractCell, a 64th of
-// the half-life), so it is signed once per cell and per raise, and a
-// receiver adopts at most 2^(-1/64), 1.1 %, less than from a claim
-// stamped at signing. The receiver's rule is untouched, so every bound
-// it enforces on what a claim can inject holds as before; and because
-// every above-cap observer samples the same grid point, their claims
-// about one host clamp to the same value and raise a receiver once per
-// cell, not once per arrival.
-func (m *Gossip) claimPoint(raised float64, raisedAt, now int64) (float64, int64) {
-	halfLife := m.ledger.cfg.HalfLife
-	if raised <= maxMergeSuspicion || halfLife < 0 {
-		return raised, raisedAt
-	}
-	grid := now - now%extractCell(halfLife)
-	if grid <= raisedAt {
-		return raised, raisedAt
-	}
-	return raised * math.Exp2(-float64(grid-raisedAt)/float64(halfLife)), grid
-}
-
-// extractCell is the grid step, in nanoseconds, of extracts above the
-// merge cap: a 64th of the half-life, 4.7 s at the default five
-// minutes.
-func extractCell(halfLife time.Duration) int64 {
-	return max(int64(halfLife)/64, 1)
 }
 
 // CheckAfterSession merges the agent's gossip into the local ledger:

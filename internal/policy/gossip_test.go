@@ -158,8 +158,9 @@ func TestGossipDefamationCapped(t *testing.T) {
 		Observer:  "defamer",
 		Host:      "victim",
 		Suspicion: 1e12,
-		// Future-dated, trying to dodge decay.
-		AtUnixNano: bed.now().Add(time.Hour).UnixNano(),
+		// Dated as far ahead as a receiver admits (a 64th of the
+		// half-life), trying to dodge decay.
+		AtUnixNano: bed.now().Add(time.Hour / 64).UnixNano(),
 	}
 	e.Sig = bed.hosts["defamer"].Host.Keys().SignDigest(e.bindingDigest())
 	ag := mkGossipAgent(t)

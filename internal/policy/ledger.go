@@ -103,32 +103,20 @@ type LedgerConfig struct {
 	EscalateAt float64
 }
 
-// hostRecord is one host's ledger entry. Suspicion is stored with its
-// timestamp and decayed on read, so idle hosts cost nothing.
+// hostRecord is one host's ledger entry. Suspicion is stored as a point
+// of its decay curve and read at the time asked, so idle hosts cost
+// nothing.
 type hostRecord struct {
-	suspicion float64
-	updated   time.Time
-	events    int
-	failures  int
-	// raised and raisedAtUnixNano are the point the last raise (a failed
-	// Observe or an adopted Merge) left the record at. A clean Observe
-	// re-bases (suspicion, updated) along the decay curve and leaves
-	// these alone, so they name the curve the record has been on since.
-	// Not persisted: a record replayed from the WAL has a zero time here
-	// until its next raise, and its stored point stands in (raisePoint).
-	raised           float64
-	raisedAtUnixNano int64
-}
-
-// raisePoint returns the point gossip extracts of r are signed at: where
-// the last raise left it, or the stored point of a record not raised
-// since it was loaded. Either way it is a point on r's decay curve that
-// only a raise moves.
-func (r hostRecord) raisePoint() (suspicion float64, atUnixNano int64) {
-	if r.raisedAtUnixNano == 0 {
-		return r.suspicion, r.updated.UnixNano()
-	}
-	return r.raised, r.raisedAtUnixNano
+	cur      curve
+	events   int
+	failures int
+	// raised is the point the last raise (a failed Observe or an adopted
+	// Merge) left the record at, and gossip extracts of it are signed at.
+	// A clean Observe re-bases cur along the decay curve and leaves raised
+	// alone, so it names the curve the record has been on since. Not
+	// persisted: a record replayed from the WAL starts from its stored
+	// point.
+	raised curve
 }
 
 // Ledger is a sharded, decay-weighted per-host suspicion ledger. All
@@ -179,12 +167,6 @@ func OpenLedger(cfg LedgerConfig) (*Ledger, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	// Wall time only: what a record's timestamp is compared with — a
-	// gossiped claim's time, its own value read back from the WAL — has
-	// no monotonic reading, and mixing the two clocks makes one curve
-	// look like two that differ by the clocks' drift.
-	clock := cfg.Now
-	cfg.Now = func() time.Time { return clock().Round(0) }
 	if cfg.EscalateAt == 0 {
 		cfg.EscalateAt = DefaultEscalateThreshold
 	}
@@ -196,7 +178,7 @@ func OpenLedger(cfg LedgerConfig) (*Ledger, error) {
 	}
 	store, err := shardstore.NewPersistent(scfg, shardstore.PersistConfig[hostRecord]{
 		Backend: cfg.Backend,
-		Codec:   hostRecordCodec(),
+		Codec:   hostRecordCodec(int64(cfg.HalfLife)),
 		OnError: cfg.OnPersistError,
 	})
 	if err != nil {
@@ -209,17 +191,17 @@ func OpenLedger(cfg LedgerConfig) (*Ledger, error) {
 // hostRecordWireLabel versions the persisted host record format.
 const hostRecordWireLabel = "host-record"
 
-// hostRecordCodec persists one host's suspicion record. The float is
-// stored as its exact IEEE-754 bits, so a recovered ledger reports
-// bit-identical suspicion (before decay for the downtime, which Merge
-// and Suspicion apply from the stored timestamp as usual — downtime
-// counts as clean time).
-func hostRecordCodec() shardstore.Codec[hostRecord] {
+// hostRecordCodec persists one host's suspicion record, on curves of
+// half-life h. The float is stored as its exact IEEE-754 bits, so a
+// recovered ledger reports bit-identical suspicion (before decay for the
+// downtime, which Merge and Suspicion apply from the stored timestamp as
+// usual — downtime counts as clean time).
+func hostRecordCodec(h int64) shardstore.Codec[hostRecord] {
 	return shardstore.Codec[hostRecord]{
 		Encode: func(r hostRecord) ([]byte, error) {
 			var buf [4][8]byte
-			binary.BigEndian.PutUint64(buf[0][:], math.Float64bits(r.suspicion))
-			binary.BigEndian.PutUint64(buf[1][:], uint64(r.updated.UnixNano()))
+			binary.BigEndian.PutUint64(buf[0][:], math.Float64bits(r.cur.v))
+			binary.BigEndian.PutUint64(buf[1][:], uint64(r.cur.at))
 			binary.BigEndian.PutUint64(buf[2][:], uint64(r.events))
 			binary.BigEndian.PutUint64(buf[3][:], uint64(r.failures))
 			return canon.Tuple([]byte(hostRecordWireLabel), buf[0][:], buf[1][:], buf[2][:], buf[3][:]), nil
@@ -237,11 +219,12 @@ func hostRecordCodec() shardstore.Codec[hostRecord] {
 					return hostRecord{}, fmt.Errorf("policy: decoding host record: %w", canon.ErrMalformed)
 				}
 			}
+			cur := curve{v: math.Float64frombits(binary.BigEndian.Uint64(fields[1])), at: int64(binary.BigEndian.Uint64(fields[2])), h: h}
 			return hostRecord{
-				suspicion: math.Float64frombits(binary.BigEndian.Uint64(fields[1])),
-				updated:   time.Unix(0, int64(binary.BigEndian.Uint64(fields[2]))),
-				events:    int(binary.BigEndian.Uint64(fields[3])),
-				failures:  int(binary.BigEndian.Uint64(fields[4])),
+				cur:      cur,
+				events:   int(binary.BigEndian.Uint64(fields[3])),
+				failures: int(binary.BigEndian.Uint64(fields[4])),
+				raised:   cur,
 			}, nil
 		},
 	}
@@ -251,17 +234,9 @@ func hostRecordCodec() shardstore.Codec[hostRecord] {
 // in-memory ledgers.
 func (l *Ledger) Close() error { return l.store.Close() }
 
-// decayed returns r's suspicion decayed from its timestamp to now.
-func (l *Ledger) decayed(r hostRecord, now time.Time) float64 {
-	if l.cfg.HalfLife < 0 || r.suspicion == 0 {
-		return r.suspicion
-	}
-	dt := now.Sub(r.updated)
-	if dt <= 0 {
-		return r.suspicion
-	}
-	return r.suspicion * math.Exp2(-float64(dt)/float64(l.cfg.HalfLife))
-}
+// now is the ledger's clock in Unix ns, the time line every curve of it
+// is on.
+func (l *Ledger) now() int64 { return l.cfg.Now().UnixNano() }
 
 // Observe records one first-hand check outcome against host. Failed
 // checks add weight (LedgerConfig.FailureWeight when weight is 0); OK
@@ -273,39 +248,37 @@ func (l *Ledger) Observe(host string, ok bool, weight float64) float64 {
 	if weight == 0 {
 		weight = l.cfg.FailureWeight
 	}
-	now := l.cfg.Now()
+	now := l.now()
 	var before float64
 	rec := l.store.Upsert(host, func(old hostRecord, existed bool) hostRecord {
-		s := l.decayed(old, now)
-		before = s
+		before = old.cur.value(now)
+		old.cur = curve{v: before, at: now, h: int64(l.cfg.HalfLife)}
 		if !ok {
-			s += weight
+			old.cur.v += weight
 			old.failures++
-			old.raised, old.raisedAtUnixNano = s, now.UnixNano()
+			old.raised = old.cur
 		}
-		old.suspicion = s
-		old.updated = now
 		old.events++
 		return old
 	})
 	if !ok {
 		l.version.Add(1)
 	}
-	l.noteCrossing(host, before, rec.suspicion)
-	return rec.suspicion
+	l.noteCrossing(host, before, rec.cur.v)
+	return rec.cur.v
 }
 
 // Merge folds a second-hand (gossiped) suspicion value for host into
-// the ledger: the remote value is decayed from its observation time,
-// damped, and adopted only if it exceeds the local value. Max-merge is
-// idempotent, so replayed gossip is harmless, and damping makes
-// re-circulated gossip decay rather than amplify. A claim that is not
-// adopted writes nothing: the record stays where it was on its curve,
-// and a durable ledger appends no record.
+// the ledger: the claim (claimed) is read at now, damped, and adopted
+// only if it exceeds the local value. Max-merge is idempotent, so
+// replayed gossip is harmless, and damping makes re-circulated gossip
+// decay rather than amplify. A claim refused or not adopted writes
+// nothing: the record stays where it was on its curve, and a durable
+// ledger appends no record.
 func (l *Ledger) Merge(host string, suspicion float64, at time.Time) {
-	now := l.cfg.Now()
-	remote := l.claimValue(host, suspicion, at, now)
-	if !l.adoptable(host, remote, now) {
+	now := l.now()
+	c, ok := l.claim(suspicion, at.UnixNano(), now)
+	if !ok || host == "" || !l.adoptable(host, c, now) {
 		return
 	}
 	// Re-checked under the write lock: a raise that landed since the
@@ -313,12 +286,12 @@ func (l *Ledger) Merge(host string, suspicion float64, at time.Time) {
 	var before, after float64
 	adopted := false
 	l.store.Upsert(host, func(old hostRecord, _ bool) hostRecord {
-		before = l.decayed(old, now)
+		before = old.cur.value(now)
 		after = before
-		if adopted = exceeds(remote, before); adopted {
-			old.suspicion = remote
-			old.updated = now
-			old.raised, old.raisedAtUnixNano = remote, now.UnixNano()
+		var remote float64
+		if remote, adopted = c.adopt(before, now); adopted {
+			old.cur = curve{v: remote, at: now, h: c.h}
+			old.raised = old.cur
 			after = remote
 		}
 		return old
@@ -329,45 +302,19 @@ func (l *Ledger) Merge(host string, suspicion float64, at time.Time) {
 	l.noteCrossing(host, before, after)
 }
 
-// wouldAdopt reports whether Merge, called now with the same claim,
-// would raise host's record. It reads and never writes: the gossip
-// mechanism asks it before spending a signature check on a claim.
-func (l *Ledger) wouldAdopt(host string, suspicion float64, at time.Time) bool {
-	now := l.cfg.Now()
-	return l.adoptable(host, l.claimValue(host, suspicion, at, now), now)
+// claim reads a peer's claim on this ledger's curves (claimed).
+func (l *Ledger) claim(suspicion float64, atUnixNano, now int64) (curve, bool) {
+	return claimed(suspicion, atUnixNano, now, int64(l.cfg.HalfLife))
 }
 
-// claimValue is what a gossiped claim is worth here at now: clamped to
-// the merge cap, decayed from its observation time, damped. Zero means
-// there is nothing to merge.
-func (l *Ledger) claimValue(host string, suspicion float64, at, now time.Time) float64 {
-	if host == "" || suspicion <= 0 || math.IsNaN(suspicion) || math.IsInf(suspicion, 0) {
-		return 0
-	}
-	// A future-dated observation gets no decay head start; it reads as
-	// "just now".
-	remote := math.Min(suspicion, maxMergeSuspicion)
-	if l.cfg.HalfLife > 0 {
-		if dt := now.Sub(at); dt > 0 {
-			remote *= math.Exp2(-float64(dt) / float64(l.cfg.HalfLife))
-		}
-	}
-	return remote * gossipDamping
-}
-
-// adoptable reports whether a claim worth remote would raise host's
-// record as it reads at now.
-func (l *Ledger) adoptable(host string, remote float64, now time.Time) bool {
-	if remote <= 0 {
-		return false
-	}
+// adoptable reports whether merging claim c at now would raise host's
+// record. It reads and never writes: the gossip mechanism asks it
+// before spending a signature check on a claim.
+func (l *Ledger) adoptable(host string, c curve, now int64) bool {
 	ok := false
-	l.store.View(host, func(old hostRecord, _ bool) { ok = exceeds(remote, l.decayed(old, now)) })
+	l.store.View(host, func(old hostRecord, _ bool) { _, ok = c.adopt(old.cur.value(now), now) })
 	return ok
 }
-
-// exceeds is the adoption rule: remote must clear local by mergeSlack.
-func exceeds(remote, local float64) bool { return remote > local*(1+mergeSlack) }
 
 // noteCrossing publishes an escalation event when suspicion crossed
 // the escalation threshold upward.
@@ -389,7 +336,7 @@ func (l *Ledger) Suspicion(host string) float64 {
 	if !ok {
 		return 0
 	}
-	return l.decayed(rec, l.cfg.Now())
+	return rec.cur.value(l.now())
 }
 
 // Report returns the core.HostReputation snapshot for host.
@@ -400,10 +347,10 @@ func (l *Ledger) Report(host string) (core.HostReputation, bool) {
 	}
 	return core.HostReputation{
 		Host:            host,
-		Suspicion:       l.decayed(rec, l.cfg.Now()),
+		Suspicion:       rec.cur.value(l.now()),
 		Events:          rec.events,
 		Failures:        rec.failures,
-		UpdatedUnixNano: rec.updated.UnixNano(),
+		UpdatedUnixNano: rec.cur.at,
 	}, true
 }
 
@@ -426,8 +373,7 @@ func (l *Ledger) Snapshot(limit int) []core.HostReputation {
 // decayed to the snapshot time).
 type ledgerRow struct {
 	core.HostReputation
-	raised           float64
-	raisedAtUnixNano int64
+	raised curve
 }
 
 // rows returns every tracked host, most suspect first.
@@ -436,20 +382,18 @@ func (l *Ledger) rows() []ledgerRow { return l.appendRows(nil) }
 // appendRows appends every tracked host to dst, most suspect first, so
 // a caller on a hot path can reuse one buffer.
 func (l *Ledger) appendRows(dst []ledgerRow) []ledgerRow {
-	now := l.cfg.Now()
+	now := l.now()
 	start := len(dst)
 	l.store.Range(func(host string, rec hostRecord) bool {
-		raised, raisedAt := rec.raisePoint()
 		dst = append(dst, ledgerRow{
 			HostReputation: core.HostReputation{
 				Host:            host,
-				Suspicion:       l.decayed(rec, now),
+				Suspicion:       rec.cur.value(now),
 				Events:          rec.events,
 				Failures:        rec.failures,
-				UpdatedUnixNano: rec.updated.UnixNano(),
+				UpdatedUnixNano: rec.cur.at,
 			},
-			raised:           raised,
-			raisedAtUnixNano: raisedAt,
+			raised: rec.raised,
 		})
 		return true
 	})

@@ -490,7 +490,7 @@ func TestExtractReuseEquivalence(t *testing.T) {
 	var reissued, overCap, overCapReissued int
 	for trial := 0; trial < 24; trial++ {
 		halfLife := time.Duration(1+rng.Intn(60)) * time.Minute
-		cell := extractCell(halfLife)
+		cell := curve{h: int64(halfLife)}.cell()
 		clock, now := testClock(time.Unix(3_000_000, 0))
 		nodes := newClockedBed(t, halfLife, now, "sender", "other", "r-reuse", "r-restamp")
 		sender, other, rReuse, rRestamp := nodes[0], nodes[1], nodes[2], nodes[3]
@@ -542,7 +542,7 @@ func TestExtractReuseEquivalence(t *testing.T) {
 			point := map[string]ledgerRow{}
 			for _, row := range rows {
 				point[row.Host] = row
-				if row.raised > maxMergeSuspicion {
+				if row.raised.v > maxMergeSuspicion {
 					wasOverCap[row.Host] = true
 				}
 				if row.Suspicion >= minGossipSuspicion {
@@ -568,13 +568,13 @@ func TestExtractReuseEquivalence(t *testing.T) {
 				raised := raisedSince[e.Host]
 				raisedSince[e.Host] = false
 				row := point[e.Host]
-				above := row.raised > maxMergeSuspicion
-				wantAt := row.raisedAtUnixNano
+				above := row.raised.v > maxMergeSuspicion
+				wantAt := row.raised.at
 				if above {
 					overCap++
 					wantAt = max(wantAt, grid)
 				}
-				onCurve := row.raised * math.Exp2(-float64(e.AtUnixNano-row.raisedAtUnixNano)/float64(halfLife))
+				onCurve := row.raised.v * math.Exp2(-float64(e.AtUnixNano-row.raised.at)/float64(halfLife))
 				if e.AtUnixNano != wantAt || math.Abs(e.Suspicion-onCurve) > 1e-12*onCurve {
 					t.Fatalf("trial %d step %d: %s extract (%v, %v), want the curve at %v", trial, step, e.Host, e.Suspicion, e.AtUnixNano, wantAt)
 				}
@@ -615,7 +615,7 @@ func TestExtractReuseEquivalence(t *testing.T) {
 // decay below the damped cap.
 func TestExtractAboveCapSignedOncePerCell(t *testing.T) {
 	const halfLife = DefaultHalfLife
-	cell := extractCell(halfLife)
+	cell := curve{h: int64(halfLife)}.cell()
 	start := time.Unix(4_000_000, 0)
 	start = start.Add(-time.Duration(start.UnixNano() % cell)) // a cell boundary
 	clock, now := testClock(start)

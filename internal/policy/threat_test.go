@@ -26,10 +26,10 @@ import (
 //     defaults, for re-stamping, and one grid cell less for extracts.
 //   - Defamation bound: from a liar's claims alone an honest host drops
 //     below the quarantine threshold at every receiver within two
-//     half-lives of the liar's last message, whatever the liar signs and
-//     however long honest hosts carry it on. A claim dated ahead speaks
-//     until its date, so the last message is the later of the last send
-//     and the latest date signed.
+//     half-lives of the liar's last send plus the allowance, whatever the
+//     liar signs and however long honest hosts carry it on. A claim dated
+//     ahead reads undecayed until its date, and a receiver refuses one
+//     dated more than the allowance (one extract cell) past its clock.
 
 // claimRule turns an observer's ledger record of subject into the claim
 // it signs at a departure at now; false means nothing worth sharing.
@@ -42,7 +42,7 @@ type claimRule struct {
 
 var claimRules = []claimRule{
 	{name: "restamp", claim: restampedClaim},
-	{name: "extract", claim: extractedClaim, holdLoss: time.Duration(extractCell(DefaultHalfLife))},
+	{name: "extract", claim: extractedClaim, holdLoss: time.Duration(curve{h: int64(DefaultHalfLife)}.cell())},
 }
 
 // restampedClaim is the reference rule: the record's value now, stamped
@@ -68,7 +68,7 @@ func extractedClaim(obs *exNode, subject string, _ time.Time) (GossipEntry, bool
 // randomGap is a step of the virtual clock: none, inside one grid
 // cell, a few cells, or up to half a half-life.
 func randomGap(rng *rand.Rand, halfLife time.Duration) time.Duration {
-	cell := extractCell(halfLife)
+	cell := curve{h: int64(halfLife)}.cell()
 	switch rng.Intn(4) {
 	case 0:
 		return 0
@@ -155,6 +155,7 @@ func TestGossipDefamationBound(t *testing.T) {
 	const halfLife = DefaultHalfLife
 	const quarantine = DefaultQuarantineThreshold
 	const k = 2
+	allowance := time.Duration(curve{h: int64(halfLife)}.cell())
 	lies := []float64{maxMergeSuspicion, 1e3, 1e300, math.MaxFloat64}
 	for _, rule := range claimRules {
 		t.Run(rule.name, func(t *testing.T) {
@@ -178,20 +179,14 @@ func TestGossipDefamationBound(t *testing.T) {
 					}
 				}
 				wander := func() { visit(agents[rng.Intn(len(agents))], receivers[rng.Intn(len(receivers))]) }
-				// last is when the liar last spoke: the later of when it
-				// last sent a claim and the latest date it put on one (a
-				// claim dated ahead reads as "now" until its date, and
-				// honest hosts carry it on).
+				// last is when the liar last sent a claim, whatever date
+				// it put on it.
 				var last time.Time
 				lie := func(ag *agent.Agent, e GossipEntry) {
 					data, _ := ag.GetBaggage(GossipMechanismName)
 					bag := append(decodeEntries(data), e)
 					setEntries(t, ag, bag[max(0, len(bag)-maxGossipEntries):])
-					for _, at := range []time.Time{now(), time.Unix(0, e.AtUnixNano)} {
-						if at.After(last) {
-							last = at
-						}
-					}
+					last = now()
 					visit(ag, receivers[rng.Intn(len(receivers))])
 				}
 				if trial%4 == 0 {
@@ -228,7 +223,7 @@ func TestGossipDefamationBound(t *testing.T) {
 					}
 				}
 				// The liar is silent from here on; its claims keep travelling.
-				deadline := last.Add(k * halfLife)
+				deadline := last.Add(allowance + k*halfLife)
 				for gap := randomGap(rng, halfLife); !now().Add(gap).After(deadline); gap = randomGap(rng, halfLife) {
 					*clock = clock.Add(gap)
 					wander()
@@ -237,7 +232,7 @@ func TestGossipDefamationBound(t *testing.T) {
 				for end := deadline.Add(halfLife); !now().After(end); *clock = clock.Add(randomGap(rng, halfLife)) {
 					for _, r := range receivers {
 						if got := r.led.Suspicion("victim"); got >= quarantine {
-							t.Fatalf("trial %d: %s holds the victim at %v, %v after the liar last spoke", trial, r.name, got, now().Sub(last))
+							t.Fatalf("trial %d: %s holds the victim at %v, %v after the liar last sent a claim", trial, r.name, got, now().Sub(last))
 						}
 					}
 					wander()
@@ -248,5 +243,71 @@ func TestGossipDefamationBound(t *testing.T) {
 				t.Fatalf("only %d trials defamed anyone: the schedule no longer tests the bound", reached)
 			}
 		})
+	}
+}
+
+// TestFutureDatedClaimRefused: a claim reads undecayed until its date,
+// and honest hosts carry on what they admit, so a receiver refuses a
+// claim dated more than the allowance (one extract cell) past its
+// clock. A liar signs one claim about the victim dated a thousand
+// half-lives ahead, and the agent carrying it visits r0 and r1 at 5,
+// 10, 20 and 50 minutes: neither merges it nor carries it on. A claim
+// dated inside the allowance is admitted and decays from its own date.
+func TestFutureDatedClaimRefused(t *testing.T) {
+	ctx := context.Background()
+	const halfLife = DefaultHalfLife
+	clock, now := testClock(time.Unix(8_500_000, 0))
+	nodes := newClockedBed(t, halfLife, now, "liar", "r0", "r1")
+	liar, receivers := nodes[0], nodes[1:]
+	visit := func(ag *agent.Agent, r *exNode) {
+		if _, err := r.g.CheckAfterSession(ctx, r.hc, ag); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.g.PrepareDeparture(ctx, r.hc, ag, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	about := func(ag *agent.Agent, subject string) []GossipEntry {
+		data, _ := ag.GetBaggage(GossipMechanismName)
+		var out []GossipEntry
+		for _, e := range decodeEntries(data) {
+			if e.Host == subject {
+				out = append(out, e)
+			}
+		}
+		return out
+	}
+
+	sent := now()
+	ag := mkGossipAgent(t)
+	setEntries(t, ag, []GossipEntry{signedBy(liar.hc, "victim", 1e300, sent.Add(1000*halfLife))})
+	for _, after := range []time.Duration{5 * time.Minute, 10 * time.Minute, 20 * time.Minute, 50 * time.Minute} {
+		*clock = sent.Add(after)
+		for _, r := range receivers {
+			visit(ag, r)
+			if got := r.led.Suspicion("victim"); got != 0 {
+				t.Errorf("%v after the claim was sent, %s holds the victim at %v", after, r.name, got)
+			}
+		}
+		if carried := about(ag, "victim"); len(carried) != 0 {
+			t.Errorf("%v after the claim was sent, the bag still carries %d claims about the victim", after, len(carried))
+		}
+	}
+
+	// Inside the allowance: r0 reads the claim undecayed before its date,
+	// and r1, a half-life after that date, reads it halved from there.
+	cell := time.Duration(curve{h: int64(halfLife)}.cell())
+	date := now().Add(cell)
+	ag = mkGossipAgent(t)
+	setEntries(t, ag, []GossipEntry{signedBy(liar.hc, "other", 4, date)})
+	r0, r1 := receivers[0], receivers[1]
+	visit(ag, r0)
+	if got, want := r0.led.Suspicion("other"), gossipDamping*4; got != want {
+		t.Fatalf("r0 reads a claim dated %v ahead at %v, want %v", cell, got, want)
+	}
+	*clock = date.Add(halfLife)
+	visit(ag, r1)
+	if got, want := r1.led.Suspicion("other"), gossipDamping*4*0.5; math.Abs(got-want) > 1e-12*want {
+		t.Fatalf("r1 reads the claim a half-life after its date at %v, want %v", got, want)
 	}
 }

@@ -6,9 +6,12 @@
 // agent — lists the variable/value pairs after the statement.
 //
 // Traces are the most detailed form of "execution log" reference data
-// (§3.5). A host retains its trace locally and forwards only a signed
-// commitment (hash) of it; during an audit the owner fetches the trace,
-// checks it against the commitment, and re-executes.
+// (§3.5). In Vigna's protocol a host retains its trace locally and
+// forwards only a signed commitment (hash) of it; during an audit the
+// owner fetches the trace, checks it against the commitment, and
+// re-executes. This package holds no traces: host.RunSession returns
+// each session's trace once, and the mechanism that audits traces
+// (vigna, proof) keeps what it will be asked for.
 package trace
 
 import (
@@ -20,7 +23,6 @@ import (
 
 	"repro/internal/agentlang"
 	"repro/internal/canon"
-	"repro/internal/shardstore"
 	"repro/internal/value"
 )
 
@@ -227,43 +229,3 @@ func (t Trace) Format(prog *agentlang.Program) string {
 	}
 	return b.String()
 }
-
-// Store retains traces per (agent, hop) for later audit, as Vigna's
-// protocol requires each host to do ("the trace itself has to be
-// stored by the host"). It is safe for concurrent use; sessions of
-// distinct agents land on distinct stripes of a sharded store, so
-// trace retention never serializes a host's worker pool on one mutex.
-type Store struct {
-	traces *shardstore.Store[Trace]
-}
-
-// NewStore returns an empty, unbounded trace store.
-func NewStore() *Store { return NewBoundedStore(0) }
-
-// NewBoundedStore returns a trace store that retains at most capacity
-// traces, evicting the oldest beyond it (0 means unbounded). An
-// evicted trace makes the host unable to answer a later audit fetch
-// for that session — deployments bounding retention trade audit depth
-// for memory.
-func NewBoundedStore(capacity int) *Store {
-	return &Store{traces: shardstore.New[Trace](shardstore.Config[Trace]{Capacity: capacity})}
-}
-
-// storeKey composes the (agent, hop) key. Agent IDs never contain NUL,
-// which keeps the composition injective.
-func storeKey(agentID string, hop int) string {
-	return shardstore.Key(agentID, strconv.Itoa(hop))
-}
-
-// Put retains the trace for the given agent session.
-func (s *Store) Put(agentID string, hop int, t Trace) {
-	s.traces.Put(storeKey(agentID, hop), t)
-}
-
-// Get returns the retained trace, if any.
-func (s *Store) Get(agentID string, hop int) (Trace, bool) {
-	return s.traces.Get(storeKey(agentID, hop))
-}
-
-// Len returns the number of retained traces.
-func (s *Store) Len() int { return s.traces.Len() }

@@ -184,24 +184,6 @@ func TestRecorderTakeResets(t *testing.T) {
 	}
 }
 
-func TestStore(t *testing.T) {
-	s := NewStore()
-	tr := Trace{Entries: []Entry{{StmtID: 1}}}
-	s.Put("a1", 0, tr)
-	s.Put("a1", 1, Trace{})
-	s.Put("a2", 0, tr)
-	if s.Len() != 3 {
-		t.Errorf("Len = %d, want 3", s.Len())
-	}
-	got, ok := s.Get("a1", 0)
-	if !ok || got.Len() != 1 {
-		t.Error("Get failed")
-	}
-	if _, ok := s.Get("a1", 5); ok {
-		t.Error("Get invented a trace")
-	}
-}
-
 func TestFormatWithoutProgram(t *testing.T) {
 	tr := Trace{Entries: []Entry{{StmtID: 3, Bindings: []Binding{{Name: "a", Val: value.Str("v")}}}}}
 	text := tr.Format(nil)
