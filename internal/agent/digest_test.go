@@ -1,6 +1,8 @@
 package agent
 
 import (
+	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/canon"
@@ -111,5 +113,28 @@ func TestUnmarshalSeedsDigest(t *testing.T) {
 	}
 	if b.StateDigest() != a.StateDigest() {
 		t.Fatal("digest changed across marshal round-trip")
+	}
+}
+
+// TestUnmarshalRefusesNonCanonicalState: the arrival digest is seeded
+// from the wire bytes, so those bytes must be the state's one encoding.
+// A state whose true was sent as 0x02 used to arrive comparing Equal to
+// the sender's, with a StateDigest that was the digest of neither it nor
+// the sender's state; it is now refused.
+func TestUnmarshalRefusesNonCanonicalState(t *testing.T) {
+	a := newTestAgent(t)
+	a.SetVar("zzflag", value.Bool(true))
+	wire, err := a.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	canonical := append([]byte("zzflag"), 0x04, 0x01)
+	if bytes.Count(wire, canonical) != 1 {
+		t.Fatal("the flag's encoding is not where the test looks for it")
+	}
+	forged := bytes.Replace(wire, canonical, append([]byte("zzflag"), 0x04, 0x02), 1)
+	if b, err := Unmarshal(forged); !errors.Is(err, canon.ErrMalformed) {
+		t.Fatalf("state with true sent as 0x02: err = %v, want canon.ErrMalformed (digest memo %s, state digest %s)",
+			err, b.StateDigest(), canon.HashState(b.State))
 	}
 }

@@ -112,7 +112,7 @@ func TestEncodeDecodeIdentity(t *testing.T) {
 // everything Unmarshal accepts, to the same agent; and an accepted
 // agent encodes to a fixed point — decoding its encoding gives the same
 // agent and the same bytes. (The fixed point is reached after one round
-// rather than at the input because canon's state decoder accepts map
+// rather than at the input because the agent decoder accepts baggage
 // keys out of order or repeated; every seed is canonical, and
 // TestEncodeDecodeIdentity holds those to the identity.)
 func FuzzAgentUnmarshal(f *testing.F) {

@@ -169,13 +169,29 @@ func Tuple(fields ...[]byte) []byte {
 // returns the extended slice. Combined with GetBuf/PutBuf it lets hot
 // signing paths assemble bindings without a per-message allocation.
 func AppendTuple(dst []byte, fields ...[]byte) []byte {
-	dst = append(dst, version, tagTuple)
-	dst = binary.BigEndian.AppendUint32(dst, guardLen("tuple", len(fields)))
+	dst = AppendTupleHeader(dst, len(fields))
 	for _, f := range fields {
-		dst = binary.BigEndian.AppendUint32(dst, guardLen("tuple field", len(f)))
-		dst = append(dst, f...)
+		dst = append(AppendFieldHeader(dst, len(f)), f...)
 	}
 	return dst
+}
+
+// AppendTupleHeader opens a tuple of n fields, version prefix included,
+// for codecs that write a record in place (the twin of TupleHeader).
+func AppendTupleHeader(dst []byte, n int) []byte {
+	dst = append(dst, version, tagTuple)
+	return binary.BigEndian.AppendUint32(dst, guardLen("tuple", n))
+}
+
+// AppendFieldHeader frames a field of size bytes the caller appends next.
+func AppendFieldHeader(dst []byte, size int) []byte {
+	return binary.BigEndian.AppendUint32(dst, guardLen("tuple field", size))
+}
+
+// AppendValueField appends a framed field holding EncodeValue(v).
+func AppendValueField(dst []byte, v value.Value) []byte {
+	dst = append(AppendFieldHeader(dst, 1+SizeValue(v)), version)
+	return AppendValue(dst, v)
 }
 
 // ExtendTuple appends to dst a copy of tuple — a framed tuple that
@@ -188,8 +204,7 @@ func ExtendTuple(dst, tuple []byte, fields ...[]byte) []byte {
 	n := binary.BigEndian.Uint32(dst[at+2:])
 	binary.BigEndian.PutUint32(dst[at+2:], guardLen("tuple", int(n)+len(fields)))
 	for _, f := range fields {
-		dst = binary.BigEndian.AppendUint32(dst, guardLen("tuple field", len(f)))
-		dst = append(dst, f...)
+		dst = append(AppendFieldHeader(dst, len(f)), f...)
 	}
 	return dst
 }
@@ -293,6 +308,9 @@ func ScanList(data []byte, label string, maxBytes, maxRecords int) (TupleScanner
 
 // Len returns the number of fields not yet read.
 func (s *TupleScanner) Len() int { return s.left }
+
+// Err returns the scanner's first error, if a read has failed.
+func (s *TupleScanner) Err() error { return s.err }
 
 // fail records the scanner's first error.
 func (s *TupleScanner) fail(err error) {
@@ -482,6 +500,15 @@ func (d *decoder) bytes(n int) ([]byte, error) {
 	return b, nil
 }
 
+// count reads a string, list, map or state length.
+func (d *decoder) count() (int, error) {
+	n, err := d.uint32()
+	if err == nil && n > maxLen {
+		err = fmt.Errorf("%w: length %d over %d", ErrMalformed, n, maxLen)
+	}
+	return int(n), err
+}
+
 func (d *decoder) value() (value.Value, error) {
 	tag, err := d.byte()
 	if err != nil {
@@ -492,39 +519,30 @@ func (d *decoder) value() (value.Value, error) {
 		return value.Null(), nil
 	case tagInt:
 		u, err := d.uint64()
-		if err != nil {
-			return value.Null(), err
-		}
-		return value.Int(int64(u)), nil
+		return value.Int(int64(u)), err
 	case tagString:
-		n, err := d.uint32()
+		n, err := d.count()
 		if err != nil {
 			return value.Null(), err
 		}
-		b, err := d.bytes(int(n))
-		if err != nil {
-			return value.Null(), err
-		}
-		return value.Str(string(b)), nil
+		b, err := d.bytes(n)
+		return value.Str(string(b)), err
 	case tagBool:
 		b, err := d.byte()
-		if err != nil {
-			return value.Null(), err
+		if err == nil && b > 1 {
+			err = fmt.Errorf("%w: bool byte 0x%02x", ErrMalformed, b)
 		}
-		return value.Bool(b != 0), nil
+		return value.Bool(b == 1), err
 	case tagList:
-		n, err := d.uint32()
+		n, err := d.count()
+		if err == nil {
+			err = d.enter()
+		}
 		if err != nil {
 			return value.Null(), err
 		}
-		if n > maxLen {
-			return value.Null(), ErrMalformed
-		}
-		if err := d.enter(); err != nil {
-			return value.Null(), err
-		}
-		elems := make([]value.Value, 0, min(int(n), 1024))
-		for i := 0; i < int(n); i++ {
+		elems := make([]value.Value, 0, min(n, 1024))
+		for i := 0; i < n; i++ {
 			e, err := d.value()
 			if err != nil {
 				return value.Null(), err
@@ -534,31 +552,16 @@ func (d *decoder) value() (value.Value, error) {
 		d.depth--
 		return value.List(elems...), nil
 	case tagMap:
-		n, err := d.uint32()
+		n, err := d.count()
+		if err == nil {
+			err = d.enter()
+		}
 		if err != nil {
 			return value.Null(), err
 		}
-		if n > maxLen {
-			return value.Null(), ErrMalformed
-		}
-		if err := d.enter(); err != nil {
+		m := make(map[string]value.Value, min(n, 1024))
+		if err := d.keyed(n, m); err != nil {
 			return value.Null(), err
-		}
-		m := make(map[string]value.Value, min(int(n), 1024))
-		for i := 0; i < int(n); i++ {
-			kn, err := d.uint32()
-			if err != nil {
-				return value.Null(), err
-			}
-			kb, err := d.bytes(int(kn))
-			if err != nil {
-				return value.Null(), err
-			}
-			e, err := d.value()
-			if err != nil {
-				return value.Null(), err
-			}
-			m[string(kb)] = e
 		}
 		d.depth--
 		return value.Map(m), nil
@@ -567,68 +570,88 @@ func (d *decoder) value() (value.Value, error) {
 	}
 }
 
-// DecodeValue parses a canonical value encoding produced by EncodeValue.
-func DecodeValue(b []byte) (value.Value, error) {
-	d := &decoder{buf: b}
-	v, err := d.byte()
-	if err != nil {
-		return value.Null(), err
-	}
-	if v != version {
-		return value.Null(), fmt.Errorf("%w: unsupported version 0x%02x", ErrMalformed, v)
-	}
-	out, err := d.value()
-	if err != nil {
-		return value.Null(), err
-	}
-	if d.off != len(b) {
-		return value.Null(), fmt.Errorf("%w: %d trailing bytes", ErrMalformed, len(b)-d.off)
-	}
-	return out, nil
-}
-
-// DecodeState parses a canonical state encoding produced by EncodeState.
-func DecodeState(b []byte) (value.State, error) {
-	d := &decoder{buf: b}
-	v, err := d.byte()
-	if err != nil {
-		return nil, err
-	}
-	if v != version {
-		return nil, fmt.Errorf("%w: unsupported version 0x%02x", ErrMalformed, v)
-	}
-	tag, err := d.byte()
-	if err != nil {
-		return nil, err
-	}
-	if tag != tagState {
-		return nil, fmt.Errorf("%w: expected state tag, got 0x%02x", ErrMalformed, tag)
-	}
-	n, err := d.uint32()
-	if err != nil {
-		return nil, err
-	}
-	if n > maxLen {
-		return nil, ErrMalformed
-	}
-	s := make(value.State, min(int(n), 1024))
-	for i := 0; i < int(n); i++ {
-		kn, err := d.uint32()
+// keyed reads n key/value pairs into m. The keys must strictly
+// increase, as AppendValue and AppendState write them: a key out of
+// order or repeated would decode to a value whose encoding, and so its
+// digest, differs from the bytes it came from.
+func (d *decoder) keyed(n int, m map[string]value.Value) error {
+	prev := ""
+	for i := 0; i < n; i++ {
+		kn, err := d.count()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		kb, err := d.bytes(int(kn))
+		kb, err := d.bytes(kn)
 		if err != nil {
-			return nil, err
+			return err
+		}
+		k := string(kb)
+		if i > 0 && k <= prev {
+			return fmt.Errorf("%w: key %d does not follow the key before it", ErrMalformed, i)
 		}
 		e, err := d.value()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		s[string(kb)] = e
+		m[k] = e
+		prev = k
 	}
-	if d.off != len(b) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrMalformed, len(b)-d.off)
+	return nil
+}
+
+// decodeTop reads a top-level encoding: the version byte, then a state
+// if state is set and a value otherwise, then nothing. Every rejection
+// wraps ErrMalformed. A flag, not a callback, keeps d on the stack.
+func decodeTop(b []byte, state bool) (value.Value, value.State, error) {
+	d := &decoder{buf: b}
+	var v value.Value
+	var s value.State
+	ver, err := d.byte()
+	switch {
+	case err != nil:
+	case ver != version:
+		err = fmt.Errorf("unsupported version 0x%02x", ver)
+	case state:
+		s, err = d.state()
+	default:
+		v, err = d.value()
 	}
-	return s, nil
+	if err == nil && d.off != len(b) {
+		err = fmt.Errorf("%d trailing bytes", len(b)-d.off)
+	}
+	if err == nil {
+		return v, s, nil
+	}
+	if !errors.Is(err, ErrMalformed) {
+		err = fmt.Errorf("%w: %w", ErrMalformed, err)
+	}
+	return value.Null(), nil, err
+}
+
+// state reads a state's tag and its variables.
+func (d *decoder) state() (value.State, error) {
+	if tag, err := d.byte(); err != nil || tag != tagState {
+		return nil, fmt.Errorf("%w: expected state tag", ErrMalformed)
+	}
+	n, err := d.count()
+	if err != nil {
+		return nil, err
+	}
+	s := make(value.State, min(n, 1024))
+	return s, d.keyed(n, s)
+}
+
+// DecodeValue parses a canonical value encoding produced by EncodeValue.
+// It accepts only canonical bytes: a value it returns encodes back to
+// exactly its input. Every rejection wraps ErrMalformed.
+func DecodeValue(b []byte) (value.Value, error) {
+	v, _, err := decodeTop(b, false)
+	return v, err
+}
+
+// DecodeState parses a canonical state encoding produced by EncodeState.
+// Like DecodeValue it accepts only canonical bytes.
+func DecodeState(b []byte) (value.State, error) {
+	_, s, err := decodeTop(b, true)
+	return s, err
 }

@@ -2,6 +2,7 @@ package canon
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
@@ -196,6 +197,61 @@ func TestDecodeErrors(t *testing.T) {
 	}
 	if _, err := DecodeState(nil); err == nil {
 		t.Error("DecodeState(nil) succeeded")
+	}
+}
+
+// TestDecodeRefusesNonCanonical: every value and state has one byte
+// string. A decoder that accepted another would hand back a value whose
+// digest differs from the digest of the bytes it came from, and a check
+// would then read whichever of the two it was given.
+func TestDecodeRefusesNonCanonical(t *testing.T) {
+	u32 := func(n uint32) []byte { return binary.BigEndian.AppendUint32(nil, n) }
+	// keyed encodes a map or state body: count, then key/value pairs in
+	// the order given.
+	keyed := func(tag byte, pairs ...string) []byte {
+		b := append([]byte{version, tag}, u32(uint32(len(pairs)))...)
+		for _, k := range pairs {
+			b = append(append(append(b, u32(uint32(len(k)))...), k...), tagNull)
+		}
+		return b
+	}
+	bools := func(tag byte, b byte) []byte {
+		if tag == tagBool {
+			return []byte{version, tagBool, b}
+		}
+		return append(append(append([]byte{version, tagState}, u32(1)...), u32(1)...), 'x', tagBool, b)
+	}
+	for _, tt := range []struct {
+		name  string
+		state bool
+		buf   []byte
+	}{
+		{"value: bool byte 2", false, bools(tagBool, 2)},
+		{"value: bool byte 0xff", false, bools(tagBool, 0xff)},
+		{"value: map keys out of order", false, keyed(tagMap, "b", "a")},
+		{"value: map key repeated", false, keyed(tagMap, "a", "a")},
+		{"value: map in a list, keys out of order", false, append(append([]byte{version, tagList}, u32(1)...), keyed(tagMap, "b", "a")[1:]...)},
+		{"state: bool byte 2", true, bools(tagState, 2)},
+		{"state: keys out of order", true, keyed(tagState, "b", "a")},
+		{"state: key repeated", true, keyed(tagState, "a", "a")},
+		{"state: empty key repeated", true, keyed(tagState, "", "")},
+	} {
+		var err error
+		if tt.state {
+			_, err = DecodeState(tt.buf)
+		} else {
+			_, err = DecodeValue(tt.buf)
+		}
+		if !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: err = %v, want ErrMalformed", tt.name, err)
+		}
+	}
+	// The canonical twins decode.
+	if _, err := DecodeValue(keyed(tagMap, "a", "b")); err != nil {
+		t.Errorf("sorted map refused: %v", err)
+	}
+	if _, err := DecodeState(bools(tagState, 1)); err != nil {
+		t.Errorf("state with true refused: %v", err)
 	}
 }
 

@@ -12,8 +12,6 @@ package core
 // ErrAdmissionRefused, where planners treat it as a routing signal.
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"strings"
@@ -150,13 +148,7 @@ type PlanReply struct {
 }
 
 // DecodePlanReply decodes a node/plan response.
-func DecodePlanReply(body []byte) (PlanReply, error) {
-	var r PlanReply
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&r); err != nil {
-		return PlanReply{}, fmt.Errorf("core: decoding plan reply: %w", err)
-	}
-	return r, nil
-}
+func DecodePlanReply(body []byte) (PlanReply, error) { return decodeGob[PlanReply]("plan", body) }
 
 // AdmissionThresholder is an optional AdmissionPolicy extension for
 // policies with a numeric refusal bar; node/plan reports it.

@@ -1046,11 +1046,7 @@ func StatusCallBody(agentID string) []byte { return []byte(agentID) }
 
 // DecodeStatusReply decodes a node/status response.
 func DecodeStatusReply(body []byte) (AgentStatus, error) {
-	var st AgentStatus
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&st); err != nil {
-		return AgentStatus{}, fmt.Errorf("core: decoding status reply: %w", err)
-	}
-	return st, nil
+	return decodeGob[AgentStatus]("status", body)
 }
 
 // ReputationCallBody builds the body for a node/reputation call.
@@ -1079,11 +1075,7 @@ type ReputationReply struct {
 
 // DecodeReputationReply decodes a node/reputation response.
 func DecodeReputationReply(body []byte) (ReputationReply, error) {
-	var r ReputationReply
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&r); err != nil {
-		return ReputationReply{}, fmt.Errorf("core: decoding reputation reply: %w", err)
-	}
-	return r, nil
+	return decodeGob[ReputationReply]("reputation", body)
 }
 
 // HealthCallBody builds the (empty) body for a node/health call.
@@ -1135,11 +1127,7 @@ type HealthReply struct {
 
 // DecodeHealthReply decodes a node/health response.
 func DecodeHealthReply(body []byte) (HealthReply, error) {
-	var r HealthReply
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&r); err != nil {
-		return HealthReply{}, fmt.Errorf("core: decoding health reply: %w", err)
-	}
-	return r, nil
+	return decodeGob[HealthReply]("health", body)
 }
 
 // Health snapshots the node's durability posture (what node/health
@@ -1205,11 +1193,7 @@ type QuarantineReply struct {
 
 // DecodeQuarantineReply decodes a node/quarantine response.
 func DecodeQuarantineReply(body []byte) (QuarantineReply, error) {
-	var r QuarantineReply
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&r); err != nil {
-		return QuarantineReply{}, fmt.Errorf("core: decoding quarantine reply: %w", err)
-	}
-	return r, nil
+	return decodeGob[QuarantineReply]("quarantine", body)
 }
 
 // HandleCall implements transport.Endpoint: methods are namespaced
@@ -1289,13 +1273,25 @@ func (n *Node) HandleCall(ctx context.Context, method string, body []byte) ([]by
 	return nil, fmt.Errorf("%w: no mechanism %q", transport.ErrUnknownMethod, name)
 }
 
-// gobReply encodes a built-in call response.
+// gobReply encodes a built-in call response. With decodeGob, which every
+// Decode*Reply calls, it is the package's one gob codec pair: what peers
+// write into an agent travels in canon codecs instead.
 func gobReply(method string, v any) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
 		return nil, fmt.Errorf("core: encoding %s reply: %w", method, err)
 	}
 	return buf.Bytes(), nil
+}
+
+// decodeGob decodes a built-in call response gobReply encoded.
+func decodeGob[T any](method string, body []byte) (T, error) {
+	var v T
+	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&v); err != nil {
+		var zero T
+		return zero, fmt.Errorf("core: decoding %s reply: %w", method, err)
+	}
+	return v, nil
 }
 
 // BaseMechanism provides no-op lifecycle methods; mechanisms embed it

@@ -9,10 +9,7 @@ package core
 // token), not a transport extension.
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
-	"fmt"
 
 	"repro/internal/events"
 	"repro/internal/shardstore"
@@ -92,11 +89,7 @@ type WALStatsEntry struct {
 
 // DecodeMetricsReply decodes a node/metrics response.
 func DecodeMetricsReply(body []byte) (MetricsReply, error) {
-	var r MetricsReply
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&r); err != nil {
-		return MetricsReply{}, fmt.Errorf("core: decoding metrics reply: %w", err)
-	}
-	return r, nil
+	return decodeGob[MetricsReply]("metrics", body)
 }
 
 // metricsReply snapshots the node's metrics surface.
@@ -169,11 +162,7 @@ type EventsReply struct {
 
 // DecodeEventsReply decodes a node/events response.
 func DecodeEventsReply(body []byte) (EventsReply, error) {
-	var r EventsReply
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&r); err != nil {
-		return EventsReply{}, fmt.Errorf("core: decoding events reply: %w", err)
-	}
-	return r, nil
+	return decodeGob[EventsReply]("events", body)
 }
 
 // eventsReply serves one journal batch.
@@ -216,11 +205,7 @@ type FlightReply struct {
 
 // DecodeFlightReply decodes a node/flight response.
 func DecodeFlightReply(body []byte) (FlightReply, error) {
-	var r FlightReply
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&r); err != nil {
-		return FlightReply{}, fmt.Errorf("core: decoding flight reply: %w", err)
-	}
-	return r, nil
+	return decodeGob[FlightReply]("flight", body)
 }
 
 // flightReply serves the recorder window.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/agentlang"
@@ -113,69 +112,53 @@ const (
 	refPkgHasResources
 )
 
-// Marshal serializes the package for agent baggage.
+// Marshal serializes the package for agent baggage. It passes up the
+// trace's refusal of a trace too large to carry (canon.ErrTooLarge).
 func (p *ReferencePackage) Marshal() ([]byte, error) {
 	var flags byte
-	nfields := 11
-	if p.InitialState != nil {
-		flags |= refPkgHasInitial
-	}
-	if p.ResultingState != nil {
-		flags |= refPkgHasResulting
-	}
-	if p.Input != nil {
-		flags |= refPkgHasInput
-		nfields += 3 * len(p.Input)
-		for _, rec := range p.Input {
-			nfields += len(rec.Args)
-		}
-	}
+	var initialEnc, resultingEnc, traceEnc []byte
 	if p.Trace != nil {
 		flags |= refPkgHasTrace
+		var err error
+		if traceEnc, err = p.Trace.Marshal(); err != nil {
+			return nil, err
+		}
 	}
-	if p.Resources != nil {
-		flags |= refPkgHasResources
-		nfields += 2 * len(p.Resources)
-	}
-
-	var hopBuf, nInBuf, nResBuf [8]byte
-	binary.BigEndian.PutUint64(hopBuf[:], uint64(p.Hop))
-	binary.BigEndian.PutUint64(nInBuf[:], uint64(len(p.Input)))
-	binary.BigEndian.PutUint64(nResBuf[:], uint64(len(p.Resources)))
-
-	var initialEnc, resultingEnc, traceEnc []byte
 	if p.InitialState != nil {
+		flags |= refPkgHasInitial
 		initialEnc = canon.EncodeState(p.InitialState)
 	}
 	if p.ResultingState != nil {
+		flags |= refPkgHasResulting
 		resultingEnc = canon.EncodeState(p.ResultingState)
 	}
-	if p.Trace != nil {
-		enc, err := p.Trace.Marshal()
-		if err != nil {
-			return nil, err
-		}
-		traceEnc = enc
+	if p.Input != nil {
+		flags |= refPkgHasInput
+	}
+	if p.Resources != nil {
+		flags |= refPkgHasResources
+	}
+	nfields := 11 + 2*len(p.Resources)
+	for _, rec := range p.Input {
+		nfields += 3 + len(rec.Args)
 	}
 
 	fields := make([][]byte, 0, nfields)
 	fields = append(fields,
 		[]byte(refPkgWireLabel),
 		[]byte(p.HostName),
-		hopBuf[:],
+		canon.Uint64Field(uint64(p.Hop)),
 		[]byte(p.Entry),
 		[]byte(p.ResultEntry),
 		[]byte{flags},
 		initialEnc,
 		resultingEnc,
 		traceEnc,
-		nInBuf[:],
-		nResBuf[:],
+		canon.Uint64Field(uint64(len(p.Input))),
+		canon.Uint64Field(uint64(len(p.Resources))),
 	)
 	for _, rec := range p.Input {
-		var nArgBuf [8]byte
-		binary.BigEndian.PutUint64(nArgBuf[:], uint64(len(rec.Args)))
-		fields = append(fields, []byte(rec.Call), nArgBuf[:])
+		fields = append(fields, []byte(rec.Call), canon.Uint64Field(uint64(len(rec.Args))))
 		for _, a := range rec.Args {
 			fields = append(fields, canon.EncodeValue(a))
 		}
@@ -187,108 +170,85 @@ func (p *ReferencePackage) Marshal() ([]byte, error) {
 	return canon.Tuple(fields...), nil
 }
 
-// UnmarshalReferencePackage parses a package from agent baggage.
-func UnmarshalReferencePackage(data []byte) (*ReferencePackage, error) {
-	malformed := func(what string) error {
-		return fmt.Errorf("core: decoding reference package: %w: %s", canon.ErrMalformed, what)
-	}
-	fields, err := canon.ParseTuple(data)
+// UnmarshalReferencePackage parses a package from agent baggage. Every
+// rejection wraps canon.ErrMalformed. No field can be longer than the
+// input, and each count is bounded by the fields left to read before it
+// sizes an allocation: the counts are attacker controlled.
+func UnmarshalReferencePackage(data []byte) (_ *ReferencePackage, err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("core: decoding reference package: %w", err)
+		}
+	}()
+	bound := len(data)
+	s, err := canon.ScanTuple(data)
 	if err != nil {
-		return nil, fmt.Errorf("core: decoding reference package: %w", err)
+		return nil, err
 	}
-	if len(fields) < 11 || string(fields[0]) != refPkgWireLabel {
-		return nil, malformed("header")
+	if s.Len() < 11 || string(s.Field(len(refPkgWireLabel))) != refPkgWireLabel {
+		return nil, fmt.Errorf("%w: header", canon.ErrMalformed)
 	}
-	if len(fields[2]) != 8 || len(fields[5]) != 1 || len(fields[9]) != 8 || len(fields[10]) != 8 {
-		return nil, malformed("fixed fields")
+	p := &ReferencePackage{HostName: string(s.Field(bound)), Hop: int(s.Uint64())}
+	p.Entry, p.ResultEntry = string(s.Field(bound)), string(s.Field(bound))
+	flags, initial, resulting, tr := s.Field(1), s.Field(bound), s.Field(bound), s.Field(bound)
+	nInput, nRes := s.Uint64(), s.Uint64()
+	switch {
+	case s.Err() != nil:
+		return nil, s.Err()
+	case len(flags) != 1:
+		return nil, fmt.Errorf("%w: presence flags", canon.ErrMalformed)
+	case nInput > uint64(s.Len()) || nRes > uint64(s.Len()):
+		return nil, fmt.Errorf("%w: counts exceed field count", canon.ErrMalformed)
 	}
-	flags := fields[5][0]
-	p := &ReferencePackage{
-		HostName:    string(fields[1]),
-		Hop:         int(binary.BigEndian.Uint64(fields[2])),
-		Entry:       string(fields[3]),
-		ResultEntry: string(fields[4]),
-	}
-	if flags&refPkgHasInitial != 0 {
-		st, err := canon.DecodeState(fields[6])
-		if err != nil {
-			return nil, fmt.Errorf("core: initial state: %w", err)
+	if flags[0]&refPkgHasInitial != 0 {
+		if p.InitialState, err = canon.DecodeState(initial); err != nil {
+			return nil, fmt.Errorf("initial state: %w", err)
 		}
-		p.InitialState = st
 	}
-	if flags&refPkgHasResulting != 0 {
-		st, err := canon.DecodeState(fields[7])
-		if err != nil {
-			return nil, fmt.Errorf("core: resulting state: %w", err)
+	if flags[0]&refPkgHasResulting != 0 {
+		if p.ResultingState, err = canon.DecodeState(resulting); err != nil {
+			return nil, fmt.Errorf("resulting state: %w", err)
 		}
-		p.ResultingState = st
 	}
-	if flags&refPkgHasTrace != 0 {
-		tr, err := trace.Unmarshal(fields[8])
+	if flags[0]&refPkgHasTrace != 0 {
+		t, err := trace.Unmarshal(tr)
 		if err != nil {
 			return nil, err
 		}
-		p.Trace = &tr
+		p.Trace = &t
 	}
-	nInput := binary.BigEndian.Uint64(fields[9])
-	nRes := binary.BigEndian.Uint64(fields[10])
-	// Bound the claimed counts by the fields actually present before
-	// any of them sizes an allocation: the counts are attacker
-	// controlled and must not be able to panic make() or reserve
-	// gigabytes from a short message.
-	if nInput > uint64(len(fields)) || nRes > uint64(len(fields)) {
-		return nil, malformed("counts exceed field count")
-	}
-	off := 11
-	if flags&refPkgHasInput != 0 {
+	if flags[0]&refPkgHasInput != 0 {
 		p.Input = make([]agentlang.InputRecord, 0, nInput)
-		for i := 0; i < int(nInput); i++ {
-			if off+2 > len(fields) || len(fields[off+1]) != 8 {
-				return nil, malformed("input record header")
+		for i := range int(nInput) {
+			rec := agentlang.InputRecord{Seq: i, Call: string(s.Field(bound))}
+			nArgs := s.Uint64()
+			if nArgs > uint64(s.Len()) {
+				return nil, fmt.Errorf("%w: input record args", canon.ErrMalformed)
 			}
-			rec := agentlang.InputRecord{Seq: i, Call: string(fields[off])}
-			nArgs64 := binary.BigEndian.Uint64(fields[off+1])
-			if nArgs64 > uint64(len(fields)) {
-				return nil, malformed("input record args")
-			}
-			nArgs := int(nArgs64)
-			off += 2
-			if off+nArgs+1 > len(fields) {
-				return nil, malformed("input record args")
-			}
-			for j := 0; j < nArgs; j++ {
-				v, err := canon.DecodeValue(fields[off])
+			for range nArgs {
+				v, err := canon.DecodeValue(s.Field(bound))
 				if err != nil {
-					return nil, fmt.Errorf("core: input arg: %w", err)
+					return nil, fmt.Errorf("input arg: %w", err)
 				}
 				rec.Args = append(rec.Args, v)
-				off++
 			}
-			res, err := canon.DecodeValue(fields[off])
-			if err != nil {
-				return nil, fmt.Errorf("core: input result: %w", err)
+			if rec.Result, err = canon.DecodeValue(s.Field(bound)); err != nil {
+				return nil, fmt.Errorf("input result: %w", err)
 			}
-			rec.Result = res
-			off++
 			p.Input = append(p.Input, rec)
 		}
 	}
-	if flags&refPkgHasResources != 0 {
-		if off+2*int(nRes) > len(fields) {
-			return nil, malformed("resources")
-		}
+	if flags[0]&refPkgHasResources != 0 {
 		p.Resources = make(map[string]value.Value, nRes)
-		for i := 0; i < int(nRes); i++ {
-			v, err := canon.DecodeValue(fields[off+1])
-			if err != nil {
-				return nil, fmt.Errorf("core: resource %q: %w", fields[off], err)
+		for range nRes {
+			k := s.Field(bound)
+			if p.Resources[string(k)], err = canon.DecodeValue(s.Field(bound)); err != nil {
+				return nil, fmt.Errorf("resource %q: %w", k, err)
 			}
-			p.Resources[string(fields[off])] = v
-			off += 2
 		}
 	}
-	if off != len(fields) {
-		return nil, malformed("trailing fields")
+	if err := s.End(); err != nil {
+		return nil, err
 	}
 	return p, nil
 }

@@ -230,8 +230,8 @@ proc finish() { done() }`, "main")
 // accepted package holds no more input records and resources than the
 // input has bytes, and what it accepted survives a round trip: the
 // digest is unchanged, and a second encoding equals the first. (The
-// trace inside is gob, so the input bytes themselves need not come
-// back.)
+// package decoder skips unflagged fields and takes resources in any
+// order, so the input bytes themselves need not come back.)
 func FuzzReferencePackage(f *testing.F) {
 	for _, p := range sessionPackages(f) {
 		data, err := p.Marshal()

@@ -9,18 +9,18 @@ import (
 )
 
 // gobImporters are the only non-test files that may import
-// encoding/gob: the operator built-ins' request and reply bodies, the
-// trace wire form, and the TCP transport's streams. Everything an agent
-// carries from host to host — the verdict list, wholesig's signature,
-// appraisal's rules, the vigna and proof chains — and every mechanism
-// call body is a bounded canon.Tuple codec, and must stay one: a gob
-// decoder sizes its allocations from the message it is decoding.
+// encoding/gob: core/node.go, for the operator built-ins' one codec pair
+// (gobReply and decodeGob, whose replies external tools decode), and
+// the TCP transport's streams.
+// Everything an agent carries from host to host — the verdict list,
+// wholesig's signature, appraisal's rules, the vigna and proof chains,
+// the reference packages and the traces inside them — and every
+// mechanism call body is a bounded canon.Tuple codec, and must stay
+// one: a gob decoder sizes its allocations from the message it is
+// decoding.
 var gobImporters = map[string]bool{
-	"internal/core/admission.go": true,
-	"internal/core/node.go":      true,
-	"internal/core/observe.go":   true,
-	"internal/trace/trace.go":    true,
-	"internal/transport/tcp.go":  true,
+	"internal/core/node.go":     true,
+	"internal/transport/tcp.go": true,
 }
 
 // TestGobStaysOffBaggagePaths fails on any non-test Go file outside

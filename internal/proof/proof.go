@@ -195,10 +195,10 @@ func (m *Mechanism) HandleCall(_ context.Context, hc *core.HostContext, method s
 //	                    sigSigner, sigBytes)
 //	open       := Tuple(openLabel, agentID, hop8, indices)
 //	openings   := Tuple(openingsLabel, opening, opening, ...)
-//	opening    := Tuple(index8, entryEnc, siblings)
+//	opening    := Tuple(index8, entry, siblings)
 //
-// An opened trace entry travels as a single-entry trace.Marshal
-// encoding, the trace package's wire form.
+// entry is the opened trace entry's wire form (trace.AppendEntry),
+// which is also its Merkle leaf preimage.
 const (
 	chainLabel    = "proof-chain"
 	openLabel     = "proof-open"
@@ -339,7 +339,7 @@ func encodeOpenings(openings []Opening) ([]byte, error) {
 	}
 	recs := make([][]byte, 0, len(openings))
 	for _, o := range openings {
-		entry, err := (trace.Trace{Entries: []trace.Entry{o.Entry}}).Marshal()
+		entry, err := trace.AppendEntry(nil, o.Entry)
 		if err != nil {
 			return nil, fmt.Errorf("proof: encoding opened entry %d: %w", o.Index, err)
 		}
@@ -360,7 +360,7 @@ func encodeOpenings(openings []Opening) ([]byte, error) {
 }
 
 // decodeOpenings parses a reply to an open request; every rejection,
-// an opened entry that is not a single-entry trace included, wraps
+// an opened entry trace.UnmarshalEntry refuses included, wraps
 // canon.ErrMalformed.
 func decodeOpenings(data []byte) ([]Opening, error) {
 	s, err := canon.ScanList(data, openingsLabel, maxOpeningsBytes, maxOpenings)
@@ -388,11 +388,10 @@ func decodeOpenings(data []byte) ([]Opening, error) {
 		if len(path)%len(canon.Digest{}) != 0 {
 			return nil, fmt.Errorf("%w: %d-byte opening path", canon.ErrMalformed, len(path))
 		}
-		tr, err := trace.Unmarshal(entry)
-		if err != nil || tr.Len() != 1 {
-			return nil, fmt.Errorf("%w: opening %d holds no single trace entry", canon.ErrMalformed, i)
+		o := Opening{Index: index}
+		if o.Entry, err = trace.UnmarshalEntry(entry); err != nil {
+			return nil, fmt.Errorf("opening %d: %w", i, err)
 		}
-		o := Opening{Index: index, Entry: tr.Entries[0]}
 		if len(path) > 0 {
 			o.Path = make([]PathElem, len(path)/len(canon.Digest{}))
 			for j := range o.Path {

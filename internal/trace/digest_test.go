@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"fmt"
 	"repro/internal/testutil"
 	"testing"
@@ -41,18 +42,47 @@ func TestEntryDigestMatchesMaterialized(t *testing.T) {
 }
 
 func TestTraceDigestMatchesMaterialized(t *testing.T) {
-	tr := digestTrace()
-	var buf []byte
-	for _, e := range tr.Entries {
-		buf = append(buf, materializedEntry(e)...)
+	for _, tr := range []Trace{digestTrace(), {}} {
+		data, err := tr.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := tr.Digest(), canon.HashBytes(data); got != want {
+			t.Errorf("%d entries: streamed %s != digest of the wire bytes %s", tr.Len(), got, want)
+		}
 	}
-	want := canon.HashBytes(canon.Tuple([]byte("trace"), buf))
-	if got := tr.Digest(); got != want {
-		t.Errorf("streamed %s != materialized %s", got, want)
-	}
-	// Empty trace still digests the framing deterministically.
-	if (Trace{}).Digest() != canon.HashBytes(canon.Tuple([]byte("trace"), nil)) {
-		t.Error("empty trace digest diverged")
+}
+
+// TestOneEncoding: a trace travels as the bytes it is hashed over. For
+// every trace these tests build, Digest hashes Marshal's bytes,
+// EntryDigest hashes AppendEntry's, Unmarshal gives the bytes back, and
+// an entry's wire bytes sit in the trace's as one field.
+func TestOneEncoding(t *testing.T) {
+	_, fig3 := figure3(t)
+	for _, tr := range []Trace{digestTrace(), fig3, {}, marshalTrace()} {
+		data, err := tr.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Digest() != canon.HashBytes(data) {
+			t.Errorf("%d entries: Digest is not the digest of Marshal's bytes", tr.Len())
+		}
+		for i, e := range tr.Entries {
+			wire, err := AppendEntry(nil, e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if EntryDigest(e) != canon.HashBytes(wire) || !bytes.Contains(data, wire) {
+				t.Errorf("entry %d: EntryDigest or the trace's bytes disagree with its wire bytes", i)
+			}
+		}
+		back, err := Unmarshal(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again, err := back.Marshal(); err != nil || !bytes.Equal(again, data) {
+			t.Errorf("%d entries: Marshal(Unmarshal(x)) != x (%v)", tr.Len(), err)
+		}
 	}
 }
 

@@ -12,11 +12,18 @@
 // re-executes. This package holds no traces: host.RunSession returns
 // each session's trace once, and the mechanism that audits traces
 // (vigna, proof) keeps what it will be asked for.
+//
+// A trace has one encoding, the bytes Digest hashes:
+//
+//	trace := Tuple("trace", entry, entry, ...)
+//	entry := Tuple(stmtID decimal, name, EncodeValue(val), name, ...)
+//
+// An entry's bytes are the Merkle leaf the proof mechanism opens.
+// Unmarshal reads peers' bytes, inside reference packages and proof
+// openings, and accepts canonical bytes only.
 package trace
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"strconv"
 	"strings"
@@ -86,28 +93,35 @@ func (r *Recorder) Take() Trace {
 // Len returns the number of entries.
 func (t Trace) Len() int { return len(t.Entries) }
 
-// Digest returns the canonical digest of the whole trace, streamed into
-// a pooled SHA-256 state: even a 10^5-entry trace digests without
-// materializing its encoding. The encoding frames every entry, so
-// traces with shifted boundaries cannot collide.
+// maxBytes is what one canon tuple field holds, 64 MiB: a reference
+// package carries its trace in one. An entry costs at least minEntryLen
+// bytes: field frame, tuple header, one-digit ID field.
+const (
+	label       = "trace"
+	maxBytes    = 64 << 20
+	minEntryLen = 4 + 6 + 4 + 1
+	maxEntries  = maxBytes / minEntryLen
+	maxIDLen    = 19 // the digits of the largest int64
+)
+
+// Digest returns the digest of the trace's wire form, Marshal's bytes,
+// streamed into a pooled SHA-256 state: even a 10^5-entry trace digests
+// without materializing its encoding. Every entry is its own framed
+// field, so traces with shifted boundaries cannot collide.
 func (t Trace) Digest() canon.Digest {
-	total := 0
-	for _, e := range t.Entries {
-		total += entrySize(e)
-	}
 	x := canon.AcquireHasher()
 	defer canon.ReleaseHasher(x)
-	x.TupleHeader(2)
-	x.StringField("trace")
-	x.BeginField(total)
+	x.TupleHeader(1 + len(t.Entries))
+	x.StringField(label)
 	for _, e := range t.Entries {
+		x.BeginField(entrySize(e))
 		streamEntry(x, e)
 	}
 	return x.Sum()
 }
 
-// EntryDigest returns the canonical digest of a single entry, used as a
-// Merkle leaf by the proof mechanism. Building a Merkle tree over a
+// EntryDigest returns the digest of a single entry's wire form, used as
+// a Merkle leaf by the proof mechanism. Building a Merkle tree over a
 // long trace calls this once per statement, so it streams too.
 func EntryDigest(e Entry) canon.Digest {
 	x := canon.AcquireHasher()
@@ -116,22 +130,17 @@ func EntryDigest(e Entry) canon.Digest {
 	return x.Sum()
 }
 
-// entrySize returns the exact byte length of one entry's tuple framing.
+// entrySize returns the exact byte length of one entry's wire form.
 func entrySize(e Entry) int {
-	n := 2 + 4 + 4 + decimalLen(e.StmtID)
+	var num [20]byte
+	n := 2 + 4 + 4 + len(strconv.AppendInt(num[:0], int64(e.StmtID), 10))
 	for _, b := range e.Bindings {
 		n += 4 + len(b.Name) + 4 + 1 + canon.SizeValue(b.Val)
 	}
 	return n
 }
 
-func decimalLen(n int) int {
-	var buf [20]byte
-	return len(strconv.AppendInt(buf[:0], int64(n), 10))
-}
-
-// streamEntry writes the entry's tuple framing — byte-identical to
-// Tuple(stmtID, name, EncodeValue(val), ...) — into the hasher.
+// streamEntry writes the entry's wire form into the hasher.
 func streamEntry(x *canon.Hasher, e Entry) {
 	x.TupleHeader(1 + 2*len(e.Bindings))
 	x.IntField(int64(e.StmtID))
@@ -141,73 +150,105 @@ func streamEntry(x *canon.Hasher, e Entry) {
 	}
 }
 
-// Marshal serializes the trace for network transfer (audit fetches).
+// Marshal encodes the trace for network transfer (audit fetches). It
+// refuses a trace over 64 MiB with an error wrapping canon.ErrTooLarge,
+// and an entry Unmarshal would refuse with one wrapping
+// canon.ErrMalformed.
 func (t Trace) Marshal() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(wireTrace{Entries: toWire(t.Entries)}); err != nil {
-		return nil, fmt.Errorf("trace: encoding: %w", err)
+	size := 2 + 4 + 4 + len(label)
+	for _, e := range t.Entries {
+		size += 4 + entrySize(e)
 	}
-	return buf.Bytes(), nil
+	if size > maxBytes {
+		return nil, fmt.Errorf("trace: %d entries encode to %d bytes, over %d: %w", len(t.Entries), size, maxBytes, canon.ErrTooLarge)
+	}
+	out := canon.AppendTupleHeader(make([]byte, 0, size), 1+len(t.Entries))
+	out = append(canon.AppendFieldHeader(out, len(label)), label...)
+	for i, e := range t.Entries {
+		var err error
+		if out, err = AppendEntry(canon.AppendFieldHeader(out, entrySize(e)), e); err != nil {
+			return nil, fmt.Errorf("trace: entry %d: %w", i, err)
+		}
+	}
+	return out, nil
 }
 
-// Unmarshal parses a serialized trace.
+// AppendEntry appends the entry's wire form to dst. It refuses what
+// UnmarshalEntry would: a negative statement ID, or a name over
+// canon.MaxNameLen.
+func AppendEntry(dst []byte, e Entry) ([]byte, error) {
+	if e.StmtID < 0 {
+		return nil, fmt.Errorf("%w: statement ID %d", canon.ErrMalformed, e.StmtID)
+	}
+	var num [20]byte
+	id := strconv.AppendInt(num[:0], int64(e.StmtID), 10)
+	dst = canon.AppendTupleHeader(dst, 1+2*len(e.Bindings))
+	dst = append(canon.AppendFieldHeader(dst, len(id)), id...)
+	for _, b := range e.Bindings {
+		if len(b.Name) > canon.MaxNameLen {
+			return nil, fmt.Errorf("%w: %d-byte binding name", canon.ErrMalformed, len(b.Name))
+		}
+		dst = append(canon.AppendFieldHeader(dst, len(b.Name)), b.Name...)
+		dst = canon.AppendValueField(dst, b.Val)
+	}
+	return dst, nil
+}
+
+// Unmarshal parses a trace's wire form; a trace it returns encodes back
+// to exactly data. Every rejection wraps canon.ErrMalformed.
 func Unmarshal(data []byte) (Trace, error) {
-	var w wireTrace
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
+	s, err := canon.ScanList(data, label, maxBytes, maxEntries)
+	if err != nil {
 		return Trace{}, fmt.Errorf("trace: decoding: %w", err)
 	}
-	// The wire carries names and values as two lists; a peer can send
-	// them at different lengths.
-	for i, we := range w.Entries {
-		if len(we.Names) != len(we.ValsEnc) {
-			return Trace{}, fmt.Errorf("trace: decoding: entry %d has %d names for %d values", i, len(we.Names), len(we.ValsEnc))
+	t := Trace{Entries: make([]Entry, 0, min(s.Len(), len(data)/minEntryLen))}
+	for i := 0; s.Len() > 0; i++ {
+		e, err := UnmarshalEntry(s.Field(maxBytes))
+		if err != nil {
+			return Trace{}, fmt.Errorf("trace: decoding entry %d: %w", i, err)
 		}
+		t.Entries = append(t.Entries, e)
 	}
-	return Trace{Entries: fromWire(w.Entries)}, nil
+	if err := s.End(); err != nil {
+		return Trace{}, fmt.Errorf("trace: decoding: %w", err)
+	}
+	return t, nil
 }
 
-// wire types: bindings travel in canonical encoding to keep the gob
-// surface small and deterministic.
-type wireTrace struct {
-	Entries []wireEntry
-}
-
-type wireEntry struct {
-	StmtID  int
-	Names   []string
-	ValsEnc [][]byte
-}
-
-func toWire(entries []Entry) []wireEntry {
-	out := make([]wireEntry, len(entries))
-	for i, e := range entries {
-		we := wireEntry{StmtID: e.StmtID}
-		for _, b := range e.Bindings {
-			we.Names = append(we.Names, b.Name)
-			we.ValsEnc = append(we.ValsEnc, canon.EncodeValue(b.Val))
+// UnmarshalEntry parses one entry's wire form, refusing a ragged entry
+// (a name without its value), a statement ID that is negative or not in
+// canonical decimal, a name over canon.MaxNameLen, a value that does not
+// decode, and trailing bytes. Every rejection wraps canon.ErrMalformed.
+func UnmarshalEntry(data []byte) (Entry, error) {
+	r, err := canon.ScanTuple(data)
+	if err != nil {
+		return Entry{}, err
+	}
+	if r.Len()%2 != 1 {
+		return Entry{}, fmt.Errorf("%w: entry of %d fields", canon.ErrMalformed, r.Len())
+	}
+	id := r.Field(maxIDLen)
+	n, err := strconv.ParseUint(string(id), 10, 63) // no sign, fits an int
+	if err != nil || len(id) > 1 && id[0] == '0' {
+		return Entry{}, fmt.Errorf("%w: statement ID %q", canon.ErrMalformed, id)
+	}
+	e := Entry{StmtID: int(n)}
+	for r.Len() > 0 {
+		name := string(r.Field(canon.MaxNameLen))
+		val := r.Field(maxBytes)
+		if err := r.Err(); err != nil {
+			return Entry{}, err
 		}
-		out[i] = we
-	}
-	return out
-}
-
-func fromWire(entries []wireEntry) []Entry {
-	out := make([]Entry, len(entries))
-	for i, we := range entries {
-		e := Entry{StmtID: we.StmtID}
-		for j := range we.Names {
-			v, err := canon.DecodeValue(we.ValsEnc[j])
-			if err != nil {
-				// A malformed binding decodes to null; the digest check
-				// against the commitment will fail, which is the correct
-				// outcome for tampered data.
-				v = value.Null()
-			}
-			e.Bindings = append(e.Bindings, Binding{Name: we.Names[j], Val: v})
+		v, err := canon.DecodeValue(val)
+		if err != nil {
+			return Entry{}, fmt.Errorf("binding %q: %w", name, err)
 		}
-		out[i] = e
+		e.Bindings = append(e.Bindings, Binding{Name: name, Val: v})
 	}
-	return out
+	if err := r.End(); err != nil {
+		return Entry{}, err
+	}
+	return e, nil
 }
 
 // Format renders the trace in the style of Fig. 3b: one line per entry,

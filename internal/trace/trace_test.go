@@ -2,7 +2,7 @@ package trace
 
 import (
 	"bytes"
-	"encoding/gob"
+	"errors"
 	"strings"
 	"testing"
 
@@ -24,11 +24,9 @@ func (e *figure3Env) Input(call string, args []value.Value) (value.Value, error)
 }
 func (e *figure3Env) Output(string, []value.Value) error { return nil }
 
-// TestFigure3Trace reproduces the paper's Fig. 3: a five-statement
-// fragment whose trace records bindings only for the two statements
-// that consumed input.
-func TestFigure3Trace(t *testing.T) {
-	// Fig. 3a, transliterated. z starts at 1 so y=x+z is well-defined.
+// figure3 runs the paper's Fig. 3a, transliterated, and returns its
+// program and trace. z starts at 1 so y=x+z is well-defined.
+func figure3(tb testing.TB) (*agentlang.Program, Trace) {
 	prog := agentlang.MustParse(`
 proc main() {
     x = read("x")
@@ -40,9 +38,20 @@ proc main() {
 	rec := NewRecorder()
 	g := value.State{"z": value.Int(1)}
 	if _, err := agentlang.Run(prog, "main", g, &figure3Env{}, agentlang.Options{Hook: rec}); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	tr := rec.Take()
+	// Final state must be m = (5+1)+1 + 2 = 9.
+	if g["m"].Int != 9 {
+		tb.Fatalf("m = %s, want 9", g["m"])
+	}
+	return prog, rec.Take()
+}
+
+// TestFigure3Trace reproduces the paper's Fig. 3: a five-statement
+// fragment whose trace records bindings only for the two statements
+// that consumed input.
+func TestFigure3Trace(t *testing.T) {
+	prog, tr := figure3(t)
 	if tr.Len() != 5 {
 		t.Fatalf("trace has %d entries, want 5:\n%s", tr.Len(), tr.Format(prog))
 	}
@@ -68,10 +77,6 @@ proc main() {
 		} else if len(e.Bindings) != 0 {
 			t.Errorf("entry %d (stmt %d) has bindings %v, want none", i, e.StmtID, e.Bindings)
 		}
-	}
-	// Final state must be m = (5+1)+1 + 2 = 9.
-	if g["m"].Int != 9 {
-		t.Errorf("m = %s, want 9", g["m"])
 	}
 	// The formatted trace should look like Fig. 3b.
 	text := tr.Format(prog)
@@ -116,8 +121,9 @@ func TestEntryDigestDistinct(t *testing.T) {
 	}
 }
 
-func TestMarshalRoundTrip(t *testing.T) {
-	tr := Trace{Entries: []Entry{
+// marshalTrace holds every kind of binding value.
+func marshalTrace() Trace {
+	return Trace{Entries: []Entry{
 		{StmtID: 7, Bindings: []Binding{
 			{Name: "x", Val: value.List(value.Int(1), value.Str("s"))},
 			{Name: "y", Val: value.Map(map[string]value.Value{"k": value.Bool(true)})},
@@ -125,6 +131,10 @@ func TestMarshalRoundTrip(t *testing.T) {
 		{StmtID: 8},
 		{StmtID: 9, Bindings: []Binding{{Name: "z", Val: value.Null()}}},
 	}}
+}
+
+func TestMarshalRoundTrip(t *testing.T) {
+	tr := marshalTrace()
 	data, err := tr.Marshal()
 	if err != nil {
 		t.Fatal(err)
@@ -141,22 +151,70 @@ func TestMarshalRoundTrip(t *testing.T) {
 	}
 }
 
-// TestUnmarshalRefusesRaggedEntry: an entry whose name and value lists
-// differ in length is refused, not indexed out of range. A host decodes
-// peers' traces inside reference packages and proof openings, so the
-// panic took the decoding host down.
-func TestUnmarshalRefusesRaggedEntry(t *testing.T) {
-	for _, we := range []wireEntry{
-		{StmtID: 1, Names: []string{"x"}},
-		{StmtID: 1, ValsEnc: [][]byte{canon.EncodeValue(value.Int(1))}},
+// malformedBinding is a binding value whose encoding a test swaps for
+// bytes of the same length that do not decode.
+var malformedBinding = value.Str("MALFORMED-BINDING")
+
+// TestUnmarshalRefusesMalformed: a host decodes peers' traces inside
+// reference packages and proof openings, so every form that is not a
+// canonical trace is refused, and never read as something else.
+func TestUnmarshalRefusesMalformed(t *testing.T) {
+	valid, err := Trace{Entries: []Entry{
+		{StmtID: 3, Bindings: []Binding{{Name: "x", Val: malformedBinding}}},
+	}}.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := canon.EncodeValue(malformedBinding)
+	garbage := make([]byte, len(enc))
+	garbage[0] = 0xff
+	field := func(s string) []byte { return []byte(s) }
+	trace := func(entries ...[]byte) []byte {
+		return canon.Tuple(append([][]byte{field("trace")}, entries...)...)
+	}
+	one := canon.EncodeValue(value.Int(1))
+	for name, data := range map[string][]byte{
+		"binding value that does not decode": bytes.Replace(valid, enc, garbage, 1),
+		"non-canonical binding value":        trace(canon.Tuple(field("3"), field("x"), []byte{0x01, 0x04, 0x02})),
+		"ragged entry":                       trace(canon.Tuple(field("1"), field("x"))),
+		"negative statement ID":              trace(canon.Tuple(field("-7"))),
+		"statement ID 007":                   trace(canon.Tuple(field("007"))),
+		"statement ID +7":                    trace(canon.Tuple(field("+7"))),
+		"statement ID -0":                    trace(canon.Tuple(field("-0"))),
+		"empty statement ID":                 trace(canon.Tuple(field(""))),
+		"statement ID over int64":            trace(canon.Tuple(field("9223372036854775808"))),
+		"name over MaxNameLen":               trace(canon.Tuple(field("1"), bytes.Repeat(field("n"), canon.MaxNameLen+1), one)),
+		"entry with trailing bytes":          trace(append(canon.Tuple(field("1")), 0)),
+		"entry that is no tuple":             trace(field("1")),
+		"trailing bytes":                     append(append([]byte(nil), valid...), 0),
+		"missing label":                      canon.Tuple(canon.Tuple(field("1"))),
+		"junk":                               field("junk"),
 	} {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(wireTrace{Entries: []wireEntry{we}}); err != nil {
-			t.Fatal(err)
+		got, err := Unmarshal(data)
+		if !errors.Is(err, canon.ErrMalformed) {
+			t.Errorf("%s: err = %v, want canon.ErrMalformed; decoded:\n%s", name, err, got.Format(nil))
 		}
-		if _, err := Unmarshal(buf.Bytes()); err == nil {
-			t.Errorf("entry with %d names and %d values accepted", len(we.Names), len(we.ValsEnc))
-		}
+	}
+}
+
+// TestMarshalRefusesOversizedTrace: a trace over what a reference
+// package's field holds is an error, not a panic that ends the node.
+func TestMarshalRefusesOversizedTrace(t *testing.T) {
+	big := value.Str(strings.Repeat("x", 16<<20))
+	var tr Trace
+	for i := range 5 {
+		tr.Entries = append(tr.Entries, Entry{StmtID: i, Bindings: []Binding{{Name: "s", Val: big}}})
+	}
+	data, err := tr.Marshal()
+	if !errors.Is(err, canon.ErrTooLarge) || data != nil {
+		t.Fatalf("Marshal of a %d-entry trace of 16 MiB bindings: %d bytes, err = %v, want canon.ErrTooLarge", tr.Len(), len(data), err)
+	}
+	if _, err := AppendEntry(nil, Entry{StmtID: -1}); !errors.Is(err, canon.ErrMalformed) {
+		t.Errorf("negative statement ID encoded: %v", err)
+	}
+	long := Entry{StmtID: 1, Bindings: []Binding{{Name: strings.Repeat("n", canon.MaxNameLen+1)}}}
+	if _, err := (Trace{Entries: []Entry{long}}).Marshal(); !errors.Is(err, canon.ErrMalformed) {
+		t.Errorf("over-long name encoded: %v", err)
 	}
 }
 

@@ -8,10 +8,12 @@ import (
 
 	"repro/internal/agent"
 	"repro/internal/attack"
+	"repro/internal/canon"
 	"repro/internal/core"
 	"repro/internal/host"
 	"repro/internal/platformtest"
 	"repro/internal/sigcrypto"
+	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/value"
 	"repro/internal/vigna"
@@ -314,5 +316,22 @@ func TestMechanismRequiresTraceRecording(t *testing.T) {
 	_, err = core.AwaitAny(ctx, rc)
 	if err == nil || !strings.Contains(err.Error(), "does not record traces") {
 		t.Errorf("journey error = %v, want vigna's refusal of a host without trace recording", err)
+	}
+}
+
+// TestPrepareDepartureRefusesOversizedTrace: a session whose trace is
+// over what a reference package can carry fails its departure with an
+// error (canon.ErrTooLarge, passed up through ReferencePackage.Marshal)
+// instead of panicking the node. Five entries that share one 16 MiB
+// string make such a trace without 80 MiB of input.
+func TestPrepareDepartureRefusesOversizedTrace(t *testing.T) {
+	big := value.Str(strings.Repeat("x", 16<<20))
+	rec := &host.SessionRecord{HostName: "h1", Hop: 1, Entry: "visit"}
+	for i := range 5 {
+		rec.Trace.Entries = append(rec.Trace.Entries, trace.Entry{StmtID: i, Bindings: []trace.Binding{{Name: "s", Val: big}}})
+	}
+	// The error comes before the host context or the agent is touched.
+	if err := vigna.New().PrepareDeparture(context.Background(), nil, nil, rec); !errors.Is(err, canon.ErrTooLarge) {
+		t.Fatalf("err = %v, want canon.ErrTooLarge", err)
 	}
 }
