@@ -328,55 +328,53 @@ func Unmarshal(data []byte) (*Agent, error) {
 // validates the agent nor parses its code (Program stays lazy), so it
 // reads back a finished agent's record as well as a migrating agent.
 func Decode(data []byte) (*Agent, error) {
-	fields, err := canon.ParseTuple(data)
+	bound := len(data)
+	s, err := canon.ScanList(data, agentWireLabel, bound, bound)
 	if err != nil {
 		return nil, fmt.Errorf("agent: decoding: %w", err)
 	}
-	if len(fields) < 10 || string(fields[0]) != agentWireLabel {
-		return nil, fmt.Errorf("agent: decoding: %w", canon.ErrMalformed)
+	a := &Agent{
+		ID:         string(s.Field(bound)),
+		Owner:      string(s.Field(bound)),
+		Code:       string(s.Field(bound)),
+		CodeDigest: s.Digest(),
 	}
-	if len(fields[4]) != len(canon.Digest{}) ||
-		len(fields[7]) != 8 || len(fields[8]) != 8 || len(fields[9]) != 8 {
-		return nil, fmt.Errorf("agent: decoding: %w", canon.ErrMalformed)
-	}
-	nRoute := binary.BigEndian.Uint64(fields[8])
-	nBag := binary.BigEndian.Uint64(fields[9])
+	stateEnc := s.Field(bound)
+	a.Entry = string(s.Field(bound))
+	a.Hop = int(s.Uint64())
+	nRoute, nBag := s.Uint64(), s.Uint64()
 	// Bound each count individually before the arithmetic: the counts
 	// are attacker controlled, and an unchecked sum could wrap uint64
 	// and admit an encoding whose trailing fields are silently dropped.
-	if nRoute > uint64(len(fields)) || nBag > uint64(len(fields)) ||
-		uint64(len(fields)) != 10+nRoute+2*nBag {
+	left := uint64(s.Len())
+	if nRoute > left || nBag > left || left != nRoute+2*nBag {
 		return nil, fmt.Errorf("agent: decoding: %w: field count", canon.ErrMalformed)
 	}
-	st, err := canon.DecodeState(fields[5])
-	if err != nil {
-		return nil, fmt.Errorf("agent: decoding state: %w", err)
+	for range nRoute {
+		a.Route = append(a.Route, string(s.Field(bound)))
 	}
-	a := &Agent{
-		ID:         string(fields[1]),
-		Owner:      string(fields[2]),
-		Code:       string(fields[3]),
-		CodeDigest: canon.Digest(fields[4]),
-		State:      st,
-		Entry:      string(fields[6]),
-		Hop:        int(binary.BigEndian.Uint64(fields[7])),
-		Baggage:    make(map[string][]byte, nBag),
-	}
-	off := 10
-	for i := 0; i < int(nRoute); i++ {
-		a.Route = append(a.Route, string(fields[off]))
-		off++
-	}
-	for i := 0; i < int(nBag); i++ {
+	a.Baggage = make(map[string][]byte, nBag)
+	prev := ""
+	for i := range nBag {
+		k := string(s.Field(bound))
+		if i > 0 && k <= prev {
+			return nil, fmt.Errorf("agent: decoding: %w: baggage key %d does not follow the key before it", canon.ErrMalformed, i)
+		}
 		// Copy the payload: baggage outlives the wire buffer.
-		a.Baggage[string(fields[off])] = append([]byte(nil), fields[off+1]...)
-		off += 2
+		a.Baggage[k] = append([]byte(nil), s.Field(bound)...)
+		prev = k
+	}
+	if err := s.End(); err != nil {
+		return nil, fmt.Errorf("agent: decoding: %w", err)
+	}
+	if a.State, err = canon.DecodeState(stateEnc); err != nil {
+		return nil, fmt.Errorf("agent: decoding state: %w", err)
 	}
 	// The wire encoding IS the canonical state encoding, so the arrival
 	// digest comes from one pass over bytes already in hand — the first
 	// StateDigest call on a freshly arrived agent (every mechanism's
 	// CheckAfterSession makes one) costs nothing extra.
-	a.seedStateDigest(canon.HashBytes(fields[5]))
+	a.seedStateDigest(canon.HashBytes(stateEnc))
 	return a, nil
 }
 

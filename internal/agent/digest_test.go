@@ -81,13 +81,9 @@ func TestUnmarshalRejectsForgedCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fields, err := canon.ParseTuple(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Overwrite the baggage count with 2^63+1: 10 + nRoute + 2*nBag
 	// wraps back to the true field count in uint64 arithmetic.
-	forged := append([][]byte(nil), fields...)
+	forged := wireFields(t, wire)
 	forged[9] = []byte{0x80, 0, 0, 0, 0, 0, 0, 1}
 	if _, err := Unmarshal(canon.Tuple(forged...)); err == nil {
 		t.Fatal("forged baggage count accepted")
@@ -136,5 +132,48 @@ func TestUnmarshalRefusesNonCanonicalState(t *testing.T) {
 	if b, err := Unmarshal(forged); !errors.Is(err, canon.ErrMalformed) {
 		t.Fatalf("state with true sent as 0x02: err = %v, want canon.ErrMalformed (digest memo %s, state digest %s)",
 			err, b.StateDigest(), canon.HashState(b.State))
+	}
+}
+
+// wireFields splits an agent encoding into its tuple fields.
+func wireFields(t *testing.T, wire []byte) [][]byte {
+	t.Helper()
+	s, err := canon.ScanTuple(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields [][]byte
+	for s.Len() > 0 {
+		fields = append(fields, s.Field(len(wire)))
+	}
+	if err := s.End(); err != nil {
+		t.Fatal(err)
+	}
+	return fields
+}
+
+// TestDecodeRefusesBaggageOutOfOrder: Encode writes baggage in sorted
+// mechanism order, so keys that do not strictly increase are not an
+// agent's encoding. Taking them would decode to an agent whose encoding
+// differs from the bytes it came from, or drop a repeated slot.
+func TestDecodeRefusesBaggageOutOfOrder(t *testing.T) {
+	a := newTestAgent(t)
+	a.SetBaggage("a", []byte("first"))
+	a.SetBaggage("b", []byte("second"))
+	fields := wireFields(t, a.Encode())
+	n := len(fields)
+	if string(fields[n-4]) != "a" || string(fields[n-2]) != "b" {
+		t.Fatal("the baggage is not where the test looks for it")
+	}
+	rows := map[string]func(f [][]byte){
+		"swapped":  func(f [][]byte) { f[n-4], f[n-3], f[n-2], f[n-1] = f[n-2], f[n-1], f[n-4], f[n-3] },
+		"repeated": func(f [][]byte) { f[n-2] = f[n-4] },
+	}
+	for name, forge := range rows {
+		forged := append([][]byte(nil), fields...)
+		forge(forged)
+		if _, err := Decode(canon.Tuple(forged...)); !errors.Is(err, canon.ErrMalformed) {
+			t.Errorf("%s baggage keys: err = %v, want canon.ErrMalformed", name, err)
+		}
 	}
 }

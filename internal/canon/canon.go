@@ -209,23 +209,6 @@ func ExtendTuple(dst, tuple []byte, fields ...[]byte) []byte {
 	return dst
 }
 
-// ParseTuple splits a framed tuple produced by Tuple/AppendTuple back
-// into its fields. The returned sub-slices alias b.
-func ParseTuple(b []byte) ([][]byte, error) {
-	s, err := ScanTuple(b)
-	if err != nil {
-		return nil, err
-	}
-	fields := make([][]byte, 0, s.Len())
-	for s.Len() > 0 {
-		fields = append(fields, s.Field(maxLen))
-	}
-	if err := s.End(); err != nil {
-		return nil, err
-	}
-	return fields, nil
-}
-
 // tupleHeaderLen is the framing before a tuple's first field: version,
 // tag, and the 4-byte field count.
 const tupleHeaderLen = 1 + 1 + 4

@@ -97,24 +97,34 @@ func TestSizeHelpersMatchEncoding(t *testing.T) {
 	}
 }
 
-func TestParseTupleRoundTrip(t *testing.T) {
+func TestScanTupleRoundTrip(t *testing.T) {
 	fields := [][]byte{[]byte("a"), nil, []byte("0123456789")}
-	got, err := ParseTuple(Tuple(fields...))
+	s, err := ScanTuple(Tuple(fields...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(fields) {
-		t.Fatalf("got %d fields, want %d", len(got), len(fields))
+	if s.Len() != len(fields) {
+		t.Fatalf("got %d fields, want %d", s.Len(), len(fields))
 	}
 	for i := range fields {
-		if string(got[i]) != string(fields[i]) {
-			t.Errorf("field %d: %q != %q", i, got[i], fields[i])
+		if got := s.Field(maxLen); string(got) != string(fields[i]) {
+			t.Errorf("field %d: %q != %q", i, got, fields[i])
 		}
 	}
-	if _, err := ParseTuple(append(Tuple(fields...), 0)); !errors.Is(err, ErrMalformed) {
+	if err := s.End(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = ScanTuple(append(Tuple(fields...), 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s.Len() > 0 {
+		s.Field(maxLen)
+	}
+	if err := s.End(); !errors.Is(err, ErrMalformed) {
 		t.Errorf("trailing byte accepted: %v", err)
 	}
-	if _, err := ParseTuple([]byte{version, tagTuple, 0, 0, 0, 9}); err == nil {
+	if _, err := ScanTuple([]byte{version, tagTuple, 0, 0, 0, 9}); err == nil {
 		t.Error("truncated tuple accepted")
 	}
 }

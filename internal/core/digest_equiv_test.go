@@ -92,10 +92,7 @@ func TestUnmarshalPackageRejectsHostileCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fields, err := canon.ParseTuple(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fields := tupleFields(t, wire)
 	corrupt := func(idx int, b []byte) []byte {
 		forged := append([][]byte(nil), fields...)
 		forged[idx] = b

@@ -232,18 +232,13 @@ func writeFileSync(path string, data []byte) error {
 	return os.Rename(tmp, path)
 }
 
-// persistErr records a persistence failure in the node's sticky health
-// record (served by node/health), forwards it to the configured
-// observer, and publishes it on the event bus.
+// persistErr records a failure of the node's own stores
+// (NotePersistError) and forwards it to the configured observer.
 func (n *Node) persistErr(err error) {
 	n.NotePersistError(err)
 	if n.cfg.OnPersistError != nil {
 		n.cfg.OnPersistError(err)
 	}
-	n.publish(events.Event{
-		Kind:   events.KindPersistError,
-		Fields: map[string]string{"error": err.Error()},
-	})
 }
 
 // journalCodec persists a journal entry as its status and flag count —
@@ -276,23 +271,21 @@ func (n *Node) journalCodec() shardstore.Codec[*journalEntry] {
 			), nil
 		},
 		Decode: func(b []byte) (*journalEntry, error) {
-			fields, err := canon.ParseTuple(b)
+			s, err := canon.ScanList(b, journalWireLabel, len(b), 5)
 			if err != nil {
 				return nil, fmt.Errorf("core: decoding journal entry: %w", err)
 			}
-			if len(fields) != 6 || string(fields[0]) != journalWireLabel || len(fields[5]) != 8 {
-				return nil, fmt.Errorf("core: decoding journal entry: %w", canon.ErrMalformed)
-			}
+			id := s.Field(len(b))
 			st := AgentStatus{
-				Phase:    string(fields[2]),
-				NextHost: string(fields[3]),
-				Err:      string(fields[4]),
+				Phase:    string(s.Field(len(b))),
+				NextHost: string(s.Field(len(b))),
+				Err:      string(s.Field(len(b))),
 			}
-			e := &journalEntry{
-				rc:    newReceipt(string(fields[1])),
-				st:    st,
-				flags: int(binary.BigEndian.Uint64(fields[5])),
+			flags := s.Uint64()
+			if err := s.End(); err != nil {
+				return nil, fmt.Errorf("core: decoding journal entry: %w", err)
 			}
+			e := &journalEntry{rc: newReceipt(string(id)), st: st, flags: int(flags)}
 			switch st.Phase {
 			case PhaseCompleted:
 				e.rc.resolve(nil, false, nil)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/events"
 	"repro/internal/host"
 	"repro/internal/sigcrypto"
 	"repro/internal/transport"
@@ -110,5 +111,43 @@ func TestNodeHealthDurableNode(t *testing.T) {
 	node.NotePersistError(errors.New("journal wal: write failed"))
 	if rep := node.Health(); !rep.Degraded || rep.PersistFailures != 1 {
 		t.Fatalf("health after store error = %+v", rep)
+	}
+}
+
+// TestNotePersistErrorPublishes: a failure reported from outside the
+// node's own stores (the protection stack's ledger or vigna WAL) reaches
+// the event bus once, as the node's own store failures do.
+func TestNotePersistErrorPublishes(t *testing.T) {
+	reg := sigcrypto.NewRegistry()
+	net := transport.NewInProc()
+	keys, err := sigcrypto.GenerateKeyPair("p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := host.New(host.Config{Name: "p", Keys: keys, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe, err := events.Open(events.PipelineConfig{Node: "p"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = pipe.Close() })
+	node, err := core.NewNode(core.NodeConfig{Host: h, Net: net, Events: pipe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = node.Close() })
+
+	node.NotePersistError(errors.New("vigna wal: write failed"))
+	evs, _, _ := pipe.Bus.ReadSince(0, 0)
+	var got []events.Event
+	for _, ev := range evs {
+		if ev.Kind == events.KindPersistError {
+			got = append(got, ev)
+		}
+	}
+	if len(got) != 1 || got[0].Field("error") != "vigna wal: write failed" {
+		t.Fatalf("persist-error events = %+v, want one carrying the error", got)
 	}
 }

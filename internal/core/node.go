@@ -442,25 +442,30 @@ func (n *Node) UpdateExchangePeers(peers []string) error {
 	return fmt.Errorf("core: node %s: no mechanism implements ExchangePeerUpdater", n.cfg.Host.Name())
 }
 
-// NotePersistError folds an externally observed persistence failure
-// into the node's sticky health record (served by node/health).
-// Deployments call it from the persistence observers of co-located
-// durable state — e.g. the protection stack's ledger WAL — so one
-// surface reports the whole host's durability. The node's own store
-// failures are recorded automatically.
+// NotePersistError folds a persistence failure into the node's sticky
+// health record (served by node/health) and publishes it on the event
+// bus (events.KindPersistError). Deployments call it from the
+// persistence observers of co-located durable state — the protection
+// stack's ledger and vigna WALs — so one surface reports the whole
+// host's durability. The node's own store failures are recorded
+// automatically.
 func (n *Node) NotePersistError(err error) {
 	if err == nil {
 		return
 	}
 	now := time.Now().UnixNano()
 	n.healthMu.Lock()
-	defer n.healthMu.Unlock()
 	n.persistFailures++
 	n.lastPersistUnix = now
 	if n.firstPersistErr == "" {
 		n.firstPersistErr = err.Error()
 		n.firstPersistUnix = now
 	}
+	n.healthMu.Unlock()
+	n.publish(events.Event{
+		Kind:   events.KindPersistError,
+		Fields: map[string]string{"error": err.Error()},
+	})
 }
 
 // Close stops the intake workers, drains queued-but-unprocessed

@@ -110,6 +110,7 @@ const (
 	refPkgHasInput
 	refPkgHasTrace
 	refPkgHasResources
+	refPkgFlags = 1<<iota - 1 // every flag above
 )
 
 // Marshal serializes the package for agent baggage. It passes up the
@@ -199,6 +200,13 @@ func UnmarshalReferencePackage(data []byte) (_ *ReferencePackage, err error) {
 		return nil, fmt.Errorf("%w: presence flags", canon.ErrMalformed)
 	case nInput > uint64(s.Len()) || nRes > uint64(s.Len()):
 		return nil, fmt.Errorf("%w: counts exceed field count", canon.ErrMalformed)
+	case flags[0]&^refPkgFlags != 0:
+		return nil, fmt.Errorf("%w: unknown presence flags 0x%02x", canon.ErrMalformed, flags[0])
+	case flags[0]&refPkgHasInitial == 0 && len(initial) > 0, flags[0]&refPkgHasResulting == 0 && len(resulting) > 0,
+		flags[0]&refPkgHasTrace == 0 && len(tr) > 0, flags[0]&refPkgHasInput == 0 && nInput > 0,
+		flags[0]&refPkgHasResources == 0 && nRes > 0:
+		// Marshal leaves empty what a clear flag leaves out.
+		return nil, fmt.Errorf("%w: data under a clear presence flag", canon.ErrMalformed)
 	}
 	if flags[0]&refPkgHasInitial != 0 {
 		if p.InitialState, err = canon.DecodeState(initial); err != nil {
@@ -240,11 +248,16 @@ func UnmarshalReferencePackage(data []byte) (_ *ReferencePackage, err error) {
 	}
 	if flags[0]&refPkgHasResources != 0 {
 		p.Resources = make(map[string]value.Value, nRes)
-		for range nRes {
-			k := s.Field(bound)
-			if p.Resources[string(k)], err = canon.DecodeValue(s.Field(bound)); err != nil {
+		prev := ""
+		for i := range nRes {
+			k := string(s.Field(bound))
+			if i > 0 && k <= prev {
+				return nil, fmt.Errorf("%w: resource %q does not follow the key before it", canon.ErrMalformed, k)
+			}
+			if p.Resources[k], err = canon.DecodeValue(s.Field(bound)); err != nil {
 				return nil, fmt.Errorf("resource %q: %w", k, err)
 			}
+			prev = k
 		}
 	}
 	if err := s.End(); err != nil {

@@ -3,10 +3,12 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/agent"
 	"repro/internal/agentlang"
+	"repro/internal/canon"
 	"repro/internal/host"
 	"repro/internal/sigcrypto"
 	"repro/internal/trace"
@@ -142,6 +144,65 @@ func TestReferencePackageMarshalMinimal(t *testing.T) {
 	}
 }
 
+// tupleFields splits a framed tuple into its fields.
+func tupleFields(t *testing.T, wire []byte) [][]byte {
+	t.Helper()
+	s, err := canon.ScanTuple(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields [][]byte
+	for s.Len() > 0 {
+		fields = append(fields, s.Field(len(wire)))
+	}
+	if err := s.End(); err != nil {
+		t.Fatal(err)
+	}
+	return fields
+}
+
+// TestUnmarshalPackageRefusesNonCanonical: Marshal writes one encoding
+// per package, so the decoder refuses flag bits it does not know, data
+// under a clear presence flag, and resources out of key order. Each row
+// forges one field of a package Marshal wrote.
+func TestUnmarshalPackageRefusesNonCanonical(t *testing.T) {
+	encode := func(p *ReferencePackage) [][]byte {
+		data, err := p.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tupleFields(t, data)
+	}
+	// Field 11 onwards: one input record (call, arg count, result),
+	// then the resource pairs, a before b.
+	withInput := encode(&ReferencePackage{HostName: "h", Hop: 1, Entry: "main",
+		Input: []agentlang.InputRecord{{Call: "read", Result: value.Int(1)}}})
+	withResources := encode(&ReferencePackage{HostName: "h", Hop: 1, Entry: "main",
+		Resources: map[string]value.Value{"a": value.Int(1), "b": value.Int(2)}})
+	one := canon.Uint64Field(1)
+	rows := []struct {
+		name  string
+		base  [][]byte
+		forge func(f [][]byte)
+	}{
+		{"unknown flag bit", withInput, func(f [][]byte) { f[5] = []byte{f[5][0] | 1<<5} }},
+		{"initial state under a clear flag", withInput, func(f [][]byte) { f[6] = canon.EncodeState(value.State{}) }},
+		{"resulting state under a clear flag", withInput, func(f [][]byte) { f[7] = canon.EncodeState(value.State{}) }},
+		{"trace under a clear flag", withInput, func(f [][]byte) { f[8] = []byte("trace") }},
+		{"input count under a clear flag", withResources, func(f [][]byte) { f[9] = one }},
+		{"resource count under a clear flag", withInput, func(f [][]byte) { f[10] = one }},
+		{"resources out of order", withResources, func(f [][]byte) { f[11], f[12], f[13], f[14] = f[13], f[14], f[11], f[12] }},
+		{"resource repeated", withResources, func(f [][]byte) { f[13] = f[11] }},
+	}
+	for _, r := range rows {
+		forged := append([][]byte(nil), r.base...)
+		r.forge(forged)
+		if _, err := UnmarshalReferencePackage(canon.Tuple(forged...)); !errors.Is(err, canon.ErrMalformed) {
+			t.Errorf("%s: err = %v, want canon.ErrMalformed", r.name, err)
+		}
+	}
+}
+
 func TestReferencePackageDigestSensitivity(t *testing.T) {
 	rec := sampleRecord()
 	base := BuildReferencePackage(wantsAll{}, rec, nil).Digest()
@@ -228,10 +289,8 @@ proc finish() { done() }`, "main")
 // FuzzReferencePackage feeds peer bytes to the reference package
 // decoder, whose output a checking host replays. It must not panic, an
 // accepted package holds no more input records and resources than the
-// input has bytes, and what it accepted survives a round trip: the
-// digest is unchanged, and a second encoding equals the first. (The
-// package decoder skips unflagged fields and takes resources in any
-// order, so the input bytes themselves need not come back.)
+// input has bytes, and an accepted package encodes back to exactly its
+// input.
 func FuzzReferencePackage(f *testing.F) {
 	for _, p := range sessionPackages(f) {
 		data, err := p.Marshal()
@@ -248,23 +307,12 @@ func FuzzReferencePackage(f *testing.F) {
 		if n := len(p.Input) + len(p.Resources); n > len(data) {
 			t.Fatalf("%d bytes decoded to %d input records and resources", len(data), n)
 		}
-		once, err := p.Marshal()
+		enc, err := p.Marshal()
 		if err != nil {
 			t.Fatalf("accepted package does not encode: %v", err)
 		}
-		q, err := UnmarshalReferencePackage(once)
-		if err != nil {
-			t.Fatalf("encoded package does not decode: %v", err)
-		}
-		if q.Digest() != p.Digest() {
-			t.Fatal("digest changed across a round trip")
-		}
-		twice, err := q.Marshal()
-		if err != nil {
-			t.Fatalf("round-tripped package does not encode: %v", err)
-		}
-		if !bytes.Equal(twice, once) {
-			t.Fatal("encoding is not a fixed point after one round")
+		if !bytes.Equal(enc, data) {
+			t.Fatal("encode(decode(x)) != x for an accepted package")
 		}
 	})
 }

@@ -156,45 +156,45 @@ func EncodeEvent(e Event) []byte {
 // DecodeEvent parses a canonical event encoding produced by
 // EncodeEvent, enforcing the same bounds Publish does.
 func DecodeEvent(b []byte) (Event, error) {
-	fields, err := canon.ParseTuple(b)
+	s, err := canon.ScanList(b, eventWireLabel, len(b), 7)
 	if err != nil {
-		return Event{}, fmt.Errorf("%w: %v", ErrEventWire, err)
-	}
-	if len(fields) != 8 || string(fields[0]) != eventWireLabel {
-		return Event{}, ErrEventWire
-	}
-	if len(fields[1]) != 8 || len(fields[6]) != 8 {
-		return Event{}, ErrEventWire
+		return Event{}, fmt.Errorf("%w: %w", ErrEventWire, err)
 	}
 	e := Event{
-		Seq:      binary.BigEndian.Uint64(fields[1]),
-		Kind:     string(fields[2]),
-		Node:     string(fields[3]),
-		Agent:    string(fields[4]),
-		Host:     string(fields[5]),
-		UnixNano: int64(binary.BigEndian.Uint64(fields[6])),
+		Seq:      s.Uint64(),
+		Kind:     string(s.Field(MaxEventStringLen)),
+		Node:     string(s.Field(MaxEventStringLen)),
+		Agent:    string(s.Field(MaxEventStringLen)),
+		Host:     string(s.Field(MaxEventStringLen)),
+		UnixNano: int64(s.Uint64()),
 	}
-	for _, s := range []string{e.Kind, e.Node, e.Agent, e.Host} {
-		if len(s) > MaxEventStringLen {
-			return Event{}, ErrEventWire
+	fields := s.Field(len(b))
+	if err := s.End(); err != nil {
+		return Event{}, fmt.Errorf("%w: %w", ErrEventWire, err)
+	}
+	kv, err := canon.ScanTuple(fields)
+	if err == nil && (kv.Len()%2 != 0 || kv.Len() > 2*MaxEventFields) {
+		err = fmt.Errorf("%w: %d field keys and values", canon.ErrMalformed, kv.Len())
+	}
+	if err != nil {
+		return Event{}, fmt.Errorf("%w: %w", ErrEventWire, err)
+	}
+	if kv.Len() > 0 {
+		e.Fields = make(map[string]string, kv.Len()/2)
+	}
+	// Keys strictly increase, as EncodeEvent writes them: bytes with a
+	// key out of order or repeated are not the encoding of any event.
+	prev := ""
+	for kv.Len() > 0 {
+		k := string(kv.Field(MaxEventStringLen))
+		if len(e.Fields) > 0 && k <= prev {
+			return Event{}, fmt.Errorf("%w: %w: field key %q does not follow the key before it", ErrEventWire, canon.ErrMalformed, k)
 		}
+		e.Fields[k] = string(kv.Field(MaxEventStringLen))
+		prev = k
 	}
-	kv, err := canon.ParseTuple(fields[7])
-	if err != nil || len(kv)%2 != 0 {
-		return Event{}, ErrEventWire
-	}
-	if len(kv) > 2*MaxEventFields {
-		return Event{}, ErrEventWire
-	}
-	if len(kv) > 0 {
-		e.Fields = make(map[string]string, len(kv)/2)
-		for i := 0; i < len(kv); i += 2 {
-			k, v := string(kv[i]), string(kv[i+1])
-			if len(k) > MaxEventStringLen || len(v) > MaxEventStringLen {
-				return Event{}, ErrEventWire
-			}
-			e.Fields[k] = v
-		}
+	if err := kv.End(); err != nil {
+		return Event{}, fmt.Errorf("%w: %w", ErrEventWire, err)
 	}
 	return e, nil
 }

@@ -2,7 +2,6 @@ package policy
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -109,12 +108,12 @@ func encodeOffer(initiator string, budget int, summary []summaryItem, entries []
 		if len(s.Host) > maxPrincipalLen {
 			return nil, fmt.Errorf("%w: summary host over bound", ErrExchangeWire)
 		}
-		sfields = append(sfields, canon.Tuple([]byte(s.Host), appendU64(floatBits(s.Suspicion))))
+		sfields = append(sfields, canon.Tuple([]byte(s.Host), canon.Uint64Field(math.Float64bits(s.Suspicion))))
 	}
 	out := canon.Tuple(
 		[]byte(offerWireLabel),
 		[]byte(initiator),
-		appendU64(uint64(budget)),
+		canon.Uint64Field(uint64(budget)),
 		canon.Tuple(sfields...),
 		enc,
 	)
@@ -129,48 +128,45 @@ func encodeOffer(initiator string, budget int, summary []summaryItem, entries []
 // advisory routing metadata (it tunes the responder's scheduler), not
 // trust: trust rides only on the per-entry signatures.
 func decodeOffer(body []byte) (initiator string, budget int, summary map[string]float64, entries []GossipEntry, err error) {
-	if len(body) > MaxExchangeWireBytes {
-		return "", 0, nil, nil, fmt.Errorf("%w: %d bytes over %d", ErrExchangeWire, len(body), MaxExchangeWireBytes)
-	}
-	fields, err := canon.ParseTuple(body)
+	s, err := canon.ScanList(body, offerWireLabel, MaxExchangeWireBytes, 4)
 	if err != nil {
-		return "", 0, nil, nil, fmt.Errorf("%w: %v", ErrExchangeWire, err)
+		return "", 0, nil, nil, fmt.Errorf("%w: %w", ErrExchangeWire, err)
 	}
-	if len(fields) != 5 || string(fields[0]) != offerWireLabel ||
-		len(fields[1]) > maxPrincipalLen || len(fields[2]) != 8 {
-		return "", 0, nil, nil, fmt.Errorf("%w: bad offer framing", ErrExchangeWire)
+	initiator = string(s.Field(maxPrincipalLen))
+	budget = min(max(int(s.Uint64()), 1), core.MaxExchangeBudget)
+	sumEnc, entriesEnc := s.Field(len(body)), s.Field(len(body))
+	if err := s.End(); err != nil {
+		return "", 0, nil, nil, fmt.Errorf("%w: offer: %w", ErrExchangeWire, err)
 	}
-	initiator = string(fields[1])
-	budget = int(binary.BigEndian.Uint64(fields[2]))
-	if budget < 1 {
-		budget = 1
+	if summary, err = decodeSummary(sumEnc); err != nil {
+		return "", 0, nil, nil, fmt.Errorf("%w: summary: %w", ErrExchangeWire, err)
 	}
-	if budget > core.MaxExchangeBudget {
-		budget = core.MaxExchangeBudget
-	}
-	sfields, err := canon.ParseTuple(fields[3])
-	if err != nil {
-		return "", 0, nil, nil, fmt.Errorf("%w: summary: %v", ErrExchangeWire, err)
-	}
-	if len(sfields) == 0 || string(sfields[0]) != summaryWireLabel {
-		return "", 0, nil, nil, fmt.Errorf("%w: bad summary framing", ErrExchangeWire)
-	}
-	if len(sfields)-1 > maxSummaryEntries {
-		return "", 0, nil, nil, fmt.Errorf("%w: %d summary entries over %d", ErrExchangeWire, len(sfields)-1, maxSummaryEntries)
-	}
-	summary = make(map[string]float64, len(sfields)-1)
-	for _, f := range sfields[1:] {
-		item, err := canon.ParseTuple(f)
-		if err != nil || len(item) != 2 || len(item[0]) > maxPrincipalLen || len(item[1]) != 8 {
-			return "", 0, nil, nil, fmt.Errorf("%w: bad summary item", ErrExchangeWire)
-		}
-		summary[string(item[0])] = floatFromBits(binary.BigEndian.Uint64(item[1]))
-	}
-	entries, err = decodeEntriesBounded(fields[4], core.MaxExchangeBudget)
+	entries, err = decodeEntriesBounded(entriesEnc, core.MaxExchangeBudget)
 	if err != nil {
 		return "", 0, nil, nil, err
 	}
 	return initiator, budget, summary, entries, nil
+}
+
+// decodeSummary parses an offer's ledger summary.
+func decodeSummary(data []byte) (map[string]float64, error) {
+	s, err := canon.ScanList(data, summaryWireLabel, len(data), maxSummaryEntries)
+	if err != nil {
+		return nil, err
+	}
+	summary := make(map[string]float64, s.Len())
+	for s.Len() > 0 {
+		item, err := canon.ScanTuple(s.Field(len(data)))
+		if err != nil {
+			return nil, err
+		}
+		host, bits := item.Field(maxPrincipalLen), item.Uint64()
+		if err := item.End(); err != nil {
+			return nil, err
+		}
+		summary[string(host)] = math.Float64frombits(bits)
+	}
+	return summary, s.End()
 }
 
 // encodeDelta renders the responder's reply: its signed extracts the
@@ -185,17 +181,15 @@ func encodeDelta(entries []GossipEntry) ([]byte, error) {
 
 // decodeDelta parses a delta reply under the same bounds as an offer.
 func decodeDelta(body []byte) ([]GossipEntry, error) {
-	if len(body) > MaxExchangeWireBytes {
-		return nil, fmt.Errorf("%w: %d bytes over %d", ErrExchangeWire, len(body), MaxExchangeWireBytes)
-	}
-	fields, err := canon.ParseTuple(body)
+	s, err := canon.ScanList(body, deltaWireLabel, MaxExchangeWireBytes, 1)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrExchangeWire, err)
+		return nil, fmt.Errorf("%w: %w", ErrExchangeWire, err)
 	}
-	if len(fields) != 2 || string(fields[0]) != deltaWireLabel {
-		return nil, fmt.Errorf("%w: bad delta framing", ErrExchangeWire)
+	entries := s.Field(len(body))
+	if err := s.End(); err != nil {
+		return nil, fmt.Errorf("%w: delta: %w", ErrExchangeWire, err)
 	}
-	return decodeEntriesBounded(fields[1], core.MaxExchangeBudget)
+	return decodeEntriesBounded(entries, core.MaxExchangeBudget)
 }
 
 // Exchange runs the anti-entropy loop for one node. It is created
@@ -503,11 +497,6 @@ func (x *Exchange) exchangeWith(ctx context.Context, peer string) (received, mer
 	x.mu.Unlock()
 	return len(delta), len(kept), nil
 }
-
-// floatBits / floatFromBits keep the summary's float encoding in one
-// place (IEEE-754 big-endian bits, like every float on this wire).
-func floatBits(f float64) uint64     { return math.Float64bits(f) }
-func floatFromBits(u uint64) float64 { return math.Float64frombits(u) }
 
 // --- Gossip's exchange surface -------------------------------------
 

@@ -207,25 +207,16 @@ func hostRecordCodec(h int64) shardstore.Codec[hostRecord] {
 			return canon.Tuple([]byte(hostRecordWireLabel), buf[0][:], buf[1][:], buf[2][:], buf[3][:]), nil
 		},
 		Decode: func(b []byte) (hostRecord, error) {
-			fields, err := canon.ParseTuple(b)
+			s, err := canon.ScanList(b, hostRecordWireLabel, len(b), 4)
 			if err != nil {
 				return hostRecord{}, fmt.Errorf("policy: decoding host record: %w", err)
 			}
-			if len(fields) != 5 || string(fields[0]) != hostRecordWireLabel {
-				return hostRecord{}, fmt.Errorf("policy: decoding host record: %w", canon.ErrMalformed)
+			cur := curve{v: math.Float64frombits(s.Uint64()), at: int64(s.Uint64()), h: h}
+			r := hostRecord{cur: cur, events: int(s.Uint64()), failures: int(s.Uint64()), raised: cur}
+			if err := s.End(); err != nil {
+				return hostRecord{}, fmt.Errorf("policy: decoding host record: %w", err)
 			}
-			for _, f := range fields[1:] {
-				if len(f) != 8 {
-					return hostRecord{}, fmt.Errorf("policy: decoding host record: %w", canon.ErrMalformed)
-				}
-			}
-			cur := curve{v: math.Float64frombits(binary.BigEndian.Uint64(fields[1])), at: int64(binary.BigEndian.Uint64(fields[2])), h: h}
-			return hostRecord{
-				cur:      cur,
-				events:   int(binary.BigEndian.Uint64(fields[3])),
-				failures: int(binary.BigEndian.Uint64(fields[4])),
-				raised:   cur,
-			}, nil
+			return r, nil
 		},
 	}
 }

@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -353,9 +352,9 @@ func (s *Scheduler) EncodeState() []byte {
 		}
 		fields = append(fields, canon.Tuple(
 			[]byte(p),
-			appendU64(last),
-			appendU64(uint64(st.fails)),
-			appendU64(math.Float64bits(st.distance)),
+			canon.Uint64Field(last),
+			canon.Uint64Field(uint64(st.fails)),
+			canon.Uint64Field(math.Float64bits(st.distance)),
 		))
 	}
 	return canon.Tuple(fields...)
@@ -366,37 +365,33 @@ func (s *Scheduler) EncodeState() []byte {
 // Malformed input is rejected whole — a torn state file costs the
 // restart memory, never the scheduler.
 func (s *Scheduler) ApplyState(data []byte) error {
-	fields, err := canon.ParseTuple(data)
+	list, err := canon.ScanList(data, schedStateWireLabel, len(data), maxSchedStatePeers)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrSchedState, err)
-	}
-	if len(fields) == 0 || string(fields[0]) != schedStateWireLabel {
-		return fmt.Errorf("%w: missing label", ErrSchedState)
-	}
-	if len(fields)-1 > maxSchedStatePeers {
-		return fmt.Errorf("%w: %d peers over %d", ErrSchedState, len(fields)-1, maxSchedStatePeers)
+		return fmt.Errorf("%w: %w", ErrSchedState, err)
 	}
 	type restored struct {
 		last     int64
 		fails    int
 		distance float64
 	}
-	parsed := make(map[string]restored, len(fields)-1)
-	for _, f := range fields[1:] {
-		item, err := canon.ParseTuple(f)
-		if err != nil || len(item) != 4 || len(item[0]) > maxPrincipalLen ||
-			len(item[1]) != 8 || len(item[2]) != 8 || len(item[3]) != 8 {
-			return fmt.Errorf("%w: bad peer record", ErrSchedState)
+	parsed := make(map[string]restored, list.Len())
+	for list.Len() > 0 {
+		item, err := canon.ScanTuple(list.Field(len(data)))
+		if err != nil {
+			return fmt.Errorf("%w: peer record: %w", ErrSchedState, err)
 		}
-		d := math.Float64frombits(binary.BigEndian.Uint64(item[3]))
-		if math.IsNaN(d) || math.IsInf(d, 0) || d < 0 {
-			d = schedDefaultDistance
+		peer := item.Field(maxPrincipalLen)
+		r := restored{last: int64(item.Uint64()), fails: int(item.Uint64()), distance: math.Float64frombits(item.Uint64())}
+		if err := item.End(); err != nil {
+			return fmt.Errorf("%w: peer record: %w", ErrSchedState, err)
 		}
-		parsed[string(item[0])] = restored{
-			last:     int64(binary.BigEndian.Uint64(item[1])),
-			fails:    int(binary.BigEndian.Uint64(item[2])),
-			distance: d,
+		if d := r.distance; math.IsNaN(d) || math.IsInf(d, 0) || d < 0 {
+			r.distance = schedDefaultDistance
 		}
+		parsed[string(peer)] = r
+	}
+	if err := list.End(); err != nil {
+		return fmt.Errorf("%w: %w", ErrSchedState, err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

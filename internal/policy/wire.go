@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -47,13 +46,6 @@ const (
 // ErrGossipWire is wrapped by every rejection of the gossip wire codec
 // (oversized input, too many entries, malformed framing).
 var ErrGossipWire = errors.New("policy: malformed gossip wire data")
-
-// appendU64 encodes v big-endian into a fresh 8-byte slice.
-func appendU64(v uint64) []byte {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	return b[:]
-}
 
 // tupleWireSize returns the encoded size of a canon.Tuple whose fields
 // have the given lengths: the version byte, tuple tag, and 4-byte
@@ -102,8 +94,8 @@ func encodeEntries(entries []GossipEntry) ([]byte, error) {
 		fields = append(fields, canon.Tuple(
 			[]byte(e.Observer),
 			[]byte(e.Host),
-			appendU64(math.Float64bits(e.Suspicion)),
-			appendU64(uint64(e.AtUnixNano)),
+			canon.Uint64Field(math.Float64bits(e.Suspicion)),
+			canon.Uint64Field(uint64(e.AtUnixNano)),
 			[]byte(e.Sig.Signer),
 			e.Sig.Sig,
 		))

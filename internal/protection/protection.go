@@ -59,7 +59,7 @@ func newVigna(opts Options) (*vigna.Mechanism, error) {
 	if err != nil {
 		return nil, fmt.Errorf("protection: opening vigna wal: %w", err)
 	}
-	return vigna.NewDurable(backend)
+	return vigna.NewDurable(backend, opts.OnPersistError)
 }
 
 // Level selects a protection preset.
@@ -131,8 +131,9 @@ type Options struct {
 	// its own Now — only gossip adopts the clock then.
 	Clock func() time.Time
 	// OnPersistError receives the stack's durable-state write failures
-	// (the adaptive ledger WAL; fires once, then the store is degraded
-	// to memory-only). Nil means failures are silent. Pair it with
+	// (the adaptive ledger WAL and vigna's trace retention WAL; each
+	// fires once, then its store is degraded to memory-only). Nil means
+	// failures are silent. Pair it with
 	// core.NodeConfig.OnPersistError so both the node's stores and the
 	// stack's report through one channel.
 	OnPersistError func(error)

@@ -257,42 +257,40 @@ func appendPayload(dst []byte, p *payload) []byte {
 // returned payload's byte slices alias data.
 func parsePayload(data []byte) (payload, error) {
 	var p payload
-	fields, err := canon.ParseTuple(data)
+	bound := len(data)
+	s, err := canon.ScanList(data, payloadLabel, bound, relayedFields-1)
 	if err != nil {
 		return p, err
 	}
-	if len(fields) != originFields && len(fields) != relayedFields {
-		return p, fmt.Errorf("%w: payload has %d fields", canon.ErrMalformed, len(fields))
+	if n := 1 + s.Len(); n != originFields && n != relayedFields {
+		return p, fmt.Errorf("%w: payload has %d fields", canon.ErrMalformed, n)
 	}
-	if string(fields[0]) != payloadLabel {
-		return p, fmt.Errorf("%w: payload label %q", canon.ErrMalformed, fields[0])
-	}
-	if len(fields[1]) != 8 || len(fields[2]) != 1 || fields[2][0]&^flagTrustedSkip != 0 {
-		return p, fmt.Errorf("%w: payload header", canon.ErrMalformed)
-	}
-	p.Hop = int(binary.BigEndian.Uint64(fields[1]))
-	p.TrustedSkip = fields[2][0]&flagTrustedSkip != 0
-	p.Origin = len(fields) == originFields
-	digest := func(i int) bool { return len(fields[i]) == len(canon.Digest{}) }
-	if !digest(4) || !digest(5) || !digest(6) || !p.Origin && (!digest(9) || !digest(10)) {
-		return p, fmt.Errorf("%w: payload digest length", canon.ErrMalformed)
-	}
-	if len(fields[3]) > 0 {
-		p.PkgEnc = fields[3]
+	p.Origin = 1+s.Len() == originFields
+	p.Hop = int(s.Uint64())
+	flags := s.Field(1)
+	if pkg := s.Field(bound); len(pkg) > 0 {
+		p.PkgEnc = pkg
 	}
 	p.Session = session{
-		Initial: canon.Digest(fields[4]),
-		Result:  canon.Digest(fields[5]),
-		Package: canon.Digest(fields[6]),
-		Sig:     sigcrypto.Signature{Signer: string(fields[7]), Sig: fields[8]},
+		Initial: s.Digest(),
+		Result:  s.Digest(),
+		Package: s.Digest(),
+		Sig:     sigcrypto.Signature{Signer: string(s.Field(bound)), Sig: s.Field(bound)},
 	}
 	if !p.Origin {
 		p.Producer = session{
-			Initial: canon.Digest(fields[9]),
-			Package: canon.Digest(fields[10]),
-			Sig:     sigcrypto.Signature{Signer: string(fields[11]), Sig: fields[12]},
+			Initial: s.Digest(),
+			Package: s.Digest(),
+			Sig:     sigcrypto.Signature{Signer: string(s.Field(bound)), Sig: s.Field(bound)},
 		}
 	}
+	if err := s.End(); err != nil {
+		return payload{}, err
+	}
+	if len(flags) != 1 || flags[0]&^flagTrustedSkip != 0 {
+		return payload{}, fmt.Errorf("%w: payload header", canon.ErrMalformed)
+	}
+	p.TrustedSkip = flags[0]&flagTrustedSkip != 0
 	return p, nil
 }
 

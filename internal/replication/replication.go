@@ -140,28 +140,20 @@ func encodeVote(v *Vote) ([]byte, error) {
 // decodeVote parses a vote, rejecting oversized or malformed input
 // before allocating for it.
 func decodeVote(b []byte) (*Vote, error) {
-	if len(b) > MaxVoteWireBytes {
-		return nil, fmt.Errorf("%w: %d bytes over %d", ErrVoteWire, len(b), MaxVoteWireBytes)
-	}
-	fields, err := canon.ParseTuple(b)
+	s, err := canon.ScanList(b, voteWireLabel, MaxVoteWireBytes, 6)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrVoteWire, err)
+		return nil, fmt.Errorf("%w: %w", ErrVoteWire, err)
 	}
-	if len(fields) != 7 || string(fields[0]) != voteWireLabel || len(fields[2]) != 8 {
-		return nil, fmt.Errorf("%w: bad framing", ErrVoteWire)
+	v := &Vote{Replica: string(s.Field(maxVoteNameLen)), Hop: int(s.Uint64())}
+	state := s.Field(len(b))
+	v.ResultEntry = string(s.Field(maxVoteEntryLen))
+	signer, sig := s.Field(maxVoteNameLen), s.Field(maxVoteSigLen)
+	if err := s.End(); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrVoteWire, err)
 	}
-	if len(fields[1]) > maxVoteNameLen || len(fields[4]) > maxVoteEntryLen ||
-		len(fields[5]) > maxVoteNameLen || len(fields[6]) > maxVoteSigLen {
-		return nil, fmt.Errorf("%w: field over bound", ErrVoteWire)
-	}
-	v := &Vote{
-		Replica:     string(fields[1]),
-		Hop:         int(binary.BigEndian.Uint64(fields[2])),
-		StateEnc:    append([]byte(nil), fields[3]...),
-		ResultEntry: string(fields[4]),
-	}
-	v.Sig.Signer = string(fields[5])
-	v.Sig.Sig = append([]byte(nil), fields[6]...)
+	v.StateEnc = append([]byte(nil), state...)
+	v.Sig.Signer = string(signer)
+	v.Sig.Sig = append([]byte(nil), sig...)
 	return v, nil
 }
 

@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -51,4 +52,35 @@ func TestVoteWireBounds(t *testing.T) {
 	if _, err := encodeVote(over); !errors.Is(err, ErrVoteWire) {
 		t.Fatalf("overlong replica name encoded: err = %v", err)
 	}
+}
+
+// FuzzDecodeVote feeds the vote decoder the bytes a replica could send.
+// It must not panic, and an accepted vote encodes back to exactly its
+// input.
+func FuzzDecodeVote(f *testing.F) {
+	for _, v := range []*Vote{
+		{Replica: "s0r1", Hop: 3, StateEnc: []byte{1, 2, 3, 4}, ResultEntry: "second",
+			Sig: sigcrypto.Signature{Signer: "s0r1", Sig: make([]byte, 64)}},
+		{Replica: "r"},
+	} {
+		enc, err := encodeVote(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+	}
+	f.Add([]byte("not a tuple"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		v, err := decodeVote(data)
+		if err != nil {
+			return
+		}
+		enc, err := encodeVote(v)
+		if err != nil {
+			t.Fatalf("accepted vote does not encode: %v", err)
+		}
+		if !bytes.Equal(enc, data) {
+			t.Fatal("encodeVote(decodeVote(x)) != x for an accepted input")
+		}
+	})
 }

@@ -239,6 +239,18 @@ func frame(dst []byte, op Op, key string, value []byte) []byte {
 	return append(dst, payload...)
 }
 
+// parseRecord splits a frame's payload, the tuple frame writes, into
+// its op, key and value, which alias payload; ok is false when payload
+// is not such a tuple.
+func parseRecord(payload []byte) (op Op, key, value []byte, ok bool) {
+	s, err := canon.ScanTuple(payload)
+	opf, key, value := s.Field(1), s.Field(len(payload)), s.Field(len(payload))
+	if err != nil || s.End() != nil || len(opf) != 1 {
+		return 0, nil, nil, false
+	}
+	return Op(opf[0]), key, value, true
+}
+
 // readFrames streams the valid frames of one file into apply. It
 // returns the byte offset just past the last valid frame and whether
 // the file ended cleanly (false: a torn or corrupt frame follows the
@@ -274,15 +286,14 @@ func readFrames(path string, apply func(op Op, key string, value []byte) error) 
 		if crc32.ChecksumIEEE(payload) != sum {
 			return off, false, nil
 		}
-		fields, perr := canon.ParseTuple(payload)
-		if perr != nil || len(fields) != 3 || len(fields[0]) != 1 {
+		op, key, val, ok := parseRecord(payload)
+		if !ok {
 			return off, false, nil
 		}
 		if apply != nil {
 			// Copy key and value out of the read buffer: apply's
 			// consumer outlives this frame.
-			val := append([]byte(nil), fields[2]...)
-			if err := apply(Op(fields[0][0]), string(fields[1]), val); err != nil {
+			if err := apply(op, string(key), append([]byte(nil), val...)); err != nil {
 				return off, false, err
 			}
 		}
@@ -364,7 +375,7 @@ func anyValidFrameIn(data []byte, from int64) bool {
 		if crc32.ChecksumIEEE(payload) != sum {
 			continue
 		}
-		if fields, perr := canon.ParseTuple(payload); perr == nil && len(fields) == 3 && len(fields[0]) == 1 {
+		if _, _, _, ok := parseRecord(payload); ok {
 			return true
 		}
 	}

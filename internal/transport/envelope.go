@@ -47,12 +47,16 @@ func WrapReply(payload, baggage []byte) []byte {
 // dropped (nil) while the payload is still returned; the baggage is
 // advisory second-hand evidence, never worth failing the call over.
 func OpenReply(raw []byte) (payload, baggage []byte) {
-	fields, err := canon.ParseTuple(raw)
-	if err != nil || len(fields) != 3 || string(fields[0]) != replyEnvelopeLabel {
+	s, err := canon.ScanList(raw, replyEnvelopeLabel, len(raw), 2)
+	if err != nil {
 		return raw, nil
 	}
-	if len(fields[2]) > MaxReplyBaggageBytes {
-		return fields[1], nil
+	payload, baggage = s.Field(len(raw)), s.Field(len(raw))
+	switch {
+	case s.End() != nil:
+		return raw, nil
+	case len(baggage) > MaxReplyBaggageBytes:
+		return payload, nil
 	}
-	return fields[1], fields[2]
+	return payload, baggage
 }

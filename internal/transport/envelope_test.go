@@ -23,8 +23,12 @@ func FuzzOpenReply(f *testing.F) {
 		if len(baggage) > MaxReplyBaggageBytes {
 			t.Fatalf("baggage of %d bytes, over the %d bound", len(baggage), MaxReplyBaggageBytes)
 		}
-		fields, err := canon.ParseTuple(raw)
-		envelope := err == nil && len(fields) == 3 && string(fields[0]) == replyEnvelopeLabel
+		s, err := canon.ScanTuple(raw)
+		arity := s.Len()
+		label := s.Field(len(raw))
+		s.Field(len(raw))
+		s.Field(len(raw))
+		envelope := err == nil && arity == 3 && string(label) == replyEnvelopeLabel && s.End() == nil
 		if !envelope {
 			if !bytes.Equal(payload, raw) || baggage != nil {
 				t.Fatalf("a non-envelope came back as payload %q, baggage %q", payload, baggage)

@@ -104,11 +104,14 @@ func New() *Mechanism {
 // first. The protocol's deterrent is only as strong as the host's
 // ability to answer an audit fetch — "the trace itself has to be
 // stored by the host" — so a restart must not amnesty past sessions.
-// The mechanism owns the backend; Close releases it.
-func NewDurable(backend shardstore.Backend) (*Mechanism, error) {
+// The mechanism owns the backend; Close releases it. onError receives
+// the backend's first write failure (shardstore.PersistConfig.OnError)
+// and may be nil.
+func NewDurable(backend shardstore.Backend, onError func(error)) (*Mechanism, error) {
 	store, err := shardstore.NewPersistent(shardstore.Config[[]byte]{}, shardstore.PersistConfig[[]byte]{
 		Backend: backend,
 		Codec:   shardstore.BytesCodec(),
+		OnError: onError,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("vigna: recovering retained packages: %w", err)

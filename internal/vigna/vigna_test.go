@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/host"
 	"repro/internal/platformtest"
+	"repro/internal/shardstore"
 	"repro/internal/sigcrypto"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -333,5 +334,53 @@ func TestPrepareDepartureRefusesOversizedTrace(t *testing.T) {
 	// The error comes before the host context or the agent is touched.
 	if err := vigna.New().PrepareDeparture(context.Background(), nil, nil, rec); !errors.Is(err, canon.ErrTooLarge) {
 		t.Fatalf("err = %v, want canon.ErrTooLarge", err)
+	}
+}
+
+// failingBackend is a retention backend whose every append fails.
+type failingBackend struct{ appends int }
+
+func (*failingBackend) Replay(func(shardstore.Op, string, []byte) error) error { return nil }
+func (b *failingBackend) Append(shardstore.Op, string, []byte) error {
+	b.appends++
+	return errors.New("disk full")
+}
+func (*failingBackend) Compact(func(func(string, []byte) error) error) error { return nil }
+func (*failingBackend) Close() error                                         { return nil }
+
+// TestDurableReportsWriteFailure: a host whose trace retention cannot be
+// written hears of it, once, through the sink NewDurable was given; the
+// mechanism keeps retaining in memory.
+func TestDurableReportsWriteFailure(t *testing.T) {
+	backend := &failingBackend{}
+	var reported []error
+	m, err := vigna.NewDurable(backend, func(err error) { reported = append(reported, err) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, err := sigcrypto.GenerateKeyPair("h1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := host.New(host.Config{Name: "h1", Keys: keys, Registry: sigcrypto.NewRegistry(), RecordTrace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ag, err := agent.New("t", "owner", tourCode, "visit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hc := &core.HostContext{Host: h}
+	for hop := 1; hop <= 2; hop++ {
+		rec := &host.SessionRecord{HostName: "h1", Hop: hop, Entry: "visit"}
+		if err := m.PrepareDeparture(context.Background(), hc, ag, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if backend.appends == 0 {
+		t.Fatal("no append reached the backend")
+	}
+	if len(reported) != 1 || !strings.Contains(reported[0].Error(), "disk full") {
+		t.Fatalf("sink got %v, want the one write failure", reported)
 	}
 }
