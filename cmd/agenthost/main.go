@@ -53,6 +53,7 @@
 package main
 
 import (
+	"cmp"
 	"crypto/ed25519"
 	"encoding/hex"
 	"flag"
@@ -65,7 +66,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/agent"
 	"repro/internal/core"
 	"repro/internal/events"
 	"repro/internal/fleet"
@@ -188,8 +188,9 @@ func run() error {
 	// metrics|watch|flight` read it back through the node's built-in
 	// calls. With a data dir the flight recorder persists its window so
 	// the last events before a crash replay after restart. The stack's
-	// ledger WAL failures land in OnPersistError and in the node's
-	// health record (node/health, `agentctl status`).
+	// ledger WAL failures land in the node's health record (node/health,
+	// `agentctl status`) and on its bus, which is also where this
+	// process's own log lines come from (logEvents).
 	member, err := fleet.Open(reg, net, fleet.Spec{
 		Host:       host.Config{Name: *name, Keys: keys, Trusted: *trusted, Resources: res},
 		Level:      lvl,
@@ -204,31 +205,16 @@ func run() error {
 			RefuseWhenFull: *refuseWhenFull,
 			Exchange:       exchange,
 			JournalTTL:     *journalTTL,
-			OnPersistError: func(err error) {
-				fmt.Fprintf(os.Stderr, "agenthost %s: persistence degraded: %v\n", *name, err)
-			},
-			OnVerdict: func(v core.Verdict) {
-				fmt.Printf("agenthost %s: %s\n", *name, v)
-			},
-			OnOwnerNotice: func(agentID string, v core.Verdict, reason string) {
-				fmt.Printf("agenthost %s: OWNER NOTICE for %s: %s (%s)\n", *name, agentID, v, reason)
-			},
-			OnComplete: func(ag *agent.Agent, vs []core.Verdict, aborted bool) {
-				status := "completed"
-				if aborted {
-					status = "ABORTED"
-				}
-				fmt.Printf("agenthost %s: agent %s %s after %d hops\n", *name, ag.ID, status, ag.Hop)
-				fmt.Printf("agenthost %s: final state of %s:\n", *name, ag.ID)
-				for _, k := range value.SortedKeys(ag.State) {
-					fmt.Printf("    %s = %s\n", k, ag.State[k])
-				}
-			},
 		},
 	})
 	if err != nil {
 		return err
 	}
+	logged := make(chan struct{})
+	go func() {
+		defer close(logged)
+		logEvents(*name, member.Node, member.Pipe.Bus.Subscribe("agenthost-log", logCapacity))
+	}()
 
 	// peersRefresh: keys written by hosts started later are picked up on
 	// demand when verification first misses. Kept simple: reload on
@@ -268,7 +254,70 @@ func run() error {
 	if err := member.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "agenthost %s: closing node: %v\n", *name, err)
 	}
+	<-logged // the pipeline is closed: the last lines are printed
 	return srvErr
+}
+
+// logCapacity bounds the log subscriber's ring: a burst beyond it
+// skips the oldest lines, and node/metrics counts them as drops of
+// "agenthost-log".
+const logCapacity = 4096
+
+// logEvents prints the node's verdict, owner-notice, completion and
+// persistence lines from its own bus until the subscription closes.
+// The bus never blocks a worker for a slow reader, so under overload
+// lines may be skipped; receipts, node/status and node/health stay
+// authoritative.
+func logEvents(name string, node *core.Node, sub *events.Subscription) {
+	for {
+		closed := sub.Closed()
+		for _, ev := range sub.Drain() {
+			switch ev.Kind {
+			case events.KindVerdict:
+				if ev.Field("ok") == "true" {
+					fmt.Printf("agenthost %s: [%s] agent %s: session at %s OK\n", name, ev.Field("mechanism"), ev.Agent, ev.Host)
+				} else {
+					fmt.Printf("agenthost %s: [%s] agent %s: ATTACK DETECTED (suspect %s): %s\n", name, ev.Field("mechanism"), ev.Agent, ev.Host, ev.Field("reason"))
+				}
+			case events.KindOwnerNotice:
+				fmt.Printf("agenthost %s: OWNER NOTICE for %s: suspect %s (%s)\n", name, ev.Agent, cmp.Or(ev.Host, "not named"), ev.Field("reason"))
+			case events.KindComplete, events.KindQuarantine:
+				printOutcome(name, node.Watch(ev.Agent))
+			case events.KindPersistError:
+				fmt.Fprintf(os.Stderr, "agenthost %s: persistence degraded: %s\n", name, ev.Field("error"))
+			}
+		}
+		if closed {
+			return
+		}
+		<-sub.Ready()
+	}
+}
+
+// printOutcome prints an agent's terminal line and final state from
+// its receipt. The event announcing the outcome is published just
+// before the receipt settles, so it waits briefly for it.
+func printOutcome(name string, rc *core.Receipt) {
+	select {
+	case <-rc.Done():
+	case <-time.After(time.Second):
+		fmt.Printf("agenthost %s: agent %s: no outcome on record\n", name, rc.AgentID())
+		return
+	}
+	res, _ := rc.Result()
+	if res.Agent == nil {
+		fmt.Printf("agenthost %s: agent %s ended without a record: %v\n", name, rc.AgentID(), res.Err)
+		return
+	}
+	status := "completed"
+	if res.Aborted {
+		status = "ABORTED"
+	}
+	fmt.Printf("agenthost %s: agent %s %s after %d hops\n", name, res.Agent.ID, status, res.Agent.Hop)
+	fmt.Printf("agenthost %s: final state of %s:\n", name, res.Agent.ID)
+	for _, k := range value.SortedKeys(res.Agent.State) {
+		fmt.Printf("    %s = %s\n", k, res.Agent.State[k])
+	}
 }
 
 // exchangeConfig turns the exchange flags into the node's anti-entropy

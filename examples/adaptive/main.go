@@ -26,9 +26,11 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"sort"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/events"
 	"repro/internal/fleet"
 	"repro/internal/host"
 	"repro/internal/protection"
@@ -72,6 +74,9 @@ func run() error {
 	defer func() { _ = f.Close() }()
 
 	names := []string{"home", "w1", "w2", "w3", "archive"}
+	// Owner notices (the paper's "notify the owner") are facts on each
+	// node's event bus; one subscription per node collects them.
+	var notices []*events.Subscription
 	for _, name := range names {
 		var behavior host.Behavior
 		if name == "w2" {
@@ -80,7 +85,7 @@ func run() error {
 			// (fleet.AuditRules: total == hops) makes visible.
 			behavior = fleet.Tamperer{}
 		}
-		if _, err := f.Add(fleet.Spec{
+		m, err := f.Add(fleet.Spec{
 			Host: host.Config{Name: name, Trusted: name == "home", Behavior: behavior},
 			// One adaptive stack per node: its own ledger and gate, fed by
 			// its own verdicts plus verified gossip from arriving agents.
@@ -90,12 +95,28 @@ func run() error {
 				// with random fleet peers, so even the traffic-less archive
 				// node converges on w2's standing.
 				Exchange: core.ExchangeConfig{Peers: names, Interval: 150 * time.Millisecond},
-				OnOwnerNotice: func(agentID string, v core.Verdict, reason string) {
-					fmt.Printf("  [owner notice @%s] %s: %s\n", name, agentID, reason)
-				},
 			},
-		}); err != nil {
+			Pipeline: &events.PipelineConfig{},
+		})
+		if err != nil {
 			return err
+		}
+		notices = append(notices, m.Pipe.Bus.Subscribe("owner-notices", 0))
+	}
+	// printNotices prints the owner notices raised since the last call,
+	// across all nodes in the order they were published.
+	printNotices := func() {
+		var evs []events.Event
+		for _, sub := range notices {
+			for _, ev := range sub.Drain() {
+				if ev.Kind == events.KindOwnerNotice {
+					evs = append(evs, ev)
+				}
+			}
+		}
+		sort.SliceStable(evs, func(i, j int) bool { return evs[i].UnixNano < evs[j].UnixNano })
+		for _, ev := range evs {
+			fmt.Printf("  [owner notice @%s] %s: %s\n", ev.Node, ev.Agent, ev.Field("reason"))
 		}
 	}
 	node := func(name string) *core.Node { return f.Member(name).Node }
@@ -127,6 +148,7 @@ func run() error {
 			return err
 		}
 		res, err := core.AwaitAny(ctx, rcs...)
+		printNotices()
 		switch {
 		case err == nil:
 			fmt.Printf("  %s completed (total=%s, %d flagged checks on record)\n",

@@ -85,13 +85,6 @@ func runJourney(label string, workerBehavior host.Behavior) error {
 				OnVerdict: func(v core.Verdict) {
 					fmt.Println(" ", v)
 				},
-				OnComplete: func(ag *agent.Agent, _ []core.Verdict, aborted bool) {
-					if aborted {
-						return
-					}
-					fmt.Printf("  agent %s finished: budget=%s spent=%s route=%v\n",
-						ag.ID, ag.State["budget"], ag.State["spent"], ag.Route)
-				},
 			},
 		}); err != nil {
 			return err
@@ -106,6 +99,11 @@ func runJourney(label string, workerBehavior host.Behavior) error {
 	// enqueued the agent. Run watches every node, so the journey's
 	// terminal outcome — completion at "back", or quarantine at the
 	// detecting node — surfaces wherever it happens.
-	_, err = f.Run(ctx, "home", ag)
-	return err
+	res, err := f.Run(ctx, "home", ag)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("  agent %s finished: budget=%s spent=%s route=%v\n",
+		res.Agent.ID, res.Agent.State["budget"], res.Agent.State["spent"], res.Agent.Route)
+	return nil
 }

@@ -129,14 +129,6 @@ func run(airlineBBehavior host.Behavior) error {
 						fmt.Println(" ", v)
 					}
 				},
-				OnComplete: func(ag *agent.Agent, _ []core.Verdict, aborted bool) {
-					if aborted {
-						return
-					}
-					fmt.Printf("  itinerary %v\n", ag.Route)
-					fmt.Printf("  best quote %s from %s; remaining budget %s\n",
-						ag.State["best"], ag.State["bestShop"], ag.State["budget"])
-				},
 			},
 		}); err != nil {
 			return err
@@ -156,6 +148,12 @@ func run(airlineBBehavior host.Behavior) error {
 	if err := appraisal.Attach(ag, rules, f.Owner); err != nil {
 		return err
 	}
-	_, err = f.Run(ctx, "home", ag)
-	return err
+	res, err := f.Run(ctx, "home", ag)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("  itinerary %v\n", res.Agent.Route)
+	fmt.Printf("  best quote %s from %s; remaining budget %s\n",
+		res.Agent.State["best"], res.Agent.State["bestShop"], res.Agent.State["budget"])
+	return nil
 }

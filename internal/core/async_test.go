@@ -19,16 +19,14 @@ import (
 )
 
 // asyncBed is a deployment of M nodes reachable over either transport,
-// with bed-wide verdict/completion counting for bookkeeping assertions.
+// with bed-wide verdict counting for bookkeeping assertions.
 type asyncBed struct {
 	nodes map[string]*core.Node
 	net   transport.Network
 
-	mu        sync.Mutex
-	verdicts  int
-	failed    int
-	completed int
-	aborted   int
+	mu       sync.Mutex
+	verdicts int
+	failed   int
 }
 
 // newAsyncBed wires hostNames into a deployment. When overTCP is set,
@@ -76,15 +74,6 @@ func newAsyncBed(t *testing.T, hostNames []string, trusted func(string) bool, ov
 				bed.verdicts++
 				if !v.OK {
 					bed.failed++
-				}
-				bed.mu.Unlock()
-			},
-			OnComplete: func(_ *agent.Agent, _ []core.Verdict, aborted bool) {
-				bed.mu.Lock()
-				if aborted {
-					bed.aborted++
-				} else {
-					bed.completed++
 				}
 				bed.mu.Unlock()
 			},
@@ -177,6 +166,19 @@ func TestConcurrentItinerariesE2E(t *testing.T) {
 				if err != nil {
 					t.Fatalf("agent %d: %v", i, err)
 				}
+				// One terminal outcome per itinerary: every other host
+				// only forwarded the agent. A host reads "running" until
+				// its forward returns, which over TCP can be after the
+				// last host finished.
+				for _, name := range hosts[:len(hosts)-1] {
+					node := bed.nodes[name]
+					for st := node.Status(rc.AgentID()); st.Phase != core.PhaseForwarded; st = node.Status(rc.AgentID()) {
+						if st.Phase != core.PhaseRunning || ctx.Err() != nil {
+							t.Fatalf("agent %d at %s: phase %s, want %s", i, name, st.Phase, core.PhaseForwarded)
+						}
+						time.Sleep(time.Millisecond)
+					}
+				}
 				if got := res.Agent.State["acc"]; got.Int != wantAcc {
 					t.Errorf("agent %d: acc = %s, want %d", i, got, wantAcc)
 				}
@@ -189,9 +191,6 @@ func TestConcurrentItinerariesE2E(t *testing.T) {
 
 			bed.mu.Lock()
 			defer bed.mu.Unlock()
-			if bed.completed != agents || bed.aborted != 0 {
-				t.Errorf("completions = %d (aborted %d), want %d clean", bed.completed, bed.aborted, agents)
-			}
 			if bed.failed != 0 {
 				t.Errorf("%d failed verdicts on honest runs", bed.failed)
 			}
@@ -314,7 +313,7 @@ proc fin() { done() }`
 }
 
 // TestJournalEviction pins the bounded-journal contract: terminal
-// receipts/status entries beyond JournalLimit are evicted oldest-first
+// receipts/status entries beyond the journal bound are evicted oldest-first
 // (fresh agent IDs cannot grow node memory without bound), while
 // receipts already handed out keep working.
 func TestJournalEviction(t *testing.T) {
@@ -330,7 +329,8 @@ func TestJournalEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	node, err := core.NewNode(core.NodeConfig{Host: h, Net: net, JournalLimit: 2})
+	core.ShrinkRetention(t, 2, 0, 0)
+	node, err := core.NewNode(core.NodeConfig{Host: h, Net: net})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func TestRestartBetweenSpillAndLoggedDelete(t *testing.T) {
 }
 
 // TestReplayEvictionSpillsEvidence pins the other recovery edge: a
-// node restarts with a smaller QuarantineLimit than it crashed with,
+// node restarts with a smaller quarantine bound than it crashed with,
 // so replay itself overflows capacity. The replay eviction must run
 // the same spill path as a live eviction — the overflowing agent comes
 // back as a QuarantineEvictedError pointing at freshly spilled,
@@ -78,7 +78,7 @@ func TestReplayEvictionSpillsEvidence(t *testing.T) {
 	}
 
 	b.crashChecker()
-	b.cfgC.QuarantineLimit = 1
+	ShrinkRetention(t, 0, 1, 0)
 	b.reopenChecker()
 
 	_, err = b.checker.Quarantined(first)

@@ -29,9 +29,6 @@ func TestConcurrentAgentsThroughSharedNodes(t *testing.T) {
 	reg := sigcrypto.NewRegistry()
 	net := transport.NewInProc()
 
-	var mu sync.Mutex
-	completed := make(map[string]*agent.Agent)
-
 	nodes := make(map[string]*core.Node, 3)
 	for i, name := range []string{"alpha", "beta", "gamma"} {
 		keys, err := sigcrypto.GenerateKeyPair(name)
@@ -56,14 +53,6 @@ func TestConcurrentAgentsThroughSharedNodes(t *testing.T) {
 			Mechanisms: []core.Mechanism{
 				wholesig.New(nil),
 				refproto.New(refproto.Config{}),
-			},
-			OnComplete: func(ag *agent.Agent, _ []core.Verdict, aborted bool) {
-				if aborted {
-					return
-				}
-				mu.Lock()
-				completed[ag.ID] = ag
-				mu.Unlock()
 			},
 		})
 		if err != nil {
@@ -123,14 +112,14 @@ proc fin() {
 		t.Error(err)
 	}
 
+	completed := make(map[string]*agent.Agent)
 	for i, rc := range receipts {
-		if _, err := rc.Wait(ctx); err != nil {
+		res, err := rc.Wait(ctx)
+		if err != nil {
 			t.Fatalf("agent %d: %v", i, err)
 		}
+		completed[res.Agent.ID] = res.Agent
 	}
-
-	mu.Lock()
-	defer mu.Unlock()
 	if len(completed) != agents {
 		t.Fatalf("completed %d of %d agents", len(completed), agents)
 	}

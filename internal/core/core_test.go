@@ -61,12 +61,6 @@ func (tb *testbed) addHost(name string, trusted bool, mechs []Mechanism, mutate 
 			defer tb.mu.Unlock()
 			tb.verdicts = append(tb.verdicts, v)
 		},
-		OnComplete: func(ag *agent.Agent, vs []Verdict, aborted bool) {
-			tb.mu.Lock()
-			defer tb.mu.Unlock()
-			tb.done = append(tb.done, ag)
-			tb.aborted = aborted
-		},
 	})
 	if err != nil {
 		tb.t.Fatal(err)
@@ -83,7 +77,8 @@ func (tb *testbed) addHost(name string, trusted bool, mechs []Mechanism, mutate 
 
 // run launches the agent on the named node and awaits the itinerary's
 // terminal outcome anywhere in the bed — the async equivalent of the
-// old synchronous Launch chain.
+// old synchronous Launch chain. A finished or quarantined agent is
+// recorded in done, and aborted says whether it was quarantined.
 func (tb *testbed) run(start string, ag *agent.Agent) error {
 	tb.t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -95,7 +90,13 @@ func (tb *testbed) run(start string, ag *agent.Agent) error {
 	if _, err := tb.nodes[start].Launch(ctx, ag); err != nil {
 		return err
 	}
-	_, err := AwaitAny(ctx, receipts...)
+	res, err := AwaitAny(ctx, receipts...)
+	if res.Agent != nil && (err == nil || res.Aborted) {
+		tb.mu.Lock()
+		tb.done = append(tb.done, res.Agent)
+		tb.aborted = res.Aborted
+		tb.mu.Unlock()
+	}
 	return err
 }
 
@@ -171,7 +172,7 @@ proc fin() { n = n + 1 done() }`)
 			t.Fatalf("event %d = %q, want %q (all: %v)", i, m.events[i], want[i], m.events)
 		}
 	}
-	// Completion fired exactly once, at h3, with the task verdict.
+	// One terminal outcome: a clean finish carrying the task verdict.
 	if len(tb.done) != 1 || tb.aborted {
 		t.Fatalf("done=%d aborted=%v", len(tb.done), tb.aborted)
 	}

@@ -97,9 +97,9 @@ func LoadEvidence(path string) (*agent.Agent, error) {
 
 // spillEvidence writes a quarantined agent's held record — its
 // canonical bytes, as is — to the evidence directory, pruning the
-// oldest spilled files beyond EvidenceLimit (a flood of failing agents
-// bounded out of memory by QuarantineLimit must not fill the disk
-// instead). It runs from the quarantine store's
+// oldest spilled files beyond the node's evidence bound (a flood of
+// failing agents bounded out of memory by the quarantine bound must not
+// fill the disk instead). It runs from the quarantine store's
 // OnEvict hook — under the shard lock, before the eviction reaches the
 // WAL — so a crash between the spill and the logged delete recovers
 // the agent in memory rather than losing it. The file is written whole
@@ -111,7 +111,7 @@ func (n *Node) spillEvidence(agentID string, record []byte) {
 	}
 	path := EvidencePath(n.evidenceDir, agentID)
 	if err := writeFileSync(path, record); err != nil {
-		n.persistErr(fmt.Errorf("core: spilling evidence for %s: %w", agentID, err))
+		n.NotePersistError(fmt.Errorf("core: spilling evidence for %s: %w", agentID, err))
 		return
 	}
 	n.recordEvidenceFile(path, int64(len(record)))
@@ -124,25 +124,17 @@ type evidenceFile struct {
 }
 
 // recordEvidenceFile appends a freshly spilled file to the oldest-first
-// ledger and prunes beyond the count and byte budgets. An
-// evidence-prune bus event names each pruned file *before* its removal.
+// ledger and prunes the oldest files beyond the node's evidence bound.
+// An evidence-prune bus event names each pruned file *before* its
+// removal.
 func (n *Node) recordEvidenceFile(path string, size int64) {
-	limit := n.cfg.EvidenceLimit
-	if limit < 0 {
-		return // pruning disabled; nothing to track
-	}
-	if limit == 0 {
-		limit = DefaultEvidenceLimit
-	}
 	n.evMu.Lock()
 	defer n.evMu.Unlock()
 	// A re-spill of the same agent replaces its file in place: keep the
-	// ledger's one entry (now at its old age position) rather than
-	// double-counting, but account the new size.
+	// ledger's one entry (at its old age position) with the new size.
 	replaced := false
 	for i := range n.evFiles {
 		if n.evFiles[i].path == path {
-			n.evBytes += size - n.evFiles[i].size
 			n.evFiles[i].size = size
 			replaced = true
 			break
@@ -150,28 +142,16 @@ func (n *Node) recordEvidenceFile(path string, size int64) {
 	}
 	if !replaced {
 		n.evFiles = append(n.evFiles, evidenceFile{path: path, size: size})
-		n.evBytes += size
 	}
-	for len(n.evFiles) > limit || (n.cfg.EvidenceByteLimit > 0 && n.evBytes > n.cfg.EvidenceByteLimit && len(n.evFiles) > 1) {
-		n.pruneOldestEvidenceLocked()
+	for len(n.evFiles) > n.evLimit {
+		f := n.evFiles[0]
+		n.publish(events.Event{
+			Kind:   events.KindEvidencePrune,
+			Fields: map[string]string{"path": f.path, "bytes": fmt.Sprintf("%d", f.size)},
+		})
+		_ = os.Remove(f.path)
+		n.evFiles = n.evFiles[1:]
 	}
-	// A single file larger than the whole byte budget is kept: the
-	// newest evidence always survives its own spill (dropping what was
-	// just preserved would defeat the spill's purpose).
-}
-
-// pruneOldestEvidenceLocked publishes the oldest ledgered file's
-// evidence-prune event, removes the file, and updates the byte total;
-// caller holds evMu.
-func (n *Node) pruneOldestEvidenceLocked() {
-	f := n.evFiles[0]
-	n.publish(events.Event{
-		Kind:   events.KindEvidencePrune,
-		Fields: map[string]string{"path": f.path, "bytes": fmt.Sprintf("%d", f.size)},
-	})
-	_ = os.Remove(f.path)
-	n.evFiles = n.evFiles[1:]
-	n.evBytes -= f.size
 }
 
 // loadEvidenceLedger seeds the oldest-first evidence ledger from the
@@ -202,10 +182,8 @@ func (n *Node) loadEvidenceLedger() error {
 	n.evMu.Lock()
 	defer n.evMu.Unlock()
 	n.evFiles = n.evFiles[:0]
-	n.evBytes = 0
 	for _, f := range files {
 		n.evFiles = append(n.evFiles, evidenceFile{path: f.path, size: f.size})
-		n.evBytes += f.size
 	}
 	return nil
 }
@@ -230,15 +208,6 @@ func writeFileSync(path string, data []byte) error {
 		return werr
 	}
 	return os.Rename(tmp, path)
-}
-
-// persistErr records a failure of the node's own stores
-// (NotePersistError) and forwards it to the configured observer.
-func (n *Node) persistErr(err error) {
-	n.NotePersistError(err)
-	if n.cfg.OnPersistError != nil {
-		n.cfg.OnPersistError(err)
-	}
 }
 
 // journalCodec persists a journal entry as its status and flag count —
@@ -320,7 +289,7 @@ func quarantineCodec() shardstore.Codec[[]byte] {
 // openStores builds the node's journal and quarantine stores: memory-
 // only by default, WAL-backed under cfg.DataDir when set (replaying any
 // prior state before the node accepts work).
-func (n *Node) openStores(journalLimit, quarantineLimit int) error {
+func (n *Node) openStores() error {
 	cfg := n.cfg
 	jcfg := shardstore.Config[*journalEntry]{
 		Capacity:       journalLimit,
@@ -368,10 +337,8 @@ func (n *Node) openStores(journalLimit, quarantineLimit int) error {
 		return fmt.Errorf("core: node %s: %w", cfg.Host.Name(), err)
 	}
 	n.evidenceDir = filepath.Join(cfg.DataDir, evidenceDirName)
-	if cfg.EvidenceLimit >= 0 {
-		if err := n.loadEvidenceLedger(); err != nil {
-			return fmt.Errorf("core: node %s: scanning evidence: %w", cfg.Host.Name(), err)
-		}
+	if err := n.loadEvidenceLedger(); err != nil {
+		return fmt.Errorf("core: node %s: scanning evidence: %w", cfg.Host.Name(), err)
 	}
 	jw, err := shardstore.OpenWAL(filepath.Join(cfg.DataDir, journalDirName), shardstore.WALConfig{})
 	if err != nil {
@@ -385,7 +352,7 @@ func (n *Node) openStores(journalLimit, quarantineLimit int) error {
 	n.journal, err = shardstore.NewPersistent(jcfg, shardstore.PersistConfig[*journalEntry]{
 		Backend: jw,
 		Codec:   n.journalCodec(),
-		OnError: n.persistErr,
+		OnError: n.NotePersistError,
 	})
 	if err != nil {
 		_ = qw.Close()
@@ -394,7 +361,7 @@ func (n *Node) openStores(journalLimit, quarantineLimit int) error {
 	n.quarantine, err = shardstore.NewPersistent(qcfg, shardstore.PersistConfig[[]byte]{
 		Backend: qw,
 		Codec:   quarantineCodec(),
-		OnError: n.persistErr,
+		OnError: n.NotePersistError,
 	})
 	if err != nil {
 		_ = n.journal.Close()

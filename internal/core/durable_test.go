@@ -189,7 +189,8 @@ func shardMateID(base string) string {
 }
 
 func TestQuarantineEvictionSpillsRecoverableEvidence(t *testing.T) {
-	b := newDurableBed(t, func(cfg *NodeConfig) { cfg.QuarantineLimit = 1 })
+	ShrinkRetention(t, 0, 1, 0)
+	b := newDurableBed(t, nil)
 	first := "spill-1"
 	second := shardMateID(first)
 
@@ -200,7 +201,7 @@ func TestQuarantineEvictionSpillsRecoverableEvidence(t *testing.T) {
 	}
 	wantWire := marshalOrFatal(t, held)
 
-	// The second quarantine overflows QuarantineLimit; same shard, so
+	// The second quarantine overflows the quarantine bound; same shard, so
 	// the older first agent is evicted — and spilled — deterministically.
 	b.runToCheck(second)
 	if _, err := b.checker.Quarantined(second); err != nil {
@@ -241,13 +242,11 @@ func TestQuarantineEvictionSpillsRecoverableEvidence(t *testing.T) {
 }
 
 func TestEvidenceDirectoryIsBounded(t *testing.T) {
-	b := newDurableBed(t, func(cfg *NodeConfig) {
-		cfg.QuarantineLimit = 1
-		cfg.EvidenceLimit = 2
-	})
+	ShrinkRetention(t, 0, 1, 2)
+	b := newDurableBed(t, nil)
 	// Five quarantines against limit 1 force four evictions (exact
 	// eviction order is per-shard, but with limit 1 every overflow
-	// evicts someone, and every eviction spills); with EvidenceLimit 2
+	// evicts someone, and every eviction spills); with an evidence bound of 2
 	// the directory must never exceed two files.
 	for i := 0; i < 5; i++ {
 		b.runToCheck(fmt.Sprintf("flood-%d", i))
@@ -263,28 +262,26 @@ func TestEvidenceDirectoryIsBounded(t *testing.T) {
 		}
 	}
 	if count > 2 {
-		t.Fatalf("evidence directory holds %d files, want <= EvidenceLimit 2", count)
+		t.Fatalf("evidence directory holds %d files, want <= the evidence bound 2", count)
 	}
 	if count == 0 {
 		t.Fatal("no evidence spilled at all")
 	}
 }
 
-func TestEvidenceByteBudgetAndPruneHook(t *testing.T) {
+// TestEvidencePrunePublishesEachFile: with an evidence bound of one
+// file, every spill after the first prunes the oldest file, and each
+// prune is published as an evidence-prune event naming the file and
+// its size before the file goes.
+func TestEvidencePrunePublishesEachFile(t *testing.T) {
 	pipe, err := events.Open(events.PipelineConfig{Node: "checker"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = pipe.Close() })
 	sub := pipe.Bus.Subscribe("prune-watch", 4096)
-	b := newDurableBed(t, func(cfg *NodeConfig) {
-		cfg.QuarantineLimit = 1
-		// A budget below two spilled agents: every spill beyond the
-		// first prunes the oldest file, but the newest always survives
-		// (the single-over-budget-file allowance).
-		cfg.EvidenceByteLimit = 700
-		cfg.Events = pipe
-	})
+	ShrinkRetention(t, 0, 1, 1)
+	b := newDurableBed(t, func(cfg *NodeConfig) { cfg.Events = pipe })
 	evidenceDir := filepath.Join(b.cfgC.DataDir, "evidence")
 	// Every file the directory ever held, with its size: one spill per
 	// run, and the newest file survives its own spill, so a listing
@@ -310,21 +307,12 @@ func TestEvidenceByteBudgetAndPruneHook(t *testing.T) {
 		return out
 	}
 	for i := 0; i < 5; i++ {
-		b.runToCheck(fmt.Sprintf("budget-%d", i))
+		b.runToCheck(fmt.Sprintf("prune-%d", i))
 		listing()
 	}
 	present := listing()
-	var total int64
-	for _, size := range present {
-		total += size
-	}
-	if len(present) == 0 {
-		t.Fatal("no evidence spilled at all")
-	}
-	// Either the directory is within budget, or a single file blew it
-	// (the newest spill is never pruned to make room for itself).
-	if total > 700 && len(present) > 1 {
-		t.Fatalf("evidence directory %d bytes in %d files, want within the 700-byte budget (or one over-budget file)", total, len(present))
+	if len(present) != 1 {
+		t.Fatalf("evidence directory holds %d files, want the newest one", len(present))
 	}
 
 	// Pruned, and observably so: one evidence-prune event per file that
@@ -351,7 +339,7 @@ func TestEvidenceByteBudgetAndPruneHook(t *testing.T) {
 		t.Fatalf("subscriber dropped %d events", dropped)
 	}
 	if len(pruned) == 0 {
-		t.Fatal("byte budget never pruned despite repeated spills")
+		t.Fatal("evidence bound never pruned despite repeated spills")
 	}
 	for name, size := range seen {
 		_, still := present[name]

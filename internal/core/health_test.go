@@ -89,11 +89,7 @@ func TestNodeHealthDurableNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hookErrs := make(chan error, 1)
-	node, err := core.NewNode(core.NodeConfig{
-		Host: h, Net: net, DataDir: t.TempDir(),
-		OnPersistError: func(e error) { hookErrs <- e },
-	})
+	node, err := core.NewNode(core.NodeConfig{Host: h, Net: net, DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +99,8 @@ func TestNodeHealthDurableNode(t *testing.T) {
 	if rep := node.Health(); !rep.Durable || rep.Degraded {
 		t.Fatalf("durable node started degraded: %+v", rep)
 	}
-	// Simulate what the stores do on a write failure: they call the
-	// node's internal error sink, which both records and forwards.
+	// Simulate what the stores do on a write failure: they call
+	// NotePersistError, which records the failure and publishes it.
 	// (Driving a real WAL failure needs filesystem fault injection;
 	// the sink wiring is covered here, the once-only semantics by the
 	// shardstore tests.)

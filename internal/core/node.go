@@ -30,14 +30,31 @@ const (
 	// NodeConfig.QueueDepth is zero. Total queued intake per node is
 	// bounded by Workers x QueueDepth.
 	DefaultQueueDepth = 16
-	// DefaultJournalLimit bounds retained terminal receipts/status
-	// entries when NodeConfig.JournalLimit is zero (see JournalLimit).
+	// DefaultJournalLimit bounds how many receipts and status entries
+	// a node retains; beyond it the oldest settled entries (any phase
+	// but queued/running) are evicted, so neither transiting agents
+	// nor a stream of fresh agent IDs can grow memory without bound.
+	// Resolved receipts already handed out keep working after
+	// eviction; an evicted receipt that never resolved (a watch on a
+	// node the agent only transited) resolves with ErrJournalEvicted.
+	// Late Watch/Status lookups of evicted agents read "unknown". A
+	// terminal receipt holds its agent as the agent's encoding, so an
+	// entry costs about the agent's wire size.
 	DefaultJournalLimit = 4096
-	// DefaultQuarantineLimit bounds retained quarantined agents when
-	// NodeConfig.QuarantineLimit is zero (see QuarantineLimit).
+	// DefaultQuarantineLimit bounds how many quarantined agents a node
+	// retains for evidence; beyond it the oldest are evicted FIFO (a
+	// flood of failing agents must not grow memory without bound).
+	// Quarantined reports an evicted agent with ErrQuarantineEvicted
+	// as long as its journal entry survives; with a DataDir the
+	// eviction first spills the agent's canonical bytes to the
+	// evidence directory, so the error carries a recovery path.
 	DefaultQuarantineLimit = 1024
-	// DefaultEvidenceLimit bounds retained spilled-evidence files when
-	// NodeConfig.EvidenceLimit is zero (see EvidenceLimit).
+	// DefaultEvidenceLimit bounds how many spilled evidence files a
+	// node's evidence directory retains; beyond it the oldest files
+	// are removed as new spills land, so the flood of failing agents
+	// that DefaultQuarantineLimit keeps out of memory does not fill
+	// the disk instead. Archive files externally for longer retention
+	// (see docs/OPERATIONS.md).
 	DefaultEvidenceLimit = 4096
 	// maxIntakeWait caps how long an enqueue blocks on a full queue
 	// even under a deadline-free ctx. It sits below the TCP
@@ -46,6 +63,15 @@ const (
 	// late enqueue could produce a second terminal outcome for an
 	// itinerary the sender already reported as failed.
 	maxIntakeWait = 25 * time.Second
+)
+
+// The retention bounds NewNode gives a node. Deployments run at the
+// Default* constants; only tests that force eviction lower them
+// (export_test.go).
+var (
+	journalLimit    = DefaultJournalLimit
+	quarantineLimit = DefaultQuarantineLimit
+	evidenceLimit   = DefaultEvidenceLimit
 )
 
 // NodeConfig configures a platform node: one host plus the protection
@@ -69,42 +95,6 @@ type NodeConfig struct {
 	// done — backpressure, not unbounded buffering. 0 means
 	// DefaultQueueDepth.
 	QueueDepth int
-	// JournalLimit bounds how many receipts and status entries the
-	// node retains; beyond it the oldest settled entries (any phase
-	// but queued/running) are evicted so neither transiting agents nor
-	// a stream of fresh agent IDs can grow memory without bound.
-	// Resolved receipts already handed out keep working after
-	// eviction; an evicted receipt that never resolved (a watch on a
-	// node the agent only transited) resolves with ErrJournalEvicted.
-	// Late Watch/Status lookups of evicted agents read "unknown". A
-	// terminal receipt holds its agent as the agent's encoding, so an
-	// entry costs about the agent's wire size. 0 means
-	// DefaultJournalLimit.
-	JournalLimit int
-	// QuarantineLimit bounds how many quarantined agents the node
-	// retains for evidence; beyond it the oldest are evicted FIFO (a
-	// flood of failing agents must not grow memory without bound).
-	// Quarantined reports an evicted agent with ErrQuarantineEvicted
-	// as long as its journal entry survives; with a DataDir the
-	// eviction first spills the agent's canonical bytes to the
-	// evidence directory, so the error carries a recovery path. 0
-	// means DefaultQuarantineLimit.
-	QuarantineLimit int
-	// EvidenceLimit bounds how many spilled evidence files the node's
-	// evidence directory retains; beyond it the oldest files are
-	// removed as new spills land — the flood of failing agents that
-	// QuarantineLimit keeps out of memory must not fill the disk
-	// instead. Archive files externally for longer retention (see
-	// docs/OPERATIONS.md). 0 means DefaultEvidenceLimit; negative
-	// disables pruning. Ignored without a DataDir.
-	EvidenceLimit int
-	// EvidenceByteLimit additionally bounds the evidence directory by
-	// total bytes: after every spill, the oldest files are pruned until
-	// the directory fits the budget (the count budget above bounds file
-	// *number*; large agents can blow a disk budget long before the
-	// count trips). 0 disables the byte budget. Ignored without a
-	// DataDir or with EvidenceLimit < 0.
-	EvidenceByteLimit int64
 	// Events, when non-nil, receives the node's operational facts
 	// (intake, verdicts, quarantines, completions, forwards, journal
 	// evictions, persistence errors, evidence pruning, owner notices)
@@ -115,10 +105,10 @@ type NodeConfig struct {
 	// JournalTTL additionally expires settled journal entries (any
 	// phase but queued/running) this long after their last update, so
 	// long-lived nodes shed terminal receipts by age as well as by
-	// JournalLimit count. Expired entries behave exactly like evicted
-	// ones: unresolved receipts resolve with ErrJournalEvicted and late
-	// lookups read "unknown". 0 disables age-based expiry (the seed
-	// behaviour).
+	// count (DefaultJournalLimit). Expired entries behave exactly like
+	// evicted ones: unresolved receipts resolve with ErrJournalEvicted
+	// and late lookups read "unknown". 0 disables age-based expiry (the
+	// seed behaviour).
 	JournalTTL time.Duration
 	// DataDir makes the node's bookkeeping durable. When set, the
 	// journal and quarantine stores are WAL-backed under this directory
@@ -129,11 +119,6 @@ type NodeConfig struct {
 	// copy. Empty keeps all bookkeeping in memory (the seed behaviour).
 	// Each node needs its own directory; see docs/OPERATIONS.md.
 	DataDir string
-	// OnPersistError observes asynchronous persistence failures (WAL
-	// append/compaction I/O errors, evidence spill failures); may be
-	// nil. After a failure the node keeps serving from memory —
-	// persistence degrades, the platform does not stop.
-	OnPersistError func(error)
 	// Exchange enables periodic anti-entropy reputation exchange with
 	// the configured fleet peers (peer list, round interval, per-round
 	// entry budget; see ExchangeConfig). It requires a mechanism in
@@ -165,18 +150,17 @@ type NodeConfig struct {
 	// sender can route around; the default (false) keeps the blocking
 	// backpressure contract existing deployments rely on.
 	RefuseWhenFull bool
-	// OnOwnerNotice is invoked when the policy decides a verdict is
-	// worth reporting to the agent's owner (the paper's "notify the
-	// owner" consequence); may be nil. It may be called from multiple
-	// workers concurrently.
-	OnOwnerNotice func(agentID string, v Verdict, reason string)
-	// OnVerdict is invoked for every verdict produced at this node; may
-	// be nil. It may be called from multiple workers concurrently.
+	// OnVerdict is invoked synchronously for every verdict produced at
+	// this node, before the verdict travels on; may be nil. It may be
+	// called from multiple workers concurrently. It is the one lossless
+	// verdict tap: the event bus (KindVerdict) is bounded and may drop
+	// events, and a receipt shows an agent's verdicts only once its
+	// journey has ended. Owner notices, terminal outcomes and
+	// persistence failures have no callback: they reach a consumer
+	// through the bus (KindOwnerNotice; KindComplete and
+	// KindQuarantine; KindPersistError), the receipt (Watch) and
+	// node/health.
 	OnVerdict func(Verdict)
-	// OnComplete is invoked when an agent finishes (or is aborted) at
-	// this node, with all verdicts accumulated over its journey; may be
-	// nil. It may be called from multiple workers concurrently.
-	OnComplete func(ag *agent.Agent, verdicts []Verdict, aborted bool)
 	// SessionOptions is passed to every session run (benchmark hooks).
 	SessionOptions host.SessionOptions
 }
@@ -221,24 +205,24 @@ type Node struct {
 
 	// journal tracks each agent's receipt and latest processing phase,
 	// striped by agent ID. Settled entries (any phase but
-	// queued/running) are evicted FIFO beyond JournalLimit (and expired
+	// queued/running) are evicted FIFO beyond journalLimit (and expired
 	// beyond JournalTTL); eviction resolves still-pending receipts with
 	// ErrJournalEvicted. WAL-backed when DataDir is set.
 	journal *shardstore.Store[*journalEntry]
 	// quarantine retains quarantined agents for evidence, as their
-	// canonical encoding (agent.Encode), bounded by QuarantineLimit with
+	// canonical encoding (agent.Encode), bounded by quarantineLimit with
 	// FIFO eviction. WAL-backed when DataDir is set, with eviction
 	// spilling the held bytes to evidenceDir.
 	quarantine *shardstore.Store[[]byte]
 	// evidenceDir is where quarantine evictions spill canonical agent
 	// bytes; empty without a DataDir. evFiles tracks the directory's
 	// files oldest-first with their sizes (seeded from disk at open) so
-	// spills can prune beyond EvidenceLimit and EvidenceByteLimit;
-	// evBytes is the tracked total. All guarded by evMu.
+	// spills can prune beyond evLimit, the evidenceLimit the node was
+	// built with; evFiles is guarded by evMu.
 	evidenceDir string
+	evLimit     int
 	evMu        sync.Mutex
 	evFiles     []evidenceFile
-	evBytes     int64
 
 	// admissionRefused counts deliveries the AdmissionPolicy rejected;
 	// intakeRefused counts deliveries fast-failed by RefuseWhenFull.
@@ -323,14 +307,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if depth == 0 {
 		depth = DefaultQueueDepth
 	}
-	journalLimit := cfg.JournalLimit
-	if journalLimit <= 0 {
-		journalLimit = DefaultJournalLimit
-	}
-	quarantineLimit := cfg.QuarantineLimit
-	if quarantineLimit <= 0 {
-		quarantineLimit = DefaultQuarantineLimit
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	n := &Node{
 		cfg:     cfg,
@@ -338,11 +314,12 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		rootCtx: ctx,
 		cancel:  cancel,
 		queues:  make([]chan intakeItem, workers),
+		evLimit: evidenceLimit,
 	}
 	// Store construction (and, with a DataDir, WAL recovery) lives in
 	// durable.go; the node is not handed out until its prior state is
 	// back in memory.
-	if err := n.openStores(journalLimit, quarantineLimit); err != nil {
+	if err := n.openStores(); err != nil {
 		cancel()
 		return nil, err
 	}
@@ -837,7 +814,7 @@ func (n *Node) process(ctx context.Context, ag *agent.Agent) error {
 		}
 		n.endStay(ag)
 		n.setPhase(ag.ID, AgentStatus{Phase: PhaseCompleted})
-		n.complete(ag, false)
+		n.complete(ag)
 		return nil
 	}
 
@@ -909,9 +886,6 @@ func (n *Node) decide(agentID string, v Verdict) Decision {
 		})
 	}
 	if dec.NotifyOwner {
-		if n.cfg.OnOwnerNotice != nil {
-			n.cfg.OnOwnerNotice(agentID, v, dec.Reason)
-		}
 		n.publish(events.Event{
 			Kind:   events.KindOwnerNotice,
 			Agent:  agentID,
@@ -940,7 +914,6 @@ func (n *Node) quarantineAgent(ag *agent.Agent, err error) {
 	n.quarantine.Put(ag.ID, record)
 	n.setPhase(ag.ID, AgentStatus{Phase: PhaseQuarantined})
 	n.publish(events.Event{Kind: events.KindQuarantine, Agent: ag.ID})
-	n.complete(ag, true)
 	n.entryFor(ag.ID).rc.resolve(record, true, err)
 }
 
@@ -954,17 +927,11 @@ func (n *Node) endStay(ag *agent.Agent) {
 	}
 }
 
-// complete fires the completion callback. The aborted path's receipt
-// is resolved by quarantineAgent (where the detection error is in
-// hand); the clean-finish path resolves here.
-func (n *Node) complete(ag *agent.Agent, aborted bool) {
-	if n.cfg.OnComplete != nil {
-		n.cfg.OnComplete(ag, AgentVerdicts(ag), aborted)
-	}
-	if !aborted {
-		n.publish(events.Event{Kind: events.KindComplete, Agent: ag.ID})
-		n.resolve(ag, false, nil)
-	}
+// complete publishes a clean finish and settles the receipt with it.
+// A quarantine settles its own receipt (quarantineAgent).
+func (n *Node) complete(ag *agent.Agent) {
+	n.publish(events.Event{Kind: events.KindComplete, Agent: ag.ID})
+	n.resolve(ag, false, nil)
 }
 
 // resolve settles ag's receipt at this node with ag's encoding. A

@@ -20,8 +20,9 @@ type Decision struct {
 	// continues to work" becomes a deliberate, recorded choice instead
 	// of a silent one.
 	Flag bool
-	// NotifyOwner surfaces the verdict through NodeConfig.OnOwnerNotice
-	// — the paper's "notify the owner" consequence.
+	// NotifyOwner publishes an owner-notice event (events.KindOwnerNotice:
+	// agent, suspect, Reason) on the node's bus — the paper's "notify
+	// the owner" consequence.
 	NotifyOwner bool
 	// Reason is a one-line explanation of the decision.
 	Reason string

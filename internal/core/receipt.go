@@ -37,7 +37,7 @@ type Result struct {
 //
 // A resolved receipt holds the agent as its canonical encoding
 // (agent.Encode), not as a decoded agent: a home keeps up to
-// JournalLimit settled receipts, and a decoded agent — values, parsed
+// DefaultJournalLimit settled receipts, and a decoded agent — values, parsed
 // code, copied baggage — costs several times its encoding. Result
 // decodes on demand.
 type Receipt struct {

@@ -23,11 +23,14 @@ import (
 // stampMechanism passes every session it checks and stamps a baggage
 // payload on every departure, so a terminal agent carries verdicts and
 // more than one baggage entry. It keeps a copy of the last agent it
-// saw leave, which is what a forward that then fails resolves with.
+// saw leave, which is what a forward that then fails resolves with,
+// and of every agent whose stay ended at its node (completed or
+// quarantined), which is what that outcome resolves with.
 type stampMechanism struct {
 	BaseMechanism
 	mu       sync.Mutex
 	departed *agent.Agent
+	ended    map[string]*agent.Agent
 }
 
 func (*stampMechanism) Name() string { return "stamp" }
@@ -52,19 +55,25 @@ func (m *stampMechanism) PrepareDeparture(_ context.Context, _ *HostContext, ag 
 	return nil
 }
 
+func (m *stampMechanism) EndStay(_ *HostContext, ag *agent.Agent) {
+	m.mu.Lock()
+	if m.ended == nil {
+		m.ended = map[string]*agent.Agent{}
+	}
+	m.ended[ag.ID] = ag.Clone()
+	m.mu.Unlock()
+}
+
 // recordBed is two nodes, r1 and r2, on one in-process network; r2 can
-// be made to quarantine every agent it checks. seen holds a copy of
-// every agent as OnComplete saw it, taken inside the callback.
+// be made to quarantine every agent it checks.
 type recordBed struct {
 	stamp *stampMechanism
 	nodes map[string]*Node
-	mu    sync.Mutex
-	seen  map[string]*agent.Agent
 }
 
 func newRecordBed(t *testing.T, r2Quarantines bool) *recordBed {
 	t.Helper()
-	b := &recordBed{stamp: &stampMechanism{}, nodes: map[string]*Node{}, seen: map[string]*agent.Agent{}}
+	b := &recordBed{stamp: &stampMechanism{}, nodes: map[string]*Node{}}
 	reg, net := sigcrypto.NewRegistry(), transport.NewInProc()
 	for _, name := range []string{"r1", "r2"} {
 		keys, err := sigcrypto.GenerateKeyPair(name)
@@ -79,14 +88,7 @@ func newRecordBed(t *testing.T, r2Quarantines bool) *recordBed {
 		if name == "r2" && r2Quarantines {
 			mechs = append(mechs, failingMechanism{})
 		}
-		node, err := NewNode(NodeConfig{
-			Host: h, Net: net, Mechanisms: mechs,
-			OnComplete: func(ag *agent.Agent, _ []Verdict, _ bool) {
-				b.mu.Lock()
-				b.seen[ag.ID] = ag.Clone()
-				b.mu.Unlock()
-			},
-		})
+		node, err := NewNode(NodeConfig{Host: h, Net: net, Mechanisms: mechs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +176,7 @@ func vandalize(ag *agent.Agent) {
 
 // TestTerminalResultIsFaithfulPrivateCopy: for a completed, a
 // quarantined and a forward-failed outcome, Result returns the agent
-// the outcome was produced from — what OnComplete saw, or what left
+// the outcome was produced from — what its stay ended as, or what left
 // for the refusing hop — and every call is a private copy: changing
 // one leaves the next call, and concurrent callers, untouched.
 func TestTerminalResultIsFaithfulPrivateCopy(t *testing.T) {
@@ -197,7 +199,7 @@ proc main() {
     migrate("r1", "fin") }
 proc fin() { done() }`,
 			end:  "r1",
-			want: func(b *recordBed, id string) *agent.Agent { return b.seen[id] },
+			want: func(b *recordBed, id string) *agent.Agent { return b.stamp.ended[id] },
 			check: func(t *testing.T, res Result) {
 				if res.Err != nil || res.Aborted || res.Agent.Entry != "" {
 					t.Fatalf("completed result = %+v (entry %q), want a clean finish with an empty entry", res, res.Agent.Entry)
@@ -209,7 +211,7 @@ proc fin() { done() }`,
 			code:       visit + `proc step() { done() }`,
 			end:        "r2",
 			quarantine: true,
-			want:       func(b *recordBed, id string) *agent.Agent { return b.seen[id] },
+			want:       func(b *recordBed, id string) *agent.Agent { return b.stamp.ended[id] },
 			check: func(t *testing.T, res Result) {
 				if !res.Aborted || !errors.Is(res.Err, ErrDetection) {
 					t.Fatalf("quarantined result = %+v, want an aborted detection", res)
@@ -236,9 +238,9 @@ proc fin() { done() }`,
 			b := newRecordBed(t, tc.quarantine)
 			id := "rec-" + tc.name
 			rc := b.launch(t, id, tc.code, tc.end)
-			b.mu.Lock()
+			b.stamp.mu.Lock()
 			want := tc.want(b, id)
-			b.mu.Unlock()
+			b.stamp.mu.Unlock()
 			if want == nil {
 				t.Fatal("the outcome's agent was never captured")
 			}
@@ -325,25 +327,14 @@ proc fin() { done() }`, "main")
 // returns, the evicted agent's spill file and LoadEvidence all carry
 // the agent exactly as it was quarantined.
 func TestQuarantinedIsTheOriginal(t *testing.T) {
-	var mu sync.Mutex
-	seen := map[string][]byte{}
-	b := newDurableBed(t, func(cfg *NodeConfig) {
-		cfg.QuarantineLimit = 1
-		cfg.OnComplete = func(ag *agent.Agent, _ []Verdict, _ bool) {
-			wire, err := ag.Marshal()
-			if err != nil {
-				t.Errorf("marshalling the quarantined agent: %v", err)
-			}
-			mu.Lock()
-			seen[ag.ID] = wire
-			mu.Unlock()
-		}
-	})
+	stamp := &stampMechanism{}
+	ShrinkRetention(t, 0, 1, 0)
+	b := newDurableBed(t, func(cfg *NodeConfig) { cfg.Mechanisms = append(cfg.Mechanisms, stamp) })
 	first := "orig-1"
 	res := b.runToCheck(first)
-	mu.Lock()
-	want := seen[first]
-	mu.Unlock()
+	stamp.mu.Lock()
+	want := marshalOrFatal(t, stamp.ended[first])
+	stamp.mu.Unlock()
 	if !bytes.Equal(marshalOrFatal(t, res.Agent), want) {
 		t.Fatal("receipt's agent differs from the quarantined original")
 	}
@@ -359,7 +350,7 @@ func TestQuarantinedIsTheOriginal(t *testing.T) {
 		t.Fatal("the quarantine store does not hold the original's encoding")
 	}
 
-	// A shard mate overflows QuarantineLimit and evicts first.
+	// A shard mate overflows the quarantine bound and evicts first.
 	b.runToCheck(shardMateID(first))
 	_, err = b.checker.Quarantined(first)
 	var evErr *QuarantineEvictedError

@@ -20,7 +20,7 @@ import (
 
 // reachAllow lists the declarations under internal/ that no production
 // root reaches and that stay on purpose. A key names one finding
-// ("core.NodeConfig.JournalLimit") or everything under it ("testutil",
+// ("core.EncodeVerdicts") or everything under it ("testutil",
 // "policy.PeerScore"). Each reason is "test seam: <pkg>.<Test> …",
 // naming a test that exists, or "operator hook: OPERATIONS §<section>".
 // An entry that matches no finding fails the gate, so the list can
@@ -34,10 +34,6 @@ var reachAllow = map[string]string{
 	"campaign.Score.Fingerprint":            "test seam: campaign.TestCampaignDeterminism",
 	"canon.HashValue":                       "test seam: canon.TestStreamingHashMatchesMaterialized",
 	"core.EncodeVerdicts":                   "test seam: core.TestVerdictCodecBounds encodes lists no node builds",
-	"core.NodeConfig.EvidenceByteLimit":     "test seam: core.TestEvidenceByteBudgetAndPruneHook sets a byte budget to force pruning",
-	"core.NodeConfig.EvidenceLimit":         "test seam: core.TestEvidenceDirectoryIsBounded shrinks the file bound to force pruning",
-	"core.NodeConfig.JournalLimit":          "test seam: core.TestJournalEviction shrinks the journal to force eviction",
-	"core.NodeConfig.QuarantineLimit":       "test seam: core.TestQuarantineEvictionSpillsRecoverableEvidence shrinks retention to force a spill",
 	"core.Receipt.Wait":                     "test seam: core.TestIntakeBackpressure and the other core tests that block on a receipt",
 	"core.Verdict.VerifySig":                "test seam: appraisal.FuzzAppraisalBaggage checks the verdicts it vouches for",
 	"events.Bus.NextSeq":                    "test seam: events.TestCursorResumeAcrossJournalWrap",
@@ -53,9 +49,6 @@ var reachAllow = map[string]string{
 	"fleet.Fleet.tcp":                       "test seam: core.TestTCPEndToEnd and the other TCP drills build loopback fleets",
 	"fleet.NewTCP":                          "test seam: core.TestTCPEndToEnd and the other TCP drills build loopback fleets",
 	"host.Config.Clock":                     "test seam: host.TestCustomClockAndFeed",
-	"host.Config.MailboxLimit":              "test seam: host.TestMailboxBounded shrinks the mailbox",
-	"host.DefaultMailboxLimit":              "test seam: host.TestMailbox; no main delivers to a mailbox",
-	"host.Host.Deliver":                     "test seam: host.TestMailbox; no main delivers to a mailbox",
 	"planner.Executor.Backoff":              "test seam: planner.TestScenarioFlashCrowd shortens the spillover wait",
 	"platformtest":                          "test seam: core.TestConcurrentItinerariesE2E and the mechanism packages' tests build their beds with it",
 	"policy.Exchange.Scheduler":             "test seam: policy.TestExchangeUpdatePeers",

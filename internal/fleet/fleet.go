@@ -39,11 +39,13 @@ import (
 // built from: Host, Protection and Node are passed through to
 // host.New, protection.Assemble and core.NewNode for what a deployment
 // genuinely varies (behaviour, feed, workers, queue depth, exchange,
-// callbacks). Everything Open can work out it overwrites, so a caller
-// cannot set it wrongly: Host.Registry and Host.RecordTrace;
+// the verdict tap). Everything Open can work out it overwrites, so a
+// caller cannot set it wrongly: Host.Registry and Host.RecordTrace;
 // Protection.DataDir, Events and OnPersistError; Node.Host, Net,
 // Mechanisms, Events and DataDir, plus Node.Policy and Node.Admission
-// whenever a Level is assembled.
+// whenever a Level is assembled. Outcomes come back through the
+// receipts (Run, Watch), and owner notices and persistence failures
+// through the member's bus (Pipeline) and node/health.
 type Spec struct {
 	// Host needs at least Name. Keys may be nil: Open then generates the
 	// identity (set them to reopen a node under the identity it had).
@@ -57,10 +59,10 @@ type Spec struct {
 	Mechanisms []core.Mechanism
 	// Protection tunes the Level's stack (timers, hooks, adaptive
 	// policy); ignored with explicit Mechanisms. Stack persistence
-	// failures are reported through Node.OnPersistError and the node's
-	// health record, the same channel as the node's own stores.
+	// failures reach the node's health record (node/health) and its
+	// bus, the same channel as the node's own stores.
 	Protection protection.Options
-	// Node carries workers, queue depth, exchange, limits and callbacks.
+	// Node carries workers, queue depth, exchange and the verdict tap.
 	Node core.NodeConfig
 	// DataDir is the node's one durable root: journal/, quarantine/,
 	// evidence/ (node), ledger/ or vigna/ (stack) and flight/ (pipeline)
@@ -145,7 +147,7 @@ func (m *Member) open(reg *sigcrypto.Registry, net transport.Network, spec Spec,
 
 	// The stack exists before the node does, but its ledger WAL can
 	// degrade at any later write: such failures join the node's own in
-	// its observer and its health record (node/health).
+	// its health record (node/health) and on its bus.
 	var node atomic.Pointer[core.Node]
 	if spec.Mechanisms != nil {
 		m.Stack = protection.Stack{Mechanisms: spec.Mechanisms}
@@ -162,11 +164,7 @@ func (m *Member) open(reg *sigcrypto.Registry, net transport.Network, spec Spec,
 		if clock != nil {
 			opts.Clock = clock
 		}
-		observer := spec.Node.OnPersistError
 		opts.OnPersistError = func(err error) {
-			if observer != nil {
-				observer(err)
-			}
 			if n := node.Load(); n != nil {
 				n.NotePersistError(err)
 			}

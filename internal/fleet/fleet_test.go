@@ -347,9 +347,6 @@ func TestCloseRacingDeliveries(t *testing.T) {
 			Level:    protection.LevelAdaptive,
 			DataDir:  root + "/" + name,
 			Pipeline: &events.PipelineConfig{},
-			Node: core.NodeConfig{OnPersistError: func(err error) {
-				t.Errorf("persistence error: %v", err)
-			}},
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -402,6 +399,11 @@ func TestCloseRacingDeliveries(t *testing.T) {
 		t.Errorf("Close: %v", err)
 	}
 	wg.Wait()
+	for _, m := range f.Members() {
+		if h := m.Node.Health(); h.Degraded {
+			t.Errorf("%s: %d persistence errors, the first: %s", m.Name, h.PersistFailures, h.FirstPersistError)
+		}
+	}
 	check()
 }
 

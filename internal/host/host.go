@@ -2,8 +2,8 @@
 // that takes an agent's initial state, runs an execution session feeding
 // it input, and produces the resulting state (paper §2.1, Fig. 1).
 //
-// A Host owns a signing identity, a trust classification, a resource
-// store (its "database") and a per-agent mailbox. With RecordTrace a
+// A Host owns a signing identity, a trust classification and a resource
+// store (its "database"). With RecordTrace a
 // session returns its execution trace in the SessionRecord and the host
 // keeps no copy: a mechanism that needs traces for later audit (vigna,
 // proof) retains what it needs itself. A Host knows nothing about
@@ -84,24 +84,16 @@ type Config struct {
 	// vigna and proof mechanisms; the example mechanism needs only the
 	// input log).
 	RecordTrace bool
-	// MailboxLimit bounds the number of undelivered messages queued per
-	// agent; Deliver fails with ErrMailboxFull beyond it. 0 means
-	// DefaultMailboxLimit; a hostile peer must not be able to grow a
-	// host's memory without bound.
-	MailboxLimit int
 	// Behavior injects malicious conduct; nil means honest.
 	Behavior Behavior
 }
 
-// Host is one agent platform node. Per-agent journals (mailboxes and
-// the action ledger) live in sharded stores so concurrent sessions of
-// distinct agents never serialize on one mutex; mu guards only the
-// host-global clock and rand state.
+// Host is one agent platform node. The per-agent action ledger lives
+// in a sharded store so concurrent sessions of distinct agents never
+// serialize on one mutex; mu guards only the host-global clock and
+// rand state.
 type Host struct {
 	cfg Config
-	// mailbox queues undelivered messages per agent (recv()); each
-	// queue is bounded by Config.MailboxLimit.
-	mailbox *shardstore.Store[[]value.Value]
 	// actions records output actions performed on this host, per agent.
 	actions *shardstore.Store[[]ActionRecord]
 
@@ -120,13 +112,10 @@ type ActionRecord struct {
 // validation).
 var ErrRefused = errors.New("host: agent refused")
 
-// ErrMailboxFull is returned by Deliver when an agent's mailbox is at
-// its configured bound.
+// ErrMailboxFull is the intake-full refusal: core wraps it when a
+// node's intake queue is full (NodeConfig.RefuseWhenFull), and
+// core.IsIntakeFull matches its text in errors that crossed TCP.
 var ErrMailboxFull = errors.New("host: mailbox full")
-
-// DefaultMailboxLimit is the per-agent mailbox bound when
-// Config.MailboxLimit is zero.
-const DefaultMailboxLimit = 256
 
 // New creates a host and registers its key with the registry.
 func New(cfg Config) (*Host, error) {
@@ -151,7 +140,6 @@ func New(cfg Config) (*Host, error) {
 	}
 	return &Host{
 		cfg:     cfg,
-		mailbox: shardstore.New[[]value.Value](shardstore.Config[[]value.Value]{}),
 		actions: shardstore.New[[]ActionRecord](shardstore.Config[[]ActionRecord]{}),
 		randSt:  seed,
 	}, nil
@@ -168,29 +156,6 @@ func (h *Host) Keys() *sigcrypto.KeyPair { return h.cfg.Keys }
 
 // Registry returns the shared principal registry.
 func (h *Host) Registry() *sigcrypto.Registry { return h.cfg.Registry }
-
-// Deliver queues a message for an agent; the agent receives it via
-// recv(). The per-agent mailbox is bounded (Config.MailboxLimit):
-// overflow returns ErrMailboxFull to the caller instead of growing
-// memory without limit.
-func (h *Host) Deliver(agentID string, msg value.Value) error {
-	limit := h.cfg.MailboxLimit
-	if limit <= 0 {
-		limit = DefaultMailboxLimit
-	}
-	full := false
-	h.mailbox.Upsert(agentID, func(q []value.Value, _ bool) []value.Value {
-		if len(q) >= limit {
-			full = true
-			return q
-		}
-		return append(q, msg.Clone())
-	})
-	if full {
-		return fmt.Errorf("%w: host %s, agent %s at %d messages", ErrMailboxFull, h.cfg.Name, agentID, limit)
-	}
-	return nil
-}
 
 // Actions returns the output actions the given agent performed on this
 // host, in order.
@@ -436,20 +401,9 @@ func (e *hostEnv) Input(call string, args []value.Value) (value.Value, error) {
 		}
 		return value.Null(), fmt.Errorf("host %s has no resource %q", h.cfg.Name, key.Str)
 	case "recv":
-		msg := value.Null() // empty mailbox reads as null
-		// Probe before popping: Upsert inserts on miss, and a read of
-		// an agent that was never messaged must not grow the store.
-		if q, ok := h.mailbox.Get(e.agentID); !ok || len(q) == 0 {
-			return msg, nil
-		}
-		h.mailbox.Upsert(e.agentID, func(q []value.Value, _ bool) []value.Value {
-			if len(q) == 0 {
-				return q
-			}
-			msg = q[0]
-			return q[1:]
-		})
-		return msg, nil
+		// Messages have no sender in this reproduction: recv() stays a
+		// logged input, and every host answers it with null.
+		return value.Null(), nil
 	case "time":
 		if h.cfg.Clock != nil {
 			return value.Int(h.cfg.Clock()), nil

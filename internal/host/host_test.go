@@ -173,62 +173,21 @@ func TestAgentTerminates(t *testing.T) {
 	}
 }
 
-// TestMailboxBounded pins the overflow contract: a hostile peer
-// cannot grow a host's memory without limit — Deliver fails with
-// ErrMailboxFull at the configured bound, and draining via recv()
-// reopens capacity.
-func TestMailboxBounded(t *testing.T) {
-	h := newHost(t, "h1", func(c *Config) { c.MailboxLimit = 2 })
-	if err := h.Deliver("ag", value.Str("m1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Deliver("ag", value.Str("m2")); err != nil {
-		t.Fatal(err)
-	}
-	err := h.Deliver("ag", value.Str("m3"))
-	if !errors.Is(err, ErrMailboxFull) {
-		t.Fatalf("overflow: err = %v, want ErrMailboxFull", err)
-	}
-	// Other agents' mailboxes are unaffected by one agent's overflow.
-	if err := h.Deliver("other", value.Str("ok")); err != nil {
-		t.Errorf("unrelated mailbox rejected: %v", err)
-	}
-	// Draining reopens capacity.
-	ag := newAgent(t, `proc main() { a = recv() }`, "main")
-	ag.ID = "ag"
-	if _, err := h.RunSession(context.Background(), ag, SessionOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Deliver("ag", value.Str("m3")); err != nil {
-		t.Errorf("after drain: %v", err)
-	}
-}
-
-func TestMailbox(t *testing.T) {
+// TestRecvIsLoggedNull: messages have no sender in this
+// reproduction, so recv() reads null on every host — and, like every
+// input, lands in the session's input log for the checkers to replay.
+func TestRecvIsLoggedNull(t *testing.T) {
 	h := newHost(t, "h1", nil)
-	for _, d := range []struct {
-		agent string
-		msg   string
-	}{{"ag-1", "offer-1"}, {"ag-1", "offer-2"}, {"other", "not-yours"}} {
-		if err := h.Deliver(d.agent, value.Str(d.msg)); err != nil {
-			t.Fatalf("Deliver(%s, %s): %v", d.agent, d.msg, err)
-		}
-	}
-	ag := newAgent(t, `
-proc main() {
-    a = recv()
-    b = recv()
-    c = recv()
-}`, "main")
+	ag := newAgent(t, `proc main() { a = recv() }`, "main")
 	rec, err := h.RunSession(context.Background(), ag, SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Resulting["a"].Str != "offer-1" || rec.Resulting["b"].Str != "offer-2" {
-		t.Errorf("mailbox order wrong: %v", rec.Resulting)
+	if !rec.Resulting["a"].IsNull() {
+		t.Errorf("recv() read %s, want null", rec.Resulting["a"])
 	}
-	if !rec.Resulting["c"].IsNull() {
-		t.Errorf("empty mailbox should read null, got %s", rec.Resulting["c"])
+	if len(rec.Input) != 1 || rec.Input[0].Call != "recv" || !rec.Input[0].Result.IsNull() {
+		t.Errorf("input log = %+v, want one recv record reading null", rec.Input)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package platformtest is the testing.TB adapter over internal/fleet
 // for the mechanism packages' integration tests: an in-process fleet
 // whose setup errors fail the test, whose members close with it, and
-// which collects verdicts and completions.
+// which collects verdicts (OnVerdict) and the outcomes Run awaited.
 //
 // The platform API is asynchronous (accept-and-queue intake, receipt
 // completion); Run wraps the launch-then-await-terminal dance so
@@ -92,12 +92,6 @@ func (b *Bed) AddHost(name string, opts HostOptions) *core.Node {
 				defer b.mu.Unlock()
 				b.verdicts = append(b.verdicts, v)
 			},
-			OnComplete: func(ag *agent.Agent, vs []core.Verdict, aborted bool) {
-				b.mu.Lock()
-				defer b.mu.Unlock()
-				b.completed = append(b.completed, ag)
-				b.aborted = aborted
-			},
 		},
 	}
 	if opts.Configure != nil {
@@ -116,12 +110,19 @@ func (b *Bed) AddHost(name string, opts HostOptions) *core.Node {
 // Run launches the agent on the named node and blocks until the
 // itinerary reaches a terminal outcome anywhere in the bed, returning
 // that outcome's error — the asynchronous equivalent of the seed's
-// synchronous Launch chain.
+// synchronous Launch chain. A finished or quarantined agent joins
+// Completed.
 func (b *Bed) Run(start string, ag *agent.Agent) error {
 	b.TB.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), Timeout)
 	defer cancel()
-	_, err := b.fleet.Run(ctx, start, ag)
+	res, err := b.fleet.Run(ctx, start, ag)
+	if res.Agent != nil && (err == nil || res.Aborted) {
+		b.mu.Lock()
+		b.completed = append(b.completed, res.Agent)
+		b.aborted = res.Aborted
+		b.mu.Unlock()
+	}
 	return err
 }
 
@@ -143,8 +144,8 @@ func (b *Bed) FailedVerdicts() []core.Verdict {
 	return out
 }
 
-// Completed returns agents that finished (or aborted) and whether the
-// last completion was an abort.
+// Completed returns the agents Run saw finish (or abort) and whether
+// the last of them was an abort.
 func (b *Bed) Completed() ([]*agent.Agent, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -133,9 +133,10 @@ type Options struct {
 	// OnPersistError receives the stack's durable-state write failures
 	// (the adaptive ledger WAL and vigna's trace retention WAL; each
 	// fires once, then its store is degraded to memory-only). Nil means
-	// failures are silent. Pair it with
-	// core.NodeConfig.OnPersistError so both the node's stores and the
-	// stack's report through one channel.
+	// failures are silent. fleet.Open points it at the node's
+	// Node.NotePersistError, so the stack's failures and the node's own
+	// stores' report through one channel: node/health and the bus
+	// (events.KindPersistError).
 	OnPersistError func(error)
 	// Events, when non-nil, is the node's event bus: LevelAdaptive's
 	// ledger publishes escalation crossings, its gate level-escalation

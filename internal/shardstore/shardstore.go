@@ -1,10 +1,10 @@
 // Package shardstore provides a generic striped-lock sharded map for
 // the platform's hot-path bookkeeping: per-agent journals on nodes,
-// mailboxes and action ledgers on hosts, retained trace packages, and
-// the reputation ledger. Keys are strings (agent IDs, host names, or
-// composite keys built with Key); values are striped over independently
-// locked shards by FNV-1a hash, so concurrent workers touching distinct
-// agents never serialize on one mutex.
+// action ledgers on hosts, retained trace packages, and the reputation
+// ledger. Keys are strings (agent IDs, host names, or composite keys
+// built with Key); values are striped over independently locked shards
+// by FNV-1a hash, so concurrent workers touching distinct agents never
+// serialize on one mutex.
 //
 // The store is bounded: with a non-zero Capacity, inserting beyond it
 // evicts the oldest evictable entries first (FIFO by first insertion,

@@ -255,6 +255,21 @@ type clientConn struct {
 	bw   *bufio.Writer
 	enc  *gob.Encoder
 	dec  *gob.Decoder
+	// read counts the bytes taken off conn, so exchange can tell a
+	// failure before the first response byte from one after it.
+	read int64
+}
+
+// countingReader counts the bytes read through it into *n.
+type countingReader struct {
+	r io.Reader
+	n *int64
+}
+
+func (c countingReader) Read(p []byte) (int, error) {
+	k, err := c.r.Read(p)
+	*c.n += int64(k)
+	return k, err
 }
 
 func (c *clientConn) close() { _ = c.conn.Close() }
@@ -348,12 +363,9 @@ func (n *TCPNetwork) dial(ctx context.Context, host, addr string) (*clientConn, 
 		return nil, wrapTimeout(ctx, "dial", fmt.Sprintf("%s (%s)", host, addr), err)
 	}
 	bw := bufio.NewWriter(conn)
-	return &clientConn{
-		conn: conn,
-		bw:   bw,
-		enc:  gob.NewEncoder(bw),
-		dec:  gob.NewDecoder(bufio.NewReader(conn)),
-	}, nil
+	c := &clientConn{conn: conn, bw: bw, enc: gob.NewEncoder(bw)}
+	c.dec = gob.NewDecoder(bufio.NewReader(countingReader{conn, &c.read}))
+	return c, nil
 }
 
 // dialBackoff dials with jittered exponential backoff across transient
@@ -438,11 +450,11 @@ func (n *TCPNetwork) roundTrip(ctx context.Context, host string, req rpcRequest)
 
 	// First attempt on a pooled connection, if one exists. A pooled
 	// connection may have been closed by the server since it was last
-	// used; that surfaces either as a write failure or as a clean EOF
-	// before any response byte, and both are retried once on a fresh
-	// connection. A failure after response bytes started flowing is
-	// not retried — the request was processed, and deliveries must not
-	// be duplicated. (A server that dies mid-exchange is
+	// used; that surfaces as a write failure, or as a clean EOF or a
+	// reset before any response byte, and each is retried once on a
+	// fresh connection. A failure after response bytes started flowing
+	// is not retried — the request was processed, and deliveries must
+	// not be duplicated. (A server that dies mid-exchange is
 	// indistinguishable from an idle close; that crash window is the
 	// usual at-least-once caveat of connection reuse.)
 	if c := n.takeIdle(host); c != nil {
@@ -496,10 +508,9 @@ func answered(err error) bool {
 
 // exchange performs one request/response on the connection under the
 // ctx-derived deadline. retryable reports that the failure happened
-// before any response byte arrived — a write error, or a clean EOF at
-// the start of the response (gob returns io.EOF only when zero bytes
-// of the message were read), which is how a server's idle close of a
-// pooled connection manifests.
+// before any response byte arrived — a write error, or a clean EOF or
+// a reset with zero response bytes read — which is how a server's idle
+// close of a pooled connection manifests.
 func (n *TCPNetwork) exchange(ctx context.Context, host string, c *clientConn, req rpcRequest) (rpcResponse, bool, error) {
 	_ = c.conn.SetDeadline(ioDeadline(ctx))
 	if err := c.enc.Encode(req); err != nil {
@@ -509,13 +520,15 @@ func (n *TCPNetwork) exchange(ctx context.Context, host string, c *clientConn, r
 		return rpcResponse{}, true, wrapTimeout(ctx, "send to", host, err)
 	}
 	var resp rpcResponse
+	start := c.read
 	if err := c.dec.Decode(&resp); err != nil {
-		// Only a clean io.EOF is retryable: gob returns it exclusively
-		// when zero bytes of the response were read, i.e. the server
-		// closed the pooled connection idle before seeing the request.
-		// A reset or partial read may mean the request was processed,
-		// and retrying would risk duplicate delivery.
-		retryable := errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF)
+		// Only a failure before the first response byte is retryable:
+		// a clean io.EOF, or a reset when the request reached a socket
+		// the server had already closed. Both are how a server's idle
+		// close of a pooled connection manifests. Once a response byte
+		// has arrived the request was processed, and retrying would
+		// risk duplicate delivery.
+		retryable := c.read == start && (errors.Is(err, io.EOF) || errors.Is(err, syscall.ECONNRESET))
 		return rpcResponse{}, retryable, wrapTimeout(ctx, "receive from", host, err)
 	}
 	_ = c.conn.SetDeadline(time.Time{})
