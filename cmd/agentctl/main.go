@@ -5,16 +5,16 @@
 // Subcommands:
 //
 //	agentctl launch -code shopper.agent -id shopper-1 -owner alice \
-//	         -home home -peers home=:7001,shop=:7002,back=:7003
-//	agentctl reputation -peers ... <host>
-//	agentctl quarantine -peers ... <agent-id>
+//	         -home home -manifest fleet.txt
+//	agentctl reputation -manifest fleet.txt <host>
+//	agentctl quarantine -manifest fleet.txt <agent-id>
 //	agentctl evidence <path/to/evidence/file.agent>
-//	agentctl status -peers ...
-//	agentctl metrics -peers ...
-//	agentctl metrics -peers ... -prom   # Prometheus text exposition
-//	agentctl plan -peers ...
-//	agentctl watch -peers ...
-//	agentctl flight -peers ... <node>
+//	agentctl status -manifest fleet.txt
+//	agentctl metrics -manifest fleet.txt
+//	agentctl metrics -manifest fleet.txt -prom   # Prometheus text exposition
+//	agentctl plan -manifest fleet.txt
+//	agentctl watch -manifest fleet.txt
+//	agentctl flight -manifest fleet.txt <node>
 //
 // Invoking agentctl with flags only (no subcommand) is the legacy
 // launch form. Delivery is asynchronous: the launch returns once the
@@ -61,14 +61,16 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
 	"repro/internal/agent"
 	"repro/internal/core"
 	"repro/internal/events"
+	"repro/internal/fleet"
 	"repro/internal/transport"
 	"repro/internal/value"
 )
@@ -115,21 +117,14 @@ func run() error {
 // policy consulted on intake, its refusal threshold, and the refusal
 // counters) via the node/plan built-in.
 func runPlan(args []string) error {
-	fs := flag.NewFlagSet("plan", flag.ExitOnError)
-	peers := fs.String("peers", "", "address book: name=host:port,...")
-	timeout := fs.Duration("timeout", 10*time.Second, "per-call deadline")
-	if err := fs.Parse(args); err != nil {
+	c := newFleetCmd("plan", 10*time.Second, "per-call deadline")
+	if err := c.open(args); err != nil {
 		return err
 	}
-	book, err := parsePeers(*peers)
-	if err != nil {
-		return err
-	}
-	net := transport.NewTCPNetwork(book)
-	defer net.Close()
+	defer c.net.Close()
 
-	for _, peer := range sortedNames(book) {
-		body, err := callPeer(net, peer, "plan", core.PlanCallBody(), *timeout)
+	for _, peer := range c.names {
+		body, err := c.call(peer, "plan", core.PlanCallBody())
 		if err != nil {
 			fmt.Printf("%s: unreachable: %v\n", peer, err)
 			continue
@@ -153,23 +148,16 @@ func runPlan(args []string) error {
 // from memory; this is where that degradation becomes visible before
 // the restart that would lose state.
 func runStatus(args []string) error {
-	fs := flag.NewFlagSet("status", flag.ExitOnError)
-	peers := fs.String("peers", "", "address book: name=host:port,...")
-	timeout := fs.Duration("timeout", 10*time.Second, "per-call deadline")
-	if err := fs.Parse(args); err != nil {
+	c := newFleetCmd("status", 10*time.Second, "per-call deadline")
+	if err := c.open(args); err != nil {
 		return err
 	}
-	book, err := parsePeers(*peers)
-	if err != nil {
-		return err
-	}
-	net := transport.NewTCPNetwork(book)
-	defer net.Close()
+	defer c.net.Close()
 
 	degraded := 0
-	fmt.Printf("agentctl: node health across %d nodes:\n", len(book))
-	for _, peer := range sortedNames(book) {
-		body, err := callPeer(net, peer, "health", core.HealthCallBody(), *timeout)
+	fmt.Printf("agentctl: node health across %d nodes:\n", len(c.names))
+	for _, peer := range c.names {
+		body, err := c.call(peer, "health", core.HealthCallBody())
 		if err != nil {
 			fmt.Printf("  %-8s unreachable: %v\n", peer, err)
 			continue
@@ -219,22 +207,15 @@ func runStatus(args []string) error {
 // the per-subscriber drop ledger (the loss the bus contract permits,
 // reported rather than hidden).
 func runMetrics(args []string) error {
-	fs := flag.NewFlagSet("metrics", flag.ExitOnError)
-	peers := fs.String("peers", "", "address book: name=host:port,...")
-	timeout := fs.Duration("timeout", 10*time.Second, "per-call deadline")
-	prom := fs.Bool("prom", false, "emit Prometheus text exposition instead of the human-readable listing")
-	if err := fs.Parse(args); err != nil {
+	c := newFleetCmd("metrics", 10*time.Second, "per-call deadline")
+	prom := c.Bool("prom", false, "emit Prometheus text exposition instead of the human-readable listing")
+	if err := c.open(args); err != nil {
 		return err
 	}
-	book, err := parsePeers(*peers)
-	if err != nil {
-		return err
-	}
-	net := transport.NewTCPNetwork(book)
-	defer net.Close()
+	defer c.net.Close()
 
-	for _, peer := range sortedNames(book) {
-		body, err := callPeer(net, peer, "metrics", core.MetricsCallBody(), *timeout)
+	for _, peer := range c.names {
+		body, err := c.call(peer, "metrics", core.MetricsCallBody())
 		if err != nil {
 			if *prom {
 				fmt.Fprintf(os.Stderr, "%s: unreachable: %v\n", peer, err)
@@ -262,13 +243,13 @@ func runMetrics(args []string) error {
 		fmt.Printf("%s: published=%d drops=%d journal=%d quarantine=%d at=%s\n",
 			peer, s.Published, s.Drops(), r.JournalEntries, r.QuarantineEntries,
 			time.Unix(0, s.AtUnixNano).Format(time.RFC3339))
-		for _, name := range s.SortedCounterNames() {
+		for _, name := range slices.Sorted(maps.Keys(s.Counters)) {
 			fmt.Printf("  counter   %-32s %d\n", name, s.Counters[name])
 		}
-		for _, name := range s.SortedGaugeNames() {
+		for _, name := range slices.Sorted(maps.Keys(s.Gauges)) {
 			fmt.Printf("  gauge     %-32s %g\n", name, s.Gauges[name])
 		}
-		for _, name := range s.SortedHistogramNames() {
+		for _, name := range slices.Sorted(maps.Keys(s.Histograms)) {
 			h := s.Histograms[name]
 			fmt.Printf("  histogram %-32s count=%d sum=%g\n", name, h.Count, h.Sum)
 			for _, b := range h.Buckets {
@@ -332,32 +313,25 @@ func writePromReply(w io.Writer, peer string, r core.MetricsReply) error {
 // cannot wedge the watcher, and a watcher that falls behind a node's
 // journal ring sees an explicit "missed N" line.
 func runWatch(args []string) error {
-	fs := flag.NewFlagSet("watch", flag.ExitOnError)
-	peers := fs.String("peers", "", "address book: name=host:port,...")
-	timeout := fs.Duration("timeout", 10*time.Second, "per-call deadline")
-	poll := fs.Duration("poll", 500*time.Millisecond, "poll interval")
-	kind := fs.String("kind", "", "only print events of this kind (empty = all)")
-	tail := fs.Bool("tail", true, "start at each node's journal tail (false = replay the retained journal first)")
-	duration := fs.Duration("for", 0, "stop after this long (0 = watch until interrupted)")
-	if err := fs.Parse(args); err != nil {
+	c := newFleetCmd("watch", 10*time.Second, "per-call deadline")
+	poll := c.Duration("poll", 500*time.Millisecond, "poll interval")
+	kind := c.String("kind", "", "only print events of this kind (empty = all)")
+	tail := c.Bool("tail", true, "start at each node's journal tail (false = replay the retained journal first)")
+	duration := c.Duration("for", 0, "stop after this long (0 = watch until interrupted)")
+	if err := c.open(args); err != nil {
 		return err
 	}
-	book, err := parsePeers(*peers)
-	if err != nil {
-		return err
-	}
-	net := transport.NewTCPNetwork(book)
-	defer net.Close()
+	defer c.net.Close()
 
 	ctx, cancel := deadlineCtx(*duration)
 	defer cancel()
 
-	cursors := make(map[string]uint64, len(book))
+	cursors := make(map[string]uint64, len(c.names))
 	if *tail {
 		// Resolve each node's current tail so the watch starts with
 		// "what happens next", not a replay of history.
-		for _, peer := range sortedNames(book) {
-			body, err := callPeer(net, peer, "events", core.EventsCallBody(^uint64(0), 1), *timeout)
+		for _, peer := range c.names {
+			body, err := c.call(peer, "events", core.EventsCallBody(^uint64(0), 1))
 			if err != nil {
 				continue
 			}
@@ -366,12 +340,12 @@ func runWatch(args []string) error {
 			}
 		}
 	}
-	fmt.Printf("agentctl: watching %d nodes (poll %s)\n", len(book), *poll)
+	fmt.Printf("agentctl: watching %d nodes (poll %s)\n", len(c.names), *poll)
 	ticker := time.NewTicker(*poll)
 	defer ticker.Stop()
 	for {
-		for _, peer := range sortedNames(book) {
-			body, err := callPeer(net, peer, "events", core.EventsCallBody(cursors[peer], 0), *timeout)
+		for _, peer := range c.names {
+			body, err := c.call(peer, "events", core.EventsCallBody(cursors[peer], 0))
 			if err != nil {
 				continue
 			}
@@ -405,24 +379,17 @@ func runWatch(args []string) error {
 // recorder — the durable window of its most recent events, including
 // what it recorded before its last crash.
 func runFlight(args []string) error {
-	fs := flag.NewFlagSet("flight", flag.ExitOnError)
-	peers := fs.String("peers", "", "address book: name=host:port,...")
-	timeout := fs.Duration("timeout", 10*time.Second, "per-call deadline")
-	if err := fs.Parse(args); err != nil {
+	c := newFleetCmd("flight", 10*time.Second, "per-call deadline")
+	if err := c.open(args); err != nil {
 		return err
 	}
-	node := fs.Arg(0)
+	defer c.net.Close()
+	node := c.Arg(0)
 	if node == "" {
-		return fmt.Errorf("usage: agentctl flight -peers ... <node>")
+		return fmt.Errorf("usage: agentctl flight -manifest <file> <node>")
 	}
-	book, err := parsePeers(*peers)
-	if err != nil {
-		return err
-	}
-	net := transport.NewTCPNetwork(book)
-	defer net.Close()
 
-	body, err := callPeer(net, node, "flight", core.FlightCallBody(), *timeout)
+	body, err := c.call(node, "flight", core.FlightCallBody())
 	if err != nil {
 		return fmt.Errorf("node %s unreachable: %w", node, err)
 	}
@@ -454,35 +421,24 @@ func printEvent(ev events.Event) {
 	if ev.Host != "" {
 		fmt.Fprintf(&b, " host=%s", ev.Host)
 	}
-	for _, k := range sortedFieldKeys(ev.Fields) {
+	for _, k := range slices.Sorted(maps.Keys(ev.Fields)) {
 		fmt.Fprintf(&b, " %s=%q", k, ev.Fields[k])
 	}
 	fmt.Println(b.String())
 }
 
-// sortedFieldKeys sorts an event's extra-field keys for stable output.
-func sortedFieldKeys(fields map[string]string) []string {
-	keys := make([]string, 0, len(fields))
-	for k := range fields {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 func runLaunch(args []string) error {
-	fs := flag.NewFlagSet("launch", flag.ExitOnError)
-	codePath := fs.String("code", "", "path to agentlang source (required)")
-	id := fs.String("id", "agent-1", "agent instance ID")
-	owner := fs.String("owner", "owner", "owning principal")
-	entry := fs.String("entry", "main", "entry procedure")
-	home := fs.String("home", "", "host to launch on (required)")
-	peers := fs.String("peers", "", "address book: name=host:port,...")
-	timeout := fs.Duration("timeout", 5*time.Minute, "overall journey deadline (0 = launch only, don't track)")
-	poll := fs.Duration("poll", 250*time.Millisecond, "status poll interval")
-	if err := fs.Parse(args); err != nil {
+	c := newFleetCmd("launch", 5*time.Minute, "overall journey deadline (0 = launch only, don't track)")
+	codePath := c.String("code", "", "path to agentlang source (required)")
+	id := c.String("id", "agent-1", "agent instance ID")
+	owner := c.String("owner", "owner", "owning principal")
+	entry := c.String("entry", "main", "entry procedure")
+	home := c.String("home", "", "host to launch on (required)")
+	poll := c.Duration("poll", 250*time.Millisecond, "status poll interval")
+	if err := c.open(args); err != nil {
 		return err
 	}
+	defer c.net.Close()
 
 	if *codePath == "" || *home == "" {
 		return fmt.Errorf("-code and -home are required")
@@ -500,50 +456,36 @@ func runLaunch(args []string) error {
 		return err
 	}
 
-	book, err := parsePeers(*peers)
-	if err != nil {
-		return err
-	}
-	net := transport.NewTCPNetwork(book)
-	defer net.Close()
-
-	ctx, cancel := deadlineCtx(*timeout)
+	ctx, cancel := deadlineCtx(*c.timeout)
 	defer cancel()
 
 	fmt.Printf("agentctl: launching %s (owner %s, entry %s) on %s\n", *id, *owner, *entry, *home)
-	if err := net.SendAgent(ctx, *home, wire); err != nil {
+	if err := c.net.SendAgent(ctx, *home, wire); err != nil {
 		return fmt.Errorf("launch failed: %w", err)
 	}
 	fmt.Println("agentctl: accepted; delivery is asynchronous")
-	if *timeout == 0 {
+	if *c.timeout == 0 {
 		return nil
 	}
-	return track(ctx, net, book, *id, *poll)
+	return track(ctx, c.net, c.names, *id, *poll)
 }
 
 // runReputation serves `agentctl reputation <host>`: every peer's
 // local view of the host's standing via the node/reputation built-in.
 func runReputation(args []string) error {
-	fs := flag.NewFlagSet("reputation", flag.ExitOnError)
-	peers := fs.String("peers", "", "address book: name=host:port,...")
-	timeout := fs.Duration("timeout", 10*time.Second, "per-call deadline")
-	if err := fs.Parse(args); err != nil {
+	c := newFleetCmd("reputation", 10*time.Second, "per-call deadline")
+	if err := c.open(args); err != nil {
 		return err
 	}
-	subject := fs.Arg(0)
+	defer c.net.Close()
+	subject := c.Arg(0)
 	if subject == "" {
-		return fmt.Errorf("usage: agentctl reputation -peers ... <host>")
+		return fmt.Errorf("usage: agentctl reputation -manifest <file> <host>")
 	}
-	book, err := parsePeers(*peers)
-	if err != nil {
-		return err
-	}
-	net := transport.NewTCPNetwork(book)
-	defer net.Close()
 
-	fmt.Printf("agentctl: reputation of %s across %d nodes:\n", subject, len(book))
-	for _, peer := range sortedNames(book) {
-		body, err := callPeer(net, peer, "reputation", core.ReputationCallBody(subject), *timeout)
+	fmt.Printf("agentctl: reputation of %s across %d nodes:\n", subject, len(c.names))
+	for _, peer := range c.names {
+		body, err := c.call(peer, "reputation", core.ReputationCallBody(subject))
 		if err != nil {
 			fmt.Printf("  %-8s unreachable: %v\n", peer, err)
 			continue
@@ -616,26 +558,19 @@ func exchangeLast(ex core.ExchangeStats) string {
 // runQuarantine serves `agentctl quarantine <agent-id>`: locate a
 // quarantined agent and print the evidence it carries.
 func runQuarantine(args []string) error {
-	fs := flag.NewFlagSet("quarantine", flag.ExitOnError)
-	peers := fs.String("peers", "", "address book: name=host:port,...")
-	timeout := fs.Duration("timeout", 10*time.Second, "per-call deadline")
-	if err := fs.Parse(args); err != nil {
+	c := newFleetCmd("quarantine", 10*time.Second, "per-call deadline")
+	if err := c.open(args); err != nil {
 		return err
 	}
-	agentID := fs.Arg(0)
+	defer c.net.Close()
+	agentID := c.Arg(0)
 	if agentID == "" {
-		return fmt.Errorf("usage: agentctl quarantine -peers ... <agent-id>")
+		return fmt.Errorf("usage: agentctl quarantine -manifest <file> <agent-id>")
 	}
-	book, err := parsePeers(*peers)
-	if err != nil {
-		return err
-	}
-	net := transport.NewTCPNetwork(book)
-	defer net.Close()
 
 	found := false
-	for _, peer := range sortedNames(book) {
-		body, err := callPeer(net, peer, "quarantine", core.QuarantineCallBody(agentID), *timeout)
+	for _, peer := range c.names {
+		body, err := c.call(peer, "quarantine", core.QuarantineCallBody(agentID))
 		if err != nil {
 			fmt.Printf("  %-8s unreachable: %v\n", peer, err)
 			continue
@@ -709,31 +644,41 @@ func runEvidence(args []string) error {
 	return nil
 }
 
-func parsePeers(s string) (map[string]string, error) {
-	book := make(map[string]string)
-	for _, pair := range strings.Split(s, ",") {
-		if pair == "" {
-			continue
-		}
-		name, addr, ok := strings.Cut(pair, "=")
-		if !ok {
-			return nil, fmt.Errorf("malformed -peers entry %q", pair)
-		}
-		book[strings.TrimSpace(name)] = strings.TrimSpace(addr)
-	}
-	if len(book) == 0 {
-		return nil, fmt.Errorf("-peers is required")
-	}
-	return book, nil
+// fleetCmd is a subcommand that talks to the deployment: its flags,
+// with the -manifest and -timeout every such subcommand takes, and,
+// once open, the network to the hosts the manifest lists.
+type fleetCmd struct {
+	*flag.FlagSet
+	manifest *string
+	timeout  *time.Duration
+	net      *transport.TCPNetwork
+	names    []string // the listed hosts, sorted
 }
 
-func sortedNames(book map[string]string) []string {
-	names := make([]string, 0, len(book))
-	for n := range book {
-		names = append(names, n)
+func newFleetCmd(name string, timeout time.Duration, timeoutUsage string) *fleetCmd {
+	fs := flag.NewFlagSet(name, flag.ExitOnError)
+	return &fleetCmd{
+		FlagSet:  fs,
+		manifest: fs.String("manifest", "", "deployment manifest, the file every agenthost reads (required)"),
+		timeout:  fs.Duration("timeout", timeout, timeoutUsage),
 	}
-	sort.Strings(names)
-	return names
+}
+
+// open parses args and dials the hosts the manifest lists.
+func (c *fleetCmd) open(args []string) error {
+	if err := c.Parse(args); err != nil {
+		return err
+	}
+	if *c.manifest == "" {
+		return fmt.Errorf("-manifest is required")
+	}
+	m, err := fleet.ReadManifest(*c.manifest)
+	if err != nil {
+		return err
+	}
+	book := m.Book()
+	c.net, c.names = transport.NewTCPNetwork(book), slices.Sorted(maps.Keys(book))
+	return nil
 }
 
 func deadlineCtx(timeout time.Duration) (context.Context, context.CancelFunc) {
@@ -743,22 +688,22 @@ func deadlineCtx(timeout time.Duration) (context.Context, context.CancelFunc) {
 	return context.WithTimeout(context.Background(), timeout)
 }
 
-// callPeer issues one built-in node call under its own deadline, so a
-// hung peer cannot consume the time budget of the peers after it.
-func callPeer(net *transport.TCPNetwork, peer, method string, body []byte, timeout time.Duration) ([]byte, error) {
-	ctx, cancel := deadlineCtx(timeout)
+// call issues one built-in node call under its own deadline, so a hung
+// peer cannot consume the time budget of the peers after it.
+func (c *fleetCmd) call(peer, method string, body []byte) ([]byte, error) {
+	ctx, cancel := deadlineCtx(*c.timeout)
 	defer cancel()
-	return net.Call(ctx, peer, core.NodeCallNamespace+"/"+method, body)
+	return c.net.Call(ctx, peer, core.NodeCallNamespace+"/"+method, body)
 }
 
 // track polls every peer's node/status until one reports a terminal
 // phase, printing progress transitions along the way.
-func track(ctx context.Context, net *transport.TCPNetwork, book map[string]string, agentID string, poll time.Duration) error {
+func track(ctx context.Context, net *transport.TCPNetwork, peers []string, agentID string, poll time.Duration) error {
 	lastSeen := make(map[string]string)
 	ticker := time.NewTicker(poll)
 	defer ticker.Stop()
 	for {
-		for peer := range book {
+		for _, peer := range peers {
 			body, err := net.Call(ctx, peer, core.NodeCallNamespace+"/status", core.StatusCallBody(agentID))
 			if err != nil {
 				if ctx.Err() != nil {

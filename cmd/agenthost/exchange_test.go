@@ -1,40 +1,51 @@
 package main
 
 import (
+	"maps"
 	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/fleet"
 )
 
-// TestExchangeConfig pins the exchange flags' two refusals — exchange
-// flags without an interval, and an interval with neither peers nor
-// aggregators — and what the accepted combinations configure. The
-// aggregator list is passed through as given: it alone sets the tier.
+func mustManifest(t *testing.T, text string) *fleet.Manifest {
+	t.Helper()
+	m, err := fleet.ParseManifest([]byte(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestExchangeConfig pins what the manifest makes of the exchange
+// flags: partners are every other listed host, and the aggregator
+// entries, when there are any, pass through as the list that alone
+// sets the tier. A budget without an interval, and an interval with no
+// other host to trade with, are refused.
 func TestExchangeConfig(t *testing.T) {
-	book := map[string]string{"self": ":7001", "shop": ":7002", "back": ":7003"}
+	flat := mustManifest(t, "self :7001\nshop :7002\nback :7003\n")
+	tiers := mustManifest(t, "self :7001 aggregator\nshop :7002 aggregator\nback :7003\n")
 	cases := []struct {
-		name        string
-		book        map[string]string
-		interval    time.Duration
-		peers, aggs string
-		budget      int
-		refusal     string // empty: accepted
-		wantPeers   []string
-		wantAggs    []string
+		name      string
+		man       *fleet.Manifest
+		interval  time.Duration
+		budget    int
+		refusal   string // empty: accepted
+		wantPeers []string
+		wantAggs  []string
 	}{
-		{name: "off", book: book},
-		{name: "peers without interval", book: book, peers: "shop", refusal: "require -exchange-interval"},
-		{name: "budget without interval", book: book, budget: 8, refusal: "require -exchange-interval"},
-		{name: "aggregators without interval", book: book, aggs: "shop", refusal: "require -exchange-interval"},
-		{name: "no peers and no aggregators", book: map[string]string{"self": ":7001"}, interval: time.Second, refusal: "no exchange peers"},
-		{name: "flat over the address book", book: book, interval: time.Second, wantPeers: []string{"back", "shop"}},
-		{name: "flat over named peers", book: book, interval: time.Second, peers: "shop, ,back", budget: 8, wantPeers: []string{"back", "shop"}},
-		{name: "federation without peers", interval: time.Second, aggs: "self,shop", wantAggs: []string{"self", "shop"}},
+		{name: "off", man: flat},
+		{name: "aggregators without interval", man: tiers},
+		{name: "budget without interval", man: flat, budget: 8, refusal: "requires -exchange-interval"},
+		{name: "no peers and no aggregators", man: mustManifest(t, "self :7001"), interval: time.Second, refusal: "lists no other host"},
+		{name: "flat over the address book", man: flat, interval: time.Second, budget: 8, wantPeers: []string{"back", "shop"}},
+		{name: "federation without peers", man: tiers, interval: time.Second, wantPeers: []string{"back", "shop"}, wantAggs: []string{"self", "shop"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg, err := exchangeConfig("self", tc.book, tc.interval, tc.peers, tc.aggs, tc.budget)
+			cfg, err := exchangeConfig("self", tc.man, tc.interval, tc.budget)
 			if tc.refusal != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.refusal) {
 					t.Fatalf("err = %v, want a refusal mentioning %q", err, tc.refusal)
@@ -55,5 +66,34 @@ func TestExchangeConfig(t *testing.T) {
 				t.Errorf("interval %v budget %d, want %v and %d", cfg.Interval, cfg.Budget, tc.interval, tc.budget)
 			}
 		})
+	}
+}
+
+// TestFromManifest: one manifest gives every node the same TCP book and
+// the same registry trust set, and each node's own trust from its
+// entry; a node with no entry is refused.
+func TestFromManifest(t *testing.T) {
+	man := mustManifest(t, "home 127.0.0.1:7001 trusted\nshop 127.0.0.1:7002\nback 127.0.0.1:7003 trusted aggregator\n")
+	wantBook := map[string]string{"home": "127.0.0.1:7001", "shop": "127.0.0.1:7002", "back": "127.0.0.1:7003"}
+	wantTrusted := map[string]bool{"home": true, "shop": false, "back": true, "nobody": false}
+	for _, self := range []string{"home", "shop", "back"} {
+		book, cfg, err := fromManifest(man, self)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !maps.Equal(book, wantBook) {
+			t.Errorf("%s: book %v, want %v", self, book, wantBook)
+		}
+		if cfg.Name != self || cfg.Trusted != wantTrusted[self] {
+			t.Errorf("%s: host config names %q, trusted %v", self, cfg.Name, cfg.Trusted)
+		}
+		for name, want := range wantTrusted {
+			if got := cfg.Registry.Trusted(name); got != want {
+				t.Errorf("%s: registry trusts %s = %v, want %v", self, name, got, want)
+			}
+		}
+	}
+	if _, _, err := fromManifest(man, "stranger"); err == nil || !strings.Contains(err.Error(), `"stranger" has no entry`) {
+		t.Errorf("a host with no entry: err = %v", err)
 	}
 }

@@ -1,19 +1,16 @@
 // Command agenthost runs one agent platform node behind a TCP
-// listener. A deployment is a set of agenthost processes sharing an
-// address book and a key directory; agents are injected with agentctl.
+// listener. A deployment is a set of agenthost processes sharing one
+// manifest file (fleet.Manifest) and a key directory; agents are
+// injected with agentctl. The node listens on its own entry's address
+// and trusts, like every checker, exactly the hosts the manifest marks
+// trusted (sigcrypto.Registry.Trusted); a name with no entry is
+// refused. agenthost writes its public key into -keydir on startup and
+// loads the key of every listed host it finds there. Start all hosts
+// before launching agents:
 //
-// Because the shared PKI of the paper's setting has to exist somewhere,
-// agenthost persists its public key into -keydir on startup and loads
-// every peer key it finds there. Start all hosts with the same -keydir
-// (a shared directory suffices for a single-machine deployment) before
-// launching agents.
-//
-// Example (three shells):
-//
-//	agenthost -name home  -addr :7001 -trusted -keydir /tmp/keys -peers home=:7001,shop=:7002,back=:7003
-//	agenthost -name shop  -addr :7002 -keydir /tmp/keys -peers ... -resource price=120
-//	agenthost -name back  -addr :7003 -trusted -keydir /tmp/keys -peers ...
-//	agentctl  -code shopper.agent -home home -peers ...
+//	agenthost -name home -manifest fleet.txt -keydir /tmp/keys
+//	agenthost -name shop -manifest fleet.txt -keydir /tmp/keys -resource price=120
+//	agentctl  -code shopper.agent -home home -manifest fleet.txt
 //
 // Add -data-dir to make a host's bookkeeping durable: its journal,
 // quarantine evidence, reputation ledger, and retained traces then
@@ -22,21 +19,11 @@
 // optionally sheds settled journal entries by age.
 //
 // With -level adaptive, -exchange-interval enables the anti-entropy
-// reputation exchange: the node periodically trades signed ledger
-// extracts with fleet peers (default: every -peers entry) so suspicion
-// converges fleet-wide even between hosts no shared agent ever visits.
-// -exchange-peers narrows the partner set and -exchange-budget bounds
-// the extracts traded per round; `agentctl reputation` shows each
-// node's exchange counters.
-//
-// -exchange-aggregators runs the exchange as a hierarchical federation
-// instead of a flat mesh, and the list alone sets this host's tier: a
-// host named in it is an aggregator and exchanges with the other
-// aggregators at 4x -exchange-budget; any other host is a member and
-// exchanges with the aggregators only. Fresh quarantine-level
-// detections additionally ride the reply envelope of every protocol
-// call so a member learns them in one RPC. See docs/OPERATIONS.md for
-// the rollout walkthrough.
+// reputation exchange: the node trades signed ledger extracts with the
+// other listed hosts, or within the federation the manifest's
+// aggregator entries set, so suspicion converges fleet-wide;
+// -exchange-budget bounds the extracts per round. See
+// docs/OPERATIONS.md.
 //
 // With -level adaptive, -admission-threshold enables ledger-backed
 // admission control: a delivery from a host whose local suspicion sits
@@ -84,29 +71,30 @@ func main() {
 }
 
 func run() error {
-	name := flag.String("name", "", "host principal name (required)")
-	addr := flag.String("addr", "127.0.0.1:0", "TCP listen address")
-	trusted := flag.Bool("trusted", false, "mark this host as trusted by agent owners")
+	name := flag.String("name", "", "host principal name; must have an entry in the manifest (required)")
+	manifest := flag.String("manifest", "", "deployment manifest: one line per host, name address [trusted] [aggregator] (required)")
 	level := flag.String("level", "full", "protection level: none|signed|rules|traces|full|adaptive")
 	keydir := flag.String("keydir", "", "shared directory for public keys (required)")
-	peers := flag.String("peers", "", "address book: name=host:port,name=host:port,...")
 	resources := flag.String("resource", "", "host resources: key=intvalue,key=strvalue,...")
 	dataDir := flag.String("data-dir", "", "root directory for durable node state; this host's state lives under <data-dir>/<name> (empty = memory only)")
 	journalTTL := flag.Duration("journal-ttl", 0, "shed settled journal entries this long after they settle (0 = keep until JournalLimit evicts)")
-	exchangeInterval := flag.Duration("exchange-interval", 0, "anti-entropy reputation exchange round interval (0 = disabled; requires -level adaptive)")
-	exchangePeers := flag.String("exchange-peers", "", "exchange partner hosts, comma-separated (empty = every -peers entry except this host)")
+	exchangeInterval := flag.Duration("exchange-interval", 0, "anti-entropy reputation exchange round interval (0 = disabled; requires -level adaptive); the manifest sets the partners")
 	exchangeBudget := flag.Int("exchange-budget", 0, "ledger extracts traded per exchange round (0 = platform default)")
-	exchangeAggregators := flag.String("exchange-aggregators", "", "aggregator host names, comma-separated: a federation in which a listed host is an aggregator and any other a member (empty = flat)")
 	admissionThreshold := flag.Float64("admission-threshold", 0, "refuse deliveries from hosts at/above this ledger suspicion (0 = admission control off; requires -level adaptive)")
 	refuseWhenFull := flag.Bool("refuse-when-full", false, "fast-fail deliveries when the intake queue is full instead of blocking the sender")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof and a runtime/metrics dump on this address, e.g. 127.0.0.1:6060 (empty = off; an address without a host is refused)")
 	flag.Parse()
 
-	if *name == "" {
-		return fmt.Errorf("-name is required")
+	if *name == "" || *manifest == "" || *keydir == "" {
+		return fmt.Errorf("-name, -manifest and -keydir are required")
 	}
-	if *keydir == "" {
-		return fmt.Errorf("-keydir is required")
+	man, err := fleet.ReadManifest(*manifest)
+	if err != nil {
+		return err
+	}
+	book, hcfg, err := fromManifest(man, *name)
+	if err != nil {
+		return err
 	}
 
 	lvl, err := protection.ParseLevel(*level)
@@ -145,22 +133,14 @@ func run() error {
 	}
 	fmt.Printf("agenthost %s: public key written to %s\n", *name, keyPath)
 
-	reg := sigcrypto.NewRegistry()
-	if err := reg.RegisterKeyPair(keys); err != nil {
-		return err
-	}
-	if err := loadPeerKeys(reg, *keydir); err != nil {
-		return err
-	}
-
-	book, err := parseBook(*peers)
-	if err != nil {
+	reg := hcfg.Registry
+	if err := loadPeerKeys(reg, *keydir, book); err != nil {
 		return err
 	}
 	net := transport.NewTCPNetwork(book)
 
-	res, err := parseResources(*resources)
-	if err != nil {
+	hcfg.Keys = keys
+	if hcfg.Resources, err = parseResources(*resources); err != nil {
 		return err
 	}
 	// Each host gets its own state directory: node bookkeeping
@@ -172,7 +152,7 @@ func run() error {
 		nodeDir = filepath.Join(*dataDir, *name)
 		fmt.Printf("agenthost %s: durable state under %s\n", *name, nodeDir)
 	}
-	exchange, err := exchangeConfig(*name, book, *exchangeInterval, *exchangePeers, *exchangeAggregators, *exchangeBudget)
+	exchange, err := exchangeConfig(*name, man, *exchangeInterval, *exchangeBudget)
 	if err != nil {
 		return err
 	}
@@ -192,7 +172,7 @@ func run() error {
 	// `agentctl status`) and on its bus, which is also where this
 	// process's own log lines come from (logEvents).
 	member, err := fleet.Open(reg, net, fleet.Spec{
-		Host:       host.Config{Name: *name, Keys: keys, Trusted: *trusted, Resources: res},
+		Host:       hcfg,
 		Level:      lvl,
 		Protection: protection.Options{AdmissionThreshold: *admissionThreshold},
 		DataDir:    nodeDir,
@@ -223,13 +203,13 @@ func run() error {
 	signal.Notify(hup, syscall.SIGHUP)
 	go func() {
 		for range hup {
-			if err := loadPeerKeys(reg, *keydir); err != nil {
+			if err := loadPeerKeys(reg, *keydir, book); err != nil {
 				fmt.Fprintf(os.Stderr, "agenthost %s: reloading keys: %v\n", *name, err)
 			}
 		}
 	}()
 
-	srv, err := transport.Serve(*addr, member.Node)
+	srv, err := transport.Serve(book[*name], member.Node)
 	if err != nil {
 		return err
 	}
@@ -240,7 +220,7 @@ func run() error {
 	if *refuseWhenFull {
 		posture += ", refuse-when-full"
 	}
-	fmt.Printf("agenthost %s: serving on %s (trusted=%v, level=%s%s)\n", *name, srv.Addr(), *trusted, lvl, posture)
+	fmt.Printf("agenthost %s: serving on %s (trusted=%v, level=%s%s)\n", *name, srv.Addr(), hcfg.Trusted, lvl, posture)
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
@@ -320,46 +300,61 @@ func printOutcome(name string, rc *core.Receipt) {
 	}
 }
 
-// exchangeConfig turns the exchange flags into the node's anti-entropy
-// exchange configuration: with an interval set, the node trades signed
-// reputation extracts with fleet peers (default: every address-book
-// entry but itself) so suspicion converges even across hosts no shared
-// agent visits. Partial configuration is refused, not silently dropped
-// — an operator who set peers, a budget or aggregators expected an
-// exchange to run.
-func exchangeConfig(self string, book map[string]string, interval time.Duration, peers, aggregators string, budget int) (core.ExchangeConfig, error) {
+// fromManifest is what the manifest tells the host called self: the
+// address book, and its host configuration with a registry that trusts
+// every entry marked trusted. A name with no entry is refused.
+func fromManifest(man *fleet.Manifest, self string) (map[string]string, host.Config, error) {
+	e, ok := man.Lookup(self)
+	if !ok {
+		return nil, host.Config{}, fmt.Errorf("host %q has no entry in the manifest", self)
+	}
+	reg := sigcrypto.NewRegistry()
+	for _, peer := range man.Entries {
+		if peer.Trusted {
+			reg.Trust(peer.Name)
+		}
+	}
+	return man.Book(), host.Config{Name: self, Trusted: e.Trusted, Registry: reg}, nil
+}
+
+// exchangeConfig is the node's anti-entropy exchange: with an interval
+// set, it runs over every other listed host, unless the manifest's
+// aggregators set a federation (then they alone set the partners). A
+// budget without an interval is refused, not dropped.
+func exchangeConfig(self string, man *fleet.Manifest, interval time.Duration, budget int) (core.ExchangeConfig, error) {
 	if interval <= 0 {
-		if peers != "" || budget != 0 || aggregators != "" {
-			return core.ExchangeConfig{}, fmt.Errorf("-exchange-peers/-exchange-budget/-exchange-aggregators require -exchange-interval > 0")
+		if budget != 0 {
+			return core.ExchangeConfig{}, fmt.Errorf("-exchange-budget requires -exchange-interval > 0")
 		}
 		return core.ExchangeConfig{}, nil
 	}
-	cfg := core.ExchangeConfig{
-		Peers:       splitList(peers),
-		Interval:    interval,
-		Budget:      budget,
-		Aggregators: splitList(aggregators),
-	}
-	if len(cfg.Peers) == 0 {
-		for peer := range book {
-			if peer != self {
-				cfg.Peers = append(cfg.Peers, peer)
-			}
+	cfg := core.ExchangeConfig{Interval: interval, Budget: budget, Aggregators: man.Aggregators()}
+	for _, e := range man.Entries {
+		if e.Name != self {
+			cfg.Peers = append(cfg.Peers, e.Name)
 		}
 	}
 	if !cfg.Enabled() {
-		return core.ExchangeConfig{}, fmt.Errorf("-exchange-interval set but no exchange peers (set -peers, -exchange-peers or -exchange-aggregators)")
+		return core.ExchangeConfig{}, fmt.Errorf("-exchange-interval set but the manifest lists no other host")
 	}
 	return cfg, nil
 }
 
-func loadPeerKeys(reg *sigcrypto.Registry, dir string) error {
+// loadPeerKeys registers the key file of every host in book found in
+// dir; a key file for a name the manifest does not list is ignored
+// and logged.
+func loadPeerKeys(reg *sigcrypto.Registry, dir string, book map[string]string) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return err
 	}
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".pub") {
+			continue
+		}
+		id := strings.TrimSuffix(e.Name(), ".pub")
+		if _, listed := book[id]; !listed {
+			fmt.Fprintf(os.Stderr, "agenthost: key file %s ignored: %q has no entry in the manifest\n", e.Name(), id)
 			continue
 		}
 		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
@@ -370,38 +365,11 @@ func loadPeerKeys(reg *sigcrypto.Registry, dir string) error {
 		if err != nil {
 			return fmt.Errorf("key file %s: %w", e.Name(), err)
 		}
-		id := strings.TrimSuffix(e.Name(), ".pub")
 		if err := reg.Register(id, ed25519.PublicKey(raw)); err != nil {
 			return fmt.Errorf("key file %s: %w", e.Name(), err)
 		}
 	}
 	return nil
-}
-
-// splitList parses a comma-separated list, dropping empty elements.
-func splitList(s string) []string {
-	var out []string
-	for _, e := range strings.Split(s, ",") {
-		if e = strings.TrimSpace(e); e != "" {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-func parseBook(s string) (map[string]string, error) {
-	book := make(map[string]string)
-	if s == "" {
-		return book, nil
-	}
-	for _, pair := range strings.Split(s, ",") {
-		name, addr, ok := strings.Cut(pair, "=")
-		if !ok {
-			return nil, fmt.Errorf("malformed -peers entry %q (want name=addr)", pair)
-		}
-		book[strings.TrimSpace(name)] = strings.TrimSpace(addr)
-	}
-	return book, nil
 }
 
 func parseResources(s string) (map[string]value.Value, error) {

@@ -18,9 +18,10 @@ import (
 // TestDetectionMatrix pins the protection claims the mechanism packages document
 // (derived from the paper's §3-§5): for each (attack, mechanism) pair,
 // whether the attack is detected during the journey or by a
-// post-journey audit. Each cell runs a fresh 4-host journey
-// (trusted home -> shop1 -> shop2 -> trusted home2) with the attack
-// planted on shop1.
+// post-journey audit, and whom a detection blames. Each cell runs a
+// fresh 4-host journey (trusted home -> shop1 -> shop2 -> trusted
+// home2) with the attack planted on shop1, so every failed verdict
+// must name shop1 as its suspect and no honest host ever.
 func TestDetectionMatrix(t *testing.T) {
 	// The agent maintains an appraisable invariant and consumes input.
 	const code = `
@@ -68,20 +69,22 @@ proc finish() { done() }`
 		journeyDetects bool
 		// auditDetects: only meaningful for vigna (post-journey audit).
 		auditDetects bool
+		// blamed: the suspect every failed journey verdict names.
+		blamed string
 	}
 	// The per-mechanism detection/miss claims (paper §3, §4.2).
 	want := map[string]map[string]expectation{
 		"appraisal": {
-			"rule-breaking manipulation":   {journeyDetects: true},
+			"rule-breaking manipulation":   {journeyDetects: true, blamed: "shop1"},
 			"rule-consistent manipulation": {journeyDetects: false},
 			"input forgery":                {journeyDetects: false},
 			"record lie":                   {journeyDetects: false},
 		},
 		"refproto": {
-			"rule-breaking manipulation":   {journeyDetects: true},
-			"rule-consistent manipulation": {journeyDetects: true},
+			"rule-breaking manipulation":   {journeyDetects: true, blamed: "shop1"},
+			"rule-consistent manipulation": {journeyDetects: true, blamed: "shop1"},
 			"input forgery":                {journeyDetects: false},
-			"record lie":                   {journeyDetects: true},
+			"record lie":                   {journeyDetects: true, blamed: "shop1"},
 		},
 		"vigna": {
 			"rule-breaking manipulation":   {journeyDetects: false, auditDetects: true},
@@ -138,10 +141,15 @@ proc finish() { done() }`
 				}
 
 				launchErr := bed.Run("home", ag)
-				detected := len(bed.FailedVerdicts()) > 0
-				if detected != exp.journeyDetects {
+				failed := bed.FailedVerdicts()
+				if detected := len(failed) > 0; detected != exp.journeyDetects {
 					t.Errorf("journey detection = %v, want %v (launch err: %v, verdicts: %v)",
-						detected, exp.journeyDetects, launchErr, bed.FailedVerdicts())
+						detected, exp.journeyDetects, launchErr, failed)
+				}
+				for _, v := range failed {
+					if v.Suspect != exp.blamed {
+						t.Errorf("verdict blames %q, want %q: %s", v.Suspect, exp.blamed, v)
+					}
 				}
 
 				if mechName == "vigna" && !exp.journeyDetects {

@@ -18,6 +18,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/canon"
@@ -218,11 +220,7 @@ func sanitize(e *Event) {
 		return
 	}
 	if len(e.Fields) > MaxEventFields {
-		keys := make([]string, 0, len(e.Fields))
-		for k := range e.Fields {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
+		keys := slices.Sorted(maps.Keys(e.Fields))
 		trimmed := make(map[string]string, MaxEventFields)
 		for _, k := range keys[:MaxEventFields] {
 			trimmed[k] = e.Fields[k]

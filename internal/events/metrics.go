@@ -2,7 +2,6 @@ package events
 
 import (
 	"container/list"
-	"sort"
 	"sync"
 )
 
@@ -284,37 +283,6 @@ func (h *histogram) snapshot() HistogramSnapshot {
 		s.Buckets = append(s.Buckets, BucketCount{LE: le, N: n})
 	}
 	return s
-}
-
-// SortedCounterNames returns the snapshot's counter names sorted, for
-// stable rendering.
-func (m MetricsSnapshot) SortedCounterNames() []string {
-	names := make([]string, 0, len(m.Counters))
-	for k := range m.Counters {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// SortedGaugeNames returns the snapshot's gauge names sorted.
-func (m MetricsSnapshot) SortedGaugeNames() []string {
-	names := make([]string, 0, len(m.Gauges))
-	for k := range m.Gauges {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// SortedHistogramNames returns the snapshot's histogram names sorted.
-func (m MetricsSnapshot) SortedHistogramNames() []string {
-	names := make([]string, 0, len(m.Histograms))
-	for k := range m.Histograms {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // atoi64 parses a decimal field value, 0 on any error.

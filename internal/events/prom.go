@@ -3,6 +3,8 @@ package events
 import (
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"strings"
 )
 
@@ -22,21 +24,21 @@ const promNamespace = "repro"
 func WritePrometheus(w io.Writer, snap MetricsSnapshot) error {
 	node := snap.Node
 
-	for _, name := range snap.SortedCounterNames() {
+	for _, name := range slices.Sorted(maps.Keys(snap.Counters)) {
 		m := promName(name)
 		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s{node=%q} %d\n",
 			m, m, node, snap.Counters[name]); err != nil {
 			return err
 		}
 	}
-	for _, name := range snap.SortedGaugeNames() {
+	for _, name := range slices.Sorted(maps.Keys(snap.Gauges)) {
 		m := promName(name)
 		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s{node=%q} %g\n",
 			m, m, node, snap.Gauges[name]); err != nil {
 			return err
 		}
 	}
-	for _, name := range snap.SortedHistogramNames() {
+	for _, name := range slices.Sorted(maps.Keys(snap.Histograms)) {
 		h := snap.Histograms[name]
 		m := promName(name)
 		if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", m); err != nil {

@@ -2,8 +2,8 @@
 // that takes an agent's initial state, runs an execution session feeding
 // it input, and produces the resulting state (paper §2.1, Fig. 1).
 //
-// A Host owns a signing identity, a trust classification and a resource
-// store (its "database"). With RecordTrace a
+// A Host owns a signing identity and a resource store (its
+// "database"). With RecordTrace a
 // session returns its execution trace in the SessionRecord and the host
 // keeps no copy: a mechanism that needs traces for later audit (vigna,
 // proof) retains what it needs itself. A Host knows nothing about
@@ -65,7 +65,8 @@ type Config struct {
 	// Registry is the shared principal registry (PKI).
 	Registry *sigcrypto.Registry
 	// Trusted marks hosts the agent owner trusts (home hosts, §5.1:
-	// "execution sessions on trusted hosts are not checked").
+	// "execution sessions on trusted hosts are not checked"). New marks
+	// the name trusted in Registry, where checkers look it up.
 	Trusted bool
 	// Resources is the host's data offering, served via resource(key)
 	// and as the read() fallback.
@@ -117,7 +118,7 @@ var ErrRefused = errors.New("host: agent refused")
 // core.IsIntakeFull matches its text in errors that crossed TCP.
 var ErrMailboxFull = errors.New("host: mailbox full")
 
-// New creates a host and registers its key with the registry.
+// New creates a host and registers its key and trust with the registry.
 func New(cfg Config) (*Host, error) {
 	if cfg.Name == "" {
 		return nil, errors.New("host: name must not be empty")
@@ -134,6 +135,11 @@ func New(cfg Config) (*Host, error) {
 	if err := cfg.Registry.RegisterKeyPair(cfg.Keys); err != nil {
 		return nil, fmt.Errorf("host %s: registering key: %w", cfg.Name, err)
 	}
+	if cfg.Trusted {
+		cfg.Registry.Trust(cfg.Name)
+	} else if cfg.Registry.Trusted(cfg.Name) {
+		return nil, fmt.Errorf("host %s: the registry trusts this name, but the host is configured untrusted", cfg.Name)
+	}
 	seed := uint64(cfg.RandSeed)
 	if seed == 0 {
 		seed = 0x9E3779B97F4A7C15 // golden-ratio default; recorded as input anyway
@@ -147,9 +153,6 @@ func New(cfg Config) (*Host, error) {
 
 // Name returns the host's principal name.
 func (h *Host) Name() string { return h.cfg.Name }
-
-// Trusted reports the host's trust classification.
-func (h *Host) Trusted() bool { return h.cfg.Trusted }
 
 // Keys returns the host's signing identity.
 func (h *Host) Keys() *sigcrypto.KeyPair { return h.cfg.Keys }

@@ -405,3 +405,33 @@ proc again() { n = n + 1 done() }`, "main")
 		t.Errorf("route = %v", ag.Route)
 	}
 }
+
+// TestNewRecordsTrustInTheRegistry: a trusted host is marked trusted in
+// the registry, an untrusted one is not, and a host configured
+// untrusted under a name the registry trusts is refused.
+func TestNewRecordsTrustInTheRegistry(t *testing.T) {
+	reg := sigcrypto.NewRegistry()
+	for _, tc := range []struct {
+		name    string
+		trusted bool
+	}{{"home", true}, {"shop", false}} {
+		keys, err := sigcrypto.GenerateKeyPair(tc.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := New(Config{Name: tc.name, Keys: keys, Registry: reg, Trusted: tc.trusted}); err != nil {
+			t.Fatal(err)
+		}
+		if reg.Trusted(tc.name) != tc.trusted {
+			t.Errorf("registry trusts %s = %v, want %v", tc.name, reg.Trusted(tc.name), tc.trusted)
+		}
+	}
+	keys, err := sigcrypto.GenerateKeyPair("back")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.Trust("back")
+	if _, err := New(Config{Name: "back", Keys: keys, Registry: reg}); err == nil || !strings.Contains(err.Error(), "configured untrusted") {
+		t.Errorf("untrusted host under a trusted name: err = %v", err)
+	}
+}

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -337,11 +339,7 @@ var ErrSchedState = errors.New("policy: malformed scheduler state")
 func (s *Scheduler) EncodeState() []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.peers))
-	for p := range s.peers {
-		names = append(names, p)
-	}
-	sort.Strings(names)
+	names := slices.Sorted(maps.Keys(s.peers))
 	fields := make([][]byte, 0, 1+len(names))
 	fields = append(fields, []byte(schedStateWireLabel))
 	for _, p := range names {

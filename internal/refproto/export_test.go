@@ -20,3 +20,18 @@ func RecommitResult(keys *sigcrypto.KeyPair, ag *agent.Agent, result canon.Diges
 	ag.SetBaggage(MechanismName, appendPayload(nil, &p))
 	return nil
 }
+
+// DepartAsTrusted rewrites ag's protocol baggage as a trusted host
+// sends it: no reference package, a zero package digest, and the
+// session signed anew with keys.
+func DepartAsTrusted(keys *sigcrypto.KeyPair, ag *agent.Agent) error {
+	data, _ := ag.GetBaggage(MechanismName)
+	p, err := parsePayload(data)
+	if err != nil {
+		return err
+	}
+	p.PkgEnc, p.Session.Package = nil, canon.Digest{}
+	p.Session.Sig = keys.Sign(p.Session.binding(nil, ag, p.Hop))
+	ag.SetBaggage(MechanismName, appendPayload(nil, &p))
+	return nil
+}

@@ -23,10 +23,11 @@ func signAs(kp *sigcrypto.KeyPair, ag *agent.Agent, role string, hop int, s sess
 // as role "session" at its own hop, and, unless it is the agent's first
 // session, when a registered producer signed the session before it, at
 // the hop before, with the checked session's initial state as its
-// result. Only session 0 may come without a producer, and a session
-// marked trusted must have been signed without a package. The
-// "countersignature" rows concern the checked host's session signature.
-// Each payload crosses the wire codec before the check.
+// result. Only session 0 may come without a producer, and a payload
+// cannot claim trust: the old layout's flag field is refused as
+// malformed. The "countersignature" rows concern the checked host's
+// session signature. Each payload crosses the wire codec before the
+// check.
 func TestVerifyHandoffAcceptsWhatEitherOrderAccepts(t *testing.T) {
 	reg := sigcrypto.NewRegistry()
 	keys := map[string]*sigcrypto.KeyPair{}
@@ -74,9 +75,18 @@ func TestVerifyHandoffAcceptsWhatEitherOrderAccepts(t *testing.T) {
 	launched := signAs(keys["checked"], ag, "session", 0, checked)
 	otherResult := producer
 	otherResult.Result = digest("x")
+	// flagged encodes p in the layout that carried a trust flag as its
+	// field 2.
+	flagged := func(p payload) []byte {
+		s, pr := p.Session, p.Producer
+		return canon.Tuple([]byte(payloadLabel), canon.Uint64Field(uint64(p.Hop)), []byte{1}, p.PkgEnc,
+			s.Initial[:], s.Result[:], s.Package[:], []byte(s.Sig.Signer), s.Sig.Sig,
+			pr.Initial[:], pr.Package[:], []byte(pr.Sig.Signer), pr.Sig.Sig)
+	}
 	cases := []struct {
 		name   string
 		p      payload
+		enc    []byte // sent instead of p's encoding when set
 		accept bool
 		reason string // substring of the rejection, where the row pins one
 	}{
@@ -99,11 +109,7 @@ func TestVerifyHandoffAcceptsWhatEitherOrderAccepts(t *testing.T) {
 			p.Hop = 0
 			return p
 		}(), reason: "producer handoff for session 0"},
-		{name: "trust claimed over a packaged session", p: func() payload {
-			p := relayed(produced, sessionSig)
-			p.TrustedSkip = true
-			return p
-		}(), reason: "session marked trusted"},
+		{name: "trust claimed over a packaged session", enc: flagged(relayed(produced, sessionSig)), reason: "malformed encoding"},
 		{name: "origin forged", p: origin(0, func() sigcrypto.Signature {
 			s := signAs(keys["other"], ag, "session", 0, checked)
 			s.Signer = "checked"
@@ -123,7 +129,11 @@ func TestVerifyHandoffAcceptsWhatEitherOrderAccepts(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := check(appendPayload(nil, &c.p))
+			enc := c.enc
+			if enc == nil {
+				enc = appendPayload(nil, &c.p)
+			}
+			err := check(enc)
 			if (err == nil) != c.accept {
 				t.Fatalf("check = %v, want accept = %v", err, c.accept)
 			}

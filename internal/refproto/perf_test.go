@@ -241,7 +241,7 @@ func payloadShapes() map[string]*payload {
 	origin := benchPayload()
 	origin.Hop, origin.Origin, origin.Producer = 0, true, session{}
 	trusted := benchPayload()
-	trusted.TrustedSkip, trusted.PkgEnc, trusted.Session.Package = true, nil, canon.Digest{}
+	trusted.PkgEnc, trusted.Session.Package = nil, canon.Digest{}
 	return map[string]*payload{"relayed": benchPayload(), "origin": origin, "trusted": trusted}
 }
 

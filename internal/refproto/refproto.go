@@ -32,7 +32,9 @@
 // checked host later repudiate it. Only the agent's first session has
 // no producer: the launching host's own signature covers it. Sessions
 // on trusted hosts are not checked ("trusted hosts will not attack by
-// definition"), only their session signature is verified. Unlike
+// definition"), only their session signature is verified; whether a
+// host is trusted is the checker's own registry lookup
+// (sigcrypto.Registry.Trusted), never the checked host's claim. Unlike
 // Vigna's hash-only commitments, the package carries the complete
 // states, so the owner "is able to prove his/her damage in case of a
 // fraud".
@@ -184,11 +186,8 @@ func (m *Mechanism) timeCrypto() func() {
 type payload struct {
 	// Hop is the checked session's index.
 	Hop int
-	// TrustedSkip marks sessions on trusted hosts: no package attached,
-	// session signature only.
-	TrustedSkip bool
 	// PkgEnc is the encoded reference package (initial state, input,
-	// resulting state); nil if TrustedSkip.
+	// resulting state); nil for a session on a trusted host.
 	PkgEnc []byte
 	// Session is the checked session's commitment, signed by the host
 	// that ran it.
@@ -202,39 +201,30 @@ type payload struct {
 }
 
 // Payload wire layout: one canonical tuple; an origin payload stops
-// after field 8, and its field count is what marks it as one.
+// after field 7, and its field count is what marks it as one.
 //
 //	0  format label ("refproto-session-payload")
 //	1  hop, 8-byte big-endian
-//	2  flags, 1 byte (bit0 TrustedSkip)
-//	3  package encoding (empty when TrustedSkip)
-//	4  session: initial-state digest
-//	5  session: resulting-state digest
-//	6  session: package digest
-//	7  session signature: signer
-//	8  session signature: bytes
-//	9  producer: initial-state digest
-//	10 producer: package digest
-//	11 producer signature: signer
-//	12 producer signature: bytes
+//	2  package encoding (empty for a session on a trusted host)
+//	3  session: initial-state digest
+//	4  session: resulting-state digest
+//	5  session: package digest
+//	6  session signature: signer
+//	7  session signature: bytes
+//	8  producer: initial-state digest
+//	9  producer: package digest
+//	10 producer signature: signer
+//	11 producer signature: bytes
 const (
-	payloadLabel    = "refproto-session-payload"
-	originFields    = 9
-	relayedFields   = 13
-	flagTrustedSkip = 1 << 0
+	payloadLabel  = "refproto-session-payload"
+	originFields  = 8
+	relayedFields = 12
 )
 
 // appendPayload appends p's canonical encoding to dst.
 func appendPayload(dst []byte, p *payload) []byte {
 	var hopBuf [8]byte
 	binary.BigEndian.PutUint64(hopBuf[:], uint64(p.Hop))
-	// An array, not a []byte{…} literal in fields: go1.24 backs such a
-	// literal with static storage there, and concurrent departures then
-	// write the same byte (go test -race finds it).
-	var flags [1]byte
-	if p.TrustedSkip {
-		flags[0] |= flagTrustedSkip
-	}
 	n := relayedFields
 	if p.Origin {
 		n = originFields
@@ -243,7 +233,6 @@ func appendPayload(dst []byte, p *payload) []byte {
 	fields := [relayedFields][]byte{
 		[]byte(payloadLabel),
 		hopBuf[:],
-		flags[:],
 		p.PkgEnc,
 		s.Initial[:], s.Result[:], s.Package[:],
 		[]byte(s.Sig.Signer), s.Sig.Sig,
@@ -267,7 +256,6 @@ func parsePayload(data []byte) (payload, error) {
 	}
 	p.Origin = 1+s.Len() == originFields
 	p.Hop = int(s.Uint64())
-	flags := s.Field(1)
 	if pkg := s.Field(bound); len(pkg) > 0 {
 		p.PkgEnc = pkg
 	}
@@ -287,10 +275,6 @@ func parsePayload(data []byte) (payload, error) {
 	if err := s.End(); err != nil {
 		return payload{}, err
 	}
-	if len(flags) != 1 || flags[0]&^flagTrustedSkip != 0 {
-		return payload{}, fmt.Errorf("%w: payload header", canon.ErrMalformed)
-	}
-	p.TrustedSkip = flags[0]&flagTrustedSkip != 0
 	return p, nil
 }
 
@@ -319,10 +303,9 @@ func (m *Mechanism) PrepareDeparture(_ context.Context, hc *core.HostContext, ag
 		Origin:   !relayed,
 	}
 
-	if hc.Host.Trusted() {
-		// Optimization (§5.1): trusted sessions are not checked.
-		p.TrustedSkip = true
-	} else {
+	// Optimization (§5.1): trusted sessions are not checked, so they
+	// carry no package. The checker decides that from its own registry.
+	if !hc.Host.Registry().Trusted(hc.Host.Name()) {
 		pkg := core.BuildReferencePackage(m, rec, nil)
 		enc, err := pkg.Marshal()
 		if err != nil {
@@ -423,12 +406,8 @@ func (m *Mechanism) CheckAfterSession(ctx context.Context, hc *core.HostContext,
 	// initial state of this host's own session.
 	m.keep(ag, p.Session)
 
-	// 2. Trusted sessions are not re-executed.
-	if p.TrustedSkip {
-		// The flag is the executing host's own claim, and a node knows
-		// only its own trust: a host that claims trust is taken at its
-		// word (a known gap, listed in ROADMAP). verifySession has tied
-		// the flag to a session signed without a package.
+	// 2. Sessions on hosts the registry trusts are not re-executed.
+	if reg.Trusted(prev) {
 		v.OK = true
 		v.Reason = "trusted host; session not checked"
 		return v, nil
@@ -484,18 +463,13 @@ func (m *Mechanism) CheckAfterSession(ctx context.Context, hc *core.HostContext,
 	return v, nil
 }
 
-// verifySession checks the checked host's signature over its session,
-// and that a session marked trusted was signed without a package: the
-// flag itself is covered by no signature.
+// verifySession checks the checked host's signature over its session.
 func (m *Mechanism) verifySession(reg *sigcrypto.Registry, ag *agent.Agent, checkedHost string, p *payload) error {
 	if err := m.verify(reg, ag, p.Hop, &p.Session); err != nil {
 		return fmt.Errorf("session signature invalid: %v", err)
 	}
 	if p.Session.Sig.Signer != checkedHost {
 		return fmt.Errorf("session signed by %q, but session ran on %q", p.Session.Sig.Signer, checkedHost)
-	}
-	if p.TrustedSkip && p.Session.Package != (canon.Digest{}) {
-		return errors.New("session marked trusted, but its signed commitment names a reference package")
 	}
 	return nil
 }

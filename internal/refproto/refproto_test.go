@@ -13,6 +13,7 @@ import (
 	"repro/internal/platformtest"
 	"repro/internal/policy"
 	"repro/internal/refproto"
+	"repro/internal/sigcrypto"
 	"repro/internal/stopwatch"
 	"repro/internal/transport"
 	"repro/internal/value"
@@ -41,6 +42,12 @@ proc finish() { done() }`
 func buildBed(t *testing.T, mut map[string]func(*host.Config), mechCfg func(hostName string) refproto.Config) *platformtest.Bed {
 	t.Helper()
 	bed := platformtest.New(t)
+	addRoute(bed, mut, mechCfg)
+	return bed
+}
+
+// addRoute adds buildBed's four hosts to bed.
+func addRoute(bed *platformtest.Bed, mut map[string]func(*host.Config), mechCfg func(hostName string) refproto.Config) {
 	if mechCfg == nil {
 		mechCfg = func(string) refproto.Config { return refproto.Config{} }
 	}
@@ -63,7 +70,6 @@ func buildBed(t *testing.T, mut map[string]func(*host.Config), mechCfg func(host
 			},
 		})
 	}
-	return bed
 }
 
 func launch(t *testing.T, bed *platformtest.Bed) error {
@@ -147,6 +153,41 @@ func TestDataManipulationDetected(t *testing.T) {
 	joined := strings.Join(v.Evidence, "\n")
 	if !strings.Contains(joined, "best") {
 		t.Errorf("evidence does not name the tampered variable: %q", joined)
+	}
+}
+
+// TestUntrustedHostClaimingTrustIsBlamed: shop2, which the registry
+// does not trust, tampers with the state and departs as a trusted host
+// does, with no package, a zero package digest and its own valid
+// session signature. home2 takes trust from its own registry, not from
+// the session, so it blames shop2 for the missing package.
+func TestUntrustedHostClaimingTrustIsBlamed(t *testing.T) {
+	keys, err := sigcrypto.GenerateKeyPair("shop2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bed := platformtest.New(t)
+	bed.WrapNet(func(n transport.Network) transport.Network {
+		return &attack.InterceptNetwork{Inner: n, MutateAgent: func(dest string, ag *agent.Agent) error {
+			if dest == "home2" {
+				return refproto.DepartAsTrusted(keys, ag)
+			}
+			return nil
+		}}
+	})
+	addRoute(bed, map[string]func(*host.Config){
+		"shop2": func(c *host.Config) {
+			c.Keys = keys
+			c.Behavior = attack.DataManipulation{Var: "best", Val: value.Int(500)}
+		},
+	}, nil)
+	if err := launch(t, bed); !errors.Is(err, core.ErrDetection) {
+		t.Fatalf("err = %v, want ErrDetection", err)
+	}
+	failed := bed.FailedVerdicts()
+	if len(failed) != 1 || failed[0].Suspect != "shop2" || failed[0].Checker != "home2" ||
+		failed[0].Reason != "untrusted session carries no reference package" {
+		t.Fatalf("failed verdicts = %v, want home2's one verdict against shop2 for the missing package", failed)
 	}
 }
 

@@ -117,16 +117,33 @@ func ScanSignature(s *canon.TupleScanner, sig *Signature) {
 
 // Registry maps principal names to public keys. It simulates the PKI /
 // certificate infrastructure the paper assumes ("the mechanism uses
-// digital signatures ... to authenticate the data a host produces").
-// It is safe for concurrent use.
+// digital signatures ... to authenticate the data a host produces"),
+// and says which principals the agent owners trust. It is safe for
+// concurrent use.
 type Registry struct {
-	mu   sync.RWMutex
-	keys map[string]ed25519.PublicKey
+	mu      sync.RWMutex
+	keys    map[string]ed25519.PublicKey
+	trusted map[string]bool
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{keys: make(map[string]ed25519.PublicKey)}
+	return &Registry{keys: make(map[string]ed25519.PublicKey), trusted: make(map[string]bool)}
+}
+
+// Trust marks a principal as trusted by the agent owners, for good:
+// there is no way back.
+func (r *Registry) Trust(id string) {
+	r.mu.Lock()
+	r.trusted[id] = true
+	r.mu.Unlock()
+}
+
+// Trusted reports whether id was marked trusted.
+func (r *Registry) Trusted(id string) bool {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.trusted[id]
 }
 
 // Register records the public key of a principal. Re-registering the

@@ -180,3 +180,17 @@ func BenchmarkVerify(b *testing.B) {
 		}
 	}
 }
+
+// TestTrustIsOneWay: Trust marks only the named principal, and nothing
+// unmarks it.
+func TestTrustIsOneWay(t *testing.T) {
+	r := NewRegistry()
+	if r.Trusted("home") {
+		t.Fatal("a fresh registry trusts home")
+	}
+	r.Trust("home")
+	r.Trust("home")
+	if !r.Trusted("home") || r.Trusted("shop") {
+		t.Fatalf("trusted home=%v shop=%v, want true and false", r.Trusted("home"), r.Trusted("shop"))
+	}
+}

@@ -6,7 +6,8 @@
 package stopwatch
 
 import (
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 )
@@ -61,10 +62,5 @@ func (t *PhaseTimer) Reset() {
 func (t *PhaseTimer) Phases() []string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]string, 0, len(t.phases))
-	for p := range t.phases {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(t.phases))
 }

@@ -22,7 +22,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 )
 
@@ -99,12 +100,7 @@ func (n *InProc) Register(host string, ep Endpoint) {
 func (n *InProc) Hosts() []string {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	out := make([]string, 0, len(n.nodes))
-	for h := range n.nodes {
-		out = append(out, h)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(n.nodes))
 }
 
 func (n *InProc) lookup(host string) (Endpoint, error) {
