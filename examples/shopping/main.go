@@ -30,7 +30,6 @@ import (
 	"repro/internal/host"
 	"repro/internal/refproto"
 	"repro/internal/value"
-	"repro/internal/wholesig"
 )
 
 const shopperCode = `
@@ -116,13 +115,9 @@ func run(airlineBBehavior host.Behavior) error {
 		}
 		if _, err := f.Add(fleet.Spec{
 			Host: cfg,
-			// A hand-assembled stack: signatures, owner rules, and the
-			// example mechanism.
-			Mechanisms: []core.Mechanism{
-				wholesig.New(nil),
-				appraisal.New(),
-				refproto.New(refproto.Config{}),
-			},
+			// A hand-assembled stack: owner rules inside the example
+			// mechanism, whose one signature per hop covers them.
+			Mechanisms: refproto.New(refproto.Config{}, appraisal.New()),
 			Node: core.NodeConfig{
 				OnVerdict: func(v core.Verdict) {
 					if !v.OK {

@@ -108,7 +108,7 @@ proc finish() { done() }`
 							case "appraisal":
 								return []core.Mechanism{appraisal.New()}
 							case "refproto":
-								return []core.Mechanism{refproto.New(refproto.Config{})}
+								return refproto.New(refproto.Config{})
 							case "vigna":
 								return []core.Mechanism{vigna.New()}
 							default:

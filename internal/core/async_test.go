@@ -15,7 +15,6 @@ import (
 	"repro/internal/sigcrypto"
 	"repro/internal/transport"
 	"repro/internal/value"
-	"repro/internal/wholesig"
 )
 
 // asyncBed is a deployment of M nodes reachable over either transport,
@@ -63,12 +62,9 @@ func newAsyncBed(t *testing.T, hostNames []string, trusted func(string) bool, ov
 			t.Fatal(err)
 		}
 		node, err := core.NewNode(core.NodeConfig{
-			Host: h,
-			Net:  bed.net,
-			Mechanisms: []core.Mechanism{
-				wholesig.New(nil),
-				refproto.New(refproto.Config{}),
-			},
+			Host:       h,
+			Net:        bed.net,
+			Mechanisms: refproto.New(refproto.Config{}),
 			OnVerdict: func(v core.Verdict) {
 				bed.mu.Lock()
 				bed.verdicts++

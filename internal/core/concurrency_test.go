@@ -14,7 +14,6 @@ import (
 	"repro/internal/sigcrypto"
 	"repro/internal/transport"
 	"repro/internal/value"
-	"repro/internal/wholesig"
 )
 
 // TestConcurrentAgentsThroughSharedNodes drives many agents through the
@@ -48,12 +47,9 @@ func TestConcurrentAgentsThroughSharedNodes(t *testing.T) {
 			t.Fatal(err)
 		}
 		node, err := core.NewNode(core.NodeConfig{
-			Host: h,
-			Net:  net,
-			Mechanisms: []core.Mechanism{
-				wholesig.New(nil),
-				refproto.New(refproto.Config{}),
-			},
+			Host:       h,
+			Net:        net,
+			Mechanisms: refproto.New(refproto.Config{}),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -825,8 +825,9 @@ func (n *Node) process(ctx context.Context, ag *agent.Agent) error {
 	// Phase 3b: departure — mechanisms attach reference data, then the
 	// agent migrates. Departure runs in *reverse* mechanism order so the
 	// list forms an onion: the first mechanism checks first on arrival
-	// and seals last on departure. A whole-agent signature mechanism
-	// placed first therefore covers every other mechanism's baggage.
+	// and seals last on departure. A signing mechanism placed first
+	// (wholesig, refproto's seal) therefore covers every other
+	// mechanism's baggage.
 	for i := len(n.cfg.Mechanisms) - 1; i >= 0; i-- {
 		m := n.cfg.Mechanisms[i]
 		if err := m.PrepareDeparture(ctx, n.hc, ag, rec); err != nil {

@@ -182,7 +182,7 @@ func TestTCPVignaAuditAcrossSockets(t *testing.T) {
 	}()
 	if _, err := f.Add(fleet.Spec{
 		Host:       host.Config{Name: "solo"},
-		Mechanisms: []core.Mechanism{refproto.New(refproto.Config{})},
+		Mechanisms: refproto.New(refproto.Config{}),
 		DataDir:    persistDir(t, "solo"),
 	}); err != nil {
 		t.Fatal(err)

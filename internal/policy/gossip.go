@@ -238,7 +238,8 @@ func (m *Gossip) Name() string { return GossipMechanismName }
 // decodeEntries parses gossip baggage through the bounded tuple codec
 // (see wire.go); a decode error — including an oversized or over-count
 // message — reads as empty (the carrier may have been tampered with;
-// wholesig, layered outside this mechanism, is what detects that).
+// the stack's outer signature, refproto's seal at LevelAdaptive, is
+// what detects that).
 func decodeEntries(data []byte) []GossipEntry {
 	if len(data) == 0 {
 		return nil

@@ -16,14 +16,17 @@
 //     audit; requires trace-recording hosts — internal/fleet turns
 //     recording on for any stack whose mechanisms request the
 //     execution log).
-//   - LevelFull: signatures + the example mechanism ("the higher end":
-//     every session checked by the next host via re-execution).
-//   - LevelAdaptive: signatures, reputation gossip, appraisal rules,
-//     and the example mechanism behind a reputation gate — cheap rules
-//     against hosts in good standing, escalating to full re-execution
-//     when the executing host's suspicion crosses the gate threshold
-//     (plus a baseline audit cadence). The paper's suspicion-driven
-//     checking as a first-class preset; see internal/policy.
+//   - LevelFull: the example mechanism ("the higher end": every
+//     session checked by the next host via re-execution). Its session
+//     signature, one per hop, covers the whole agent, so no separate
+//     whole-agent signature rides along.
+//   - LevelAdaptive: reputation gossip and appraisal rules inside the
+//     example mechanism, whose one signature per hop covers them, with
+//     its re-execution behind a reputation gate — cheap rules against
+//     hosts in good standing, escalating to full re-execution when the
+//     executing host's suspicion crosses the gate threshold (plus a
+//     baseline audit cadence). The paper's suspicion-driven checking as
+//     a first-class preset; see internal/policy.
 //
 // Levels are independent presets, not a strict subset chain; custom
 // combinations can always be assembled by hand from the mechanism
@@ -220,10 +223,7 @@ func Assemble(l Level, opts Options) (Stack, error) {
 		}
 		return Stack{Mechanisms: []core.Mechanism{wholesig.New(opts.Timer), v}}, nil
 	case LevelFull:
-		return Stack{Mechanisms: []core.Mechanism{
-			wholesig.New(opts.Timer),
-			refproto.New(refproto.Config{Timer: opts.Timer, ExecHook: opts.ExecHook}),
-		}}, nil
+		return Stack{Mechanisms: refproto.New(refproto.Config{Timer: opts.Timer, ExecHook: opts.ExecHook})}, nil
 	case LevelAdaptive:
 		// One ledger per node, shared by the policy (writes suspicion),
 		// the gossip mechanism (imports/exports it), and the gate
@@ -252,11 +252,12 @@ func Assemble(l Level, opts Options) (Stack, error) {
 		pcfg := opts.AdaptivePolicy
 		pcfg.Ledger = led
 		gate := policy.NewGate(policy.GateConfig{Ledger: led, Bus: opts.Events})
-		// Onion order: wholesig outermost (its departure signature
-		// covers the gossip and protocol baggage), gossip next so
-		// imported suspicion is in the ledger before this arrival's own
-		// verdicts are priced, then the cheap rules, then the gated
-		// re-execution protocol.
+		// Onion order: refproto's seal outermost (its departure
+		// signature, the hop's one, covers the gossip, the rules and the
+		// verdict record; its arrival check verifies it first), gossip
+		// next so imported suspicion is in the ledger before this
+		// arrival's own verdicts are priced, then the cheap rules, then
+		// refproto's checker with the gated re-execution.
 		gossip := policy.NewGossip(led)
 		if opts.Clock != nil {
 			gossip.SetClock(opts.Clock)
@@ -270,14 +271,9 @@ func Assemble(l Level, opts Options) (Stack, error) {
 			urgentAt = policy.DefaultQuarantineThreshold
 		}
 		gossip.SetUrgentThreshold(urgentAt)
-		mechs := []core.Mechanism{
-			wholesig.New(opts.Timer),
-			gossip,
-			appraisalpkg.New(),
-			refproto.New(refproto.Config{
-				Timer: opts.Timer, ExecHook: opts.ExecHook, ReExecGate: gate.ShouldReExecute,
-			}),
-		}
+		mechs := refproto.New(refproto.Config{
+			Timer: opts.Timer, ExecHook: opts.ExecHook, ReExecGate: gate.ShouldReExecute,
+		}, gossip, appraisalpkg.New())
 		st := Stack{Mechanisms: mechs, Policy: policy.NewReputation(pcfg), Ledger: led, Gate: gate, Gossip: gossip}
 		if opts.AdmissionThreshold > 0 {
 			// Admission reads the same ledger the gate prices checks

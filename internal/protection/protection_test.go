@@ -32,8 +32,8 @@ func TestMechanismStacks(t *testing.T) {
 		{LevelSigned, []string{"wholesig"}},
 		{LevelRules, []string{"wholesig", "appraisal"}},
 		{LevelTraces, []string{"wholesig", "vigna"}},
-		{LevelFull, []string{"wholesig", "refproto"}},
-		{LevelAdaptive, []string{"wholesig", "reputation", "appraisal", "refproto"}},
+		{LevelFull, []string{"refproto.seal", "refproto"}},
+		{LevelAdaptive, []string{"refproto.seal", "reputation", "appraisal", "refproto"}},
 	}
 	for _, tt := range tests {
 		st, err := Assemble(tt.level, Options{Timer: timer})

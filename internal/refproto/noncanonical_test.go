@@ -85,7 +85,7 @@ proc c() { done() }`
 			bed.WrapNet(func(n transport.Network) transport.Network { return noncanonicalNet{n, cheat} })
 			mechs := func() []core.Mechanism {
 				gate := func(checked string) bool { return checked != "cheat" }
-				return []core.Mechanism{refproto.New(refproto.Config{ReExecGate: gate})}
+				return refproto.New(refproto.Config{ReExecGate: gate})
 			}
 			bed.AddHost("home", platformtest.HostOptions{Trusted: true, Mechanisms: mechs})
 			bed.AddHost("cheat", platformtest.HostOptions{Trusted: tc.cheatTrusted, Mechanisms: mechs,

@@ -20,7 +20,7 @@ import (
 // hopBed is the minimal two-host protocol fixture: an untrusted
 // executing host and the next host that checks it.
 type hopBed struct {
-	mPrev, mNext *Mechanism
+	mPrev, mNext pair
 	hcPrev       *core.HostContext
 	hcNext       *core.HostContext
 	ag           *agent.Agent
@@ -68,6 +68,13 @@ proc main() {
 		tb.Fatal(err)
 	}
 	ag.Hop = cfg.hop
+	// The hosts of the sessions before the bed's, the last on "older".
+	for i := 1; i < cfg.hop; i++ {
+		ag.Route = append(ag.Route, fmt.Sprintf("h%d", i))
+	}
+	if cfg.hop > 0 {
+		ag.Route = append(ag.Route, "older")
+	}
 	ag.SetVar("x", value.Int(cfg.x))
 	for i := 0; i < cfg.vars; i++ {
 		ag.SetVar(fmt.Sprintf("v%02d", i), value.List(
@@ -79,8 +86,8 @@ proc main() {
 		tb.Fatal(err)
 	}
 	return &hopBed{
-		mPrev:  New(Config{}),
-		mNext:  New(Config{}),
+		mPrev:  newTestPair(Config{}),
+		mNext:  newTestPair(Config{}),
 		hcPrev: &core.HostContext{Host: prev},
 		hcNext: &core.HostContext{Host: next},
 		ag:     ag,
@@ -98,12 +105,43 @@ func (bed *hopBed) producer(tb testing.TB) session {
 		tb.Fatal("session 0 has no producer")
 	}
 	s := session{
-		Initial: canon.HashBytes([]byte("older's initial state")),
-		Result:  bed.rec.InitialDigest(),
-		Package: canon.HashBytes([]byte("older's package")),
+		Initial:  canon.HashBytes([]byte("older's initial state")),
+		Result:   bed.rec.InitialDigest(),
+		Package:  canon.HashBytes([]byte("older's package")),
+		Envelope: canon.HashBytes([]byte("older's envelope")),
 	}
-	bed.mPrev.sign(bed.older, bed.ag, bed.rec.Hop-1, &s)
+	bed.mPrev.sign(bed.older, bed.ag, bed.rec.Hop-1, bed.ag.Route[:len(bed.ag.Route)-1], &s)
 	return s
+}
+
+// pair is one node's protocol, its two halves run in the order New
+// stacks them.
+type pair struct {
+	*shared
+	seal  *Seal
+	check *Mechanism
+}
+
+func newTestPair(cfg Config) pair {
+	seal, check := newPair(cfg)
+	return pair{shared: seal.shared, seal: seal, check: check}
+}
+
+// PrepareDeparture packages the session, then seals it.
+func (p pair) PrepareDeparture(ctx context.Context, hc *core.HostContext, ag *agent.Agent, rec *host.SessionRecord) error {
+	if err := p.check.PrepareDeparture(ctx, hc, ag, rec); err != nil {
+		return err
+	}
+	return p.seal.PrepareDeparture(ctx, hc, ag, rec)
+}
+
+// CheckAfterSession runs the seal's check, then the checker's, and
+// returns the first verdict.
+func (p pair) CheckAfterSession(ctx context.Context, hc *core.HostContext, ag *agent.Agent) (*core.Verdict, error) {
+	if v, err := p.seal.CheckAfterSession(ctx, hc, ag); v != nil || err != nil {
+		return v, err
+	}
+	return p.check.CheckAfterSession(ctx, hc, ag)
 }
 
 // depart signs and packages the session at departure and migrates the
@@ -227,9 +265,10 @@ func benchPayload() *payload {
 			Sig:     sig("prev"),
 		},
 		Producer: session{
-			Initial: canon.HashBytes([]byte("older's initial")),
-			Package: canon.HashBytes([]byte("older's package")),
-			Sig:     sig("older"),
+			Initial:  canon.HashBytes([]byte("older's initial")),
+			Package:  canon.HashBytes([]byte("older's package")),
+			Envelope: canon.HashBytes([]byte("older's envelope")),
+			Sig:      sig("older"),
 		},
 	}
 }
@@ -246,7 +285,8 @@ func payloadShapes() map[string]*payload {
 }
 
 // TestPayloadRoundTrip exercises the canonical codec across every
-// payload shape the protocol produces.
+// payload shape the protocol produces: each decodes to the payload it
+// encodes, and encodes back to the same bytes.
 func TestPayloadRoundTrip(t *testing.T) {
 	for name, p := range payloadShapes() {
 		enc := appendPayload(nil, p)
@@ -256,6 +296,9 @@ func TestPayloadRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(&got, p) {
 			t.Fatalf("%s: round trip mismatch: %+v vs %+v", name, got, p)
+		}
+		if again := appendPayload(nil, &got); !bytes.Equal(again, enc) {
+			t.Fatalf("%s: encode(decode(x)) != x:\n%x\n%x", name, again, enc)
 		}
 	}
 	if _, err := parsePayload([]byte("junk")); err == nil {

@@ -22,22 +22,36 @@
 // the checking host, initial states have to be signed by both the
 // checking host and the checked host". Each host signs each of its
 // sessions once, at departure: one signature over the digests of the
-// session's initial state, resulting state and reference package. A
-// session's initial state is the previous session's resulting state, so
-// two hosts have signed it — the producing host as its result, the
-// checked host as its initial state. The checked host keeps the
-// producer's signed commitment from arrival and hands it on beside its
-// own, and the checker verifies both. A checking host can consequently
-// neither forge the initial state a session started from, nor can the
-// checked host later repudiate it. Only the agent's first session has
-// no producer: the launching host's own signature covers it. Sessions
-// on trusted hosts are not checked ("trusted hosts will not attack by
-// definition"), only their session signature is verified; whether a
-// host is trusted is the checker's own registry lookup
-// (sigcrypto.Registry.Trusted), never the checked host's claim. Unlike
-// Vigna's hash-only commitments, the package carries the complete
-// states, so the owner "is able to prove his/her damage in case of a
-// fraud".
+// session's initial state, resulting state and reference package, the
+// route up to and including the host, and an envelope digest of the
+// rest of the agent (owner, entry procedure and every other mechanism's
+// baggage). That one signature is the hop's only one: it authenticates
+// the whole agent, as a whole-agent signature would, and commits the
+// host to the session. A session's initial state is the previous
+// session's resulting state, so two hosts have signed it — the
+// producing host as its result, the checked host as its initial state.
+// The checked host keeps the producer's signed commitment from arrival
+// and hands it on beside its own, and the checker verifies both; the
+// producer must be the route's host for the session before, over the
+// route as it was then. A checking host can consequently neither forge
+// the initial state a session started from, nor can the checked host
+// later repudiate it or sign that state's production itself. Only the
+// agent's first session has no producer: the launching host's own
+// signature covers it. Sessions on trusted hosts are not checked
+// ("trusted hosts will not attack by definition"), only their session
+// signature is verified; whether a host is trusted is the checker's own
+// registry lookup (sigcrypto.Registry.Trusted), never the checked
+// host's claim. Unlike Vigna's hash-only commitments, the package
+// carries the complete states, so the owner "is able to prove his/her
+// damage in case of a fraud".
+//
+// New builds a node's protocol as two mechanisms over shared state: a
+// seal, first in the node's list, and the checker, last. On arrival the
+// seal verifies the session signature before anything else reads the
+// agent, and the checker, after the mechanisms between them, verifies
+// the package and the handoff and re-executes. On departure the checker
+// packages the session first and the seal signs last, over everything
+// the mechanisms between them attached.
 package refproto
 
 import (
@@ -59,10 +73,17 @@ import (
 // MechanismName is the baggage key and verdict label.
 const MechanismName = "refproto"
 
+// SealName names the seal, the half of the protocol that goes first in
+// a node's mechanism list. It carries no baggage of its own: the
+// signature travels in MechanismName's payload, and its verdicts are
+// labelled MechanismName.
+const SealName = "refproto.seal"
+
 // Config tunes the mechanism.
 type Config struct {
 	// Timer, when non-nil, accumulates signing/verification time under
-	// stopwatch.PhaseSignVerify.
+	// stopwatch.PhaseSignVerify, one span per signature or
+	// verification.
 	Timer *stopwatch.PhaseTimer
 	// ExecHook observes checking re-executions (for benchmark phase
 	// timing); may be nil.
@@ -85,20 +106,51 @@ type Config struct {
 	Colluding bool
 }
 
-// Mechanism is the per-node instance of the example protocol.
-type Mechanism struct {
-	core.BaseMechanism
+// shared is one node's protocol state, common to its seal and checker.
+type shared struct {
 	cfg Config
 
 	mu sync.Mutex
-	// pending holds, per agent currently on this host, the signed
-	// commitment of the session that produced the state the agent
-	// arrived with: the producer of the session this host is about to
-	// run.
-	pending map[string]session
+	// stays holds, per agent currently on this host, what the two
+	// halves hand each other between its arrival and its departure.
+	stays map[string]stay
+}
+
+// stay is one agent's protocol state on this host.
+type stay struct {
+	// in is the arrived payload, its session signature verified by the
+	// seal, for the checker. Its byte slices alias the agent's baggage;
+	// the checker clears it once read.
+	in     payload
+	sealed bool
+	// producer is the arrived session once the checker vouched for it:
+	// the producer of the session this host runs.
+	producer session
+	relayed  bool
+	// out is this host's session, packaged by the checker for the seal
+	// to sign.
+	out      payload
+	packaged bool
+}
+
+// Seal is the outer half of a node's protocol: it verifies the session
+// signature as the node's first arrival check and signs the session as
+// its last departure step.
+type Seal struct {
+	core.BaseMechanism
+	*shared
+}
+
+// Mechanism is the inner half, the checker: it verifies the sealed
+// session's package and handoff, re-executes it, and packages this
+// host's own session at departure.
+type Mechanism struct {
+	core.BaseMechanism
+	*shared
 }
 
 var (
+	_ core.Mechanism               = (*Seal)(nil)
 	_ core.Mechanism               = (*Mechanism)(nil)
 	_ core.InitialStateRequester   = (*Mechanism)(nil)
 	_ core.ResultingStateRequester = (*Mechanism)(nil)
@@ -106,10 +158,22 @@ var (
 	_ core.StayEnder               = (*Mechanism)(nil)
 )
 
-// New builds the mechanism.
-func New(cfg Config) *Mechanism {
-	return &Mechanism{cfg: cfg, pending: make(map[string]session)}
+// New builds one node's protocol around inner: the seal, then inner,
+// then the checker. The seal's signature covers inner's baggage, and
+// the checker's re-execution gate sees what inner's arrival checks
+// recorded.
+func New(cfg Config, inner ...core.Mechanism) []core.Mechanism {
+	seal, check := newPair(cfg)
+	return append(append([]core.Mechanism{seal}, inner...), check)
 }
+
+func newPair(cfg Config) (*Seal, *Mechanism) {
+	sh := &shared{cfg: cfg, stays: make(map[string]stay)}
+	return &Seal{shared: sh}, &Mechanism{shared: sh}
+}
+
+// Name implements core.Mechanism.
+func (s *Seal) Name() string { return SealName }
 
 // Name implements core.Mechanism.
 func (m *Mechanism) Name() string { return MechanismName }
@@ -126,56 +190,105 @@ func (m *Mechanism) RequestsInput() {}
 // session is a host's signed commitment to one of its execution
 // sessions: the digests of the session's initial state, resulting state
 // and reference package (zero for a trusted session, which carries
-// none), and the executing host's one signature over all three.
+// none), the envelope digest of the agent it departed as, and the
+// executing host's one signature over all four and the route.
 type session struct {
-	Initial, Result, Package canon.Digest
-	Sig                      sigcrypto.Signature
+	Initial, Result, Package, Envelope canon.Digest
+	Sig                                sigcrypto.Signature
 }
 
-// sessionLabel domain-separates the digest a session signature covers.
-const sessionLabel = "refproto-session"
-
-// binding appends the message a session signature covers: the agent's
-// session binding, role "session", at the session's hop.
-func (s *session) binding(dst []byte, ag *agent.Agent, hop int) []byte {
-	d := canon.HashTuple([]byte(sessionLabel), s.Initial[:], s.Result[:], s.Package[:])
-	return ag.AppendSessionBinding(dst, "session", hop, d)
-}
-
-// signMsg and verifyMsg are the mechanism's only uses of a key pair and
-// the registry: the signature count per hop is counted through them.
-var (
-	signMsg   = (*sigcrypto.KeyPair).Sign
-	verifyMsg = (*sigcrypto.Registry).Verify
+// Domain labels of the digests a session signature covers.
+const (
+	sessionLabel  = "refproto-session"
+	envelopeLabel = "refproto-envelope"
 )
 
-// sign signs s as the session at hop, in a pooled buffer that never
-// outlives the call.
-func (m *Mechanism) sign(keys *sigcrypto.KeyPair, ag *agent.Agent, hop int, s *session) {
-	defer m.timeCrypto()()
+// binding appends the message a session signature covers: the agent's
+// session binding, role "session", at the session's hop, over digest.
+func (s *session) binding(dst []byte, ag *agent.Agent, hop int, route []string) []byte {
+	return ag.AppendSessionBinding(dst, "session", hop, s.digest(route))
+}
+
+// digest binds the session's digests to its route, the hosts up to and
+// including the one that ran it.
+func (s *session) digest(route []string) canon.Digest {
+	x := canon.AcquireHasher()
+	x.TupleHeader(5 + len(route))
+	x.StringField(sessionLabel)
+	x.Field(s.Initial[:])
+	x.Field(s.Result[:])
+	x.Field(s.Package[:])
+	x.Field(s.Envelope[:])
+	for _, h := range route {
+		x.StringField(h)
+	}
+	d := x.Sum()
+	canon.ReleaseHasher(x)
+	return d
+}
+
+// envelope digests what a session signature covers of the agent beyond
+// its identity, code, hop, state and route: its owner, its entry
+// procedure and every baggage slot but the protocol's own, which
+// carries the signature.
+func envelope(ag *agent.Agent) canon.Digest {
+	keys := ag.BaggageKeys()
+	n := 3 + 2*len(keys)
+	if _, ok := ag.Baggage[MechanismName]; ok {
+		n -= 2
+	}
+	x := canon.AcquireHasher()
+	x.TupleHeader(n)
+	x.StringField(envelopeLabel)
+	x.StringField(ag.Owner)
+	x.StringField(ag.Entry)
+	for _, k := range keys {
+		if k != MechanismName {
+			x.StringField(k)
+			x.Field(ag.Baggage[k])
+		}
+	}
+	d := x.Sum()
+	canon.ReleaseHasher(x)
+	return d
+}
+
+// sign signs s as the session at hop over route, in a pooled buffer
+// that never outlives the call.
+func (sh *shared) sign(keys *sigcrypto.KeyPair, ag *agent.Agent, hop int, route []string, s *session) {
+	defer sh.timeCrypto()()
 	buf := canon.GetBuf()
-	msg := s.binding((*buf)[:0], ag, hop)
-	s.Sig = signMsg(keys, msg)
+	msg := s.binding((*buf)[:0], ag, hop, route)
+	s.Sig = keys.Sign(msg)
 	*buf = msg
 	canon.PutBuf(buf)
 }
 
-// verify verifies s's signature as the session at hop.
-func (m *Mechanism) verify(reg *sigcrypto.Registry, ag *agent.Agent, hop int, s *session) error {
-	defer m.timeCrypto()()
+// verify verifies s's signature as the session at hop over route.
+func (sh *shared) verify(reg *sigcrypto.Registry, ag *agent.Agent, hop int, route []string, s *session) error {
+	defer sh.timeCrypto()()
 	buf := canon.GetBuf()
-	msg := s.binding((*buf)[:0], ag, hop)
-	err := verifyMsg(reg, msg, s.Sig)
+	msg := s.binding((*buf)[:0], ag, hop, route)
+	err := reg.Verify(msg, s.Sig)
 	*buf = msg
 	canon.PutBuf(buf)
 	return err
 }
 
-func (m *Mechanism) timeCrypto() func() {
-	if m.cfg.Timer == nil {
+func (sh *shared) timeCrypto() func() {
+	if sh.cfg.Timer == nil {
 		return func() {}
 	}
-	return m.cfg.Timer.Time(stopwatch.PhaseSignVerify)
+	return sh.cfg.Timer.Time(stopwatch.PhaseSignVerify)
+}
+
+// lastHost is the route's last host, the one the agent arrived from;
+// "" for an empty route.
+func lastHost(route []string) string {
+	if len(route) == 0 {
+		return ""
+	}
+	return route[len(route)-1]
 }
 
 // payload is the wire baggage: everything the next host needs to check
@@ -190,7 +303,8 @@ type payload struct {
 	// resulting state); nil for a session on a trusted host.
 	PkgEnc []byte
 	// Session is the checked session's commitment, signed by the host
-	// that ran it.
+	// that ran it. Its envelope does not travel: the checker recomputes
+	// it from the agent that arrived.
 	Session session
 	// Producer is the session before it, as the checked host received
 	// it. Its resulting state is Session's initial state, so its Result
@@ -203,7 +317,7 @@ type payload struct {
 // Payload wire layout: one canonical tuple; an origin payload stops
 // after field 7, and its field count is what marks it as one.
 //
-//	0  format label ("refproto-session-payload")
+//	0  format label ("refproto-sealed-payload")
 //	1  hop, 8-byte big-endian
 //	2  package encoding (empty for a session on a trusted host)
 //	3  session: initial-state digest
@@ -213,12 +327,13 @@ type payload struct {
 //	7  session signature: bytes
 //	8  producer: initial-state digest
 //	9  producer: package digest
-//	10 producer signature: signer
-//	11 producer signature: bytes
+//	10 producer: envelope digest
+//	11 producer signature: signer
+//	12 producer signature: bytes
 const (
-	payloadLabel  = "refproto-session-payload"
+	payloadLabel  = "refproto-sealed-payload"
 	originFields  = 8
-	relayedFields = 12
+	relayedFields = 13
 )
 
 // appendPayload appends p's canonical encoding to dst.
@@ -236,7 +351,7 @@ func appendPayload(dst []byte, p *payload) []byte {
 		p.PkgEnc,
 		s.Initial[:], s.Result[:], s.Package[:],
 		[]byte(s.Sig.Signer), s.Sig.Sig,
-		pr.Initial[:], pr.Package[:],
+		pr.Initial[:], pr.Package[:], pr.Envelope[:],
 		[]byte(pr.Sig.Signer), pr.Sig.Sig,
 	}
 	return canon.AppendTuple(dst, fields[:n]...)
@@ -267,9 +382,10 @@ func parsePayload(data []byte) (payload, error) {
 	}
 	if !p.Origin {
 		p.Producer = session{
-			Initial: s.Digest(),
-			Package: s.Digest(),
-			Sig:     sigcrypto.Signature{Signer: string(s.Field(bound)), Sig: s.Field(bound)},
+			Initial:  s.Digest(),
+			Package:  s.Digest(),
+			Envelope: s.Digest(),
+			Sig:      sigcrypto.Signature{Signer: string(s.Field(bound)), Sig: s.Field(bound)},
 		}
 	}
 	if err := s.End(); err != nil {
@@ -278,17 +394,16 @@ func parsePayload(data []byte) (payload, error) {
 	return p, nil
 }
 
-// PrepareDeparture signs the just-executed session — the host's one
-// signature for it — and packages it for checking by the next host.
+// PrepareDeparture packages the session for checking by the next host;
+// the seal signs it last.
 func (m *Mechanism) PrepareDeparture(_ context.Context, hc *core.HostContext, ag *agent.Agent, rec *host.SessionRecord) error {
 	// The producer kept at arrival; none if this host launched the
 	// agent. The record's memoized digests mean each state is hashed
 	// once per session no matter how many mechanisms commit to it.
 	m.mu.Lock()
-	producer, relayed := m.pending[ag.ID]
-	delete(m.pending, ag.ID)
+	st := m.stays[ag.ID]
 	m.mu.Unlock()
-	if !relayed && rec.Hop > 0 {
+	if !st.relayed && rec.Hop > 0 {
 		// The arrival check failed before it could vouch for a producer,
 		// and a lenient policy let the agent run on. Presenting this
 		// session as the agent's first would be false, and the next
@@ -299,8 +414,8 @@ func (m *Mechanism) PrepareDeparture(_ context.Context, hc *core.HostContext, ag
 	p := payload{
 		Hop:      rec.Hop,
 		Session:  session{Initial: rec.InitialDigest(), Result: rec.ResultingDigest()},
-		Producer: producer,
-		Origin:   !relayed,
+		Producer: st.producer,
+		Origin:   !st.relayed,
 	}
 
 	// Optimization (§5.1): trusted sessions are not checked, so they
@@ -314,47 +429,50 @@ func (m *Mechanism) PrepareDeparture(_ context.Context, hc *core.HostContext, ag
 		p.PkgEnc = enc
 		p.Session.Package = pkg.Digest()
 	}
-	m.sign(hc.Host.Keys(), ag, rec.Hop, &p.Session)
+	m.mu.Lock()
+	m.stays[ag.ID] = stay{out: p, packaged: true}
+	m.mu.Unlock()
+	return nil
+}
+
+// PrepareDeparture signs the packaged session — the host's one
+// signature for the hop — over everything the agent departs with.
+func (s *Seal) PrepareDeparture(_ context.Context, hc *core.HostContext, ag *agent.Agent, _ *host.SessionRecord) error {
+	s.mu.Lock()
+	st := s.stays[ag.ID]
+	delete(s.stays, ag.ID)
+	s.mu.Unlock()
+	if !st.packaged {
+		return errors.New("refproto: no packaged session to seal (the checker must follow the seal in the stack)")
+	}
+	p := &st.out
+	p.Session.Envelope = envelope(ag)
+	s.sign(hc.Host.Keys(), ag, p.Hop, ag.Route, &p.Session)
 
 	// Encode into a pooled buffer; SetBaggage copies, so the scratch
 	// goes straight back to the pool.
 	buf := canon.GetBuf()
-	enc := appendPayload((*buf)[:0], &p)
+	enc := appendPayload((*buf)[:0], p)
 	ag.SetBaggage(MechanismName, enc)
 	*buf = enc
 	canon.PutBuf(buf)
 	return nil
 }
 
-// EndStay implements core.StayEnder. The producer recorded at arrival
-// is consumed when the agent departs; where its stay ends instead — the
+// EndStay implements core.StayEnder. What the halves hold for an agent
+// is consumed when it departs; where its stay ends instead — the
 // journey completed here, the agent was quarantined, its session
-// failed — it is dropped, or pending would keep it for good.
+// failed — it is dropped, or stays would keep it for good.
 func (m *Mechanism) EndStay(_ *core.HostContext, ag *agent.Agent) {
 	m.mu.Lock()
-	delete(m.pending, ag.ID)
+	delete(m.stays, ag.ID)
 	m.mu.Unlock()
 }
 
-// keep records s as the producer of the session this host runs next.
-func (m *Mechanism) keep(ag *agent.Agent, s session) {
-	m.mu.Lock()
-	m.pending[ag.ID] = s
-	m.mu.Unlock()
-}
-
-// CheckAfterSession verifies the previous host's session as the first
-// action after arrival (Fig. 4).
-func (m *Mechanism) CheckAfterSession(ctx context.Context, hc *core.HostContext, ag *agent.Agent) (*core.Verdict, error) {
-	if ag.Hop == 0 {
-		// Freshly launched on this host; nothing to check yet.
-		return nil, nil
-	}
-	prev := ""
-	if len(ag.Route) > 0 {
-		prev = ag.Route[len(ag.Route)-1]
-	}
-	v := &core.Verdict{
+// newVerdict is the verdict on the session ag arrived from.
+func newVerdict(hc *core.HostContext, ag *agent.Agent) *core.Verdict {
+	prev := lastHost(ag.Route)
+	return &core.Verdict{
 		Mechanism:   MechanismName,
 		Moment:      core.AfterSession,
 		CheckedHost: prev,
@@ -362,84 +480,142 @@ func (m *Mechanism) CheckAfterSession(ctx context.Context, hc *core.HostContext,
 		Checker:     hc.Host.Name(),
 		Suspect:     prev,
 	}
-	fail := func(reason string, evidence ...string) (*core.Verdict, error) {
-		v.OK = false
-		v.Reason = reason
-		v.Evidence = evidence
-		return v, nil
-	}
+}
 
+// failed marks v failed for reason.
+func failed(v *core.Verdict, reason string, evidence ...string) (*core.Verdict, error) {
+	v.OK = false
+	v.Reason = reason
+	v.Evidence = evidence
+	return v, nil
+}
+
+// CheckAfterSession verifies the previous host's session signature as
+// the node's first arrival check (Fig. 4), and holds the verified
+// session for the checker. It reports only a failure: the checker's
+// verdict is the session's record.
+func (s *Seal) CheckAfterSession(_ context.Context, hc *core.HostContext, ag *agent.Agent) (*core.Verdict, error) {
+	if ag.Hop == 0 {
+		// Freshly launched on this host; nothing to check yet.
+		return nil, nil
+	}
+	v := newVerdict(hc, ag)
 	data, ok := ag.GetBaggage(MechanismName)
 	if !ok {
-		return fail("agent arrived without protocol baggage (stripped or never attached)")
+		return failed(v, "agent arrived without protocol baggage (stripped or never attached)")
 	}
 	p, err := parsePayload(data)
 	if err != nil {
-		return fail(fmt.Sprintf("malformed protocol baggage: %v", err))
+		return failed(v, fmt.Sprintf("malformed protocol baggage: %v", err))
 	}
+	p.Session.Envelope = envelope(ag)
 
-	if m.cfg.Colluding {
-		// A colluding checker vouches for whatever it received: it hands
-		// the session on as its producer and reports nothing, so its own
-		// departure package looks perfectly regular to the host after it.
-		m.keep(ag, p.Session)
+	// A colluding checker vouches for whatever it received: it hands
+	// the session on as its producer and reports nothing, so its own
+	// departure package looks perfectly regular to the host after it.
+	if !s.cfg.Colluding {
+		if p.Hop != ag.Hop-1 {
+			return failed(v, fmt.Sprintf("baggage is for session %d, expected %d (replayed?)", p.Hop, ag.Hop-1))
+		}
+		// The session's resulting state must be the state that actually
+		// arrived, and the previous host must have signed the session
+		// over the agent as it arrived. The arrival digest was seeded
+		// from the wire bytes during unmarshalling, so this is a cache
+		// read, not a rehash.
+		if ag.StateDigest() != p.Session.Result {
+			return failed(v, "arrived state does not match the previous host's signed resulting state")
+		}
+		if err := s.verifySession(hc.Host.Registry(), ag, &p); err != nil {
+			return failed(v, err.Error())
+		}
+	}
+	s.mu.Lock()
+	s.stays[ag.ID] = stay{in: p, sealed: true}
+	s.mu.Unlock()
+	return nil, nil
+}
+
+// verifySession checks the checked host's signature over its session
+// and the agent as it arrived; p.Session.Envelope must be the arrived
+// agent's.
+func (sh *shared) verifySession(reg *sigcrypto.Registry, ag *agent.Agent, p *payload) error {
+	if err := sh.verify(reg, ag, p.Hop, ag.Route, &p.Session); err != nil {
+		return fmt.Errorf("session signature invalid: %v", err)
+	}
+	if ran := lastHost(ag.Route); p.Session.Sig.Signer != ran {
+		return fmt.Errorf("session signed by %q, but session ran on %q", p.Session.Sig.Signer, ran)
+	}
+	return nil
+}
+
+// keep records s as the producer of the session this host runs next.
+func (m *shared) keep(ag *agent.Agent, s session) {
+	m.mu.Lock()
+	m.stays[ag.ID] = stay{producer: s, relayed: true}
+	m.mu.Unlock()
+}
+
+// CheckAfterSession checks the session the seal verified (Fig. 4).
+func (m *Mechanism) CheckAfterSession(ctx context.Context, hc *core.HostContext, ag *agent.Agent) (*core.Verdict, error) {
+	if ag.Hop == 0 {
+		// Freshly launched on this host; nothing to check yet.
 		return nil, nil
 	}
-	if p.Hop != ag.Hop-1 {
-		return fail(fmt.Sprintf("baggage is for session %d, expected %d (replayed?)", p.Hop, ag.Hop-1))
+	m.mu.Lock()
+	st := m.stays[ag.ID]
+	m.mu.Unlock()
+	if !st.sealed {
+		// The seal refused the session and reported why; there is
+		// nothing verified to check or to hand on.
+		return nil, nil
+	}
+	p := st.in
+	// Keep the checked session before any early return: it produced the
+	// initial state of this host's own session. This also clears the
+	// arrived payload, which aliases the agent's baggage.
+	m.keep(ag, p.Session)
+	if m.cfg.Colluding {
+		return nil, nil
 	}
 
+	v := newVerdict(hc, ag)
+	prev := v.CheckedHost
 	reg := hc.Host.Registry()
 
-	// 1. The session's resulting state must be the state that actually
-	// arrived, and the previous host must have signed the session. The
-	// arrival digest was seeded from the wire bytes during
-	// unmarshalling, so this is a cache read, not a rehash.
-	if ag.StateDigest() != p.Session.Result {
-		return fail("arrived state does not match the previous host's signed resulting state")
-	}
-	if err := m.verifySession(reg, ag, prev, &p); err != nil {
-		return fail(err.Error())
-	}
-
-	// Keep the checked session before any early return: it produced the
-	// initial state of this host's own session.
-	m.keep(ag, p.Session)
-
-	// 2. Sessions on hosts the registry trusts are not re-executed.
+	// 1. Sessions on hosts the registry trusts are not re-executed.
 	if reg.Trusted(prev) {
 		v.OK = true
 		v.Reason = "trusted host; session not checked"
 		return v, nil
 	}
 
-	// 3. Verify the package against the signed session, and the
+	// 2. Verify the package against the signed session, and the
 	// producer's handoff of its initial state.
 	if p.PkgEnc == nil {
-		return fail("untrusted session carries no reference package")
+		return failed(v, "untrusted session carries no reference package")
 	}
 	pkg, err := core.UnmarshalReferencePackage(p.PkgEnc)
 	if err != nil {
-		return fail(fmt.Sprintf("malformed reference package: %v", err))
+		return failed(v, fmt.Sprintf("malformed reference package: %v", err))
 	}
 	if pkg.Hop != p.Hop || pkg.HostName != prev {
-		return fail(fmt.Sprintf("package identifies session %d@%s, expected %d@%s",
+		return failed(v, fmt.Sprintf("package identifies session %d@%s, expected %d@%s",
 			pkg.Hop, pkg.HostName, p.Hop, prev))
 	}
 	if pkg.Digest() != p.Session.Package {
-		return fail("package differs from the signed session commitment")
+		return failed(v, "package differs from the signed session commitment")
 	}
 	if canon.HashState(pkg.ResultingState) != p.Session.Result {
-		return fail("package resulting state differs from the signed commitment")
+		return failed(v, "package resulting state differs from the signed commitment")
 	}
 	if canon.HashState(pkg.InitialState) != p.Session.Initial {
-		return fail("package initial state differs from the signed commitment")
+		return failed(v, "package initial state differs from the signed commitment")
 	}
 	if err := m.verifyHandoff(reg, ag, &p); err != nil {
-		return fail(fmt.Sprintf("initial-state handoff invalid: %v", err))
+		return failed(v, fmt.Sprintf("initial-state handoff invalid: %v", err))
 	}
 
-	// 4. Re-execute the session against the packaged reference data —
+	// 3. Re-execute the session against the packaged reference data —
 	// the expensive step. A configured gate may decide the executing
 	// host's standing does not warrant it this session; the commitment
 	// checks above have already run either way.
@@ -457,27 +633,18 @@ func (m *Mechanism) CheckAfterSession(ctx context.Context, hc *core.HostContext,
 	} else if evidence != nil {
 		// Full states are available: attach the complete divergence as
 		// evidence, so the owner can prove the damage (§5.1).
-		return fail("re-execution does not reproduce the claimed resulting state", evidence...)
+		return failed(v, "re-execution does not reproduce the claimed resulting state", evidence...)
 	}
 	v.OK = true
 	return v, nil
 }
 
-// verifySession checks the checked host's signature over its session.
-func (m *Mechanism) verifySession(reg *sigcrypto.Registry, ag *agent.Agent, checkedHost string, p *payload) error {
-	if err := m.verify(reg, ag, p.Hop, &p.Session); err != nil {
-		return fmt.Errorf("session signature invalid: %v", err)
-	}
-	if p.Session.Sig.Signer != checkedHost {
-		return fmt.Errorf("session signed by %q, but session ran on %q", p.Session.Sig.Signer, checkedHost)
-	}
-	return nil
-}
-
 // verifyHandoff checks the producer's side of the checked session's
-// initial state: the session before it, signed at its own hop, resulted
-// in exactly that state. The agent's first session, and only that one,
-// has no producer; the checked host's own session signature covers it.
+// initial state: the route's host for the session before it signed
+// that session, at its own hop and over the route up to itself, as
+// resulting in exactly that state. The agent's first session, and only
+// that one, has no producer; the checked host's own session signature
+// covers it.
 func (m *Mechanism) verifyHandoff(reg *sigcrypto.Registry, ag *agent.Agent, p *payload) error {
 	switch {
 	case p.Origin && p.Hop != 0:
@@ -486,11 +653,17 @@ func (m *Mechanism) verifyHandoff(reg *sigcrypto.Registry, ag *agent.Agent, p *p
 		return nil
 	case p.Hop == 0:
 		return errors.New("producer handoff for session 0")
+	case len(ag.Route) < 2:
+		return fmt.Errorf("route names no host for session %d", p.Hop-1)
 	}
 	producer := p.Producer
 	producer.Result = p.Session.Initial
-	if err := m.verify(reg, ag, p.Hop-1, &producer); err != nil {
+	route := ag.Route[:len(ag.Route)-1]
+	if err := m.verify(reg, ag, p.Hop-1, route, &producer); err != nil {
 		return fmt.Errorf("producer signature by %q: %v", producer.Sig.Signer, err)
+	}
+	if ran := lastHost(route); producer.Sig.Signer != ran {
+		return fmt.Errorf("producer signed by %q, but session %d ran on %q", producer.Sig.Signer, p.Hop-1, ran)
 	}
 	return nil
 }

@@ -58,7 +58,7 @@ func addRoute(bed *platformtest.Bed, mut map[string]func(*host.Config), mechCfg 
 		bed.AddHost(name, platformtest.HostOptions{
 			Trusted: trusted,
 			Mechanisms: func() []core.Mechanism {
-				return []core.Mechanism{refproto.New(mechCfg(name))}
+				return refproto.New(mechCfg(name))
 			},
 			Configure: func(c *host.Config) {
 				if p, ok := prices[name]; ok {
@@ -319,7 +319,7 @@ func interceptBed(t *testing.T, mutate func(*agent.Agent) error, newPolicy func(
 		opts := platformtest.HostOptions{
 			Trusted: strings.HasPrefix(name, "home"),
 			Mechanisms: func() []core.Mechanism {
-				return []core.Mechanism{refproto.New(refproto.Config{})}
+				return refproto.New(refproto.Config{})
 			},
 			Configure: func(c *host.Config) {
 				if p, ok := prices[name]; ok {

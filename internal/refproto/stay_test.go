@@ -14,10 +14,10 @@ import (
 // agent — the node ends the stay, and the hop bed's next host must be
 // left with no pending handoff.
 func TestHandoffEndsWithTheStay(t *testing.T) {
-	pending := func(m *Mechanism) int {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		return len(m.pending)
+	pending := func(p pair) int {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return len(p.stays)
 	}
 	for _, tc := range []struct {
 		name string
@@ -42,11 +42,11 @@ func TestHandoffEndsWithTheStay(t *testing.T) {
 				t.Fatalf("%d handoffs pending after arrival, want 1", n)
 			}
 			if !tc.lie {
-				if _, err := bed.mNext.CheckAfterTask(ctx, bed.hcNext, arrived, nil); err != nil {
+				if _, err := bed.mNext.check.CheckAfterTask(ctx, bed.hcNext, arrived, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
-			bed.mNext.EndStay(bed.hcNext, arrived)
+			bed.mNext.check.EndStay(bed.hcNext, arrived)
 			if n := pending(bed.mNext); n != 0 {
 				t.Fatalf("%d handoffs pending after the stay ended, want 0", n)
 			}

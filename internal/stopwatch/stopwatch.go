@@ -18,21 +18,30 @@ const (
 	PhaseCycle      = "cycle"
 )
 
-// PhaseTimer accumulates durations per phase. It is safe for concurrent
-// use. The zero value is ready to use.
+// PhaseTimer accumulates durations per phase, and counts the spans
+// they came in. It is safe for concurrent use. The zero value is ready
+// to use.
 type PhaseTimer struct {
 	mu     sync.Mutex
-	phases map[string]time.Duration
+	phases map[string]phase
 }
 
-// Add accumulates d into the named phase.
-func (t *PhaseTimer) Add(phase string, d time.Duration) {
+type phase struct {
+	d     time.Duration
+	spans int
+}
+
+// Add accumulates d into the named phase as one span.
+func (t *PhaseTimer) Add(name string, d time.Duration) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.phases == nil {
-		t.phases = make(map[string]time.Duration)
+		t.phases = make(map[string]phase)
 	}
-	t.phases[phase] += d
+	p := t.phases[name]
+	p.d += d
+	p.spans++
+	t.phases[name] = p
 }
 
 // Time starts timing the named phase and returns a stop function;
@@ -45,10 +54,19 @@ func (t *PhaseTimer) Time(phase string) func() {
 }
 
 // Get returns the accumulated duration for a phase.
-func (t *PhaseTimer) Get(phase string) time.Duration {
+func (t *PhaseTimer) Get(name string) time.Duration {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.phases[phase]
+	return t.phases[name].d
+}
+
+// Count returns how many spans a phase accumulated. Mechanisms that
+// time each signature and verification on its own make it their
+// operation count.
+func (t *PhaseTimer) Count(name string) int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.phases[name].spans
 }
 
 // Reset clears all phases.

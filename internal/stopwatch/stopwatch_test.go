@@ -20,6 +20,9 @@ func TestAddAndGet(t *testing.T) {
 	if got := tm.Get("missing"); got != 0 {
 		t.Errorf("Get(missing) = %v", got)
 	}
+	if a, b, missing := tm.Count("a"), tm.Count("b"), tm.Count("missing"); a != 2 || b != 1 || missing != 0 {
+		t.Errorf("Count = %d, %d, %d; want 2, 1, 0", a, b, missing)
+	}
 }
 
 func TestTime(t *testing.T) {
