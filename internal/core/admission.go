@@ -12,19 +12,22 @@ package core
 // ErrAdmissionRefused, where planners treat it as a routing signal.
 
 import (
-	"errors"
 	"fmt"
-	"strings"
 
-	"repro/internal/host"
+	"repro/internal/transport"
 )
 
 // ErrAdmissionRefused is returned by intake when the delivering host's
 // suspicion is at or above the node's admission threshold. It is a
 // refusal, not a detection: no verdict is produced, no quarantine
 // happens, and the sender is told exactly why so its planner can route
-// around the shunned host.
-var ErrAdmissionRefused = errors.New("core: admission refused")
+// around the shunned host. ErrIntakeFull is the RefuseWhenFull
+// fast-fail (IntakeRefusedError). Both are transport sentinels, so a
+// refusal that crossed TCP satisfies errors.Is as an in-process one.
+var (
+	ErrAdmissionRefused = transport.ErrAdmissionRefused
+	ErrIntakeFull       = transport.ErrIntakeFull
+)
 
 // AdmissionDecision is an AdmissionPolicy's answer for one delivery.
 type AdmissionDecision struct {
@@ -54,51 +57,24 @@ type AdmissionPolicy interface {
 	Admit(fromHost string) AdmissionDecision
 }
 
-// IsAdmissionRefused reports whether err is an admission refusal. It
-// matches the error identity in-process and falls back to the message
-// substring so refusals surviving a TCP transport's string-typed
-// RemoteError still classify.
-func IsAdmissionRefused(err error) bool {
-	if err == nil {
-		return false
-	}
-	return errors.Is(err, ErrAdmissionRefused) ||
-		strings.Contains(err.Error(), ErrAdmissionRefused.Error())
-}
-
-// IsIntakeFull reports whether err is a fast-fail intake refusal from a
-// node running RefuseWhenFull (wrapping host.ErrMailboxFull). Like
-// IsAdmissionRefused it classifies across a string-typed transport
-// error.
-func IsIntakeFull(err error) bool {
-	if err == nil {
-		return false
-	}
-	return errors.Is(err, host.ErrMailboxFull) ||
-		strings.Contains(err.Error(), host.ErrMailboxFull.Error())
-}
-
 // IntakeRefusedError is a RefuseWhenFull fast-fail: the named node's
 // intake queue was full and the delivery was turned away instead of
-// queued. It wraps host.ErrMailboxFull so IsIntakeFull classifies it,
-// and names the refusing node so planners can attribute the overload
-// to the right host (the bug this type fixes: "full" used to surface
-// as an anonymous failure indistinguishable from tampering).
+// queued. It wraps ErrIntakeFull, and names the refusing node so
+// planners can attribute the overload to the right host (the bug this
+// type fixes: "full" used to surface as an anonymous failure
+// indistinguishable from tampering).
 type IntakeRefusedError struct {
 	// Node is the refusing node's principal name.
 	Node string
-	// Err is host.ErrMailboxFull (kept as a field so the wire shape
-	// stays an error chain).
-	Err error
 }
 
 // Error implements error.
 func (e *IntakeRefusedError) Error() string {
-	return fmt.Sprintf("core: intake at %s: queue full: %v", e.Node, e.Err)
+	return fmt.Sprintf("core: intake at %s: queue full: %v", e.Node, ErrIntakeFull)
 }
 
-// Unwrap exposes host.ErrMailboxFull to errors.Is.
-func (e *IntakeRefusedError) Unwrap() error { return e.Err }
+// Unwrap exposes ErrIntakeFull to errors.Is.
+func (e *IntakeRefusedError) Unwrap() error { return ErrIntakeFull }
 
 // ForwardError is the failure of forwarding an agent from one node to
 // the next. It keeps the refusing/unreachable host attributable: a
@@ -118,7 +94,7 @@ type ForwardError struct {
 }
 
 // Error implements error with the same shape the pipeline historically
-// produced, so logs and string-matching consumers keep working.
+// produced, so logs keep reading the same.
 func (e *ForwardError) Error() string {
 	return fmt.Sprintf("core: node %s forwarding to %s: %v", e.From, e.To, e.Err)
 }

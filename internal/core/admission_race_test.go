@@ -116,7 +116,7 @@ func TestAdmissionRacesLedgerEscalation(t *testing.T) {
 			if _, err := o.rc.Wait(ctx); err != nil {
 				t.Fatalf("agent %s: admitted receipt resolved with error: %v", o.id, err)
 			}
-		case core.IsAdmissionRefused(o.err):
+		case errors.Is(o.err, core.ErrAdmissionRefused):
 			refused++
 			if o.rc != nil {
 				t.Fatalf("agent %s: refused AND handed a receipt — two terminal outcomes", o.id)
@@ -136,7 +136,7 @@ func TestAdmissionRacesLedgerEscalation(t *testing.T) {
 	// The escalation eventually wins: a delivery after the dust settles
 	// is refused.
 	late := travelledAgent(t, "race-late", "evil")
-	if _, err := node.Launch(ctx, late); !core.IsAdmissionRefused(err) {
+	if _, err := node.Launch(ctx, late); !errors.Is(err, core.ErrAdmissionRefused) {
 		t.Fatalf("post-escalation launch: err = %v, want admission refusal", err)
 	}
 	if node.Status("race-late").Phase != core.PhaseUnknown {
@@ -183,9 +183,9 @@ func (b *stallBehavior) TamperRecord(*host.SessionRecord) {
 
 // TestRefuseWhenFullFastFails pins the spillover contract: with
 // RefuseWhenFull, a delivery against a full intake queue fails
-// immediately wrapping host.ErrMailboxFull (classifiable via
-// IsIntakeFull), names the refusing node, and journals the failure
-// with RefusedBy set — instead of blocking for the intake cap.
+// immediately wrapping core.ErrIntakeFull, names the refusing node, and
+// journals the failure with RefusedBy set — instead of blocking for the
+// intake cap.
 func TestRefuseWhenFullFastFails(t *testing.T) {
 	b := &stallBehavior{release: make(chan struct{}), running: make(chan struct{}, 1)}
 	node := newAdmissionNode(t, "n", nil, true, 1, 1, b)
@@ -214,7 +214,7 @@ func TestRefuseWhenFullFastFails(t *testing.T) {
 	start := time.Now()
 	_, err := node.Launch(ctx, travelledAgent(t, refusedID, ""))
 	elapsed := time.Since(start)
-	if !core.IsIntakeFull(err) {
+	if !errors.Is(err, core.ErrIntakeFull) {
 		t.Fatalf("full-queue launch: err = %v, want mailbox-full refusal", err)
 	}
 	if elapsed > 2*time.Second {

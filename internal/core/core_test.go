@@ -292,26 +292,35 @@ func (callableMechanism) HandleCall(_ context.Context, hc *HostContext, method s
 	return nil, errors.New("no such method")
 }
 
+// TestHandleCallDispatch pins the namespaced call dispatch, and that
+// an unknown method is transport.ErrUnknownMethod to errors.Is over both
+// fabrics: called in process, and across the node's TCP server.
 func TestHandleCallDispatch(t *testing.T) {
 	tb := newTestbed(t)
-	tb.addHost("h1", true, []Mechanism{callableMechanism{}, &countingMechanism{}}, nil)
-
-	ctx := context.Background()
-	resp, err := tb.net.Call(ctx, "h1", "callable/ping", []byte("x"))
+	node := tb.addHost("h1", true, []Mechanism{callableMechanism{}, &countingMechanism{}}, nil)
+	srv, err := transport.Serve("127.0.0.1:0", node)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(resp) != "pong:x" {
-		t.Errorf("resp = %q", resp)
-	}
-	if _, err := tb.net.Call(ctx, "h1", "counting/ping", nil); !errors.Is(err, transport.ErrUnknownMethod) {
-		t.Errorf("non-callable mechanism: %v", err)
-	}
-	if _, err := tb.net.Call(ctx, "h1", "ghost/ping", nil); !errors.Is(err, transport.ErrUnknownMethod) {
-		t.Errorf("unknown mechanism: %v", err)
-	}
-	if _, err := tb.net.Call(ctx, "h1", "nomethodsep", nil); !errors.Is(err, transport.ErrUnknownMethod) {
-		t.Errorf("malformed method: %v", err)
+	t.Cleanup(func() { _ = srv.Close() })
+	tcp := transport.NewTCPNetwork(map[string]string{"h1": srv.Addr()})
+	t.Cleanup(tcp.Close)
+
+	ctx := context.Background()
+	for fabric, net := range map[string]transport.Network{"inproc": tb.net, "tcp": tcp} {
+		resp, err := net.Call(ctx, "h1", "callable/ping", []byte("x"))
+		if err != nil || string(resp) != "pong:x" {
+			t.Errorf("%s: callable/ping = %q, %v", fabric, resp, err)
+		}
+		for _, c := range []struct{ what, method string }{
+			{"non-callable mechanism", "counting/ping"},
+			{"unknown mechanism", "ghost/ping"},
+			{"malformed method", "nomethodsep"},
+		} {
+			if _, err := net.Call(ctx, "h1", c.method, nil); !errors.Is(err, transport.ErrUnknownMethod) {
+				t.Errorf("%s: %s: %v", fabric, c.what, err)
+			}
+		}
 	}
 }
 

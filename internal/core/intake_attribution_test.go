@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -80,7 +81,7 @@ func TestForwardToFullHostRecordsRefuser(t *testing.T) {
 	}
 	if _, err := rc.Wait(ctx); err == nil {
 		t.Fatal("forward into full host unexpectedly succeeded")
-	} else if !core.IsIntakeFull(err) {
+	} else if !errors.Is(err, core.ErrIntakeFull) {
 		t.Fatalf("receipt err = %v, want intake-full classification", err)
 	}
 	st := sender.Status("bounce")

@@ -144,7 +144,7 @@ type NodeConfig struct {
 	// admission control (the seed behaviour). See policy.NewAdmission.
 	Admission AdmissionPolicy
 	// RefuseWhenFull makes intake fail fast when the striped worker
-	// queue is full, wrapping host.ErrMailboxFull, instead of blocking
+	// queue is full, wrapping ErrIntakeFull, instead of blocking
 	// up to maxIntakeWait for space. Planner-routed fleets set it so a
 	// hotspot's backpressure becomes an immediate spillover signal the
 	// sender can route around; the default (false) keeps the blocking
@@ -655,7 +655,7 @@ func (n *Node) enqueue(ctx context.Context, ag *agent.Agent) (*Receipt, error) {
 	if n.cfg.RefuseWhenFull {
 		// Fast-fail: the full queue is an overload signal the sender's
 		// planner can spill over from, not a condition to wait out.
-		err = &IntakeRefusedError{Node: n.cfg.Host.Name(), Err: host.ErrMailboxFull}
+		err = &IntakeRefusedError{Node: n.cfg.Host.Name()}
 		n.intakeRefused.Add(1)
 		n.publish(events.Event{
 			Kind:   events.KindIntakeRefused,

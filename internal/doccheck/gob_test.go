@@ -10,8 +10,8 @@ import (
 
 // gobImporters are the only non-test files that may import
 // encoding/gob: core/node.go, for the operator built-ins' one codec pair
-// (gobReply and decodeGob, whose replies external tools decode), and
-// the TCP transport's streams.
+// (gobReply and decodeGob, whose replies external tools decode).
+// The TCP transport speaks its own bounded frame (transport/tcp.go).
 // Everything an agent carries from host to host — the verdict list,
 // wholesig's signature, appraisal's rules, the vigna and proof chains,
 // the reference packages and the traces inside them — and every
@@ -19,8 +19,7 @@ import (
 // one: a gob decoder sizes its allocations from the message it is
 // decoding.
 var gobImporters = map[string]bool{
-	"internal/core/node.go":     true,
-	"internal/transport/tcp.go": true,
+	"internal/core/node.go": true,
 }
 
 // TestGobStaysOffBaggagePaths fails on any non-test Go file outside

@@ -64,7 +64,6 @@ var reachAllow = map[string]string{
 	"shardstore.PersistConfig.CompactEvery": "test seam: shardstore.TestPersistentStoreAutoCompacts shrinks the compaction interval",
 	"stopwatch.PhaseTimer.Phases":           "test seam: stopwatch.TestResetAndPhases",
 	"testutil":                              "test seam: fleet.TestSameResultOnEveryFabric and the other tests that check for leaked goroutines and descriptors",
-	"transport.InProc.Hosts":                "test seam: transport.TestInProcHostsSorted",
 	"transport.Server.ConnCount":            "test seam: transport.TestTCPConnectionReuse",
 }
 

@@ -113,11 +113,6 @@ type ActionRecord struct {
 // validation).
 var ErrRefused = errors.New("host: agent refused")
 
-// ErrMailboxFull is the intake-full refusal: core wraps it when a
-// node's intake queue is full (NodeConfig.RefuseWhenFull), and
-// core.IsIntakeFull matches its text in errors that crossed TCP.
-var ErrMailboxFull = errors.New("host: mailbox full")
-
 // New creates a host and registers its key and trust with the registry.
 func New(cfg Config) (*Host, error) {
 	if cfg.Name == "" {

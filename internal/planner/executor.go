@@ -222,7 +222,7 @@ func (e *Executor) classify(home, agentID string, out attemptOutcome, err error,
 	var fe *core.ForwardError
 	feOK := errors.As(err, &fe)
 	switch {
-	case core.IsAdmissionRefused(err):
+	case errors.Is(err, core.ErrAdmissionRefused):
 		res.AdmissionRefusals++
 		res.ShedAgentIDs = append(res.ShedAgentIDs, agentID)
 		if !feOK || fe.From == "" || fe.From == home {
@@ -232,10 +232,15 @@ func (e *Executor) classify(home, agentID string, out attemptOutcome, err error,
 		}
 		e.Planner.Ban(fe.From)
 		return divergeBan, false
-	case core.IsIntakeFull(err):
+	case errors.Is(err, core.ErrIntakeFull):
+		// The overloaded node: the forward's destination, or the node a
+		// local launch found full.
 		res.Spillovers++
-		if to := refusingNode(err, fe, feOK); to != "" {
-			e.Planner.ObserveOverload(to)
+		var ire *core.IntakeRefusedError
+		if feOK {
+			e.Planner.ObserveOverload(fe.To)
+		} else if errors.As(err, &ire) {
+			e.Planner.ObserveOverload(ire.Node)
 		}
 		return divergeSpillover, false
 	case errors.Is(err, core.ErrDetection):
@@ -257,20 +262,6 @@ func (e *Executor) classify(home, agentID string, out attemptOutcome, err error,
 	default:
 		return divergeNone, true
 	}
-}
-
-// refusingNode extracts the overloaded node's name from an intake-full
-// failure: the forward error's destination, or the IntakeRefusedError
-// a local launch surfaces directly.
-func refusingNode(err error, fe *core.ForwardError, feOK bool) string {
-	if feOK && fe.To != "" {
-		return fe.To
-	}
-	var ire *core.IntakeRefusedError
-	if errors.As(err, &ire) {
-		return ire.Node
-	}
-	return ""
 }
 
 // lastSuspect reads the most recent failed verdict's suspect.

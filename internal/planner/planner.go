@@ -5,8 +5,9 @@
 // paper's cheapest protection is never sending the agent to a
 // malicious host at all; the reputation ledger the platform already
 // accumulates (internal/policy) is exactly the signal that makes that
-// choice possible, and the refusal errors the core intake now produces
-// (ErrAdmissionRefused, the RefuseWhenFull mailbox-full fast-fail) are
+// choice possible, and the refusal errors the core intake produces
+// (ErrAdmissionRefused, and ErrIntakeFull from the RefuseWhenFull
+// fast-fail; errors.Is matches either over InProc and TCP alike) are
 // the divergence signals that make replanning possible.
 //
 // The package splits plan from execution in the planner/executor

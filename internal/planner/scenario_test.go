@@ -148,7 +148,7 @@ func TestScenarioFlashCrowd(t *testing.T) {
 		if !r.Completed {
 			t.Fatalf("itinerary %s did not complete after %d attempts: %v", r.ItineraryID, r.Attempts, r.Err)
 		}
-		if core.IsIntakeFull(r.Err) {
+		if errors.Is(r.Err, core.ErrIntakeFull) {
 			t.Fatalf("itinerary %s ended in a terminal mailbox-full: %v", r.ItineraryID, r.Err)
 		}
 		spillovers += r.Spillovers

@@ -2,49 +2,141 @@ package transport
 
 import (
 	"bufio"
+	"bytes"
 	"context"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
+
+	"repro/internal/canon"
 )
 
-// Wire format: a connection carries a sequence of request/response
-// exchanges, both gob-encoded on a persistent encoder/decoder pair.
-// Connections are reused per peer: the client keeps a small idle pool
-// for each destination instead of dialling per request, and the server
-// answers requests on a connection until the peer closes it or it goes
-// idle. Since HandleAgent is accept-and-queue, a response is an intake
-// acknowledgement, not an itinerary result, so exchanges are short and
-// a single fixed "slowest workload" I/O budget is no longer needed —
-// deadlines derive from the caller's ctx.
+// The TCP wire: one frame per message. A frame is a 4-byte big-endian
+// size, then that many bytes: a fixed header and the method and body.
+//
+//	version 1 | kind 1 | code 1 | timeout 8 | method length 2 | method | body
+//
+// kind is kindAgent or kindCall for a request and kindReply for its
+// answer. code is 0 in a request and in a reply that succeeded, else
+// the failure's Code, whose text is then the body. method names a call.
+// timeout is a request's remaining *application* budget in nanoseconds
+// (0 for none): a duration, so clock skew between hosts cannot shrink
+// or inflate it. The server rebuilds it into the handling context, so
+// a launch deadline keeps bounding the itinerary across TCP hops, as
+// in process, and a blocked intake is abandoned around when the client
+// stops waiting. The header is fixed rather than a canon tuple
+// because a body may exceed what one tuple field holds (64 MiB): the
+// proof openings reply may hold 128 MiB.
+const (
+	frameVersion = 1
+	kindAgent    = 'a'
+	kindCall     = 'c'
+	kindReply    = 'r'
 
-type rpcRequest struct {
-	// Kind is "agent" for migration delivery or "call" for sync RPC.
-	Kind   string
-	Method string
-	Body   []byte
-	// TimeoutNanos propagates the caller's remaining *application*
-	// budget (time until its ctx deadline, not the transport's I/O
-	// fallback) as a duration, so cross-machine clock skew cannot
-	// shrink or inflate it. The server rebuilds it into the handling
-	// context: as with in-process delivery, a launch deadline keeps
-	// bounding the itinerary across TCP hops, and a blocked intake is
-	// abandoned around when the client stops waiting instead of
-	// enqueuing a delivery the client already reported as failed. 0
-	// means no deadline.
-	TimeoutNanos int64
+	frameHeaderLen = 1 + 1 + 1 + 8 + 2
+	// maxFrame bounds a frame's size field: the largest message any
+	// codec produces (proof openings, 128 MiB) inside an urgent-reply
+	// envelope, with room to spare for the framing.
+	maxFrame = 129 << 20
+	// frameChunk is the step by which a frame's body buffer grows as
+	// its bytes arrive.
+	frameChunk = 64 << 10
+)
+
+// frame is one decoded wire message.
+type frame struct {
+	kind    byte
+	code    Code
+	timeout time.Duration
+	method  string
+	body    []byte
 }
 
-type rpcResponse struct {
-	Err  string
-	Body []byte
+// appendHeader appends the frame's size field, header and method: all
+// of its encoding but the body.
+func (f *frame) appendHeader(dst []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(frameHeaderLen+len(f.method)+len(f.body)))
+	dst = append(dst, frameVersion, f.kind, byte(f.code))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(f.timeout))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(f.method)))
+	return append(dst, f.method...)
+}
+
+// writeFrame writes f in one gathered write, without copying its body.
+func writeFrame(w io.Writer, f *frame) error {
+	if len(f.method) > canon.MaxNameLen || frameHeaderLen+len(f.method)+len(f.body) > maxFrame {
+		return fmt.Errorf("transport: %d-byte frame over the bound of %d", frameHeaderLen+len(f.method)+len(f.body), maxFrame)
+	}
+	bufs := net.Buffers{f.appendHeader(make([]byte, 0, 4+frameHeaderLen+len(f.method))), f.body}
+	_, err := bufs.WriteTo(w)
+	return err
+}
+
+// readFrame reads one frame and reports how many bytes it took off r,
+// so a caller can tell a failure before the first byte from one after.
+// The size field is checked against maxFrame before any of the body is
+// read, and the body is read in frameChunk pieces allocated as its
+// bytes arrive, so until the whole body is in, a declared size costs no
+// more memory than the bytes that came plus one frameChunk. A malformed
+// frame's error wraps canon.ErrMalformed.
+func readFrame(r io.Reader) (frame, int64, error) {
+	var size [4]byte
+	k, err := io.ReadFull(r, size[:])
+	read := int64(k)
+	if err != nil {
+		return frame{}, read, err
+	}
+	n := binary.BigEndian.Uint32(size[:])
+	if n < frameHeaderLen || n > maxFrame {
+		return frame{}, read, fmt.Errorf("transport: %w: %d-byte frame outside [%d, %d]", canon.ErrMalformed, n, frameHeaderLen, maxFrame)
+	}
+	var chunks [][]byte
+	for left := int(n); left > 0; left -= frameChunk {
+		c := make([]byte, min(left, frameChunk))
+		k, err := io.ReadFull(r, c)
+		if read += int64(k); err != nil {
+			return frame{}, read, err
+		}
+		chunks = append(chunks, c)
+	}
+	b := chunks[0]
+	if len(chunks) > 1 {
+		b = bytes.Join(chunks, nil)
+	}
+	f, err := parseFrame(b)
+	return f, read, err
+}
+
+// parseFrame decodes a frame's bytes after its size field. Only the
+// encoding appendHeader writes is accepted, so decode∘encode is the
+// identity on every frame it returns.
+func parseFrame(b []byte) (frame, error) {
+	f := frame{kind: b[1], code: Code(b[2])}
+	timeout := binary.BigEndian.Uint64(b[3:])
+	mlen := int(binary.BigEndian.Uint16(b[11:]))
+	if b[0] != frameVersion {
+		return frame{}, fmt.Errorf("transport: %w: frame version %d, want %d", canon.ErrMalformed, b[0], frameVersion)
+	}
+	request := f.kind == kindAgent || f.kind == kindCall
+	if !request && f.kind != kindReply || int(f.code) >= len(sentinels) || request && f.code != 0 ||
+		timeout > math.MaxInt64 || !request && timeout != 0 ||
+		mlen > canon.MaxNameLen || mlen > len(b)-frameHeaderLen || f.kind != kindCall && mlen != 0 {
+		return frame{}, fmt.Errorf("transport: %w: frame header %x", canon.ErrMalformed, b[:frameHeaderLen])
+	}
+	f.timeout = time.Duration(timeout)
+	f.method = string(b[frameHeaderLen : frameHeaderLen+mlen])
+	if body := b[frameHeaderLen+mlen:]; len(body) > 0 {
+		f.body = body
+	}
+	return f, nil
 }
 
 // Fallback budgets used when the caller's ctx carries no deadline, and
@@ -52,8 +144,7 @@ type rpcResponse struct {
 // not whole itineraries, so these are transport-scale, not
 // workload-scale.
 const (
-	defaultDialTimeout = 5 * time.Second
-	defaultIOTimeout   = 30 * time.Second
+	defaultIOTimeout = 30 * time.Second
 	// serverIdleTimeout bounds how long the server keeps an idle
 	// connection open waiting for the next request.
 	serverIdleTimeout = 2 * time.Minute
@@ -115,9 +206,8 @@ type Server struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	mu     sync.Mutex
-	closed bool
-	wg     sync.WaitGroup
+	once sync.Once
+	wg   sync.WaitGroup
 
 	// conns counts accepted connections (observable by tests pinning
 	// connection reuse).
@@ -146,17 +236,12 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 func (s *Server) ConnCount() int64 { return s.conns.Load() }
 
 // Close stops the listener and waits for in-flight connections.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	s.mu.Unlock()
-	s.cancel()
-	err := s.ln.Close()
-	s.wg.Wait()
+func (s *Server) Close() (err error) {
+	s.once.Do(func() {
+		s.cancel()
+		err = s.ln.Close()
+		s.wg.Wait()
+	})
 	return err
 }
 
@@ -187,92 +272,47 @@ func (s *Server) handle(conn net.Conn) {
 	defer stop()
 
 	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	dec := gob.NewDecoder(br)
-	enc := gob.NewEncoder(bw)
 	for {
 		_ = conn.SetReadDeadline(time.Now().Add(serverIdleTimeout))
-		var req rpcRequest
-		if err := dec.Decode(&req); err != nil {
-			return // peer closed, idled out, or malformed stream
+		req, _, err := readFrame(br)
+		if err != nil || req.kind == kindReply {
+			return // peer closed, idled out, or sent what is not a request
 		}
 		// Rebuild the caller's application deadline, if it sent one.
 		hctx := s.ctx
 		var hcancel context.CancelFunc
-		var budget time.Duration
-		if req.TimeoutNanos > 0 {
-			budget = time.Duration(req.TimeoutNanos)
-			hctx, hcancel = context.WithTimeout(s.ctx, budget)
+		if req.timeout > 0 {
+			hctx, hcancel = context.WithTimeout(s.ctx, req.timeout)
 		}
-		var resp rpcResponse
-		switch req.Kind {
-		case "agent":
+		reply := frame{kind: kindReply}
+		if req.kind == kindAgent {
 			// Like an in-process delivery, the deadline bounds the
 			// agent's remaining processing, not just this exchange; the
 			// ctx outlives the ack for the queued delivery and is
 			// released when the deadline itself passes.
 			if hcancel != nil {
-				time.AfterFunc(budget+time.Second, hcancel)
+				time.AfterFunc(req.timeout+time.Second, hcancel)
 			}
-			if err := s.ep.HandleAgent(hctx, req.Body); err != nil {
-				resp.Err = err.Error()
-			}
-		case "call":
-			// Synchronous: done before the response goes out, so the
-			// ctx is released immediately (agentctl polls node/status
+			err = s.ep.HandleAgent(hctx, req.body)
+		} else {
+			// Synchronous: done before the reply goes out, so the ctx is
+			// released immediately (agentctl polls node/status
 			// frequently under a long journey deadline — retaining a
 			// timer per poll would pile up).
-			body, err := s.ep.HandleCall(hctx, req.Method, req.Body)
+			reply.body, err = s.ep.HandleCall(hctx, req.method, req.body)
 			if hcancel != nil {
 				hcancel()
 			}
-			if err != nil {
-				resp.Err = err.Error()
-			} else {
-				resp.Body = body
-			}
-		default:
-			if hcancel != nil {
-				hcancel()
-			}
-			resp.Err = fmt.Sprintf("unknown request kind %q", req.Kind)
+		}
+		if err != nil {
+			reply = frame{kind: kindReply, code: codeOf(err), body: []byte(err.Error())}
 		}
 		_ = conn.SetWriteDeadline(time.Now().Add(defaultIOTimeout))
-		if err := enc.Encode(resp); err != nil {
-			return
-		}
-		if err := bw.Flush(); err != nil {
+		if err := writeFrame(conn, &reply); err != nil {
 			return
 		}
 	}
 }
-
-// clientConn is one pooled connection with its persistent gob codec
-// state (gob transmits type descriptions once per stream, so the
-// encoder/decoder pair must live as long as the connection).
-type clientConn struct {
-	conn net.Conn
-	bw   *bufio.Writer
-	enc  *gob.Encoder
-	dec  *gob.Decoder
-	// read counts the bytes taken off conn, so exchange can tell a
-	// failure before the first response byte from one after it.
-	read int64
-}
-
-// countingReader counts the bytes read through it into *n.
-type countingReader struct {
-	r io.Reader
-	n *int64
-}
-
-func (c countingReader) Read(p []byte) (int, error) {
-	k, err := c.r.Read(p)
-	*c.n += int64(k)
-	return k, err
-}
-
-func (c *clientConn) close() { _ = c.conn.Close() }
 
 // TCPNetwork is a Network that reaches hosts by TCP address, reusing
 // connections per peer. The address book maps host principal names to
@@ -280,7 +320,7 @@ func (c *clientConn) close() { _ = c.conn.Close() }
 type TCPNetwork struct {
 	mu    sync.RWMutex
 	addrs map[string]string
-	idle  map[string][]*clientConn
+	idle  map[string][]net.Conn
 }
 
 var _ Network = (*TCPNetwork)(nil)
@@ -292,7 +332,7 @@ func NewTCPNetwork(addrs map[string]string) *TCPNetwork {
 	for k, v := range addrs {
 		book[k] = v
 	}
-	return &TCPNetwork{addrs: book, idle: make(map[string][]*clientConn)}
+	return &TCPNetwork{addrs: book, idle: make(map[string][]net.Conn)}
 }
 
 // AddHost adds or replaces an address-book entry.
@@ -308,10 +348,10 @@ func (n *TCPNetwork) Close() {
 	defer n.mu.Unlock()
 	for _, conns := range n.idle {
 		for _, c := range conns {
-			c.close()
+			_ = c.Close()
 		}
 	}
-	n.idle = make(map[string][]*clientConn)
+	n.idle = make(map[string][]net.Conn)
 }
 
 func (n *TCPNetwork) addr(host string) (string, error) {
@@ -325,7 +365,7 @@ func (n *TCPNetwork) addr(host string) (string, error) {
 }
 
 // takeIdle pops a pooled connection for host, if any.
-func (n *TCPNetwork) takeIdle(host string) *clientConn {
+func (n *TCPNetwork) takeIdle(host string) net.Conn {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	conns := n.idle[host]
@@ -339,7 +379,7 @@ func (n *TCPNetwork) takeIdle(host string) *clientConn {
 
 // putIdle returns a healthy connection to the pool, closing it instead
 // when the pool is full.
-func (n *TCPNetwork) putIdle(host string, c *clientConn) {
+func (n *TCPNetwork) putIdle(host string, c net.Conn) {
 	n.mu.Lock()
 	if len(n.idle[host]) < idlePerHost {
 		n.idle[host] = append(n.idle[host], c)
@@ -347,37 +387,18 @@ func (n *TCPNetwork) putIdle(host string, c *clientConn) {
 		return
 	}
 	n.mu.Unlock()
-	c.close()
-}
-
-func (n *TCPNetwork) dial(ctx context.Context, host, addr string) (*clientConn, error) {
-	dctx := ctx
-	if _, ok := ctx.Deadline(); !ok {
-		var cancel context.CancelFunc
-		dctx, cancel = context.WithTimeout(ctx, defaultDialTimeout)
-		defer cancel()
-	}
-	var d net.Dialer
-	conn, err := d.DialContext(dctx, "tcp", addr)
-	if err != nil {
-		return nil, wrapTimeout(ctx, "dial", fmt.Sprintf("%s (%s)", host, addr), err)
-	}
-	bw := bufio.NewWriter(conn)
-	c := &clientConn{conn: conn, bw: bw, enc: gob.NewEncoder(bw)}
-	c.dec = gob.NewDecoder(bufio.NewReader(countingReader{conn, &c.read}))
-	return c, nil
+	_ = c.Close()
 }
 
 // dialBackoff dials with jittered exponential backoff across transient
 // failures. The retry window is the caller's ctx deadline when it has
-// one, else dialRetryBudget; each individual attempt still runs under
-// dial's own per-attempt timeout. On exhaustion the returned error
-// wraps both ErrDialRetriesExhausted and the last transient failure.
-// The window counts as exhausted whether it closes during the sleep
-// between attempts or during an attempt: once a transient failure has
-// been seen, an attempt cut short by the closing window is the end of
-// the retries, not a failure of its own.
-func (n *TCPNetwork) dialBackoff(ctx context.Context, host, addr string) (*clientConn, error) {
+// one, else dialRetryBudget, which also bounds each attempt. On
+// exhaustion the returned error wraps both ErrDialRetriesExhausted and
+// the last transient failure. The window counts as exhausted whether
+// it closes during the sleep between attempts or during an attempt:
+// once a transient failure has been seen, an attempt cut short by the
+// closing window is the end of the retries, not a failure of its own.
+func (n *TCPNetwork) dialBackoff(ctx context.Context, host, addr string) (net.Conn, error) {
 	rctx := ctx
 	if _, ok := ctx.Deadline(); !ok {
 		var cancel context.CancelFunc
@@ -391,12 +412,14 @@ func (n *TCPNetwork) dialBackoff(ctx context.Context, host, addr string) (*clien
 		return fmt.Errorf("transport: dial %s (%s): %w after %d attempts: %w",
 			host, addr, ErrDialRetriesExhausted, attempts, transient)
 	}
+	var d net.Dialer
 	for {
-		c, err := n.dial(rctx, host, addr)
+		c, err := d.DialContext(rctx, "tcp", addr)
 		attempts++
 		if err == nil {
 			return c, nil
 		}
+		err = wrapTimeout(rctx, "dial", fmt.Sprintf("%s (%s)", host, addr), err)
 		if !isTransientDial(err) {
 			if transient != nil && (rctx.Err() != nil || errors.Is(err, context.DeadlineExceeded)) {
 				return nil, exhausted()
@@ -421,138 +444,106 @@ func (n *TCPNetwork) dialBackoff(ctx context.Context, host, addr string) (*clien
 
 // SendAgent implements Network.
 func (n *TCPNetwork) SendAgent(ctx context.Context, host string, wire []byte) error {
-	_, err := n.roundTrip(ctx, host, rpcRequest{Kind: "agent", Body: wire})
+	_, err := n.roundTrip(ctx, host, &frame{kind: kindAgent, body: wire})
 	return err
 }
 
 // Call implements Network.
 func (n *TCPNetwork) Call(ctx context.Context, host, method string, body []byte) ([]byte, error) {
-	resp, err := n.roundTrip(ctx, host, rpcRequest{Kind: "call", Method: method, Body: body})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Body, nil
+	return n.roundTrip(ctx, host, &frame{kind: kindCall, method: method, body: body})
 }
 
-func (n *TCPNetwork) roundTrip(ctx context.Context, host string, req rpcRequest) (rpcResponse, error) {
+func (n *TCPNetwork) roundTrip(ctx context.Context, host string, req *frame) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
-		return rpcResponse{}, fmt.Errorf("transport: send to %s: %w", host, err)
+		return nil, fmt.Errorf("transport: send to %s: %w", host, err)
 	}
 	addr, err := n.addr(host)
 	if err != nil {
-		return rpcResponse{}, err
+		return nil, err
 	}
 	if d, ok := ctx.Deadline(); ok {
-		if req.TimeoutNanos = int64(time.Until(d)); req.TimeoutNanos <= 0 {
-			req.TimeoutNanos = 1 // already expired; make the server see it so
+		if req.timeout = time.Until(d); req.timeout <= 0 {
+			req.timeout = 1 // already expired; make the server see it so
 		}
 	}
 
 	// First attempt on a pooled connection, if one exists. A pooled
 	// connection may have been closed by the server since it was last
 	// used; that surfaces as a write failure, or as a clean EOF or a
-	// reset before any response byte, and each is retried once on a
-	// fresh connection. A failure after response bytes started flowing
-	// is not retried — the request was processed, and deliveries must
-	// not be duplicated. (A server that dies mid-exchange is
-	// indistinguishable from an idle close; that crash window is the
-	// usual at-least-once caveat of connection reuse.)
-	if c := n.takeIdle(host); c != nil {
-		resp, retryable, err := n.exchange(ctx, host, c, req)
-		if err == nil || answered(err) {
-			// A remote failure is a complete, healthy exchange — the far
-			// endpoint answered. Keep the connection.
-			n.putIdle(host, c)
-			return resp, err
-		}
-		c.close()
-		if !retryable || ctx.Err() != nil {
-			return rpcResponse{}, err
-		}
-	}
-
-	c, err := n.dialBackoff(ctx, host, addr)
-	if err != nil {
-		return rpcResponse{}, err
-	}
-	resp, retryable, err := n.exchange(ctx, host, c, req)
-	if err != nil && !answered(err) {
-		c.close()
-		// A reset before the first response byte on a fresh connection
-		// is the same restart signature dialBackoff retries: the server
-		// accepted and died before reading. One more backoff-dialled
-		// attempt; past that the error stands.
-		if retryable && isTransientDial(err) && ctx.Err() == nil {
-			if c, derr := n.dialBackoff(ctx, host, addr); derr == nil {
-				if resp, _, rerr := n.exchange(ctx, host, c, req); rerr == nil || answered(rerr) {
-					n.putIdle(host, c)
-					return resp, rerr
-				}
-				c.close()
+	// reset before any reply byte, and each is retried once on a fresh
+	// connection. A reset before the first reply byte on a fresh
+	// connection is the restart signature dialBackoff retries (the
+	// server accepted and died before reading): one more backoff-dialled
+	// attempt. A failure after reply bytes started flowing is not
+	// retried — the request was processed, and deliveries must not be
+	// duplicated. (A server that dies mid-exchange is indistinguishable
+	// from an idle close; that crash window is the usual at-least-once
+	// caveat of connection reuse.)
+	c := n.takeIdle(host)
+	for dials := 0; ; {
+		if c == nil {
+			if c, err = n.dialBackoff(ctx, host, addr); err != nil {
+				return nil, err
 			}
+			dials++
 		}
-		return rpcResponse{}, err
-	}
-	n.putIdle(host, c)
-	return resp, err
-}
-
-// answered reports whether err ends a complete exchange: the far
-// endpoint answered with a failure over an intact connection, in time
-// (RemoteError) or after the caller's deadline (lateReplyError).
-func answered(err error) bool {
-	var re *RemoteError
-	var late *lateReplyError
-	return errors.As(err, &re) || errors.As(err, &late)
-}
-
-// exchange performs one request/response on the connection under the
-// ctx-derived deadline. retryable reports that the failure happened
-// before any response byte arrived — a write error, or a clean EOF or
-// a reset with zero response bytes read — which is how a server's idle
-// close of a pooled connection manifests.
-func (n *TCPNetwork) exchange(ctx context.Context, host string, c *clientConn, req rpcRequest) (rpcResponse, bool, error) {
-	_ = c.conn.SetDeadline(ioDeadline(ctx))
-	if err := c.enc.Encode(req); err != nil {
-		return rpcResponse{}, true, wrapTimeout(ctx, "send to", host, err)
-	}
-	if err := c.bw.Flush(); err != nil {
-		return rpcResponse{}, true, wrapTimeout(ctx, "send to", host, err)
-	}
-	var resp rpcResponse
-	start := c.read
-	if err := c.dec.Decode(&resp); err != nil {
-		// Only a failure before the first response byte is retryable:
-		// a clean io.EOF, or a reset when the request reached a socket
-		// the server had already closed. Both are how a server's idle
-		// close of a pooled connection manifests. Once a response byte
-		// has arrived the request was processed, and retrying would
-		// risk duplicate delivery.
-		retryable := c.read == start && (errors.Is(err, io.EOF) || errors.Is(err, syscall.ECONNRESET))
-		return rpcResponse{}, retryable, wrapTimeout(ctx, "receive from", host, err)
-	}
-	_ = c.conn.SetDeadline(time.Time{})
-	if resp.Err != "" {
-		// The server's deadline is the caller's remaining budget counted
-		// from when it received the request, so it never expires before
-		// the caller's. A failure that arrives once the caller's deadline
-		// has passed (by the clock: ctx's own timer may not have fired
-		// yet) is the caller's timeout, whatever the server ran out of.
-		if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
-			return rpcResponse{}, false, &lateReplyError{host: host, msg: resp.Err}
+		body, state, err := n.exchange(ctx, host, c, req)
+		if state == connAnswered {
+			n.putIdle(host, c)
+			return body, err
 		}
-		return rpcResponse{}, false, &RemoteError{Host: host, Msg: resp.Err}
+		_ = c.Close()
+		c = nil
+		if state == connBroken || ctx.Err() != nil || dials == 2 || dials == 1 && !isTransientDial(err) {
+			return nil, err
+		}
 	}
-	return resp, false, nil
 }
 
-// lateReplyError is a remote failure that arrived after the caller's
-// deadline. It reads as context.DeadlineExceeded, not as a RemoteError,
-// but like one it ends a complete exchange.
-type lateReplyError struct{ host, msg string }
+// How an exchange left its connection.
+const (
+	// connBroken: the exchange failed after reply bytes arrived, or
+	// the reply was malformed.
+	connBroken = iota
+	// connRetry: it failed before any reply byte arrived — a write
+	// error, or a clean EOF or a reset with zero reply bytes read —
+	// which is how a server's idle close of a pooled connection
+	// manifests.
+	connRetry
+	// connAnswered: a whole reply arrived, success or failure, and the
+	// connection may be reused.
+	connAnswered
+)
 
-func (e *lateReplyError) Error() string {
-	return fmt.Sprintf("transport: receive from %s: %v: %v", e.host, context.DeadlineExceeded, e.msg)
+// exchange performs one request/reply on the connection under the
+// ctx-derived deadline, and reports how it left the connection.
+func (n *TCPNetwork) exchange(ctx context.Context, host string, c net.Conn, req *frame) ([]byte, int, error) {
+	_ = c.SetDeadline(ioDeadline(ctx))
+	if err := writeFrame(c, req); err != nil {
+		return nil, connRetry, wrapTimeout(ctx, "send to", host, err)
+	}
+	reply, read, err := readFrame(c)
+	if err == nil && reply.kind != kindReply {
+		err = fmt.Errorf("%w: a %c frame in reply", canon.ErrMalformed, reply.kind)
+	}
+	if err != nil {
+		state := connBroken
+		if read == 0 && (errors.Is(err, io.EOF) || errors.Is(err, syscall.ECONNRESET)) {
+			state = connRetry
+		}
+		return nil, state, wrapTimeout(ctx, "receive from", host, err)
+	}
+	_ = c.SetDeadline(time.Time{})
+	if reply.code == 0 {
+		return reply.body, connAnswered, nil
+	}
+	// The server's deadline is the caller's remaining budget counted
+	// from when it received the request, so it never expires before the
+	// caller's. A failure that arrives once the caller's deadline has
+	// passed (by the clock: ctx's own timer may not have fired yet) is
+	// the caller's timeout, whatever the server ran out of.
+	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+		return nil, connAnswered, fmt.Errorf("transport: receive from %s: %w: %s", host, context.DeadlineExceeded, reply.body)
+	}
+	return nil, connAnswered, &RemoteError{Host: host, Msg: string(reply.body), Code: reply.code}
 }
-
-func (e *lateReplyError) Unwrap() error { return context.DeadlineExceeded }

@@ -13,17 +13,18 @@
 //
 // Two implementations are provided. InProc wires endpoints directly,
 // for tests, examples, and the benchmark harness. TCP runs each node
-// behind a length-framed gob RPC listener with per-peer connection
-// reuse, for the cmd/agenthost deployment. Both present the same
-// Network interface, so platform code is transport-agnostic.
+// behind a listener speaking one bounded, length-prefixed frame per
+// message (tcp.go), with per-peer connection reuse, for the
+// cmd/agenthost deployment. Both present the same Network interface
+// and the same error semantics: a refusal a sender acts on crosses TCP
+// as a code and comes back as the sentinel it left as, so errors.Is
+// answers alike on both. Platform code is transport-agnostic.
 package transport
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
-	"slices"
 	"sync"
 )
 
@@ -53,25 +54,71 @@ type Network interface {
 	Call(ctx context.Context, host, method string, body []byte) ([]byte, error)
 }
 
-// Errors shared by implementations.
+// ErrUnknownHost is returned when the destination is not registered.
+var ErrUnknownHost = errors.New("transport: unknown host")
+
+// The closed set of remote failures a sender acts on. Each crosses TCP
+// as its Code, and a RemoteError unwraps to the sentinel the endpoint
+// wrapped; any other failure crosses as CodeFailed and its text.
 var (
-	// ErrUnknownHost is returned when the destination is not registered.
-	ErrUnknownHost = errors.New("transport: unknown host")
-	// ErrUnknownMethod should be returned by endpoints for unhandled
-	// methods; the TCP server maps it across the wire.
+	// ErrUnknownMethod is an endpoint's answer to an unhandled method.
 	ErrUnknownMethod = errors.New("transport: unknown method")
+	// ErrAdmissionRefused is core.ErrAdmissionRefused.
+	ErrAdmissionRefused = errors.New("core: admission refused")
+	// ErrIntakeFull is core.ErrIntakeFull.
+	ErrIntakeFull = errors.New("host: mailbox full")
 )
+
+// Code is a remote failure's code on the wire; a reply that carries no
+// failure has code 0.
+type Code uint8
+
+// CodeFailed is any failure outside the closed set; the others index
+// sentinels.
+const (
+	CodeFailed Code = iota + 1
+	CodeUnknownMethod
+	CodeAdmissionRefused
+	CodeIntakeFull
+)
+
+var sentinels = [...]error{
+	CodeUnknownMethod:    ErrUnknownMethod,
+	CodeAdmissionRefused: ErrAdmissionRefused,
+	CodeIntakeFull:       ErrIntakeFull,
+}
+
+// codeOf is the code err crosses the wire as.
+func codeOf(err error) Code {
+	for c := CodeUnknownMethod; int(c) < len(sentinels); c++ {
+		if errors.Is(err, sentinels[c]) {
+			return c
+		}
+	}
+	return CodeFailed
+}
 
 // RemoteError is a failure reported by the remote endpoint (as opposed
 // to a connectivity failure).
 type RemoteError struct {
 	Host string
 	Msg  string
+	// Code is the failure's code; Unwrap returns its sentinel.
+	Code Code
 }
 
 // Error renders the remote failure with the answering host's name.
 func (e *RemoteError) Error() string {
 	return fmt.Sprintf("transport: remote %s: %s", e.Host, e.Msg)
+}
+
+// Unwrap returns the sentinel of the failure's code, nil for
+// CodeFailed.
+func (e *RemoteError) Unwrap() error {
+	if int(e.Code) < len(sentinels) {
+		return sentinels[e.Code]
+	}
+	return nil
 }
 
 // InProc is an in-process Network connecting registered endpoints
@@ -94,13 +141,6 @@ func (n *InProc) Register(host string, ep Endpoint) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.nodes[host] = ep
-}
-
-// Hosts returns the registered host names in sorted order.
-func (n *InProc) Hosts() []string {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return slices.Sorted(maps.Keys(n.nodes))
 }
 
 func (n *InProc) lookup(host string) (Endpoint, error) {

@@ -116,17 +116,6 @@ func TestInProcChainedMigration(t *testing.T) {
 	}
 }
 
-func TestInProcHostsSorted(t *testing.T) {
-	net := NewInProc()
-	for _, n := range []string{"zebra", "alpha"} {
-		net.Register(n, &echoEndpoint{name: n})
-	}
-	hosts := net.Hosts()
-	if len(hosts) != 2 || hosts[0] != "alpha" || hosts[1] != "zebra" {
-		t.Errorf("Hosts() = %v", hosts)
-	}
-}
-
 func TestTCPRoundTrip(t *testing.T) {
 	ctx := ctxT(t)
 	ep := &echoEndpoint{name: "srv"}
@@ -241,16 +230,20 @@ func TestTCPRemoteError(t *testing.T) {
 	if !errors.As(err, &re) {
 		t.Fatalf("err = %v, want RemoteError", err)
 	}
-	if re.Host != "srv" || !strings.Contains(re.Msg, "deliberate failure") {
+	if re.Host != "srv" || !strings.Contains(re.Msg, "deliberate failure") || re.Code != CodeFailed || re.Unwrap() != nil {
 		t.Errorf("remote error = %+v", re)
 	}
 	if errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("remote failure misclassified as timeout: %v", err)
 	}
 
+	// A failure of the closed set keeps its identity across the wire.
 	_, err = net.Call(ctx, "srv", "nosuch", nil)
-	if !errors.As(err, &re) {
+	if !errors.As(err, &re) || re.Code != CodeUnknownMethod || !errors.Is(err, ErrUnknownMethod) {
 		t.Errorf("unknown method: err = %v", err)
+	}
+	if want := "transport: remote srv: transport: unknown method: nosuch"; err.Error() != want {
+		t.Errorf("unknown method reads %q, want %q", err, want)
 	}
 }
 
