@@ -243,11 +243,11 @@ func run() error {
 // "agenthost-log".
 const logCapacity = 4096
 
-// logEvents prints the node's verdict, owner-notice, completion and
-// persistence lines from its own bus until the subscription closes.
-// The bus never blocks a worker for a slow reader, so under overload
-// lines may be skipped; receipts, node/status and node/health stay
-// authoritative.
+// logEvents prints the node's verdict, owner-notice, completion,
+// failure and persistence lines from its own bus until the
+// subscription closes. The bus never blocks a worker for a slow
+// reader, so under overload lines may be skipped; receipts,
+// node/status and node/health stay authoritative.
 func logEvents(name string, node *core.Node, sub *events.Subscription) {
 	for {
 		closed := sub.Closed()
@@ -263,6 +263,12 @@ func logEvents(name string, node *core.Node, sub *events.Subscription) {
 				fmt.Printf("agenthost %s: OWNER NOTICE for %s: suspect %s (%s)\n", name, ev.Agent, cmp.Or(ev.Host, "not named"), ev.Field("reason"))
 			case events.KindComplete, events.KindQuarantine:
 				printOutcome(name, node.Watch(ev.Agent))
+			case events.KindFailed:
+				refused := ""
+				if by := ev.Field("refused-by"); by != "" {
+					refused = " (refused-by " + by + ")"
+				}
+				fmt.Printf("agenthost %s: agent %s failed: %s%s\n", name, ev.Agent, ev.Field("reason"), refused)
 			case events.KindPersistError:
 				fmt.Fprintf(os.Stderr, "agenthost %s: persistence degraded: %s\n", name, ev.Field("error"))
 			}

@@ -24,16 +24,14 @@ type ConcurrentConfig struct {
 	// realistic host workload: sessions wait on a database or upstream
 	// service, which is exactly what a serialized node cannot overlap).
 	FeedLatency time.Duration
-	// Level is the protection stack; defaults to LevelSigned.
-	Level protection.Level
 }
 
 // ConcurrentItineraries launches cfg.Agents agents at once through a
-// three-host deployment whose sessions each pay cfg.FeedLatency on an
-// external read, waits for every itinerary to finish, and returns the
-// wall-clock for the whole batch. Itinerary throughput is
-// Agents/elapsed; the worker-pool win is the ratio of the 1-worker to
-// the N-worker elapsed time.
+// three-host LevelSigned deployment whose sessions each pay
+// cfg.FeedLatency on an external read, waits for every itinerary to
+// finish, and returns the wall-clock for the whole batch. Itinerary
+// throughput is Agents/elapsed; the worker-pool win is the ratio of
+// the 1-worker to the N-worker elapsed time.
 func ConcurrentItineraries(cfg ConcurrentConfig) (time.Duration, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
@@ -43,9 +41,6 @@ func ConcurrentItineraries(cfg ConcurrentConfig) (time.Duration, error) {
 	}
 	if cfg.FeedLatency <= 0 {
 		cfg.FeedLatency = time.Millisecond
-	}
-	if cfg.Level == 0 {
-		cfg.Level = protection.LevelSigned
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
@@ -65,7 +60,7 @@ func ConcurrentItineraries(cfg ConcurrentConfig) (time.Duration, error) {
 					return tenByteFeed(agentID, key)
 				},
 			},
-			Level: cfg.Level,
+			Level: protection.LevelSigned,
 			Node: core.NodeConfig{
 				Workers: cfg.Workers,
 				// Deep enough that the whole batch enqueues without

@@ -40,7 +40,7 @@ import (
 	"repro/internal/value"
 )
 
-// Defaults for Config fields left zero.
+// The fixed shape of every campaign.
 const (
 	// DefaultStepDuration is the virtual time one step represents.
 	// Against the ledger's default five-minute half-life it decays
@@ -111,9 +111,6 @@ type Config struct {
 	Seed int64
 	// Steps is the campaign length; the step counter starts at 1.
 	Steps int
-	// StepDuration is the virtual time per step (0 means
-	// DefaultStepDuration).
-	StepDuration time.Duration
 	// Workers are the initial honest untrusted hosts, visited in order
 	// on every itinerary; Adversary is the initial malicious untrusted
 	// host, visited after them. A trusted "home" host launches and
@@ -137,12 +134,6 @@ type Config struct {
 	Faults faultnet.Schedule
 	// Lifecycle is the membership churn schedule.
 	Lifecycle []LifecycleEvent
-	// AgentsPerStep itineraries are launched (and awaited, serially)
-	// per step; 0 means DefaultAgentsPerStep.
-	AgentsPerStep int
-	// Cycles is the per-session summation workload; 0 means
-	// DefaultCycles.
-	Cycles int
 	// Durable gives every node a data directory under DataRoot, so
 	// kills recover journal, quarantine, and reputation ledger from
 	// their WALs. Required for a meaningful restart-chaos scenario.
@@ -252,15 +243,6 @@ func Run(cfg Config) (Score, error) {
 	}
 	if len(cfg.Workers) == 0 || cfg.Adversary == "" {
 		return Score{}, errors.New("campaign: need at least one worker and an adversary")
-	}
-	if cfg.StepDuration <= 0 {
-		cfg.StepDuration = DefaultStepDuration
-	}
-	if cfg.AgentsPerStep <= 0 {
-		cfg.AgentsPerStep = DefaultAgentsPerStep
-	}
-	if cfg.Cycles <= 0 {
-		cfg.Cycles = DefaultCycles
 	}
 	if cfg.AdversaryPosition < 0 || cfg.AdversaryPosition > len(cfg.Workers) {
 		return Score{}, fmt.Errorf("campaign: adversary position %d outside [0,%d]", cfg.AdversaryPosition, len(cfg.Workers))
@@ -556,7 +538,7 @@ func (r *runner) loop() error {
 		// Launches, serial: one journey fully terminates before the
 		// next starts, keeping ledger observation order scenario-
 		// determined.
-		for i := 0; i < r.cfg.AgentsPerStep; i++ {
+		for i := 0; i < DefaultAgentsPerStep; i++ {
 			if err := r.launch(step, i); err != nil {
 				return err
 			}
@@ -573,7 +555,7 @@ func (r *runner) loop() error {
 			}
 		}
 		r.sample(step)
-		r.clock.Advance(r.cfg.StepDuration)
+		r.clock.Advance(DefaultStepDuration)
 	}
 	return nil
 }
@@ -671,7 +653,7 @@ func (r *runner) launch(step, i int) error {
 	id := fmt.Sprintf("%s-%03d-%d", r.cfg.Name, step, i)
 	// The fleet package's shared journey shape: per-session summation
 	// work plus the audited counters the owner's rule binds.
-	wire, err := r.fleet.AuditedAgent(id, fleet.RouteCode("home", route, r.cfg.Cycles))
+	wire, err := r.fleet.AuditedAgent(id, fleet.RouteCode("home", route, DefaultCycles))
 	if err != nil {
 		return err
 	}

@@ -10,7 +10,7 @@ import (
 // schedule, not of how fast the host machine happens to execute it, or
 // the same seed would score differently between runs and machines. The
 // whole fleet shares one Clock; the step loop advances it by
-// StepDuration once per step, and nothing else moves it.
+// DefaultStepDuration once per step, and nothing else moves it.
 
 // campaignEpoch anchors every campaign at the same instant, so ledger
 // timestamps (and thus fingerprints) are machine-independent.

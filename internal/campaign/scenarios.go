@@ -129,7 +129,6 @@ func ScenarioPlannerEvasion() Config {
 		Name:              "planner-evasion",
 		Seed:              53,
 		Steps:             36,
-		StepDuration:      DefaultStepDuration,
 		Workers:           []string{"w1", "w2", "w3"},
 		Adversary:         "mallory",
 		AdversaryPosition: 1,

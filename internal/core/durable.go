@@ -211,9 +211,13 @@ func writeFileSync(path string, data []byte) error {
 }
 
 // journalCodec persists a journal entry as its status and flag count —
-// the facts worth surviving a restart. Receipts are runtime handles
-// (channels a waiter of the dead process held); decode manufactures a
-// fresh receipt and resolves it under the recovery rules:
+// the facts worth surviving a restart. The record is the tuple label,
+// agent ID, phase, next host, error, flags, refused-by; a record
+// without the last field (written before refused-by was kept) reads
+// back with RefusedBy empty. Receipts are runtime handles (channels a
+// waiter of the dead process held); decode manufactures a fresh
+// receipt for hostName's journal and resolves it under the recovery
+// rules:
 //
 //   - completed / quarantined / failed: the recorded outcome stands;
 //     the receipt resolves to match (with no agent — the recovered
@@ -224,8 +228,7 @@ func writeFileSync(path string, data []byte) error {
 //   - forwarded / unknown: the status survives as recorded, but the
 //     receipt can never resolve from local knowledge — it resolves
 //     with ErrJournalEvicted, exactly like a journal eviction.
-func (n *Node) journalCodec() shardstore.Codec[*journalEntry] {
-	hostName := n.cfg.Host.Name()
+func journalCodec(hostName string) shardstore.Codec[*journalEntry] {
 	return shardstore.Codec[*journalEntry]{
 		Encode: func(e *journalEntry) ([]byte, error) {
 			var flags [8]byte
@@ -237,10 +240,11 @@ func (n *Node) journalCodec() shardstore.Codec[*journalEntry] {
 				[]byte(e.st.NextHost),
 				[]byte(e.st.Err),
 				flags[:],
+				[]byte(e.st.RefusedBy),
 			), nil
 		},
 		Decode: func(b []byte) (*journalEntry, error) {
-			s, err := canon.ScanList(b, journalWireLabel, len(b), 5)
+			s, err := canon.ScanList(b, journalWireLabel, len(b), 6)
 			if err != nil {
 				return nil, fmt.Errorf("core: decoding journal entry: %w", err)
 			}
@@ -251,6 +255,9 @@ func (n *Node) journalCodec() shardstore.Codec[*journalEntry] {
 				Err:      string(s.Field(len(b))),
 			}
 			flags := s.Uint64()
+			if s.Len() > 0 {
+				st.RefusedBy = string(s.Field(len(b)))
+			}
 			if err := s.End(); err != nil {
 				return nil, fmt.Errorf("core: decoding journal entry: %w", err)
 			}
@@ -351,7 +358,7 @@ func (n *Node) openStores() error {
 	}
 	n.journal, err = shardstore.NewPersistent(jcfg, shardstore.PersistConfig[*journalEntry]{
 		Backend: jw,
-		Codec:   n.journalCodec(),
+		Codec:   journalCodec(cfg.Host.Name()),
 		OnError: n.NotePersistError,
 	})
 	if err != nil {

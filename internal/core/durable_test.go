@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/agent"
+	"repro/internal/canon"
 	"repro/internal/events"
 	"repro/internal/host"
 	"repro/internal/sigcrypto"
@@ -164,6 +165,101 @@ func TestNodeRestartRecoversJournalAndQuarantine(t *testing.T) {
 	if !ok || !res.Aborted || !errors.Is(res.Err, ErrDetection) {
 		t.Fatalf("recovered receipt result = %+v (ok=%v), want aborted detection", res, ok)
 	}
+}
+
+// TestRestartKeepsRefusedBy pins that the journal WAL keeps a forward
+// failure's attribution: after a restart, node/status at the host whose
+// forward failed still names the hop, not just the error.
+func TestRestartKeepsRefusedBy(t *testing.T) {
+	b := newDurableBed(t, func(cfg *NodeConfig) { cfg.Mechanisms = nil })
+	const id = "refused-1"
+	ag, err := agent.New(id, "owner", `
+proc main() { migrate("checker", "next") }
+proc next() { migrate("gone", "fin") }
+proc fin() { done() }`, "main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := b.checker.Watch(id)
+	if _, err := b.home.Launch(b.ctx, ag); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := AwaitAny(b.ctx, rc); err == nil {
+		t.Fatal("forward to an unregistered host succeeded")
+	}
+	want := b.checker.Status(id)
+	if want.Phase != PhaseFailed || want.RefusedBy != "gone" {
+		t.Fatalf("status before restart = %+v, want failed, refused by gone", want)
+	}
+
+	b.crashChecker()
+	b.reopenChecker()
+
+	if st := b.checker.Status(id); st != want {
+		t.Fatalf("status after restart = %+v, want %+v", st, want)
+	}
+}
+
+// FuzzJournalEntry feeds bytes to the journal entry decoder, which
+// every restart of a durable node replays. It must not panic; an
+// accepted record whose phase the decoder keeps (all but queued and
+// running, which it rewrites as failed) encodes back to exactly its
+// input; and a record in the older five-field layout reads back with
+// RefusedBy empty.
+func FuzzJournalEntry(f *testing.F) {
+	codec := journalCodec("n")
+	for _, st := range []AgentStatus{
+		{Phase: PhaseCompleted},
+		{Phase: PhaseForwarded, NextHost: "m2"},
+		{Phase: PhaseFailed, Err: "forward refused", RefusedBy: "m3"},
+		{Phase: PhaseQuarantined},
+		{Phase: PhaseRunning},
+	} {
+		rec, err := codec.Encode(&journalEntry{rc: newReceipt("a1"), st: st, flags: 2})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(rec)
+	}
+	// A record from before refused-by was kept: refusing it would stop
+	// an upgraded node from opening its journal.
+	old := canon.Tuple([]byte(journalWireLabel), []byte("a1"), []byte(PhaseFailed), nil, []byte("boom"), canon.Uint64Field(1))
+	if e, err := codec.Decode(old); err != nil || e.st.Phase != PhaseFailed || e.st.Err != "boom" || e.flags != 1 {
+		f.Fatalf("five-field record: %+v, %v", e, err)
+	}
+	f.Add(old)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		e, err := codec.Decode(data)
+		if err != nil {
+			return
+		}
+		s, err := canon.ScanTuple(data)
+		if err != nil {
+			t.Fatalf("accepted record is no tuple: %v", err)
+		}
+		fields := s.Len()  // the label's included
+		s.Field(len(data)) // label
+		s.Field(len(data)) // agent ID
+		phase := string(s.Field(len(data)))
+		switch {
+		case fields == 6:
+			if e.st.RefusedBy != "" {
+				t.Fatalf("five-field record read back refused by %q", e.st.RefusedBy)
+			}
+		case phase == PhaseQueued || phase == PhaseRunning:
+			if e.st.Phase != PhaseFailed {
+				t.Fatalf("interrupted %s delivery read back as %q", phase, e.st.Phase)
+			}
+		default:
+			enc, err := codec.Encode(e)
+			if err != nil {
+				t.Fatalf("accepted record does not encode: %v", err)
+			}
+			if !bytes.Equal(enc, data) {
+				t.Fatal("encode(decode(x)) != x for an accepted record")
+			}
+		}
+	})
 }
 
 // shardMateID finds an agent ID that lands in the same journal/

@@ -26,45 +26,48 @@ import (
 // An entry that matches no finding fails the gate, so the list can
 // only shrink.
 var reachAllow = map[string]string{
-	"agent.Agent.MutateState":               "test seam: agent.TestStateDigestInvalidation",
-	"agentlang.Options.Fuel":                "test seam: agentlang.TestFuelExhaustion shrinks the step budget",
-	"agentlang.Program.NumStatements":       "test seam: agentlang.TestStatementIDsSequential",
-	"agentlang.Program.Source":              "test seam: agentlang.TestHasProcAndSource",
-	"attack":                                "test seam: attack.TestDetectionMatrix and the mechanism tests take their adversaries and the paper's attack areas from here",
-	"campaign.Score.Fingerprint":            "test seam: campaign.TestCampaignDeterminism",
-	"canon.HashValue":                       "test seam: canon.TestStreamingHashMatchesMaterialized",
-	"core.EncodeVerdicts":                   "test seam: core.TestVerdictCodecBounds encodes lists no node builds",
-	"core.Receipt.Wait":                     "test seam: core.TestIntakeBackpressure and the other core tests that block on a receipt",
-	"core.Verdict.VerifySig":                "test seam: appraisal.FuzzAppraisalBaggage checks the verdicts it vouches for",
-	"events.Bus.NextSeq":                    "test seam: events.TestCursorResumeAcrossJournalWrap",
-	"events.BusConfig.JournalSize":          "test seam: events.TestCursorResumeAcrossJournalWrap shrinks the ring",
-	"events.MetricsSnapshot.Counter":        "test seam: events.TestSnapshotReflectsPriorPublishes",
-	"events.RecorderConfig.Capacity":        "test seam: events.TestRecorderTrimsWindow shrinks the ring",
-	"faultnet.Fabric.Down":                  "test seam: faultnet.TestKillRestartHooks",
-	"faultnet.LinkFaults.DelayMax":          "test seam: faultnet.TestDelayHonoursContext",
-	"faultnet.LinkFaults.DelayMin":          "test seam: faultnet.TestDelayHonoursContext",
-	"faultnet.LinkFaults.Duplicate":         "test seam: faultnet.TestDuplicateCallsOnly",
-	"faultnet.Schedule.LastStep":            "test seam: faultnet.TestScheduleApply",
-	"fleet.Fleet.WrapNet":                   "test seam: fleet.TestWrapNetOnEveryFabric and the refproto, vigna and wholesig in-flight tamper tests",
-	"fleet.Fleet.tcp":                       "test seam: core.TestTCPEndToEnd and the other TCP drills build loopback fleets",
-	"fleet.NewTCP":                          "test seam: core.TestTCPEndToEnd and the other TCP drills build loopback fleets",
-	"host.Config.Clock":                     "test seam: host.TestCustomClockAndFeed",
-	"planner.Executor.Backoff":              "test seam: planner.TestScenarioFlashCrowd shortens the spillover wait",
-	"platformtest":                          "test seam: core.TestConcurrentItinerariesE2E and the mechanism packages' tests build their beds with it",
-	"policy.Exchange.Scheduler":             "test seam: policy.TestExchangeUpdatePeers",
-	"policy.Gate.Ledger":                    "test seam: protection.TestAssembleAdaptive",
-	"policy.PeerScore":                      "test seam: policy.TestSchedulerStateRoundTrip",
-	"policy.Reputation.Ledger":              "test seam: protection.TestAssembleAdaptive",
-	"policy.Scheduler.Len":                  "test seam: policy.TestExchangeUpdatePeers",
-	"policy.Scheduler.Snapshot":             "test seam: policy.TestSchedulerStateRoundTrip",
-	"proof.VerifyConfig.Rand":               "test seam: proof.TestHonestJourneyVerifies pins the spot-check draw",
-	"refproto.Config.Colluding":             "test seam: refproto.TestConsecutiveCollusionNotDetected",
-	"replication.EqualResources":            "test seam: replication.TestEqualResources",
-	"shardstore.Config.Now":                 "test seam: shardstore.TestTTLExpiry",
-	"shardstore.PersistConfig.CompactEvery": "test seam: shardstore.TestPersistentStoreAutoCompacts shrinks the compaction interval",
-	"stopwatch.PhaseTimer.Phases":           "test seam: stopwatch.TestResetAndPhases",
-	"testutil":                              "test seam: fleet.TestSameResultOnEveryFabric and the other tests that check for leaked goroutines and descriptors",
-	"transport.Server.ConnCount":            "test seam: transport.TestTCPConnectionReuse",
+	"agent.Agent.MutateState":                     "test seam: agent.TestStateDigestInvalidation",
+	"agentlang.Options.Fuel":                      "test seam: agentlang.TestFuelExhaustion shrinks the step budget",
+	"agentlang.Program.NumStatements":             "test seam: agentlang.TestStatementIDsSequential",
+	"agentlang.Program.Source":                    "test seam: agentlang.TestHasProcAndSource",
+	"attack":                                      "test seam: attack.TestDetectionMatrix and the mechanism tests take their adversaries and the paper's attack areas from here",
+	"campaign.Score.Fingerprint":                  "test seam: campaign.TestCampaignDeterminism",
+	"canon.HashValue":                             "test seam: canon.TestStreamingHashMatchesMaterialized",
+	"core.EncodeVerdicts":                         "test seam: core.TestVerdictCodecBounds encodes lists no node builds",
+	"core.Receipt.Wait":                           "test seam: core.TestIntakeBackpressure and the other core tests that block on a receipt",
+	"core.Verdict.VerifySig":                      "test seam: appraisal.FuzzAppraisalBaggage checks the verdicts it vouches for",
+	"events.Bus.NextSeq":                          "test seam: events.TestCursorResumeAcrossJournalWrap",
+	"events.MetricsSnapshot.Counter":              "test seam: events.TestSnapshotReflectsPriorPublishes",
+	"events.RecorderConfig.Capacity":              "test seam: events.TestRecorderTrimsWindow shrinks the ring",
+	"faultnet.Fabric.Down":                        "test seam: faultnet.TestKillRestartHooks",
+	"faultnet.LinkFaults.DelayMax":                "test seam: faultnet.TestDelayHonoursContext",
+	"faultnet.LinkFaults.DelayMin":                "test seam: faultnet.TestDelayHonoursContext",
+	"faultnet.LinkFaults.Duplicate":               "test seam: faultnet.TestDuplicateCallsOnly",
+	"faultnet.Schedule.LastStep":                  "test seam: faultnet.TestScheduleApply",
+	"fleet.Fleet.WrapNet":                         "test seam: fleet.TestWrapNetOnEveryFabric and the refproto, vigna and wholesig in-flight tamper tests",
+	"fleet.Fleet.tcp":                             "test seam: core.TestTCPEndToEnd and the other TCP drills build loopback fleets",
+	"fleet.NewTCP":                                "test seam: core.TestTCPEndToEnd and the other TCP drills build loopback fleets",
+	"host.Config.Clock":                           "test seam: host.TestCustomClockAndFeed",
+	"planner.Config.Now":                          "test seam: planner.TestScenarioHotspot moves the clock past the overload half-life",
+	"planner.Executor.Backoff":                    "test seam: planner.TestScenarioFlashCrowd shortens the spillover wait",
+	"platformtest":                                "test seam: core.TestConcurrentItinerariesE2E and the mechanism packages' tests build their beds with it",
+	"policy.Exchange.Scheduler":                   "test seam: policy.TestExchangeUpdatePeers",
+	"policy.GateConfig.AuditInterval":             "test seam: policy.TestGateEscalation audits every 4th session and turns audits off",
+	"policy.Gate.Ledger":                          "test seam: protection.TestAssembleAdaptive",
+	"policy.PeerScore":                            "test seam: policy.TestSchedulerStateRoundTrip",
+	"policy.Reputation.Ledger":                    "test seam: protection.TestAssembleAdaptive",
+	"policy.ReputationConfig.QuarantineThreshold": "test seam: core.TestBuiltinReputationAndQuarantineCalls quarantines at 1.5",
+	"policy.Scheduler.Len":                        "test seam: policy.TestExchangeUpdatePeers",
+	"policy.Scheduler.Snapshot":                   "test seam: policy.TestSchedulerStateRoundTrip",
+	"proof.VerifyConfig.Rand":                     "test seam: proof.TestHonestJourneyVerifies pins the spot-check draw",
+	"refproto.Config.Colluding":                   "test seam: refproto.TestConsecutiveCollusionNotDetected",
+	"replication.EqualResources":                  "test seam: replication.TestEqualResources",
+	"scale.Config.Seed":                           "test seam: scale.TestRunSmall draws its routes from seed 7",
+	"shardstore.Config.Now":                       "test seam: shardstore.TestTTLExpiry",
+	"shardstore.PersistConfig.CompactEvery":       "test seam: shardstore.TestPersistentStoreAutoCompacts shrinks the compaction interval",
+	"stopwatch.PhaseTimer.Phases":                 "test seam: stopwatch.TestResetAndPhases",
+	"testutil":                                    "test seam: fleet.TestSameResultOnEveryFabric and the other tests that check for leaked goroutines and descriptors",
+	"transport.Server.ConnCount":                  "test seam: transport.TestTCPConnectionReuse",
 }
 
 // seamTest matches the test a "test seam: …" reason names.
@@ -157,9 +160,11 @@ func TestProductionReachability(t *testing.T) {
 }
 
 // TestReachabilityFixture pins the gate's rules on testdata/reach: a
-// function only a test calls and a field only a test sets are
-// findings; a method reached only through an interface call and an
-// Error method reached only through error are not.
+// function only a test calls, a field only a test sets and fields only
+// a constructor's defaults set (to a constant, to time.Now) are
+// findings; a method reached only through an interface call, an Error
+// method reached only through error and a sticky first error set under
+// a nil check are not.
 func TestReachabilityFixture(t *testing.T) {
 	res, err := unreached("testdata/reach", "reach", nil)
 	if err != nil {
@@ -169,7 +174,7 @@ func TestReachabilityFixture(t *testing.T) {
 	for _, f := range res.findings {
 		got = append(got, f.kind+" "+f.id)
 	}
-	want := []string{"func lib.OnlyTestsCall", "field lib.Config.OnlyTestsSet"}
+	want := []string{"func lib.OnlyTestsCall", "field lib.Config.OnlyTestsSet", "field lib.Config.Retries", "field lib.Config.Clock"}
 	sort.Strings(got)
 	sort.Strings(want)
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
@@ -756,11 +761,21 @@ func (r *reach) scanStd(obj types.Object) {
 
 // walk reaches everything node uses and every field it writes.
 func (r *reach) walk(node ast.Node, info *types.Info) {
+	defaults := map[ast.Stmt]bool{}
 	ast.Inspect(node, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.Ident:
 			r.reachObj(info.Uses[n])
+		case *ast.IfStmt:
+			for _, s := range n.Body.List {
+				if isDefault(n.Cond, s, info) {
+					defaults[s] = true
+				}
+			}
 		case *ast.AssignStmt:
+			if defaults[n] {
+				break
+			}
 			for _, lhs := range n.Lhs {
 				r.markWrite(lhs, info)
 			}
@@ -826,6 +841,43 @@ func (r *reach) walk(node ast.Node, info *types.Info) {
 		}
 		return true
 	})
+}
+
+// isDefault reports whether s, directly in the body of an if on cond,
+// is a default: cond is x.F == z, x.F <= z or x.F < z, and s sets that
+// same x.F to a constant or a package-level function. Such a line
+// stores the value every reader could take from the constant itself,
+// so it sets nothing. A lazy init or a sticky first error stores a
+// computed value and still counts.
+func isDefault(cond ast.Expr, s ast.Stmt, info *types.Info) bool {
+	a, ok := s.(*ast.AssignStmt)
+	if !ok || a.Tok != token.ASSIGN || len(a.Lhs) != 1 || len(a.Rhs) != 1 {
+		return false
+	}
+	c, ok := ast.Unparen(cond).(*ast.BinaryExpr)
+	if !ok || (c.Op != token.EQL && c.Op != token.LEQ && c.Op != token.LSS) {
+		return false
+	}
+	field, ok := ast.Unparen(a.Lhs[0]).(*ast.SelectorExpr)
+	if !ok || info.Selections[field] == nil || types.ExprString(field) != types.ExprString(ast.Unparen(c.X)) {
+		return false
+	}
+	rhs := ast.Unparen(a.Rhs[0])
+	if info.Types[rhs].Value != nil {
+		return true
+	}
+	var name *ast.Ident
+	switch x := rhs.(type) {
+	case *ast.Ident:
+		name = x
+	case *ast.SelectorExpr:
+		if info.Selections[x] != nil {
+			return false // a method value or a field, not pkg.Func
+		}
+		name = x.Sel
+	}
+	fn, ok := info.Uses[name].(*types.Func)
+	return ok && fn.Type().(*types.Signature).Recv() == nil
 }
 
 // assertTo reaches the methods of t, when t is an interface a value

@@ -9,10 +9,12 @@ import (
 )
 
 func main() {
-	cfg := lib.Config{Name: "demo"}
+	cfg := lib.New(lib.Config{Name: "demo"})
 	if cfg.OnlyTestsSet {
 		fmt.Println("set")
 	}
 	var s lib.Shape = lib.Square{Side: 2}
-	fmt.Println(s.Area(), lib.Check(cfg))
+	var log lib.Log
+	log.Note(lib.Check(cfg))
+	fmt.Println(s.Area(), cfg.Retries, cfg.Clock(), log.First())
 }

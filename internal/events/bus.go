@@ -5,9 +5,9 @@ import (
 	"time"
 )
 
-// DefaultJournalSize is the bus journal ring capacity when BusConfig
-// leaves it zero: enough recent history that a watcher polling every
-// few hundred milliseconds never gaps on a healthy node.
+// DefaultJournalSize is the bus journal ring capacity: enough recent
+// history that a watcher polling every few hundred milliseconds never
+// gaps on a healthy node.
 const DefaultJournalSize = 1024
 
 // BusConfig parameterizes a bus.
@@ -17,9 +17,6 @@ type BusConfig struct {
 	// Now overrides the event clock (virtual-clock campaigns, tests);
 	// nil means time.Now.
 	Now func() time.Time
-	// JournalSize bounds the cursor journal ring; 0 means
-	// DefaultJournalSize.
-	JournalSize int
 	// FirstSeq is the first sequence number to assign; 0 means 1. A
 	// flight recorder seeds this with its recovered high-water mark so
 	// sequence numbers — and watcher cursors — stay monotone across a
@@ -46,10 +43,6 @@ type Bus struct {
 
 // NewBus builds a bus.
 func NewBus(cfg BusConfig) *Bus {
-	size := cfg.JournalSize
-	if size <= 0 {
-		size = DefaultJournalSize
-	}
 	first := cfg.FirstSeq
 	if first == 0 {
 		first = 1
@@ -62,7 +55,7 @@ func NewBus(cfg BusConfig) *Bus {
 		node: cfg.Node,
 		now:  now,
 		next: first,
-		ring: make([]Event, size),
+		ring: make([]Event, DefaultJournalSize),
 	}
 }
 

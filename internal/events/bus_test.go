@@ -101,15 +101,15 @@ func TestSubscriberSeesPublishOrder(t *testing.T) {
 }
 
 // TestCursorResumeAcrossJournalWrap drives a watcher cursor through a
-// journal ring smaller than the event stream: batches chain via the
+// journal ring (DefaultJournalSize) smaller than the event stream: batches chain via the
 // resume cursor, and a cursor that fell off the ring reports exactly
 // how many events were missed instead of hiding the gap.
 func TestCursorResumeAcrossJournalWrap(t *testing.T) {
-	const ringSize = 16
-	bus := NewBus(BusConfig{Node: "n1", JournalSize: ringSize})
+	const ringSize = DefaultJournalSize
+	bus := NewBus(BusConfig{Node: "n1"})
 	defer bus.Close()
 
-	// Fill well past the ring: events 1..48, ring retains 33..48.
+	// Fill well past the ring: events 1..3072, ring retains 2049..3072.
 	const total = 3 * ringSize
 	for i := 0; i < total; i++ {
 		bus.Publish(Event{Kind: KindIntake, Agent: fmt.Sprintf("a%d", i)})

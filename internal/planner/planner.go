@@ -29,7 +29,7 @@ import (
 	"repro/internal/policy"
 )
 
-// Defaults for Config fields left zero.
+// Routing constants.
 const (
 	// DefaultAvoidThreshold is the suspicion at/above which a candidate
 	// is avoided while any cleaner alternative exists. It matches the
@@ -76,16 +76,9 @@ type Config struct {
 	// (*policy.Ledger).Suspicion of the home's stack; nil means all
 	// zero (pure load balancing).
 	Suspicion func(host string) float64
-	// AvoidThreshold is the suspicion at/above which a candidate is
-	// never chosen while a feasible alternative exists; 0 means
-	// DefaultAvoidThreshold.
-	AvoidThreshold float64
 	// Seed drives the weighted sampling; the same seed over the same
 	// pools and observations picks the same routes.
 	Seed int64
-	// LoadHalfLife is the overload-spike decay half-life; 0 means
-	// DefaultLoadHalfLife.
-	LoadHalfLife time.Duration
 	// Now overrides the clock (virtual-time harnesses); nil means
 	// time.Now.
 	Now func() time.Time
@@ -111,12 +104,6 @@ type Planner struct {
 
 // New builds a planner.
 func New(cfg Config) *Planner {
-	if cfg.AvoidThreshold <= 0 {
-		cfg.AvoidThreshold = DefaultAvoidThreshold
-	}
-	if cfg.LoadHalfLife <= 0 {
-		cfg.LoadHalfLife = DefaultLoadHalfLife
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
@@ -147,7 +134,7 @@ func (p *Planner) decayedOverload(v *hostView, now time.Time) float64 {
 	if age <= 0 {
 		return v.overload
 	}
-	return v.overload * math.Exp2(-float64(age)/float64(p.cfg.LoadHalfLife))
+	return v.overload * math.Exp2(-float64(age)/float64(DefaultLoadHalfLife))
 }
 
 // ObserveLatency folds one observed per-hop latency into the host's
@@ -221,7 +208,7 @@ func (p *Planner) PlanRoute(it Itinerary) ([]string, error) {
 			if c == p.cfg.Home || used[c] || p.view(c).banned {
 				continue
 			}
-			if p.cfg.Suspicion != nil && p.cfg.Suspicion(c) >= p.cfg.AvoidThreshold {
+			if p.cfg.Suspicion != nil && p.cfg.Suspicion(c) >= DefaultAvoidThreshold {
 				avoided = append(avoided, c)
 				continue
 			}

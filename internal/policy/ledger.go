@@ -70,11 +70,6 @@ type LedgerConfig struct {
 	// HalfLife is the suspicion decay half-life; 0 means
 	// DefaultHalfLife, negative disables decay.
 	HalfLife time.Duration
-	// Capacity bounds tracked hosts; 0 means DefaultLedgerCapacity.
-	Capacity int
-	// FailureWeight is the suspicion added per failed check; 0 means
-	// DefaultFailureWeight.
-	FailureWeight float64
 	// Now overrides the clock (tests); nil means time.Now.
 	Now func() time.Time
 	// Backend makes the ledger durable: every observation is appended
@@ -90,17 +85,14 @@ type LedgerConfig struct {
 	// silent. Ignored without Backend.
 	OnPersistError func(error)
 	// Bus, when non-nil, receives an escalation event each time a
-	// host's suspicion crosses EscalateAt upward — whether from a
-	// first-hand observation or a gossip/exchange merge. The crossing,
-	// not the level, is the event: a host parked above the threshold
-	// publishes nothing until decay takes it below and new evidence
-	// pushes it back over.
+	// host's suspicion crosses DefaultEscalateThreshold upward —
+	// whether from a first-hand observation or a gossip/exchange merge.
+	// The adaptive gate escalates at the same constant, so the event
+	// marks the moment checking intensifies. The crossing, not the
+	// level, is the event: a host parked above the threshold publishes
+	// nothing until decay takes it below and new evidence pushes it
+	// back over.
 	Bus *events.Bus
-	// EscalateAt is the crossing threshold the escalation event fires
-	// at; 0 means DefaultEscalateThreshold. Deployments wire the
-	// adaptive gate's threshold here so the event matches the moment
-	// checking actually intensifies.
-	EscalateAt float64
 }
 
 // hostRecord is one host's ledger entry. Suspicion is stored as a point
@@ -158,20 +150,11 @@ func OpenLedger(cfg LedgerConfig) (*Ledger, error) {
 	if cfg.HalfLife == 0 {
 		cfg.HalfLife = DefaultHalfLife
 	}
-	if cfg.Capacity == 0 {
-		cfg.Capacity = DefaultLedgerCapacity
-	}
-	if cfg.FailureWeight == 0 {
-		cfg.FailureWeight = DefaultFailureWeight
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	if cfg.EscalateAt == 0 {
-		cfg.EscalateAt = DefaultEscalateThreshold
-	}
 	l := &Ledger{cfg: cfg}
-	scfg := shardstore.Config[hostRecord]{Capacity: cfg.Capacity}
+	scfg := shardstore.Config[hostRecord]{Capacity: DefaultLedgerCapacity}
 	if cfg.Backend == nil {
 		l.store = shardstore.New[hostRecord](scfg)
 		return l, nil
@@ -230,14 +213,14 @@ func (l *Ledger) Close() error { return l.store.Close() }
 func (l *Ledger) now() int64 { return l.cfg.Now().UnixNano() }
 
 // Observe records one first-hand check outcome against host. Failed
-// checks add weight (LedgerConfig.FailureWeight when weight is 0); OK
+// checks add weight (DefaultFailureWeight when weight is 0); OK
 // checks count as events and let decay do the forgiving.
 func (l *Ledger) Observe(host string, ok bool, weight float64) float64 {
 	if host == "" {
 		return 0
 	}
 	if weight == 0 {
-		weight = l.cfg.FailureWeight
+		weight = DefaultFailureWeight
 	}
 	now := l.now()
 	var before float64
@@ -308,9 +291,9 @@ func (l *Ledger) adoptable(host string, c curve, now int64) bool {
 }
 
 // noteCrossing publishes an escalation event when suspicion crossed
-// the escalation threshold upward.
+// DefaultEscalateThreshold, the gate's threshold, upward.
 func (l *Ledger) noteCrossing(host string, before, after float64) {
-	if l.cfg.Bus == nil || before >= l.cfg.EscalateAt || after < l.cfg.EscalateAt {
+	if l.cfg.Bus == nil || before >= DefaultEscalateThreshold || after < DefaultEscalateThreshold {
 		return
 	}
 	l.cfg.Bus.Publish(events.Event{

@@ -17,6 +17,7 @@ const (
 	// DefaultEscalateThreshold is the suspicion at which the adaptive
 	// gate stops trusting a host and re-executes every one of its
 	// sessions: one failed check within the decay window is enough.
+	// The ledger's escalation event fires on the same crossing.
 	DefaultEscalateThreshold = 0.5
 	// DefaultAuditInterval is the baseline audit cadence of the
 	// adaptive gate: every Kth session of a host is fully checked even
@@ -112,9 +113,6 @@ func (p *Reputation) HostReputation(host string) (core.HostReputation, bool) {
 type GateConfig struct {
 	// Ledger supplies per-host suspicion; required.
 	Ledger *Ledger
-	// EscalateThreshold is the suspicion at/above which every session
-	// of the host is fully checked; 0 means DefaultEscalateThreshold.
-	EscalateThreshold float64
 	// AuditInterval fully checks every Kth session of each host
 	// regardless of reputation; 0 means DefaultAuditInterval, negative
 	// disables baseline audits (reputation-only escalation).
@@ -141,9 +139,6 @@ func NewGate(cfg GateConfig) *Gate {
 	if cfg.Ledger == nil {
 		cfg.Ledger = NewLedger(LedgerConfig{})
 	}
-	if cfg.EscalateThreshold == 0 {
-		cfg.EscalateThreshold = DefaultEscalateThreshold
-	}
 	if cfg.AuditInterval == 0 {
 		cfg.AuditInterval = DefaultAuditInterval
 	}
@@ -157,12 +152,12 @@ func NewGate(cfg GateConfig) *Gate {
 func (g *Gate) Ledger() *Ledger { return g.cfg.Ledger }
 
 // ShouldReExecute reports whether the session just executed by host
-// needs the full re-execution check. Suspicion at/above the threshold
-// escalates every session; otherwise every AuditInterval-th session of
-// the host is audited as a baseline.
+// needs the full re-execution check. Suspicion at/above
+// DefaultEscalateThreshold escalates every session; otherwise every
+// AuditInterval-th session of the host is audited as a baseline.
 func (g *Gate) ShouldReExecute(host string) bool {
 	n := g.sessions.Upsert(host, func(old uint64, _ bool) uint64 { return old + 1 })
-	if s := g.cfg.Ledger.Suspicion(host); s >= g.cfg.EscalateThreshold {
+	if s := g.cfg.Ledger.Suspicion(host); s >= DefaultEscalateThreshold {
 		if g.cfg.Bus != nil {
 			g.cfg.Bus.Publish(events.Event{
 				Kind:   events.KindLevelEscalation,

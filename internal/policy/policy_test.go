@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/events"
 )
 
 func testClock(start time.Time) (*time.Time, func() time.Time) {
@@ -124,10 +125,56 @@ func TestReputationFirstOffenseQuarantines(t *testing.T) {
 	}
 }
 
+// TestEscalationEventMatchesGate pins one escalation threshold: the
+// ledger's escalation event fires on the observation that lifts a host
+// to the suspicion at which the gate starts re-executing every session
+// of it, and below that suspicion neither the event nor the gate's
+// level escalation fires.
+func TestEscalationEventMatchesGate(t *testing.T) {
+	_, now := testClock(time.Unix(1000, 0))
+	bus := events.NewBus(events.BusConfig{Node: "n", Now: now})
+	defer bus.Close()
+	led := NewLedger(LedgerConfig{HalfLife: time.Hour, Now: now, Bus: bus})
+	g := NewGate(GateConfig{Ledger: led, AuditInterval: -1, Bus: bus})
+	cursor := bus.NextSeq()
+	published := func() map[string]int {
+		evs, next, _ := bus.ReadSince(cursor, 0)
+		cursor = next
+		kinds := map[string]int{}
+		for _, ev := range evs {
+			if ev.Host != "shady" {
+				t.Fatalf("%s event about %q", ev.Kind, ev.Host)
+			}
+			kinds[ev.Kind]++
+		}
+		return kinds
+	}
+
+	half := DefaultEscalateThreshold / 2
+	led.Observe("shady", false, half)
+	if g.ShouldReExecute("shady") {
+		t.Fatalf("gate escalated at suspicion %v", led.Suspicion("shady"))
+	}
+	if kinds := published(); len(kinds) != 0 {
+		t.Fatalf("below the threshold: published %v, want nothing", kinds)
+	}
+
+	led.Observe("shady", false, half)
+	if kinds := published(); kinds[events.KindEscalation] != 1 || len(kinds) != 1 {
+		t.Fatalf("observation lifting suspicion to %v published %v, want one escalation", led.Suspicion("shady"), kinds)
+	}
+	if !g.ShouldReExecute("shady") {
+		t.Fatalf("gate did not escalate at suspicion %v", led.Suspicion("shady"))
+	}
+	if kinds := published(); kinds[events.KindLevelEscalation] != 1 || len(kinds) != 1 {
+		t.Fatalf("gate check at the threshold published %v, want one level-escalation", kinds)
+	}
+}
+
 func TestGateEscalation(t *testing.T) {
 	_, now := testClock(time.Unix(1000, 0))
 	led := NewLedger(LedgerConfig{HalfLife: time.Hour, Now: now})
-	g := NewGate(GateConfig{Ledger: led, EscalateThreshold: 0.5, AuditInterval: 4})
+	g := NewGate(GateConfig{Ledger: led, AuditInterval: 4})
 
 	// Clean host: only the baseline audit cadence (every 4th session).
 	var audited []int

@@ -31,6 +31,10 @@ import (
 	"repro/internal/protection"
 )
 
+// sessionCycles is the per-session summation workload: one cycle, as
+// the harness measures system overhead, not compute.
+const sessionCycles = 1
+
 // Config parameterizes one scale run. The zero value is a small smoke
 // configuration; `benchtables -scale` drives it to 500+ nodes and
 // 10k+ itineraries.
@@ -59,9 +63,6 @@ type Config struct {
 	// mechanism's documented collusion blind spot, a different
 	// scenario). 0 means workers/16.
 	MaliciousNodes int
-	// Cycles is the per-session summation workload; 0 means 1 (the
-	// harness measures system overhead, not compute).
-	Cycles int
 	// Concurrency bounds in-flight itineraries (launched but not yet
 	// resolved). 0 means 256.
 	Concurrency int
@@ -178,9 +179,6 @@ func (c *Config) fill() error {
 	}
 	if c.MaliciousNodes < 0 || c.MaliciousNodes*2 > workers {
 		return fmt.Errorf("scale: %d malicious of %d workers cannot be kept non-adjacent on routes (collusion is out of scope)", c.MaliciousNodes, workers)
-	}
-	if c.Cycles <= 0 {
-		c.Cycles = 1
 	}
 	if c.Concurrency <= 0 {
 		c.Concurrency = 256
@@ -367,9 +365,9 @@ func Run(cfg Config) (Result, error) {
 			// Admission at the escalation threshold, not the production
 			// default: with FirstOffenseQuarantines a single failed check
 			// is a confirmed offense, but it adds exactly one
-			// FailureWeight (1.0) of suspicion, which decays below the
-			// 1.0 production threshold before any later delivery reads
-			// it. 0.5 makes one confirmed offense refuse follow-on
+			// DefaultFailureWeight (1.0) of suspicion, which decays
+			// below the 1.0 production threshold before any later
+			// delivery reads it. 0.5 makes one confirmed offense refuse follow-on
 			// deliveries for the rest of the run, matching the harness's
 			// one-strike verdict policy.
 			spec.Protection.AdmissionThreshold = policy.DefaultEscalateThreshold
@@ -426,7 +424,7 @@ func Run(cfg Config) (Result, error) {
 		}
 		home := homes[i%cfg.Homes]
 		id := fmt.Sprintf("itin-%06d", i)
-		wire, err := f.AuditedAgent(id, fleet.RouteCode(home, route, cfg.Cycles))
+		wire, err := f.AuditedAgent(id, fleet.RouteCode(home, route, sessionCycles))
 		if err != nil {
 			return Result{}, err
 		}
@@ -465,7 +463,7 @@ func Run(cfg Config) (Result, error) {
 				Fleet:       nodes,
 				MaxAttempts: 16,
 				Build: func(agentID string, route []string) ([]byte, error) {
-					return f.AuditedAgent(agentID, fleet.RouteCode(home, route, cfg.Cycles))
+					return f.AuditedAgent(agentID, fleet.RouteCode(home, route, sessionCycles))
 				},
 			}
 		}
