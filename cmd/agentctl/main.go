@@ -696,6 +696,29 @@ func (c *fleetCmd) call(peer, method string, body []byte) ([]byte, error) {
 	return c.net.Call(ctx, peer, core.NodeCallNamespace+"/"+method, body)
 }
 
+// statusLine renders one peer's status of the tracked agent. track
+// prints it whenever it changes, so everything it shows is part of the
+// change: a failed forward names the host that refused it.
+func statusLine(peer string, st core.AgentStatus) string {
+	switch st.Phase {
+	case core.PhaseForwarded:
+		return fmt.Sprintf("agentctl: %s: %s -> %s", peer, st.Phase, st.NextHost)
+	case core.PhaseFailed:
+		line := fmt.Sprintf("agentctl: %s: %s (%s)", peer, st.Phase, st.Err)
+		if st.RefusedBy != "" {
+			line += " refused-by=" + st.RefusedBy
+		}
+		return line
+	}
+	return fmt.Sprintf("agentctl: %s: %s", peer, st.Phase)
+}
+
+// statusCallTimeout bounds one node/status call of track. The transport
+// retries a refused dial until the caller's deadline, so a stopped peer
+// polled under the journey's deadline would hide every other peer's
+// progress, the refusal it caused included, until the journey timed out.
+const statusCallTimeout = 2 * time.Second
+
 // track polls every peer's node/status until one reports a terminal
 // phase, printing progress transitions along the way.
 func track(ctx context.Context, net *transport.TCPNetwork, peers []string, agentID string, poll time.Duration) error {
@@ -704,7 +727,9 @@ func track(ctx context.Context, net *transport.TCPNetwork, peers []string, agent
 	defer ticker.Stop()
 	for {
 		for _, peer := range peers {
-			body, err := net.Call(ctx, peer, core.NodeCallNamespace+"/status", core.StatusCallBody(agentID))
+			callCtx, cancel := context.WithTimeout(ctx, statusCallTimeout)
+			body, err := net.Call(callCtx, peer, core.NodeCallNamespace+"/status", core.StatusCallBody(agentID))
+			cancel()
 			if err != nil {
 				if ctx.Err() != nil {
 					return fmt.Errorf("tracking %s: %w", agentID, ctx.Err())
@@ -718,17 +743,9 @@ func track(ctx context.Context, net *transport.TCPNetwork, peers []string, agent
 			if st.Phase == core.PhaseUnknown {
 				continue
 			}
-			key := st.Phase + "/" + st.NextHost + "/" + st.Err
-			if lastSeen[peer] != key {
-				lastSeen[peer] = key
-				switch st.Phase {
-				case core.PhaseForwarded:
-					fmt.Printf("agentctl: %s: %s -> %s\n", peer, st.Phase, st.NextHost)
-				case core.PhaseFailed:
-					fmt.Printf("agentctl: %s: %s (%s)\n", peer, st.Phase, st.Err)
-				default:
-					fmt.Printf("agentctl: %s: %s\n", peer, st.Phase)
-				}
+			if line := statusLine(peer, st); lastSeen[peer] != line {
+				lastSeen[peer] = line
+				fmt.Println(line)
 			}
 			if st.Terminal() {
 				fmt.Printf("agentctl: journey finished (%s at %s); see that host's output for verdicts and state\n", st.Phase, peer)

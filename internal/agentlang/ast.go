@@ -1,6 +1,10 @@
 package agentlang
 
-import "repro/internal/value"
+import (
+	"sync"
+
+	"repro/internal/value"
+)
 
 // The AST. Statements carry globally unique identifiers assigned in
 // parse order; these identifiers are the "statement identifiers" that
@@ -172,10 +176,15 @@ type Proc struct {
 	numLocals int
 	body      []stmt
 	pos       Pos
+	// once guards code, the body compiled on the procedure's first call
+	// (compiled).
+	once sync.Once
+	code *procCode
 }
 
-// Program is a parsed agent program. It is immutable after Parse and
-// safe for concurrent execution by multiple interpreters.
+// Program is a parsed agent program. Apart from the code each procedure
+// compiles into on its first call, once, it is immutable after Parse,
+// and it is safe for concurrent execution by multiple interpreters.
 type Program struct {
 	source   string
 	procs    map[string]*Proc

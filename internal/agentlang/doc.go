@@ -71,6 +71,19 @@
 // indexed assignment that would store a list or map inside itself
 // (x[0] = x) is a runtime error: values are finite trees.
 //
+// # How a session executes
+//
+// Parse builds the AST and compiles nothing. Run compiles a procedure
+// on its first call into a tree of Go closures, one per statement and
+// expression node (compile.go), and caches it on the procedure, so a
+// Program pays once for each procedure some session calls and never for
+// one that no session reaches. Every later call, in any session sharing
+// the Program, runs that code. Each statement and each loop condition
+// charges one step of the budget before it does anything. Locals,
+// operator temporaries and builtin arguments live on one value stack
+// per session. An appraisal rule (Expr) compiles the same way on its
+// first evaluation.
+//
 // # Trace hooks
 //
 // An Options.Hook observes execution: one callback per statement (with

@@ -3,6 +3,7 @@ package agentlang
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/value"
 )
@@ -20,6 +21,11 @@ import (
 type Expr struct {
 	src  string
 	root expr
+	// once guards code and frame, the expression compiled on its first
+	// evaluation, as a procedure on its first call.
+	once  sync.Once
+	code  evalFn
+	frame int
 }
 
 // ErrExprExternal is returned when an expression references externals
@@ -67,19 +73,18 @@ func (e *Expr) Source() string { return e.src }
 // an error (a rule referencing a variable the agent does not carry is a
 // rule violation in itself).
 func (e *Expr) Eval(st value.State) (value.Value, error) {
-	in := &interp{
-		globals: st,
-		fuel:    1 << 20,
-	}
-	var v value.Value
-	c, err := in.eval(e.root, nil, &v)
-	if err != nil {
+	e.once.Do(func() {
+		c := &compiler{}
+		e.code = c.expr(e.root)
+		e.frame = c.frame
+	})
+	in := interps.Get().(*interp)
+	defer in.release()
+	in.globals = st
+	if err := e.code(in, in.push(e.frame), &in.tmp); err != nil {
 		return value.Null(), err
 	}
-	if c != ctrlNone {
-		return value.Null(), fmt.Errorf("agentlang: expression produced control transfer")
-	}
-	return v, nil
+	return in.tmp, nil
 }
 
 // EvalBool evaluates and requires a boolean result.

@@ -8,8 +8,10 @@ import (
 	"fmt"
 	"hash"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/canon"
@@ -25,10 +27,11 @@ import (
 // destination is an operand (alias/), every runtime error kind and
 // control transfers out of every expression position (error/), 220
 // seeded random programs (random/) and three programs run under every
-// fuel limit up to their step count (sweep/). The evaluator in the tree
-// must reproduce each record bit for bit: final state digest,
-// copy-on-write flags, outcome, step count, error text, and the
-// complete interleaving of hook events and environment calls.
+// fuel limit up to their step count (sweep/). Two tree walkers have
+// since gone; the corpus now holds the closure compiler (compile.go)
+// to the first one's record, which it must reproduce bit for bit: final
+// state digest, copy-on-write flags, outcome, step count, error text,
+// and the complete interleaving of hook events and environment calls.
 //
 // There is no way to re-record it, on purpose: that would turn the
 // differential into a pin. A new case is added by hand, name and src,
@@ -69,13 +72,19 @@ type goldenResult struct {
 type goldenLog struct {
 	all, procs hash.Hash
 	n          int
+	lines      []string // the stream itself, when kept
+	keep       bool
 }
 
 func newGoldenLog() *goldenLog { return &goldenLog{all: sha256.New(), procs: sha256.New()} }
 
 func (l *goldenLog) add(format string, args ...any) {
 	l.n++
-	fmt.Fprintf(l.all, format+"\n", args...)
+	line := fmt.Sprintf(format, args...)
+	fmt.Fprintln(l.all, line)
+	if l.keep {
+		l.lines = append(l.lines, line)
+	}
 }
 
 func renderArgs(args []value.Value) string {
@@ -234,14 +243,29 @@ const (
 // unchanged whatever the program did.
 func runGolden(t *testing.T, src string, fuel int64, mode hookMode) goldenResult {
 	t.Helper()
+	res, _, _ := runGoldenLog(t, src, fuel, mode, false)
+	return res
+}
+
+// runGoldenLog is runGolden that also returns the run's error and, if
+// keep is set, its event stream line by line.
+func runGoldenLog(t *testing.T, src string, fuel int64, mode hookMode, keep bool) (goldenResult, []string, error) {
+	t.Helper()
 	prog, err := Parse(src)
 	if err != nil {
 		t.Fatalf("Parse: %v\n%s", err, src)
 	}
+	return runGoldenProg(t, prog, fuel, mode, keep)
+}
+
+// runGoldenProg is runGoldenLog over a parsed program; it may be called
+// from several goroutines at once.
+func runGoldenProg(t *testing.T, prog *Program, fuel int64, mode hookMode, keep bool) (goldenResult, []string, error) {
 	st := goldenState()
 	before := canon.HashState(st)
 	snap := st.Snapshot()
 	log := newGoldenLog()
+	log.keep = keep
 	opts := Options{Fuel: fuel}
 	switch mode {
 	case hookFull:
@@ -252,7 +276,7 @@ func runGolden(t *testing.T, src string, fuel int64, mode hookMode) goldenResult
 	env := &goldenEnv{log: log}
 	out, err := Run(prog, "main", st, env, opts)
 	if after := canon.HashState(snap); after != before {
-		t.Errorf("pre-session snapshot changed during the run\n%s", src)
+		t.Errorf("pre-session snapshot changed during the run\n%s", prog.Source())
 	}
 	digest := canon.HashState(st)
 	res := goldenResult{
@@ -269,7 +293,7 @@ func runGolden(t *testing.T, src string, fuel int64, mode hookMode) goldenResult
 	if err != nil {
 		res.Err = err.Error()
 	}
-	return res
+	return res, log.lines, err
 }
 
 // fingerprint folds a result into 16 hex digits for the fuel sweeps.
@@ -358,5 +382,113 @@ func TestGolden(t *testing.T) {
 	}
 	if kinds["random"] < 200 || kinds["sweep"] < 3 || kinds["alias"] == 0 || kinds["work"] < 4 {
 		t.Errorf("golden file lacks a case family: %v", kinds)
+	}
+}
+
+// TestGoldenFuelEdge pins where the budget bites on every case, where the
+// sweep/ cases pin it on three: a case that ends without an error runs
+// the same under a budget of exactly its step count, and one step less
+// stops it with ErrFuelExhausted after a prefix of its events. Each
+// statement and each loop condition charges one step, before anything
+// it does is seen. The error then unwinds the procedures still open,
+// and each reports its exit on the way out. The prefix is the whole
+// stream only where the last step is a migrate or done() statement,
+// which reports no event of its own.
+func TestGoldenFuelEdge(t *testing.T) {
+	n := 0
+	for _, c := range readGolden(t) {
+		if c.Want.Err != "" || c.Want.Steps < 2 {
+			continue
+		}
+		n++
+		exact, full, err := runGoldenLog(t, c.Src, c.Want.Steps, hookFull, true)
+		exact.Procs = ""
+		if err != nil || exact != c.Want {
+			t.Errorf("%s: under a budget of its %d steps the run diverges from the record\n got  %+v\n want %+v",
+				c.Name, c.Want.Steps, exact, c.Want)
+			continue
+		}
+		_, short, err := runGoldenLog(t, c.Src, c.Want.Steps-1, hookFull, true)
+		if !errors.Is(err, ErrFuelExhausted) {
+			t.Errorf("%s: under a budget of %d steps: err = %v, want ErrFuelExhausted", c.Name, c.Want.Steps-1, err)
+			continue
+		}
+		if !cutShort(short, full) {
+			t.Errorf("%s: the %d events before the budget ran out are not a prefix of the full run's %d,"+
+				" followed by the exits of the procedures still open\n short %q\n full  %q",
+				c.Name, len(short), len(full), short, full[:min(len(full), len(short)+2)])
+		}
+	}
+	if n < 150 {
+		t.Errorf("only %d golden cases end without an error after 2 steps or more, want at least 150", n)
+	}
+}
+
+// cutShort reports whether short is a prefix of full followed by the
+// exits, innermost first, of the procedures open at its end.
+func cutShort(short, full []string) bool {
+	k := 0
+	for k < len(short) && k < len(full) && short[k] == full[k] {
+		k++
+	}
+	var open []string
+	for _, line := range short[:k] {
+		if name, ok := strings.CutPrefix(line, "> "); ok {
+			open = append(open, name)
+		} else if strings.HasPrefix(line, "< ") {
+			open = open[:len(open)-1]
+		}
+	}
+	for _, line := range short[k:] {
+		if len(open) == 0 || line != "< "+open[len(open)-1] {
+			return false
+		}
+		open = open[:len(open)-1]
+	}
+	return len(open) == 0
+}
+
+// TestRunSharedProgramConcurrently runs each golden case with three
+// procedures or more from 8 goroutines at once, over one freshly parsed
+// Program, so that their first calls of each procedure race to compile
+// it. Every run has its own state, environment and hook, and must end
+// exactly as a run on its own does. A case whose run allocates more
+// than 4 MiB is left out: eight of them at once under the race
+// detector, whose shadow memory multiplies the heap, need gigabytes.
+func TestRunSharedProgramConcurrently(t *testing.T) {
+	const sessions = 8
+	n := 0
+	var before, after runtime.MemStats
+	for _, c := range readGolden(t) {
+		if strings.Count(c.Src, "proc ") < 3 || c.Want.Steps > 10_000 {
+			continue
+		}
+		runtime.ReadMemStats(&before)
+		want, _, _ := runGoldenLog(t, c.Src, goldenFuel, hookFull, false)
+		if runtime.ReadMemStats(&after); after.TotalAlloc-before.TotalAlloc > 4<<20 {
+			continue
+		}
+		n++
+		prog := MustParse(c.Src)
+		got := make([]goldenResult, sessions)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i], _, _ = runGoldenProg(t, prog, goldenFuel, hookFull, false)
+			}()
+		}
+		wg.Wait()
+		for i, g := range got {
+			if g != want {
+				t.Errorf("%s: session %d of %d sharing the program diverges from a run on its own\n got  %+v\n want %+v",
+					c.Name, i, sessions, g, want)
+				break
+			}
+		}
+	}
+	if n < 100 {
+		t.Errorf("only %d golden cases have three procedures, want at least 100", n)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 
 	"repro/internal/value"
 )
@@ -78,29 +79,34 @@ type Options struct {
 	Hook Hook
 }
 
-// ctrl is the control-flow signal threaded through statement execution.
-type ctrl int
+// A control transfer leaves the statement or call that made it as one
+// of these sentinel errors and travels up through the compiled code on
+// the error path: a loop catches break and continue, a procedure
+// return, and Run migrate and done. Every compiled closure thus returns
+// one error, nil on the straight path.
+type transfer struct{ what string }
 
-const (
-	ctrlNone ctrl = iota
-	ctrlBreak
-	ctrlContinue
-	ctrlReturn
-	ctrlMigrate
-	ctrlDone
+func (t *transfer) Error() string { return "agentlang: " + t.what + " escaped its construct" }
+
+var (
+	errBreak    error = &transfer{"break"}
+	errContinue error = &transfer{"continue"}
+	errReturn   error = &transfer{"return"}
+	errMigrate  error = &transfer{"migrate"}
+	errDone     error = &transfer{"done"}
 )
 
-// interp executes one session. It is single-use.
+// interp is the state of one session, or of one Expr.Eval, that the
+// compiled code (compile.go) runs against.
 //
-// Expressions are evaluated destination-passing: eval stores its result
-// through a pointer instead of returning an 80-byte value.Value through
-// every node, and reads operands where they already live (see inPlace).
-// The destination may therefore be one of the operands (s = s + j,
-// x = x[0]), and one rule keeps that correct: a node reads everything
-// it needs from its operands before its single store to dst, and
-// stores nothing on error or control transfer.
+// Expressions are evaluated destination-passing: an expression's code
+// stores its result through a pointer instead of returning an 80-byte
+// value.Value, and reads operands where they already live (see
+// operand). The destination may therefore be one of the operands
+// (s = s + j, x = x[0]), and one rule keeps that correct: a node reads
+// everything it needs from its operands before its single store to
+// dst, and stores nothing on error or control transfer.
 type interp struct {
-	prog    *Program
 	globals value.State
 	env     Env
 	// hook receives statement events; nil when the configured hook is
@@ -110,15 +116,19 @@ type interp struct {
 	fuel     int64
 	steps    int64
 
-	// stack holds procedure locals and builtin arguments; sp is the
+	// stack holds procedure frames and builtin arguments; sp is the
 	// first free cell. Cells above sp hold stale values. See push for
 	// how it grows.
 	stack []value.Value
 	sp    int
 	// tmp receives values consumed at once: conditions, the right-hand
-	// side of a global assignment, discarded call results. Evaluation
-	// nested inside may use it too, since it is written last.
+	// side of a global assignment, discarded call results, an operand
+	// that nothing is evaluated after (see operands). Evaluation nested
+	// inside may use it too, since it is written last.
 	tmp value.Value
+	// read receives a global's value that a node reads as its right
+	// operand, while its left one waits in tmp (see operands).
+	read value.Value
 
 	// Set when a control external fires.
 	migrateHost  string
@@ -135,6 +145,18 @@ type interp struct {
 	// it is set no global has room to clip: Run clipped them all, and
 	// Expr.Eval must not write the state it reads.
 	grown bool
+}
+
+// interps recycles interpreters. The compiled code takes the interp as
+// an argument of calls Go cannot see through, so a fresh one would live
+// on the heap: one allocation per Run and per rule evaluation.
+var interps = sync.Pool{New: func() any { return new(interp) }}
+
+// release returns in to the pool without its cells: they may hold the
+// last session's values, and after deep recursion they are many.
+func (in *interp) release() {
+	*in = interp{}
+	interps.Put(in)
 }
 
 // maxCallDepth bounds recursion in agent programs.
@@ -161,15 +183,11 @@ func Run(prog *Program, entry string, globals value.State, env Env, opts Options
 	if env == nil {
 		return Outcome{}, errors.New("agentlang: env must not be nil")
 	}
-	fuel := opts.Fuel
-	if fuel <= 0 {
-		fuel = DefaultFuel
-	}
-	in := &interp{
-		prog:    prog,
-		globals: globals,
-		env:     env,
-		fuel:    fuel,
+	in := interps.Get().(*interp)
+	defer in.release()
+	in.globals, in.env, in.fuel = globals, env, opts.Fuel
+	if in.fuel <= 0 {
+		in.fuel = DefaultFuel
 	}
 	if opts.Hook != nil {
 		in.procHook = opts.Hook
@@ -184,20 +202,20 @@ func Run(prog *Program, entry string, globals value.State, env Env, opts Options
 			globals[name] = v
 		}
 	}
-	c, err := in.callProc(proc, in.frame(proc, 0))
+	code := proc.compiled()
+	err := in.callProc(proc, code, in.frame(code, 0))
 	in.compact()
-	if err != nil {
-		return Outcome{Steps: in.steps}, err
-	}
 	out := Outcome{Steps: in.steps}
-	switch c {
-	case ctrlMigrate:
+	switch err {
+	case nil, errDone:
+		// Normal return from the entry procedure or explicit done().
+		out.Kind = OutcomeDone
+	case errMigrate:
 		out.Kind = OutcomeMigrated
 		out.MigrateHost = in.migrateHost
 		out.MigrateEntry = in.migrateEntry
 	default:
-		// Normal return from the entry procedure or explicit done().
-		out.Kind = OutcomeDone
+		return out, err
 	}
 	return out, nil
 }
@@ -217,200 +235,49 @@ func (in *interp) push(n int) []value.Value {
 	return cells
 }
 
-// frame carves proc's local slots; the first nargs are left for the
-// caller to fill with arguments, the rest start out unassigned.
-func (in *interp) frame(proc *Proc, nargs int) []value.Value {
-	locals := in.push(proc.numLocals)
-	clear(locals[nargs:])
+// frame carves a frame for code; the first nargs cells are left for the
+// caller to fill with arguments, the locals start out unassigned.
+// Temporaries are written before they are read and keep stale values.
+func (in *interp) frame(code *procCode, nargs int) []value.Value {
+	locals := in.push(code.frame)
+	clear(locals[nargs:code.locals])
 	return locals
 }
 
-// tick charges one step against the session's statement budget.
-func (in *interp) tick() error {
+// spent charges one step against the session's statement budget and
+// reports whether that overdraws it; outOfFuel is then the error.
+func (in *interp) spent() bool {
 	in.steps++
-	if in.steps > in.fuel {
-		return fmt.Errorf("%w (limit %d)", ErrFuelExhausted, in.fuel)
-	}
-	return nil
+	return in.steps > in.fuel
+}
+
+func (in *interp) outOfFuel() error {
+	return fmt.Errorf("%w (limit %d)", ErrFuelExhausted, in.fuel)
 }
 
 // callProc runs a procedure body over its frame.
-func (in *interp) callProc(proc *Proc, locals []value.Value) (ctrl, error) {
+func (in *interp) callProc(proc *Proc, code *procCode, locals []value.Value) error {
 	if in.depth >= maxCallDepth {
-		return ctrlNone, rtErrf(proc.pos, "call depth exceeds %d in %q", maxCallDepth, proc.Name)
+		return rtErrf(proc.pos, "call depth exceeds %d in %q", maxCallDepth, proc.Name)
 	}
 	in.depth++
 	if in.procHook != nil {
 		in.procHook.EnterProc(proc.Name)
 	}
-	c, err := in.execBlock(proc.body, locals)
+	err := code.body(in, locals)
 	if in.procHook != nil {
 		in.procHook.ExitProc(proc.Name)
 	}
 	in.depth--
-	if err != nil {
-		return ctrlNone, err
+	switch err {
+	case errReturn:
+		return nil
+	case errBreak, errContinue:
+		// break/continue cannot escape a procedure body: the parser
+		// allows them anywhere, so enforce the constraint here.
+		return rtErrf(proc.pos, "break/continue outside loop in %q", proc.Name)
 	}
-	// break/continue cannot escape a procedure body: the parser allows
-	// them anywhere, so enforce the constraint here.
-	if c == ctrlBreak || c == ctrlContinue {
-		return ctrlNone, rtErrf(proc.pos, "break/continue outside loop in %q", proc.Name)
-	}
-	if c == ctrlReturn {
-		c = ctrlNone
-	}
-	return c, nil
-}
-
-func (in *interp) execBlock(body []stmt, locals []value.Value) (ctrl, error) {
-	for _, s := range body {
-		c, err := in.execStmt(s, locals)
-		if err != nil {
-			return ctrlNone, err
-		}
-		if c != ctrlNone {
-			return c, nil
-		}
-	}
-	return ctrlNone, nil
-}
-
-func (in *interp) execStmt(s stmt, locals []value.Value) (ctrl, error) {
-	if err := in.tick(); err != nil {
-		return ctrlNone, err
-	}
-	switch st := s.(type) {
-	case *letStmt:
-		in.usedInput = false
-		dst := &locals[st.slot]
-		if c, err := in.eval(st.rhs, locals, dst); err != nil || c != ctrlNone {
-			return c, err
-		}
-		if in.hook != nil {
-			in.emitAssign(st.sid, st.name, dst)
-		}
-		return ctrlNone, nil
-
-	case *assignStmt:
-		in.usedInput = false
-		if st.grow != nil {
-			return in.appendSelf(st, locals)
-		}
-		if len(st.path) > 0 {
-			return in.assignPath(st, locals)
-		}
-		dst := &in.tmp
-		if st.local >= 0 {
-			dst = &locals[st.local]
-		}
-		if c, err := in.eval(st.rhs, locals, dst); err != nil || c != ctrlNone {
-			return c, err
-		}
-		if st.local < 0 {
-			in.globals[st.name] = in.tmp
-		}
-		if in.hook != nil {
-			in.emitAssign(st.sid, st.name, dst)
-		}
-		return ctrlNone, nil
-
-	case *ifStmt:
-		in.usedInput = false
-		for i, cond := range st.conds {
-			if c, err := in.eval(cond, locals, &in.tmp); err != nil || c != ctrlNone {
-				return c, err
-			}
-			if in.tmp.Truthy() {
-				in.emit(st.sid)
-				return in.execBlock(st.bodies[i], locals)
-			}
-		}
-		in.emit(st.sid)
-		if st.els != nil {
-			return in.execBlock(st.els, locals)
-		}
-		return ctrlNone, nil
-
-	case *whileStmt:
-		return in.loop(st.sid, st.cond, st.body, nil, locals)
-
-	case *forStmt:
-		if st.init != nil {
-			if c, err := in.execStmt(st.init, locals); err != nil || c != ctrlNone {
-				return c, err
-			}
-		}
-		return in.loop(st.sid, st.cond, st.body, st.post, locals)
-
-	case *returnStmt:
-		in.usedInput = false
-		if st.val == nil {
-			in.retVal = value.Null()
-		} else {
-			// Not straight into retVal: a call in st.val clears retVal
-			// after copying it to its destination.
-			if c, err := in.eval(st.val, locals, &in.tmp); err != nil || c != ctrlNone {
-				return c, err
-			}
-			in.retVal = in.tmp
-		}
-		in.emit(st.sid)
-		return ctrlReturn, nil
-
-	case *breakStmt:
-		in.emit(st.sid)
-		return ctrlBreak, nil
-
-	case *continueStmt:
-		in.emit(st.sid)
-		return ctrlContinue, nil
-
-	case *exprStmt:
-		in.usedInput = false
-		if c, err := in.evalCall(st.call, locals, &in.tmp); err != nil || c != ctrlNone {
-			return c, err
-		}
-		in.emit(st.sid)
-		return ctrlNone, nil
-
-	default:
-		return ctrlNone, rtErrf(s.pos(), "internal: unknown statement type %T", s)
-	}
-}
-
-// loop runs a while loop, or a for loop after its init statement. Each
-// evaluation of the condition costs one step.
-func (in *interp) loop(sid int, cond expr, body []stmt, post stmt, locals []value.Value) (ctrl, error) {
-	for {
-		if err := in.tick(); err != nil {
-			return ctrlNone, err
-		}
-		in.usedInput = false
-		if c, err := in.eval(cond, locals, &in.tmp); err != nil || c != ctrlNone {
-			return c, err
-		}
-		in.emit(sid)
-		if !in.tmp.Truthy() {
-			return ctrlNone, nil
-		}
-		c, err := in.execBlock(body, locals)
-		if err != nil {
-			return ctrlNone, err
-		}
-		switch c {
-		case ctrlBreak:
-			return ctrlNone, nil
-		case ctrlNone, ctrlContinue:
-			// next iteration
-		default:
-			return c, nil
-		}
-		if post != nil {
-			if c, err := in.execStmt(post, locals); err != nil || c != ctrlNone {
-				return c, err
-			}
-		}
-	}
+	return err
 }
 
 // setInt and setBool store a scalar. Over a scalar of the same kind they
@@ -480,26 +347,25 @@ func (in *interp) emitAssign(sid int, name string, v *value.Value) {
 // The arguments are evaluated first. If that read or reassigned x, the
 // binding no longer holds the list read before them, and the append
 // copies from that list, which is the one the builtin was handed.
-func (in *interp) appendSelf(st *assignStmt, locals []value.Value) (ctrl, error) {
-	call := st.grow
+func (in *interp) appendSelf(st *assignStmt, args []evalFn, locals []value.Value) error {
 	var cur value.Value
 	if st.local >= 0 {
 		cur = locals[st.local]
 	} else {
 		var ok bool
 		if cur, ok = in.globals[st.name]; !ok {
-			return ctrlNone, rtErrf(call.args[0].pos(), "undefined variable %q", st.name)
+			return rtErrf(st.grow.args[0].pos(), "undefined variable %q", st.name)
 		}
 	}
 	mark := in.sp
-	elems := in.push(len(call.args) - 1)
-	for i, a := range call.args[1:] {
-		if c, err := in.eval(a, locals, &elems[i]); err != nil || c != ctrlNone {
-			return c, err
+	elems := in.push(len(args))
+	for i, arg := range args {
+		if err := arg(in, locals, &elems[i]); err != nil {
+			return err
 		}
 	}
 	if err := wantKind("append", 0, cur, value.KindList); err != nil {
-		return ctrlNone, rtErrf(call.p, "%s", err)
+		return rtErrf(st.grow.p, "%s", err)
 	}
 	x := &in.tmp
 	if st.local >= 0 {
@@ -529,7 +395,7 @@ func (in *interp) appendSelf(st *assignStmt, locals []value.Value) (ctrl, error)
 		in.globals[st.name] = in.tmp
 		in.grown = true
 	}
-	return ctrlNone, nil
+	return nil
 }
 
 // sameList reports whether x holds the very list cur is a copy of: the
@@ -570,24 +436,23 @@ func (in *interp) compact() {
 // unless a level is marked as co-owned with a copy-on-write snapshot
 // (value.State.Snapshot), in which case that level is copied before
 // the write so the snapshot stays intact.
-func (in *interp) assignPath(st *assignStmt, locals []value.Value) (ctrl, error) {
+func (in *interp) assignPath(st *assignStmt, rhs evalFn, path []evalFn, locals []value.Value) error {
 	// The right-hand side, then the index expressions left to right, all
 	// before the copy-on-write descent so that it is a pure structural
 	// operation. They sit on the stack because each must survive the
 	// evaluation of the next.
 	mark := in.sp
-	cells := in.push(1 + len(st.path))
-	if c, err := in.eval(st.rhs, locals, &cells[0]); err != nil || c != ctrlNone {
-		return c, err
+	cells := in.push(1 + len(path))
+	if err := rhs(in, locals, &cells[0]); err != nil {
+		return err
 	}
 	idxs := cells[1:]
-	for i, idxExpr := range st.path {
-		c, err := in.eval(idxExpr, locals, &idxs[i])
-		if err != nil {
-			return ctrlNone, err
-		}
-		if c != ctrlNone {
-			return ctrlNone, rtErrf(st.p, "control transfer inside index expression")
+	for i, idx := range path {
+		if err := idx(in, locals, &idxs[i]); err != nil {
+			if _, ok := err.(*transfer); ok {
+				return rtErrf(st.p, "control transfer inside index expression")
+			}
+			return err
 		}
 	}
 	in.sp = mark
@@ -598,12 +463,12 @@ func (in *interp) assignPath(st *assignStmt, locals []value.Value) (ctrl, error)
 		var ok bool
 		root, ok = in.globals[st.name]
 		if !ok {
-			return ctrlNone, rtErrf(st.p, "indexed assignment to undefined variable %q", st.name)
+			return rtErrf(st.p, "indexed assignment to undefined variable %q", st.name)
 		}
 	}
 	root, err := in.setAt(root, idxs, cells[0], st)
 	if err != nil {
-		return ctrlNone, err
+		return err
 	}
 	if in.hook != nil {
 		in.emitAssign(st.sid, st.name, &root)
@@ -614,7 +479,7 @@ func (in *interp) assignPath(st *assignStmt, locals []value.Value) (ctrl, error)
 	} else {
 		in.globals[st.name] = root
 	}
-	return ctrlNone, nil
+	return nil
 }
 
 // setAt writes v at the position named by idxs inside cur, taking
@@ -706,140 +571,15 @@ func holds(v, c *value.Value) bool {
 	return false
 }
 
-// eval evaluates e and stores the result in *dst, which may alias a
-// local slot that e reads. Nothing is stored unless it returns
-// (ctrlNone, nil).
-func (in *interp) eval(e expr, locals []value.Value, dst *value.Value) (ctrl, error) {
-	switch ex := e.(type) {
-	case *literal:
-		*dst = value.Value(*ex)
-		return ctrlNone, nil
-	case *varRef:
-		// A read of the whole value takes the binding's room away (see
-		// appendSelf).
-		if ex.local >= 0 {
-			clip(&locals[ex.local])
-			*dst = locals[ex.local]
-			return ctrlNone, nil
-		}
-		v, ok := in.globals[ex.name]
-		if !ok {
-			return ctrlNone, rtErrf(ex.p, "undefined variable %q", ex.name)
-		}
-		if in.grown && clip(&v) {
-			in.globals[ex.name] = v
-		}
-		*dst = v
-		return ctrlNone, nil
-	case *listLit:
-		elems := make([]value.Value, len(ex.elems))
-		for i, el := range ex.elems {
-			if c, err := in.eval(el, locals, &elems[i]); err != nil || c != ctrlNone {
-				return c, err
-			}
-		}
-		*dst = value.List(elems...)
-		return ctrlNone, nil
-	case *mapLit:
-		return in.evalMap(ex, locals, dst)
-	case *indexExpr:
-		return in.evalIndex(ex, locals, dst)
-	case *unaryExpr:
-		return in.evalUnary(ex, locals, dst)
-	case *binaryExpr:
-		return in.evalBinary(ex, locals, dst)
-	case *callExpr:
-		return in.evalCall(ex, locals, dst)
-	default:
-		return ctrlNone, rtErrf(e.pos(), "internal: unknown expression type %T", e)
-	}
-}
-
-// inPlace returns where e's value already lives — a local slot, a
-// literal node — or nil. Evaluators read an operand through
-// that pointer, never write through it, and evaluate any other operand
-// into a variable of their own first. The test sits at every use,
-// written out, because it inlines and a helper doing both would not:
-// that is worth a sixth of the run time of s = s + j.
-func inPlace(e expr, locals []value.Value) *value.Value {
-	switch ex := e.(type) {
-	case *literal:
-		return (*value.Value)(ex)
-	case *varRef:
-		if ex.local >= 0 {
-			return &locals[ex.local]
-		}
-	}
-	return nil
-}
-
-func (in *interp) evalMap(ex *mapLit, locals []value.Value, dst *value.Value) (c ctrl, err error) {
-	m := make(map[string]value.Value, len(ex.keys))
-	var spilled value.Value // declared in the loop it would escape to the heap
-	for i := range ex.keys {
-		k := inPlace(ex.keys[i], locals)
-		if k == nil {
-			if c, err = in.eval(ex.keys[i], locals, &spilled); err != nil || c != ctrlNone {
-				return c, err
-			}
-			k = &spilled
-		}
-		if k.Kind != value.KindString {
-			return ctrlNone, rtErrf(ex.p, "map literal key must be string, got %s", k.Kind)
-		}
-		if c, err = in.eval(ex.vals[i], locals, &in.tmp); err != nil || c != ctrlNone {
-			return c, err
-		}
-		m[k.Str] = in.tmp
-	}
-	*dst = value.Map(m)
-	return ctrlNone, nil
-}
-
-func (in *interp) evalUnary(ex *unaryExpr, locals []value.Value, dst *value.Value) (c ctrl, err error) {
-	x := inPlace(ex.x, locals)
-	if x == nil {
-		var spilled value.Value
-		if c, err = in.eval(ex.x, locals, &spilled); err != nil || c != ctrlNone {
-			return c, err
-		}
-		x = &spilled
-	}
-	if ex.op == tokBang {
-		setBool(dst, !x.Truthy())
-		return ctrlNone, nil
-	}
-	if x.Kind != value.KindInt {
-		return ctrlNone, rtErrf(ex.p, "unary - needs int, got %s", x.Kind)
-	}
-	setInt(dst, -x.Int)
-	return ctrlNone, nil
-}
-
-func (in *interp) evalIndex(ex *indexExpr, locals []value.Value, dst *value.Value) (c ctrl, err error) {
-	base := inPlace(ex.base, locals)
-	if base == nil {
-		var spilled value.Value
-		if c, err = in.eval(ex.base, locals, &spilled); err != nil || c != ctrlNone {
-			return c, err
-		}
-		base = &spilled
-	}
-	idx := inPlace(ex.idx, locals)
-	if idx == nil {
-		var spilled value.Value
-		if c, err = in.eval(ex.idx, locals, &spilled); err != nil || c != ctrlNone {
-			return c, err
-		}
-		idx = &spilled
-	}
+// index stores base[idx] in *dst, which may be base or idx.
+func index(p Pos, base, idx, dst *value.Value) error {
 	switch base.Kind {
 	case value.KindList:
 		if idx.Kind != value.KindInt {
-			return ctrlNone, rtErrf(ex.p, "list index must be int, got %s", idx.Kind)
+			return rtErrf(p, "list index must be int, got %s", idx.Kind)
 		}
 		if idx.Int < 0 || idx.Int >= int64(len(base.List)) {
-			return ctrlNone, rtErrf(ex.p, "list index %d out of range (len %d)", idx.Int, len(base.List))
+			return rtErrf(p, "list index %d out of range (len %d)", idx.Int, len(base.List))
 		}
 		// ShareFrom: a child read out of a snapshot-shared composite
 		// co-owns snapshot storage, so writes through the extracted
@@ -847,58 +587,76 @@ func (in *interp) evalIndex(ex *indexExpr, locals []value.Value, dst *value.Valu
 		*dst = value.ShareFrom(*base, base.List[idx.Int])
 	case value.KindMap:
 		if idx.Kind != value.KindString {
-			return ctrlNone, rtErrf(ex.p, "map key must be string, got %s", idx.Kind)
+			return rtErrf(p, "map key must be string, got %s", idx.Kind)
 		}
 		v, ok := base.Map[idx.Str]
 		if !ok {
-			return ctrlNone, rtErrf(ex.p, "map key %q not present", idx.Str)
+			return rtErrf(p, "map key %q not present", idx.Str)
 		}
 		*dst = value.ShareFrom(*base, v)
 	case value.KindString:
 		if idx.Kind != value.KindInt {
-			return ctrlNone, rtErrf(ex.p, "string index must be int, got %s", idx.Kind)
+			return rtErrf(p, "string index must be int, got %s", idx.Kind)
 		}
 		if idx.Int < 0 || idx.Int >= int64(len(base.Str)) {
-			return ctrlNone, rtErrf(ex.p, "string index %d out of range (len %d)", idx.Int, len(base.Str))
+			return rtErrf(p, "string index %d out of range (len %d)", idx.Int, len(base.Str))
 		}
 		*dst = value.Str(base.Str[idx.Int : idx.Int+1])
 	default:
-		return ctrlNone, rtErrf(ex.p, "cannot index into %s", base.Kind)
+		return rtErrf(p, "cannot index into %s", base.Kind)
 	}
 	clip(dst) // an element of a list handed in may have room behind it
-	return ctrlNone, nil
+	return nil
 }
 
-func (in *interp) evalBinary(ex *binaryExpr, locals []value.Value, dst *value.Value) (c ctrl, err error) {
-	l := inPlace(ex.l, locals)
-	if l == nil {
-		var spilled value.Value
-		if c, err = in.eval(ex.l, locals, &spilled); err != nil || c != ctrlNone {
-			return c, err
+// intArith is an arithmetic operator over two ints; ok is false for a
+// division by zero, which binop reports.
+func intArith(op tokenKind, n, m int64) (r int64, ok bool) {
+	switch op {
+	case tokPlus:
+		return n + m, true
+	case tokMinus:
+		return n - m, true
+	case tokStar:
+		return n * m, true
+	case tokSlash:
+		if m == 0 {
+			return 0, false
 		}
-		l = &spilled
-	}
-	// Short-circuit operators evaluate lazily; this matters for replay
-	// determinism because the right operand may consume input.
-	if ex.op == tokAndAnd || ex.op == tokOrOr {
-		if lt := l.Truthy(); lt == (ex.op == tokOrOr) {
-			setBool(dst, lt)
-			return ctrlNone, nil
+		return n / m, true
+	case tokPercent:
+		if m == 0 {
+			return 0, false
 		}
+		return n % m, true
 	}
-	r := inPlace(ex.r, locals)
-	if r == nil {
-		var spilled value.Value
-		if c, err = in.eval(ex.r, locals, &spilled); err != nil || c != ctrlNone {
-			return c, err
-		}
-		r = &spilled
-	}
+	return 0, false
+}
 
+// intCompare is a comparison operator over two ints.
+func intCompare(op tokenKind, n, m int64) bool {
+	switch op {
+	case tokEq:
+		return n == m
+	case tokNe:
+		return n != m
+	case tokLt:
+		return n < m
+	case tokLe:
+		return n <= m
+	case tokGt:
+		return n > m
+	default:
+		return n >= m
+	}
+}
+
+// binop stores l op r in *dst, which may be l or r, for every binary
+// operator but && and ||: the one generic path behind the int fast paths
+// of the compiled code.
+func binop(ex *binaryExpr, l, r, dst *value.Value) error {
 	var res bool
 	switch ex.op {
-	case tokAndAnd, tokOrOr:
-		res = r.Truthy()
 	case tokEq:
 		res = l.Equal(*r)
 	case tokNe:
@@ -912,48 +670,28 @@ func (in *interp) evalBinary(ex *binaryExpr, locals []value.Value, dst *value.Va
 		case l.Kind == value.KindString && r.Kind == value.KindString:
 			ord = strings.Compare(l.Str, r.Str)
 		default:
-			return ctrlNone, rtErrf(ex.p, "cannot compare %s and %s", l.Kind, r.Kind)
+			return rtErrf(ex.p, "cannot compare %s and %s", l.Kind, r.Kind)
 		}
-		switch ex.op {
-		case tokLt:
-			res = ord < 0
-		case tokLe:
-			res = ord <= 0
-		case tokGt:
-			res = ord > 0
-		default:
-			res = ord >= 0
-		}
+		res = intCompare(ex.op, int64(ord), 0)
 	default:
 		if l.Kind != value.KindInt || r.Kind != value.KindInt {
-			return ctrlNone, concat(ex, l, r, dst)
+			return concat(ex, l, r, dst)
 		}
-		n, m := l.Int, r.Int
-		switch ex.op {
-		case tokPlus:
-			n += m
-		case tokMinus:
-			n -= m
-		case tokStar:
-			n *= m
-		case tokSlash:
-			if m == 0 {
-				return ctrlNone, rtErrf(ex.p, "division by zero")
+		n, ok := intArith(ex.op, l.Int, r.Int)
+		if !ok {
+			switch ex.op {
+			case tokSlash:
+				return rtErrf(ex.p, "division by zero")
+			case tokPercent:
+				return rtErrf(ex.p, "modulo by zero")
 			}
-			n /= m
-		case tokPercent:
-			if m == 0 {
-				return ctrlNone, rtErrf(ex.p, "modulo by zero")
-			}
-			n %= m
-		default:
-			return ctrlNone, rtErrf(ex.p, "internal: unknown operator")
+			return rtErrf(ex.p, "internal: unknown operator")
 		}
 		setInt(dst, n)
-		return ctrlNone, nil
+		return nil
 	}
 	setBool(dst, res)
-	return ctrlNone, nil
+	return nil
 }
 
 // concat is an arithmetic operator over operands that are not both
@@ -971,88 +709,4 @@ func concat(ex *binaryExpr, l, r, dst *value.Value) error {
 		return rtErrf(ex.p, "operator needs ints, got %s and %s", l.Kind, r.Kind)
 	}
 	return nil
-}
-
-func (in *interp) evalCall(ex *callExpr, locals []value.Value, dst *value.Value) (ctrl, error) {
-	// Arguments are evaluated straight into the cells the callee reads:
-	// a procedure's parameter slots or a builtin's argument list on the
-	// stack, or a fresh slice for an external, whose Env may retain it.
-	mark := in.sp
-	var args []value.Value
-	switch ex.kind {
-	case callBuiltin:
-		args = in.push(len(ex.args))
-	case callProc:
-		args = in.frame(ex.proc, len(ex.args))
-	default:
-		args = make([]value.Value, len(ex.args))
-	}
-	for i, a := range ex.args {
-		if c, err := in.eval(a, locals, &args[i]); err != nil || c != ctrlNone {
-			return c, err
-		}
-	}
-	switch ex.kind {
-	case callBuiltin:
-		v, err := ex.builtin(args)
-		if err != nil {
-			return ctrlNone, rtErrf(ex.p, "%s", err)
-		}
-		in.sp = mark
-		*dst = v
-		clip(dst) // min, max and get return an element of their argument
-		return ctrlNone, nil
-
-	case callExternal:
-		switch {
-		case ex.ext.isControl:
-			if ex.name == "migrate" {
-				if args[0].Kind != value.KindString || args[1].Kind != value.KindString {
-					return ctrlNone, rtErrf(ex.p, "migrate(host, entry) needs string arguments")
-				}
-				in.migrateHost = args[0].Str
-				in.migrateEntry = args[1].Str
-				return ctrlMigrate, nil
-			}
-			return ctrlDone, nil // done()
-		case ex.ext.isInput:
-			v, err := in.env.Input(ex.name, args)
-			if err != nil {
-				return ctrlNone, &RuntimeError{
-					Pos: ex.p, Msg: fmt.Sprintf("input %s: %s", ex.name, err), Cause: err}
-			}
-			in.usedInput = true
-			*dst = v
-			clip(dst) // the Env may keep and use the room behind its list
-			return ctrlNone, nil
-		default: // output
-			if err := in.env.Output(ex.name, args); err != nil {
-				return ctrlNone, &RuntimeError{
-					Pos: ex.p, Msg: fmt.Sprintf("output %s: %s", ex.name, err), Cause: err}
-			}
-			*dst = value.Null()
-			return ctrlNone, nil
-		}
-
-	case callProc:
-		// The callee's statements reset and set the per-statement input
-		// flag; restore the caller's view afterwards so the calling
-		// statement is marked only for input consumed in its own
-		// expression (input inside the callee is traced at the callee's
-		// own statements).
-		savedUsedInput := in.usedInput
-		c, err := in.callProc(ex.proc, args)
-		in.usedInput = savedUsedInput
-		if err != nil || c != ctrlNone {
-			// migrate/done propagate out of nested calls.
-			return c, err
-		}
-		in.sp = mark
-		*dst = in.retVal
-		in.retVal = value.Null()
-		return ctrlNone, nil
-
-	default:
-		return ctrlNone, rtErrf(ex.p, "internal: unknown call kind")
-	}
 }

@@ -553,6 +553,25 @@ func BenchmarkWorkSession(b *testing.B) {
 	})
 }
 
+// BenchmarkFirstSession is what an agent arriving at a host pays for
+// its code: Parse, then the first Run, of one light-workload hop.
+func BenchmarkFirstSession(b *testing.B) {
+	src := goldenSrc(b, "work/cycles=1,inputs=1")
+	env := &scriptedEnv{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		prog, err := Parse(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		st := value.State{"total": value.Int(0), "hops": value.Int(0), "sum": value.Int(0), "got": value.List()}
+		if _, err := Run(prog, "main", st, env, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func benchRun(b *testing.B, prog *Program, initial func() value.State) {
 	var steps int64
 	env := &scriptedEnv{}

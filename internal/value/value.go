@@ -105,8 +105,10 @@ func Map(m map[string]Value) Value {
 func (v Value) IsNull() bool { return v.Kind == KindNull || v.Kind == 0 }
 
 // Truthy reports the boolean interpretation of v: false for null, zero,
-// the empty string, and empty composites; true otherwise.
-func (v Value) Truthy() bool {
+// the empty string, and empty composites; true otherwise. It takes a
+// pointer because the interpreter asks it of every condition it runs,
+// and a Value is 80 bytes to copy.
+func (v *Value) Truthy() bool {
 	switch v.Kind {
 	case KindInt:
 		return v.Int != 0
