@@ -166,7 +166,7 @@ type continueStmt struct{ stmtBase }
 // exprStmt evaluates a call for its effect.
 type exprStmt struct {
 	stmtBase
-	call *callExpr
+	call callExpr
 }
 
 // Proc is a user-defined procedure.

@@ -185,7 +185,7 @@ func (c *compiler) stmt(s stmt) execFn {
 		}
 
 	case *exprStmt:
-		call, sid := c.call(st.call), st.sid
+		call, sid := c.call(&st.call), st.sid
 		return func(in *interp, locals []value.Value) error {
 			in.usedInput = false
 			if err := call(in, locals, &in.tmp); err != nil {

@@ -34,12 +34,8 @@ var ErrExprExternal = errors.New("agentlang: expression must be pure (no externa
 
 // ParseExpression compiles a standalone expression.
 func ParseExpression(src string) (*Expr, error) {
-	p := &parser{
-		lex:    newLexer(src),
-		src:    src,
-		prog:   &Program{source: src, procs: make(map[string]*Proc)},
-		locals: map[string]int{},
-	}
+	p := newParser(src)
+	defer p.release()
 	if err := p.advance(); err != nil {
 		return nil, err
 	}

@@ -11,7 +11,8 @@ func lexAll(t *testing.T, src string) []token {
 	l := newLexer(src)
 	var out []token
 	for {
-		tok, err := l.next()
+		var tok token
+		err := l.next(&tok)
 		if err != nil {
 			t.Fatalf("lex %q: %v", src, err)
 		}
@@ -75,7 +76,7 @@ func TestLexerIntBounds(t *testing.T) {
 		t.Errorf("max int64 lexed as %d", toks[0].num)
 	}
 	l := newLexer("9223372036854775808")
-	if _, err := l.next(); err == nil || !strings.Contains(err.Error(), "out of range") {
+	if err := l.next(&token{}); err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Errorf("overflow: %v", err)
 	}
 }
@@ -95,7 +96,7 @@ func TestLexerErrorKinds(t *testing.T) {
 		var err error
 		for err == nil {
 			var tok token
-			tok, err = l.next()
+			err = l.next(&tok)
 			if err == nil && tok.kind == tokEOF {
 				break
 			}

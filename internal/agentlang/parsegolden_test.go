@@ -198,7 +198,7 @@ func (r *shapeRenderer) stmt(s stmt, depth int) {
 		fmt.Fprintf(&r.b, "continue src=%q\n", s.src)
 	case *exprStmt:
 		fmt.Fprintf(&r.b, "call src=%q ", s.src)
-		r.expr(s.call)
+		r.expr(&s.call)
 		r.b.WriteByte('\n')
 	default:
 		fmt.Fprintf(&r.b, "unknown %T\n", s)

@@ -2,7 +2,9 @@ package agentlang
 
 import (
 	"fmt"
+	"hash/maphash"
 	"strings"
+	"sync"
 
 	"repro/internal/value"
 )
@@ -11,11 +13,8 @@ import (
 // identifiers are assigned in parse order starting at 1, so identical
 // source always yields identical IDs on every host.
 func Parse(src string) (*Program, error) {
-	p := &parser{
-		lex:  newLexer(src),
-		src:  src,
-		prog: &Program{source: src, procs: make(map[string]*Proc)},
-	}
+	p := newParser(src)
+	defer p.release()
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
@@ -35,6 +34,7 @@ func Parse(src string) (*Program, error) {
 	if err := p.link(); err != nil {
 		return nil, err
 	}
+	p.prog.stmtByID = append([]stmt(nil), p.byID...)
 	return p.prog, nil
 }
 
@@ -48,18 +48,64 @@ func MustParse(src string) *Program {
 	return prog
 }
 
+// parsers keeps parsers between parses: a parser is a few kilobytes
+// of buffers, which cost a benchmark agent's parse more to allocate and
+// clear than its nodes.
+var parsers = sync.Pool{New: func() any { return new(parser) }}
+
+// newParser returns a parser positioned before the first token of src.
+// The caller releases it once the parse is over.
+func newParser(src string) *parser {
+	p := parsers.Get().(*parser)
+	p.lex = newLexer(src)
+	p.prog = &Program{source: src, procs: make(map[string]*Proc)}
+	p.snipStart = -1
+	p.stmts, p.exprs, p.byID, p.pending = p.stmtBuf[:0], p.exprBuf[:0], p.byIDBuf[:0], p.pendingBuf[:0]
+	p.names, p.nameSlots = p.nameBuf[:0], p.slotBuf[:]
+	return p
+}
+
+// release clears p, so the pool holds nothing of the parse, and pools
+// it.
+func (p *parser) release() {
+	*p = parser{}
+	parsers.Put(p)
+}
+
+// The parser keeps no window into the source on the Program except
+// statement snippets: every name and string literal value it stores is
+// a copy (intern), so what a session hands on to agent state, journal
+// entries and events never pins the agent's whole source text.
 type parser struct {
-	lex *lexer
-	src string
-	tok token
-	// lines is src split into lines, on the first statement.
-	lines []string
-	prog  *Program
-	// Per-proc state during parsing.
-	locals    map[string]int
-	numLocals int
+	lex  lexer
+	tok  token
+	prog *Program
+	// snip is the snippet of the line starting at offset snipStart, the
+	// line of the statement parsed last.
+	snip      string
+	snipStart int
+	// names holds each distinct name and string literal text seen so
+	// far, and nameSlots indexes it (lookup).
+	names     []name
+	nameSlots []int32
+	// stmts and exprs are stacks from which each block and each list of
+	// subexpressions is copied out at its exact length once complete.
+	stmts []stmt
+	exprs []expr
+	// byID collects the statements by ID - 1, for Program.stmtByID.
+	byID []stmt
+	// proc counts the procedures begun, numLocals the locals declared
+	// in the last one.
+	proc, numLocals int
 	// Unresolved proc calls to link after all procs are known.
 	pending []*callExpr
+	// The first stretch of each slice above; a benchmark agent fits.
+	stmtBuf    [16]stmt
+	exprBuf    [16]expr
+	byIDBuf    [64]stmt
+	pendingBuf [16]*callExpr
+	nameBuf    [32]name
+	slotBuf    [64]int32
 	// depth counts the constructs open around the current token: blocks,
 	// bracketed expressions, operators whose operand is being parsed.
 	// height is the height of the expression tree parsed last; a chain
@@ -68,7 +114,8 @@ type parser struct {
 	// maxNesting nodes. Neither is restored on errors: they end the parse.
 	depth, height int
 	// consts holds the distinct literals seen so far, up to maxConsts.
-	consts []*literal
+	consts  [maxConsts]*literal
+	nconsts int
 }
 
 // maxConsts bounds the literals a program's later literals are matched
@@ -81,17 +128,112 @@ const maxConsts = 64
 // constants (0, 1, a host name per branch): one node per distinct
 // value leaves a benchmark agent's tree 2 % larger than it was before
 // literals were values, one per occurrence made it 20 %.
-func (p *parser) constant(v value.Value) *literal {
-	for _, lit := range p.consts {
+// kept reports whether later literals will be matched against it.
+func (p *parser) constant(v value.Value) (lit *literal, kept bool) {
+	for _, lit := range p.consts[:p.nconsts] {
 		if lit.Kind == v.Kind && lit.Int == v.Int && lit.Str == v.Str && lit.Bool == v.Bool {
-			return lit
+			return lit, true
 		}
 	}
-	lit := (*literal)(&v)
-	if len(p.consts) < maxConsts {
-		p.consts = append(p.consts, lit)
+	lit = new(literal)
+	*lit = literal(v)
+	if p.nconsts == maxConsts {
+		return lit, false
 	}
-	return lit
+	p.consts[p.nconsts] = lit
+	p.nconsts++
+	return lit, true
+}
+
+// name is one distinct name or string literal text of a parse.
+type name struct {
+	text string // the copy the Program keeps
+	hash uint64
+	// slot is the name's local slot if proc is the procedure being
+	// parsed (parser.proc, from 1).
+	slot, proc int
+	// lit is the string literal node of text, once constant keeps one.
+	lit *literal
+	// As a callee, the name is a builtin, an external or a procedure
+	// (callKind), resolved on its first call.
+	call    callKind
+	builtin builtinSpec
+	ext     *externalSpec
+}
+
+// nameSeed keys the hash of the name table: names come from untrusted
+// peers, and a known hash would let one choose names that all collide.
+var nameSeed = maphash.MakeSeed()
+
+// lookup returns the index in p.names of text, copying text on its
+// first use. nameSlots is an open-addressing table over p.names: a
+// slot holds an index plus one, or 0 if free, and at least half the
+// slots are free.
+func (p *parser) lookup(text string) int {
+	h := maphash.String(nameSeed, text)
+	mask := uint64(len(p.nameSlots) - 1)
+	j := h & mask
+	for ; p.nameSlots[j] != 0; j = (j + 1) & mask {
+		if n := &p.names[p.nameSlots[j]-1]; n.hash == h && n.text == text {
+			return int(p.nameSlots[j] - 1)
+		}
+	}
+	i := len(p.names)
+	p.names = append(p.names, name{text: strings.Clone(text), hash: h})
+	p.nameSlots[j] = int32(i + 1)
+	if 2*len(p.names) > len(p.nameSlots) {
+		slots := make([]int32, 2*len(p.nameSlots))
+		mask = uint64(len(slots) - 1)
+		for k, n := range p.names {
+			j := n.hash & mask
+			for slots[j] != 0 {
+				j = (j + 1) & mask
+			}
+			slots[j] = int32(k + 1)
+		}
+		p.nameSlots = slots
+	}
+	return i
+}
+
+// intern returns the parse's copy of text.
+func (p *parser) intern(text string) string { return p.names[p.lookup(text)].text }
+
+// local returns the slot of the local named by p.names[i], or -1.
+func (p *parser) local(i int) int {
+	if n := &p.names[i]; n.proc != 0 && n.proc == p.proc {
+		return n.slot
+	}
+	return -1
+}
+
+// declare gives the name p.names[i] the next local slot.
+func (p *parser) declare(i int) {
+	p.names[i].slot, p.names[i].proc = p.numLocals, p.proc
+	p.numLocals++
+}
+
+// popStmts returns the statements pushed since mark as a slice of their
+// own, nil if there are none, and pops them.
+func (p *parser) popStmts(mark int) []stmt {
+	var out []stmt
+	if len(p.stmts) > mark {
+		out = make([]stmt, len(p.stmts)-mark)
+		copy(out, p.stmts[mark:])
+	}
+	p.stmts = p.stmts[:mark]
+	return out
+}
+
+// popExprs is popStmts for the expression stack.
+func (p *parser) popExprs(mark int) []expr {
+	var out []expr
+	if len(p.exprs) > mark {
+		out = make([]expr, len(p.exprs)-mark)
+		copy(out, p.exprs[mark:])
+	}
+	p.exprs = p.exprs[:mark]
+	return out
 }
 
 // maxNesting bounds how deep blocks and expressions may nest. The
@@ -122,27 +264,24 @@ func (p *parser) fits(height int) error {
 }
 
 func (p *parser) advance() error {
-	t, err := p.lex.next()
-	if err != nil {
-		return err
-	}
-	p.tok = t
-	return nil
+	return p.lex.next(&p.tok)
 }
 
 func (p *parser) errf(format string, args ...any) error {
 	return &SyntaxError{Pos: Pos{Line: p.tok.line, Col: p.tok.col}, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (p *parser) expect(k tokenKind) (token, error) {
+func (p *parser) expect(k tokenKind) error {
 	if p.tok.kind != k {
-		return token{}, p.errf("expected %s, found %s", k, p.describeTok())
+		return p.errf("expected %s, found %s", k, p.describeTok())
 	}
+	return p.advance()
+}
+
+// expectIdent is expect(tokIdent) returning the identifier token.
+func (p *parser) expectIdent() (token, error) {
 	t := p.tok
-	if err := p.advance(); err != nil {
-		return token{}, err
-	}
-	return t, nil
+	return t, p.expect(tokIdent)
 }
 
 func (p *parser) describeTok() string {
@@ -160,55 +299,57 @@ func (p *parser) describeTok() string {
 
 func (p *parser) pos() Pos { return Pos{Line: p.tok.line, Col: p.tok.col} }
 
-// snippet returns the trimmed source line containing the position, for
-// statement rendering in traces. The source is split into lines once
-// per parse: splitting it per statement made Parse quadratic.
-func (p *parser) snippet(pos Pos) string {
-	if p.lines == nil {
-		p.lines = strings.Split(p.src, "\n")
+// snippet returns the current token's source line, trimmed and without
+// its comment, for statement rendering in traces. Statements on one
+// line share one rendering: rendering the line per statement made Parse
+// quadratic in the length of a line.
+func (p *parser) snippet() string {
+	if p.tok.lineStart != p.snipStart {
+		line := p.lex.src[p.tok.lineStart:]
+		if i := strings.IndexByte(line, '\n'); i >= 0 {
+			line = line[:i]
+		}
+		line = strings.TrimSpace(line)
+		if i := strings.IndexByte(line, '#'); i >= 0 {
+			line = strings.TrimSpace(line[:i])
+		}
+		p.snip, p.snipStart = line, p.tok.lineStart
 	}
-	if pos.Line < 1 || pos.Line > len(p.lines) {
-		return ""
-	}
-	line := strings.TrimSpace(p.lines[pos.Line-1])
-	if i := strings.IndexByte(line, '#'); i >= 0 {
-		line = strings.TrimSpace(line[:i])
-	}
-	return line
+	return p.snip
 }
 
 func (p *parser) parseProc() (*Proc, error) {
 	start := p.pos()
-	if _, err := p.expect(tokProc); err != nil {
+	if err := p.expect(tokProc); err != nil {
 		return nil, err
 	}
-	name, err := p.expect(tokIdent)
+	name, err := p.expectIdent()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(tokLParen); err != nil {
+	if err := p.expect(tokLParen); err != nil {
 		return nil, err
 	}
-	p.locals = make(map[string]int)
+	p.proc++
 	p.numLocals = 0
 	var params []string
 	for p.tok.kind != tokRParen {
 		if len(params) > 0 {
-			if _, err := p.expect(tokComma); err != nil {
+			if err := p.expect(tokComma); err != nil {
 				return nil, err
 			}
 		}
-		param, err := p.expect(tokIdent)
+		param, err := p.expectIdent()
 		if err != nil {
 			return nil, err
 		}
-		if _, dup := p.locals[param.text]; dup {
+		i := p.lookup(param.text)
+		if p.local(i) >= 0 {
 			return nil, &SyntaxError{Pos: Pos{param.line, param.col},
 				Msg: fmt.Sprintf("duplicate parameter %q", param.text)}
 		}
-		p.locals[param.text] = p.numLocals
-		p.numLocals++
-		params = append(params, param.text)
+		p.declare(i)
+		params = append(params, p.names[i].text)
 	}
 	if err := p.advance(); err != nil { // consume ')'
 		return nil, err
@@ -218,7 +359,7 @@ func (p *parser) parseProc() (*Proc, error) {
 		return nil, err
 	}
 	return &Proc{
-		Name:      name.text,
+		Name:      p.intern(name.text),
 		Params:    params,
 		numLocals: p.numLocals,
 		body:      body,
@@ -227,13 +368,13 @@ func (p *parser) parseProc() (*Proc, error) {
 }
 
 func (p *parser) parseBlock() ([]stmt, error) {
-	if _, err := p.expect(tokLBrace); err != nil {
+	if err := p.expect(tokLBrace); err != nil {
 		return nil, err
 	}
 	if err := p.nest(); err != nil {
 		return nil, err
 	}
-	var stmts []stmt
+	mark := len(p.stmts)
 	for p.tok.kind != tokRBrace {
 		if p.tok.kind == tokEOF {
 			return nil, p.errf("unexpected end of input inside block")
@@ -242,24 +383,25 @@ func (p *parser) parseBlock() ([]stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		stmts = append(stmts, s)
+		p.stmts = append(p.stmts, s)
 	}
 	if err := p.advance(); err != nil { // consume '}'
 		return nil, err
 	}
 	p.depth--
-	return stmts, nil
+	return p.popStmts(mark), nil
 }
 
-// newBase allocates the next statement ID.
-func (p *parser) newBase(pos Pos) stmtBase {
-	base := stmtBase{sid: len(p.prog.stmtByID) + 1, p: pos, src: p.snippet(pos)}
-	p.prog.stmtByID = append(p.prog.stmtByID, nil) // placeholder, patched by register
+// newBase allocates the next statement ID to a statement starting at
+// the current token.
+func (p *parser) newBase() stmtBase {
+	base := stmtBase{sid: len(p.byID) + 1, p: p.pos(), src: p.snippet()}
+	p.byID = append(p.byID, nil) // placeholder, patched by register
 	return base
 }
 
 func (p *parser) register(s stmt) stmt {
-	p.prog.stmtByID[s.id()-1] = s
+	p.byID[s.id()-1] = s
 	return s
 }
 
@@ -278,7 +420,7 @@ func (p *parser) parseStmt() (stmt, error) {
 	case tokFor:
 		return p.parseFor()
 	case tokReturn:
-		base := p.newBase(p.pos())
+		base := p.newBase()
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
@@ -294,13 +436,13 @@ func (p *parser) parseStmt() (stmt, error) {
 		}
 		return p.register(s), nil
 	case tokBreak:
-		base := p.newBase(p.pos())
+		base := p.newBase()
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
 		return p.register(&breakStmt{stmtBase: base}), nil
 	case tokContinue:
-		base := p.newBase(p.pos())
+		base := p.newBase()
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
@@ -327,19 +469,20 @@ func startsExpr(k tokenKind) bool {
 }
 
 func (p *parser) parseLet() (stmt, error) {
-	base := p.newBase(p.pos())
+	base := p.newBase()
 	if err := p.advance(); err != nil { // consume 'let'
 		return nil, err
 	}
-	name, err := p.expect(tokIdent)
+	name, err := p.expectIdent()
 	if err != nil {
 		return nil, err
 	}
-	if _, dup := p.locals[name.text]; dup {
+	i := p.lookup(name.text)
+	if p.local(i) >= 0 {
 		return nil, &SyntaxError{Pos: Pos{name.line, name.col},
 			Msg: fmt.Sprintf("local %q already declared in this procedure", name.text)}
 	}
-	if _, err := p.expect(tokAssign); err != nil {
+	if err := p.expect(tokAssign); err != nil {
 		return nil, err
 	}
 	rhs, err := p.parseExpr()
@@ -347,28 +490,27 @@ func (p *parser) parseLet() (stmt, error) {
 		return nil, err
 	}
 	slot := p.numLocals
-	p.locals[name.text] = slot
-	p.numLocals++
-	return &letStmt{stmtBase: base, slot: slot, name: name.text, rhs: rhs}, nil
+	p.declare(i)
+	return &letStmt{stmtBase: base, slot: slot, name: p.names[i].text, rhs: rhs}, nil
 }
 
 // parseSimpleStmt parses an assignment or a call statement starting at
 // an identifier.
 func (p *parser) parseSimpleStmt() (stmt, error) {
-	base := p.newBase(p.pos())
+	base := p.newBase()
 	name := p.tok
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
 	if p.tok.kind == tokLParen {
-		call, err := p.parseCallTail(name)
-		if err != nil {
+		s := &exprStmt{stmtBase: base}
+		if err := p.parseCallTail(name, &s.call); err != nil {
 			return nil, err
 		}
-		return &exprStmt{stmtBase: base, call: call}, nil
+		return s, nil
 	}
 	// Assignment target, possibly with an index path.
-	var path []expr
+	mark := len(p.exprs)
 	for p.tok.kind == tokLBracket {
 		if err := p.advance(); err != nil {
 			return nil, err
@@ -377,27 +519,25 @@ func (p *parser) parseSimpleStmt() (stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(tokRBracket); err != nil {
+		if err := p.expect(tokRBracket); err != nil {
 			return nil, err
 		}
-		path = append(path, idx)
+		p.exprs = append(p.exprs, idx)
 	}
-	if _, err := p.expect(tokAssign); err != nil {
+	path := p.popExprs(mark)
+	if err := p.expect(tokAssign); err != nil {
 		return nil, err
 	}
 	rhs, err := p.parseExpr()
 	if err != nil {
 		return nil, err
 	}
-	local := -1
-	if slot, ok := p.locals[name.text]; ok {
-		local = slot
-	}
-	s := &assignStmt{stmtBase: base, name: name.text, local: local, path: path, rhs: rhs}
+	i := p.lookup(name.text)
+	s := &assignStmt{stmtBase: base, name: p.names[i].text, local: p.local(i), path: path, rhs: rhs}
 	// x = append(x, e…): within one statement a name resolves to one
 	// local slot or one global, so equal names are the same variable.
 	if call, ok := rhs.(*callExpr); ok && len(path) == 0 && call.kind == callBuiltin && call.name == "append" {
-		if ref, ok := call.args[0].(*varRef); ok && ref.name == name.text {
+		if ref, ok := call.args[0].(*varRef); ok && ref.name == s.name {
 			s.grow = call
 		}
 	}
@@ -405,7 +545,7 @@ func (p *parser) parseSimpleStmt() (stmt, error) {
 }
 
 func (p *parser) parseIf() (stmt, error) {
-	base := p.newBase(p.pos())
+	base := p.newBase()
 	s := &ifStmt{stmtBase: base}
 	for {
 		if err := p.advance(); err != nil { // consume 'if'
@@ -440,7 +580,7 @@ func (p *parser) parseIf() (stmt, error) {
 }
 
 func (p *parser) parseWhile() (stmt, error) {
-	base := p.newBase(p.pos())
+	base := p.newBase()
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
@@ -456,7 +596,7 @@ func (p *parser) parseWhile() (stmt, error) {
 }
 
 func (p *parser) parseFor() (stmt, error) {
-	base := p.newBase(p.pos())
+	base := p.newBase()
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
@@ -476,7 +616,7 @@ func (p *parser) parseFor() (stmt, error) {
 		}
 		s.init = p.register(init)
 	}
-	if _, err := p.expect(tokSemicolon); err != nil {
+	if err := p.expect(tokSemicolon); err != nil {
 		return nil, err
 	}
 	cond, err := p.parseExpr()
@@ -484,7 +624,7 @@ func (p *parser) parseFor() (stmt, error) {
 		return nil, err
 	}
 	s.cond = cond
-	if _, err := p.expect(tokSemicolon); err != nil {
+	if err := p.expect(tokSemicolon); err != nil {
 		return nil, err
 	}
 	if p.tok.kind != tokLBrace {
@@ -602,7 +742,7 @@ func (p *parser) parsePostfix() (expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(tokRBracket); err != nil {
+		if err := p.expect(tokRBracket); err != nil {
 			return nil, err
 		}
 		if err := p.grow(max(h, p.height)); err != nil {
@@ -622,24 +762,35 @@ func (p *parser) parsePrimary() (expr, error) {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		return p.constant(value.Int(v)), nil
+		lit, _ := p.constant(value.Int(v))
+		return lit, nil
 	case tokString:
-		s := p.tok.text
+		i := p.lookup(p.tok.text)
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		return p.constant(value.Str(s)), nil
+		n := &p.names[i]
+		if n.lit == nil {
+			lit, kept := p.constant(value.Str(n.text))
+			if !kept {
+				return lit, nil
+			}
+			n.lit = lit
+		}
+		return n.lit, nil
 	case tokTrue, tokFalse:
 		b := p.tok.kind == tokTrue
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		return p.constant(value.Bool(b)), nil
+		lit, _ := p.constant(value.Bool(b))
+		return lit, nil
 	case tokNull:
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		return p.constant(value.Null()), nil
+		lit, _ := p.constant(value.Null())
+		return lit, nil
 	case tokLParen:
 		if err := p.advance(); err != nil {
 			return nil, err
@@ -648,7 +799,7 @@ func (p *parser) parsePrimary() (expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(tokRParen); err != nil {
+		if err := p.expect(tokRParen); err != nil {
 			return nil, err
 		}
 		return e, nil
@@ -656,11 +807,10 @@ func (p *parser) parsePrimary() (expr, error) {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		lit := &listLit{p: pos}
-		h := 0
+		mark, h := len(p.exprs), 0
 		for p.tok.kind != tokRBracket {
-			if len(lit.elems) > 0 {
-				if _, err := p.expect(tokComma); err != nil {
+			if len(p.exprs) > mark {
+				if err := p.expect(tokComma); err != nil {
 					return nil, err
 				}
 			}
@@ -668,23 +818,22 @@ func (p *parser) parsePrimary() (expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			lit.elems = append(lit.elems, e)
+			p.exprs = append(p.exprs, e)
 			h = max(h, p.height)
 		}
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
 		p.height = h + 1
-		return lit, nil
+		return &listLit{p: pos, elems: p.popExprs(mark)}, nil
 	case tokLBrace:
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		lit := &mapLit{p: pos}
-		h := 0
+		mark, h := len(p.exprs), 0
 		for p.tok.kind != tokRBrace {
-			if len(lit.keys) > 0 {
-				if _, err := p.expect(tokComma); err != nil {
+			if len(p.exprs) > mark {
+				if err := p.expect(tokComma); err != nil {
 					return nil, err
 				}
 			}
@@ -693,7 +842,7 @@ func (p *parser) parsePrimary() (expr, error) {
 				return nil, err
 			}
 			h = max(h, p.height)
-			if _, err := p.expect(tokColon); err != nil {
+			if err := p.expect(tokColon); err != nil {
 				return nil, err
 			}
 			v, err := p.parseExpr()
@@ -701,13 +850,22 @@ func (p *parser) parsePrimary() (expr, error) {
 				return nil, err
 			}
 			h = max(h, p.height)
-			lit.keys = append(lit.keys, k)
-			lit.vals = append(lit.vals, v)
+			p.exprs = append(p.exprs, k, v)
 		}
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
 		p.height = h + 1
+		// The stack holds keys and values alternately.
+		pairs := p.exprs[mark:]
+		lit := &mapLit{p: pos}
+		if n := len(pairs) / 2; n > 0 {
+			lit.keys, lit.vals = make([]expr, n), make([]expr, n)
+			for i := range n {
+				lit.keys[i], lit.vals[i] = pairs[2*i], pairs[2*i+1]
+			}
+		}
+		p.exprs = p.exprs[:mark]
 		return lit, nil
 	case tokIdent:
 		name := p.tok
@@ -715,64 +873,71 @@ func (p *parser) parsePrimary() (expr, error) {
 			return nil, err
 		}
 		if p.tok.kind == tokLParen {
-			return p.parseCallTail(name)
+			call := new(callExpr)
+			if err := p.parseCallTail(name, call); err != nil {
+				return nil, err
+			}
+			return call, nil
 		}
-		ref := &varRef{p: pos, name: name.text, local: -1}
-		if slot, ok := p.locals[name.text]; ok {
-			ref.local = slot
-		}
-		return ref, nil
+		i := p.lookup(name.text)
+		return &varRef{p: pos, name: p.names[i].text, local: p.local(i)}, nil
 	default:
 		return nil, p.errf("expected expression, found %s", p.describeTok())
 	}
 }
 
-// parseCallTail parses the argument list of a call whose callee token
-// has already been consumed, and classifies the call.
-func (p *parser) parseCallTail(name token) (*callExpr, error) {
+// parseCallTail parses into call the argument list of a call whose
+// callee token has already been consumed, and classifies the call.
+func (p *parser) parseCallTail(name token, call *callExpr) error {
 	pos := Pos{Line: name.line, Col: name.col}
 	if err := p.advance(); err != nil { // consume '('
-		return nil, err
+		return err
 	}
-	call := &callExpr{p: pos, name: name.text}
-	h := 0
+	mark, h := len(p.exprs), 0
 	for p.tok.kind != tokRParen {
-		if len(call.args) > 0 {
-			if _, err := p.expect(tokComma); err != nil {
-				return nil, err
+		if len(p.exprs) > mark {
+			if err := p.expect(tokComma); err != nil {
+				return err
 			}
 		}
 		a, err := p.parseExpr()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		call.args = append(call.args, a)
+		p.exprs = append(p.exprs, a)
 		h = max(h, p.height)
 	}
 	if err := p.advance(); err != nil { // consume ')'
-		return nil, err
+		return err
 	}
 	p.height = h + 1
-	if spec, ok := builtins[name.text]; ok {
+	n := &p.names[p.lookup(name.text)]
+	if n.call == 0 {
+		n.call = callProc
+		if spec, ok := builtins[n.text]; ok {
+			n.call, n.builtin = callBuiltin, spec
+		} else if spec, ok := externals[n.text]; ok {
+			n.call, n.ext = callExternal, spec
+		}
+	}
+	*call = callExpr{p: pos, kind: n.call, name: n.text, args: p.popExprs(mark)}
+	switch n.call {
+	case callBuiltin:
+		spec := n.builtin
 		if len(call.args) < spec.minArgs || (spec.maxArgs >= 0 && len(call.args) > spec.maxArgs) {
-			return nil, &SyntaxError{Pos: pos, Msg: fmt.Sprintf(
+			return &SyntaxError{Pos: pos, Msg: fmt.Sprintf(
 				"builtin %s called with %d arguments", name.text, len(call.args))}
 		}
-		call.kind = callBuiltin
 		call.builtin = spec.fn
-		return call, nil
-	}
-	if spec, ok := externals[name.text]; ok {
-		if err := spec.checkArity(len(call.args), pos); err != nil {
-			return nil, err
+	case callExternal:
+		if err := n.ext.checkArity(len(call.args), pos); err != nil {
+			return err
 		}
-		call.kind = callExternal
-		call.ext = spec
-		return call, nil
+		call.ext = n.ext
+	default:
+		p.pending = append(p.pending, call)
 	}
-	call.kind = callProc
-	p.pending = append(p.pending, call)
-	return call, nil
+	return nil
 }
 
 // link resolves user-procedure calls after all procedures are parsed.

@@ -255,7 +255,7 @@ func tallestExpr(prog *Program) int {
 		case *returnStmt:
 			h = max(h, exprHeight(st.val))
 		case *exprStmt:
-			h = max(h, exprHeight(st.call))
+			h = max(h, exprHeight(&st.call))
 		}
 	}
 	return h

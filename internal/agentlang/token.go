@@ -50,19 +50,35 @@ const (
 	tokNull
 )
 
-var keywords = map[string]tokenKind{
-	"proc":     tokProc,
-	"let":      tokLet,
-	"if":       tokIf,
-	"else":     tokElse,
-	"while":    tokWhile,
-	"for":      tokFor,
-	"return":   tokReturn,
-	"break":    tokBreak,
-	"continue": tokContinue,
-	"true":     tokTrue,
-	"false":    tokFalse,
-	"null":     tokNull,
+// keyword returns the kind of the keyword spelled text, or tokIdent.
+func keyword(text string) tokenKind {
+	switch text {
+	case "proc":
+		return tokProc
+	case "let":
+		return tokLet
+	case "if":
+		return tokIf
+	case "else":
+		return tokElse
+	case "while":
+		return tokWhile
+	case "for":
+		return tokFor
+	case "return":
+		return tokReturn
+	case "break":
+		return tokBreak
+	case "continue":
+		return tokContinue
+	case "true":
+		return tokTrue
+	case "false":
+		return tokFalse
+	case "null":
+		return tokNull
+	}
+	return tokIdent
 }
 
 func (k tokenKind) String() string {
@@ -152,13 +168,17 @@ func (k tokenKind) String() string {
 	}
 }
 
-// token is one lexical unit with its source position.
+// token is one lexical unit with its source position. Its text is a
+// window into the source, except for a string literal that held an
+// escape: whatever the parser keeps of it, it copies (parser.intern).
 type token struct {
 	kind tokenKind
-	text string // identifier name, decoded string literal, or digits
+	text string // identifier or keyword, digits, or string literal value
 	num  int64  // value for tokInt
 	line int
 	col  int
+	// lineStart is the offset of the first byte of the token's line.
+	lineStart int
 }
 
 // Pos describes a source location in agent code.

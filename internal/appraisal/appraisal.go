@@ -22,8 +22,11 @@
 package appraisal
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/agent"
 	"repro/internal/agentlang"
@@ -184,15 +187,32 @@ func Attach(ag *agent.Agent, rules RuleSet, owner *sigcrypto.KeyPair) error {
 // task end.
 type Mechanism struct {
 	core.BaseMechanism
+	mu sync.Mutex
+	// stays holds, by agent ID, the rule set verified on the agent's
+	// arrival, so the terminal host's task-end appraisal evaluates it
+	// again rather than verifying and parsing it twice. An entry lives
+	// from arrival to the end of the stay: PrepareDeparture or EndStay.
+	stays map[string]stayRules
+	// verified counts the rule sets whose signature was checked.
+	verified atomic.Int64
+}
+
+// stayRules is what loadRules made of one agent's exact rule baggage.
+type stayRules struct {
+	owner      string
+	baggage    []byte
+	rules      RuleSet
+	violations []string // why the baggage is refused, if it is
 }
 
 var (
 	_ core.Mechanism               = (*Mechanism)(nil)
 	_ core.ResultingStateRequester = (*Mechanism)(nil)
+	_ core.StayEnder               = (*Mechanism)(nil)
 )
 
 // New returns the mechanism.
-func New() *Mechanism { return &Mechanism{} }
+func New() *Mechanism { return &Mechanism{stays: make(map[string]stayRules)} }
 
 // Name implements core.Mechanism.
 func (m *Mechanism) Name() string { return MechanismName }
@@ -297,32 +317,69 @@ func (m *Mechanism) appraise(hc *core.HostContext, ag *agent.Agent, moment core.
 	return v, nil
 }
 
-// loadRules verifies and compiles the signed rule baggage, then
-// evaluates it against st. A missing or unverifiable rule set is a
-// violation (the rules were stripped or tampered with).
+// PrepareDeparture implements core.Mechanism: the stay ends in a
+// forward.
+func (m *Mechanism) PrepareDeparture(_ context.Context, hc *core.HostContext, ag *agent.Agent, _ *host.SessionRecord) error {
+	m.EndStay(hc, ag)
+	return nil
+}
+
+// EndStay implements core.StayEnder.
+func (m *Mechanism) EndStay(_ *core.HostContext, ag *agent.Agent) {
+	m.mu.Lock()
+	delete(m.stays, ag.ID)
+	m.mu.Unlock()
+}
+
+// loadRules evaluates the agent's signed rule set against st. A
+// missing or unverifiable rule set is a violation (the rules were
+// stripped or tampered with).
 func (m *Mechanism) loadRules(hc *core.HostContext, ag *agent.Agent, st value.State) (bool, []string, error) {
 	data, present := ag.GetBaggage(MechanismName)
 	if !present {
 		return false, []string{"rule baggage missing (stripped or never attached)"}, nil
 	}
+	m.mu.Lock()
+	kept, ok := m.stays[ag.ID]
+	m.mu.Unlock()
+	if !ok || kept.owner != ag.Owner || !bytes.Equal(kept.baggage, data) {
+		kept = m.verifyRules(hc, ag, data)
+		m.mu.Lock()
+		m.stays[ag.ID] = kept
+		m.mu.Unlock()
+	}
+	if kept.violations != nil {
+		return false, kept.violations, nil
+	}
+	return kept.rules.evaluate(st)
+}
+
+// verifyRules decodes, verifies and compiles rule baggage data.
+func (m *Mechanism) verifyRules(hc *core.HostContext, ag *agent.Agent, data []byte) stayRules {
+	out := stayRules{owner: ag.Owner, baggage: bytes.Clone(data)}
+	refuse := func(format string, args ...any) stayRules {
+		out.violations = []string{fmt.Sprintf(format, args...)}
+		return out
+	}
 	w, err := decodeRules(data)
 	if err != nil {
-		return false, []string{fmt.Sprintf("malformed rule baggage: %v", err)}, nil
+		return refuse("malformed rule baggage: %v", err)
 	}
+	m.verified.Add(1)
 	d := rulesDigest(ag.ID, w.Names, w.Sources)
 	if err := hc.Host.Registry().VerifyDigest(d, w.Sig); err != nil {
-		return false, []string{fmt.Sprintf("rule signature invalid: %v", err)}, nil
+		return refuse("rule signature invalid: %v", err)
 	}
 	if w.Sig.Signer != ag.Owner {
-		return false, []string{fmt.Sprintf("rules signed by %q, not by owner %q", w.Sig.Signer, ag.Owner)}, nil
+		return refuse("rules signed by %q, not by owner %q", w.Sig.Signer, ag.Owner)
 	}
-	rules := make(RuleSet, 0, len(w.Names))
+	out.rules = make(RuleSet, 0, len(w.Names))
 	for i := range w.Names {
 		r, err := NewRule(w.Names[i], w.Sources[i])
 		if err != nil {
-			return false, []string{fmt.Sprintf("rule %q does not compile: %v", w.Names[i], err)}, nil
+			return refuse("rule %q does not compile: %v", w.Names[i], err)
 		}
-		rules = append(rules, r)
+		out.rules = append(out.rules, r)
 	}
-	return rules.evaluate(st)
+	return out
 }

@@ -341,3 +341,87 @@ func TestRepeatDamageAttribution(t *testing.T) {
 		check(t, []core.Verdict{prior("witness", keys["witness"])}, "")
 	})
 }
+
+// rulesForger replaces the rule baggage, after appraisal has checked
+// it on arrival, with permissive rules signed by another key.
+type rulesForger struct {
+	core.BaseMechanism
+	forger *sigcrypto.KeyPair
+}
+
+func (rulesForger) Name() string { return "rules-forger" }
+
+func (f rulesForger) CheckAfterSession(_ context.Context, _ *core.HostContext, ag *agent.Agent) (*core.Verdict, error) {
+	return nil, appraisal.Attach(ag, appraisal.RuleSet{appraisal.MustRule("always", "true")}, f.forger)
+}
+
+// TestRulesVerifiedOncePerStay: the terminal host appraises the agent
+// on arrival and again at task end, and verifies and parses its rules
+// once for both, as long as the baggage is byte for byte the one it
+// verified. Rule bytes replaced between the two moments are verified
+// again and refused.
+func TestRulesVerifiedOncePerStay(t *testing.T) {
+	forger, err := sigcrypto.GenerateKeyPair("forger")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		forge  bool
+		verifs int64
+	}{
+		{"unchanged", false, 2}, // shop's arrival, home2's arrival
+		{"replaced", true, 3},   // and home2's task end again
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bed := platformtest.New(t)
+			var mechs []*appraisal.Mechanism
+			for _, name := range []string{"home", "shop", "home2"} {
+				name := name
+				bed.AddHost(name, platformtest.HostOptions{
+					Trusted: strings.HasPrefix(name, "home"),
+					Mechanisms: func() []core.Mechanism {
+						m := appraisal.New()
+						mechs = append(mechs, m)
+						if name == "home2" && tc.forge {
+							return []core.Mechanism{m, rulesForger{forger: forger}}
+						}
+						return []core.Mechanism{m}
+					},
+					Configure: func(c *host.Config) {
+						c.Resources = map[string]value.Value{"price": value.Int(30)}
+					},
+				})
+			}
+			if err := bed.Reg.RegisterKeyPair(forger); err != nil {
+				t.Fatal(err)
+			}
+			ag := bed.NewAgent("buyer", buyerCode)
+			if err := appraisal.Attach(ag, buyerRules, bed.Owner); err != nil {
+				t.Fatal(err)
+			}
+			runErr := bed.Run("home", ag)
+			var n int64
+			for _, m := range mechs {
+				n += m.RuleVerifications()
+			}
+			if n != tc.verifs {
+				t.Errorf("%d rule verifications, want %d", n, tc.verifs)
+			}
+			var task *core.Verdict
+			for _, v := range bed.Verdicts() {
+				if v.Moment == core.AfterTask {
+					task = &v
+				}
+			}
+			switch {
+			case task == nil:
+				t.Fatalf("no task-end verdict (run: %v)", runErr)
+			case task.OK == tc.forge:
+				t.Errorf("task-end verdict OK = %t: %s", task.OK, task)
+			case tc.forge && !strings.Contains(strings.Join(task.Evidence, " "), "not by owner"):
+				t.Errorf("task-end evidence = %q", task.Evidence)
+			}
+		})
+	}
+}
