@@ -71,6 +71,21 @@
 // indexed assignment that would store a list or map inside itself
 // (x[0] = x) is a runtime error: values are finite trees.
 //
+// # How a program is parsed
+//
+// Every host parses the code of every agent that arrives, so the front
+// end is built for one pass with little garbage. The lexer scans bytes
+// and decodes UTF-8 only at a byte outside ASCII; identifiers are
+// letters, digits and '_' by unicode.IsLetter and unicode.IsDigit, and
+// columns count runes. Its tokens are windows into the source. The
+// parser keeps such a window only as a statement's snippet: every
+// procedure, parameter and variable name and every string literal
+// value it stores is a copy, one per distinct text, because those
+// strings travel on into agent state, journal entries and events,
+// where a window would keep the agent's whole source alive.
+// testdata/parse.json holds the front end to the error texts,
+// positions, snippets and trees of the one it replaced.
+//
 // # How a session executes
 //
 // Parse builds the AST and compiles nothing. Run compiles a procedure

@@ -3,6 +3,7 @@ package agentlang
 import (
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // lexAll drains the lexer for direct lexer-level tests.
@@ -118,4 +119,43 @@ func TestTokenKindStrings(t *testing.T) {
 	if tokenKind(999).String() != "token(999)" {
 		t.Error("unknown kind fallback")
 	}
+}
+
+// FuzzLexPositions: for any source, every token the lexer produces
+// starts at the line:col a reader counting newlines and runes (an
+// invalid byte as one) finds before it, and its line starts where the
+// last newline before it ends.
+func FuzzLexPositions(f *testing.F) {
+	for _, c := range readGolden(f) {
+		f.Add(c.Src)
+	}
+	f.Add(itineraryProgram)
+	f.Add(unicodeProgram)
+	f.Add("a\r\n  ä = \"\xff\" # ž\x00 b")
+	f.Add("x = 1٣ # 名\n\t𝒳 = \"a\\tb\"")
+	f.Fuzz(func(t *testing.T, src string) {
+		l := newLexer(src)
+		for {
+			l.skipSpaceAndComments()
+			start := l.off
+			var tok token
+			err := l.next(&tok)
+			if err != nil {
+				return
+			}
+			lineStart := strings.LastIndexByte(src[:start], '\n') + 1
+			line := 1 + strings.Count(src[:start], "\n")
+			col := 1 + utf8.RuneCountInString(src[lineStart:start])
+			if tok.line != line || tok.col != col || tok.lineStart != lineStart {
+				t.Fatalf("%s at offset %d: lexed at %d:%d (line from %d), counted %d:%d (line from %d)",
+					tok.kind, start, tok.line, tok.col, tok.lineStart, line, col, lineStart)
+			}
+			if tok.kind == tokEOF {
+				return
+			}
+			if l.off <= start {
+				t.Fatalf("%s at offset %d: lexer did not advance", tok.kind, start)
+			}
+		}
+	})
 }

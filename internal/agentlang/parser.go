@@ -127,8 +127,8 @@ const maxConsts = 64
 // program of every agent they hold, and programs repeat their
 // constants (0, 1, a host name per branch): one node per distinct
 // value leaves a benchmark agent's tree 2 % larger than it was before
-// literals were values, one per occurrence made it 20 %.
-// kept reports whether later literals will be matched against it.
+// literals were values, one per occurrence made it 20 %. kept reports
+// whether later literals are matched against the node.
 func (p *parser) constant(v value.Value) (lit *literal, kept bool) {
 	for _, lit := range p.consts[:p.nconsts] {
 		if lit.Kind == v.Kind && lit.Int == v.Int && lit.Str == v.Str && lit.Bool == v.Bool {
@@ -213,26 +213,15 @@ func (p *parser) declare(i int) {
 	p.numLocals++
 }
 
-// popStmts returns the statements pushed since mark as a slice of their
-// own, nil if there are none, and pops them.
-func (p *parser) popStmts(mark int) []stmt {
-	var out []stmt
-	if len(p.stmts) > mark {
-		out = make([]stmt, len(p.stmts)-mark)
-		copy(out, p.stmts[mark:])
+// pop returns what was pushed on stack since mark as a slice of its
+// own, nil if nothing was, and pops it.
+func pop[T any](stack *[]T, mark int) []T {
+	var out []T
+	if len(*stack) > mark {
+		out = make([]T, len(*stack)-mark)
+		copy(out, (*stack)[mark:])
 	}
-	p.stmts = p.stmts[:mark]
-	return out
-}
-
-// popExprs is popStmts for the expression stack.
-func (p *parser) popExprs(mark int) []expr {
-	var out []expr
-	if len(p.exprs) > mark {
-		out = make([]expr, len(p.exprs)-mark)
-		copy(out, p.exprs[mark:])
-	}
-	p.exprs = p.exprs[:mark]
+	*stack = (*stack)[:mark]
 	return out
 }
 
@@ -389,7 +378,7 @@ func (p *parser) parseBlock() ([]stmt, error) {
 		return nil, err
 	}
 	p.depth--
-	return p.popStmts(mark), nil
+	return pop(&p.stmts, mark), nil
 }
 
 // newBase allocates the next statement ID to a statement starting at
@@ -524,7 +513,7 @@ func (p *parser) parseSimpleStmt() (stmt, error) {
 		}
 		p.exprs = append(p.exprs, idx)
 	}
-	path := p.popExprs(mark)
+	path := pop(&p.exprs, mark)
 	if err := p.expect(tokAssign); err != nil {
 		return nil, err
 	}
@@ -825,7 +814,7 @@ func (p *parser) parsePrimary() (expr, error) {
 			return nil, err
 		}
 		p.height = h + 1
-		return &listLit{p: pos, elems: p.popExprs(mark)}, nil
+		return &listLit{p: pos, elems: pop(&p.exprs, mark)}, nil
 	case tokLBrace:
 		if err := p.advance(); err != nil {
 			return nil, err
@@ -920,7 +909,7 @@ func (p *parser) parseCallTail(name token, call *callExpr) error {
 			n.call, n.ext = callExternal, spec
 		}
 	}
-	*call = callExpr{p: pos, kind: n.call, name: n.text, args: p.popExprs(mark)}
+	*call = callExpr{p: pos, kind: n.call, name: n.text, args: pop(&p.exprs, mark)}
 	switch n.call {
 	case callBuiltin:
 		spec := n.builtin

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/testutil"
 	"repro/internal/value"
@@ -389,6 +390,202 @@ proc work() {
 }
 `
 
+// unicodeProgram is itineraryProgram with names in other scripts,
+// escapes in its string literals and comments that are not ASCII: the
+// lexer's slow paths.
+const unicodeProgram = `# Reiseroute über fünf Gastgeber — 行程
+proc main() {
+    arbeit()
+    migrate("w01", "schritt") # erster Schritt
+}
+proc schritt() {
+    arbeit()
+    let ort = here()
+    notiz = "Ort:\t" + ort + "\n\"geprüft\" ✓"
+    if ort == "w01" { migrate("w02", "schritt") } # → w02
+    if ort == "w02" { migrate("w03", "schritt") } # → w03
+    if ort == "w03" { migrate("w04", "schritt") } # → w04
+    if ort == "w04" { migrate("w05", "schritt") } # → w05
+    if ort == "w05" { migrate("heim", "ende") }   # → 家
+    done()
+}
+proc ende() {
+    arbeit()
+    done()
+}
+proc arbeit() {
+    summe = summe + 1
+    größe = größe + 1
+    let ι = 0
+    while ι < 1 {
+        gelesen = append(gelesen, read("élément"))
+        ι = ι + 1
+    }
+    let ζ = 0
+    while ζ < 1 {
+        let σ = 0
+        let ј = 0
+        while ј < 1000 {
+            σ = σ + ј
+            ј = ј + 1
+        }
+        ergebnis_π = σ
+        ζ = ζ + 1
+    }
+}
+`
+
+// TestParseAllocs pins what parsing the benchmark-shaped agent
+// allocates: its nodes, their slices, the Program and one copy of each
+// distinct name and string literal. Every arrival pays it.
+func TestParseAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const ceiling = 141
+	got := testing.AllocsPerRun(200, func() {
+		if _, err := Parse(itineraryProgram); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > ceiling {
+		t.Errorf("Parse(itineraryProgram) allocates %.1f times, ceiling %d", got, ceiling)
+	}
+}
+
+// TestParsedStringsCopied: no name or string literal value reachable
+// from a parsed Program or rule shares bytes with its source text.
+// Literal values and names travel on into agent state, journal entries
+// and events; a window into the source there would keep each agent's
+// whole source alive. Statement snippets may, and do, share them.
+func TestParsedStringsCopied(t *testing.T) {
+	srcs := []string{itineraryProgram, unicodeProgram, longProgram(50)}
+	for _, c := range readGolden(t) {
+		srcs = append(srcs, c.Src)
+	}
+	for _, src := range srcs {
+		prog, err := Parse(src)
+		if err != nil {
+			continue // golden cases include parse errors
+		}
+		lo := uintptr(unsafe.Pointer(unsafe.StringData(src)))
+		hi := lo + uintptr(len(src))
+		n := 0
+		eachString(prog, func(what, s string) {
+			n++
+			if p := uintptr(unsafe.Pointer(unsafe.StringData(s))); s != "" && lo <= p && p < hi {
+				t.Errorf("%s %q is a window into its source", what, s)
+			}
+		})
+		if n == 0 {
+			t.Errorf("no strings found in %q", src)
+		}
+	}
+	for _, src := range []string{`total == hops`, `len(got) <= 5 && visited["w01"] != "x"`} {
+		e, err := ParseExpression(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo := uintptr(unsafe.Pointer(unsafe.StringData(src)))
+		hi := lo + uintptr(len(src))
+		walkExpr(e.root, func(what, s string) {
+			if p := uintptr(unsafe.Pointer(unsafe.StringData(s))); s != "" && lo <= p && p < hi {
+				t.Errorf("rule %s %q is a window into its source", what, s)
+			}
+		})
+	}
+}
+
+// eachString calls fn on every name and string literal value of prog.
+func eachString(prog *Program, fn func(what, s string)) {
+	var block func([]stmt)
+	var one func(stmt)
+	one = func(s stmt) {
+		switch s := s.(type) {
+		case *letStmt:
+			fn("local", s.name)
+			walkExpr(s.rhs, fn)
+		case *assignStmt:
+			fn("variable", s.name)
+			for _, e := range s.path {
+				walkExpr(e, fn)
+			}
+			walkExpr(s.rhs, fn)
+		case *ifStmt:
+			for i := range s.conds {
+				walkExpr(s.conds[i], fn)
+				block(s.bodies[i])
+			}
+			block(s.els)
+		case *whileStmt:
+			walkExpr(s.cond, fn)
+			block(s.body)
+		case *forStmt:
+			if s.init != nil {
+				one(s.init)
+			}
+			walkExpr(s.cond, fn)
+			if s.post != nil {
+				one(s.post)
+			}
+			block(s.body)
+		case *returnStmt:
+			if s.val != nil {
+				walkExpr(s.val, fn)
+			}
+		case *exprStmt:
+			walkExpr(&s.call, fn)
+		}
+	}
+	block = func(stmts []stmt) {
+		for _, s := range stmts {
+			one(s)
+		}
+	}
+	for key, p := range prog.procs {
+		fn("procedure key", key)
+		fn("procedure", p.Name)
+		for _, param := range p.Params {
+			fn("parameter", param)
+		}
+		block(p.body)
+	}
+}
+
+// walkExpr calls fn on every name and string literal value under e.
+func walkExpr(e expr, fn func(what, s string)) {
+	switch e := e.(type) {
+	case *literal:
+		if e.Kind == value.KindString {
+			fn("literal", e.Str)
+		}
+	case *listLit:
+		for _, el := range e.elems {
+			walkExpr(el, fn)
+		}
+	case *mapLit:
+		for i := range e.keys {
+			walkExpr(e.keys[i], fn)
+			walkExpr(e.vals[i], fn)
+		}
+	case *varRef:
+		fn("variable", e.name)
+	case *indexExpr:
+		walkExpr(e.base, fn)
+		walkExpr(e.idx, fn)
+	case *unaryExpr:
+		walkExpr(e.x, fn)
+	case *binaryExpr:
+		walkExpr(e.l, fn)
+		walkExpr(e.r, fn)
+	case *callExpr:
+		fn("callee", e.name)
+		for _, a := range e.args {
+			walkExpr(a, fn)
+		}
+	}
+}
+
 // TestParseAllocationLinear: what Parse allocates grows with the source,
 // not with its square. Every arrival parses the agent's code — and so
 // does every checker that re-executes it — and any peer chooses that
@@ -418,11 +615,13 @@ func TestParseAllocationLinear(t *testing.T) {
 	}
 }
 
-// BenchmarkParse parses the benchmark-shaped agent and a 4000-statement
-// program.
+// BenchmarkParse parses the benchmark-shaped agent, the same agent
+// written with non-ASCII names, escapes and comments, and a
+// 4000-statement program.
 func BenchmarkParse(b *testing.B) {
 	for _, c := range []struct{ name, src string }{
 		{"itinerary", itineraryProgram},
+		{"itinerary-unicode", unicodeProgram},
 		{"4000-statements", longProgram(4000)},
 	} {
 		b.Run(c.name, func(b *testing.B) {
