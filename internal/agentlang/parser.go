@@ -74,7 +74,7 @@ func (p *parser) release() {
 
 // The parser keeps no window into the source on the Program except
 // statement snippets: every name and string literal value it stores is
-// a copy (intern), so what a session hands on to agent state, journal
+// a copy (lookup), so what a session hands on to agent state, journal
 // entries and events never pins the agent's whole source text.
 type parser struct {
 	lex  lexer
@@ -195,9 +195,6 @@ func (p *parser) lookup(text string) int {
 	}
 	return i
 }
-
-// intern returns the parse's copy of text.
-func (p *parser) intern(text string) string { return p.names[p.lookup(text)].text }
 
 // local returns the slot of the local named by p.names[i], or -1.
 func (p *parser) local(i int) int {
@@ -348,7 +345,7 @@ func (p *parser) parseProc() (*Proc, error) {
 		return nil, err
 	}
 	return &Proc{
-		Name:      p.intern(name.text),
+		Name:      p.names[p.lookup(name.text)].text,
 		Params:    params,
 		numLocals: p.numLocals,
 		body:      body,

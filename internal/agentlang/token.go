@@ -169,8 +169,9 @@ func (k tokenKind) String() string {
 }
 
 // token is one lexical unit with its source position. Its text is a
-// window into the source, except for a string literal that held an
-// escape: whatever the parser keeps of it, it copies (parser.intern).
+// window into the source, or the decoded value of a string literal
+// that holds an escape or an invalid byte; the parser copies whatever
+// text it keeps (parser.lookup).
 type token struct {
 	kind tokenKind
 	text string // identifier or keyword, digits, or string literal value
