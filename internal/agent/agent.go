@@ -18,6 +18,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -89,14 +90,7 @@ func New(id, owner, code, entry string) (*Agent, error) {
 	if entry == "" {
 		return nil, ErrNoEntry
 	}
-	prog, err := agentlang.Parse(code)
-	if err != nil {
-		return nil, fmt.Errorf("agent: parsing code: %w", err)
-	}
-	if !prog.HasProc(entry) {
-		return nil, fmt.Errorf("agent: entry procedure %q not in code", entry)
-	}
-	return &Agent{
+	a := &Agent{
 		ID:         id,
 		Owner:      owner,
 		Code:       code,
@@ -104,8 +98,19 @@ func New(id, owner, code, entry string) (*Agent, error) {
 		State:      value.State{},
 		Entry:      entry,
 		Baggage:    make(map[string][]byte),
-		prog:       prog,
-	}, nil
+	}
+	if err := a.checkNames(); err != nil {
+		return nil, err
+	}
+	prog, err := agentlang.Parse(code)
+	if err != nil {
+		return nil, fmt.Errorf("agent: parsing code: %w", err)
+	}
+	if !prog.HasProc(entry) {
+		return nil, fmt.Errorf("agent: entry procedure %q not in code", entry)
+	}
+	a.prog = prog
+	return a, nil
 }
 
 // Program returns the parsed code, parsing and caching on first use.
@@ -121,14 +126,18 @@ func (a *Agent) Program() (*agentlang.Program, error) {
 	return prog, nil
 }
 
-// Validate checks internal consistency: code digest, parsability, and
-// entry existence. Hosts call it on every arriving agent.
+// Validate checks internal consistency: name bounds, code digest,
+// parsability, and entry existence. Hosts call it on every arriving
+// agent.
 func (a *Agent) Validate() error {
 	if a.Code == "" {
 		return ErrNoCode
 	}
 	if a.Entry == "" {
 		return ErrNoEntry
+	}
+	if err := a.checkNames(); err != nil {
+		return err
 	}
 	if canon.HashBytes([]byte(a.Code)) != a.CodeDigest {
 		return errors.New("agent: code does not match code digest")
@@ -141,6 +150,34 @@ func (a *Agent) Validate() error {
 		return fmt.Errorf("agent: entry procedure %q not in code", a.Entry)
 	}
 	return nil
+}
+
+// checkNames refuses an ID, owner, entry, route host or baggage key
+// over canon.MaxNameLen, the bound Decode reads each of them with.
+// Every journal key, event and receipt about an agent holds its names,
+// so a peer must not choose their size.
+func (a *Agent) checkNames() error {
+	over := func(s string) bool { return len(s) > canon.MaxNameLen }
+	name := ""
+	switch {
+	case over(a.ID):
+		name = "ID"
+	case over(a.Owner):
+		name = "owner"
+	case over(a.Entry):
+		name = "entry"
+	case slices.ContainsFunc(a.Route, over):
+		name = "route host"
+	}
+	for k := range a.Baggage {
+		if over(k) {
+			name = "baggage key"
+		}
+	}
+	if name == "" {
+		return nil
+	}
+	return fmt.Errorf("agent: %w: %s over %d bytes", canon.ErrMalformed, name, canon.MaxNameLen)
 }
 
 // StateDigest returns the canonical digest of the data state. The
@@ -335,13 +372,13 @@ func Decode(data []byte) (*Agent, error) {
 		return nil, fmt.Errorf("agent: decoding: %w", err)
 	}
 	a := &Agent{
-		ID:         string(s.Field(bound)),
-		Owner:      string(s.Field(bound)),
+		ID:         string(s.Field(canon.MaxNameLen)),
+		Owner:      string(s.Field(canon.MaxNameLen)),
 		Code:       string(s.Field(bound)),
 		CodeDigest: s.Digest(),
 	}
 	stateEnc := s.Field(bound)
-	a.Entry = string(s.Field(bound))
+	a.Entry = string(s.Field(canon.MaxNameLen))
 	a.Hop = int(s.Uint64())
 	nRoute, nBag := s.Uint64(), s.Uint64()
 	// Bound each count individually before the arithmetic: the counts
@@ -352,12 +389,15 @@ func Decode(data []byte) (*Agent, error) {
 		return nil, fmt.Errorf("agent: decoding: %w: field count", canon.ErrMalformed)
 	}
 	for range nRoute {
-		a.Route = append(a.Route, string(s.Field(bound)))
+		a.Route = append(a.Route, string(s.Field(canon.MaxNameLen)))
 	}
 	a.Baggage = make(map[string][]byte, nBag)
 	prev := ""
 	for i := range nBag {
-		k := string(s.Field(bound))
+		k := string(s.Field(canon.MaxNameLen))
+		if err := s.Err(); err != nil {
+			return nil, fmt.Errorf("agent: decoding: %w", err)
+		}
 		if i > 0 && k <= prev {
 			return nil, fmt.Errorf("agent: decoding: %w: baggage key %d does not follow the key before it", canon.ErrMalformed, i)
 		}

@@ -1,10 +1,12 @@
 package agent
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
 
+	"repro/internal/canon"
 	"repro/internal/value"
 )
 
@@ -38,6 +40,53 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New("a", "o", testCode, "nothere"); err == nil {
 		t.Error("missing entry proc accepted")
+	}
+}
+
+// TestOversizedNamesRefused: an ID, owner, entry, route host or
+// baggage key over canon.MaxNameLen is refused by New, Marshal, Decode
+// and Unmarshal alike, with an error wrapping canon.ErrMalformed; a
+// name of exactly the bound crosses the wire unchanged.
+func TestOversizedNamesRefused(t *testing.T) {
+	long := strings.Repeat("n", 1<<20)
+	set := map[string]func(a *Agent, name string){
+		"ID":          func(a *Agent, name string) { a.ID = name },
+		"owner":       func(a *Agent, name string) { a.Owner = name },
+		"entry":       func(a *Agent, name string) { a.Entry = name },
+		"route host":  func(a *Agent, name string) { a.Route = append(a.Route, "w1", name) },
+		"baggage key": func(a *Agent, name string) { a.SetBaggage(name, []byte("payload")) },
+	}
+	for what, setName := range set {
+		a := newTestAgent(t)
+		setName(a, long)
+		if _, err := a.Marshal(); !errors.Is(err, canon.ErrMalformed) {
+			t.Errorf("%s of 1 MiB: Marshal err = %v, want canon.ErrMalformed", what, err)
+		}
+		wire := a.Encode()
+		if _, err := Decode(wire); !errors.Is(err, canon.ErrMalformed) {
+			t.Errorf("%s of 1 MiB: Decode err = %v, want canon.ErrMalformed", what, err)
+		}
+		if _, err := Unmarshal(wire); !errors.Is(err, canon.ErrMalformed) {
+			t.Errorf("%s of 1 MiB: Unmarshal err = %v, want canon.ErrMalformed", what, err)
+		}
+		if what == "entry" {
+			continue // an entry must also name a procedure of the code
+		}
+		at := newTestAgent(t)
+		setName(at, strings.Repeat("n", canon.MaxNameLen))
+		data, err := at.Marshal()
+		if err != nil {
+			t.Fatalf("%s of %d bytes: Marshal: %v", what, canon.MaxNameLen, err)
+		}
+		back, err := Unmarshal(data)
+		if err != nil || !bytes.Equal(back.Encode(), data) {
+			t.Errorf("%s of %d bytes: Unmarshal err = %v, or the agent changed", what, canon.MaxNameLen, err)
+		}
+	}
+	for what, args := range map[string][3]string{"ID": {long, "o", "main"}, "owner": {"a", long, "main"}, "entry": {"a", "o", long}} {
+		if _, err := New(args[0], args[1], testCode, args[2]); !errors.Is(err, canon.ErrMalformed) {
+			t.Errorf("New with a 1 MiB %s: err = %v, want canon.ErrMalformed", what, err)
+		}
 	}
 }
 

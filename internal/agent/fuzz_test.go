@@ -108,10 +108,11 @@ func TestEncodeDecodeIdentity(t *testing.T) {
 // FuzzAgentUnmarshal fuzzes the agent decoders: Unmarshal, which every
 // migration runs on bytes from a peer, and Decode, which reads back the
 // records a node keeps. Properties: no panic; an accepted input holds
-// no more route and baggage entries than it has bytes; Decode accepts
-// everything Unmarshal accepts, to the same agent; and an accepted
-// agent encodes back to exactly its input, and decoding that gives the
-// same agent.
+// no more route and baggage entries than it has bytes, and no ID,
+// owner, entry, route host or baggage key over canon.MaxNameLen;
+// Decode accepts everything Unmarshal accepts, to the same agent; and
+// an accepted agent encodes back to exactly its input, and decoding
+// that gives the same agent.
 func FuzzAgentUnmarshal(f *testing.F) {
 	for _, data := range seedAgents(f) {
 		f.Add(data)
@@ -127,6 +128,15 @@ func FuzzAgentUnmarshal(f *testing.F) {
 		}
 		if n := len(rec.Route) + len(rec.Baggage); n > len(data) {
 			t.Fatalf("%d route and baggage entries from %d bytes", n, len(data))
+		}
+		names := append([]string{rec.ID, rec.Owner, rec.Entry}, rec.Route...)
+		for k := range rec.Baggage {
+			names = append(names, k)
+		}
+		for _, name := range names {
+			if len(name) > canon.MaxNameLen {
+				t.Fatalf("accepted a %d-byte name", len(name))
+			}
 		}
 		enc := rec.Encode()
 		if !bytes.Equal(enc, data) {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/agent"
+	"repro/internal/canon"
 	"repro/internal/host"
 	"repro/internal/sigcrypto"
 	"repro/internal/transport"
@@ -366,5 +367,22 @@ func TestVerdictString(t *testing.T) {
 	ok := Verdict{Mechanism: "m", Moment: AfterTask, OK: true}
 	if !strings.Contains(ok.String(), "OK") || !strings.Contains(ok.String(), "checkAfterTask") {
 		t.Errorf("ok verdict string = %q", ok.String())
+	}
+}
+
+// TestLaunchRefusesOversizedName: Launch validates the agent first, so
+// one whose ID is over canon.MaxNameLen is refused as a peer's
+// Unmarshal would refuse it, before a journal entry or receipt could
+// hold the name.
+func TestLaunchRefusesOversizedName(t *testing.T) {
+	tb := newTestbed(t)
+	node := tb.addHost("h1", true, nil, nil)
+	ag := mkAgent(t, `proc main() { done() }`)
+	ag.ID = strings.Repeat("a", 1<<20)
+	if _, err := node.Launch(context.Background(), ag); !errors.Is(err, canon.ErrMalformed) {
+		t.Fatalf("Launch of an agent with a 1 MiB ID: err = %v, want canon.ErrMalformed", err)
+	}
+	if st := node.Status(ag.ID); st.Phase != PhaseUnknown {
+		t.Fatalf("refused launch left a journal entry: phase %q", st.Phase)
 	}
 }

@@ -562,11 +562,15 @@ func (n *Node) entryFor(agentID string) *journalEntry {
 
 // Launch injects a locally created agent into the intake as if it had
 // just arrived (the home host runs the first session itself). It
-// returns once the agent is enqueued, with the receipt tracking this
-// node's terminal outcome; ctx bounds both the enqueue and the agent's
-// processing at this node and — over in-process transports — its
-// onward itinerary.
+// refuses an agent that Validate refuses, as a peer's Unmarshal would,
+// before the agent reaches the journal or the bus. It returns once the
+// agent is enqueued, with the receipt tracking this node's terminal
+// outcome; ctx bounds both the enqueue and the agent's processing at
+// this node and — over in-process transports — its onward itinerary.
 func (n *Node) Launch(ctx context.Context, ag *agent.Agent) (*Receipt, error) {
+	if err := ag.Validate(); err != nil {
+		return nil, fmt.Errorf("core: node %s: %w", n.cfg.Host.Name(), err)
+	}
 	return n.enqueue(ctx, ag)
 }
 

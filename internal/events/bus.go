@@ -10,6 +10,19 @@ import (
 // gaps on a healthy node.
 const DefaultJournalSize = 1024
 
+// firstRingLen is the slot count a ring starts with on its first
+// event. Rings double from there up to their capacity, so a node pays
+// for the events it holds, not for the bound: the journal and the
+// built-in subscribers' rings at full size are about 450 KiB of slots
+// per memory-only node, most of which an idle or promptly drained node
+// never fills.
+const firstRingLen = 16
+
+// grownLen is the next length of a ring of n slots bounded by limit.
+func grownLen(n, limit int) int {
+	return min(max(2*n, firstRingLen), limit)
+}
+
 // BusConfig parameterizes a bus.
 type BusConfig struct {
 	// Node is stamped into every published event as the publisher.
@@ -33,9 +46,9 @@ type Bus struct {
 	now  func() time.Time
 
 	mu        sync.Mutex
-	next      uint64 // next sequence number to assign
-	ring      []Event
-	count     int // filled journal slots (≤ len(ring))
+	next      uint64  // next sequence number to assign
+	ring      []Event // the journal; event seq sits at seq % len(ring)
+	count     int     // filled journal slots (≤ len(ring))
 	published uint64
 	subs      []*Subscription
 	closed    bool
@@ -55,7 +68,6 @@ func NewBus(cfg BusConfig) *Bus {
 		node: cfg.Node,
 		now:  now,
 		next: first,
-		ring: make([]Event, DefaultJournalSize),
 	}
 }
 
@@ -81,10 +93,7 @@ func (b *Bus) Publish(ev Event) uint64 {
 	ev.UnixNano = ts
 	b.next++
 	b.published++
-	b.ring[int(ev.Seq)%len(b.ring)] = ev
-	if b.count < len(b.ring) {
-		b.count++
-	}
+	b.record(ev)
 	// Fan out under the bus lock so every subscriber sees the same
 	// total order. Each push is constant-time ring bookkeeping — the
 	// lock is never held across consumer work.
@@ -95,19 +104,39 @@ func (b *Bus) Publish(ev Event) uint64 {
 	return ev.Seq
 }
 
-// Subscribe registers a consumer with its own fixed-size ring. A
-// subscriber that falls behind loses its oldest buffered events;
-// Subscription.Stats reports exactly how many. capacity ≤ 0 defaults
-// to DefaultJournalSize.
+// record places ev in the cursor journal; caller holds b.mu. A full
+// ring below DefaultJournalSize doubles first, every held event moving
+// to its seq's slot in the longer ring; a full ring at the bound
+// overwrites its oldest event.
+func (b *Bus) record(ev Event) {
+	if b.count == len(b.ring) && b.count < DefaultJournalSize {
+		ring := make([]Event, grownLen(b.count, DefaultJournalSize))
+		for _, old := range b.ring {
+			ring[old.Seq%uint64(len(ring))] = old
+		}
+		b.ring = ring
+	}
+	b.ring[ev.Seq%uint64(len(b.ring))] = ev
+	if b.count < len(b.ring) {
+		b.count++
+	}
+}
+
+// Subscribe registers a consumer with its own ring of at most capacity
+// events. A subscriber that falls behind loses its oldest buffered
+// events; Subscription.Stats reports exactly how many. capacity ≤ 0
+// defaults to DefaultJournalSize. The ring holds no slots until the
+// first event and grows as the backlog does, so capacity is a bound,
+// not an allocation.
 func (b *Bus) Subscribe(name string, capacity int) *Subscription {
 	if capacity <= 0 {
 		capacity = DefaultJournalSize
 	}
 	s := &Subscription{
-		name:   name,
-		bus:    b,
-		buf:    make([]Event, capacity),
-		notify: make(chan struct{}, 1),
+		name:     name,
+		bus:      b,
+		capacity: capacity,
+		notify:   make(chan struct{}, 1),
 	}
 	b.mu.Lock()
 	if b.closed {
@@ -158,7 +187,7 @@ func (b *Bus) ReadSince(cursor uint64, max int) (evs []Event, next uint64, misse
 	}
 	evs = make([]Event, n)
 	for i := 0; i < n; i++ {
-		evs[i] = b.ring[int(cursor+uint64(i))%len(b.ring)]
+		evs[i] = b.ring[(cursor+uint64(i))%uint64(len(b.ring))]
 	}
 	return evs, cursor + uint64(n), missed
 }
@@ -230,15 +259,16 @@ func (b *Bus) Close() {
 	}
 }
 
-// Subscription is one consumer's bounded view of the bus: a fixed-size
-// ring the bus pushes into and the consumer drains. All methods are
-// safe for concurrent use.
+// Subscription is one consumer's bounded view of the bus: a ring of at
+// most capacity events that the bus pushes into and the consumer
+// drains. All methods are safe for concurrent use.
 type Subscription struct {
 	name string
 	bus  *Bus
 
 	mu       sync.Mutex
-	buf      []Event
+	buf      []Event // ring slots; grows on use, never past capacity
+	capacity int
 	start    int // index of oldest buffered event
 	n        int // buffered count
 	received uint64
@@ -251,9 +281,9 @@ type Subscription struct {
 // Name returns the subscriber name given to Subscribe.
 func (s *Subscription) Name() string { return s.name }
 
-// push offers one event; called by the bus. Constant-time: when the
-// ring is full the oldest buffered event is overwritten and counted
-// dropped.
+// push offers one event; called by the bus. Amortised constant-time:
+// a ring full below its capacity doubles, and a ring full at its
+// capacity overwrites the oldest buffered event and counts it dropped.
 func (s *Subscription) push(ev Event) {
 	s.mu.Lock()
 	if s.closed {
@@ -261,11 +291,16 @@ func (s *Subscription) push(ev Event) {
 		return
 	}
 	s.received++
-	if s.n == len(s.buf) {
+	if s.n == s.capacity {
 		s.buf[s.start] = ev
 		s.start = (s.start + 1) % len(s.buf)
 		s.dropped++
 	} else {
+		if s.n == len(s.buf) {
+			buf := make([]Event, grownLen(s.n, s.capacity))
+			s.copyOut(buf)
+			s.buf, s.start = buf, 0
+		}
 		s.buf[(s.start+s.n)%len(s.buf)] = ev
 		s.n++
 	}
@@ -276,8 +311,19 @@ func (s *Subscription) push(ev Event) {
 	}
 }
 
+// copyOut copies the buffered events, oldest first, into dst and
+// returns the ring's two occupied runs; caller holds s.mu.
+func (s *Subscription) copyOut(dst []Event) (head, tail []Event) {
+	head = s.buf[s.start:min(s.start+s.n, len(s.buf))]
+	tail = s.buf[:s.n-len(head)]
+	copy(dst[copy(dst, head):], tail)
+	return head, tail
+}
+
 // Drain removes and returns every buffered event, oldest first. It
-// returns nil when the buffer is empty.
+// returns nil when the buffer is empty. The slots it empties are
+// zeroed, so the ring keeps no drained event's strings or fields
+// alive.
 func (s *Subscription) Drain() []Event {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -285,9 +331,9 @@ func (s *Subscription) Drain() []Event {
 		return nil
 	}
 	out := make([]Event, s.n)
-	for i := 0; i < s.n; i++ {
-		out[i] = s.buf[(s.start+i)%len(s.buf)]
-	}
+	head, tail := s.copyOut(out)
+	clear(head)
+	clear(tail)
 	s.start, s.n = 0, 0
 	return out
 }

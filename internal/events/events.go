@@ -21,6 +21,7 @@ import (
 	"maps"
 	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/canon"
 )
@@ -201,10 +202,13 @@ func DecodeEvent(b []byte) (Event, error) {
 	return e, nil
 }
 
-// clip truncates a string to the event string bound.
+// clip truncates a string to the event string bound. The kept prefix
+// is a copy: a window would keep the whole source alive for as long as
+// the journal holds the event, and some sources are a peer's reply
+// text of up to a frame's size.
 func clip(s string) string {
 	if len(s) > MaxEventStringLen {
-		return s[:MaxEventStringLen]
+		return strings.Clone(s[:MaxEventStringLen])
 	}
 	return s
 }
