@@ -70,8 +70,7 @@ type Agent struct {
 
 	// digest memoizes the canonical state digest between mutations.
 	// Several mechanisms compare the arrived state with a signed digest
-	// of it (refproto's seal and checker, vigna, wholesig where it is
-	// stacked, each once per hop), so
+	// of it (refproto's seal and checker, vigna, each once per hop), so
 	// StateDigest is O(1) while the state is unchanged. The platform
 	// write paths (RunSession, SetVar, SetState, MutateState) invalidate
 	// it; direct Go-level writes to State must be followed by

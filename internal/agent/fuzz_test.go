@@ -46,7 +46,7 @@ func seedAgents(t testing.TB) map[string][]byte {
 			ag.Route = append(ag.Route, fmt.Sprintf("w%d", i))
 		}
 		ag.SetVar("total", value.Int(int64(hop)))
-		ag.SetBaggage("wholesig", []byte("signed at the last hop"))
+		ag.SetBaggage("mechanism", []byte("signed at the last hop"))
 	}
 
 	seeds := map[string][]byte{"launched": marshal(mk("launched"))}

@@ -37,7 +37,7 @@ func TestRunPlainSmallWorkload(t *testing.T) {
 		t.Error("no overall time measured")
 	}
 	if res.SignVerify <= 0 {
-		t.Error("no sign&verify time measured (wholesig should sign at each hop)")
+		t.Error("no sign&verify time measured (the seal should sign at each hop)")
 	}
 	if res.Cycle <= 0 {
 		t.Error("no cycle time measured")

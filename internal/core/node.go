@@ -830,8 +830,8 @@ func (n *Node) process(ctx context.Context, ag *agent.Agent) error {
 	// agent migrates. Departure runs in *reverse* mechanism order so the
 	// list forms an onion: the first mechanism checks first on arrival
 	// and seals last on departure. A signing mechanism placed first
-	// (wholesig, refproto's seal) therefore covers every other
-	// mechanism's baggage.
+	// (refproto's seal) therefore covers every other mechanism's
+	// baggage.
 	for i := len(n.cfg.Mechanisms) - 1; i >= 0; i-- {
 		m := n.cfg.Mechanisms[i]
 		if err := m.PrepareDeparture(ctx, n.hc, ag, rec); err != nil {

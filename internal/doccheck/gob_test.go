@@ -13,7 +13,7 @@ import (
 // (gobReply and decodeGob, whose replies external tools decode).
 // The TCP transport speaks its own bounded frame (transport/tcp.go).
 // Everything an agent carries from host to host — the verdict list,
-// wholesig's signature, appraisal's rules, the vigna and proof chains,
+// refproto's sealed session, appraisal's rules, the vigna and proof chains,
 // the reference packages and the traces inside them — and every
 // mechanism call body is a bounded canon.Tuple codec, and must stay
 // one: a gob decoder sizes its allocations from the message it is

@@ -44,7 +44,7 @@ var reachAllow = map[string]string{
 	"faultnet.LinkFaults.DelayMin":                "test seam: faultnet.TestDelayHonoursContext",
 	"faultnet.LinkFaults.Duplicate":               "test seam: faultnet.TestDuplicateCallsOnly",
 	"faultnet.Schedule.LastStep":                  "test seam: faultnet.TestScheduleApply",
-	"fleet.Fleet.WrapNet":                         "test seam: fleet.TestWrapNetOnEveryFabric and the refproto, vigna and wholesig in-flight tamper tests",
+	"fleet.Fleet.WrapNet":                         "test seam: fleet.TestWrapNetOnEveryFabric and the refproto and vigna in-flight tamper tests",
 	"fleet.Fleet.tcp":                             "test seam: core.TestTCPEndToEnd and the other TCP drills build loopback fleets",
 	"fleet.NewTCP":                                "test seam: core.TestTCPEndToEnd and the other TCP drills build loopback fleets",
 	"host.Config.Clock":                           "test seam: host.TestCustomClockAndFeed",

@@ -58,15 +58,24 @@ func newHopBed(tb testing.TB, level Level, trusted ...string) *hopBed {
 	}
 	bed := &hopBed{tb: tb, timer: &stopwatch.PhaseTimer{}, owner: keys("owner"), nodes: map[string]hopNode{}}
 	for _, name := range []string{"h0", "h1", "h2"} {
-		h, err := host.New(host.Config{Name: name, Keys: keys(name), Registry: reg, Trusted: slices.Contains(trusted, name)})
-		if err != nil {
-			tb.Fatal(err)
-		}
 		st, err := Assemble(level, Options{Timer: bed.timer})
 		if err != nil {
 			tb.Fatal(err)
 		}
 		tb.Cleanup(func() { _ = st.Close() })
+		// Hosts record traces where a mechanism asks for them, as
+		// internal/fleet sets them up.
+		traces := slices.ContainsFunc(st.Mechanisms, func(m core.Mechanism) bool {
+			_, ok := m.(core.ExecutionLogRequester)
+			return ok
+		})
+		h, err := host.New(host.Config{
+			Name: name, Keys: keys(name), Registry: reg,
+			Trusted: slices.Contains(trusted, name), RecordTrace: traces,
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
 		bed.nodes[name] = hopNode{hc: &core.HostContext{Host: h}, mechs: st.Mechanisms}
 	}
 	return bed
@@ -148,25 +157,33 @@ func (bed *hopBed) endStay(name string, ag *agent.Agent) {
 
 func (bed *hopBed) spans() int { return bed.timer.Count(stopwatch.PhaseSignVerify) }
 
-// TestSignaturesPerHop pins the hop signature's count over the
-// assembled stacks that run the example mechanism: one signature per
-// departure, and on arrival one verification of it plus, for an
-// untrusted session that did not launch the agent, one of its
-// producer's.
+// signedLevels are the levels that sign each hop: with refproto's seal
+// alone at the first three, and beside its checker at the last two.
+var signedLevels = []Level{LevelSigned, LevelRules, LevelTraces, LevelFull, LevelAdaptive}
+
+// checked reports whether refproto's checker runs at level.
+func checked(level Level) bool { return level == LevelFull || level == LevelAdaptive }
+
+// TestSignaturesPerHop pins the hop signature's count over every
+// assembled stack that signs: one signature per departure, and on
+// arrival one verification of it plus, where the checker runs, one of
+// the producer's for an untrusted session that did not launch the
+// agent. Where the seal stands alone an honest arrival reports no
+// verdict.
 func TestSignaturesPerHop(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		trusted  []string // hosts the registry trusts
 		relayed  bool     // the checked session is h1's, which h0's produced
-		verifies int
-		reason   string // substring of the checked session's verdict
+		verifies int      // where the checker runs
+		reason   string   // substring of the checker's verdict on the session
 	}{
 		{"origin", nil, false, 1, ""},
 		{"relayed", nil, true, 2, ""},
 		{"trusted", []string{"h1"}, true, 1, "trusted"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, level := range []Level{LevelFull, LevelAdaptive} {
+			for _, level := range signedLevels {
 				t.Run(level.String(), func(t *testing.T) {
 					bed := newHopBed(t, level, tc.trusted...)
 					ag, rec := bed.launch()
@@ -181,18 +198,25 @@ func TestSignaturesPerHop(t *testing.T) {
 					if signs := bed.spans() - n; signs != 1 {
 						t.Errorf("departure: %d sign&verify spans, want 1 signature", signs)
 					}
+					want := 1
+					if checked(level) {
+						want = tc.verifies
+					}
 					n = bed.spans()
 					_, vs := bed.arrive(to, wire)
-					if verifies := bed.spans() - n; verifies != tc.verifies {
-						t.Errorf("arrival: %d sign&verify spans, want %d verifications", verifies, tc.verifies)
+					if verifies := bed.spans() - n; verifies != want {
+						t.Errorf("arrival: %d sign&verify spans, want %d verifications", verifies, want)
 					}
-					var checked bool
+					var refproto []*core.Verdict
 					for _, v := range vs {
-						if v.Mechanism == "refproto" && strings.Contains(v.Reason, tc.reason) {
-							checked = true
+						if v.Mechanism == "refproto" {
+							refproto = append(refproto, v)
 						}
 					}
-					if !checked {
+					switch {
+					case !checked(level) && len(refproto) != 0:
+						t.Errorf("the seal alone reported verdicts on an honest arrival: %v", refproto)
+					case checked(level) && (len(refproto) != 1 || !strings.Contains(refproto[0].Reason, tc.reason)):
 						t.Errorf("no refproto verdict on %s's session reading %q: %v", from, tc.reason, vs)
 					}
 				})
@@ -202,13 +226,19 @@ func TestSignaturesPerHop(t *testing.T) {
 }
 
 // BenchmarkAssembledHop measures one departure plus one relayed arrival
-// through the assembled LevelAdaptive stack, the wire between them
+// through each assembled stack that signs, the wire between them
 // included: h1 departs with the session h0's produced, and h2 checks
-// both. h1's own arrival and session, and the end of h2's stay, run
+// it. h1's own arrival and session, and the end of h2's stay, run
 // outside the timer. signs/op and verifies/op count the hop signature's
 // operations.
 func BenchmarkAssembledHop(b *testing.B) {
-	bed := newHopBed(b, LevelAdaptive)
+	for _, level := range signedLevels {
+		b.Run(level.String(), func(b *testing.B) { benchmarkHop(b, level) })
+	}
+}
+
+func benchmarkHop(b *testing.B, level Level) {
+	bed := newHopBed(b, level)
 	ag, rec := bed.launch()
 	launched := bed.depart("h0", ag, rec)
 	var signs, verifies int

@@ -8,18 +8,19 @@
 //   - LevelNone: nothing — the unprotected baseline.
 //   - LevelSigned: whole-agent signatures only (the paper's "plain"
 //     measurement configuration: "without using the protocol (but
-//     being signed and verified as a whole)").
-//   - LevelRules: signatures + state appraisal ("the lower end of the
+//     being signed and verified as a whole)"): refproto's seal alone,
+//     one signature per hop over the whole agent and no checker.
+//   - LevelRules: the seal + state appraisal ("the lower end of the
 //     protection scale ... uses only the resulting agent state, and
 //     employs rules").
-//   - LevelTraces: signatures + Vigna traces (suspicion-driven owner
+//   - LevelTraces: the seal + Vigna traces (suspicion-driven owner
 //     audit; requires trace-recording hosts — internal/fleet turns
 //     recording on for any stack whose mechanisms request the
 //     execution log).
 //   - LevelFull: the example mechanism ("the higher end": every
-//     session checked by the next host via re-execution). Its session
-//     signature, one per hop, covers the whole agent, so no separate
-//     whole-agent signature rides along.
+//     session checked by the next host via re-execution), the seal
+//     with its checker. The seal's one signature per hop is the same
+//     at every signed level.
 //   - LevelAdaptive: reputation gossip and appraisal rules inside the
 //     example mechanism, whose one signature per hop covers them, with
 //     its re-execution behind a reputation gate — cheap rules against
@@ -49,7 +50,6 @@ import (
 	"repro/internal/shardstore"
 	"repro/internal/stopwatch"
 	"repro/internal/vigna"
-	"repro/internal/wholesig"
 )
 
 // newVigna builds the traces mechanism, durable under
@@ -213,15 +213,15 @@ func Assemble(l Level, opts Options) (Stack, error) {
 	case LevelNone:
 		return Stack{}, nil
 	case LevelSigned:
-		return Stack{Mechanisms: []core.Mechanism{wholesig.New(opts.Timer)}}, nil
+		return Stack{Mechanisms: refproto.Sealed(refproto.Config{Timer: opts.Timer})}, nil
 	case LevelRules:
-		return Stack{Mechanisms: []core.Mechanism{wholesig.New(opts.Timer), appraisalpkg.New()}}, nil
+		return Stack{Mechanisms: refproto.Sealed(refproto.Config{Timer: opts.Timer}, appraisalpkg.New())}, nil
 	case LevelTraces:
 		v, err := newVigna(opts)
 		if err != nil {
 			return Stack{}, err
 		}
-		return Stack{Mechanisms: []core.Mechanism{wholesig.New(opts.Timer), v}}, nil
+		return Stack{Mechanisms: refproto.Sealed(refproto.Config{Timer: opts.Timer}, v)}, nil
 	case LevelFull:
 		return Stack{Mechanisms: refproto.New(refproto.Config{Timer: opts.Timer, ExecHook: opts.ExecHook})}, nil
 	case LevelAdaptive:

@@ -29,9 +29,9 @@ func TestMechanismStacks(t *testing.T) {
 		names []string
 	}{
 		{LevelNone, nil},
-		{LevelSigned, []string{"wholesig"}},
-		{LevelRules, []string{"wholesig", "appraisal"}},
-		{LevelTraces, []string{"wholesig", "vigna"}},
+		{LevelSigned, []string{"refproto.seal"}},
+		{LevelRules, []string{"refproto.seal", "appraisal"}},
+		{LevelTraces, []string{"refproto.seal", "vigna"}},
 		{LevelFull, []string{"refproto.seal", "refproto"}},
 		{LevelAdaptive, []string{"refproto.seal", "reputation", "appraisal", "refproto"}},
 	}

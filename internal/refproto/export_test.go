@@ -41,3 +41,17 @@ func DepartAsTrusted(keys *sigcrypto.KeyPair, ag *agent.Agent) error {
 func Reseal(keys *sigcrypto.KeyPair, ag *agent.Agent) error {
 	return resign(keys, ag, func(*payload) {})
 }
+
+// CarryPackage puts pkg into ag's protocol baggage as its reference
+// package and leaves the signed session as it was, as a wire attacker
+// would add bytes beside an intact signature.
+func CarryPackage(ag *agent.Agent, pkg []byte) error {
+	data, _ := ag.GetBaggage(MechanismName)
+	p, err := parsePayload(data)
+	if err != nil {
+		return err
+	}
+	p.PkgEnc = pkg
+	ag.SetBaggage(MechanismName, appendPayload(nil, &p))
+	return nil
+}

@@ -8,8 +8,8 @@ import (
 // FuzzRefprotoPayload feeds the payload decoder what a peer can send a
 // checking host: it must not panic, and every payload it accepts
 // encodes back to exactly the bytes it came from. Seeds are the
-// relayed, origin and trusted shapes, plus a real relayed payload with
-// its reference package.
+// relayed, origin, trusted and seal-only shapes, plus a real relayed
+// payload with its reference package.
 func FuzzRefprotoPayload(f *testing.F) {
 	for _, p := range payloadShapes() {
 		enc := appendPayload(nil, p)

@@ -274,14 +274,17 @@ func benchPayload() *payload {
 }
 
 // payloadShapes holds one payload of every shape the protocol
-// produces: a relayed untrusted session, the agent's first session,
-// and a trusted one.
+// produces: a relayed untrusted session, the agent's first session, a
+// trusted one, and a seal's without a checker (the origin form at any
+// hop, with no package).
 func payloadShapes() map[string]*payload {
 	origin := benchPayload()
 	origin.Hop, origin.Origin, origin.Producer = 0, true, session{}
 	trusted := benchPayload()
 	trusted.PkgEnc, trusted.Session.Package = nil, canon.Digest{}
-	return map[string]*payload{"relayed": benchPayload(), "origin": origin, "trusted": trusted}
+	sealed := benchPayload()
+	sealed.PkgEnc, sealed.Session.Package, sealed.Origin, sealed.Producer = nil, canon.Digest{}, true, session{}
+	return map[string]*payload{"relayed": benchPayload(), "origin": origin, "trusted": trusted, "sealed": sealed}
 }
 
 // TestPayloadRoundTrip exercises the canonical codec across every

@@ -52,6 +52,9 @@
 // the package and the handoff and re-executes. On departure the checker
 // packages the session first and the seal signs last, over everything
 // the mechanisms between them attached.
+//
+// Sealed builds the seal alone, the whole-agent signature of the
+// paper's "plain" agents ("signed and verified as a whole", §5.2).
 package refproto
 
 import (
@@ -109,6 +112,9 @@ type Config struct {
 // shared is one node's protocol state, common to its seal and checker.
 type shared struct {
 	cfg Config
+	// paired is set when a checker shares this state; a seal built
+	// alone packages its own sessions.
+	paired bool
 
 	mu sync.Mutex
 	// stays holds, per agent currently on this host, what the two
@@ -135,7 +141,8 @@ type stay struct {
 
 // Seal is the outer half of a node's protocol: it verifies the session
 // signature as the node's first arrival check and signs the session as
-// its last departure step.
+// its last departure step. Built alone (Sealed) it is the whole
+// protocol: a signature per hop and no reference-state check.
 type Seal struct {
 	core.BaseMechanism
 	*shared
@@ -168,8 +175,16 @@ func New(cfg Config, inner ...core.Mechanism) []core.Mechanism {
 }
 
 func newPair(cfg Config) (*Seal, *Mechanism) {
-	sh := &shared{cfg: cfg, stays: make(map[string]stay)}
+	sh := &shared{cfg: cfg, paired: true, stays: make(map[string]stay)}
 	return &Seal{shared: sh}, &Mechanism{shared: sh}
+}
+
+// Sealed builds a node's seal without a checker, in front of inner:
+// the seal signs each session over everything inner attached, and
+// verifies the signature before inner's arrival checks run. Only
+// cfg.Timer applies; nothing is re-executed.
+func Sealed(cfg Config, inner ...core.Mechanism) []core.Mechanism {
+	return append([]core.Mechanism{&Seal{shared: &shared{cfg: cfg}}}, inner...)
 }
 
 // Name implements core.Mechanism.
@@ -436,14 +451,25 @@ func (m *Mechanism) PrepareDeparture(_ context.Context, hc *core.HostContext, ag
 }
 
 // PrepareDeparture signs the packaged session — the host's one
-// signature for the hop — over everything the agent departs with.
-func (s *Seal) PrepareDeparture(_ context.Context, hc *core.HostContext, ag *agent.Agent, _ *host.SessionRecord) error {
-	s.mu.Lock()
-	st := s.stays[ag.ID]
-	delete(s.stays, ag.ID)
-	s.mu.Unlock()
-	if !st.packaged {
-		return errors.New("refproto: no packaged session to seal (the checker must follow the seal in the stack)")
+// signature for the hop — over everything the agent departs with. A
+// seal without a checker packages the session itself: its digests and
+// nothing else, in the origin form.
+func (s *Seal) PrepareDeparture(_ context.Context, hc *core.HostContext, ag *agent.Agent, rec *host.SessionRecord) error {
+	var st stay
+	if s.paired {
+		s.mu.Lock()
+		st = s.stays[ag.ID]
+		delete(s.stays, ag.ID)
+		s.mu.Unlock()
+		if !st.packaged {
+			return errors.New("refproto: no packaged session to seal (the checker must follow the seal in the stack)")
+		}
+	} else {
+		st.out = payload{
+			Hop:     rec.Hop,
+			Session: session{Initial: rec.InitialDigest(), Result: rec.ResultingDigest()},
+			Origin:  true,
+		}
 	}
 	p := &st.out
 	p.Session.Envelope = envelope(ag)
@@ -492,8 +518,8 @@ func failed(v *core.Verdict, reason string, evidence ...string) (*core.Verdict, 
 
 // CheckAfterSession verifies the previous host's session signature as
 // the node's first arrival check (Fig. 4), and holds the verified
-// session for the checker. It reports only a failure: the checker's
-// verdict is the session's record.
+// session for the checker, if there is one. It reports only a failure:
+// the checker's verdict is the session's record.
 func (s *Seal) CheckAfterSession(_ context.Context, hc *core.HostContext, ag *agent.Agent) (*core.Verdict, error) {
 	if ag.Hop == 0 {
 		// Freshly launched on this host; nothing to check yet.
@@ -507,6 +533,12 @@ func (s *Seal) CheckAfterSession(_ context.Context, hc *core.HostContext, ag *ag
 	p, err := parsePayload(data)
 	if err != nil {
 		return failed(v, fmt.Sprintf("malformed protocol baggage: %v", err))
+	}
+	// Without a checker nothing would verify a package or a producer
+	// against its digests, so bytes riding in either would pass under
+	// an intact signature.
+	if !s.paired && (p.PkgEnc != nil || !p.Origin) {
+		return failed(v, "protocol baggage carries a reference package or producer no checker here reads")
 	}
 	p.Session.Envelope = envelope(ag)
 
@@ -529,9 +561,11 @@ func (s *Seal) CheckAfterSession(_ context.Context, hc *core.HostContext, ag *ag
 			return failed(v, err.Error())
 		}
 	}
-	s.mu.Lock()
-	s.stays[ag.ID] = stay{in: p, sealed: true}
-	s.mu.Unlock()
+	if s.paired {
+		s.mu.Lock()
+		s.stays[ag.ID] = stay{in: p, sealed: true}
+		s.mu.Unlock()
+	}
 	return nil, nil
 }
 

@@ -86,10 +86,6 @@ type Signature struct {
 // unbounding the field).
 const MaxSigLen = 128
 
-// MaxWireLen is the most a signature adds to a canon tuple: its two
-// fields at their bounds, each with its 4-byte length prefix.
-const MaxWireLen = 4 + canon.MaxNameLen + 4 + MaxSigLen
-
 // AppendWire appends s to a record's tuple fields as two fields, the
 // signer and then the signature bytes, refusing a signature
 // ScanSignature would reject.
