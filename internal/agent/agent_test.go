@@ -137,7 +137,7 @@ func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 	if b.ID != a.ID || b.Owner != a.Owner || b.Entry != a.Entry || b.Hop != a.Hop {
 		t.Errorf("metadata changed in round trip: %+v", b)
 	}
-	if !b.State.Equal(a.State) {
+	if len(b.State.Diff(a.State)) > 0 {
 		t.Errorf("state changed: %v", a.State.Diff(b.State))
 	}
 	if len(b.Route) != 2 || b.Route[1] != "shop1" {

@@ -17,16 +17,6 @@ type InputRecord struct {
 	Result value.Value
 }
 
-// Clone returns a deep copy of the record.
-func (r InputRecord) Clone() InputRecord {
-	out := InputRecord{Seq: r.Seq, Call: r.Call, Result: r.Result.Clone()}
-	out.Args = make([]value.Value, len(r.Args))
-	for i, a := range r.Args {
-		out.Args[i] = a.Clone()
-	}
-	return out
-}
-
 // RecordingEnv wraps an inner environment and records every input
 // result. Hosts use it to build the session input log.
 type RecordingEnv struct {

@@ -13,6 +13,7 @@
 package canon
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -119,14 +120,6 @@ func AppendValue(dst []byte, v value.Value) []byte {
 	return dst
 }
 
-// EncodeValue returns the canonical encoding of a single value,
-// including the version prefix.
-func EncodeValue(v value.Value) []byte {
-	dst := make([]byte, 0, 64)
-	dst = append(dst, version)
-	return AppendValue(dst, v)
-}
-
 // AppendState appends the canonical encoding of a state (sorted by
 // variable name) to dst.
 func AppendState(dst []byte, s value.State) []byte {
@@ -188,10 +181,26 @@ func AppendFieldHeader(dst []byte, size int) []byte {
 	return binary.BigEndian.AppendUint32(dst, guardLen("tuple field", size))
 }
 
-// AppendValueField appends a framed field holding EncodeValue(v).
+// AppendValueField appends a framed field holding v's canonical
+// encoding, version byte first, as DecodeValue reads it. The frame is
+// written once the bytes are, so v is walked once.
 func AppendValueField(dst []byte, v value.Value) []byte {
-	dst = append(AppendFieldHeader(dst, 1+SizeValue(v)), version)
-	return AppendValue(dst, v)
+	at := len(dst)
+	return closeField(AppendValue(append(dst, 0, 0, 0, 0, version), v), at)
+}
+
+// AppendStateField appends a framed field holding EncodeState(s),
+// walking s once.
+func AppendStateField(dst []byte, s value.State) []byte {
+	at := len(dst)
+	return closeField(AppendState(append(dst, 0, 0, 0, 0, version), s), at)
+}
+
+// closeField writes the frame reserved at dst[at:at+4] for the bytes
+// appended after it.
+func closeField(dst []byte, at int) []byte {
+	binary.BigEndian.PutUint32(dst[at:], guardLen("tuple field", len(dst)-at-4))
+	return dst
 }
 
 // ExtendTuple appends to dst a copy of tuple — a framed tuple that
@@ -398,8 +407,8 @@ func HashValue(v value.Value) Digest {
 }
 
 // HashState digests the canonical encoding of a state without
-// materializing it. Two states have equal digests iff value.State.Equal
-// holds (up to hash collisions).
+// materializing it. Two states have equal digests iff they bind the
+// same variables to equal values (up to hash collisions).
 func HashState(s value.State) Digest {
 	x := hasherPool.Get().(*Hasher)
 	x.Reset()
@@ -624,9 +633,10 @@ func (d *decoder) state() (value.State, error) {
 	return s, d.keyed(n, s)
 }
 
-// DecodeValue parses a canonical value encoding produced by EncodeValue.
-// It accepts only canonical bytes: a value it returns encodes back to
-// exactly its input. Every rejection wraps ErrMalformed.
+// DecodeValue parses a canonical value encoding: the version byte, then
+// AppendValue's bytes (the field AppendValueField frames). It accepts
+// only canonical bytes: a value it returns encodes back to exactly its
+// input. Every rejection wraps ErrMalformed.
 func DecodeValue(b []byte) (value.Value, error) {
 	v, _, err := decodeTop(b, false)
 	return v, err
@@ -637,4 +647,119 @@ func DecodeValue(b []byte) (value.Value, error) {
 func DecodeState(b []byte) (value.State, error) {
 	_, s, err := decodeTop(b, true)
 	return s, err
+}
+
+// CheckValue accepts exactly the bytes DecodeValue accepts, building
+// nothing: an accepted b is canonical, so HashBytes(b) is the digest of
+// the value it encodes. It allocates only to word a rejection, which
+// wraps ErrMalformed.
+func CheckValue(b []byte) error { return checkTop(b, false) }
+
+// CheckState accepts exactly the bytes DecodeState accepts, building
+// nothing: HashBytes of an accepted b is HashState of the state it
+// encodes.
+func CheckState(b []byte) error { return checkTop(b, true) }
+
+// checkTop is decodeTop's twin for CheckValue and CheckState.
+func checkTop(b []byte, state bool) error {
+	d := decoder{buf: b}
+	ver, err := d.byte()
+	switch {
+	case err != nil:
+	case ver != version:
+		err = fmt.Errorf("unsupported version 0x%02x", ver)
+	case state:
+		err = d.skipState()
+	default:
+		err = d.skip()
+	}
+	if err == nil && d.off != len(b) {
+		err = fmt.Errorf("%d trailing bytes", len(b)-d.off)
+	}
+	if err != nil && !errors.Is(err, ErrMalformed) {
+		err = fmt.Errorf("%w: %w", ErrMalformed, err)
+	}
+	return err
+}
+
+// skip steps over one value, refusing what value refuses.
+func (d *decoder) skip() error {
+	tag, err := d.byte()
+	if err != nil {
+		return err
+	}
+	switch tag {
+	case tagNull:
+		return nil
+	case tagInt:
+		_, err := d.uint64()
+		return err
+	case tagString:
+		n, err := d.count()
+		if err == nil {
+			_, err = d.bytes(n)
+		}
+		return err
+	case tagBool:
+		b, err := d.byte()
+		if err == nil && b > 1 {
+			err = fmt.Errorf("%w: bool byte 0x%02x", ErrMalformed, b)
+		}
+		return err
+	case tagList, tagMap:
+		n, err := d.count()
+		if err == nil {
+			err = d.enter()
+		}
+		if err != nil {
+			return err
+		}
+		if tag == tagMap {
+			err = d.skipKeyed(n)
+		} else {
+			for i := 0; err == nil && i < n; i++ {
+				err = d.skip()
+			}
+		}
+		d.depth--
+		return err
+	default:
+		return fmt.Errorf("%w: unknown tag 0x%02x", ErrMalformed, tag)
+	}
+}
+
+// skipState steps over a state's tag and variables, refusing what state
+// refuses.
+func (d *decoder) skipState() error {
+	if tag, err := d.byte(); err != nil || tag != tagState {
+		return fmt.Errorf("%w: expected state tag", ErrMalformed)
+	}
+	n, err := d.count()
+	if err != nil {
+		return err
+	}
+	return d.skipKeyed(n)
+}
+
+// skipKeyed steps over n key/value pairs, refusing what keyed refuses.
+func (d *decoder) skipKeyed(n int) error {
+	var prev []byte
+	for i := 0; i < n; i++ {
+		kn, err := d.count()
+		if err != nil {
+			return err
+		}
+		k, err := d.bytes(kn)
+		if err != nil {
+			return err
+		}
+		if i > 0 && bytes.Compare(k, prev) <= 0 {
+			return fmt.Errorf("%w: key %d does not follow the key before it", ErrMalformed, i)
+		}
+		if err := d.skip(); err != nil {
+			return err
+		}
+		prev = k
+	}
+	return nil
 }

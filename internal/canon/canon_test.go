@@ -10,6 +10,10 @@ import (
 	"repro/internal/value"
 )
 
+// encodeValue is v's canonical encoding, version byte first: the bytes
+// DecodeValue reads and AppendValueField frames.
+func encodeValue(v value.Value) []byte { return AppendValue([]byte{version}, v) }
+
 func randomValue(r *rand.Rand, depth int) value.Value {
 	kinds := 4
 	if depth > 0 {
@@ -59,7 +63,7 @@ func TestValueRoundTrip(t *testing.T) {
 		value.Map(map[string]value.Value{"k": value.Map(map[string]value.Value{"n": value.Null()})}),
 	}
 	for _, v := range fixed {
-		enc := EncodeValue(v)
+		enc := encodeValue(v)
 		got, err := DecodeValue(enc)
 		if err != nil {
 			t.Fatalf("DecodeValue(%s): %v", v, err)
@@ -74,7 +78,7 @@ func TestValueRoundTripRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for i := 0; i < 1000; i++ {
 		v := randomValue(r, 3)
-		got, err := DecodeValue(EncodeValue(v))
+		got, err := DecodeValue(encodeValue(v))
 		if err != nil {
 			t.Fatalf("decode of %s: %v", v, err)
 		}
@@ -94,7 +98,7 @@ func TestStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(s) {
+	if len(got.Diff(s)) > 0 {
 		t.Errorf("state round trip mismatch: %v vs %v", got, s)
 	}
 }
@@ -125,7 +129,7 @@ func TestHashStateEqualIffStatesEqual(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		a := value.State{"v": randomValue(r, 2), "w": randomValue(r, 2)}
 		b := value.State{"v": randomValue(r, 2), "w": randomValue(r, 2)}
-		if a.Equal(b) != (HashState(a) == HashState(b)) {
+		if (len(a.Diff(b)) == 0) != (HashState(a) == HashState(b)) {
 			t.Fatalf("digest equality disagrees with state equality: %v vs %v", a, b)
 		}
 		if HashState(a) != HashState(a.Clone()) {
@@ -153,7 +157,7 @@ func TestDistinctValuesDistinctEncodings(t *testing.T) {
 	}
 	seen := map[string]value.Value{}
 	for _, v := range vals {
-		key := string(EncodeValue(v))
+		key := string(encodeValue(v))
 		if prev, dup := seen[key]; dup {
 			t.Errorf("values %s and %s share an encoding", prev, v)
 		}
@@ -175,7 +179,7 @@ func TestTupleFraming(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	valid := EncodeValue(value.List(value.Int(1), value.Str("xy")))
+	valid := encodeValue(value.List(value.Int(1), value.Str("xy")))
 	tests := []struct {
 		name string
 		buf  []byte
@@ -245,6 +249,13 @@ func TestDecodeRefusesNonCanonical(t *testing.T) {
 		if !errors.Is(err, ErrMalformed) {
 			t.Errorf("%s: err = %v, want ErrMalformed", tt.name, err)
 		}
+		check := CheckValue
+		if tt.state {
+			check = CheckState
+		}
+		if err := check(tt.buf); !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: check err = %v, want ErrMalformed", tt.name, err)
+		}
 	}
 	// The canonical twins decode.
 	if _, err := DecodeValue(keyed(tagMap, "a", "b")); err != nil {
@@ -279,19 +290,25 @@ func TestDecodeBoundsNesting(t *testing.T) {
 		if _, err := DecodeValue(nested(maxDepth+1, asMap)); !errors.Is(err, ErrMalformed) {
 			t.Errorf("map=%t: %d levels: err = %v, want ErrMalformed", asMap, maxDepth+1, err)
 		}
+		if CheckValue(nested(maxDepth, asMap)) != nil || !errors.Is(CheckValue(nested(maxDepth+1, asMap)), ErrMalformed) {
+			t.Errorf("map=%t: CheckValue does not bound nesting at %d levels", asMap, maxDepth)
+		}
 	}
 	// Siblings do not add up: depth is what is open, not what was seen.
 	wide := value.List(value.List(value.List()), value.List(value.List()), value.Map(nil))
 	for i := 0; i < maxDepth-3; i++ {
 		wide = value.List(wide, value.Map(map[string]value.Value{"k": value.List()}))
 	}
-	if got, err := DecodeValue(EncodeValue(wide)); err != nil || !got.Equal(wide) {
+	if got, err := DecodeValue(encodeValue(wide)); err != nil || !got.Equal(wide) {
 		t.Errorf("a value %d levels deep with wide siblings did not survive the round trip: %v", maxDepth, err)
 	}
 
 	deep := nested(8<<20, false)
 	if _, err := DecodeValue(deep); !errors.Is(err, ErrMalformed) {
 		t.Errorf("DecodeValue of 8 M nested lists: err = %v, want ErrMalformed", err)
+	}
+	if err := CheckValue(deep); !errors.Is(err, ErrMalformed) {
+		t.Errorf("CheckValue of 8 M nested lists: err = %v, want ErrMalformed", err)
 	}
 	state := append([]byte{version, tagState, 0, 0, 0, 1, 0, 0, 0, 1, 'x'}, deep[1:]...)
 	if _, err := DecodeState(state); !errors.Is(err, ErrMalformed) {

@@ -15,7 +15,7 @@ func fuzzSeeds() [][]byte {
 		"b": value.Map(map[string]value.Value{"x": value.Int(1), "y": value.Map(nil)}),
 	})
 	return [][]byte{
-		EncodeValue(v),
+		encodeValue(v),
 		EncodeState(value.State{"v": v, "w": value.Str("")}),
 		EncodeState(value.State{}),
 		{version, tagBool, 2},
@@ -24,32 +24,41 @@ func fuzzSeeds() [][]byte {
 	}
 }
 
-// FuzzCanonValue: DecodeValue never panics, and a value it accepts
-// encodes back to exactly the input, so its digest is the input's.
+// FuzzCanonValue: DecodeValue never panics, CheckValue accepts exactly
+// what it accepts, and a value it accepts encodes back to exactly the
+// input, so its digest is the input's.
 func FuzzCanonValue(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := DecodeValue(data)
+		if cerr := CheckValue(data); (cerr == nil) != (err == nil) {
+			t.Fatalf("CheckValue says %v, DecodeValue %v", cerr, err)
+		}
 		if err != nil {
 			return
 		}
-		if !bytes.Equal(EncodeValue(v), data) || HashValue(v) != HashBytes(data) {
+		if !bytes.Equal(encodeValue(v), data) || HashValue(v) != HashBytes(data) {
 			t.Fatalf("accepted value %s does not encode back to its input", v)
 		}
 	})
 }
 
-// FuzzCanonState: DecodeState never panics, and a state it accepts
-// encodes back to exactly the input, so HashState agrees with the digest
-// of the input (the memo agent.Decode seeds from the wire).
+// FuzzCanonState: DecodeState never panics, CheckState accepts exactly
+// what it accepts, and a state it accepts encodes back to exactly the
+// input, so HashState agrees with the digest of the input (the memo
+// agent.Decode seeds from the wire, the sums a checker reads from a
+// reference package).
 func FuzzCanonState(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := DecodeState(data)
+		if cerr := CheckState(data); (cerr == nil) != (err == nil) {
+			t.Fatalf("CheckState says %v, DecodeState %v", cerr, err)
+		}
 		if err != nil {
 			return
 		}

@@ -213,7 +213,7 @@ func (x *Hasher) IntField(n int64) {
 	x.writeBytes(b)
 }
 
-// ValueField streams a framed field whose content is EncodeValue(v),
+// ValueField streams the field AppendValueField(nil, v) appends,
 // without materializing it.
 func (x *Hasher) ValueField(v value.Value) {
 	x.writeU32(guardLen("tuple field", 1+SizeValue(v)))

@@ -44,7 +44,7 @@ func TestStreamingHashMatchesMaterialized(t *testing.T) {
 			t.Errorf("state %d: streaming digest %s != materialized %s", i, got, want)
 		}
 		for k, v := range s {
-			want := Digest(sha256.Sum256(EncodeValue(v)))
+			want := Digest(sha256.Sum256(encodeValue(v)))
 			if got := HashValue(v); got != want {
 				t.Errorf("state %d, value %q: streaming digest mismatch", i, k)
 			}
@@ -63,7 +63,7 @@ func TestStreamingHashTupleMatchesMaterialized(t *testing.T) {
 func TestHasherFieldHelpersMatchMaterializedTuple(t *testing.T) {
 	s := value.State{"x": value.Int(1), "ys": value.List(value.Str("a"))}
 	v := value.Map(map[string]value.Value{"k": value.Int(2)})
-	fields := [][]byte{[]byte("label"), EncodeValue(v), EncodeState(s)}
+	fields := [][]byte{[]byte("label"), encodeValue(v), EncodeState(s)}
 	want := Digest(sha256.Sum256(Tuple(fields...)))
 
 	x := NewHasher()

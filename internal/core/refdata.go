@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/agentlang"
@@ -13,7 +15,7 @@ import (
 // The requester marker interfaces of Fig. 4. A mechanism implements the
 // interfaces for the reference data its checking algorithm needs; the
 // framework packs exactly the declared data into the agent
-// (BuildReferencePackage). This mirrors the paper's "similar to the
+// (PackageSession). This mirrors the paper's "similar to the
 // usage of Clonable in Java".
 
 // InitialStateRequester declares need for the initial state.
@@ -50,38 +52,53 @@ type ReferencePackage struct {
 	Resources      map[string]value.Value
 }
 
-// BuildReferencePackage assembles a package from a session record,
-// including only the data kinds the mechanism declares via requester
-// interfaces. States are copy-on-write snapshots of the (finalized)
-// record; resources are deep copies because the host's resource store
-// is shared across concurrent sessions and must not carry flags.
-func BuildReferencePackage(m Mechanism, rec *host.SessionRecord, resources map[string]value.Value) *ReferencePackage {
-	pkg := &ReferencePackage{
+// PackageSession encodes the reference data m declares of the
+// finalized session rec (the requester interfaces of Fig. 4) in one
+// pass over the record, and returns the encoding with its sums, read
+// back from the encoded fields. The encoding is the package's only
+// copy, so the record's states, input and trace are read in place:
+// nothing is snapshotted or cloned. resources is read the same way.
+func PackageSession(m Mechanism, rec *host.SessionRecord, resources map[string]value.Value) ([]byte, PackageSums, error) {
+	p := ReferencePackage{
 		HostName:    rec.HostName,
 		Hop:         rec.Hop,
 		Entry:       rec.Entry,
 		ResultEntry: rec.ResultEntry,
 	}
+	// A declared kind is present even when empty: nil means absent.
 	if _, ok := m.(InitialStateRequester); ok {
-		pkg.InitialState = rec.Initial.Snapshot()
-	}
-	if _, ok := m.(ResultingStateRequester); ok {
-		pkg.ResultingState = rec.Resulting.Snapshot()
-	}
-	if _, ok := m.(InputRequester); ok {
-		pkg.Input = rec.CloneInput()
-	}
-	if _, ok := m.(ExecutionLogRequester); ok {
-		tr := rec.Trace
-		pkg.Trace = &tr
-	}
-	if _, ok := m.(ResourceRequester); ok {
-		pkg.Resources = make(map[string]value.Value, len(resources))
-		for k, v := range resources {
-			pkg.Resources[k] = v.Clone()
+		p.InitialState = rec.Initial
+		if p.InitialState == nil {
+			p.InitialState = value.State{}
 		}
 	}
-	return pkg
+	if _, ok := m.(ResultingStateRequester); ok {
+		p.ResultingState = rec.Resulting
+		if p.ResultingState == nil {
+			p.ResultingState = value.State{}
+		}
+	}
+	if _, ok := m.(InputRequester); ok {
+		p.Input = rec.Input
+		if p.Input == nil {
+			p.Input = []agentlang.InputRecord{}
+		}
+	}
+	if _, ok := m.(ExecutionLogRequester); ok {
+		p.Trace = &rec.Trace
+	}
+	if _, ok := m.(ResourceRequester); ok {
+		p.Resources = resources
+		if p.Resources == nil {
+			p.Resources = map[string]value.Value{}
+		}
+	}
+	enc, err := p.Marshal()
+	if err != nil {
+		return nil, PackageSums{}, err
+	}
+	sums, err := scanPackage(enc, false)
+	return enc, sums, err
 }
 
 // Wire layout: one canonical tuple with a presence bitmap. Reference
@@ -113,11 +130,13 @@ const (
 	refPkgFlags = 1<<iota - 1 // every flag above
 )
 
-// Marshal serializes the package for agent baggage. It passes up the
-// trace's refusal of a trace too large to carry (canon.ErrTooLarge).
+// Marshal serializes the package for agent baggage, appending every
+// field in place into pooled scratch and copying the result out once.
+// It passes up the trace's refusal of a trace too large to carry
+// (canon.ErrTooLarge).
 func (p *ReferencePackage) Marshal() ([]byte, error) {
 	var flags byte
-	var initialEnc, resultingEnc, traceEnc []byte
+	var traceEnc []byte
 	if p.Trace != nil {
 		flags |= refPkgHasTrace
 		var err error
@@ -127,11 +146,9 @@ func (p *ReferencePackage) Marshal() ([]byte, error) {
 	}
 	if p.InitialState != nil {
 		flags |= refPkgHasInitial
-		initialEnc = canon.EncodeState(p.InitialState)
 	}
 	if p.ResultingState != nil {
 		flags |= refPkgHasResulting
-		resultingEnc = canon.EncodeState(p.ResultingState)
 	}
 	if p.Input != nil {
 		flags |= refPkgHasInput
@@ -144,37 +161,109 @@ func (p *ReferencePackage) Marshal() ([]byte, error) {
 		nfields += 3 + len(rec.Args)
 	}
 
-	fields := make([][]byte, 0, nfields)
-	fields = append(fields,
-		[]byte(refPkgWireLabel),
-		[]byte(p.HostName),
-		canon.Uint64Field(uint64(p.Hop)),
-		[]byte(p.Entry),
-		[]byte(p.ResultEntry),
-		[]byte{flags},
-		initialEnc,
-		resultingEnc,
-		traceEnc,
-		canon.Uint64Field(uint64(len(p.Input))),
-		canon.Uint64Field(uint64(len(p.Resources))),
-	)
+	buf := canon.GetBuf()
+	dst := canon.AppendTupleHeader((*buf)[:0], nfields)
+	dst = appendStringField(dst, refPkgWireLabel)
+	dst = appendStringField(dst, p.HostName)
+	dst = appendUint64Field(dst, uint64(p.Hop))
+	dst = appendStringField(dst, p.Entry)
+	dst = appendStringField(dst, p.ResultEntry)
+	dst = append(canon.AppendFieldHeader(dst, 1), flags)
+	dst = appendStateField(dst, p.InitialState)
+	dst = appendStateField(dst, p.ResultingState)
+	dst = append(canon.AppendFieldHeader(dst, len(traceEnc)), traceEnc...)
+	dst = appendUint64Field(dst, uint64(len(p.Input)))
+	dst = appendUint64Field(dst, uint64(len(p.Resources)))
 	for _, rec := range p.Input {
-		fields = append(fields, []byte(rec.Call), canon.Uint64Field(uint64(len(rec.Args))))
+		dst = appendStringField(dst, rec.Call)
+		dst = appendUint64Field(dst, uint64(len(rec.Args)))
 		for _, a := range rec.Args {
-			fields = append(fields, canon.EncodeValue(a))
+			dst = canon.AppendValueField(dst, a)
 		}
-		fields = append(fields, canon.EncodeValue(rec.Result))
+		dst = canon.AppendValueField(dst, rec.Result)
 	}
 	for _, k := range value.SortedKeys(p.Resources) {
-		fields = append(fields, []byte(k), canon.EncodeValue(p.Resources[k]))
+		dst = appendStringField(dst, k)
+		dst = canon.AppendValueField(dst, p.Resources[k])
 	}
-	return canon.Tuple(fields...), nil
+	out := bytes.Clone(dst)
+	*buf = dst
+	canon.PutBuf(buf)
+	return out, nil
+}
+
+func appendStringField(dst []byte, s string) []byte {
+	return append(canon.AppendFieldHeader(dst, len(s)), s...)
+}
+
+func appendUint64Field(dst []byte, v uint64) []byte {
+	return binary.BigEndian.AppendUint64(canon.AppendFieldHeader(dst, 8), v)
+}
+
+// appendStateField appends s's encoding as a field, or an empty field
+// for an absent state.
+func appendStateField(dst []byte, s value.State) []byte {
+	if s == nil {
+		return canon.AppendFieldHeader(dst, 0)
+	}
+	return canon.AppendStateField(dst, s)
+}
+
+// pkgHeader is the fixed part of a package encoding, fields 1 to 10,
+// as readPackageHeader checks it; its slices alias the encoding.
+type pkgHeader struct {
+	host, entry, resultEntry  []byte
+	hop                       int
+	flags                     byte
+	initial, resulting, trace []byte
+	nInput, nRes              uint64
+}
+
+func (h *pkgHeader) has(flag byte) bool { return h.flags&flag != 0 }
+
+// readPackageHeader opens a package encoding and reads its fixed
+// fields, leaving the scanner at the first input record. No field can
+// be longer than the input, and each count is bounded by the fields
+// left to read before it sizes an allocation: the counts are attacker
+// controlled.
+func readPackageHeader(data []byte) (canon.TupleScanner, pkgHeader, error) {
+	var h pkgHeader
+	bound := len(data)
+	s, err := canon.ScanTuple(data)
+	if err != nil {
+		return s, h, err
+	}
+	if s.Len() < 11 || string(s.Field(len(refPkgWireLabel))) != refPkgWireLabel {
+		return s, h, fmt.Errorf("%w: header", canon.ErrMalformed)
+	}
+	h.host, h.hop = s.Field(bound), int(s.Uint64())
+	h.entry, h.resultEntry = s.Field(bound), s.Field(bound)
+	flags := s.Field(1)
+	h.initial, h.resulting, h.trace = s.Field(bound), s.Field(bound), s.Field(bound)
+	h.nInput, h.nRes = s.Uint64(), s.Uint64()
+	switch {
+	case s.Err() != nil:
+		return s, h, s.Err()
+	case len(flags) != 1:
+		return s, h, fmt.Errorf("%w: presence flags", canon.ErrMalformed)
+	case h.nInput > uint64(s.Len()) || h.nRes > uint64(s.Len()):
+		return s, h, fmt.Errorf("%w: counts exceed field count", canon.ErrMalformed)
+	}
+	h.flags = flags[0]
+	switch {
+	case h.flags&^refPkgFlags != 0:
+		return s, h, fmt.Errorf("%w: unknown presence flags 0x%02x", canon.ErrMalformed, h.flags)
+	case !h.has(refPkgHasInitial) && len(h.initial) > 0, !h.has(refPkgHasResulting) && len(h.resulting) > 0,
+		!h.has(refPkgHasTrace) && len(h.trace) > 0, !h.has(refPkgHasInput) && h.nInput > 0,
+		!h.has(refPkgHasResources) && h.nRes > 0:
+		// Marshal leaves empty what a clear flag leaves out.
+		return s, h, fmt.Errorf("%w: data under a clear presence flag", canon.ErrMalformed)
+	}
+	return s, h, nil
 }
 
 // UnmarshalReferencePackage parses a package from agent baggage. Every
-// rejection wraps canon.ErrMalformed. No field can be longer than the
-// input, and each count is bounded by the fields left to read before it
-// sizes an allocation: the counts are attacker controlled.
+// rejection wraps canon.ErrMalformed.
 func UnmarshalReferencePackage(data []byte) (_ *ReferencePackage, err error) {
 	defer func() {
 		if err != nil {
@@ -182,52 +271,31 @@ func UnmarshalReferencePackage(data []byte) (_ *ReferencePackage, err error) {
 		}
 	}()
 	bound := len(data)
-	s, err := canon.ScanTuple(data)
+	s, h, err := readPackageHeader(data)
 	if err != nil {
 		return nil, err
 	}
-	if s.Len() < 11 || string(s.Field(len(refPkgWireLabel))) != refPkgWireLabel {
-		return nil, fmt.Errorf("%w: header", canon.ErrMalformed)
-	}
-	p := &ReferencePackage{HostName: string(s.Field(bound)), Hop: int(s.Uint64())}
-	p.Entry, p.ResultEntry = string(s.Field(bound)), string(s.Field(bound))
-	flags, initial, resulting, tr := s.Field(1), s.Field(bound), s.Field(bound), s.Field(bound)
-	nInput, nRes := s.Uint64(), s.Uint64()
-	switch {
-	case s.Err() != nil:
-		return nil, s.Err()
-	case len(flags) != 1:
-		return nil, fmt.Errorf("%w: presence flags", canon.ErrMalformed)
-	case nInput > uint64(s.Len()) || nRes > uint64(s.Len()):
-		return nil, fmt.Errorf("%w: counts exceed field count", canon.ErrMalformed)
-	case flags[0]&^refPkgFlags != 0:
-		return nil, fmt.Errorf("%w: unknown presence flags 0x%02x", canon.ErrMalformed, flags[0])
-	case flags[0]&refPkgHasInitial == 0 && len(initial) > 0, flags[0]&refPkgHasResulting == 0 && len(resulting) > 0,
-		flags[0]&refPkgHasTrace == 0 && len(tr) > 0, flags[0]&refPkgHasInput == 0 && nInput > 0,
-		flags[0]&refPkgHasResources == 0 && nRes > 0:
-		// Marshal leaves empty what a clear flag leaves out.
-		return nil, fmt.Errorf("%w: data under a clear presence flag", canon.ErrMalformed)
-	}
-	if flags[0]&refPkgHasInitial != 0 {
-		if p.InitialState, err = canon.DecodeState(initial); err != nil {
+	p := &ReferencePackage{HostName: string(h.host), Hop: h.hop, Entry: string(h.entry), ResultEntry: string(h.resultEntry)}
+	if h.has(refPkgHasInitial) {
+		if p.InitialState, err = canon.DecodeState(h.initial); err != nil {
 			return nil, fmt.Errorf("initial state: %w", err)
 		}
 	}
-	if flags[0]&refPkgHasResulting != 0 {
-		if p.ResultingState, err = canon.DecodeState(resulting); err != nil {
+	if h.has(refPkgHasResulting) {
+		if p.ResultingState, err = canon.DecodeState(h.resulting); err != nil {
 			return nil, fmt.Errorf("resulting state: %w", err)
 		}
 	}
-	if flags[0]&refPkgHasTrace != 0 {
-		t, err := trace.Unmarshal(tr)
+	if h.has(refPkgHasTrace) {
+		t, err := trace.Unmarshal(h.trace)
 		if err != nil {
 			return nil, err
 		}
 		p.Trace = &t
 	}
-	if flags[0]&refPkgHasInput != 0 {
-		p.Input = make([]agentlang.InputRecord, 0, nInput)
-		for i := range int(nInput) {
+	if h.has(refPkgHasInput) {
+		p.Input = make([]agentlang.InputRecord, 0, h.nInput)
+		for i := range int(h.nInput) {
 			rec := agentlang.InputRecord{Seq: i, Call: string(s.Field(bound))}
 			nArgs := s.Uint64()
 			if nArgs > uint64(s.Len()) {
@@ -246,10 +314,10 @@ func UnmarshalReferencePackage(data []byte) (_ *ReferencePackage, err error) {
 			p.Input = append(p.Input, rec)
 		}
 	}
-	if flags[0]&refPkgHasResources != 0 {
-		p.Resources = make(map[string]value.Value, nRes)
+	if h.has(refPkgHasResources) {
+		p.Resources = make(map[string]value.Value, h.nRes)
 		prev := ""
-		for i := range nRes {
+		for i := range h.nRes {
 			k := string(s.Field(bound))
 			if i > 0 && k <= prev {
 				return nil, fmt.Errorf("%w: resource %q does not follow the key before it", canon.ErrMalformed, k)
@@ -265,6 +333,153 @@ func UnmarshalReferencePackage(data []byte) (_ *ReferencePackage, err error) {
 	}
 	return p, nil
 }
+
+// PackageSums is what a checker compares of a reference package with
+// the session signed over it, read from the package's encoding.
+type PackageSums struct {
+	// HostName and Hop name the session; HostName aliases the encoding.
+	HostName []byte
+	Hop      int
+	// Digest is the package's Digest; Initial and Resulting are
+	// canon.HashState of its states, of an empty state where absent.
+	Digest, Initial, Resulting canon.Digest
+}
+
+// emptyState is canon.HashState of an absent (nil) state.
+var emptyState = canon.HashState(nil)
+
+// ScanReferencePackage accepts exactly the encodings
+// UnmarshalReferencePackage accepts and returns their sums, decoding
+// nothing: the decoders accept only canonical bytes, so each digest is
+// taken straight from the encoded fields. It allocates only for a
+// trace, which the checker's packages do not carry, and to word a
+// refusal, which UnmarshalReferencePackage words as verdicts read it.
+func ScanReferencePackage(data []byte) (PackageSums, error) {
+	return scanPackage(data, true)
+}
+
+// scanPackage reads a package encoding's sums. checked validates every
+// state, value and trace field as the decoders would, which a package
+// Marshal just wrote needs not.
+func scanPackage(data []byte, checked bool) (PackageSums, error) {
+	checkState, checkValue, checkTrace := canon.CheckState, canon.CheckValue, checkTraceField
+	if !checked {
+		checkState, checkValue, checkTrace = accept, accept, accept
+	}
+	bound := len(data)
+	s, h, err := readPackageHeader(data)
+	if err != nil {
+		return PackageSums{}, err
+	}
+	sums := PackageSums{HostName: h.host, Hop: h.hop, Initial: emptyState, Resulting: emptyState}
+	nfields := 5
+	if h.has(refPkgHasInitial) {
+		if err := checkState(h.initial); err != nil {
+			return PackageSums{}, fmt.Errorf("initial state: %w", err)
+		}
+		sums.Initial = canon.HashBytes(h.initial)
+		nfields += 2
+	}
+	if h.has(refPkgHasResulting) {
+		if err := checkState(h.resulting); err != nil {
+			return PackageSums{}, fmt.Errorf("resulting state: %w", err)
+		}
+		sums.Resulting = canon.HashBytes(h.resulting)
+		nfields += 2
+	}
+	if h.has(refPkgHasTrace) {
+		if err := checkTrace(h.trace); err != nil {
+			return PackageSums{}, err
+		}
+		nfields += 2
+	}
+	if h.has(refPkgHasInput) {
+		nfields += 1 + int(h.nInput)
+	}
+	if h.has(refPkgHasResources) {
+		nfields += 1 + 2*int(h.nRes)
+	}
+
+	// The fields Digest streams, in its order, from the encoded ones.
+	x := canon.AcquireHasher()
+	defer canon.ReleaseHasher(x)
+	x.TupleHeader(nfields)
+	x.StringField("refpkg")
+	x.Field(h.host)
+	x.IntField(int64(h.hop))
+	x.Field(h.entry)
+	x.Field(h.resultEntry)
+	if h.has(refPkgHasInitial) {
+		x.StringField("initial")
+		x.Field(h.initial)
+	}
+	if h.has(refPkgHasResulting) {
+		x.StringField("resulting")
+		x.Field(h.resulting)
+	}
+	if h.has(refPkgHasInput) {
+		x.StringField("input")
+		for range h.nInput {
+			call := s.Field(bound)
+			nArgs := s.Uint64()
+			if nArgs > uint64(s.Len()) {
+				return PackageSums{}, fmt.Errorf("%w: input record args", canon.ErrMalformed)
+			}
+			// Digest frames each record as a nested tuple (call, args,
+			// result); a copy of the scanner measures it first.
+			size, ahead := 2+4+4+len(call), s
+			for range nArgs + 1 {
+				size += 4 + len(ahead.Field(bound))
+			}
+			x.BeginField(size)
+			x.TupleHeader(2 + int(nArgs))
+			x.Field(call)
+			for range nArgs + 1 {
+				f := s.Field(bound)
+				if err := checkValue(f); err != nil {
+					return PackageSums{}, fmt.Errorf("input value: %w", err)
+				}
+				x.Field(f)
+			}
+		}
+	}
+	if h.has(refPkgHasTrace) {
+		// Trace.Digest is the digest of the trace's encoding.
+		d := canon.HashBytes(h.trace)
+		x.StringField("trace")
+		x.Field(d[:])
+	}
+	if h.has(refPkgHasResources) {
+		x.StringField("resources")
+		var prev []byte
+		for i := range h.nRes {
+			k, f := s.Field(bound), s.Field(bound)
+			if i > 0 && bytes.Compare(k, prev) <= 0 {
+				return PackageSums{}, fmt.Errorf("%w: resource %q does not follow the key before it", canon.ErrMalformed, k)
+			}
+			if err := checkValue(f); err != nil {
+				return PackageSums{}, fmt.Errorf("resource %q: %w", k, err)
+			}
+			x.Field(k)
+			x.Field(f)
+			prev = k
+		}
+	}
+	if err := s.End(); err != nil {
+		return PackageSums{}, err
+	}
+	sums.Digest = x.Sum()
+	return sums, nil
+}
+
+// checkTraceField refuses what trace.Unmarshal refuses.
+func checkTraceField(b []byte) error {
+	_, err := trace.Unmarshal(b)
+	return err
+}
+
+// accept stands in for a check scanPackage does not make.
+func accept([]byte) error { return nil }
 
 // Digest returns a canonical digest of the package contents, used by
 // mechanisms that sign reference data. The encoding is streamed into a

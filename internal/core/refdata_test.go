@@ -54,17 +54,70 @@ func sampleRecord() *host.SessionRecord {
 	}
 }
 
-func TestBuildReferencePackageHonorsRequesters(t *testing.T) {
+// packageOf is the reference package of rec as m declares it, every
+// kind a deep copy of the record's: the oracle PackageSession's
+// encoding and sums are held to.
+func packageOf(m Mechanism, rec *host.SessionRecord, resources map[string]value.Value) *ReferencePackage {
+	p := &ReferencePackage{HostName: rec.HostName, Hop: rec.Hop, Entry: rec.Entry, ResultEntry: rec.ResultEntry}
+	if _, ok := m.(InitialStateRequester); ok {
+		p.InitialState = rec.Initial.Clone()
+	}
+	if _, ok := m.(ResultingStateRequester); ok {
+		p.ResultingState = rec.Resulting.Clone()
+	}
+	if _, ok := m.(InputRequester); ok {
+		p.Input = make([]agentlang.InputRecord, len(rec.Input))
+		for i, r := range rec.Input {
+			p.Input[i] = agentlang.InputRecord{Seq: r.Seq, Call: r.Call, Result: r.Result.Clone()}
+			for _, a := range r.Args {
+				p.Input[i].Args = append(p.Input[i].Args, a.Clone())
+			}
+		}
+	}
+	if _, ok := m.(ExecutionLogRequester); ok {
+		tr := trace.Trace{Entries: make([]trace.Entry, len(rec.Trace.Entries))}
+		for i, e := range rec.Trace.Entries {
+			tr.Entries[i] = trace.Entry{StmtID: e.StmtID}
+			for _, b := range e.Bindings {
+				tr.Entries[i].Bindings = append(tr.Entries[i].Bindings, trace.Binding{Name: b.Name, Val: b.Val.Clone()})
+			}
+		}
+		p.Trace = &tr
+	}
+	if _, ok := m.(ResourceRequester); ok {
+		p.Resources = make(map[string]value.Value, len(resources))
+		for k, v := range resources {
+			p.Resources[k] = v.Clone()
+		}
+	}
+	return p
+}
+
+// packaged decodes PackageSession's encoding of rec as m declares it.
+func packaged(t *testing.T, m Mechanism, rec *host.SessionRecord, resources map[string]value.Value) *ReferencePackage {
+	t.Helper()
+	enc, _, err := PackageSession(m, rec, resources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := UnmarshalReferencePackage(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+func TestPackageSessionHonorsRequesters(t *testing.T) {
 	rec := sampleRecord()
 	resources := map[string]value.Value{"db": value.Int(5)}
 
-	full := BuildReferencePackage(wantsAll{}, rec, resources)
+	full := packaged(t, wantsAll{}, rec, resources)
 	if full.InitialState == nil || full.ResultingState == nil || full.Input == nil ||
 		full.Trace == nil || full.Resources == nil {
 		t.Error("wantsAll package missing declared data")
 	}
 
-	none := BuildReferencePackage(wantsNothing{}, rec, resources)
+	none := packaged(t, wantsNothing{}, rec, resources)
 	if none.InitialState != nil || none.ResultingState != nil || none.Input != nil ||
 		none.Trace != nil || none.Resources != nil {
 		t.Error("wantsNothing package carries undeclared data")
@@ -73,20 +126,36 @@ func TestBuildReferencePackageHonorsRequesters(t *testing.T) {
 		t.Error("session identification must always be present")
 	}
 
-	partial := BuildReferencePackage(wantsStates{}, rec, resources)
+	partial := packaged(t, wantsStates{}, rec, resources)
 	if partial.InitialState == nil || partial.ResultingState == nil {
 		t.Error("wantsStates package missing states")
 	}
 	if partial.Input != nil || partial.Trace != nil || partial.Resources != nil {
 		t.Error("wantsStates package carries undeclared data")
 	}
+
+	// A declared kind is present even when the record holds none of it.
+	empty := sampleRecord()
+	empty.Initial, empty.Resulting, empty.Input = nil, nil, nil
+	if p := packaged(t, wantsAll{}, empty, nil); p.InitialState == nil || p.ResultingState == nil || p.Input == nil || p.Resources == nil {
+		t.Error("a declared kind is absent when empty")
+	}
 }
 
-func TestBuildReferencePackageDeepCopies(t *testing.T) {
+// TestPackageSessionOutlivesTheRecord: the encoding is the package's
+// only copy, so what the record holds afterwards does not reach it.
+func TestPackageSessionOutlivesTheRecord(t *testing.T) {
 	rec := sampleRecord()
-	pkg := BuildReferencePackage(wantsAll{}, rec, nil)
+	enc, _, err := PackageSession(wantsAll{}, rec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rec.Initial["x"] = value.Int(999)
 	rec.Input[0].Result = value.Int(999)
+	pkg, err := UnmarshalReferencePackage(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if pkg.InitialState["x"].Int != 1 {
 		t.Error("package shares initial state with record")
 	}
@@ -97,7 +166,7 @@ func TestBuildReferencePackageDeepCopies(t *testing.T) {
 
 func TestReferencePackageMarshalRoundTrip(t *testing.T) {
 	rec := sampleRecord()
-	pkg := BuildReferencePackage(wantsAll{}, rec, map[string]value.Value{"db": value.List(value.Int(1))})
+	pkg := packageOf(wantsAll{}, rec, map[string]value.Value{"db": value.List(value.Int(1))})
 	data, err := pkg.Marshal()
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +181,7 @@ func TestReferencePackageMarshalRoundTrip(t *testing.T) {
 	if got.HostName != "h1" || got.Hop != 3 {
 		t.Error("identification lost")
 	}
-	if !got.InitialState.Equal(pkg.InitialState) || !got.ResultingState.Equal(pkg.ResultingState) {
+	if len(got.InitialState.Diff(pkg.InitialState)) > 0 || len(got.ResultingState.Diff(pkg.ResultingState)) > 0 {
 		t.Error("states lost")
 	}
 	if len(got.Input) != 2 || got.Input[0].Call != "read" || !got.Input[0].Result.Equal(value.Int(7)) {
@@ -127,7 +196,7 @@ func TestReferencePackageMarshalRoundTrip(t *testing.T) {
 }
 
 func TestReferencePackageMarshalMinimal(t *testing.T) {
-	pkg := BuildReferencePackage(wantsNothing{}, sampleRecord(), nil)
+	pkg := packageOf(wantsNothing{}, sampleRecord(), nil)
 	data, err := pkg.Marshal()
 	if err != nil {
 		t.Fatal(err)
@@ -200,26 +269,29 @@ func TestUnmarshalPackageRefusesNonCanonical(t *testing.T) {
 		if _, err := UnmarshalReferencePackage(canon.Tuple(forged...)); !errors.Is(err, canon.ErrMalformed) {
 			t.Errorf("%s: err = %v, want canon.ErrMalformed", r.name, err)
 		}
+		if _, err := ScanReferencePackage(canon.Tuple(forged...)); !errors.Is(err, canon.ErrMalformed) {
+			t.Errorf("%s: scan err = %v, want canon.ErrMalformed", r.name, err)
+		}
 	}
 }
 
 func TestReferencePackageDigestSensitivity(t *testing.T) {
 	rec := sampleRecord()
-	base := BuildReferencePackage(wantsAll{}, rec, nil).Digest()
+	base := packageOf(wantsAll{}, rec, nil).Digest()
 
 	mut := sampleRecord()
 	mut.Resulting["x"] = value.Int(777)
-	if BuildReferencePackage(wantsAll{}, mut, nil).Digest() == base {
+	if packageOf(wantsAll{}, mut, nil).Digest() == base {
 		t.Error("digest insensitive to resulting state")
 	}
 	mut2 := sampleRecord()
 	mut2.Input[0].Result = value.Int(777)
-	if BuildReferencePackage(wantsAll{}, mut2, nil).Digest() == base {
+	if packageOf(wantsAll{}, mut2, nil).Digest() == base {
 		t.Error("digest insensitive to input")
 	}
 	mut3 := sampleRecord()
 	mut3.Hop = 4
-	if BuildReferencePackage(wantsAll{}, mut3, nil).Digest() == base {
+	if packageOf(wantsAll{}, mut3, nil).Digest() == base {
 		t.Error("digest insensitive to hop")
 	}
 }
@@ -265,7 +337,7 @@ proc finish() { done() }`, "main")
 	}
 	var out []*ReferencePackage
 	for mask := 0; mask < 1<<5; mask++ {
-		p := BuildReferencePackage(wantsAll{}, rec, resources)
+		p := packageOf(wantsAll{}, rec, resources)
 		if mask&refPkgHasInitial == 0 {
 			p.InitialState = nil
 		}
@@ -287,10 +359,11 @@ proc finish() { done() }`, "main")
 }
 
 // FuzzReferencePackage feeds peer bytes to the reference package
-// decoder, whose output a checking host replays. It must not panic, an
-// accepted package holds no more input records and resources than the
-// input has bytes, and an accepted package encodes back to exactly its
-// input.
+// decoder, whose output a checking host replays, and to the scan the
+// checker reads every package with. Neither may panic, and the scan
+// accepts exactly what the decoder accepts. An accepted package holds
+// no more input records and resources than the input has bytes, encodes
+// back to exactly its input, and has the sums the scan read from it.
 func FuzzReferencePackage(f *testing.F) {
 	for _, p := range sessionPackages(f) {
 		data, err := p.Marshal()
@@ -300,9 +373,23 @@ func FuzzReferencePackage(f *testing.F) {
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		sums, serr := ScanReferencePackage(data)
 		p, err := UnmarshalReferencePackage(data)
+		if (serr == nil) != (err == nil) {
+			t.Fatalf("scan and decoder disagree: scan %v, decoder %v", serr, err)
+		}
 		if err != nil {
 			return
+		}
+		unchecked, err := scanPackage(data, false)
+		if err != nil {
+			t.Fatalf("unchecked scan refuses an accepted package: %v", err)
+		}
+		for _, got := range []PackageSums{sums, unchecked} {
+			if string(got.HostName) != p.HostName || got.Hop != p.Hop || got.Digest != p.Digest() ||
+				got.Initial != canon.HashState(p.InitialState) || got.Resulting != canon.HashState(p.ResultingState) {
+				t.Fatal("sums read from the bytes differ from the decoded package's")
+			}
 		}
 		if n := len(p.Input) + len(p.Resources); n > len(data) {
 			t.Fatalf("%d bytes decoded to %d input records and resources", len(data), n)

@@ -228,15 +228,6 @@ func (r *SessionRecord) ResultingDigest() canon.Digest {
 	return r.resDig
 }
 
-// CloneInput returns a deep copy of the input log.
-func (r *SessionRecord) CloneInput() []agentlang.InputRecord {
-	out := make([]agentlang.InputRecord, len(r.Input))
-	for i, rec := range r.Input {
-		out[i] = rec.Clone()
-	}
-	return out
-}
-
 // SessionOptions tunes one session run.
 type SessionOptions struct {
 	// ExtraHook is chained after trace recording; used by the benchmark

@@ -159,7 +159,7 @@ proc next() { done() }`
 			if err != nil {
 				t.Fatal(err)
 			}
-			if differs := !state.Equal(rec.Resulting); differs != row.stateDiffers {
+			if differs := len(state.Diff(rec.Resulting)) > 0; differs != row.stateDiffers {
 				t.Errorf("state differs = %v, want %v (%v)", differs, row.stateDiffers, state.Diff(rec.Resulting))
 			}
 			if differs := entry != rec.ResultEntry; differs != row.entryDiffers {

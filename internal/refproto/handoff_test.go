@@ -171,13 +171,12 @@ func TestOriginHandoffOnlyAtSessionZero(t *testing.T) {
 	// The attacker's departure: PrepareDeparture's package and session
 	// signature, sent as the agent's first session.
 	rec := bed.rec
-	pkg := core.BuildReferencePackage(bed.mPrev.check, rec, nil)
-	enc, err := pkg.Marshal()
+	enc, sums, err := core.PackageSession(bed.mPrev.check, rec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := payload{Hop: rec.Hop, PkgEnc: enc, Origin: true, Session: session{
-		Initial: rec.InitialDigest(), Result: rec.ResultingDigest(), Package: pkg.Digest(), Envelope: envelope(bed.ag)}}
+		Initial: rec.InitialDigest(), Result: rec.ResultingDigest(), Package: sums.Digest, Envelope: envelope(bed.ag)}}
 	bed.mPrev.sign(bed.hcPrev.Host.Keys(), bed.ag, rec.Hop, bed.ag.Route, &p.Session)
 	bed.ag.SetBaggage(MechanismName, appendPayload(nil, &p))
 

@@ -31,9 +31,22 @@ type hopBed struct {
 // bedConfig shapes the session the bed runs.
 type bedConfig struct {
 	vars    int   // list-valued variables beside x
+	inputs  int   // ten-byte elements the session reads and appends to got
+	got     int   // got's length before the session
 	hop     int   // the session's index
 	x       int64 // x's value before the session
 	trusted bool  // the executing host is trusted
+}
+
+// sessionSizes are the sessions of the benchmark's light and
+// bulk-tcp-durable workloads at a route worker: one input and a short
+// list, and 100 ten-byte inputs appended to a 200-element list.
+var sessionSizes = []struct {
+	name string
+	cfg  bedConfig
+}{
+	{"light", bedConfig{inputs: 1, got: 3}},
+	{"bulk", bedConfig{inputs: 100, got: 200}},
 }
 
 func newHopBed(tb testing.TB, cfg bedConfig) *hopBed {
@@ -50,7 +63,8 @@ func newHopBed(tb testing.TB, cfg bedConfig) *hopBed {
 		return keys
 	}
 	mkHost := func(name string, trusted bool) *host.Host {
-		h, err := host.New(host.Config{Name: name, Keys: mkKeys(name), Registry: reg, Trusted: trusted})
+		h, err := host.New(host.Config{Name: name, Keys: mkKeys(name), Registry: reg, Trusted: trusted,
+			Feed: func(string, string) (value.Value, error) { return value.Str("0123456789"), nil }})
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -59,11 +73,24 @@ func newHopBed(tb testing.TB, cfg bedConfig) *hopBed {
 	prev := mkHost("prev", cfg.trusted)
 	next := mkHost("next", false)
 
-	ag, err := agent.New("bench-agent", "owner", `
+	code := `
 proc main() {
     x = x + 1
     migrate("next", "main")
-}`, "main")
+}`
+	if cfg.inputs > 0 {
+		code = fmt.Sprintf(`
+proc main() {
+    x = x + 1
+    let i = 0
+    while i < %d {
+        got = append(got, read("elem"))
+        i = i + 1
+    }
+    migrate("next", "main")
+}`, cfg.inputs)
+	}
+	ag, err := agent.New("bench-agent", "owner", code, "main")
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -76,6 +103,13 @@ proc main() {
 		ag.Route = append(ag.Route, "older")
 	}
 	ag.SetVar("x", value.Int(cfg.x))
+	if cfg.inputs > 0 || cfg.got > 0 {
+		got := make([]value.Value, cfg.got)
+		for i := range got {
+			got[i] = value.Str("0123456789")
+		}
+		ag.SetVar("got", value.List(got...))
+	}
 	for i := 0; i < cfg.vars; i++ {
 		ag.SetVar(fmt.Sprintf("v%02d", i), value.List(
 			value.Int(int64(i)), value.Str("0123456789"),
@@ -169,12 +203,64 @@ func (bed *hopBed) migrate(tb testing.TB) *agent.Agent {
 // hop performs one full protocol hop: depart, then verify (including
 // re-execution) on arrival.
 func (bed *hopBed) hop(tb testing.TB) {
-	v, err := bed.mNext.CheckAfterSession(context.Background(), bed.hcNext, bed.depart(tb))
+	bed.check(tb, bed.depart(tb))
+}
+
+// check runs the next host's arrival check on arrived, which must pass.
+func (bed *hopBed) check(tb testing.TB, arrived *agent.Agent) {
+	v, err := bed.mNext.CheckAfterSession(context.Background(), bed.hcNext, arrived)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	if v == nil || !v.OK {
 		tb.Fatalf("hop verdict: %+v", v)
+	}
+}
+
+// gated sets the next host's re-execution gate to answer reexec.
+func (bed *hopBed) gated(reexec bool) {
+	bed.mNext = newTestPair(Config{ReExecGate: func(string) bool { return reexec }})
+}
+
+// BenchmarkRefprotoArrival measures the next host's arrival check, the
+// seal's and the checker's, of the bed's untrusted session, at each
+// session size: skipped where the reputation gate declines the
+// re-execution (LevelAdaptive's usual case), reexec where it runs it.
+func BenchmarkRefprotoArrival(b *testing.B) {
+	for _, gate := range []struct {
+		name   string
+		reexec bool
+	}{{"skipped", false}, {"reexec", true}} {
+		for _, size := range sessionSizes {
+			b.Run(gate.name+"/"+size.name, func(b *testing.B) {
+				bed := newHopBed(b, size.cfg)
+				bed.gated(gate.reexec)
+				arrived := bed.depart(b)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					bed.check(b, arrived)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkRefprotoDeparture measures the executing host's departure,
+// the checker packaging the session and the seal signing it, at each
+// session size.
+func BenchmarkRefprotoDeparture(b *testing.B) {
+	for _, size := range sessionSizes {
+		b.Run(size.name, func(b *testing.B) {
+			bed := newHopBed(b, size.cfg)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := bed.mPrev.PrepareDeparture(context.Background(), bed.hcPrev, bed.ag, bed.rec); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -207,18 +293,41 @@ func BenchmarkRefprotoRelayedHop(b *testing.B) {
 
 // TestRefprotoHopAllocs pins the hop's allocation ceiling so the
 // streaming pipeline cannot silently regress. The seed's gob-based hop
-// measured ~1700 allocs/op; the streaming pipeline ran at ~500, and
-// one signature per session brought it to ~485. The ceiling leaves
-// headroom over the current measurement without letting the old
-// profile back in.
+// measured ~1700 allocs/op; the streaming pipeline ran at ~500, one
+// signature per session brought it to ~485, and reading the package
+// from its bytes at both ends to ~458, nearly all of it the agent's
+// own wire round trip. The ceiling leaves headroom over the current
+// measurement without letting the old profile back in.
 func TestRefprotoHopAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation ceilings are not meaningful under the race detector")
 	}
 	bed := newHopBed(t, bedConfig{vars: 20})
 	bed.hop(t) // warm pools
-	if avg := testing.AllocsPerRun(20, func() { bed.hop(t) }); avg > 600 {
-		t.Errorf("refproto hop allocs/op = %.0f, want <= 600", avg)
+	if avg := testing.AllocsPerRun(20, func() { bed.hop(t) }); avg > 500 {
+		t.Errorf("refproto hop allocs/op = %.0f, want <= 500", avg)
+	}
+}
+
+// TestGateSkippedCheckAllocs: where the reputation gate skips the
+// re-execution, the checker reads the reference package from its bytes
+// and decodes none of it, so an arrival check allocates the same few
+// objects whatever the size of the session's states. Decoding the
+// package anyway costs an allocation per value.
+func TestGateSkippedCheckAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation ceilings are not meaningful under the race detector")
+	}
+	allocs := func(vars int) float64 {
+		bed := newHopBed(t, bedConfig{vars: vars})
+		bed.gated(false)
+		arrived := bed.depart(t)
+		bed.check(t, arrived) // warm pools
+		return testing.AllocsPerRun(20, func() { bed.check(t, arrived) })
+	}
+	small, large := allocs(20), allocs(200)
+	if small != large || large > 8 {
+		t.Errorf("gate-skipped arrival check allocs/op = %.0f at 20 vars, %.0f at 200; want the same, at most 8", small, large)
 	}
 }
 

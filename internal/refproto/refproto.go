@@ -413,8 +413,7 @@ func parsePayload(data []byte) (payload, error) {
 // the seal signs it last.
 func (m *Mechanism) PrepareDeparture(_ context.Context, hc *core.HostContext, ag *agent.Agent, rec *host.SessionRecord) error {
 	// The producer kept at arrival; none if this host launched the
-	// agent. The record's memoized digests mean each state is hashed
-	// once per session no matter how many mechanisms commit to it.
+	// agent.
 	m.mu.Lock()
 	st := m.stays[ag.ID]
 	m.mu.Unlock()
@@ -426,23 +425,20 @@ func (m *Mechanism) PrepareDeparture(_ context.Context, hc *core.HostContext, ag
 		// here.
 		return fmt.Errorf("refproto: session %d has no verified producer to hand on", rec.Hop)
 	}
-	p := payload{
-		Hop:      rec.Hop,
-		Session:  session{Initial: rec.InitialDigest(), Result: rec.ResultingDigest()},
-		Producer: st.producer,
-		Origin:   !st.relayed,
-	}
+	p := payload{Hop: rec.Hop, Producer: st.producer, Origin: !st.relayed}
 
 	// Optimization (§5.1): trusted sessions are not checked, so they
 	// carry no package. The checker decides that from its own registry.
-	if !hc.Host.Registry().Trusted(hc.Host.Name()) {
-		pkg := core.BuildReferencePackage(m, rec, nil)
-		enc, err := pkg.Marshal()
+	// An untrusted session's digests are read from its package's bytes.
+	if hc.Host.Registry().Trusted(hc.Host.Name()) {
+		p.Session = session{Initial: rec.InitialDigest(), Result: rec.ResultingDigest()}
+	} else {
+		enc, sums, err := core.PackageSession(m, rec, nil)
 		if err != nil {
 			return fmt.Errorf("refproto: %w", err)
 		}
 		p.PkgEnc = enc
-		p.Session.Package = pkg.Digest()
+		p.Session = session{Initial: sums.Initial, Result: sums.Resulting, Package: sums.Digest}
 	}
 	m.mu.Lock()
 	m.stays[ag.ID] = stay{out: p, packaged: true}
@@ -624,25 +620,27 @@ func (m *Mechanism) CheckAfterSession(ctx context.Context, hc *core.HostContext,
 	}
 
 	// 2. Verify the package against the signed session, and the
-	// producer's handoff of its initial state.
+	// producer's handoff of its initial state. The package is read from
+	// its bytes: it is decoded only to re-execute, and to word a refusal
+	// in the decoder's terms.
 	if p.PkgEnc == nil {
 		return failed(v, "untrusted session carries no reference package")
 	}
-	pkg, err := core.UnmarshalReferencePackage(p.PkgEnc)
+	sums, err := core.ScanReferencePackage(p.PkgEnc)
 	if err != nil {
-		return failed(v, fmt.Sprintf("malformed reference package: %v", err))
+		return failed(v, malformedPackage(p.PkgEnc, err))
 	}
-	if pkg.Hop != p.Hop || pkg.HostName != prev {
+	if sums.Hop != p.Hop || string(sums.HostName) != prev {
 		return failed(v, fmt.Sprintf("package identifies session %d@%s, expected %d@%s",
-			pkg.Hop, pkg.HostName, p.Hop, prev))
+			sums.Hop, sums.HostName, p.Hop, prev))
 	}
-	if pkg.Digest() != p.Session.Package {
+	if sums.Digest != p.Session.Package {
 		return failed(v, "package differs from the signed session commitment")
 	}
-	if canon.HashState(pkg.ResultingState) != p.Session.Result {
+	if sums.Resulting != p.Session.Result {
 		return failed(v, "package resulting state differs from the signed commitment")
 	}
-	if canon.HashState(pkg.InitialState) != p.Session.Initial {
+	if sums.Initial != p.Session.Initial {
 		return failed(v, "package initial state differs from the signed commitment")
 	}
 	if err := m.verifyHandoff(reg, ag, &p); err != nil {
@@ -662,7 +660,11 @@ func (m *Mechanism) CheckAfterSession(ctx context.Context, hc *core.HostContext,
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("refproto: %w", err)
 	}
-	if evidence, err := m.reexecute(ag, pkg); err != nil {
+	pkg, err := core.UnmarshalReferencePackage(p.PkgEnc)
+	if err != nil {
+		return failed(v, malformedPackage(p.PkgEnc, err))
+	}
+	if evidence, err := m.reexecute(ag, pkg, p.Session.Result); err != nil {
 		return nil, fmt.Errorf("refproto: re-execution check: %w", err)
 	} else if evidence != nil {
 		// Full states are available: attach the complete divergence as
@@ -671,6 +673,15 @@ func (m *Mechanism) CheckAfterSession(ctx context.Context, hc *core.HostContext,
 	}
 	v.OK = true
 	return v, nil
+}
+
+// malformedPackage words the refusal of a reference package as the
+// decoder does, falling back to err, the scan's.
+func malformedPackage(enc []byte, err error) string {
+	if _, derr := core.UnmarshalReferencePackage(enc); derr != nil {
+		err = derr
+	}
+	return fmt.Sprintf("malformed reference package: %v", err)
 }
 
 // verifyHandoff checks the producer's side of the checked session's
@@ -703,12 +714,14 @@ func (m *Mechanism) verifyHandoff(reg *sigcrypto.Registry, ag *agent.Agent, p *p
 }
 
 // reexecute replays the packaged session (host.Replay) and compares
-// the outcome with what the package reports. It returns nil evidence
-// when the replay reproduces the reported session, and an error when
-// the package lacks the data a replay needs. Comparison is strict: the
-// interpreter is single-threaded and byte-deterministic, so an honest
-// session replays to exactly the state it reported.
-func (m *Mechanism) reexecute(ag *agent.Agent, pkg *core.ReferencePackage) ([]string, error) {
+// the outcome with what the package reports: the replayed state with
+// result, the signed resulting-state digest the package's state was
+// checked against. It returns nil evidence when the replay reproduces
+// the reported session, and an error when the package lacks the data a
+// replay needs. Comparison is strict: the interpreter is
+// single-threaded and byte-deterministic, so an honest session replays
+// to exactly the state it reported.
+func (m *Mechanism) reexecute(ag *agent.Agent, pkg *core.ReferencePackage, result canon.Digest) ([]string, error) {
 	switch {
 	case pkg.InitialState == nil:
 		return nil, errors.New("reference package has no initial state")
@@ -742,7 +755,8 @@ func (m *Mechanism) reexecute(ag *agent.Agent, pkg *core.ReferencePackage) ([]st
 			"execution state mismatch: re-execution continues at %q, reported %q",
 			entry, pkg.ResultEntry))
 	}
-	if !replayed.Equal(pkg.ResultingState) {
+	if canon.HashState(replayed) != result {
+		// The packaged state is read only to show the divergence.
 		for _, d := range replayed.Diff(pkg.ResultingState) {
 			evidence = append(evidence, "state mismatch: "+d)
 		}

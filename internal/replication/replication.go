@@ -434,5 +434,5 @@ func MaxTolerated(n int) int {
 // identical — the precondition for replicas ("hosts that offer the
 // same set of resources").
 func EqualResources(a, b map[string]value.Value) bool {
-	return value.State(a).Equal(value.State(b))
+	return value.Map(a).Equal(value.Map(b))
 }

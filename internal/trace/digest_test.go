@@ -10,14 +10,19 @@ import (
 	"repro/internal/value"
 )
 
+// encodeValue is v's canonical encoding: the field AppendValueField
+// writes, without its 4-byte frame.
+func encodeValue(v value.Value) []byte { return canon.AppendValueField(nil, v)[4:] }
+
 // materializedEntry reproduces the seed's encode-then-hash entry
 // framing; the streamed digests must stay byte-compatible with it
 // because trace commitments cross host boundaries.
+
 func materializedEntry(e Entry) []byte {
 	fields := make([][]byte, 0, 1+2*len(e.Bindings))
 	fields = append(fields, []byte(fmt.Sprintf("%d", e.StmtID)))
 	for _, b := range e.Bindings {
-		fields = append(fields, []byte(b.Name), canon.EncodeValue(b.Val))
+		fields = append(fields, []byte(b.Name), encodeValue(b.Val))
 	}
 	return canon.Tuple(fields...)
 }

@@ -16,9 +16,9 @@
 // A trace has one encoding, the bytes Digest hashes:
 //
 //	trace := Tuple("trace", entry, entry, ...)
-//	entry := Tuple(stmtID decimal, name, EncodeValue(val), name, ...)
+//	entry := Tuple(stmtID decimal, name, val, name, ...)
 //
-// An entry's bytes are the Merkle leaf the proof mechanism opens.
+// with each val in the form canon.DecodeValue reads. An entry's bytes are the Merkle leaf the proof mechanism opens.
 // Unmarshal reads peers' bytes, inside reference packages and proof
 // openings, and accepts canonical bytes only.
 package trace

@@ -165,14 +165,14 @@ func TestUnmarshalRefusesMalformed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := canon.EncodeValue(malformedBinding)
+	enc := encodeValue(malformedBinding)
 	garbage := make([]byte, len(enc))
 	garbage[0] = 0xff
 	field := func(s string) []byte { return []byte(s) }
 	trace := func(entries ...[]byte) []byte {
 		return canon.Tuple(append([][]byte{field("trace")}, entries...)...)
 	}
-	one := canon.EncodeValue(value.Int(1))
+	one := encodeValue(value.Int(1))
 	for name, data := range map[string][]byte{
 		"binding value that does not decode": bytes.Replace(valid, enc, garbage, 1),
 		"non-canonical binding value":        trace(canon.Tuple(field("3"), field("x"), []byte{0x01, 0x04, 0x02})),

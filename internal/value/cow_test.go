@@ -17,7 +17,7 @@ func cowState() State {
 func TestSnapshotSharesStorageAndFlags(t *testing.T) {
 	s := cowState()
 	snap := s.Snapshot()
-	if !s.Equal(snap) {
+	if len(s.Diff(snap)) > 0 {
 		t.Fatal("snapshot differs from source")
 	}
 	for _, k := range []string{"xs", "m"} {

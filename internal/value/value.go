@@ -408,24 +408,6 @@ func (s State) Snapshot() State {
 	return out
 }
 
-// Equal reports whether two states bind exactly the same variables to
-// equal values. Variables bound to null are significant: a state where
-// x is null differs from one where x is absent only if some component
-// stores nulls explicitly; the interpreter never stores nulls, so the
-// distinction does not arise in practice.
-func (s State) Equal(o State) bool {
-	if len(s) != len(o) {
-		return false
-	}
-	for k, v := range s {
-		ov, present := o[k]
-		if !present || !v.Equal(ov) {
-			return false
-		}
-	}
-	return true
-}
-
 // Diff returns a human-readable description of the variables on which
 // the two states differ, in sorted order. It is used to build fraud
 // evidence (the example mechanism "is able to present the complete

@@ -215,23 +215,15 @@ func TestStateCloneEqual(t *testing.T) {
 		"items": List(Str("book")),
 	}
 	cl := s.Clone()
-	if !s.Equal(cl) {
+	if len(s.Diff(cl)) > 0 {
 		t.Fatal("clone not equal to original")
 	}
 	cl["items"].List[0] = Str("dvd")
-	if s.Equal(cl) {
+	if len(s.Diff(cl)) == 0 {
 		t.Fatal("deep mutation of clone should break equality")
 	}
 	if s["items"].List[0].Str != "book" {
 		t.Fatal("clone shares storage with original")
-	}
-}
-
-func TestStateEqualSizeMismatch(t *testing.T) {
-	a := State{"x": Int(1)}
-	b := State{"x": Int(1), "y": Int(2)}
-	if a.Equal(b) || b.Equal(a) {
-		t.Error("states of different size compared equal")
 	}
 }
 

@@ -138,16 +138,7 @@ func (m *Mechanism) PrepareDeparture(_ context.Context, hc *core.HostContext, ag
 	if rec.Trace.Len() == 0 && rec.Outcome.Steps > 0 {
 		return fmt.Errorf("vigna: host %s does not record traces (set host.Config.RecordTrace)", rec.HostName)
 	}
-	tr := rec.Trace
-	pkg := &core.ReferencePackage{
-		HostName:    rec.HostName,
-		Hop:         rec.Hop,
-		Entry:       rec.Entry,
-		ResultEntry: rec.ResultEntry,
-		Trace:       &tr,
-		Input:       rec.CloneInput(),
-	}
-	enc, err := pkg.Marshal()
+	enc, sums, err := core.PackageSession(m, rec, nil)
 	if err != nil {
 		return fmt.Errorf("vigna: %w", err)
 	}
@@ -158,7 +149,7 @@ func (m *Mechanism) PrepareDeparture(_ context.Context, hc *core.HostContext, ag
 		Hop:         rec.Hop,
 		Entry:       rec.Entry,
 		ResultEntry: rec.ResultEntry,
-		PkgHash:     pkg.Digest(),
+		PkgHash:     sums.Digest,
 		StateHash:   rec.ResultingDigest(),
 	}
 	c.Sig = hc.Host.Keys().Sign(c.bindingBytes(ag.ID))
