@@ -184,8 +184,9 @@ func (x *Hasher) State(s value.State) {
 }
 
 // TupleHeader begins a framed tuple of n fields, including the version
-// prefix. It must be followed by exactly n Field/StringField/ValueField/
-// StateField calls to produce a well-formed tuple encoding.
+// prefix. It must be followed by exactly n Field/StringField/IntField/
+// ValueField calls (or BeginField and its bytes) to produce a
+// well-formed tuple encoding.
 func (x *Hasher) TupleHeader(n int) {
 	x.writeByte(version)
 	x.writeByte(tagTuple)
@@ -221,14 +222,6 @@ func (x *Hasher) ValueField(v value.Value) {
 	x.value(v, 0)
 }
 
-// StateField streams a framed field whose content is EncodeState(s),
-// without materializing it.
-func (x *Hasher) StateField(s value.State) {
-	x.writeU32(guardLen("tuple field", 1+SizeState(s)))
-	x.writeByte(version)
-	x.State(s)
-}
-
 // SizeValue returns the exact number of bytes AppendValue(nil, v) would
 // emit, without encoding. It exists so streamed tuple framings can
 // length-prefix a value field before its bytes are produced.
@@ -257,16 +250,6 @@ func SizeValue(v value.Value) int {
 	}
 }
 
-// SizeState returns the exact number of bytes AppendState(nil, s) would
-// emit.
-func SizeState(s value.State) int {
-	n := 1 + 4
-	for k, v := range s {
-		n += 4 + len(k) + SizeValue(v)
-	}
-	return n
-}
-
 // AcquireHasher returns a pooled Hasher, reset and ready to stream.
 // Pair with ReleaseHasher once the digest has been taken.
 func AcquireHasher() *Hasher {
@@ -280,8 +263,8 @@ func ReleaseHasher(x *Hasher) { hasherPool.Put(x) }
 
 // BeginField frames a tuple field of exactly size bytes that the
 // caller streams next (e.g. a nested TupleHeader + fields). The caller
-// is responsible for the size matching the streamed bytes; SizeValue/
-// SizeState provide the value-encoding sizes.
+// is responsible for the size matching the streamed bytes; SizeValue
+// provides the value-encoding sizes.
 func (x *Hasher) BeginField(size int) {
 	x.writeU32(guardLen("tuple field", size))
 }

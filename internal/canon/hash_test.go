@@ -70,7 +70,7 @@ func TestHasherFieldHelpersMatchMaterializedTuple(t *testing.T) {
 	x.TupleHeader(3)
 	x.StringField("label")
 	x.ValueField(v)
-	x.StateField(s)
+	x.Field(EncodeState(s))
 	if got := x.Sum(); got != want {
 		t.Errorf("field helpers: streaming %s != materialized %s", got, want)
 	}
@@ -86,9 +86,6 @@ func TestHasherFieldHelpersMatchMaterializedTuple(t *testing.T) {
 
 func TestSizeHelpersMatchEncoding(t *testing.T) {
 	for i, s := range hashStates() {
-		if got, want := SizeState(s), len(AppendState(nil, s)); got != want {
-			t.Errorf("state %d: SizeState = %d, encoded length = %d", i, got, want)
-		}
 		for k, v := range s {
 			if got, want := SizeValue(v), len(AppendValue(nil, v)); got != want {
 				t.Errorf("state %d, value %q: SizeValue = %d, encoded length = %d", i, k, got, want)

@@ -24,8 +24,10 @@ func encodeValue(v value.Value) []byte { return canon.AppendValueField(nil, v)[4
 
 // materializedPkgDigest is the seed's encode-then-hash implementation,
 // kept as the reference: package digests are signed and verified across
-// hosts, so the streamed path must stay byte-compatible forever.
-func materializedPkgDigest(p *ReferencePackage) canon.Digest {
+// hosts, so the digest scanPackage streams from the encoded fields must
+// stay byte-compatible forever.
+func materializedPkgDigest(t testing.TB, p *ReferencePackage) canon.Digest {
+	t.Helper()
 	fields := [][]byte{
 		[]byte("refpkg"),
 		[]byte(p.HostName),
@@ -51,7 +53,11 @@ func materializedPkgDigest(p *ReferencePackage) canon.Digest {
 		}
 	}
 	if p.Trace != nil {
-		d := p.Trace.Digest()
+		enc, err := p.Trace.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := canon.HashBytes(enc)
 		fields = append(fields, []byte("trace"), d[:])
 	}
 	if p.Resources != nil {
@@ -132,15 +138,19 @@ func TestPackageDigestMatchesMaterialized(t *testing.T) {
 		},
 	}
 	for i, p := range pkgs {
-		if got, want := p.Digest(), materializedPkgDigest(p); got != want {
-			t.Errorf("package %d: streamed digest %s != materialized %s", i, got, want)
-		}
 		enc, err := p.Marshal()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(enc, materializedPkgEncoding(t, p)) {
 			t.Errorf("package %d: encoding differs from the materialized tuple", i)
+		}
+		sums, err := ScanReferencePackage(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := materializedPkgDigest(t, p); sums.Digest != want {
+			t.Errorf("package %d: streamed digest %s != materialized %s", i, sums.Digest, want)
 		}
 	}
 }
@@ -265,8 +275,8 @@ func TestPackageSessionMatchesOracle(t *testing.T) {
 				t.Errorf("%s/%s: encoding differs from the oracle's", c.Name, m.Name())
 			case !bytes.Equal(enc, materializedPkgEncoding(t, oracle)):
 				t.Errorf("%s/%s: encoding differs from the materialized tuple", c.Name, m.Name())
-			case sums.Digest != oracle.Digest():
-				t.Errorf("%s/%s: digest %s, oracle %s", c.Name, m.Name(), sums.Digest, oracle.Digest())
+			case sums.Digest != materializedPkgDigest(t, oracle):
+				t.Errorf("%s/%s: digest %s, oracle %s", c.Name, m.Name(), sums.Digest, materializedPkgDigest(t, oracle))
 			case sums.Initial != canon.HashState(oracle.InitialState), sums.Resulting != canon.HashState(oracle.ResultingState):
 				t.Errorf("%s/%s: state digests differ from the oracle's", c.Name, m.Name())
 			}

@@ -340,8 +340,9 @@ type PackageSums struct {
 	// HostName and Hop name the session; HostName aliases the encoding.
 	HostName []byte
 	Hop      int
-	// Digest is the package's Digest; Initial and Resulting are
-	// canon.HashState of its states, of an empty state where absent.
+	// Digest is the package digest mechanisms sign (scanPackage
+	// defines it); Initial and Resulting are canon.HashState of its
+	// states, of an empty state where absent.
 	Digest, Initial, Resulting canon.Digest
 }
 
@@ -353,14 +354,27 @@ var emptyState = canon.HashState(nil)
 // nothing: the decoders accept only canonical bytes, so each digest is
 // taken straight from the encoded fields. It allocates only for a
 // trace, which the checker's packages do not carry, and to word a
-// refusal, which UnmarshalReferencePackage words as verdicts read it.
+// refusal: verdicts quote it, so it is the decoder's error.
 func ScanReferencePackage(data []byte) (PackageSums, error) {
-	return scanPackage(data, true)
+	sums, err := scanPackage(data, true)
+	if err != nil {
+		if _, derr := UnmarshalReferencePackage(data); derr != nil {
+			err = derr
+		}
+	}
+	return sums, err
 }
 
 // scanPackage reads a package encoding's sums. checked validates every
 // state, value and trace field as the decoders would, which a package
 // Marshal just wrote needs not.
+//
+// The package digest is the hash of one tuple: "refpkg", host, hop
+// (decimal), entry, result entry, then for each kind present, in this
+// order, its label and data: "initial" and "resulting" with the state
+// encoding, "input" with one nested tuple (call, args..., result) per
+// record, "trace" with the hash of the trace's encoding, "resources"
+// with each key and value encoding, keys in order.
 func scanPackage(data []byte, checked bool) (PackageSums, error) {
 	checkState, checkValue, checkTrace := canon.CheckState, canon.CheckValue, checkTraceField
 	if !checked {
@@ -400,7 +414,7 @@ func scanPackage(data []byte, checked bool) (PackageSums, error) {
 		nfields += 1 + 2*int(h.nRes)
 	}
 
-	// The fields Digest streams, in its order, from the encoded ones.
+	// The digest's fields, streamed from the encoded ones.
 	x := canon.AcquireHasher()
 	defer canon.ReleaseHasher(x)
 	x.TupleHeader(nfields)
@@ -425,8 +439,8 @@ func scanPackage(data []byte, checked bool) (PackageSums, error) {
 			if nArgs > uint64(s.Len()) {
 				return PackageSums{}, fmt.Errorf("%w: input record args", canon.ErrMalformed)
 			}
-			// Digest frames each record as a nested tuple (call, args,
-			// result); a copy of the scanner measures it first.
+			// Each record is a nested tuple (call, args, result); a copy
+			// of the scanner measures it first.
 			size, ahead := 2+4+4+len(call), s
 			for range nArgs + 1 {
 				size += 4 + len(ahead.Field(bound))
@@ -444,7 +458,6 @@ func scanPackage(data []byte, checked bool) (PackageSums, error) {
 		}
 	}
 	if h.has(refPkgHasTrace) {
-		// Trace.Digest is the digest of the trace's encoding.
 		d := canon.HashBytes(h.trace)
 		x.StringField("trace")
 		x.Field(d[:])
@@ -480,76 +493,3 @@ func checkTraceField(b []byte) error {
 
 // accept stands in for a check scanPackage does not make.
 func accept([]byte) error { return nil }
-
-// Digest returns a canonical digest of the package contents, used by
-// mechanisms that sign reference data. The encoding is streamed into a
-// pooled SHA-256 state; the bytes hashed are identical to the
-// materialized tuple framing this digest always used (each input
-// record framed in its own nested tuple, so record boundaries are
-// unambiguous).
-func (p *ReferencePackage) Digest() canon.Digest {
-	nfields := 5
-	if p.InitialState != nil {
-		nfields += 2
-	}
-	if p.ResultingState != nil {
-		nfields += 2
-	}
-	if p.Input != nil {
-		nfields += 1 + len(p.Input)
-	}
-	if p.Trace != nil {
-		nfields += 2
-	}
-	if p.Resources != nil {
-		nfields += 1 + 2*len(p.Resources)
-	}
-
-	x := canon.AcquireHasher()
-	defer canon.ReleaseHasher(x)
-	x.TupleHeader(nfields)
-	x.StringField("refpkg")
-	x.StringField(p.HostName)
-	x.IntField(int64(p.Hop))
-	x.StringField(p.Entry)
-	x.StringField(p.ResultEntry)
-	if p.InitialState != nil {
-		x.StringField("initial")
-		x.StateField(p.InitialState)
-	}
-	if p.ResultingState != nil {
-		x.StringField("resulting")
-		x.StateField(p.ResultingState)
-	}
-	if p.Input != nil {
-		x.StringField("input")
-		for _, rec := range p.Input {
-			// Nested per-record tuple: header + call + args + result.
-			size := 2 + 4 + 4 + len(rec.Call)
-			for _, a := range rec.Args {
-				size += 4 + 1 + canon.SizeValue(a)
-			}
-			size += 4 + 1 + canon.SizeValue(rec.Result)
-			x.BeginField(size)
-			x.TupleHeader(2 + len(rec.Args))
-			x.StringField(rec.Call)
-			for _, a := range rec.Args {
-				x.ValueField(a)
-			}
-			x.ValueField(rec.Result)
-		}
-	}
-	if p.Trace != nil {
-		d := p.Trace.Digest()
-		x.StringField("trace")
-		x.Field(d[:])
-	}
-	if p.Resources != nil {
-		x.StringField("resources")
-		for _, k := range value.SortedKeys(p.Resources) {
-			x.StringField(k)
-			x.ValueField(p.Resources[k])
-		}
-	}
-	return x.Sum()
-}

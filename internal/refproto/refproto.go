@@ -621,14 +621,13 @@ func (m *Mechanism) CheckAfterSession(ctx context.Context, hc *core.HostContext,
 
 	// 2. Verify the package against the signed session, and the
 	// producer's handoff of its initial state. The package is read from
-	// its bytes: it is decoded only to re-execute, and to word a refusal
-	// in the decoder's terms.
+	// its bytes: it is decoded only to re-execute.
 	if p.PkgEnc == nil {
 		return failed(v, "untrusted session carries no reference package")
 	}
 	sums, err := core.ScanReferencePackage(p.PkgEnc)
 	if err != nil {
-		return failed(v, malformedPackage(p.PkgEnc, err))
+		return failed(v, fmt.Sprintf("malformed reference package: %v", err))
 	}
 	if sums.Hop != p.Hop || string(sums.HostName) != prev {
 		return failed(v, fmt.Sprintf("package identifies session %d@%s, expected %d@%s",
@@ -662,7 +661,7 @@ func (m *Mechanism) CheckAfterSession(ctx context.Context, hc *core.HostContext,
 	}
 	pkg, err := core.UnmarshalReferencePackage(p.PkgEnc)
 	if err != nil {
-		return failed(v, malformedPackage(p.PkgEnc, err))
+		return failed(v, fmt.Sprintf("malformed reference package: %v", err))
 	}
 	if evidence, err := m.reexecute(ag, pkg, p.Session.Result); err != nil {
 		return nil, fmt.Errorf("refproto: re-execution check: %w", err)
@@ -673,15 +672,6 @@ func (m *Mechanism) CheckAfterSession(ctx context.Context, hc *core.HostContext,
 	}
 	v.OK = true
 	return v, nil
-}
-
-// malformedPackage words the refusal of a reference package as the
-// decoder does, falling back to err, the scan's.
-func malformedPackage(enc []byte, err error) string {
-	if _, derr := core.UnmarshalReferencePackage(enc); derr != nil {
-		err = derr
-	}
-	return fmt.Sprintf("malformed reference package: %v", err)
 }
 
 // verifyHandoff checks the producer's side of the checked session's

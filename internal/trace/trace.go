@@ -13,14 +13,15 @@
 // each session's trace once, and the mechanism that audits traces
 // (vigna, proof) keeps what it will be asked for.
 //
-// A trace has one encoding, the bytes Digest hashes:
+// A trace has one encoding, the bytes its digest hashes:
 //
 //	trace := Tuple("trace", entry, entry, ...)
 //	entry := Tuple(stmtID decimal, name, val, name, ...)
 //
-// with each val in the form canon.DecodeValue reads. An entry's bytes are the Merkle leaf the proof mechanism opens.
-// Unmarshal reads peers' bytes, inside reference packages and proof
-// openings, and accepts canonical bytes only.
+// with each val in the form canon.DecodeValue reads. An entry's bytes
+// are the Merkle leaf the proof mechanism opens. Unmarshal reads peers'
+// bytes, inside reference packages and proof openings, and accepts
+// canonical bytes only.
 package trace
 
 import (
@@ -103,22 +104,6 @@ const (
 	maxEntries  = maxBytes / minEntryLen
 	maxIDLen    = 19 // the digits of the largest int64
 )
-
-// Digest returns the digest of the trace's wire form, Marshal's bytes,
-// streamed into a pooled SHA-256 state: even a 10^5-entry trace digests
-// without materializing its encoding. Every entry is its own framed
-// field, so traces with shifted boundaries cannot collide.
-func (t Trace) Digest() canon.Digest {
-	x := canon.AcquireHasher()
-	defer canon.ReleaseHasher(x)
-	x.TupleHeader(1 + len(t.Entries))
-	x.StringField(label)
-	for _, e := range t.Entries {
-		x.BeginField(entrySize(e))
-		streamEntry(x, e)
-	}
-	return x.Sum()
-}
 
 // EntryDigest returns the digest of a single entry's wire form, used as
 // a Merkle leaf by the proof mechanism. Building a Merkle tree over a

@@ -94,7 +94,7 @@ func TestDigestSensitivity(t *testing.T) {
 		{StmtID: 1, Bindings: []Binding{{Name: "x", Val: value.Int(5)}}},
 		{StmtID: 2},
 	}}
-	if base.Digest() != same.Digest() {
+	if wireDigest(t, base) != wireDigest(t, same) {
 		t.Error("equal traces, different digests")
 	}
 	variants := []Trace{
@@ -106,7 +106,7 @@ func TestDigestSensitivity(t *testing.T) {
 		{},
 	}
 	for i, v := range variants {
-		if v.Digest() == base.Digest() {
+		if wireDigest(t, v) == wireDigest(t, base) {
 			t.Errorf("variant %d has same digest as base", i)
 		}
 	}
@@ -143,7 +143,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Digest() != tr.Digest() {
+	if wireDigest(t, got) != wireDigest(t, tr) {
 		t.Error("digest changed across marshal round trip")
 	}
 	if _, err := Unmarshal([]byte("junk")); err == nil {

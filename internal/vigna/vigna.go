@@ -448,12 +448,17 @@ func Audit(ctx context.Context, cfg AuditConfig, ag *agent.Agent) (*Report, erro
 		// tolerant unwrap so an honest host is never blamed for the
 		// baggage its node attached.
 		resp, _ = transport.OpenReply(resp)
-		pkg, err := core.UnmarshalReferencePackage(resp)
+		sums, err := core.ScanReferencePackage(resp)
 		if err != nil {
 			return blame(c, fmt.Sprintf("returned package malformed: %v", err)), nil
 		}
-		if pkg.Digest() != c.PkgHash {
+		if sums.Digest != c.PkgHash {
 			return blame(c, "returned trace does not match the committed hash"), nil
+		}
+		// The scan accepted it, so it decodes: the replay needs values.
+		pkg, err := core.UnmarshalReferencePackage(resp)
+		if err != nil {
+			return nil, err
 		}
 		if pkg.Trace != nil {
 			rep.TotalTraceEntries += pkg.Trace.Len()

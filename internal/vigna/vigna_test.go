@@ -384,3 +384,61 @@ func TestDurableReportsWriteFailure(t *testing.T) {
 		t.Fatalf("sink got %v, want the one write failure", reported)
 	}
 }
+
+// servedNet answers h1's audit fetch with what serve makes of the
+// package h1 really retained.
+type servedNet struct {
+	transport.Network
+	serve func(t *testing.T, pkg []byte) []byte
+	t     *testing.T
+}
+
+func (n servedNet) Call(ctx context.Context, to, method string, body []byte) ([]byte, error) {
+	resp, err := n.Network.Call(ctx, to, method, body)
+	if err != nil || to != "h1" || method != vigna.MechanismName+"/fetch" {
+		return resp, err
+	}
+	pkg, _ := transport.OpenReply(resp)
+	return n.serve(n.t, pkg), nil
+}
+
+// TestAuditChecksTheServedPackage: the audit reads the package a host
+// serves against the digest it committed to, and blames the host for
+// bytes that do not decode and for a package other than the committed
+// one, in the decoder's words.
+func TestAuditChecksTheServedPackage(t *testing.T) {
+	rows := []struct {
+		name   string
+		serve  func(t *testing.T, pkg []byte) []byte
+		reason string
+	}{
+		{"junk", func(*testing.T, []byte) []byte { return []byte("junk") },
+			"returned package malformed: core: decoding reference package: "},
+		{"another input", func(t *testing.T, enc []byte) []byte {
+			pkg, err := core.UnmarshalReferencePackage(enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pkg.Input[0].Result = value.Int(11)
+			if enc, err = pkg.Marshal(); err != nil {
+				t.Fatal(err)
+			}
+			return enc
+		}, "returned trace does not match the committed hash"},
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			bed := buildBed(t, bedOpts{})
+			returned := launchAndReturn(t, bed)
+			cfg := auditCfg(bed)
+			cfg.Net = servedNet{Network: cfg.Net, serve: r.serve, t: t}
+			rep, err := vigna.Audit(context.Background(), cfg, returned)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.OK || rep.Cheater != "h1" || !strings.HasPrefix(rep.Reason, r.reason) {
+				t.Errorf("audit: ok %v, blamed %q: %q, want h1: %q", rep.OK, rep.Cheater, rep.Reason, r.reason)
+			}
+		})
+	}
+}
