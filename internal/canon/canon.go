@@ -14,12 +14,12 @@ package canon
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"sync"
 
 	"repro/internal/value"
 )
@@ -60,82 +60,130 @@ type SizeError struct {
 
 // Error names the oversized element and the format's maximum.
 func (e *SizeError) Error() string {
-	return fmt.Sprintf("canon: %s length %d exceeds maximum %d", e.What, e.N, maxLen)
+	return fmt.Sprintf("canon: %s length %d exceeds maximum %d", e.What, e.N, MaxLen)
 }
 
 // Unwrap lets errors.Is(err, ErrTooLarge) match a recovered SizeError.
 func (e *SizeError) Unwrap() error { return ErrTooLarge }
 
-// guardLen validates a length against maxLen before it is narrowed to
+// guardLen validates a length against MaxLen before it is narrowed to
 // the wire's uint32 prefix.
 func guardLen(what string, n int) uint32 {
-	if n > maxLen {
+	if n > MaxLen {
 		panic(&SizeError{What: what, N: n})
 	}
 	return uint32(n)
 }
 
-// maxLen bounds individual string/list/map lengths during decoding so a
-// hostile peer cannot force huge allocations from a short message, and
-// bounds the same lengths during encoding so a length can never be
-// silently truncated to its 32-bit prefix.
-const maxLen = 1 << 26
+// MaxLen, 64 MiB, bounds every length the format carries: a string,
+// list, map or state, a tuple's field count and one tuple field. It
+// bounds them during decoding so a hostile peer cannot force huge
+// allocations from a short message, and during encoding so a length can
+// never be silently truncated to its 32-bit prefix.
+const MaxLen = 1 << 26
+
+// writer is the walk of AppendValue and AppendState, canon's one
+// writer: every encoding, and so every digest, is the bytes it appends
+// to dst. keys, taken from keysPool at the first map or state, sorts
+// each nesting depth's keys into that depth's own slice, so an inner
+// map never clobbers the keys an outer one is walking and steady-state
+// encoding allocates nothing beyond dst's growth.
+type writer struct {
+	dst  []byte
+	keys *[][]string
+}
+
+var keysPool = sync.Pool{New: func() any { return new([][]string) }}
+
+// done returns the key scratch to its pool and the encoding to the
+// caller.
+func (w *writer) done() []byte {
+	if w.keys != nil {
+		keysPool.Put(w.keys)
+	}
+	return w.dst
+}
+
+// sortedKeys returns m's keys in ascending order in depth's scratch.
+func (w *writer) sortedKeys(depth int, m map[string]value.Value) []string {
+	if w.keys == nil {
+		w.keys = keysPool.Get().(*[][]string)
+	}
+	for len(*w.keys) <= depth {
+		*w.keys = append(*w.keys, nil)
+	}
+	ks := (*w.keys)[depth][:0]
+	for k := range m {
+		ks = append(ks, k)
+	}
+	slices.Sort(ks)
+	(*w.keys)[depth] = ks
+	return ks
+}
 
 // AppendValue appends the canonical encoding of v to dst and returns
 // the extended slice.
 func AppendValue(dst []byte, v value.Value) []byte {
-	switch v.Kind {
-	case value.KindInt:
-		dst = append(dst, tagInt)
-		dst = binary.BigEndian.AppendUint64(dst, uint64(v.Int))
-	case value.KindString:
-		dst = append(dst, tagString)
-		dst = binary.BigEndian.AppendUint32(dst, guardLen("string", len(v.Str)))
-		dst = append(dst, v.Str...)
-	case value.KindBool:
-		dst = append(dst, tagBool)
-		if v.Bool {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
-	case value.KindList:
-		dst = append(dst, tagList)
-		dst = binary.BigEndian.AppendUint32(dst, guardLen("list", len(v.List)))
-		for _, e := range v.List {
-			dst = AppendValue(dst, e)
-		}
-	case value.KindMap:
-		dst = append(dst, tagMap)
-		keys := value.SortedKeys(v.Map)
-		dst = binary.BigEndian.AppendUint32(dst, guardLen("map", len(keys)))
-		for _, k := range keys {
-			dst = binary.BigEndian.AppendUint32(dst, guardLen("map key", len(k)))
-			dst = append(dst, k...)
-			dst = AppendValue(dst, v.Map[k])
-		}
-	default:
-		dst = append(dst, tagNull)
-	}
-	return dst
+	w := writer{dst: dst}
+	w.value(v, 0)
+	return w.done()
 }
 
 // AppendState appends the canonical encoding of a state (sorted by
 // variable name) to dst.
 func AppendState(dst []byte, s value.State) []byte {
-	dst = append(dst, tagState)
-	names := make([]string, 0, len(s))
-	for k := range s {
-		names = append(names, k)
+	w := writer{dst: dst}
+	w.state(s)
+	return w.done()
+}
+
+// value appends v, whose maps sort their keys in depth's scratch and
+// deeper.
+func (w *writer) value(v value.Value, depth int) {
+	switch v.Kind {
+	case value.KindInt:
+		w.dst = append(w.dst, tagInt)
+		w.dst = binary.BigEndian.AppendUint64(w.dst, uint64(v.Int))
+	case value.KindString:
+		w.dst = append(w.dst, tagString)
+		w.dst = binary.BigEndian.AppendUint32(w.dst, guardLen("string", len(v.Str)))
+		w.dst = append(w.dst, v.Str...)
+	case value.KindBool:
+		w.dst = append(w.dst, tagBool)
+		if v.Bool {
+			w.dst = append(w.dst, 1)
+		} else {
+			w.dst = append(w.dst, 0)
+		}
+	case value.KindList:
+		w.dst = append(w.dst, tagList)
+		w.dst = binary.BigEndian.AppendUint32(w.dst, guardLen("list", len(v.List)))
+		for _, e := range v.List {
+			w.value(e, depth)
+		}
+	case value.KindMap:
+		w.dst = append(w.dst, tagMap)
+		w.keyed(v.Map, depth)
+	default:
+		w.dst = append(w.dst, tagNull)
 	}
-	sort.Strings(names)
-	dst = binary.BigEndian.AppendUint32(dst, guardLen("state", len(names)))
-	for _, k := range names {
-		dst = binary.BigEndian.AppendUint32(dst, guardLen("state var", len(k)))
-		dst = append(dst, k...)
-		dst = AppendValue(dst, s[k])
+}
+
+// state appends s: its names sort at depth 0, its values at depth 1.
+func (w *writer) state(s value.State) {
+	w.dst = append(w.dst, tagState)
+	w.keyed(s, 0)
+}
+
+// keyed appends m's length and its pairs in key order.
+func (w *writer) keyed(m map[string]value.Value, depth int) {
+	keys := w.sortedKeys(depth, m)
+	w.dst = binary.BigEndian.AppendUint32(w.dst, guardLen("map", len(keys)))
+	for _, k := range keys {
+		w.dst = binary.BigEndian.AppendUint32(w.dst, guardLen("map key", len(k)))
+		w.dst = append(w.dst, k...)
+		w.value(m[k], depth+1)
 	}
-	return dst
 }
 
 // EncodeState returns the canonical encoding of an agent state,
@@ -164,7 +212,7 @@ func Tuple(fields ...[]byte) []byte {
 func AppendTuple(dst []byte, fields ...[]byte) []byte {
 	dst = AppendTupleHeader(dst, len(fields))
 	for _, f := range fields {
-		dst = append(AppendFieldHeader(dst, len(f)), f...)
+		dst = AppendField(dst, f)
 	}
 	return dst
 }
@@ -181,24 +229,31 @@ func AppendFieldHeader(dst []byte, size int) []byte {
 	return binary.BigEndian.AppendUint32(dst, guardLen("tuple field", size))
 }
 
+// AppendField appends f as one framed field.
+func AppendField[F string | []byte](dst []byte, f F) []byte {
+	return append(AppendFieldHeader(dst, len(f)), f...)
+}
+
 // AppendValueField appends a framed field holding v's canonical
 // encoding, version byte first, as DecodeValue reads it. The frame is
 // written once the bytes are, so v is walked once.
 func AppendValueField(dst []byte, v value.Value) []byte {
 	at := len(dst)
-	return closeField(AppendValue(append(dst, 0, 0, 0, 0, version), v), at)
+	return CloseField(AppendValue(append(dst, 0, 0, 0, 0, version), v), at)
 }
 
 // AppendStateField appends a framed field holding EncodeState(s),
 // walking s once.
 func AppendStateField(dst []byte, s value.State) []byte {
 	at := len(dst)
-	return closeField(AppendState(append(dst, 0, 0, 0, 0, version), s), at)
+	return CloseField(AppendState(append(dst, 0, 0, 0, 0, version), s), at)
 }
 
-// closeField writes the frame reserved at dst[at:at+4] for the bytes
-// appended after it.
-func closeField(dst []byte, at int) []byte {
+// CloseField writes the frame reserved at dst[at:at+4] (by
+// AppendFieldHeader(dst, 0)) for the bytes appended after it, so a
+// field is framed without measuring it first. Like every frame it
+// panics with a *SizeError over MaxLen.
+func CloseField(dst []byte, at int) []byte {
 	binary.BigEndian.PutUint32(dst[at:], guardLen("tuple field", len(dst)-at-4))
 	return dst
 }
@@ -213,7 +268,7 @@ func ExtendTuple(dst, tuple []byte, fields ...[]byte) []byte {
 	n := binary.BigEndian.Uint32(dst[at+2:])
 	binary.BigEndian.PutUint32(dst[at+2:], guardLen("tuple", int(n)+len(fields)))
 	for _, f := range fields {
-		dst = append(AppendFieldHeader(dst, len(f)), f...)
+		dst = AppendField(dst, f)
 	}
 	return dst
 }
@@ -249,7 +304,7 @@ func ScanTuple(b []byte) (TupleScanner, error) {
 		return TupleScanner{}, fmt.Errorf("%w: expected tuple tag, got 0x%02x", ErrMalformed, b[1])
 	}
 	n := binary.BigEndian.Uint32(b[2:])
-	if n > maxLen || int(n) > (len(b)-tupleHeaderLen)/4 {
+	if n > MaxLen || int(n) > (len(b)-tupleHeaderLen)/4 {
 		return TupleScanner{}, fmt.Errorf("%w: %d fields declared in %d bytes", ErrMalformed, n, len(b))
 	}
 	return TupleScanner{d: decoder{buf: b, off: tupleHeaderLen}, left: int(n)}, nil
@@ -300,6 +355,10 @@ func ScanList(data []byte, label string, maxBytes, maxRecords int) (TupleScanner
 
 // Len returns the number of fields not yet read.
 func (s *TupleScanner) Len() int { return s.left }
+
+// Offset returns how many bytes of the tuple the scanner has read, so a
+// codec can measure a run of fields by the difference of two offsets.
+func (s *TupleScanner) Offset() int { return s.d.off }
 
 // Err returns the scanner's first error, if a read has failed.
 func (s *TupleScanner) Err() error { return s.err }
@@ -385,54 +444,6 @@ func Uint64Field(v uint64) []byte {
 	return binary.BigEndian.AppendUint64(make([]byte, 0, 8), v)
 }
 
-// Digest is a SHA-256 digest of a canonical encoding.
-type Digest [sha256.Size]byte
-
-// String returns the first 12 hex digits, enough for log readability.
-func (d Digest) String() string { return fmt.Sprintf("%x", d[:6]) }
-
-// HashBytes digests an arbitrary byte string.
-func HashBytes(b []byte) Digest { return sha256.Sum256(b) }
-
-// HashValue digests the canonical encoding of a value by streaming it
-// into a pooled SHA-256 state — no intermediate slice is built.
-func HashValue(v value.Value) Digest {
-	x := hasherPool.Get().(*Hasher)
-	x.Reset()
-	x.Version()
-	x.Value(v)
-	d := x.Sum()
-	hasherPool.Put(x)
-	return d
-}
-
-// HashState digests the canonical encoding of a state without
-// materializing it. Two states have equal digests iff they bind the
-// same variables to equal values (up to hash collisions).
-func HashState(s value.State) Digest {
-	x := hasherPool.Get().(*Hasher)
-	x.Reset()
-	x.Version()
-	x.State(s)
-	d := x.Sum()
-	hasherPool.Put(x)
-	return d
-}
-
-// HashTuple digests a framed tuple of byte fields via the streaming
-// path.
-func HashTuple(fields ...[]byte) Digest {
-	x := hasherPool.Get().(*Hasher)
-	x.Reset()
-	x.TupleHeader(len(fields))
-	for _, f := range fields {
-		x.Field(f)
-	}
-	d := x.Sum()
-	hasherPool.Put(x)
-	return d
-}
-
 // decoder walks an encoded buffer.
 type decoder struct {
 	buf   []byte
@@ -443,7 +454,7 @@ type decoder struct {
 // maxDepth bounds how deep decoded lists and maps may nest. value
 // recurses once per level, and five bytes buy a level: without a bound
 // a peer overflows the stack, which Go cannot recover from, with a
-// message far below maxLen. Encoding has no such bound: what a running
+// message far below MaxLen. Encoding has no such bound: what a running
 // agent nests deeper than this (x = list(x) in a loop) still encodes,
 // and is refused by the next host.
 const maxDepth = 256
@@ -484,7 +495,7 @@ func (d *decoder) uint64() (uint64, error) {
 }
 
 func (d *decoder) bytes(n int) ([]byte, error) {
-	if n < 0 || n > maxLen || d.off+n > len(d.buf) {
+	if n < 0 || n > MaxLen || d.off+n > len(d.buf) {
 		return nil, io.ErrUnexpectedEOF
 	}
 	b := d.buf[d.off : d.off+n]
@@ -495,8 +506,8 @@ func (d *decoder) bytes(n int) ([]byte, error) {
 // count reads a string, list, map or state length.
 func (d *decoder) count() (int, error) {
 	n, err := d.uint32()
-	if err == nil && n > maxLen {
-		err = fmt.Errorf("%w: length %d over %d", ErrMalformed, n, maxLen)
+	if err == nil && n > MaxLen {
+		err = fmt.Errorf("%w: length %d over %d", ErrMalformed, n, MaxLen)
 	}
 	return int(n), err
 }

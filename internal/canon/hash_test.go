@@ -4,14 +4,15 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"repro/internal/testutil"
+	"sync"
 	"testing"
 
+	"repro/internal/testutil"
 	"repro/internal/value"
 )
 
 // hashStates covers every kind, nesting, and map-ordering hazard the
-// streaming hasher must reproduce byte-for-byte.
+// writer's key scratch must keep byte-for-byte.
 func hashStates() []value.State {
 	return []value.State{
 		{},
@@ -60,30 +61,6 @@ func TestStreamingHashTupleMatchesMaterialized(t *testing.T) {
 	}
 }
 
-func TestHasherFieldHelpersMatchMaterializedTuple(t *testing.T) {
-	s := value.State{"x": value.Int(1), "ys": value.List(value.Str("a"))}
-	v := value.Map(map[string]value.Value{"k": value.Int(2)})
-	fields := [][]byte{[]byte("label"), encodeValue(v), EncodeState(s)}
-	want := Digest(sha256.Sum256(Tuple(fields...)))
-
-	x := NewHasher()
-	x.TupleHeader(3)
-	x.StringField("label")
-	x.ValueField(v)
-	x.Field(EncodeState(s))
-	if got := x.Sum(); got != want {
-		t.Errorf("field helpers: streaming %s != materialized %s", got, want)
-	}
-
-	// Reset must produce an independent second digest.
-	x.Reset()
-	x.Version()
-	x.State(s)
-	if got, want := x.Sum(), HashState(s); got != want {
-		t.Errorf("after Reset: %s != %s", got, want)
-	}
-}
-
 func TestSizeHelpersMatchEncoding(t *testing.T) {
 	for i, s := range hashStates() {
 		for k, v := range s {
@@ -104,7 +81,7 @@ func TestScanTupleRoundTrip(t *testing.T) {
 		t.Fatalf("got %d fields, want %d", s.Len(), len(fields))
 	}
 	for i := range fields {
-		if got := s.Field(maxLen); string(got) != string(fields[i]) {
+		if got := s.Field(MaxLen); string(got) != string(fields[i]) {
 			t.Errorf("field %d: %q != %q", i, got, fields[i])
 		}
 	}
@@ -116,7 +93,7 @@ func TestScanTupleRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for s.Len() > 0 {
-		s.Field(maxLen)
+		s.Field(MaxLen)
 	}
 	if err := s.End(); !errors.Is(err, ErrMalformed) {
 		t.Errorf("trailing byte accepted: %v", err)
@@ -127,12 +104,11 @@ func TestScanTupleRoundTrip(t *testing.T) {
 }
 
 func TestEncodeOversizedPanicsTyped(t *testing.T) {
-	big := value.Str(string(make([]byte, maxLen+1)))
+	big := value.Str(string(make([]byte, MaxLen+1)))
 	cases := map[string]func(){
 		"AppendValue": func() { AppendValue(nil, big) },
 		"AppendState": func() { AppendState(nil, value.State{"x": big}) },
-		"Tuple":       func() { Tuple(make([]byte, maxLen+1)) },
-		"Hasher":      func() { NewHasher().Value(big) },
+		"Tuple":       func() { Tuple(make([]byte, MaxLen+1)) },
 	}
 	for name, fn := range cases {
 		func() {
@@ -156,8 +132,8 @@ func TestEncodeOversizedPanicsTyped(t *testing.T) {
 	}
 }
 
-// TestHashStateAllocs pins the streaming path's allocation ceiling: the
-// pooled hasher makes steady-state digesting allocation-free.
+// TestHashStateAllocs pins the digests' allocation ceiling: pooled
+// bytes and key scratch make steady-state digesting allocation-free.
 func TestHashStateAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation ceilings are not meaningful under the race detector")
@@ -178,10 +154,50 @@ func TestHashStateAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkHashStateStreaming measures the new zero-copy digest path;
-// BenchmarkHashStateMaterialized is the seed's encode-then-hash
-// baseline kept for comparison (the PR's headline numbers).
-func BenchmarkHashStateStreaming(b *testing.B) {
+// TestAppendStateAllocs pins the writer's ceiling: encoding into a warm
+// buffer allocates nothing, maps included, because keys sort in pooled
+// per-depth scratch.
+func TestAppendStateAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation ceilings are not meaningful under the race detector")
+	}
+	s := benchState(50)
+	buf := AppendState(nil, s) // warm the buffer and the key scratch
+	if avg := testing.AllocsPerRun(100, func() { buf = AppendState(buf[:0], s) }); avg > 0 {
+		t.Errorf("AppendState allocs/op = %.1f, want 0", avg)
+	}
+}
+
+// TestConcurrentHashing digests distinct states and tuples from several
+// goroutines at once, so the pooled bytes and key scratch are shared
+// between them (go test -race checks the sharing).
+func TestConcurrentHashing(t *testing.T) {
+	const workers, rounds = 8, 50
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range rounds {
+				s := benchState(1 + (w*rounds+r)%20)
+				s["worker"] = value.Map(map[string]value.Value{"w": value.Int(int64(w)), "r": value.Int(int64(r))})
+				if got, want := HashState(s), Digest(sha256.Sum256(EncodeState(s))); got != want {
+					t.Errorf("worker %d round %d: state digest %s != %s", w, r, got, want)
+				}
+				f := []byte(fmt.Sprintf("worker %d round %d", w, r))
+				if got, want := HashTuple([]byte("t"), f), Digest(sha256.Sum256(Tuple([]byte("t"), f))); got != want {
+					t.Errorf("worker %d round %d: tuple digest %s != %s", w, r, got, want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// BenchmarkHashStatePooled digests a 50-variable state through the
+// pooled writer; BenchmarkHashStateMaterialized encodes the same state
+// into a fresh slice and hashes it, the cost the pool saves.
+func BenchmarkHashStatePooled(b *testing.B) {
 	s := benchState(50)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -24,7 +24,7 @@ func encodeValue(v value.Value) []byte { return canon.AppendValueField(nil, v)[4
 
 // materializedPkgDigest is the seed's encode-then-hash implementation,
 // kept as the reference: package digests are signed and verified across
-// hosts, so the digest scanPackage streams from the encoded fields must
+// hosts, so the digest scanPackage writes from the encoded fields must
 // stay byte-compatible forever.
 func materializedPkgDigest(t testing.TB, p *ReferencePackage) canon.Digest {
 	t.Helper()

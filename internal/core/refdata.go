@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"strconv"
 
 	"repro/internal/agentlang"
 	"repro/internal/canon"
@@ -132,8 +133,9 @@ const (
 
 // Marshal serializes the package for agent baggage, appending every
 // field in place into pooled scratch and copying the result out once.
-// It passes up the trace's refusal of a trace too large to carry
-// (canon.ErrTooLarge).
+// It refuses, with an error wrapping canon.ErrTooLarge, a trace too
+// large to carry and an input record too large for the package digest
+// (recordFits).
 func (p *ReferencePackage) Marshal() ([]byte, error) {
 	var flags byte
 	var traceEnc []byte
@@ -163,27 +165,31 @@ func (p *ReferencePackage) Marshal() ([]byte, error) {
 
 	buf := canon.GetBuf()
 	dst := canon.AppendTupleHeader((*buf)[:0], nfields)
-	dst = appendStringField(dst, refPkgWireLabel)
-	dst = appendStringField(dst, p.HostName)
+	dst = canon.AppendField(dst, refPkgWireLabel)
+	dst = canon.AppendField(dst, p.HostName)
 	dst = appendUint64Field(dst, uint64(p.Hop))
-	dst = appendStringField(dst, p.Entry)
-	dst = appendStringField(dst, p.ResultEntry)
+	dst = canon.AppendField(dst, p.Entry)
+	dst = canon.AppendField(dst, p.ResultEntry)
 	dst = append(canon.AppendFieldHeader(dst, 1), flags)
 	dst = appendStateField(dst, p.InitialState)
 	dst = appendStateField(dst, p.ResultingState)
-	dst = append(canon.AppendFieldHeader(dst, len(traceEnc)), traceEnc...)
+	dst = canon.AppendField(dst, traceEnc)
 	dst = appendUint64Field(dst, uint64(len(p.Input)))
 	dst = appendUint64Field(dst, uint64(len(p.Resources)))
-	for _, rec := range p.Input {
-		dst = appendStringField(dst, rec.Call)
+	for i, rec := range p.Input {
+		at := len(dst)
+		dst = canon.AppendField(dst, rec.Call)
 		dst = appendUint64Field(dst, uint64(len(rec.Args)))
 		for _, a := range rec.Args {
 			dst = canon.AppendValueField(dst, a)
 		}
 		dst = canon.AppendValueField(dst, rec.Result)
+		if err := recordFits(i, len(dst)-at, canon.ErrTooLarge); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
 	}
 	for _, k := range value.SortedKeys(p.Resources) {
-		dst = appendStringField(dst, k)
+		dst = canon.AppendField(dst, k)
 		dst = canon.AppendValueField(dst, p.Resources[k])
 	}
 	out := bytes.Clone(dst)
@@ -192,8 +198,18 @@ func (p *ReferencePackage) Marshal() ([]byte, error) {
 	return out, nil
 }
 
-func appendStringField(dst []byte, s string) []byte {
-	return append(canon.AppendFieldHeader(dst, len(s)), s...)
+// recordFits refuses, with an error wrapping why, input record i whose
+// wire fields (call, arg count, args, result) span wire bytes, if the
+// package digest cannot hold it. The digest frames a record as one
+// nested tuple (appendPackageDigest), which drops the 12-byte count field and
+// opens a 6-byte tuple header, and a canon tuple field holds at most
+// canon.MaxLen bytes: a record can exceed that though each of its
+// fields fits. Marshal, the decoder and the scan all refuse it here.
+func recordFits(i, wire int, why error) error {
+	if n := wire - 12 + 6; n > canon.MaxLen {
+		return fmt.Errorf("%w: input record %d frames to %d bytes in the package digest, over %d", why, i, n, canon.MaxLen)
+	}
+	return nil
 }
 
 func appendUint64Field(dst []byte, v uint64) []byte {
@@ -296,6 +312,7 @@ func UnmarshalReferencePackage(data []byte) (_ *ReferencePackage, err error) {
 	if h.has(refPkgHasInput) {
 		p.Input = make([]agentlang.InputRecord, 0, h.nInput)
 		for i := range int(h.nInput) {
+			at := s.Offset()
 			rec := agentlang.InputRecord{Seq: i, Call: string(s.Field(bound))}
 			nArgs := s.Uint64()
 			if nArgs > uint64(s.Len()) {
@@ -310,6 +327,9 @@ func UnmarshalReferencePackage(data []byte) (_ *ReferencePackage, err error) {
 			}
 			if rec.Result, err = canon.DecodeValue(s.Field(bound)); err != nil {
 				return nil, fmt.Errorf("input result: %w", err)
+			}
+			if err := recordFits(i, s.Offset()-at, canon.ErrMalformed); err != nil {
+				return nil, err
 			}
 			p.Input = append(p.Input, rec)
 		}
@@ -340,8 +360,8 @@ type PackageSums struct {
 	// HostName and Hop name the session; HostName aliases the encoding.
 	HostName []byte
 	Hop      int
-	// Digest is the package digest mechanisms sign (scanPackage
-	// defines it); Initial and Resulting are canon.HashState of its
+	// Digest is the package digest mechanisms sign
+	// (appendPackageDigest defines it); Initial and Resulting are canon.HashState of its
 	// states, of an empty state where absent.
 	Digest, Initial, Resulting canon.Digest
 }
@@ -368,44 +388,62 @@ func ScanReferencePackage(data []byte) (PackageSums, error) {
 // scanPackage reads a package encoding's sums. checked validates every
 // state, value and trace field as the decoders would, which a package
 // Marshal just wrote needs not.
-//
-// The package digest is the hash of one tuple: "refpkg", host, hop
-// (decimal), entry, result entry, then for each kind present, in this
-// order, its label and data: "initial" and "resulting" with the state
-// encoding, "input" with one nested tuple (call, args..., result) per
-// record, "trace" with the hash of the trace's encoding, "resources"
-// with each key and value encoding, keys in order.
 func scanPackage(data []byte, checked bool) (PackageSums, error) {
 	checkState, checkValue, checkTrace := canon.CheckState, canon.CheckValue, checkTraceField
 	if !checked {
 		checkState, checkValue, checkTrace = accept, accept, accept
 	}
-	bound := len(data)
 	s, h, err := readPackageHeader(data)
 	if err != nil {
 		return PackageSums{}, err
 	}
 	sums := PackageSums{HostName: h.host, Hop: h.hop, Initial: emptyState, Resulting: emptyState}
-	nfields := 5
 	if h.has(refPkgHasInitial) {
 		if err := checkState(h.initial); err != nil {
 			return PackageSums{}, fmt.Errorf("initial state: %w", err)
 		}
 		sums.Initial = canon.HashBytes(h.initial)
-		nfields += 2
 	}
 	if h.has(refPkgHasResulting) {
 		if err := checkState(h.resulting); err != nil {
 			return PackageSums{}, fmt.Errorf("resulting state: %w", err)
 		}
 		sums.Resulting = canon.HashBytes(h.resulting)
-		nfields += 2
 	}
 	if h.has(refPkgHasTrace) {
 		if err := checkTrace(h.trace); err != nil {
 			return PackageSums{}, err
 		}
-		nfields += 2
+	}
+	sums.Digest = canon.HashAppend(func(dst []byte) []byte {
+		dst, err = appendPackageDigest(dst, &s, &h, len(data), checkValue)
+		return dst
+	})
+	if err == nil {
+		err = s.End()
+	}
+	if err != nil {
+		return PackageSums{}, err
+	}
+	return sums, nil
+}
+
+// appendPackageDigest appends the tuple the package digest hashes,
+// reading the input records and resources from s, which holds them
+// after the header h, and checking their values with checkValue.
+//
+// The tuple is: "refpkg", host, hop (decimal), entry, result entry,
+// then for each kind present, in this order, its label and data:
+// "initial" and "resulting" with the state encoding, "input" with one
+// nested tuple (call, args..., result) per record, "trace" with the
+// hash of the trace's encoding, "resources" with each key and value
+// encoding, keys in order.
+func appendPackageDigest(dst []byte, s *canon.TupleScanner, h *pkgHeader, bound int, checkValue func([]byte) error) ([]byte, error) {
+	nfields := 5
+	for _, flag := range []byte{refPkgHasInitial, refPkgHasResulting, refPkgHasTrace} {
+		if h.has(flag) {
+			nfields += 2
+		}
 	}
 	if h.has(refPkgHasInput) {
 		nfields += 1 + int(h.nInput)
@@ -413,76 +451,64 @@ func scanPackage(data []byte, checked bool) (PackageSums, error) {
 	if h.has(refPkgHasResources) {
 		nfields += 1 + 2*int(h.nRes)
 	}
-
-	// The digest's fields, streamed from the encoded ones.
-	x := canon.AcquireHasher()
-	defer canon.ReleaseHasher(x)
-	x.TupleHeader(nfields)
-	x.StringField("refpkg")
-	x.Field(h.host)
-	x.IntField(int64(h.hop))
-	x.Field(h.entry)
-	x.Field(h.resultEntry)
+	var hop [20]byte
+	dst = canon.AppendTupleHeader(dst, nfields)
+	dst = canon.AppendField(dst, "refpkg")
+	dst = canon.AppendField(dst, h.host)
+	dst = canon.AppendField(dst, strconv.AppendInt(hop[:0], int64(h.hop), 10))
+	dst = canon.AppendField(dst, h.entry)
+	dst = canon.AppendField(dst, h.resultEntry)
 	if h.has(refPkgHasInitial) {
-		x.StringField("initial")
-		x.Field(h.initial)
+		dst = canon.AppendField(canon.AppendField(dst, "initial"), h.initial)
 	}
 	if h.has(refPkgHasResulting) {
-		x.StringField("resulting")
-		x.Field(h.resulting)
+		dst = canon.AppendField(canon.AppendField(dst, "resulting"), h.resulting)
 	}
 	if h.has(refPkgHasInput) {
-		x.StringField("input")
-		for range h.nInput {
+		dst = canon.AppendField(dst, "input")
+		for i := range int(h.nInput) {
+			at, from := len(dst), s.Offset()
 			call := s.Field(bound)
 			nArgs := s.Uint64()
 			if nArgs > uint64(s.Len()) {
-				return PackageSums{}, fmt.Errorf("%w: input record args", canon.ErrMalformed)
+				return dst, fmt.Errorf("%w: input record args", canon.ErrMalformed)
 			}
-			// Each record is a nested tuple (call, args, result); a copy
-			// of the scanner measures it first.
-			size, ahead := 2+4+4+len(call), s
-			for range nArgs + 1 {
-				size += 4 + len(ahead.Field(bound))
-			}
-			x.BeginField(size)
-			x.TupleHeader(2 + int(nArgs))
-			x.Field(call)
+			// The record's nested tuple, framed once it is written.
+			dst = canon.AppendTupleHeader(canon.AppendFieldHeader(dst, 0), 2+int(nArgs))
+			dst = canon.AppendField(dst, call)
 			for range nArgs + 1 {
 				f := s.Field(bound)
 				if err := checkValue(f); err != nil {
-					return PackageSums{}, fmt.Errorf("input value: %w", err)
+					return dst, fmt.Errorf("input value: %w", err)
 				}
-				x.Field(f)
+				dst = canon.AppendField(dst, f)
 			}
+			if err := recordFits(i, s.Offset()-from, canon.ErrMalformed); err != nil {
+				return dst, err
+			}
+			dst = canon.CloseField(dst, at)
 		}
 	}
 	if h.has(refPkgHasTrace) {
 		d := canon.HashBytes(h.trace)
-		x.StringField("trace")
-		x.Field(d[:])
+		dst = canon.AppendField(canon.AppendField(dst, "trace"), d[:])
 	}
 	if h.has(refPkgHasResources) {
-		x.StringField("resources")
+		dst = canon.AppendField(dst, "resources")
 		var prev []byte
 		for i := range h.nRes {
 			k, f := s.Field(bound), s.Field(bound)
 			if i > 0 && bytes.Compare(k, prev) <= 0 {
-				return PackageSums{}, fmt.Errorf("%w: resource %q does not follow the key before it", canon.ErrMalformed, k)
+				return dst, fmt.Errorf("%w: resource %q does not follow the key before it", canon.ErrMalformed, k)
 			}
 			if err := checkValue(f); err != nil {
-				return PackageSums{}, fmt.Errorf("resource %q: %w", k, err)
+				return dst, fmt.Errorf("resource %q: %w", k, err)
 			}
-			x.Field(k)
-			x.Field(f)
+			dst = canon.AppendField(canon.AppendField(dst, k), f)
 			prev = k
 		}
 	}
-	if err := s.End(); err != nil {
-		return PackageSums{}, err
-	}
-	sums.Digest = x.Sum()
-	return sums, nil
+	return dst, nil
 }
 
 // checkTraceField refuses what trace.Unmarshal refuses.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/agent"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/canon"
 	"repro/internal/host"
 	"repro/internal/sigcrypto"
+	"repro/internal/testutil"
 	"repro/internal/trace"
 	"repro/internal/value"
 )
@@ -272,6 +274,44 @@ func TestUnmarshalPackageRefusesNonCanonical(t *testing.T) {
 		if _, err := ScanReferencePackage(canon.Tuple(forged...)); !errors.Is(err, canon.ErrMalformed) {
 			t.Errorf("%s: scan err = %v, want canon.ErrMalformed", r.name, err)
 		}
+	}
+}
+
+// TestOversizedInputRecordRefused: the package digest frames an input
+// record as one nested tuple field, which holds at most canon.MaxLen
+// bytes, so a record of two 40 MiB values is refused though each value
+// fits a field and the package fits a TCP frame. Marshal refuses to
+// write it, and the decoder and the scan refuse to read it, where the
+// digest's framing used to panic.
+func TestOversizedInputRecordRefused(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("a 40 MiB value is too heavy for the race detector's memory")
+	}
+	big := value.Str(strings.Repeat("x", 40<<20))
+	rec := &host.SessionRecord{HostName: "h", Hop: 1, Entry: "main",
+		Input: []agentlang.InputRecord{{Call: "read", Args: []value.Value{big}, Result: big}}}
+	if _, _, err := PackageSession(wantsAll{}, rec, nil); !errors.Is(err, canon.ErrTooLarge) {
+		t.Errorf("PackageSession: err = %v, want canon.ErrTooLarge", err)
+	}
+
+	// The bytes Marshal wrote before it refused: field 13 is the
+	// record's one argument, field 14 its result.
+	small, err := (&ReferencePackage{HostName: "h", Hop: 1, Entry: "main",
+		Input: []agentlang.InputRecord{{Call: "read", Args: []value.Value{value.Int(0)}, Result: value.Int(0)}}}).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := tupleFields(t, small)
+	fields[13] = encodeValue(big)
+	fields[14] = fields[13]
+	rec, big = nil, value.Null()
+	data := canon.Tuple(fields...)
+	fields = nil
+	if _, err := UnmarshalReferencePackage(data); !errors.Is(err, canon.ErrMalformed) {
+		t.Errorf("decoder: err = %v, want canon.ErrMalformed", err)
+	}
+	if _, err := ScanReferencePackage(data); !errors.Is(err, canon.ErrMalformed) {
+		t.Errorf("scan: err = %v, want canon.ErrMalformed", err)
 	}
 }
 

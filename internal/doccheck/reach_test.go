@@ -65,7 +65,7 @@ var reachAllow = map[string]string{
 	"scale.Config.Seed":                           "test seam: scale.TestRunSmall draws its routes from seed 7",
 	"shardstore.Config.Now":                       "test seam: shardstore.TestTTLExpiry",
 	"shardstore.PersistConfig.CompactEvery":       "test seam: shardstore.TestPersistentStoreAutoCompacts shrinks the compaction interval",
-	"stopwatch.PhaseTimer.Phases":                 "test seam: stopwatch.TestResetAndPhases",
+	"stopwatch.PhaseTimer.Phases":                 "test seam: stopwatch.TestPhases",
 	"testutil":                                    "test seam: fleet.TestSameResultOnEveryFabric and the other tests that check for leaked goroutines and descriptors",
 	"transport.Server.ConnCount":                  "test seam: transport.TestTCPConnectionReuse",
 }

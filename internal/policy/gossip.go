@@ -68,22 +68,20 @@ type GossipEntry struct {
 }
 
 // bindingDigest is what the entry signature covers: the canon tuple
-// ("policy-gossip", observer, host, suspicion bits, time), streamed into
-// a pooled hasher so that checking a bundle allocates nothing per entry.
+// ("policy-gossip", observer, host, suspicion bits, time), written into
+// pooled scratch so that checking a bundle allocates nothing per entry.
 func (e *GossipEntry) bindingDigest() canon.Digest {
 	var bits, at [8]byte
 	binary.BigEndian.PutUint64(bits[:], math.Float64bits(e.Suspicion))
 	binary.BigEndian.PutUint64(at[:], uint64(e.AtUnixNano))
-	x := canon.AcquireHasher()
-	x.TupleHeader(5)
-	x.StringField("policy-gossip")
-	x.StringField(e.Observer)
-	x.StringField(e.Host)
-	x.StringField(string(bits[:]))
-	x.StringField(string(at[:]))
-	d := x.Sum()
-	canon.ReleaseHasher(x)
-	return d
+	return canon.HashAppend(func(dst []byte) []byte {
+		dst = canon.AppendTupleHeader(dst, 5)
+		dst = canon.AppendField(dst, "policy-gossip")
+		dst = canon.AppendField(dst, e.Observer)
+		dst = canon.AppendField(dst, e.Host)
+		dst = canon.AppendField(dst, bits[:])
+		return canon.AppendField(dst, at[:])
+	})
 }
 
 // Gossip is a core.Mechanism that propagates ledger extracts in agent

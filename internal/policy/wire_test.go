@@ -10,6 +10,7 @@ import (
 	"repro/internal/canon"
 	"repro/internal/core"
 	"repro/internal/sigcrypto"
+	"repro/internal/testutil"
 )
 
 // mkEntries builds n syntactically valid (unsigned) entries.
@@ -95,20 +96,33 @@ func TestGossipWireBounds(t *testing.T) {
 }
 
 // TestBindingDigestIsTheTuple pins what an entry signature covers to
-// the canon tuple it has always been, so that signatures made before
-// and after the streamed digest verify alike.
+// the canon tuple it has always been, materialized, so that signatures
+// made by hosts of different builds verify alike.
 func TestBindingDigestIsTheTuple(t *testing.T) {
 	for _, e := range []GossipEntry{
 		{Observer: "o", Host: "h", Suspicion: 1.5, AtUnixNano: 1},
 		{Observer: string(make([]byte, maxPrincipalLen)), Host: "", Suspicion: math.MaxFloat64, AtUnixNano: -7},
 		{Observer: "observer-with-a-longer-name", Host: "h\x00x", Suspicion: 8.000001, AtUnixNano: time.Now().UnixNano()},
 	} {
-		want := canon.HashTuple([]byte("policy-gossip"), []byte(e.Observer), []byte(e.Host),
+		want := canon.HashBytes(canon.Tuple([]byte("policy-gossip"), []byte(e.Observer), []byte(e.Host),
 			binary.BigEndian.AppendUint64(nil, math.Float64bits(e.Suspicion)),
-			binary.BigEndian.AppendUint64(nil, uint64(e.AtUnixNano)))
+			binary.BigEndian.AppendUint64(nil, uint64(e.AtUnixNano))))
 		if got := e.bindingDigest(); got != want {
 			t.Fatalf("%+v: digest %v, tuple %v", e, got, want)
 		}
+	}
+}
+
+// TestBindingDigestAllocs: checking a gossip bundle digests every entry,
+// and the digest writes into pooled scratch, so it allocates nothing.
+func TestBindingDigestAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation ceilings are not meaningful under the race detector")
+	}
+	e := mkEntries(1)[0]
+	e.bindingDigest() // warm the pool
+	if avg := testing.AllocsPerRun(100, func() { e.bindingDigest() }); avg > 0 {
+		t.Errorf("bindingDigest allocs/op = %.1f, want 0", avg)
 	}
 }
 

@@ -227,19 +227,18 @@ func (s *session) binding(dst []byte, ag *agent.Agent, hop int, route []string) 
 // digest binds the session's digests to its route, the hosts up to and
 // including the one that ran it.
 func (s *session) digest(route []string) canon.Digest {
-	x := canon.AcquireHasher()
-	x.TupleHeader(5 + len(route))
-	x.StringField(sessionLabel)
-	x.Field(s.Initial[:])
-	x.Field(s.Result[:])
-	x.Field(s.Package[:])
-	x.Field(s.Envelope[:])
-	for _, h := range route {
-		x.StringField(h)
-	}
-	d := x.Sum()
-	canon.ReleaseHasher(x)
-	return d
+	return canon.HashAppend(func(dst []byte) []byte {
+		dst = canon.AppendTupleHeader(dst, 5+len(route))
+		dst = canon.AppendField(dst, sessionLabel)
+		dst = canon.AppendField(dst, s.Initial[:])
+		dst = canon.AppendField(dst, s.Result[:])
+		dst = canon.AppendField(dst, s.Package[:])
+		dst = canon.AppendField(dst, s.Envelope[:])
+		for _, h := range route {
+			dst = canon.AppendField(dst, h)
+		}
+		return dst
+	})
 }
 
 // envelope digests what a session signature covers of the agent beyond
@@ -252,20 +251,19 @@ func envelope(ag *agent.Agent) canon.Digest {
 	if _, ok := ag.Baggage[MechanismName]; ok {
 		n -= 2
 	}
-	x := canon.AcquireHasher()
-	x.TupleHeader(n)
-	x.StringField(envelopeLabel)
-	x.StringField(ag.Owner)
-	x.StringField(ag.Entry)
-	for _, k := range keys {
-		if k != MechanismName {
-			x.StringField(k)
-			x.Field(ag.Baggage[k])
+	return canon.HashAppend(func(dst []byte) []byte {
+		dst = canon.AppendTupleHeader(dst, n)
+		dst = canon.AppendField(dst, envelopeLabel)
+		dst = canon.AppendField(dst, ag.Owner)
+		dst = canon.AppendField(dst, ag.Entry)
+		for _, k := range keys {
+			if k != MechanismName {
+				dst = canon.AppendField(dst, k)
+				dst = canon.AppendField(dst, ag.Baggage[k])
+			}
 		}
-	}
-	d := x.Sum()
-	canon.ReleaseHasher(x)
-	return d
+		return dst
+	})
 }
 
 // sign signs s as the session at hop over route, in a pooled buffer

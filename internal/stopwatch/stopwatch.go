@@ -69,13 +69,6 @@ func (t *PhaseTimer) Count(name string) int {
 	return t.phases[name].spans
 }
 
-// Reset clears all phases.
-func (t *PhaseTimer) Reset() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.phases = nil
-}
-
 // Phases returns the recorded phase names in sorted order.
 func (t *PhaseTimer) Phases() []string {
 	t.mu.Lock()

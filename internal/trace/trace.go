@@ -94,25 +94,22 @@ func (r *Recorder) Take() Trace {
 // Len returns the number of entries.
 func (t Trace) Len() int { return len(t.Entries) }
 
-// maxBytes is what one canon tuple field holds, 64 MiB: a reference
-// package carries its trace in one. An entry costs at least minEntryLen
-// bytes: field frame, tuple header, one-digit ID field.
+// maxBytes is what one canon tuple field holds: a reference package
+// carries its trace in one. An entry costs at least minEntryLen bytes:
+// field frame, tuple header, one-digit ID field.
 const (
 	label       = "trace"
-	maxBytes    = 64 << 20
+	maxBytes    = canon.MaxLen
 	minEntryLen = 4 + 6 + 4 + 1
 	maxEntries  = maxBytes / minEntryLen
 	maxIDLen    = 19 // the digits of the largest int64
 )
 
 // EntryDigest returns the digest of a single entry's wire form, used as
-// a Merkle leaf by the proof mechanism. Building a Merkle tree over a
-// long trace calls this once per statement, so it streams too.
+// a Merkle leaf by the proof mechanism. It digests what appendEntry
+// writes, without AppendEntry's checks: a digest refuses nothing.
 func EntryDigest(e Entry) canon.Digest {
-	x := canon.AcquireHasher()
-	defer canon.ReleaseHasher(x)
-	streamEntry(x, e)
-	return x.Sum()
+	return canon.HashAppend(func(dst []byte) []byte { return appendEntry(dst, e) })
 }
 
 // entrySize returns the exact byte length of one entry's wire form.
@@ -123,16 +120,6 @@ func entrySize(e Entry) int {
 		n += 4 + len(b.Name) + 4 + 1 + canon.SizeValue(b.Val)
 	}
 	return n
-}
-
-// streamEntry writes the entry's wire form into the hasher.
-func streamEntry(x *canon.Hasher, e Entry) {
-	x.TupleHeader(1 + 2*len(e.Bindings))
-	x.IntField(int64(e.StmtID))
-	for _, b := range e.Bindings {
-		x.StringField(b.Name)
-		x.ValueField(b.Val)
-	}
 }
 
 // Marshal encodes the trace for network transfer (audit fetches). It
@@ -148,7 +135,7 @@ func (t Trace) Marshal() ([]byte, error) {
 		return nil, fmt.Errorf("trace: %d entries encode to %d bytes, over %d: %w", len(t.Entries), size, maxBytes, canon.ErrTooLarge)
 	}
 	out := canon.AppendTupleHeader(make([]byte, 0, size), 1+len(t.Entries))
-	out = append(canon.AppendFieldHeader(out, len(label)), label...)
+	out = canon.AppendField(out, label)
 	for i, e := range t.Entries {
 		var err error
 		if out, err = AppendEntry(canon.AppendFieldHeader(out, entrySize(e)), e); err != nil {
@@ -165,18 +152,24 @@ func AppendEntry(dst []byte, e Entry) ([]byte, error) {
 	if e.StmtID < 0 {
 		return nil, fmt.Errorf("%w: statement ID %d", canon.ErrMalformed, e.StmtID)
 	}
-	var num [20]byte
-	id := strconv.AppendInt(num[:0], int64(e.StmtID), 10)
-	dst = canon.AppendTupleHeader(dst, 1+2*len(e.Bindings))
-	dst = append(canon.AppendFieldHeader(dst, len(id)), id...)
 	for _, b := range e.Bindings {
 		if len(b.Name) > canon.MaxNameLen {
 			return nil, fmt.Errorf("%w: %d-byte binding name", canon.ErrMalformed, len(b.Name))
 		}
-		dst = append(canon.AppendFieldHeader(dst, len(b.Name)), b.Name...)
+	}
+	return appendEntry(dst, e), nil
+}
+
+// appendEntry appends the entry's wire form to dst, checking nothing.
+func appendEntry(dst []byte, e Entry) []byte {
+	var num [20]byte
+	dst = canon.AppendTupleHeader(dst, 1+2*len(e.Bindings))
+	dst = canon.AppendField(dst, strconv.AppendInt(num[:0], int64(e.StmtID), 10))
+	for _, b := range e.Bindings {
+		dst = canon.AppendField(dst, b.Name)
 		dst = canon.AppendValueField(dst, b.Val)
 	}
-	return dst, nil
+	return dst
 }
 
 // Unmarshal parses a trace's wire form; a trace it returns encodes back
