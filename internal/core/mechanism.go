@@ -65,3 +65,22 @@ type CallHandler interface {
 type StayEnder interface {
 	EndStay(hc *HostContext, ag *agent.Agent)
 }
+
+// BaseMechanism provides no-op lifecycle methods; mechanisms embed it
+// and override what they use.
+type BaseMechanism struct{}
+
+// CheckAfterSession implements Mechanism with no check.
+func (BaseMechanism) CheckAfterSession(context.Context, *HostContext, *agent.Agent) (*Verdict, error) {
+	return nil, nil
+}
+
+// PrepareDeparture implements Mechanism with no preparation.
+func (BaseMechanism) PrepareDeparture(context.Context, *HostContext, *agent.Agent, *host.SessionRecord) error {
+	return nil
+}
+
+// CheckAfterTask implements Mechanism with no check.
+func (BaseMechanism) CheckAfterTask(context.Context, *HostContext, *agent.Agent, *host.SessionRecord) (*Verdict, error) {
+	return nil, nil
+}

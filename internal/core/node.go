@@ -1,15 +1,12 @@
 package core
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -81,7 +78,7 @@ type NodeConfig struct {
 	Net  transport.Network
 	// Mechanisms run in list order for arrival checks and in reverse
 	// list order for departure preparation (onion layering; see
-	// Node.process). All hosts on an itinerary must run the same
+	// Node.depart). All hosts on an itinerary must run the same
 	// mechanism set for the protocols to line up.
 	Mechanisms []Mechanism
 	// Workers is the number of concurrent intake workers. Distinct
@@ -445,12 +442,13 @@ func (n *Node) NotePersistError(err error) {
 	})
 }
 
-// Close stops the intake workers, drains queued-but-unprocessed
-// deliveries (their receipts resolve with ErrNodeClosed), flushes and
-// closes the bookkeeping stores (a no-op without a DataDir), and
-// returns once the node is quiescent. Deliveries racing with Close
-// either complete their enqueue (and are then drained with
-// ErrNodeClosed) or fail with ErrNodeClosed — never silently lost.
+// Close stops the intake workers, settles queued-but-unprocessed
+// deliveries as failed with ErrNodeClosed (journal, bus and receipt,
+// like any other failure), flushes and closes the bookkeeping stores (a
+// no-op without a DataDir), and returns once the node is quiescent.
+// Deliveries racing with Close either complete their enqueue (and are
+// then settled with ErrNodeClosed) or fail with ErrNodeClosed — never
+// silently lost.
 // Synchronous protocol calls (HandleCall) keep working after Close,
 // served from the in-memory tier.
 func (n *Node) Close() error {
@@ -473,16 +471,15 @@ func (n *Node) Close() error {
 	// queue after the drain.
 	n.intake.Wait()
 	n.wg.Wait()
+	closed := outcome{
+		phase:  PhaseFailed,
+		err:    fmt.Errorf("core: node %s: %w", n.cfg.Host.Name(), ErrNodeClosed),
+		queued: true,
+	}
 	for _, q := range n.queues {
-		for {
-			select {
-			case item := <-q:
-				n.resolve(item.ag, false, ErrNodeClosed)
-			default:
-				goto nextQueue
-			}
+		for len(q) > 0 {
+			n.settle((<-q).ag, closed)
 		}
-	nextQueue:
 	}
 	// All writers (workers, enqueuers, the sweeper) are quiescent: the
 	// stores can flush their WALs and report any persistence failure
@@ -548,16 +545,26 @@ func (n *Node) Watch(agentID string) *Receipt {
 	n.intake.Add(1)
 	defer n.intake.Done()
 	n.mu.Unlock()
-	return n.entryFor(agentID).rc
+	e, _ := n.journal.GetOrCreate(agentID, func() *journalEntry { return newEntry(agentID) })
+	return e.rc
 }
 
-// entryFor returns the agent's journal entry, creating it (and
-// triggering journal eviction) if needed.
-func (n *Node) entryFor(agentID string) *journalEntry {
-	e, _ := n.journal.GetOrCreate(agentID, func() *journalEntry {
-		return &journalEntry{rc: newReceipt(agentID), st: AgentStatus{Phase: PhaseUnknown}}
+// newEntry is a journal entry for an agent the journal did not hold.
+func newEntry(agentID string) *journalEntry {
+	return &journalEntry{rc: newReceipt(agentID), st: AgentStatus{Phase: PhaseUnknown}}
+}
+
+// updateEntry applies fn to the agent's journal entry under its shard
+// lock, creating the entry (and triggering journal eviction) if it is
+// missing, and returns the entry.
+func (n *Node) updateEntry(agentID string, fn func(*journalEntry)) *journalEntry {
+	return n.journal.Upsert(agentID, func(e *journalEntry, ok bool) *journalEntry {
+		if !ok {
+			e = newEntry(agentID)
+		}
+		fn(e)
+		return e
 	})
-	return e
 }
 
 // Launch injects a locally created agent into the intake as if it had
@@ -638,15 +645,7 @@ func (n *Node) enqueue(ctx context.Context, ag *agent.Agent) (*Receipt, error) {
 	// atomic step: a fresh entry in an earlier phase would be evictable,
 	// and capacity pressure from this very insert could otherwise evict
 	// the agent currently being enqueued.
-	var rc *Receipt
-	n.journal.Upsert(ag.ID, func(e *journalEntry, ok bool) *journalEntry {
-		if !ok {
-			e = &journalEntry{rc: newReceipt(ag.ID)}
-		}
-		e.st = AgentStatus{Phase: PhaseQueued}
-		rc = e.rc
-		return e
-	})
+	rc := n.setPhase(ag.ID, AgentStatus{Phase: PhaseQueued}).rc
 
 	q := n.stripe(ag.ID)
 	select {
@@ -656,10 +655,12 @@ func (n *Node) enqueue(ctx context.Context, ag *agent.Agent) (*Receipt, error) {
 	default:
 	}
 	var err error
+	refusedBy := ""
 	if n.cfg.RefuseWhenFull {
 		// Fast-fail: the full queue is an overload signal the sender's
 		// planner can spill over from, not a condition to wait out.
-		err = &IntakeRefusedError{Node: n.cfg.Host.Name()}
+		refusedBy = n.cfg.Host.Name()
+		err = &IntakeRefusedError{Node: refusedBy}
 		n.intakeRefused.Add(1)
 		n.publish(events.Event{
 			Kind:   events.KindIntakeRefused,
@@ -689,20 +690,12 @@ func (n *Node) enqueue(ctx context.Context, ag *agent.Agent) (*Receipt, error) {
 	// Watch-before-launch waiter wakes with the error instead of
 	// hanging. If a concurrent duplicate delivery of the same ID
 	// already progressed to running, leave its phase alone.
-	refusedBy := ""
-	if n.cfg.RefuseWhenFull {
-		refusedBy = n.cfg.Host.Name()
-	}
-	n.journal.Upsert(ag.ID, func(e *journalEntry, ok bool) *journalEntry {
-		if !ok {
-			e = &journalEntry{rc: rc}
-		}
+	e := n.updateEntry(ag.ID, func(e *journalEntry) {
 		if e.st.Phase != PhaseRunning {
 			e.st = AgentStatus{Phase: PhaseFailed, Err: err.Error(), RefusedBy: refusedBy}
 		}
-		return e
 	})
-	rc.resolve(ag.Encode(), false, err)
+	e.rc.resolve(ag.Encode(), false, err)
 	return nil, err
 }
 
@@ -716,246 +709,6 @@ func (n *Node) worker(q chan intakeItem) {
 			n.runOne(item)
 		}
 	}
-}
-
-// runOne drives one delivery through the pipeline and resolves the
-// receipt on failure (success and quarantine resolve inside process).
-func (n *Node) runOne(item intakeItem) {
-	n.setPhase(item.ag.ID, AgentStatus{Phase: PhaseRunning})
-	err := n.process(item.ctx, item.ag)
-	if err != nil {
-		// The quarantine path already recorded PhaseQuarantined; only
-		// non-detection failures report as failed.
-		if !errors.Is(err, ErrDetection) {
-			n.endStay(item.ag)
-			st := AgentStatus{Phase: PhaseFailed, Err: err.Error()}
-			ev := events.Event{
-				Kind:   events.KindFailed,
-				Agent:  item.ag.ID,
-				Fields: map[string]string{"reason": err.Error()},
-			}
-			// A forwarding failure names the hop that refused or was
-			// unreachable; keep the attribution in the journal and on
-			// the bus so "next hop full" reads differently from
-			// "tampered" in every operator surface.
-			var fe *ForwardError
-			if errors.As(err, &fe) {
-				st.RefusedBy = fe.To
-				ev.Host = fe.To
-				ev.Fields["refused-by"] = fe.To
-			}
-			n.setPhase(item.ag.ID, st)
-			n.publish(ev)
-		}
-		n.resolve(item.ag, errors.Is(err, ErrDetection), err)
-	}
-}
-
-// ctxErr folds the delivery ctx and the node lifecycle together; it is
-// checked between pipeline phases so cancellation and shutdown take
-// effect at the next phase boundary.
-func (n *Node) ctxErr(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if n.rootCtx.Err() != nil {
-		return ErrNodeClosed
-	}
-	return nil
-}
-
-// process runs the full per-hop pipeline for one arriving agent.
-func (n *Node) process(ctx context.Context, ag *agent.Agent) error {
-	hostName := n.cfg.Host.Name()
-
-	if err := n.ctxErr(ctx); err != nil {
-		return fmt.Errorf("core: node %s: %w", hostName, err)
-	}
-
-	// Phase 1: checkAfterSession — verify the previous host's session
-	// as the first action on this host. Every verdict is routed through
-	// the node's policy, which decides quarantine / continue-flagged /
-	// notify-owner instead of the seed's single boolean.
-	for _, m := range n.cfg.Mechanisms {
-		v, err := m.CheckAfterSession(ctx, n.hc, ag)
-		if err != nil {
-			return fmt.Errorf("core: %s at %s: %w", m.Name(), hostName, err)
-		}
-		if v != nil {
-			stamped := n.recordVerdict(ag, *v)
-			if dec := n.decide(ag.ID, stamped); dec.Quarantine {
-				err := fmt.Errorf("%w: %s", ErrDetection, v)
-				n.quarantineAgent(ag, err)
-				return err
-			}
-		}
-	}
-
-	if err := n.ctxErr(ctx); err != nil {
-		return fmt.Errorf("core: node %s: %w", hostName, err)
-	}
-
-	// Phase 2: the execution session itself.
-	rec, err := n.cfg.Host.RunSession(ctx, ag, n.cfg.SessionOptions)
-	if err != nil {
-		return fmt.Errorf("core: node %s: %w", hostName, err)
-	}
-
-	// Phase 3a: the agent finished — checkAfterTask on this, the final
-	// host. AfterTask verdicts still feed the policy (flagging, owner
-	// notification, reputation), but a Quarantine decision is not
-	// honoured: the journey has nothing left to stop, and the outcome
-	// stays "completed" with the failed verdict on record.
-	if rec.ResultEntry == "" {
-		for _, m := range n.cfg.Mechanisms {
-			v, err := m.CheckAfterTask(ctx, n.hc, ag, rec)
-			if err != nil {
-				return fmt.Errorf("core: %s at %s: %w", m.Name(), hostName, err)
-			}
-			if v != nil {
-				n.decide(ag.ID, n.recordVerdict(ag, *v))
-			}
-		}
-		n.endStay(ag)
-		n.setPhase(ag.ID, AgentStatus{Phase: PhaseCompleted})
-		n.complete(ag)
-		return nil
-	}
-
-	if err := n.ctxErr(ctx); err != nil {
-		return fmt.Errorf("core: node %s: %w", hostName, err)
-	}
-
-	// Phase 3b: departure — mechanisms attach reference data, then the
-	// agent migrates. Departure runs in *reverse* mechanism order so the
-	// list forms an onion: the first mechanism checks first on arrival
-	// and seals last on departure. A signing mechanism placed first
-	// (refproto's seal) therefore covers every other mechanism's
-	// baggage.
-	for i := len(n.cfg.Mechanisms) - 1; i >= 0; i-- {
-		m := n.cfg.Mechanisms[i]
-		if err := m.PrepareDeparture(ctx, n.hc, ag, rec); err != nil {
-			return fmt.Errorf("core: %s departure at %s: %w", m.Name(), hostName, err)
-		}
-	}
-	wire, err := ag.Marshal()
-	if err != nil {
-		return fmt.Errorf("core: node %s: %w", hostName, err)
-	}
-	if err := n.cfg.Net.SendAgent(ctx, rec.Outcome.MigrateHost, wire); err != nil {
-		// Structured, not a plain wrap: the refusing/unreachable next
-		// hop must stay attributable (runOne records it in the journal,
-		// planners read it off the receipt).
-		return &ForwardError{From: hostName, To: rec.Outcome.MigrateHost, Err: err}
-	}
-	n.setPhase(ag.ID, AgentStatus{Phase: PhaseForwarded, NextHost: rec.Outcome.MigrateHost})
-	n.publish(events.Event{Kind: events.KindForward, Agent: ag.ID, Host: rec.Outcome.MigrateHost})
-	return nil
-}
-
-// recordVerdict stamps the verdict (AgentID, Checker, signature),
-// cuts it to what the verdict codec carries (boundVerdict), appends it
-// to the agent's travelling record, notifies the local sink, and
-// returns the stamped copy — the one every downstream consumer
-// (policy, owner notices) must see.
-func (n *Node) recordVerdict(ag *agent.Agent, v Verdict) Verdict {
-	if v.AgentID == "" {
-		v.AgentID = ag.ID
-	}
-	// Sign before anything reads it: the travelling copy must carry a
-	// verifiable voucher (Checker == this host) or later hosts will
-	// refuse to trust it.
-	v.Checker = n.cfg.Host.Name()
-	boundVerdict(&v)
-	v.Sign(n.cfg.Host.Keys())
-	if n.cfg.OnVerdict != nil {
-		n.cfg.OnVerdict(v)
-	}
-	n.publishVerdict(v)
-	appendAgentVerdict(ag, &v)
-	return v
-}
-
-// decide routes one verdict through the node's policy and applies the
-// flag/notify parts of the decision; the caller applies Quarantine
-// (it owes the pipeline a detection error).
-func (n *Node) decide(agentID string, v Verdict) Decision {
-	dec := n.policy().Decide(agentID, v)
-	if dec.Flag {
-		n.journal.Upsert(agentID, func(e *journalEntry, ok bool) *journalEntry {
-			if !ok {
-				e = &journalEntry{rc: newReceipt(agentID), st: AgentStatus{Phase: PhaseUnknown}}
-			}
-			e.flags++
-			return e
-		})
-	}
-	if dec.NotifyOwner {
-		n.publish(events.Event{
-			Kind:   events.KindOwnerNotice,
-			Agent:  agentID,
-			Host:   v.Suspect,
-			Fields: map[string]string{"reason": dec.Reason},
-		})
-	}
-	return dec
-}
-
-// policy resolves the node's verdict policy, falling back to the
-// strict built-in that reproduces the seed behaviour.
-func (n *Node) policy() VerdictPolicy {
-	if n.cfg.Policy != nil {
-		return n.cfg.Policy
-	}
-	return strictPolicy{}
-}
-
-// quarantineAgent retains the agent and settles its receipt with the
-// detection err. The agent is encoded once: the quarantine store, its
-// WAL, the receipt and a later eviction spill all hold these bytes.
-func (n *Node) quarantineAgent(ag *agent.Agent, err error) {
-	n.endStay(ag)
-	record := ag.Encode()
-	n.quarantine.Put(ag.ID, record)
-	n.setPhase(ag.ID, AgentStatus{Phase: PhaseQuarantined})
-	n.publish(events.Event{Kind: events.KindQuarantine, Agent: ag.ID})
-	n.entryFor(ag.ID).rc.resolve(record, true, err)
-}
-
-// endStay tells every StayEnder that ag's stay here ended without a
-// forward.
-func (n *Node) endStay(ag *agent.Agent) {
-	for _, m := range n.cfg.Mechanisms {
-		if e, ok := m.(StayEnder); ok {
-			e.EndStay(n.hc, ag)
-		}
-	}
-}
-
-// complete publishes a clean finish and settles the receipt with it.
-// A quarantine settles its own receipt (quarantineAgent).
-func (n *Node) complete(ag *agent.Agent) {
-	n.publish(events.Event{Kind: events.KindComplete, Agent: ag.ID})
-	n.resolve(ag, false, nil)
-}
-
-// resolve settles ag's receipt at this node with ag's encoding. A
-// receipt already settled (quarantineAgent settles its own) is left as
-// it is, and ag is not encoded again.
-func (n *Node) resolve(ag *agent.Agent, aborted bool, err error) {
-	if rc := n.entryFor(ag.ID).rc; !rc.resolved() {
-		rc.resolve(ag.Encode(), aborted, err)
-	}
-}
-
-func (n *Node) setPhase(agentID string, st AgentStatus) {
-	n.journal.Upsert(agentID, func(e *journalEntry, ok bool) *journalEntry {
-		if !ok {
-			e = &journalEntry{rc: newReceipt(agentID)}
-		}
-		e.st = st
-		return e
-	})
 }
 
 // Processing phases reported by the node/status built-in call.
@@ -1012,280 +765,4 @@ func (n *Node) Status(agentID string) AgentStatus {
 		st.Flags = e.flags
 	})
 	return st
-}
-
-// NodeCallNamespace is the reserved HandleCall namespace for built-in
-// node methods (mechanism names must differ).
-const NodeCallNamespace = "node"
-
-// StatusCallBody builds the body for a node/status call.
-func StatusCallBody(agentID string) []byte { return []byte(agentID) }
-
-// DecodeStatusReply decodes a node/status response.
-func DecodeStatusReply(body []byte) (AgentStatus, error) {
-	return decodeGob[AgentStatus]("status", body)
-}
-
-// ReputationCallBody builds the body for a node/reputation call.
-func ReputationCallBody(host string) []byte { return []byte(host) }
-
-// ReputationReply is the answer to a node/reputation call: this node's
-// local view of one host's standing. Reputation is per-node knowledge
-// (each node fuses its own verdicts plus the gossip it verified), so
-// different nodes legitimately answer differently.
-type ReputationReply struct {
-	// Policy names the node's verdict policy.
-	Policy string
-	// Tracked is false when the policy keeps no reputation ledger (the
-	// strict built-in).
-	Tracked bool
-	// Known reports whether the ledger has observations for the host;
-	// Rep is meaningful only when Known.
-	Known bool
-	Rep   HostReputation
-	// ExchangeEnabled reports whether this node runs the anti-entropy
-	// exchange loop; Exchange carries its counters (OffersServed is
-	// filled even on loop-less nodes that answer peers' offers).
-	ExchangeEnabled bool
-	Exchange        ExchangeStats
-}
-
-// DecodeReputationReply decodes a node/reputation response.
-func DecodeReputationReply(body []byte) (ReputationReply, error) {
-	return decodeGob[ReputationReply]("reputation", body)
-}
-
-// HealthCallBody builds the (empty) body for a node/health call.
-func HealthCallBody() []byte { return nil }
-
-// HealthReply is the answer to a node/health call: the node's
-// durability posture. A node whose WAL can no longer accept records
-// keeps serving from memory (persistence degrades, the platform does
-// not stop), which makes the degradation invisible until the restart
-// that loses state — this reply is the operator surface that breaks
-// that silence. Degraded is sticky: WAL errors are not retried (a log
-// with holes would replay into a silently wrong state), so only a
-// restart against repaired storage clears it.
-type HealthReply struct {
-	// Host is the answering node's principal name.
-	Host string
-	// Durable reports whether the node runs with a DataDir at all.
-	Durable bool
-	// Degraded reports at least one persistence failure since open;
-	// PersistFailures counts them (WAL appends, compactions, evidence
-	// spills, and any co-located state folded in via
-	// Node.NotePersistError).
-	Degraded        bool
-	PersistFailures int64
-	// FirstPersistError is the first failure's message, with its
-	// timestamp; LastPersistUnixNano the most recent failure's.
-	FirstPersistError    string
-	FirstPersistUnixNano int64
-	LastPersistUnixNano  int64
-	// JournalEntries and QuarantineEntries size the in-memory
-	// bookkeeping tiers.
-	JournalEntries    int
-	QuarantineEntries int
-	// EventsEnabled reports whether the node runs an event pipeline;
-	// EventsPublished and EventDrops are then its delivery ledger
-	// (total events accepted by the bus, and total dropped across all
-	// subscribers — the loss the best-effort-bounded contract permits,
-	// reported rather than hidden).
-	EventsEnabled   bool
-	EventsPublished uint64
-	EventDrops      uint64
-	// FlightRecorder reports whether a WAL-backed flight recorder
-	// runs; FlightDegraded that its WAL hit a sticky persistence
-	// failure (recording continues in memory but will not survive the
-	// next crash). FlightDegraded implies Degraded.
-	FlightRecorder bool
-	FlightDegraded bool
-}
-
-// DecodeHealthReply decodes a node/health response.
-func DecodeHealthReply(body []byte) (HealthReply, error) {
-	return decodeGob[HealthReply]("health", body)
-}
-
-// Health snapshots the node's durability posture (what node/health
-// serves).
-func (n *Node) Health() HealthReply {
-	n.healthMu.Lock()
-	r := HealthReply{
-		Host:                 n.cfg.Host.Name(),
-		Durable:              n.cfg.DataDir != "",
-		Degraded:             n.persistFailures > 0,
-		PersistFailures:      n.persistFailures,
-		FirstPersistError:    n.firstPersistErr,
-		FirstPersistUnixNano: n.firstPersistUnix,
-		LastPersistUnixNano:  n.lastPersistUnix,
-	}
-	n.healthMu.Unlock()
-	r.JournalEntries = n.journal.Len()
-	r.QuarantineEntries = n.quarantine.Len()
-	if p := n.cfg.Events; p != nil {
-		r.EventsEnabled = true
-		if p.Bus != nil {
-			r.EventsPublished = p.Bus.Stats().Published
-		}
-		r.EventDrops = p.Drops()
-		r.FlightRecorder = p.Flight != nil
-		if p.Degraded() {
-			// A flight recorder that can no longer persist is a
-			// durability degradation like any other WAL failure: the
-			// next crash silently loses the incident record.
-			r.FlightDegraded = true
-			r.Degraded = true
-		}
-	}
-	return r
-}
-
-// QuarantineCallBody builds the body for a node/quarantine call.
-func QuarantineCallBody(agentID string) []byte { return []byte(agentID) }
-
-// QuarantineReply is the answer to a node/quarantine call: whether the
-// agent is held in quarantine at this node, and the evidence it
-// carries.
-type QuarantineReply struct {
-	// Held reports that the agent's retained copy is in quarantine
-	// here; Evicted that it was quarantined here but the copy has been
-	// evicted under capacity pressure (the detection itself remains on
-	// record in Status).
-	Held    bool
-	Evicted bool
-	// Evidence is the node-local path of the evicted agent's spilled
-	// canonical bytes, set only when Evicted and the node runs with a
-	// data dir. It names a file on the answering node's filesystem
-	// (inspect it there with `agentctl evidence`).
-	Evidence string
-	// Status is the agent's journal status at this node.
-	Status AgentStatus
-	// Owner, Hops, and Verdicts describe the retained agent; set only
-	// when Held.
-	Owner    string
-	Hops     int
-	Verdicts []Verdict
-}
-
-// DecodeQuarantineReply decodes a node/quarantine response.
-func DecodeQuarantineReply(body []byte) (QuarantineReply, error) {
-	return decodeGob[QuarantineReply]("quarantine", body)
-}
-
-// HandleCall implements transport.Endpoint: methods are namespaced
-// "mechanism/method" and dispatched to the mechanism's CallHandler.
-// The "node" namespace is reserved for built-ins: "node/status" takes
-// an agent ID and returns its gob-encoded AgentStatus, which is how
-// remote launchers (cmd/agentctl) track asynchronous journeys.
-func (n *Node) HandleCall(ctx context.Context, method string, body []byte) ([]byte, error) {
-	name, rest, ok := strings.Cut(method, "/")
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", transport.ErrUnknownMethod, method)
-	}
-	if name == NodeCallNamespace {
-		switch rest {
-		case "status":
-			return gobReply("status", n.Status(string(body)))
-		case "reputation":
-			reply := ReputationReply{Policy: n.policy().Name()}
-			if rr, ok := n.policy().(ReputationReporter); ok {
-				reply.Tracked = true
-				reply.Rep, reply.Known = rr.HostReputation(string(body))
-			}
-			reply.Exchange, reply.ExchangeEnabled = n.exchangeStats()
-			return gobReply("reputation", reply)
-		case "quarantine":
-			id := string(body)
-			reply := QuarantineReply{Status: n.Status(id)}
-			switch ag, err := n.Quarantined(id); {
-			case err == nil:
-				reply.Held = true
-				reply.Owner = ag.Owner
-				reply.Hops = ag.Hop
-				reply.Verdicts = AgentVerdicts(ag)
-			case errors.Is(err, ErrQuarantineEvicted):
-				reply.Evicted = true
-				var evErr *QuarantineEvictedError
-				if errors.As(err, &evErr) {
-					reply.Evidence = evErr.Evidence
-				}
-			}
-			return gobReply("quarantine", reply)
-		case "health":
-			return gobReply("health", n.Health())
-		case "metrics":
-			return gobReply("metrics", n.metricsReply())
-		case "plan":
-			return gobReply("plan", n.planReply())
-		case "events":
-			return gobReply("events", n.eventsReply(body))
-		case "flight":
-			return gobReply("flight", n.flightReply())
-		default:
-			return nil, fmt.Errorf("%w: node/%s", transport.ErrUnknownMethod, rest)
-		}
-	}
-	for _, m := range n.cfg.Mechanisms {
-		if m.Name() != name {
-			continue
-		}
-		h, ok := m.(CallHandler)
-		if !ok {
-			return nil, fmt.Errorf("%w: mechanism %q takes no calls", transport.ErrUnknownMethod, name)
-		}
-		reply, err := h.HandleCall(ctx, n.hc, rest, body)
-		if err != nil || n.urgent == nil {
-			return reply, err
-		}
-		// Mechanism replies (never node/ builtins — external tools gob-
-		// decode those raw) carry urgent quarantine-level extracts when
-		// the provider has any: the caller learns of a fresh detection
-		// in the same RPC that triggered it.
-		if baggage := n.urgent.UrgentReplyBaggage(n.hc); len(baggage) > 0 {
-			reply = transport.WrapReply(reply, baggage)
-		}
-		return reply, nil
-	}
-	return nil, fmt.Errorf("%w: no mechanism %q", transport.ErrUnknownMethod, name)
-}
-
-// gobReply encodes a built-in call response. With decodeGob, which every
-// Decode*Reply calls, it is the package's one gob codec pair: what peers
-// write into an agent travels in canon codecs instead.
-func gobReply(method string, v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("core: encoding %s reply: %w", method, err)
-	}
-	return buf.Bytes(), nil
-}
-
-// decodeGob decodes a built-in call response gobReply encoded.
-func decodeGob[T any](method string, body []byte) (T, error) {
-	var v T
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&v); err != nil {
-		var zero T
-		return zero, fmt.Errorf("core: decoding %s reply: %w", method, err)
-	}
-	return v, nil
-}
-
-// BaseMechanism provides no-op lifecycle methods; mechanisms embed it
-// and override what they use.
-type BaseMechanism struct{}
-
-// CheckAfterSession implements Mechanism with no check.
-func (BaseMechanism) CheckAfterSession(context.Context, *HostContext, *agent.Agent) (*Verdict, error) {
-	return nil, nil
-}
-
-// PrepareDeparture implements Mechanism with no preparation.
-func (BaseMechanism) PrepareDeparture(context.Context, *HostContext, *agent.Agent, *host.SessionRecord) error {
-	return nil
-}
-
-// CheckAfterTask implements Mechanism with no check.
-func (BaseMechanism) CheckAfterTask(context.Context, *HostContext, *agent.Agent, *host.SessionRecord) (*Verdict, error) {
-	return nil, nil
 }

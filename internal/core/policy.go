@@ -79,3 +79,12 @@ func (strictPolicy) Decide(_ string, v Verdict) Decision {
 	}
 	return Decision{Quarantine: true, NotifyOwner: true, Reason: "failed check quarantines (strict)"}
 }
+
+// policy resolves the node's verdict policy, falling back to the
+// strict built-in that reproduces the seed behaviour.
+func (n *Node) policy() VerdictPolicy {
+	if n.cfg.Policy != nil {
+		return n.cfg.Policy
+	}
+	return strictPolicy{}
+}

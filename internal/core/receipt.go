@@ -95,28 +95,18 @@ func (r *Receipt) Wait(ctx context.Context) (Result, error) {
 }
 
 // resolve records the terminal outcome once — record is the agent's
-// encoding, nil for an outcome without one; later calls are no-ops.
-func (r *Receipt) resolve(record []byte, aborted bool, err error) bool {
+// encoding, nil for an outcome without one; later calls (a journal
+// eviction racing the outcome) are no-ops.
+func (r *Receipt) resolve(record []byte, aborted bool, err error) {
 	r.mu.Lock()
 	if r.set {
 		r.mu.Unlock()
-		return false
+		return
 	}
 	r.record, r.aborted, r.err = record, aborted, err
 	r.set = true
 	r.mu.Unlock()
 	close(r.done)
-	return true
-}
-
-// resolved reports whether the receipt already holds its outcome.
-func (r *Receipt) resolved() bool {
-	select {
-	case <-r.done:
-		return true
-	default:
-		return false
-	}
 }
 
 // AwaitAny waits for the first of the given receipts to resolve —

@@ -9,7 +9,7 @@ import (
 )
 
 // gobImporters are the only non-test files that may import
-// encoding/gob: core/node.go, for the operator built-ins' one codec pair
+// encoding/gob: core/builtins.go, for the operator built-ins' one codec pair
 // (gobReply and decodeGob, whose replies external tools decode).
 // The TCP transport speaks its own bounded frame (transport/tcp.go).
 // Everything an agent carries from host to host — the verdict list,
@@ -19,7 +19,7 @@ import (
 // one: a gob decoder sizes its allocations from the message it is
 // decoding.
 var gobImporters = map[string]bool{
-	"internal/core/node.go": true,
+	"internal/core/builtins.go": true,
 }
 
 // TestGobStaysOffBaggagePaths fails on any non-test Go file outside
