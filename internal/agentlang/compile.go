@@ -2,6 +2,7 @@ package agentlang
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/value"
 )
@@ -14,6 +15,12 @@ import (
 // evaluated into, which operator an int fast path computes. Run, and so
 // host sessions and every re-execution, and Expr.Eval run only this
 // code.
+//
+// The int shapes of the summation loop (intShape) compile to larger
+// units than one node: an assignment of one to a local is one closure
+// (intStmt), a loop tests one without a closure, and a loop body made
+// of such assignments runs as a flat list of them (loopCode), on int64
+// registers while its slots hold ints (intLoop).
 
 // evalFn evaluates an expression into *dst, which may alias an operand
 // (see interp). It stores nothing unless it returns nil. Only a call
@@ -80,6 +87,12 @@ func (c *compiler) block(body []stmt) execFn {
 }
 
 func (c *compiler) stmt(s stmt) execFn {
+	if o, ok := intStmtOf(s); ok {
+		return func(in *interp, locals []value.Value) error {
+			in.usedInput = false
+			return o.run(in, locals)
+		}
+	}
 	switch st := s.(type) {
 	case *letStmt:
 		rhs, slot, sid, name := c.expr(st.rhs), st.slot, st.sid, st.name
@@ -129,23 +142,10 @@ func (c *compiler) stmt(s stmt) execFn {
 		}
 
 	case *whileStmt:
-		return c.loop(st.sid, st.cond, st.body, nil)
+		return c.loop(st.sid, nil, st.cond, st.body, nil)
 
 	case *forStmt:
-		loop := c.loop(st.sid, st.cond, st.body, st.post)
-		if st.init == nil {
-			return loop
-		}
-		init := c.stmt(st.init)
-		return func(in *interp, locals []value.Value) error {
-			if in.spent() {
-				return in.outOfFuel()
-			}
-			if err := init(in, locals); err != nil {
-				return err
-			}
-			return loop(in, locals)
-		}
+		return c.loop(st.sid, st.init, st.cond, st.body, st.post)
 
 	case *returnStmt:
 		sid := st.sid
@@ -241,41 +241,283 @@ func (c *compiler) assign(st *assignStmt) execFn {
 	}
 }
 
-// loop compiles a while loop, or a for loop without its init statement.
-// Each evaluation of the condition costs one step.
-func (c *compiler) loop(sid int, cond expr, body []stmt, post stmt) execFn {
-	test, run := c.expr(cond), c.block(body)
-	var next execFn
-	if post != nil {
-		next = c.stmt(post)
+// loopCode is a compiled while or for loop. It runs its body's
+// statements itself, charging each its step as a block does. A
+// condition with an int shape is tested in place, and a body and post
+// that are all int assignments run as one flat list of them, ops, or
+// on registers (intLoop) while their slots hold ints.
+type loopCode struct {
+	sid  int
+	init execFn // a for loop's init statement, or nil
+	// test is the condition when it has an int shape; cond is its code
+	// otherwise.
+	test intShape
+	cond evalFn
+	ops  []intStmt
+	regs intLoop  // ops on registers, unless regs.ops is nil
+	body []execFn // the body's statements when ops is empty
+	post execFn   // a for loop's post statement when ops is empty, or nil
+}
+
+// loop compiles a while loop, or a for loop with its optional init and
+// post statements.
+func (c *compiler) loop(sid int, init stmt, cond expr, body []stmt, post stmt) execFn {
+	lc := &loopCode{sid: sid}
+	if init != nil {
+		lc.init = c.stmt(init)
 	}
-	return func(in *interp, locals []value.Value) error {
-		for {
+	if t, ok := intShapeOf(cond); ok {
+		lc.test = t
+	} else {
+		lc.cond = c.expr(cond)
+	}
+	if ops := intStmts(body, post); len(ops) > 0 {
+		lc.ops = ops
+		if lc.cond == nil {
+			lc.regs.compile(&lc.test, ops)
+		}
+		return lc.run
+	}
+	lc.body = make([]execFn, len(body))
+	for i, s := range body {
+		lc.body[i] = c.stmt(s)
+	}
+	if post != nil {
+		lc.post = c.stmt(post)
+	}
+	return lc.run
+}
+
+// run runs the loop. Each evaluation of the condition costs one step.
+func (lc *loopCode) run(in *interp, locals []value.Value) error {
+	if lc.init != nil {
+		if in.spent() {
+			return in.outOfFuel()
+		}
+		if err := lc.init(in, locals); err != nil {
+			return err
+		}
+	}
+	if lc.regs.ops != nil {
+		if done, err := lc.regs.run(in, locals, lc.sid); done {
+			return err
+		}
+	}
+	for {
+		if in.spent() {
+			return in.outOfFuel()
+		}
+		in.usedInput = false
+		var holds bool
+		if t := &lc.test; lc.cond != nil {
+			if err := lc.cond(in, locals, &in.tmp); err != nil {
+				return err
+			}
+			holds = in.tmp.Truthy()
+		} else if n, m, ints := t.ints(locals); ints && !t.arith {
+			holds = intCompare(t.op, n, m)
+		} else {
+			if err := t.eval(locals, &in.tmp); err != nil {
+				return err
+			}
+			holds = in.tmp.Truthy()
+		}
+		in.emit(lc.sid)
+		if !holds {
+			return nil
+		}
+		if len(lc.ops) > 0 {
+			in.usedInput = false // the condition may have read input
+			for i := range lc.ops {
+				if in.spent() {
+					return in.outOfFuel()
+				}
+				if err := lc.ops[i].run(in, locals); err != nil {
+					return err
+				}
+			}
+			continue
+		}
+	body:
+		for _, f := range lc.body {
 			if in.spent() {
 				return in.outOfFuel()
 			}
-			in.usedInput = false
-			if err := test(in, locals, &in.tmp); err != nil {
-				return err
-			}
-			in.emit(sid)
-			if !in.tmp.Truthy() {
-				return nil
-			}
-			switch err := run(in, locals); err {
-			case nil, errContinue:
+			switch err := f(in, locals); err {
+			case nil:
+			case errContinue:
+				break body
 			case errBreak:
 				return nil
 			default:
 				return err
 			}
-			if next != nil {
-				if in.spent() {
-					return in.outOfFuel()
-				}
-				if err := next(in, locals); err != nil {
-					return err
-				}
+		}
+		if lc.post != nil {
+			if in.spent() {
+				return in.outOfFuel()
+			}
+			if err := lc.post(in, locals); err != nil {
+				return err
+			}
+		}
+	}
+}
+
+// intStmts returns body and post as int assignments, or nil unless
+// every one of them is one.
+func intStmts(body []stmt, post stmt) []intStmt {
+	n := len(body)
+	if post != nil {
+		n++
+	}
+	at := func(i int) stmt {
+		if i < len(body) {
+			return body[i]
+		}
+		return post
+	}
+	for i := range n {
+		if _, ok := intStmtOf(at(i)); !ok {
+			return nil
+		}
+	}
+	ops := make([]intStmt, n)
+	for i := range ops {
+		ops[i], _ = intStmtOf(at(i))
+	}
+	return ops
+}
+
+// intLoop is an op list whose ops are all arithmetic under a comparing
+// condition. While the slots they read hold ints, each round leaves
+// every slot it writes an int, so whole rounds run on int64 copies of
+// the slots, registers, which go back to their slots when the loop
+// leaves them. No op reads input, and the hook is told only statement
+// IDs, so nothing sees a slot until then.
+type intLoop struct {
+	slots [maxRegs]int // the slot of each register
+	nregs int
+	in    uint64 // the registers a round reads before it writes them
+	test  regOp
+	ops   []regOp
+}
+
+// regOp is an int shape over registers: x op y, or x op imm.
+type regOp struct {
+	op        tokenKind
+	x, y, dst int // y is -1 for imm; dst is the op's own register
+	imm       int64
+	st        *intStmt
+}
+
+// maxRegs bounds an intLoop's registers; they live in an array on the
+// Go stack.
+const maxRegs = 8
+
+// compile puts test and ops on registers, and leaves l.ops nil where
+// an op compares or they use more than maxRegs slots.
+func (l *intLoop) compile(test *intShape, ops []intStmt) {
+	if test.arith {
+		return
+	}
+	written, full := uint64(0), false
+	reg := func(slot int, read bool) int {
+		r := slices.Index(l.slots[:l.nregs], slot)
+		if r < 0 {
+			if l.nregs == maxRegs {
+				full = true
+				return 0
+			}
+			r = l.nregs
+			l.slots[r] = slot
+			l.nregs++
+		}
+		if read && written&(1<<r) == 0 {
+			l.in |= 1 << r
+		}
+		return r
+	}
+	shape := func(t *intShape) regOp {
+		o := regOp{op: t.op, x: reg(t.a, true), y: -1}
+		if t.b >= 0 {
+			o.y = reg(t.b, true)
+		} else {
+			o.imm = t.lit.Int
+		}
+		return o
+	}
+	l.test = shape(test)
+	rops := make([]regOp, len(ops))
+	for i := range ops {
+		if !ops[i].arith {
+			return
+		}
+		o := shape(&ops[i].intShape)
+		o.dst, o.st = reg(ops[i].slot, false), &ops[i]
+		written |= 1 << o.dst
+		rops[i] = o
+	}
+	if !full {
+		l.ops = rops
+	}
+}
+
+// run runs whole rounds of the loop on registers. It is done unless a
+// register a round reads before writing it does not hold an int when
+// the loop starts, or the budget does not cover the next whole round;
+// loopCode.run then goes on from the slots. A round's steps are charged at its start, and
+// handed back for the statements it does not reach.
+func (l *intLoop) run(in *interp, locals []value.Value, sid int) (done bool, err error) {
+	var regs [maxRegs]int64
+	for r, slot := range l.slots[:l.nregs] {
+		if v := &locals[slot]; v.Kind == value.KindInt {
+			regs[r] = v.Int
+		} else if l.in&(1<<r) != 0 {
+			return false, nil
+		}
+	}
+	written := uint64(0)
+	in.usedInput = false
+	round := int64(1 + len(l.ops))
+	for {
+		if in.fuel-in.steps < round {
+			l.store(locals, &regs, written)
+			return false, nil
+		}
+		in.steps += round
+		t := &l.test
+		m := t.imm
+		if t.y >= 0 {
+			m = regs[t.y&(maxRegs-1)]
+		}
+		holds := intCompare(t.op, regs[t.x&(maxRegs-1)], m)
+		if in.hook != nil {
+			in.hook.Statement(sid, false, nil)
+		}
+		if !holds {
+			in.steps -= round - 1
+			l.store(locals, &regs, written)
+			return true, nil
+		}
+		for i := range l.ops {
+			o := &l.ops[i]
+			m := o.imm
+			if o.y >= 0 {
+				m = regs[o.y&(maxRegs-1)]
+			}
+			n, ok := intArith(o.op, regs[o.x&(maxRegs-1)], m)
+			if !ok {
+				// Division or modulo by zero, which the op's own code
+				// reports over the slots the ops before it left.
+				in.steps -= int64(len(l.ops) - 1 - i)
+				l.store(locals, &regs, written)
+				return true, o.st.eval(locals, &locals[o.st.slot])
+			}
+			regs[o.dst&(maxRegs-1)] = n
+			written |= 1 << o.dst
+			if in.hook != nil {
+				in.hook.Statement(o.st.sid, false, nil)
 			}
 		}
 	}
@@ -505,11 +747,14 @@ func (c *compiler) mapLit(ex *mapLit) evalFn {
 	}
 }
 
-// binary compiles a binary operator. Over a local and a local or a
-// literal, the shapes of the summation loop, an int fast path reads the
-// operands without a call; every other shape, and the fast paths when
-// an operand is not an int, go through binop.
+// binary compiles a binary operator. Over an int shape it reads the
+// operands in place; every other shape goes through binop.
 func (c *compiler) binary(ex *binaryExpr) evalFn {
+	if t, ok := intShapeOf(ex); ok {
+		return func(_ *interp, locals []value.Value, dst *value.Value) error {
+			return t.eval(locals, dst)
+		}
+	}
 	op := ex.op
 	if op == tokAndAnd || op == tokOrOr {
 		// Short-circuit operators evaluate lazily; this matters for
@@ -534,54 +779,6 @@ func (c *compiler) binary(ex *binaryExpr) evalFn {
 		}
 	}
 	l, r := c.operands(ex.l, ex.r)
-	arith := op == tokPlus || op == tokMinus || op == tokStar || op == tokSlash || op == tokPercent
-	switch a := l.slot; {
-	case a >= 0 && r.slot >= 0:
-		b := r.slot
-		if arith {
-			return func(_ *interp, locals []value.Value, dst *value.Value) error {
-				x, y := &locals[a], &locals[b]
-				if x.Kind == value.KindInt && y.Kind == value.KindInt {
-					if n, ok := intArith(op, x.Int, y.Int); ok {
-						setInt(dst, n)
-						return nil
-					}
-				}
-				return binop(ex, x, y, dst)
-			}
-		}
-		return func(_ *interp, locals []value.Value, dst *value.Value) error {
-			x, y := &locals[a], &locals[b]
-			if x.Kind == value.KindInt && y.Kind == value.KindInt {
-				setBool(dst, intCompare(op, x.Int, y.Int))
-				return nil
-			}
-			return binop(ex, x, y, dst)
-		}
-
-	case a >= 0 && r.lit != nil && r.lit.Kind == value.KindInt:
-		y := r.lit
-		if arith {
-			return func(_ *interp, locals []value.Value, dst *value.Value) error {
-				x := &locals[a]
-				if x.Kind == value.KindInt {
-					if n, ok := intArith(op, x.Int, y.Int); ok {
-						setInt(dst, n)
-						return nil
-					}
-				}
-				return binop(ex, x, y, dst)
-			}
-		}
-		return func(_ *interp, locals []value.Value, dst *value.Value) error {
-			x := &locals[a]
-			if x.Kind == value.KindInt {
-				setBool(dst, intCompare(op, x.Int, y.Int))
-				return nil
-			}
-			return binop(ex, x, y, dst)
-		}
-	}
 	return func(in *interp, locals []value.Value, dst *value.Value) error {
 		x, err := l.get(in, locals)
 		if err != nil {
@@ -593,6 +790,130 @@ func (c *compiler) binary(ex *binaryExpr) evalFn {
 		}
 		return binop(ex, x, y, dst)
 	}
+}
+
+// store puts the registers a round has written back in their slots.
+func (l *intLoop) store(locals []value.Value, regs *[maxRegs]int64, written uint64) {
+	for r, slot := range l.slots[:l.nregs] {
+		if written&(1<<r) != 0 {
+			setInt(&locals[slot], regs[r])
+		}
+	}
+}
+
+// intShape is a binary operator other than && and || over a local and
+// a local or an int literal, the shapes of the summation loop (s + j,
+// j < 1000), and the compiler's one int fast path. Both operands are
+// read in place. Over two ints it computes with intArith or intCompare;
+// any other operand, and a division or modulo by zero, goes to binop,
+// which gives the generic path's result or error.
+type intShape struct {
+	ex    *binaryExpr
+	op    tokenKind
+	arith bool         // an arithmetic operator, else a comparison
+	a, b  int          // the left and right operands' slots; b is -1 for a literal
+	lit   *value.Value // the right operand's literal cell, when b is -1
+}
+
+// intShapeOf reports whether e has an int shape.
+func intShapeOf(e expr) (intShape, bool) {
+	ex, ok := e.(*binaryExpr)
+	if !ok || ex.op == tokAndAnd || ex.op == tokOrOr {
+		return intShape{}, false
+	}
+	l, ok := ex.l.(*varRef)
+	if !ok || l.local < 0 {
+		return intShape{}, false
+	}
+	t := intShape{ex: ex, op: ex.op, a: l.local, b: -1}
+	switch ex.op {
+	case tokPlus, tokMinus, tokStar, tokSlash, tokPercent:
+		t.arith = true
+	}
+	switch r := ex.r.(type) {
+	case *varRef:
+		if r.local < 0 {
+			return intShape{}, false
+		}
+		t.b = r.local
+	case *literal:
+		if r.Kind != value.KindInt {
+			return intShape{}, false
+		}
+		t.lit = (*value.Value)(r)
+	default:
+		return intShape{}, false
+	}
+	return t, true
+}
+
+// operands returns where t's operands live.
+func (t *intShape) operands(locals []value.Value) (x, y *value.Value) {
+	if t.b >= 0 {
+		return &locals[t.a], &locals[t.b]
+	}
+	return &locals[t.a], t.lit
+}
+
+// ints returns the values of t's operands, and whether both are ints.
+func (t *intShape) ints(locals []value.Value) (n, m int64, ok bool) {
+	x, y := t.operands(locals)
+	return x.Int, y.Int, x.Kind == value.KindInt && y.Kind == value.KindInt
+}
+
+// eval stores the result in *dst, which may be an operand: both are
+// read before the one store.
+func (t *intShape) eval(locals []value.Value, dst *value.Value) error {
+	if n, m, ok := t.ints(locals); ok {
+		if !t.arith {
+			setBool(dst, intCompare(t.op, n, m))
+			return nil
+		}
+		if r, ok := intArith(t.op, n, m); ok {
+			setInt(dst, r)
+			return nil
+		}
+	}
+	x, y := t.operands(locals)
+	return binop(t.ex, x, y, dst)
+}
+
+// intStmt is an int assignment: let x = e or x = e, x a local and e an
+// int shape, computed straight into x's slot.
+type intStmt struct {
+	intShape
+	slot, sid int
+	name      string
+}
+
+// intStmtOf reports whether s is an int assignment.
+func intStmtOf(s stmt) (intStmt, bool) {
+	switch st := s.(type) {
+	case *letStmt:
+		if t, ok := intShapeOf(st.rhs); ok {
+			return intStmt{t, st.slot, st.sid, st.name}, true
+		}
+	case *assignStmt:
+		if st.local < 0 || len(st.path) > 0 || st.grow != nil {
+			break
+		}
+		if t, ok := intShapeOf(st.rhs); ok {
+			return intStmt{t, st.local, st.sid, st.name}, true
+		}
+	}
+	return intStmt{}, false
+}
+
+// run executes o, its step charged and in.usedInput cleared.
+func (o *intStmt) run(in *interp, locals []value.Value) error {
+	dst := &locals[o.slot]
+	if err := o.eval(locals, dst); err != nil {
+		return err
+	}
+	if in.hook != nil {
+		in.emitAssign(o.sid, o.name, dst)
+	}
+	return nil
 }
 
 // call compiles a call. Arguments are evaluated straight into the cells

@@ -93,11 +93,16 @@
 // expression node (compile.go), and caches it on the procedure, so a
 // Program pays once for each procedure some session calls and never for
 // one that no session reaches. Every later call, in any session sharing
-// the Program, runs that code. Each statement and each loop condition
-// charges one step of the budget before it does anything. Locals,
-// operator temporaries and builtin arguments live on one value stack
-// per session. An appraisal rule (Expr) compiles the same way on its
-// first evaluation.
+// the Program, runs that code. The int shapes of the summation loop, an
+// operator over a local and a local or an int literal, compile to
+// larger units: x = a op b into a local is one closure that computes
+// into x's slot, a loop tests such a condition without a closure, and a
+// loop body and post made only of such assignments run as a flat list,
+// on int64 copies of their slots while those hold ints.
+// Each statement and each loop condition charges one step of the budget
+// before it does anything. Locals, operator temporaries and builtin
+// arguments live on one value stack per session. An appraisal rule
+// (Expr) compiles the same way on its first evaluation.
 //
 // # Trace hooks
 //

@@ -42,20 +42,31 @@ func (h *fuzzHook) ExitProc(string)  {}
 
 // fuzzRun executes prog's main under a 10 000 step budget and returns a
 // fingerprint of everything a re-executing host would compare: final
-// state digest, steps, error text, statement order, environment calls.
-func fuzzRun(prog *Program) string {
+// state digest, outcome and steps, error text and environment calls,
+// and, if hooked, the statement order.
+func fuzzRun(prog *Program, hooked bool) string {
 	st := goldenState()
 	env, hook := &fuzzEnv{}, &fuzzHook{}
-	out, err := Run(prog, "main", st, env, Options{Fuel: 10_000, Hook: hook})
-	sum := sha256.Sum256([]byte(fmt.Sprint(hook.ids, env.calls)))
-	return fmt.Sprintf("state=%x out=%+v err=%v trace=%x", canon.HashState(st), out, err, sum[:8])
+	opts := Options{Fuel: 10_000}
+	if hooked {
+		opts.Hook = hook
+	}
+	out, err := Run(prog, "main", st, env, opts)
+	sum := sha256.Sum256([]byte(fmt.Sprint(env.calls)))
+	run := fmt.Sprintf("state=%x out=%+v err=%v calls=%x", canon.HashState(st), out, err, sum[:8])
+	if hooked {
+		sum := sha256.Sum256([]byte(fmt.Sprint(hook.ids)))
+		run += fmt.Sprintf(" trace=%x", sum[:8])
+	}
+	return run
 }
 
 // FuzzParseRun: Parse survives any source text, and what it accepts
 // runs the same way twice — determinism is what reference states rest
 // on — and the same way again with every x = append(x, e…) left to the
-// copying builtin (copyingForm). Inputs the fuzzer finds are kept under
-// testdata/fuzz.
+// copying builtin (copyingForm), and with no hook, as production
+// sessions and re-executions run. Inputs the fuzzer finds are kept
+// under testdata/fuzz.
 func FuzzParseRun(f *testing.F) {
 	for _, c := range readGolden(f) {
 		if !strings.HasPrefix(c.Name, "work/") { // 150 000 steps each under the golden budget
@@ -79,12 +90,15 @@ func FuzzParseRun(f *testing.F) {
 		if h := tallestExpr(prog); h > maxNesting {
 			t.Fatalf("accepted an expression %d nodes tall", h)
 		}
-		first := fuzzRun(prog)
-		if second := fuzzRun(prog); first != second {
+		first := fuzzRun(prog, true)
+		if second := fuzzRun(prog, true); first != second {
 			t.Fatalf("two runs of one program differ:\n %s\n %s", first, second)
 		}
-		if copying := fuzzRun(copyingForm(t, src)); first != copying {
+		if copying := fuzzRun(copyingForm(t, src), true); first != copying {
 			t.Fatalf("self-append in place and copying differ:\n %s\n %s", first, copying)
+		}
+		if bare, _, _ := strings.Cut(first, " trace="); fuzzRun(prog, false) != bare {
+			t.Fatalf("the runs with and without a hook differ:\n %s\n %s", first, fuzzRun(prog, false))
 		}
 	})
 }

@@ -9,6 +9,7 @@ import (
 	"hash"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -32,6 +33,14 @@ import (
 // to the first one's record, which it must reproduce bit for bit: final
 // state digest, copy-on-write flags, outcome, step count, error text,
 // and the complete interleaving of hook events and environment calls.
+//
+// Later cases were added by hand and recorded from the closure compiler
+// before the change they guard: the int shapes the compiler fuses
+// (fused/: self-aliasing stores, int64 wrap-around, a string, list and
+// null operand in each fused form, division and modulo by zero inside
+// a fused loop body, break and continue under a fused loop test, a
+// slot a fused loop only writes, the statement after a fused loop) and
+// a fourth fuel sweep over a fused for loop (sweep/3).
 //
 // There is no way to re-record it, on purpose: that would turn the
 // differential into a pin. A new case is added by hand, name and src,
@@ -380,7 +389,7 @@ func TestGolden(t *testing.T) {
 			}
 		}
 	}
-	if kinds["random"] < 200 || kinds["sweep"] < 3 || kinds["alias"] == 0 || kinds["work"] < 4 {
+	if kinds["random"] < 200 || kinds["sweep"] < 4 || kinds["alias"] == 0 || kinds["work"] < 4 || kinds["fused"] < 20 {
 		t.Errorf("golden file lacks a case family: %v", kinds)
 	}
 }
@@ -393,7 +402,9 @@ func TestGolden(t *testing.T) {
 // it does is seen. The error then unwinds the procedures still open,
 // and each reports its exit on the way out. The prefix is the whole
 // stream only where the last step is a migrate or done() statement,
-// which reports no event of its own.
+// which reports no event of its own. Both budgets also run with no
+// hook, as production sessions and re-executions do, and must end the
+// same way after the same environment calls.
 func TestGoldenFuelEdge(t *testing.T) {
 	n := 0
 	for _, c := range readGolden(t) {
@@ -408,7 +419,7 @@ func TestGoldenFuelEdge(t *testing.T) {
 				c.Name, c.Want.Steps, exact, c.Want)
 			continue
 		}
-		_, short, err := runGoldenLog(t, c.Src, c.Want.Steps-1, hookFull, true)
+		cut, short, err := runGoldenLog(t, c.Src, c.Want.Steps-1, hookFull, true)
 		if !errors.Is(err, ErrFuelExhausted) {
 			t.Errorf("%s: under a budget of %d steps: err = %v, want ErrFuelExhausted", c.Name, c.Want.Steps-1, err)
 			continue
@@ -418,10 +429,39 @@ func TestGoldenFuelEdge(t *testing.T) {
 				" followed by the exits of the procedures still open\n short %q\n full  %q",
 				c.Name, len(short), len(full), short, full[:min(len(full), len(short)+2)])
 		}
+		for _, run := range []struct {
+			budget int64
+			want   goldenResult
+			events []string
+		}{{c.Want.Steps, exact, full}, {c.Want.Steps - 1, cut, short}} {
+			bare, calls, _ := runGoldenLog(t, c.Src, run.budget, hookNone, true)
+			if !sameEnd(bare, run.want) || !slices.Equal(calls, envCalls(run.events)) {
+				t.Errorf("%s: under a budget of %d steps the run with no hook diverges from the hooked one\n got  %+v\n want %+v",
+					c.Name, run.budget, bare, run.want)
+			}
+		}
 	}
 	if n < 150 {
 		t.Errorf("only %d golden cases end without an error after 2 steps or more, want at least 150", n)
 	}
+}
+
+// sameEnd reports whether two runs of one program end alike: state,
+// copy-on-write flags, outcome, step count and error.
+func sameEnd(a, b goldenResult) bool {
+	return a.State == b.State && a.Shared == b.Shared && a.Kind == b.Kind && a.Host == b.Host &&
+		a.Entry == b.Entry && a.Steps == b.Steps && a.Err == b.Err
+}
+
+// envCalls keeps the environment calls of an event stream.
+func envCalls(events []string) []string {
+	var out []string
+	for _, line := range events {
+		if strings.HasPrefix(line, "I ") || strings.HasPrefix(line, "O ") {
+			out = append(out, line)
+		}
+	}
+	return out
 }
 
 // cutShort reports whether short is a prefix of full followed by the

@@ -545,12 +545,21 @@ proc main() {
 }
 
 // BenchmarkWorkSession runs one session of the repository benchmark's
-// agent at 50 cycles, the unit its `compute` workload is made of (five
-// of these per itinerary, more when a checker re-executes).
+// agent in each of its golden shapes. cycles=50,inputs=1 is the unit
+// the `compute` workload is made of (five of these per itinerary, more
+// when a checker re-executes); inputs=100 is `bulk`'s input loop.
 func BenchmarkWorkSession(b *testing.B) {
-	benchRun(b, MustParse(goldenSrc(b, "work/cycles=50,inputs=1")), func() value.State {
-		return value.State{"total": value.Int(0), "hops": value.Int(0), "sum": value.Int(0), "got": value.List()}
-	})
+	for _, c := range readGolden(b) {
+		name, ok := strings.CutPrefix(c.Name, "work/")
+		if !ok {
+			continue
+		}
+		b.Run(name, func(b *testing.B) {
+			benchRun(b, MustParse(c.Src), func() value.State {
+				return value.State{"total": value.Int(0), "hops": value.Int(0), "sum": value.Int(0), "got": value.List()}
+			})
+		})
+	}
 }
 
 // BenchmarkFirstSession is what an agent arriving at a host pays for
@@ -634,6 +643,7 @@ proc main() {
 		atMost     bool // perRound is a ceiling: growth allocates now and then
 	}{
 		{"arithmetic and comparison", `x = x + i * 2 - g  if x > 10 && i != 3 { x = x % 7 }`, 0, false},
+		{"straight-line int body", `x = x + i  let y = x * 3  x = y % 7`, 0, false},
 		{"scalar builtins", `x = len(s) + abs(x) + min(i, 3) + max(l) + sum(l) + int(contains(l, i)) + int(isnull(g))`, 0, false},
 		{"indexing", `x = l[i % 3] + len(s[0])  l[1] = x`, 0, false},
 		{"procedure calls", `x = add(x, add(i, 1))`, 0, false},
@@ -650,6 +660,24 @@ proc main() {
 		if few > 4 && tt.perRound == 0 {
 			t.Errorf("%s: %.0f allocations per Run, want at most 4", tt.name, few)
 		}
+	}
+
+	// An arriving agent's code: Parse, then the first Run compiles what
+	// the session reaches. Each closure the compiler builds is an
+	// allocation.
+	src, env := goldenSrc(t, "work/cycles=1,inputs=1"), &scriptedEnv{}
+	first := testing.AllocsPerRun(20, func() {
+		prog, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := value.State{"total": value.Int(0), "hops": value.Int(0), "sum": value.Int(0), "got": value.List()}
+		if _, err := Run(prog, "main", st, env, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if first > 197 {
+		t.Errorf("Parse and first Run of one light hop: %.0f allocations, want at most 197", first)
 	}
 
 	// A rule needs the value stack only for builtin arguments.
