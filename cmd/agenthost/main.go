@@ -58,6 +58,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/host"
 	"repro/internal/protection"
+	"repro/internal/shardstore"
 	"repro/internal/sigcrypto"
 	"repro/internal/transport"
 	"repro/internal/value"
@@ -346,40 +347,21 @@ func exchangeConfig(self string, man *fleet.Manifest, interval time.Duration, bu
 	return cfg, nil
 }
 
-// loadPeerKeys registers the key file of every host in book found in
-// dir; a key file for a name the manifest does not list is ignored
-// and logged.
 // writeKeyFile publishes pub as <dir>/<name>.pub. Peers starting at
-// the same moment scan the directory, so the key is written to a
-// temporary file, whose name does not end in ".pub" (loadPeerKeys skips
-// it), synced, and renamed over the old one: a reader sees the old key
-// or the new, never a file cut short.
+// the same moment scan the directory, so the key is written with
+// shardstore.WriteFile, whose temporary file loadPeerKeys skips: a
+// reader sees the old key or the new, never a file cut short.
 func writeKeyFile(dir, name string, pub ed25519.PublicKey) (string, error) {
 	path := filepath.Join(dir, name+".pub")
-	tmp, err := os.CreateTemp(dir, "."+name+".pub.*.tmp")
-	if err != nil {
-		return "", err
-	}
-	_, err = tmp.WriteString(hex.EncodeToString(pub))
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Chmod(tmp.Name(), 0o644)
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), path)
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
+	if err := shardstore.WriteFile(path, []byte(hex.EncodeToString(pub)), 0o644); err != nil {
 		return "", err
 	}
 	return path, nil
 }
 
+// loadPeerKeys registers the key file of every host in book found in
+// dir; a key file for a name the manifest does not list is ignored
+// and logged.
 func loadPeerKeys(reg *sigcrypto.Registry, dir string, book map[string]string) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {

@@ -134,13 +134,11 @@ type Config struct {
 	Faults faultnet.Schedule
 	// Lifecycle is the membership churn schedule.
 	Lifecycle []LifecycleEvent
-	// Durable gives every node a data directory under DataRoot, so
-	// kills recover journal, quarantine, and reputation ledger from
-	// their WALs. Required for a meaningful restart-chaos scenario.
-	// With DataRoot empty a temporary directory is used and removed
-	// when the campaign ends.
-	Durable  bool
-	DataRoot string
+	// Durable gives every node a data directory under a temporary
+	// root, removed when the campaign ends, so kills recover journal,
+	// quarantine, and reputation ledger from their WALs. Required for
+	// a meaningful restart-chaos scenario.
+	Durable bool
 	// LedgerHalfLife overrides every member ledger's suspicion decay
 	// half-life (0 = the policy default). An evasion scenario treats
 	// this as the attack parameter: the shorter the fleet forgets, the
@@ -214,6 +212,8 @@ type runner struct {
 	clock  *Clock
 	fleet  *fleet.Fleet
 	fabric *faultnet.Fabric
+	// dataRoot holds the members' data directories of a durable run.
+	dataRoot string
 
 	members []*member // join order; index order is itinerary order
 	home    *member
@@ -258,13 +258,13 @@ func Run(cfg Config) (Score, error) {
 			return Score{}, fmt.Errorf("campaign: aggregator %s is neither home nor an initial worker", a)
 		}
 	}
-	if cfg.Durable && cfg.DataRoot == "" {
-		root, err := os.MkdirTemp("", "campaign-"+cfg.Name+"-")
-		if err != nil {
+	var root string
+	if cfg.Durable {
+		var err error
+		if root, err = os.MkdirTemp("", "campaign-"+cfg.Name+"-"); err != nil {
 			return Score{}, err
 		}
 		defer func() { _ = os.RemoveAll(root) }()
-		cfg.DataRoot = root
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
@@ -279,6 +279,7 @@ func Run(cfg Config) (Score, error) {
 		clock:           NewClock(),
 		fleet:           f,
 		fabric:          f.Fabric(),
+		dataRoot:        root,
 		tampered:        make(map[string]bool),
 		firstTamperStep: -1,
 		convergedStep:   -1,
@@ -430,7 +431,7 @@ func (r *runner) specFor(m *member, name string) fleet.Spec {
 		spec.Host.Behavior = m.behavior
 	}
 	if r.cfg.Durable {
-		spec.DataDir = filepath.Join(r.cfg.DataRoot, name)
+		spec.DataDir = filepath.Join(r.dataRoot, name)
 	}
 	return spec
 }

@@ -66,10 +66,10 @@ func TestBuiltinReputationAndQuarantineCalls(t *testing.T) {
 
 	home := mkNode("home", true, core.NodeConfig{})
 	pol := policy.NewReputation(policy.ReputationConfig{
-		Ledger: policy.NewLedger(policy.LedgerConfig{HalfLife: time.Hour}),
-		// Below 2.0: real time elapses between the two journeys, so the
-		// first offense has decayed marginally when the second lands.
-		QuarantineThreshold: 1.5,
+		// Undecayed: real time elapses between the two journeys, and
+		// the second offense must land on the whole first one to reach
+		// the quarantine threshold.
+		Ledger: policy.NewLedger(policy.LedgerConfig{HalfLife: -1}),
 	})
 	checker := mkNode("checker", false, core.NodeConfig{
 		Mechanisms: []core.Mechanism{blamingMechanism{}},

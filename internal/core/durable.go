@@ -103,14 +103,14 @@ func LoadEvidence(path string) (*agent.Agent, error) {
 // OnEvict hook — under the shard lock, before the eviction reaches the
 // WAL — so a crash between the spill and the logged delete recovers
 // the agent in memory rather than losing it. The file is written whole
-// and fsynced via a temp-and-rename so a torn spill never masquerades
+// and durably (shardstore.WriteFile) so a torn spill never masquerades
 // as evidence.
 func (n *Node) spillEvidence(agentID string, record []byte) {
 	if n.evidenceDir == "" {
 		return
 	}
 	path := EvidencePath(n.evidenceDir, agentID)
-	if err := writeFileSync(path, record); err != nil {
+	if err := shardstore.WriteFile(path, record, 0o644); err != nil {
 		n.NotePersistError(fmt.Errorf("core: spilling evidence for %s: %w", agentID, err))
 		return
 	}
@@ -186,28 +186,6 @@ func (n *Node) loadEvidenceLedger() error {
 		n.evFiles = append(n.evFiles, evidenceFile{path: f.path, size: f.size})
 	}
 	return nil
-}
-
-// writeFileSync writes data to path atomically: temp file, sync,
-// rename.
-func writeFileSync(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	_, werr := f.Write(data)
-	if werr == nil {
-		werr = f.Sync()
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		_ = os.Remove(tmp)
-		return werr
-	}
-	return os.Rename(tmp, path)
 }
 
 // journalCodec persists a journal entry as its status and flag count —

@@ -60,7 +60,9 @@ func TestNodeRestartMidFleet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		led, err := policy.OpenLedger(policy.LedgerConfig{HalfLife: time.Hour, Backend: backend})
+		// Undecayed, so the two offenses reach the quarantine threshold
+		// and a restart loses nothing to the real time it takes.
+		led, err := policy.OpenLedger(policy.LedgerConfig{HalfLife: -1, Backend: backend})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,11 +70,8 @@ func TestNodeRestartMidFleet(t *testing.T) {
 			Host:       checkHost,
 			Net:        net,
 			Mechanisms: []core.Mechanism{blamingMechanism{}},
-			Policy: policy.NewReputation(policy.ReputationConfig{
-				Ledger:              led,
-				QuarantineThreshold: 1.5,
-			}),
-			DataDir: dataDir,
+			Policy:     policy.NewReputation(policy.ReputationConfig{Ledger: led}),
+			DataDir:    dataDir,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -117,8 +116,8 @@ proc fin() { done() }`, "main")
 		t.Fatal(err)
 	}
 	wantSuspicion := ledger.Suspicion("home")
-	if wantSuspicion <= 1.5 {
-		t.Fatalf("pre-restart suspicion = %v, want above threshold", wantSuspicion)
+	if wantSuspicion < policy.DefaultQuarantineThreshold {
+		t.Fatalf("pre-restart suspicion = %v, want at/above threshold", wantSuspicion)
 	}
 	wantFlags := checker.Status("fleet-1").Flags
 
@@ -132,10 +131,9 @@ proc fin() { done() }`, "main")
 	checker, ledger = openChecker()
 	t.Cleanup(func() { _ = checker.Close(); _ = ledger.Close() })
 
-	// Reputation survived (decayed only by the real time elapsed — a
-	// fast restart keeps it above the threshold).
-	if got := ledger.Suspicion("home"); got <= 1.5 || got > wantSuspicion {
-		t.Fatalf("recovered suspicion = %v, want in (1.5, %v]", got, wantSuspicion)
+	// Reputation survived, at/above the threshold.
+	if got := ledger.Suspicion("home"); got < policy.DefaultQuarantineThreshold || got > wantSuspicion {
+		t.Fatalf("recovered suspicion = %v, want in [%v, %v]", got, policy.DefaultQuarantineThreshold, wantSuspicion)
 	}
 	// Settled journal receipts survived: the flagged journey's flags,
 	// and the quarantined journey's terminal status with a resolved

@@ -214,3 +214,53 @@ func TestTCPVignaAuditAcrossSockets(t *testing.T) {
 		t.Errorf("status of unknown agent = %+v", st)
 	}
 }
+
+// TestForwardToStoppedHostFailsInTime: a node whose next hop is down
+// fails the forward, naming that hop, while the journey's sender still
+// waits. home launches with a 4 s deadline on home -> shop -> back and
+// back's listener is closed: shop's receipt must resolve failed,
+// refused by back, within 3 s, not at the deadline.
+func TestForwardToStoppedHostFailsInTime(t *testing.T) {
+	f, err := fleet.NewTCP("owner")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = f.Close() })
+	for _, name := range []string{"home", "shop", "back"} {
+		if _, err := f.Add(fleet.Spec{Host: host.Config{Name: name}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Member("back").Close(); err != nil {
+		t.Fatal(err)
+	}
+	ag, err := agent.New("stranded", "owner", `
+proc main() { migrate("shop", "visit") }
+proc visit() { migrate("back", "fin") }
+proc fin() { done() }`, "main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, err := ag.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := f.Member("shop").Node.Watch(ag.ID)
+	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := f.Net().SendAgent(ctx, "home", wire); err != nil {
+		t.Fatalf("launch: %v", err)
+	}
+	wait, stop := context.WithTimeout(context.Background(), 10*time.Second)
+	defer stop()
+	res, _ := core.AwaitAny(wait, rc)
+	elapsed := time.Since(start)
+	st := f.Member("shop").Node.Status(ag.ID)
+	if res.Err == nil || st.Phase != core.PhaseFailed || st.RefusedBy != "back" {
+		t.Fatalf("shop: result err %v, status %+v; want failed, refused by back", res.Err, st)
+	}
+	if elapsed >= 3*time.Second {
+		t.Fatalf("shop's forward failed after %v of a 4s deadline, want under 3s", elapsed.Round(time.Millisecond))
+	}
+}

@@ -26,48 +26,70 @@ import (
 // An entry that matches no finding fails the gate, so the list can
 // only shrink.
 var reachAllow = map[string]string{
-	"agent.Agent.MutateState":                     "test seam: agent.TestStateDigestInvalidation",
-	"agentlang.Options.Fuel":                      "test seam: agentlang.TestFuelExhaustion shrinks the step budget",
-	"agentlang.Program.NumStatements":             "test seam: agentlang.TestStatementIDsSequential",
-	"agentlang.Program.Source":                    "test seam: agentlang.TestHasProcAndSource",
-	"attack":                                      "test seam: attack.TestDetectionMatrix and the mechanism tests take their adversaries and the paper's attack areas from here",
-	"campaign.Score.Fingerprint":                  "test seam: campaign.TestCampaignDeterminism",
-	"canon.HashValue":                             "test seam: canon.TestStreamingHashMatchesMaterialized",
-	"core.EncodeVerdicts":                         "test seam: core.TestVerdictCodecBounds encodes lists no node builds",
-	"core.Receipt.Wait":                           "test seam: core.TestIntakeBackpressure and the other core tests that block on a receipt",
-	"core.Verdict.VerifySig":                      "test seam: appraisal.FuzzAppraisalBaggage checks the verdicts it vouches for",
-	"events.Bus.NextSeq":                          "test seam: events.TestCursorResumeAcrossJournalWrap",
-	"events.MetricsSnapshot.Counter":              "test seam: events.TestSnapshotReflectsPriorPublishes",
-	"events.RecorderConfig.Capacity":              "test seam: events.TestRecorderTrimsWindow shrinks the ring",
-	"faultnet.Fabric.Down":                        "test seam: faultnet.TestKillRestartHooks",
-	"faultnet.LinkFaults.DelayMax":                "test seam: faultnet.TestDelayHonoursContext",
-	"faultnet.LinkFaults.DelayMin":                "test seam: faultnet.TestDelayHonoursContext",
-	"faultnet.LinkFaults.Duplicate":               "test seam: faultnet.TestDuplicateCallsOnly",
-	"faultnet.Schedule.LastStep":                  "test seam: faultnet.TestScheduleApply",
-	"fleet.Fleet.WrapNet":                         "test seam: fleet.TestWrapNetOnEveryFabric and the refproto and vigna in-flight tamper tests",
-	"fleet.Fleet.tcp":                             "test seam: core.TestTCPEndToEnd and the other TCP drills build loopback fleets",
-	"fleet.NewTCP":                                "test seam: core.TestTCPEndToEnd and the other TCP drills build loopback fleets",
-	"host.Config.Clock":                           "test seam: host.TestCustomClockAndFeed",
-	"planner.Config.Now":                          "test seam: planner.TestScenarioHotspot moves the clock past the overload half-life",
-	"planner.Executor.Backoff":                    "test seam: planner.TestScenarioFlashCrowd shortens the spillover wait",
-	"platformtest":                                "test seam: core.TestConcurrentItinerariesE2E and the mechanism packages' tests build their beds with it",
-	"policy.Exchange.Scheduler":                   "test seam: policy.TestExchangeUpdatePeers",
-	"policy.GateConfig.AuditInterval":             "test seam: policy.TestGateEscalation audits every 4th session and turns audits off",
-	"policy.Gate.Ledger":                          "test seam: protection.TestAssembleAdaptive",
-	"policy.PeerScore":                            "test seam: policy.TestSchedulerStateRoundTrip",
-	"policy.Reputation.Ledger":                    "test seam: protection.TestAssembleAdaptive",
-	"policy.ReputationConfig.QuarantineThreshold": "test seam: core.TestBuiltinReputationAndQuarantineCalls quarantines at 1.5",
-	"policy.Scheduler.Len":                        "test seam: policy.TestExchangeUpdatePeers",
-	"policy.Scheduler.Snapshot":                   "test seam: policy.TestSchedulerStateRoundTrip",
-	"proof.VerifyConfig.Rand":                     "test seam: proof.TestHonestJourneyVerifies pins the spot-check draw",
-	"refproto.Config.Colluding":                   "test seam: refproto.TestConsecutiveCollusionNotDetected",
-	"replication.EqualResources":                  "test seam: replication.TestEqualResources",
-	"scale.Config.Seed":                           "test seam: scale.TestRunSmall draws its routes from seed 7",
-	"shardstore.Config.Now":                       "test seam: shardstore.TestTTLExpiry",
-	"shardstore.PersistConfig.CompactEvery":       "test seam: shardstore.TestPersistentStoreAutoCompacts shrinks the compaction interval",
-	"stopwatch.PhaseTimer.Phases":                 "test seam: stopwatch.TestPhases",
-	"testutil":                                    "test seam: fleet.TestSameResultOnEveryFabric and the other tests that check for leaked goroutines and descriptors",
-	"transport.Server.ConnCount":                  "test seam: transport.TestTCPConnectionReuse",
+	"agent.Agent.MutateState":         "test seam: agent.TestStateDigestInvalidation",
+	"agentlang.Options.Fuel":          "test seam: agentlang.TestFuelExhaustion shrinks the step budget",
+	"agentlang.Program.NumStatements": "test seam: agentlang.TestStatementIDsSequential",
+	"agentlang.Program.Source":        "test seam: agentlang.TestHasProcAndSource",
+	"attack":                          "test seam: attack.TestDetectionMatrix and the mechanism tests take their adversaries and the paper's attack areas from here",
+	"campaign.Score.Fingerprint":      "test seam: campaign.TestCampaignDeterminism",
+	"canon.HashValue":                 "test seam: canon.TestStreamingHashMatchesMaterialized",
+	"core.EncodeVerdicts":             "test seam: core.TestVerdictCodecBounds encodes lists no node builds",
+	"core.Receipt.Wait":               "test seam: core.TestIntakeBackpressure and the other core tests that block on a receipt",
+	"core.Verdict.VerifySig":          "test seam: appraisal.FuzzAppraisalBaggage checks the verdicts it vouches for",
+	"events.Bus.NextSeq":              "test seam: events.TestCursorResumeAcrossJournalWrap",
+	"events.MetricsSnapshot.Counter":  "test seam: events.TestSnapshotReflectsPriorPublishes",
+	"faultnet.Fabric.Down":            "test seam: faultnet.TestKillRestartHooks",
+	"faultnet.LinkFaults.DelayMax":    "test seam: faultnet.TestDelayHonoursContext",
+	"faultnet.LinkFaults.DelayMin":    "test seam: faultnet.TestDelayHonoursContext",
+	"faultnet.LinkFaults.Duplicate":   "test seam: faultnet.TestDuplicateCallsOnly",
+	"faultnet.Schedule.LastStep":      "test seam: faultnet.TestScheduleApply",
+	"fleet.Fleet.WrapNet":             "test seam: fleet.TestWrapNetOnEveryFabric and the refproto and vigna in-flight tamper tests",
+	"fleet.Fleet.tcp":                 "test seam: core.TestTCPEndToEnd and the other TCP drills build loopback fleets",
+	"fleet.NewTCP":                    "test seam: core.TestTCPEndToEnd and the other TCP drills build loopback fleets",
+	"host.Config.Clock":               "test seam: host.TestCustomClockAndFeed",
+	"planner.Config.Now":              "test seam: planner.TestScenarioHotspot moves the clock past the overload half-life",
+	"platformtest":                    "test seam: core.TestConcurrentItinerariesE2E and the mechanism packages' tests build their beds with it",
+	"policy.Exchange.Scheduler":       "test seam: policy.TestExchangeUpdatePeers",
+	"policy.GateConfig.AuditInterval": "test seam: policy.TestGateEscalation audits every 4th session and turns audits off",
+	"policy.Gate.Ledger":              "test seam: protection.TestAssembleAdaptive",
+	"policy.PeerScore":                "test seam: policy.TestSchedulerStateRoundTrip",
+	"policy.Reputation.Ledger":        "test seam: protection.TestAssembleAdaptive",
+	"policy.Scheduler.Len":            "test seam: policy.TestExchangeUpdatePeers",
+	"policy.Scheduler.Snapshot":       "test seam: policy.TestSchedulerStateRoundTrip",
+	"replication.EqualResources":      "test seam: replication.TestEqualResources",
+	"shardstore.Config.Now":           "test seam: shardstore.TestTTLExpiry",
+	"stopwatch.PhaseTimer.Phases":     "test seam: stopwatch.TestPhases",
+	"testutil":                        "test seam: fleet.TestSameResultOnEveryFabric and the other tests that check for leaked goroutines and descriptors",
+	"transport.Server.ConnCount":      "test seam: transport.TestTCPConnectionReuse",
+}
+
+// keptKnobs are the only fields of exported …Config and …Options
+// structs that reachAllow may excuse, each until the ROADMAP item that
+// removes it: the resource budget (Fuel), the audit-interval sweep
+// (AuditInterval) and the simulation's one clock (Clock, Now). Any
+// other such field that only a test sets is a knob nobody sets: delete
+// it, and keep its value in a constant, or in an unexported variable
+// the package's own tests lower.
+var keptKnobs = map[string]bool{
+	"agentlang.Options.Fuel":          true,
+	"policy.GateConfig.AuditInterval": true,
+	"host.Config.Clock":               true,
+	"shardstore.Config.Now":           true,
+	"planner.Config.Now":              true,
+}
+
+// refusedKnob reports whether reachAllow may not excuse f under key: f
+// is a field of an exported struct named …Config or …Options, key names
+// that field or its struct rather than a whole test-support package
+// (platformtest, whose options are its API), and f is not one of the
+// keptKnobs.
+func refusedKnob(key string, f finding) bool {
+	parts := strings.Split(f.id, ".")
+	if f.kind != "field" || len(parts) < 3 || !strings.Contains(key, ".") || keptKnobs[f.id] {
+		return false
+	}
+	typ := parts[1]
+	return token.IsExported(typ) && (strings.HasSuffix(typ, "Config") || strings.HasSuffix(typ, "Options"))
 }
 
 // seamTest matches the test a "test seam: …" reason names.
@@ -138,6 +160,10 @@ func TestProductionReachability(t *testing.T) {
 	allowed := map[string]int{}
 	for _, f := range res.findings {
 		if key, ok := allowKey(f.id); ok {
+			if refusedKnob(key, f) {
+				t.Errorf("%s: reachAllow[%q] excuses %s, a config field no production caller sets: delete the field, not allowlist it",
+					f.pos, key, f.id)
+			}
 			matched[key] = true
 			allowed[f.kind]++
 			continue
@@ -160,25 +186,39 @@ func TestProductionReachability(t *testing.T) {
 }
 
 // TestReachabilityFixture pins the gate's rules on testdata/reach: a
-// function only a test calls, a field only a test sets and fields only
+// function only a test calls, fields only a test sets and fields only
 // a constructor's defaults set (to a constant, to time.Now) are
 // findings; a method reached only through an interface call, an Error
 // method reached only through error and a sticky first error set under
-// a nil check are not.
+// a nil check are not. Of the findings, reachAllow may not excuse the
+// fields of Config and Options under their own keys; Square's field,
+// and any field under the package's key, it may.
 func TestReachabilityFixture(t *testing.T) {
 	res, err := unreached("testdata/reach", "reach", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []string
+	var got, knobs []string
 	for _, f := range res.findings {
 		got = append(got, f.kind+" "+f.id)
+		if refusedKnob(f.id, f) {
+			knobs = append(knobs, f.id)
+		}
+		if refusedKnob("lib", f) {
+			t.Errorf("the package key excuses %s as a config knob", f.id)
+		}
 	}
-	want := []string{"func lib.OnlyTestsCall", "field lib.Config.OnlyTestsSet", "field lib.Config.Retries", "field lib.Config.Clock"}
-	sort.Strings(got)
-	sort.Strings(want)
+	want := []string{"func lib.OnlyTestsCall", "field lib.Config.OnlyTestsSet", "field lib.Config.Retries",
+		"field lib.Config.Clock", "field lib.Options.Verbose", "field lib.Square.Label"}
+	wantKnobs := []string{"lib.Config.OnlyTestsSet", "lib.Config.Retries", "lib.Config.Clock", "lib.Options.Verbose"}
+	for _, l := range [][]string{got, want, knobs, wantKnobs} {
+		sort.Strings(l)
+	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("findings:\n  %s\nwant:\n  %s", strings.Join(got, "\n  "), strings.Join(want, "\n  "))
+	}
+	if strings.Join(knobs, "\n") != strings.Join(wantKnobs, "\n") {
+		t.Errorf("config knobs:\n  %s\nwant:\n  %s", strings.Join(knobs, "\n  "), strings.Join(wantKnobs, "\n  "))
 	}
 }
 

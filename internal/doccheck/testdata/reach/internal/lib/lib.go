@@ -12,6 +12,9 @@ type Config struct {
 	Clock        func() time.Time
 }
 
+// Options is read by main; only the test sets Verbose.
+type Options struct{ Verbose bool }
+
 // DefaultRetries is the Retries every Config gets.
 const DefaultRetries = 3
 
@@ -43,8 +46,11 @@ func (l *Log) First() error { return l.first }
 // Shape is called through by main.
 type Shape interface{ Area() int }
 
-// Square is a Shape.
-type Square struct{ Side int }
+// Square is a Shape; only the test sets Label.
+type Square struct {
+	Side  int
+	Label string
+}
 
 // Area is reached only through Shape.
 func (s Square) Area() int { return s.Side * s.Side }

@@ -4,7 +4,9 @@ import "testing"
 
 func TestOnlyTests(t *testing.T) {
 	c := Config{OnlyTestsSet: true}
-	if !c.OnlyTestsSet || OnlyTestsCall() != 42 {
+	o := Options{Verbose: true}
+	sq := Square{Side: 1, Label: "unit"}
+	if !c.OnlyTestsSet || !o.Verbose || sq.Label == "" || OnlyTestsCall() != 42 {
 		t.Fatal("fixture")
 	}
 }

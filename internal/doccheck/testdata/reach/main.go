@@ -13,8 +13,13 @@ func main() {
 	if cfg.OnlyTestsSet {
 		fmt.Println("set")
 	}
-	var s lib.Shape = lib.Square{Side: 2}
+	var opts lib.Options
+	if opts.Verbose {
+		fmt.Println("verbose")
+	}
+	sq := lib.Square{Side: 2}
+	var s lib.Shape = sq
 	var log lib.Log
 	log.Note(lib.Check(cfg))
-	fmt.Println(s.Area(), cfg.Retries, cfg.Clock(), log.First())
+	fmt.Println(s.Area(), sq.Label, cfg.Retries, cfg.Clock(), log.First())
 }

@@ -9,15 +9,14 @@ import (
 	"repro/internal/shardstore"
 )
 
-// DefaultFlightCapacity is the flight recorder ring size when
-// RecorderConfig leaves it zero.
+// DefaultFlightCapacity is the flight recorder ring size.
 const DefaultFlightCapacity = 4096
+
+// flightCapacity is DefaultFlightCapacity; tests lower it.
+var flightCapacity = DefaultFlightCapacity
 
 // RecorderConfig parameterizes a flight recorder.
 type RecorderConfig struct {
-	// Capacity bounds the recorded ring; 0 means
-	// DefaultFlightCapacity.
-	Capacity int
 	// OnError observes the recorder's first (sticky) persistence
 	// failure; may be nil. The recorder keeps running in memory — the
 	// degraded flag is what health reporting surfaces.
@@ -52,11 +51,7 @@ func flightKey(seq uint64) string { return fmt.Sprintf("%020d", seq) }
 // OpenRecorder opens (or recovers) a flight recorder whose WAL lives
 // in dir. Call Attach to start consuming from a bus.
 func OpenRecorder(dir string, cfg RecorderConfig) (*Recorder, error) {
-	capacity := cfg.Capacity
-	if capacity <= 0 {
-		capacity = DefaultFlightCapacity
-	}
-	r := &Recorder{cap: capacity, done: make(chan struct{})}
+	r := &Recorder{cap: flightCapacity, done: make(chan struct{})}
 	wal, err := shardstore.OpenWAL(dir, shardstore.WALConfig{})
 	if err != nil {
 		return nil, fmt.Errorf("events: open flight WAL: %w", err)
@@ -65,7 +60,7 @@ func OpenRecorder(dir string, cfg RecorderConfig) (*Recorder, error) {
 		// The recorder bounds its window itself with explicit deletes;
 		// the store capacity is a backstop well above it so FIFO
 		// eviction never races the ring arithmetic.
-		shardstore.Config[Event]{Capacity: capacity * 2},
+		shardstore.Config[Event]{Capacity: r.cap * 2},
 		shardstore.PersistConfig[Event]{
 			Backend: wal,
 			Codec: shardstore.Codec[Event]{

@@ -90,10 +90,14 @@ func TestFlightReplayAcrossReopen(t *testing.T) {
 }
 
 // TestRecorderTrimsWindow pins the ring bound: only the newest
-// Capacity events survive, deleted entries are gone from the store.
+// flightCapacity events survive, deleted entries are gone from the
+// store.
 func TestRecorderTrimsWindow(t *testing.T) {
+	saved := flightCapacity
+	t.Cleanup(func() { flightCapacity = saved })
+	flightCapacity = 8
 	dir := t.TempDir()
-	rec, err := OpenRecorder(dir, RecorderConfig{Capacity: 8})
+	rec, err := OpenRecorder(dir, RecorderConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +114,7 @@ func TestRecorderTrimsWindow(t *testing.T) {
 	}
 
 	// Reopen: the surviving window is exactly the newest 8.
-	rec, err = OpenRecorder(dir, RecorderConfig{Capacity: 8})
+	rec, err = OpenRecorder(dir, RecorderConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

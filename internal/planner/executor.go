@@ -9,7 +9,8 @@ import (
 	"repro/internal/core"
 )
 
-// Defaults for Executor fields left zero.
+// The Executor's attempt bound when MaxAttempts is zero, and its
+// spillover wait.
 const (
 	// DefaultMaxAttempts bounds plan/execute/replan cycles per
 	// itinerary.
@@ -69,8 +70,6 @@ type Executor struct {
 	// MaxAttempts bounds replans per itinerary; 0 means
 	// DefaultMaxAttempts.
 	MaxAttempts int
-	// Backoff is the base spillover wait; 0 means DefaultBackoff.
-	Backoff time.Duration
 }
 
 // RunResult is one itinerary's execution ledger.
@@ -120,10 +119,7 @@ func (e *Executor) sleep(ctx context.Context, d time.Duration) {
 func (e *Executor) Execute(ctx context.Context, it Itinerary) RunResult {
 	res := RunResult{ItineraryID: it.ID}
 	home := e.Planner.cfg.Home
-	backoff := e.Backoff
-	if backoff <= 0 {
-		backoff = DefaultBackoff
-	}
+	backoff := DefaultBackoff
 	for attempt := 0; attempt < e.maxAttempts(); attempt++ {
 		route, err := e.Planner.PlanRoute(it)
 		if err != nil {

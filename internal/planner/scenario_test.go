@@ -123,7 +123,6 @@ func TestScenarioFlashCrowd(t *testing.T) {
 	const crowd = 200
 	ex := bed.executor()
 	ex.MaxAttempts = 1000
-	ex.Backoff = time.Millisecond
 
 	results := make([]planner.RunResult, crowd)
 	var wg sync.WaitGroup

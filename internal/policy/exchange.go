@@ -14,6 +14,7 @@ import (
 	"repro/internal/canon"
 	"repro/internal/core"
 	"repro/internal/events"
+	"repro/internal/shardstore"
 	"repro/internal/transport"
 )
 
@@ -356,22 +357,17 @@ func (x *Exchange) Stats() core.ExchangeStats {
 // while the loop runs will interleave with the loop's own updates.
 func (x *Exchange) Scheduler() *Scheduler { return x.sched }
 
-// persistSched writes the scheduler's state to statePath atomically
-// (temp + rename). Failures are silent-but-bounded: the state is pure
-// optimization, and the next successful round retries the write.
+// persistSched writes the scheduler's state to statePath durably
+// (shardstore.WriteFile). Failures are silent-but-bounded: the state is
+// pure optimization, and the next successful round retries the write.
 func (x *Exchange) persistSched() {
 	if x.statePath == "" {
 		return
 	}
-	data := x.sched.EncodeState()
-	tmp := x.statePath + ".tmp"
 	if err := os.MkdirAll(filepath.Dir(x.statePath), 0o755); err != nil {
 		return
 	}
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return
-	}
-	_ = os.Rename(tmp, x.statePath)
+	_ = shardstore.WriteFile(x.statePath, x.sched.EncodeState(), 0o644)
 }
 
 // Step runs one exchange round against the scheduler's best-scoring

@@ -33,9 +33,6 @@ type ReputationConfig struct {
 	// default ledger. Share one instance with the Gate and Gossip
 	// mechanism of the same node.
 	Ledger *Ledger
-	// QuarantineThreshold is the suspicion at/above which a failed
-	// check quarantines; 0 means DefaultQuarantineThreshold.
-	QuarantineThreshold float64
 	// FirstOffenseQuarantines restores the strict behaviour for
 	// deployments that want the ledger without leniency: every failed
 	// check quarantines, reputation still accumulates and gossips.
@@ -59,9 +56,6 @@ var (
 func NewReputation(cfg ReputationConfig) *Reputation {
 	if cfg.Ledger == nil {
 		cfg.Ledger = NewLedger(LedgerConfig{})
-	}
-	if cfg.QuarantineThreshold == 0 {
-		cfg.QuarantineThreshold = DefaultQuarantineThreshold
 	}
 	return &Reputation{cfg: cfg}
 }
@@ -90,17 +84,17 @@ func (p *Reputation) Decide(agentID string, v core.Verdict) core.Decision {
 		return core.Decision{Flag: true, NotifyOwner: true, Reason: "unattributed failed check (no suspect named)"}
 	}
 	s := p.cfg.Ledger.Observe(subject, false, 0)
-	if p.cfg.FirstOffenseQuarantines || s >= p.cfg.QuarantineThreshold {
+	if p.cfg.FirstOffenseQuarantines || s >= DefaultQuarantineThreshold {
 		return core.Decision{
 			Quarantine:  true,
 			NotifyOwner: true,
-			Reason:      fmt.Sprintf("suspicion %.2f against %s at/above quarantine threshold %.2f", s, subject, p.cfg.QuarantineThreshold),
+			Reason:      fmt.Sprintf("suspicion %.2f against %s at/above quarantine threshold %.2f", s, subject, DefaultQuarantineThreshold),
 		}
 	}
 	return core.Decision{
 		Flag:        true,
 		NotifyOwner: true,
-		Reason:      fmt.Sprintf("first-offense leniency: suspicion %.2f against %s below threshold %.2f", s, subject, p.cfg.QuarantineThreshold),
+		Reason:      fmt.Sprintf("first-offense leniency: suspicion %.2f against %s below threshold %.2f", s, subject, DefaultQuarantineThreshold),
 	}
 }
 

@@ -94,7 +94,7 @@ func failedVerdict(suspect string) core.Verdict {
 func TestReputationEscalation(t *testing.T) {
 	_, now := testClock(time.Unix(1000, 0))
 	led := NewLedger(LedgerConfig{HalfLife: time.Hour, Now: now})
-	p := NewReputation(ReputationConfig{Ledger: led, QuarantineThreshold: 2.0})
+	p := NewReputation(ReputationConfig{Ledger: led})
 
 	// First offense: lenient — flag + notify, no quarantine.
 	d := p.Decide("ag", failedVerdict("mallory"))

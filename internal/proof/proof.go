@@ -436,9 +436,6 @@ type VerifyConfig struct {
 	Registry *sigcrypto.Registry
 	// K is the number of random positions opened per session; 0 means 8.
 	K int
-	// Rand draws a uniform index in [0, n); nil uses crypto/rand. Tests
-	// inject determinism here.
-	Rand func(n int) (int, error)
 }
 
 // Report is the verification outcome.
@@ -475,17 +472,6 @@ func Verify(ctx context.Context, cfg VerifyConfig, ag *agent.Agent) (*Report, er
 	if k <= 0 {
 		k = 8
 	}
-	draw := cfg.Rand
-	if draw == nil {
-		draw = func(n int) (int, error) {
-			b, err := rand.Int(rand.Reader, big.NewInt(int64(n)))
-			if err != nil {
-				return 0, err
-			}
-			return int(b.Int64()), nil
-		}
-	}
-
 	rep := &Report{}
 	blame := func(c Commitment, reason string) *Report {
 		rep.OK = false
@@ -512,11 +498,11 @@ func Verify(ctx context.Context, cfg VerifyConfig, ag *agent.Agent) (*Report, er
 		// little coverage, not soundness).
 		indices := make([]int, 0, k)
 		for j := 0; j < k && j < c.N; j++ {
-			idx, err := draw(c.N)
+			idx, err := rand.Int(rand.Reader, big.NewInt(int64(c.N)))
 			if err != nil {
 				return nil, fmt.Errorf("proof: drawing index: %w", err)
 			}
-			indices = append(indices, idx)
+			indices = append(indices, int(idx.Int64()))
 		}
 		req, err := encodeOpen(OpenRequest{AgentID: ag.ID, Hop: c.Hop, Indices: indices})
 		if err != nil {

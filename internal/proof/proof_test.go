@@ -49,17 +49,7 @@ func buildBed(t *testing.T) *platformtest.Bed {
 }
 
 func verifyCfg(bed *platformtest.Bed) proof.VerifyConfig {
-	// Deterministic index drawing for reproducible tests.
-	seq := 0
-	return proof.VerifyConfig{
-		Net:      bed.Net,
-		Registry: bed.Reg,
-		K:        4,
-		Rand: func(n int) (int, error) {
-			seq = (seq*31 + 7) % n
-			return seq, nil
-		},
-	}
+	return proof.VerifyConfig{Net: bed.Net, Registry: bed.Reg, K: 4}
 }
 
 func TestHonestJourneyVerifies(t *testing.T) {

@@ -266,11 +266,7 @@ func Assemble(l Level, opts Options) (Stack, error) {
 		// Urgent piggybacking fires exactly at the policy's quarantine
 		// threshold: a detection severe enough to quarantine is the one
 		// detection a calling peer should hear about in the same RPC.
-		urgentAt := pcfg.QuarantineThreshold
-		if urgentAt == 0 {
-			urgentAt = policy.DefaultQuarantineThreshold
-		}
-		gossip.SetUrgentThreshold(urgentAt)
+		gossip.SetUrgentThreshold(policy.DefaultQuarantineThreshold)
 		mechs := refproto.New(refproto.Config{
 			Timer: opts.Timer, ExecHook: opts.ExecHook, ReExecGate: gate.ShouldReExecute,
 		}, gossip, appraisalpkg.New())

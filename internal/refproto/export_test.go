@@ -1,8 +1,11 @@
 package refproto
 
 import (
+	"context"
+
 	"repro/internal/agent"
 	"repro/internal/canon"
+	"repro/internal/core"
 	"repro/internal/sigcrypto"
 )
 
@@ -54,4 +57,33 @@ func CarryPackage(ag *agent.Agent, pkg []byte) error {
 	p.PkgEnc = pkg
 	ag.SetBaggage(MechanismName, appendPayload(nil, &p))
 	return nil
+}
+
+// CoverPredecessor makes the node whose mechanisms mechs are a host
+// that covers for its predecessor: its checker runs every check as an
+// honest one does, keeps the checked session as the producer of its
+// own and departs as usual, but reports no failed verdict. Two
+// consecutive hosts, the first tampering and this one covering, are
+// the collaboration the protocol cannot detect (§5.1).
+func CoverPredecessor(mechs []core.Mechanism) []core.Mechanism {
+	out := append([]core.Mechanism(nil), mechs...)
+	for i, m := range out {
+		if check, ok := m.(*Mechanism); ok {
+			out[i] = coveringChecker{check}
+		}
+	}
+	return out
+}
+
+// coveringChecker is the checker of a host that covers for its
+// predecessor.
+type coveringChecker struct{ *Mechanism }
+
+// CheckAfterSession drops a failed verdict of the checker it wraps.
+func (c coveringChecker) CheckAfterSession(ctx context.Context, hc *core.HostContext, ag *agent.Agent) (*core.Verdict, error) {
+	v, err := c.Mechanism.CheckAfterSession(ctx, hc, ag)
+	if v != nil && !v.OK {
+		return nil, err
+	}
+	return v, err
 }

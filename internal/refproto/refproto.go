@@ -100,13 +100,6 @@ type Config struct {
 	// alone; only the input-replay re-execution is skipped. Nil
 	// re-executes every untrusted session (the paper's full protocol).
 	ReExecGate func(checkedHost string) bool
-	// Colluding makes this node's checker accept every session without
-	// examining it, while still participating in the protocol (it hands
-	// the session it received on as its producer, and packages its own
-	// at departure). It models the paper's documented limitation:
-	// "collaboration attacks of two and more consecutive hosts cannot be
-	// detected" (§5.1). For attack simulation only.
-	Colluding bool
 }
 
 // shared is one node's protocol state, common to its seal and checker.
@@ -535,25 +528,19 @@ func (s *Seal) CheckAfterSession(_ context.Context, hc *core.HostContext, ag *ag
 		return failed(v, "protocol baggage carries a reference package or producer no checker here reads")
 	}
 	p.Session.Envelope = envelope(ag)
-
-	// A colluding checker vouches for whatever it received: it hands
-	// the session on as its producer and reports nothing, so its own
-	// departure package looks perfectly regular to the host after it.
-	if !s.cfg.Colluding {
-		if p.Hop != ag.Hop-1 {
-			return failed(v, fmt.Sprintf("baggage is for session %d, expected %d (replayed?)", p.Hop, ag.Hop-1))
-		}
-		// The session's resulting state must be the state that actually
-		// arrived, and the previous host must have signed the session
-		// over the agent as it arrived. The arrival digest was seeded
-		// from the wire bytes during unmarshalling, so this is a cache
-		// read, not a rehash.
-		if ag.StateDigest() != p.Session.Result {
-			return failed(v, "arrived state does not match the previous host's signed resulting state")
-		}
-		if err := s.verifySession(hc.Host.Registry(), ag, &p); err != nil {
-			return failed(v, err.Error())
-		}
+	if p.Hop != ag.Hop-1 {
+		return failed(v, fmt.Sprintf("baggage is for session %d, expected %d (replayed?)", p.Hop, ag.Hop-1))
+	}
+	// The session's resulting state must be the state that actually
+	// arrived, and the previous host must have signed the session over
+	// the agent as it arrived. The arrival digest was seeded from the
+	// wire bytes during unmarshalling, so this is a cache read, not a
+	// rehash.
+	if ag.StateDigest() != p.Session.Result {
+		return failed(v, "arrived state does not match the previous host's signed resulting state")
+	}
+	if err := s.verifySession(hc.Host.Registry(), ag, &p); err != nil {
+		return failed(v, err.Error())
 	}
 	if s.paired {
 		s.mu.Lock()
@@ -602,9 +589,6 @@ func (m *Mechanism) CheckAfterSession(ctx context.Context, hc *core.HostContext,
 	// initial state of this host's own session. This also clears the
 	// arrived payload, which aliases the agent's baggage.
 	m.keep(ag, p.Session)
-	if m.cfg.Colluding {
-		return nil, nil
-	}
 
 	v := newVerdict(hc, ag)
 	prev := v.CheckedHost

@@ -39,26 +39,33 @@ proc finish() { done() }`
 
 // buildBed wires home -> shop1 -> shop2 -> home2 with refproto on every
 // node. mut lets callers plant attacks per host.
-func buildBed(t *testing.T, mut map[string]func(*host.Config), mechCfg func(hostName string) refproto.Config) *platformtest.Bed {
+func buildBed(t *testing.T, mut map[string]func(*host.Config), mechs func(hostName string) []core.Mechanism) *platformtest.Bed {
 	t.Helper()
 	bed := platformtest.New(t)
-	addRoute(bed, mut, mechCfg)
+	addRoute(bed, mut, mechs)
 	return bed
 }
 
-// addRoute adds buildBed's four hosts to bed.
-func addRoute(bed *platformtest.Bed, mut map[string]func(*host.Config), mechCfg func(hostName string) refproto.Config) {
-	if mechCfg == nil {
-		mechCfg = func(string) refproto.Config { return refproto.Config{} }
+// addRoute adds buildBed's four hosts to bed. mechs builds a host's
+// mechanisms; nil gives every host refproto.New(refproto.Config{}).
+func addRoute(bed *platformtest.Bed, mut map[string]func(*host.Config), mechs func(hostName string) []core.Mechanism) {
+	addHosts(bed, []string{"home", "shop1", "shop2", "home2"}, mut, mechs)
+}
+
+// addHosts adds the named hosts to bed: the ones named home… are
+// trusted, shopN offers the price prices gives it.
+func addHosts(bed *platformtest.Bed, names []string, mut map[string]func(*host.Config), mechs func(hostName string) []core.Mechanism) {
+	if mechs == nil {
+		mechs = func(string) []core.Mechanism { return refproto.New(refproto.Config{}) }
 	}
-	prices := map[string]int64{"shop1": 120, "shop2": 80}
-	for _, name := range []string{"home", "shop1", "shop2", "home2"} {
+	prices := map[string]int64{"shop1": 120, "shop2": 80, "shop3": 90}
+	for _, name := range names {
 		name := name
 		trusted := strings.HasPrefix(name, "home")
 		bed.AddHost(name, platformtest.HostOptions{
 			Trusted: trusted,
 			Mechanisms: func() []core.Mechanism {
-				return refproto.New(mechCfg(name))
+				return mechs(name)
 			},
 			Configure: func(c *host.Config) {
 				if p, ok := prices[name]; ok {
@@ -409,17 +416,29 @@ func TestInFlightStateTamperingDetected(t *testing.T) {
 	}
 }
 
+// coveringAt gives the host named coverer the mechanisms of a host
+// that covers for its predecessor, and every other host the honest
+// protocol.
+func coveringAt(coverer string) func(string) []core.Mechanism {
+	return func(hostName string) []core.Mechanism {
+		mechs := refproto.New(refproto.Config{})
+		if hostName == coverer {
+			return refproto.CoverPredecessor(mechs)
+		}
+		return mechs
+	}
+}
+
 func TestConsecutiveCollusionNotDetected(t *testing.T) {
-	// shop1 tampers; shop2 colludes (vouches without checking). The host
-	// after shop2 can only check shop2's own — honest — session, so the
-	// attack goes unnoticed: the documented §5.1 limitation.
+	// shop1 tampers; shop2 covers for it (checks, but reports nothing).
+	// The host after shop2 can only check shop2's own — honest —
+	// session, so the attack goes unnoticed: the documented §5.1
+	// limitation.
 	bed := buildBed(t, map[string]func(*host.Config){
 		"shop1": func(c *host.Config) {
 			c.Behavior = attack.DataManipulation{Var: "best", Val: value.Int(500)}
 		},
-	}, func(hostName string) refproto.Config {
-		return refproto.Config{Colluding: hostName == "shop2"}
-	})
+	}, coveringAt("shop2"))
 	if err := launch(t, bed); err != nil {
 		t.Fatalf("collusion should evade detection, got %v", err)
 	}
@@ -436,6 +455,40 @@ func TestConsecutiveCollusionNotDetected(t *testing.T) {
 	}
 }
 
+// TestCoverOneHostLateDetected pins the edge of the §5.1 limit: it
+// holds only for consecutive hosts. On home -> shop1 -> shop2 -> shop3
+// -> home2, shop1 tampers and shop3 covers for its predecessor, but the
+// honest shop2 between them checks shop1's session first and blames
+// shop1.
+func TestCoverOneHostLateDetected(t *testing.T) {
+	bed := platformtest.New(t)
+	addHosts(bed, []string{"home", "shop1", "shop2", "shop3", "home2"}, map[string]func(*host.Config){
+		"shop1": func(c *host.Config) {
+			c.Behavior = attack.DataManipulation{Var: "best", Val: value.Int(500)}
+		},
+	}, coveringAt("shop3"))
+	ag := bed.NewAgent("shopper", `
+proc main() {
+    best = 999999
+    migrate("shop1", "visit")
+}
+proc visit() {
+    let offer = read("price")
+    if offer < best { best = offer }
+    if here() == "shop1" { migrate("shop2", "visit") }
+    if here() == "shop2" { migrate("shop3", "visit") }
+    migrate("home2", "finish")
+}
+proc finish() { done() }`)
+	if err := bed.Run("home", ag); !errors.Is(err, core.ErrDetection) {
+		t.Fatalf("err = %v, want ErrDetection", err)
+	}
+	failed := bed.FailedVerdicts()
+	if len(failed) != 1 || failed[0].Suspect != "shop1" || failed[0].Checker != "shop2" {
+		t.Fatalf("failed verdicts = %v, want shop2's one verdict against shop1", failed)
+	}
+}
+
 func TestReplayedBaggageDetected(t *testing.T) {
 	bed := interceptBed(t, replayBaggage, nil)
 	err := launch(t, bed)
@@ -446,8 +499,8 @@ func TestReplayedBaggageDetected(t *testing.T) {
 
 func TestCryptoTimerAccumulates(t *testing.T) {
 	timer := &stopwatch.PhaseTimer{}
-	bed := buildBed(t, nil, func(string) refproto.Config {
-		return refproto.Config{Timer: timer}
+	bed := buildBed(t, nil, func(string) []core.Mechanism {
+		return refproto.New(refproto.Config{Timer: timer})
 	})
 	if err := launch(t, bed); err != nil {
 		t.Fatal(err)

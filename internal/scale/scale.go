@@ -35,6 +35,10 @@ import (
 // the harness measures system overhead, not compute.
 const sessionCycles = 1
 
+// seed drives route selection: two runs with the same Config launch
+// identical itineraries over identical malicious sets.
+const seed = 1
+
 // Config parameterizes one scale run. The zero value is a small smoke
 // configuration; `benchtables -scale` drives it to 500+ nodes and
 // 10k+ itineraries.
@@ -72,9 +76,6 @@ type Config struct {
 	// DataDir is the root directory for durable state; required when
 	// Durable.
 	DataDir string
-	// Seed drives route selection. Two runs with the same Config
-	// launch identical itineraries over identical malicious sets.
-	Seed int64
 	// Planner routes itineraries through the reputation-aware planner
 	// instead of fixed pre-drawn routes: per-home planners pick each
 	// hop from staged candidate pools, every node runs ledger-backed
@@ -200,9 +201,6 @@ func (c *Config) fill() error {
 	if c.Durable && c.DataDir == "" {
 		return fmt.Errorf("scale: Durable requires DataDir")
 	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
 	return nil
 }
 
@@ -295,7 +293,7 @@ func Run(cfg Config) (Result, error) {
 		Durable: cfg.Durable,
 		Nodes:   cfg.Nodes, Homes: cfg.Homes, WorkerNodes: workerCount,
 		MaliciousNodes: cfg.MaliciousNodes, Itineraries: cfg.Itineraries,
-		Hops: cfg.Hops, Seed: cfg.Seed,
+		Hops: cfg.Hops, Seed: seed,
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Minute)
@@ -304,7 +302,7 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(seed))
 
 	// Ground truth and detection ledgers, shared across nodes.
 	var mu sync.Mutex
@@ -455,7 +453,7 @@ func Run(cfg Config) (Result, error) {
 		for hi, home := range homes {
 			pl := plannerpkg.New(plannerpkg.Config{
 				Home:      home,
-				Seed:      cfg.Seed + int64(hi) + 1,
+				Seed:      seed + int64(hi) + 1,
 				Suspicion: f.Member(home).Stack.Ledger.Suspicion,
 			})
 			executors[home] = &plannerpkg.Executor{

@@ -50,7 +50,6 @@ func TestRunSmall(t *testing.T) {
 		Itineraries:    48,
 		MaliciousNodes: 2,
 		Concurrency:    32,
-		Seed:           7,
 	})
 }
 
@@ -64,7 +63,6 @@ func TestRunDurable(t *testing.T) {
 		Concurrency:    16,
 		Durable:        true,
 		DataDir:        t.TempDir(),
-		Seed:           11,
 	})
 }
 
@@ -81,7 +79,6 @@ func TestRunRepro(t *testing.T) {
 		Itineraries: 512,
 		Durable:     true,
 		DataDir:     t.TempDir(),
-		Seed:        1,
 	})
 	t.Logf("%.1f itin/s p99=%.1fms syncs=%d mean batch %.2f",
 		r.ItinerariesPerSec, r.P99MS, r.WALSyncs, r.WALMeanBatch)
@@ -136,7 +133,6 @@ func TestRunPlannerABSmall(t *testing.T) {
 		Itineraries:    48,
 		MaliciousNodes: 2,
 		Concurrency:    32,
-		Seed:           7,
 	}
 	ab, err := RunPlannerAB(cfg)
 	if err != nil {
@@ -157,7 +153,6 @@ func TestRunPlannerABRepro(t *testing.T) {
 	cfg := Config{
 		Nodes:       64,
 		Itineraries: 512,
-		Seed:        1,
 	}
 	ab, err := RunPlannerAB(cfg)
 	if err != nil {
@@ -254,7 +249,6 @@ func TestRunLeavesNothingBehind(t *testing.T) {
 			Concurrency: 8,
 			Durable:     true,
 			DataDir:     t.TempDir(),
-			Seed:        3,
 		})
 		if err != nil {
 			t.Fatal(err)

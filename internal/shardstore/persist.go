@@ -6,10 +6,9 @@ import (
 )
 
 // DefaultCompactEvery is the number of appended records between
-// snapshot compactions when PersistConfig.CompactEvery is zero. It is
-// high enough that compaction never dominates a steady write load and
-// low enough that replay time stays proportional to the live state, not
-// the node's lifetime.
+// snapshot compactions. It is high enough that compaction never
+// dominates a steady write load and low enough that replay time stays
+// proportional to the live state, not the node's lifetime.
 const DefaultCompactEvery = 4096
 
 // PersistConfig wires a Backend under a Store.
@@ -19,10 +18,6 @@ type PersistConfig[V any] struct {
 	Backend Backend
 	// Codec converts values to and from the backend's byte records.
 	Codec Codec[V]
-	// CompactEvery triggers a snapshot compaction after this many
-	// appended records; 0 means DefaultCompactEvery, negative disables
-	// automatic compaction (Compact can still be called explicitly).
-	CompactEvery int
 	// OnError observes the first persistence failure (append or
 	// compaction I/O error); may be nil. It fires exactly once: the
 	// backend's errors are sticky and a log with holes would replay
@@ -60,10 +55,6 @@ func NewPersistent[V any](cfg Config[V], p PersistConfig[V]) (*Store[V], error) 
 	s := New(cfg)
 	s.backend = p.Backend
 	s.codec = p.Codec
-	s.compactEvery = int64(p.CompactEvery)
-	if s.compactEvery == 0 {
-		s.compactEvery = DefaultCompactEvery
-	}
 	s.onPersistErr = p.OnError
 	s.loading = true
 	err := p.Backend.Replay(func(op Op, key string, value []byte) error {
@@ -113,7 +104,7 @@ func (s *Store[V]) appendRecord(op Op, key string, v V) {
 		s.reportPersistErr(err)
 		return
 	}
-	if s.compactEvery > 0 && s.appends.Add(1) >= s.compactEvery {
+	if s.appends.Add(1) >= DefaultCompactEvery {
 		s.maybeCompact()
 	}
 }
@@ -137,9 +128,9 @@ func (s *Store[V]) maybeCompact() {
 
 // Compact snapshots the store's full live state into the backend,
 // letting it drop the log records the snapshot covers. Automatic
-// compaction (PersistConfig.CompactEvery) calls this in the background;
-// explicit calls are useful before a planned shutdown. No-op for
-// memory-only stores.
+// compaction (every DefaultCompactEvery records) calls this in the
+// background; explicit calls are useful before a planned shutdown.
+// No-op for memory-only stores.
 func (s *Store[V]) Compact() error {
 	if s.backend == nil {
 		return nil

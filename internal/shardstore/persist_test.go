@@ -68,10 +68,10 @@ func TestPersistentStoreSurvivesReopen(t *testing.T) {
 
 func TestPersistentStoreAutoCompacts(t *testing.T) {
 	dir := t.TempDir()
-	s := newPersistentInt(t, dir, Config[int]{}, PersistConfig[int]{CompactEvery: 32})
-	// Churn one key far past CompactEvery: the log would hold every
+	s := newPersistentInt(t, dir, Config[int]{}, PersistConfig[int]{})
+	// Churn one key past DefaultCompactEvery: the log would hold every
 	// overwrite, the snapshot only the final value.
-	for i := 0; i < 500; i++ {
+	for i := 0; i < DefaultCompactEvery+500; i++ {
 		s.Put("hot", i)
 	}
 	if err := s.Close(); err != nil {
@@ -82,12 +82,12 @@ func TestPersistentStoreAutoCompacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(snaps) == 0 {
-		t.Fatal("no snapshot written despite CompactEvery churn")
+		t.Fatal("no snapshot written despite churn past DefaultCompactEvery")
 	}
 	r := newPersistentInt(t, dir, Config[int]{}, PersistConfig[int]{})
 	defer r.Close()
-	if v, ok := r.Get("hot"); !ok || v != 499 {
-		t.Fatalf("hot=%d,%v after compacted reopen, want 499", v, ok)
+	if v, ok := r.Get("hot"); !ok || v != DefaultCompactEvery+499 {
+		t.Fatalf("hot=%d,%v after compacted reopen, want %d", v, ok, DefaultCompactEvery+499)
 	}
 	if r.Len() != 1 {
 		t.Fatalf("Len=%d after compacted reopen, want 1", r.Len())

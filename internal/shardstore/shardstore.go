@@ -105,7 +105,6 @@ type Store[V any] struct {
 	// Persistence plumbing; zero for memory-only stores. See persist.go.
 	backend      Backend
 	codec        Codec[V]
-	compactEvery int64
 	onPersistErr func(error)
 	appends      atomic.Int64 // records since the last compaction
 	compacting   atomic.Bool

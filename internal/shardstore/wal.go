@@ -561,7 +561,7 @@ func (w *WAL) Compact(write func(emit func(key string, value []byte) error) erro
 	}
 	// Flush and sync stragglers appended since the fsync above, then
 	// retire the old segment. This fsync does hold w.mu, but rotation
-	// happens once per CompactEvery records, not per batch.
+	// happens once per DefaultCompactEvery records, not per batch.
 	if err := w.w.Flush(); err != nil {
 		w.mu.Unlock()
 		w.syncMu.Unlock()
@@ -646,13 +646,47 @@ func (w *WAL) Compact(write func(emit func(key string, value []byte) error) erro
 	return nil
 }
 
-// syncDir fsyncs the directory so a just-renamed snapshot survives a
+// syncDir fsyncs the directory so a just-renamed file survives a
 // crash (best effort: some filesystems refuse directory syncs).
 func syncDir(dir string) {
 	if d, err := os.Open(dir); err == nil {
 		_ = d.Sync()
 		_ = d.Close()
 	}
+}
+
+// WriteFile writes data to path in one durable, atomic step: a reader
+// sees the old file or the new one, never part of one, and once it
+// returns the new file survives a crash. The bytes go to a temporary
+// file in path's directory, named ".<base>.*.tmp" so that no scan for
+// a suffix (".agent", ".pub") takes it for the real file, which is
+// synced, closed, given perm and renamed over path; then the directory
+// is synced. On failure the temporary file is removed.
+func WriteFile(path string, data []byte, perm os.FileMode) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".*.tmp")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Chmod(tmp.Name(), perm)
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		_ = os.Remove(tmp.Name())
+		return err
+	}
+	syncDir(dir)
+	return nil
 }
 
 // Close implements Backend: stop the flusher, sync what is buffered,

@@ -153,10 +153,13 @@ const (
 
 	// Dial retry policy: a transient dial failure (connection refused
 	// or reset before any byte arrived — the signature of a peer
-	// mid-restart) is retried with jittered exponential backoff until
-	// the caller's deadline, or dialRetryBudget when the caller set
-	// none. Sleeps are drawn uniformly from [backoff/2, backoff) so a
-	// fleet that lost a node does not reconverge on it in lockstep.
+	// mid-restart) is retried with jittered exponential backoff for
+	// half the time left before the caller's deadline, or for
+	// dialRetryBudget when the caller set none. The other half is the
+	// caller's: a node forwarding to a peer that stays down fails the
+	// forward while whoever waits on the journey is still waiting.
+	// Sleeps are drawn uniformly from [backoff/2, backoff) so a fleet
+	// that lost a node does not reconverge on it in lockstep.
 	dialBackoffBase = 25 * time.Millisecond
 	dialBackoffMax  = time.Second
 	dialRetryBudget = 5 * time.Second
@@ -391,20 +394,21 @@ func (n *TCPNetwork) putIdle(host string, c net.Conn) {
 }
 
 // dialBackoff dials with jittered exponential backoff across transient
-// failures. The retry window is the caller's ctx deadline when it has
-// one, else dialRetryBudget, which also bounds each attempt. On
-// exhaustion the returned error wraps both ErrDialRetriesExhausted and
-// the last transient failure. The window counts as exhausted whether
-// it closes during the sleep between attempts or during an attempt:
-// once a transient failure has been seen, an attempt cut short by the
-// closing window is the end of the retries, not a failure of its own.
+// failures. The retry window is half the time left before ctx's
+// deadline when it has one, else dialRetryBudget; it also bounds each
+// attempt. On exhaustion the returned error wraps both
+// ErrDialRetriesExhausted and the last transient failure. The window
+// counts as exhausted whether it closes during the sleep between
+// attempts or during an attempt: once a transient failure has been
+// seen, an attempt cut short by the closing window is the end of the
+// retries, not a failure of its own.
 func (n *TCPNetwork) dialBackoff(ctx context.Context, host, addr string) (net.Conn, error) {
-	rctx := ctx
-	if _, ok := ctx.Deadline(); !ok {
-		var cancel context.CancelFunc
-		rctx, cancel = context.WithTimeout(ctx, dialRetryBudget)
-		defer cancel()
+	window := dialRetryBudget
+	if d, ok := ctx.Deadline(); ok {
+		window = time.Until(d) / 2
 	}
+	rctx, cancel := context.WithTimeout(ctx, window)
+	defer cancel()
 	backoff := dialBackoffBase
 	attempts := 0
 	var transient error
